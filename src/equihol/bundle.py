@@ -34,9 +34,22 @@ from .geometry import (
     format_word,
     lie_bracket,
     lie_derivative_one_form,
+    richardson_slope,
     two_form_derivative,
 )
 from .probes import probe_points, rng_for
+
+# Probe count and cocycle tolerance of the construction checks.
+CHECK_PROBES = 24
+CHECK_TOL = 1e-6
+# Flow step of the cocycle's flow derivative.
+FLOW_STEP = 1e-4
+# Probes and tolerance of the bracket expansion in declared generators.
+EXPANSION_PROBES = 24
+EXPANSION_TOL = 1e-3
+# Probes and tolerance of the equivariant closedness check.
+CLOSEDNESS_PROBES = 16
+CLOSEDNESS_TOL = 1e-4
 
 
 class Cocycle:
@@ -138,8 +151,6 @@ class EquivariantBundle:
         cocycle: Cocycle,
         lie_generators: Sequence[LieElement] = (),
         check: bool = True,
-        check_probes: int = 24,
-        check_tol: float = 1e-6,
         seed: int = 0,
     ):
         self.space = space
@@ -150,17 +161,17 @@ class EquivariantBundle:
             if label not in cocycle.generator_values:
                 raise PreconditionError(f"cocycle missing generator {label!r}")
         if check:
-            pts = probe_points(space, check_probes, seed, tag="bundle-check")
+            pts = probe_points(space, CHECK_PROBES, seed, tag="bundle-check")
             inv = max(g.inverse_defect(pts) for g in action.generators.values())
             if inv > 1e-8:
                 raise ConsistencyError(f"generator inverse defect {inv:.3e} exceeds 1e-08")
             rel = self.action.relation_defect(pts)
             if rel > 1e-8:
                 raise ConsistencyError(f"action relation defect {rel:.3e} exceeds 1e-08")
-            report = check_cocycle(self, word_length=2, probes=check_probes, seed=seed)
-            if report.max_residual > check_tol:
+            report = check_cocycle(self, word_length=2, probes=CHECK_PROBES, seed=seed)
+            if report.max_residual > CHECK_TOL:
                 raise ConsistencyError(
-                    f"cocycle residual {report.max_residual:.3e} exceeds {check_tol:g} "
+                    f"cocycle residual {report.max_residual:.3e} exceeds {CHECK_TOL:g} "
                     f"at word pair {report.witness_words}, point {report.witness_point}"
                 )
 
@@ -281,8 +292,7 @@ def _flow_cocycle_derivative(bundle, section, lie_label: str, x, dt: float) -> f
             )
         return (plus.lift_near(0.0) - minus.lift_near(0.0)) / (2 * h)
 
-    d1, d2 = slope(dt), slope(dt / 2)
-    return (4.0 * d2 - d1) / 3.0
+    return richardson_slope(slope, dt)
 
 
 def infinitesimal_anomaly(
@@ -292,7 +302,6 @@ def infinitesimal_anomaly(
     method: str = "flow-derivative",
     connection: Optional[Connection] = None,
     moment: Optional[ScalarField] = None,
-    dt: float = 1e-4,
 ) -> ScalarField:
     """The derivative of the cocycle along a one-parameter subgroup.
 
@@ -305,7 +314,7 @@ def infinitesimal_anomaly(
     if method == "flow-derivative":
         return ScalarField(
             bundle.space,
-            lambda x: _flow_cocycle_derivative(bundle, section, lie_label, x, dt),
+            lambda x: _flow_cocycle_derivative(bundle, section, lie_label, x, FLOW_STEP),
             name=f"anomaly({lie_label})",
         )
     if method == "moment-formula":
@@ -321,9 +330,7 @@ def infinitesimal_anomaly(
     raise PreconditionError(f"unknown anomaly method {method!r}")
 
 
-def lie_algebra_expansion(
-    bundle: EquivariantBundle, target: VectorField, probes: int = 24, seed: int = 0, tol: float = 1e-3
-):
+def lie_algebra_expansion(bundle: EquivariantBundle, target: VectorField):
     """Expand a vector field in the declared one-parameter generators.
 
     Least squares over probe points; fails when the field does not lie in
@@ -331,7 +338,7 @@ def lie_algebra_expansion(
     """
     bundle.require_lie()
     labels = list(bundle.lie_generators)
-    pts = probe_points(bundle.space, probes, seed, tag="algebra-expansion")
+    pts = probe_points(bundle.space, EXPANSION_PROBES, 0, tag="algebra-expansion")
     cols = []
     for label in labels:
         f = bundle.lie_generators[label].generator_field
@@ -340,7 +347,7 @@ def lie_algebra_expansion(
     b = np.concatenate([target(x) for x in pts])
     coef, *_ = np.linalg.lstsq(A, b, rcond=None)
     resid = float(np.max(np.abs(A @ coef - b))) if len(b) else 0.0
-    if resid > tol:
+    if resid > EXPANSION_TOL:
         raise PreconditionError(
             f"bracket leaves the declared generator span (defect {resid:.3e})"
         )
@@ -428,10 +435,7 @@ def connection_report(
     connection: Connection,
     section: Section,
     declared_moment: Optional[Dict[str, ScalarField]] = None,
-    check: bool = True,
-    probes: int = 16,
     seed: int = 0,
-    tol: float = 1e-4,
 ) -> ConnectionReport:
     """Assemble rho for the section, the curvature and the moment.
 
@@ -454,14 +458,13 @@ def connection_report(
                 name=f"moment({label})",
             )
     eq = EquivariantCurvature(curv, moment)
-    residuals = eq.closedness_residuals(bundle, probes=probes, seed=seed) if check else {}
-    if check:
-        worst = max(residuals.values()) if residuals else 0.0
-        if worst > tol:
-            raise ConsistencyError(
-                f"equivariant closedness defect {worst:.3e} exceeds {tol:g}; "
-                "the scenario connection, cocycle and moment are inconsistent"
-            )
+    residuals = eq.closedness_residuals(bundle, probes=CLOSEDNESS_PROBES, seed=seed)
+    worst = max(residuals.values())
+    if worst > CLOSEDNESS_TOL:
+        raise ConsistencyError(
+            f"equivariant closedness defect {worst:.3e} exceeds {CLOSEDNESS_TOL:g}; "
+            "the scenario connection, cocycle and moment are inconsistent"
+        )
     return ConnectionReport(rho, curv, moment, eq, residuals)
 
 

@@ -62,6 +62,8 @@ def _config(scenario, args):
     if args.tol is not None:
         overrides["holdout_tol"] = args.tol
     if args.probes is not None:
+        if args.probes < 1:
+            raise ToolkitError(f"--probes must be at least 1, got {args.probes}")
         overrides["probes"] = args.probes
         overrides["holdout"] = args.probes
     if args.max_word_len is not None:
@@ -88,7 +90,10 @@ def _cli_path(model, scenario, word, spec, cfg):
             space, base, model.bundle.action.apply(word, base), samples=cfg.path_samples
         )
     if spec.startswith("wiggle:"):
-        k = int(spec.split(":", 1)[1])
+        try:
+            k = int(spec.split(":", 1)[1])
+        except ValueError:
+            raise ToolkitError(f"bad path spec {spec!r}; wiggle takes an integer, e.g. wiggle:1")
         rng = rng_for(cfg.seed, f"cli-path-{k}")
         return random_class_path(
             space, model.bundle.action, word, base, rng, samples=cfg.path_samples
@@ -172,6 +177,13 @@ def _run(args) -> int:
 
     if args.command == "holonomy":
         word = parse_word(args.word)
+        generators = model.bundle.action.generators
+        for name, _ in word:
+            if name not in generators:
+                raise ToolkitError(
+                    f"word {args.word!r} uses unknown generator {name!r}; "
+                    f"generators: {', '.join(generators)}"
+                )
         path = _cli_path(model, scenario, word, args.path, cfg)
         res = equivariant_holonomy(
             model.bundle, model.connection, model.reference_section, word, path,

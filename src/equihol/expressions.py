@@ -319,29 +319,6 @@ def evaluate(node: Expr, env: dict) -> float:
     return compile_expr(node)(env)
 
 
-def variables_of(node: Expr) -> set:
-    """All non-reserved identifiers appearing in the expression."""
-    out = set()
-
-    def walk(n):
-        if isinstance(n, Var):
-            if n.name != "pi":
-                out.add(n.name)
-        elif isinstance(n, Call):
-            for a in n.args:
-                walk(a)
-        elif isinstance(n, Neg):
-            walk(n.operand)
-        elif isinstance(n, BinOp):
-            walk(n.left)
-            walk(n.right)
-        elif isinstance(n, Pow):
-            walk(n.base)
-
-    walk(node)
-    return out
-
-
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 

@@ -12,6 +12,7 @@ assertions, never computed here.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
@@ -28,6 +29,8 @@ from .errors import (
 
 DEFAULT_FD_STEP = 1e-4
 DEFAULT_PATH_SAMPLES = 512
+# Largest gap between the end of one path and the start of the next it joins.
+JOIN_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -68,9 +71,6 @@ class CircleValue:
     def distance(self, other) -> float:
         d = abs(self.value - CircleValue.of(other).value)
         return min(d, 1.0 - d)
-
-    def is_close(self, other, tol: float = 1e-9) -> bool:
-        return self.distance(other) <= tol
 
     def lift_near(self, anchor: float) -> float:
         """Real representative within 1/2 of ``anchor``."""
@@ -153,12 +153,6 @@ class ParameterSpace:
             x = np.mod(x, np.asarray(self.periods))
         return x
 
-    def vector(self, coords) -> np.ndarray:
-        v = np.asarray(coords, dtype=float).reshape(self.dimension)
-        if not np.all(np.isfinite(v)):
-            raise EvaluationError("non-finite tangent coordinates", point=v)
-        return v
-
     def displacement(self, a, b) -> np.ndarray:
         """Vector from a to b, minimal image on the torus."""
         d = np.asarray(b, dtype=float) - np.asarray(a, dtype=float)
@@ -231,19 +225,6 @@ class ScalarField:
         other = other if isinstance(other, ScalarField) else ScalarField.constant(self.space, other)
         return ScalarField(self.space, lambda x: self.fn(x) + other.fn(x))
 
-    def __sub__(self, other):
-        other = other if isinstance(other, ScalarField) else ScalarField.constant(self.space, other)
-        return ScalarField(self.space, lambda x: self.fn(x) - other.fn(x))
-
-    def __mul__(self, c: float):
-        c = float(c)
-        return ScalarField(self.space, lambda x: c * self.fn(x))
-
-    __rmul__ = __mul__
-
-    def pullback(self, g: "GroupElement") -> "ScalarField":
-        return ScalarField(self.space, lambda x: self.fn(g(x)), name=f"{g.label}*{self.name}")
-
 
 class VectorField:
     def __init__(self, space: ParameterSpace, fn: Callable[[np.ndarray], np.ndarray], name=""):
@@ -261,15 +242,6 @@ class VectorField:
         if not np.all(np.isfinite(v)):
             raise EvaluationError(f"vector field {self.name!r} non-finite", point=x)
         return v
-
-    def __add__(self, other):
-        return VectorField(self.space, lambda x: self.fn(x) + other.fn(x))
-
-    def __mul__(self, c: float):
-        c = float(c)
-        return VectorField(self.space, lambda x: c * np.asarray(self.fn(x)))
-
-    __rmul__ = __mul__
 
 
 class OneForm:
@@ -312,24 +284,8 @@ class OneForm:
     def __sub__(self, other):
         return OneForm(self.space, lambda x, v: self.fn(x, v) - other.fn(x, v))
 
-    def __mul__(self, c: float):
-        c = float(c)
-        return OneForm(self.space, lambda x, v: c * self.fn(x, v))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return OneForm(self.space, lambda x, v: -self.fn(x, v))
-
     def contract(self, vf: VectorField) -> ScalarField:
         return ScalarField(self.space, lambda x: self.fn(x, vf(x)))
-
-    def pullback(self, g: "GroupElement") -> "OneForm":
-        return OneForm(
-            self.space,
-            lambda x, v: self.fn(g(x), g.differential(x, v)),
-            name=f"{g.label}*{self.name}",
-        )
 
 
 class TwoForm:
@@ -346,8 +302,16 @@ class TwoForm:
             raise EvaluationError(f"two-form {self.name!r} non-finite", point=x)
         return out
 
-    def __sub__(self, other):
-        return TwoForm(self.space, lambda x, u, v: self.fn(x, u, v) - other.fn(x, u, v))
+
+def monomial_exponents(count: int, degree: int):
+    """Exponent tuples over ``count`` variables up to the total degree,
+    ordered by total degree then lexicographically."""
+    out = []
+    for total in range(degree + 1):
+        for combo in itertools.product(range(total + 1), repeat=count):
+            if sum(combo) == total:
+                out.append(combo)
+    return out
 
 
 def _as_ast(space, text_or_ast):
@@ -391,6 +355,16 @@ def exterior_derivative(form):
 
         return TwoForm(space, fn, name=f"d({form.name})")
     raise TypeError("exterior_derivative expects a ScalarField or OneForm")
+
+
+def richardson_slope(difference: Callable[[float], float], h: float) -> float:
+    """Richardson extrapolation ``(4 D(h/2) - D(h)) / 3`` of a central difference.
+
+    ``difference(h)`` is a central difference quotient with step h; its
+    error is even in h, so the extrapolation cancels the h^2 term.
+    """
+    d1, d2 = difference(h), difference(h / 2)
+    return (4.0 * d2 - d1) / 3.0
 
 
 def two_form_derivative(omega: TwoForm):
@@ -542,8 +516,8 @@ class Path:
     def reverse(self) -> "Path":
         return Path(self.space, 1.0 - self.times[::-1], self.points[::-1])
 
-    def concat(self, other: "Path", tol: float = 1e-9) -> "Path":
-        if self.space.distance(self.end, other.start) > tol:
+    def concat(self, other: "Path") -> "Path":
+        if self.space.distance(self.end, other.start) > JOIN_TOL:
             raise CompositionError("concat endpoints differ beyond tolerance")
         times = np.concatenate([self.times / 2.0, 0.5 + other.times[1:] / 2.0])
         pts = np.concatenate([self.points, other.points[1:]], axis=0)
@@ -562,28 +536,24 @@ class Path:
         return mids, steps
 
 
-def reverse_path(path: Path) -> Path:
-    return path.reverse()
-
-
-def concat_paths(first: Path, second: Path, tol: float = 1e-9) -> Path:
-    return first.concat(second, tol)
+def concat_paths(first: Path, second: Path) -> Path:
+    return first.concat(second)
 
 
 def act_on_path(apply_point: Callable, path: Path) -> Path:
     return path.transform(apply_point)
 
 
-def conjugate_path(zeta: Path, gamma: Path, apply_point: Callable, tol: float = 1e-9) -> Path:
+def conjugate_path(zeta: Path, gamma: Path, apply_point: Callable) -> Path:
     """zeta, then gamma, then the image of zeta reversed.
 
     ``zeta`` must end where ``gamma`` starts; the result starts at
     ``zeta(0)`` and ends at its image under ``apply_point``.
     """
-    if gamma.space.distance(zeta.end, gamma.start) > tol:
+    if gamma.space.distance(zeta.end, gamma.start) > JOIN_TOL:
         raise CompositionError("conjugation requires zeta to end at the path start")
     tail = act_on_path(apply_point, zeta.reverse())
-    return zeta.concat(gamma, tol).concat(tail, tol)
+    return zeta.concat(gamma).concat(tail)
 
 
 # ---------------------------------------------------------------------------
@@ -764,13 +734,12 @@ class GroupAction:
             out[name] += sign
         return out
 
-    def words_up_to(self, length: int, include_inverses: bool = True):
+    def words_up_to(self, length: int):
         """Freely reduced nonempty words up to the given length."""
         alphabet = []
         for label in self.generators:
             alphabet.append((label, 1))
-            if include_inverses:
-                alphabet.append((label, -1))
+            alphabet.append((label, -1))
         frontier = [()]
         for _ in range(length):
             new = []
@@ -830,8 +799,9 @@ class LieElement:
             y = self.space.point(y + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0)
         return y
 
-    def flow_defect(self, points, t: float = 1e-3) -> float:
+    def flow_defect(self, points) -> float:
         """Mismatch between the flow derivative at zero and the field."""
+        t = 1e-3
         worst = 0.0
         for x in points:
             fd = self.space.displacement(self.flow_at(-t, x), self.flow_at(t, x)) / (2 * t)

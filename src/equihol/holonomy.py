@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,6 +52,16 @@ from .probes import probe_points, rng_for
 
 ENDPOINT_TOL = 1e-7
 CROSS_CHECK_TOL = 1e-5
+# Size of the sine bumps of a random class path.
+CLASS_PATH_AMPLITUDE = 0.35
+# Flatness and path-spread tolerances of the flat character.
+FLAT_TOL = 1e-6
+SPREAD_TOL = 1e-6
+# Alternate class paths of a form period, and the probes and tolerance of
+# its basic-form defect.
+PERIOD_ALTERNATES = 4
+BASIC_PROBES = 16
+BASIC_TOL = 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -87,9 +97,9 @@ class HolonomyResult:
     path_id: str = ""
 
 
-def require_path_class(bundle: EquivariantBundle, word: Word, path: Path, tol: float = ENDPOINT_TOL):
+def require_path_class(bundle: EquivariantBundle, word: Word, path: Path):
     gap = bundle.space.distance(path.end, bundle.action.apply(word, path.start))
-    if gap > tol:
+    if gap > ENDPOINT_TOL:
         raise PathClassError(
             f"path endpoint misses the image of its start under {format_word(word)!r} "
             f"by {gap:.3e}"
@@ -104,7 +114,6 @@ def equivariant_holonomy(
     path: Path,
     method: str = "both",
     path_id: str = "",
-    cross_check_tol: float = CROSS_CHECK_TOL,
 ) -> HolonomyResult:
     """Holonomy of a path joining x to word(x).
 
@@ -127,7 +136,7 @@ def equivariant_holonomy(
     cross = None
     if formula_value is not None and lift_value is not None:
         cross = formula_value.distance(lift_value)
-        if cross > cross_check_tol:
+        if cross > CROSS_CHECK_TOL:
             raise ConsistencyError(
                 f"holonomy methods disagree by {cross:.3e} on word {format_word(word)!r}"
             )
@@ -189,7 +198,6 @@ def transport_cocycle(
     x,
     y,
     zeta: Path,
-    tol: float = ENDPOINT_TOL,
 ) -> CircleValue:
     """Cocycle at x from its value at y plus the pulled-back connection defect.
 
@@ -197,7 +205,7 @@ def transport_cocycle(
     cocycle at x whenever the scenario data are consistent.
     """
     space = bundle.space
-    if space.distance(zeta.start, y) > tol or space.distance(zeta.end, x) > tol:
+    if space.distance(zeta.start, y) > ENDPOINT_TOL or space.distance(zeta.end, x) > ENDPOINT_TOL:
         raise PathClassError("zeta must join y to x")
     rho = connection.rho(section)
 
@@ -249,7 +257,7 @@ def random_class_path(
     basepoint,
     rng,
     samples: int = 256,
-    amplitude: float = 0.35,
+    amplitude: float = CLASS_PATH_AMPLITUDE,
 ) -> Path:
     """A smooth random path from the basepoint to its image under the word.
 
@@ -270,6 +278,32 @@ def random_class_path(
     return Path.from_map(space, fn, samples=samples)
 
 
+def holonomy_form_gap(
+    bundle: EquivariantBundle,
+    connection: Connection,
+    section: Section,
+    form: OneForm,
+    draws: Sequence[Tuple[Word, np.ndarray]],
+    rng,
+    samples: int,
+    amplitude: float = CLASS_PATH_AMPLITUDE,
+) -> float:
+    """Worst circle distance between holonomy and the integral of ``form``.
+
+    For each (word, basepoint) draw a fresh random class path is sampled
+    from ``rng``; the formula holonomy along it must equal the line
+    integral of the form modulo one when the form certifies cancellation.
+    """
+    worst = 0.0
+    for word, x0 in draws:
+        path = random_class_path(
+            bundle.space, bundle.action, word, x0, rng, samples=samples, amplitude=amplitude
+        )
+        hol = equivariant_holonomy(bundle, connection, section, word, path, method="formula")
+        worst = max(worst, hol.value.distance(CircleValue(line_integral(form, path))))
+    return worst
+
+
 @dataclass(frozen=True)
 class FlatReport:
     spreads: Dict[str, float]
@@ -285,8 +319,6 @@ def flat_character(
     n_paths: int = 8,
     n_basepoints: int = 3,
     seed: int = 0,
-    flat_tol: float = 1e-6,
-    spread_tol: float = 1e-6,
     samples: int = 512,
 ) -> Tuple[Character, FlatReport]:
     """Character of a flat connection from holonomies over sampled paths.
@@ -298,7 +330,7 @@ def flat_character(
     cocycle-side value (minus the holonomy).
     """
     report = connection_report(
-        bundle, connection, section, declared_moment=declared_moment, check=True, seed=seed
+        bundle, connection, section, declared_moment=declared_moment, seed=seed
     )
     space = bundle.space
     pts = probe_points(space, 8, seed, tag="flatness")
@@ -311,9 +343,9 @@ def flat_character(
     for mu in report.moment.values():
         for x in pts:
             curv_res = max(curv_res, abs(mu(x)))
-    if curv_res > flat_tol:
+    if curv_res > FLAT_TOL:
         raise NotFlatError(
-            f"equivariant curvature residual {curv_res:.3e} exceeds {flat_tol:g}"
+            f"equivariant curvature residual {curv_res:.3e} exceeds {FLAT_TOL:g}"
         )
     base_candidates = probe_points(space, n_basepoints, seed, tag="flat-basepoints")
     values: Dict[str, CircleValue] = {}
@@ -333,7 +365,7 @@ def flat_character(
         spread = max(
             samples_found[0].distance(other) for other in samples_found
         )
-        if spread > spread_tol:
+        if spread > SPREAD_TOL:
             raise ConsistencyError(
                 f"flat holonomy for generator {label!r} varies by {spread:.3e} across paths"
             )
@@ -367,12 +399,11 @@ class IndependenceReport:
 def basic_form_defect(
     beta: OneForm,
     bundle: EquivariantBundle,
-    probes: int = 16,
     seed: int = 0,
 ) -> float:
     """Defect of closedness, invariance and vanishing contractions for beta."""
     space = bundle.space
-    pts = probe_points(space, probes, seed, tag="basic-check")
+    pts = probe_points(space, BASIC_PROBES, seed, tag="basic-check")
     rng = rng_for(seed, "basic-dirs")
     dbeta = exterior_derivative(beta)
     worst = 0.0
@@ -393,9 +424,7 @@ def invariant_form_character(
     bundle: EquivariantBundle,
     word: Word,
     path: Path,
-    alternates: int = 4,
     seed: int = 0,
-    basic_tol: float = 1e-4,
     samples: int = 512,
 ) -> Tuple[CircleValue, IndependenceReport]:
     """Period of a closed invariant basic one-form over a class path.
@@ -405,7 +434,7 @@ def invariant_form_character(
     component carry period zero by the declared-flag criterion.
     """
     defect = basic_form_defect(beta, bundle, seed=seed)
-    if defect > basic_tol:
+    if defect > BASIC_TOL:
         raise PreconditionError(
             f"form is not closed-invariant-basic to tolerance (defect {defect:.3e})"
         )
@@ -415,12 +444,14 @@ def invariant_form_character(
     else:
         value = CircleValue(line_integral(beta, path))
     spread = 0.0
-    base_candidates = probe_points(bundle.space, max(1, alternates // 2), seed, tag="kbeta-base")
+    base_candidates = probe_points(
+        bundle.space, max(1, PERIOD_ALTERNATES // 2), seed, tag="kbeta-base"
+    )
     count = 0
     reference = CircleValue(line_integral(beta, path))
     for i, x0 in enumerate(base_candidates):
         for j in range(2):
-            if count >= alternates:
+            if count >= PERIOD_ALTERNATES:
                 break
             rng = rng_for(seed, f"kbeta-{i}-{j}")
             alt = random_class_path(bundle.space, bundle.action, word, x0, rng, samples=samples)

@@ -31,10 +31,19 @@ from .geometry import (
     OneForm,
     ParameterSpace,
     VectorField,
+    monomial_exponents,
+    richardson_slope,
 )
 
 MAX_JET_ORDER = 6
 JET_NAMES = ("u",) + tuple(f"u{k}" for k in range(1, MAX_JET_ORDER + 1))
+# Half-width of the probe box of a field space.
+PROBE_HALFWIDTH = 2.0
+# Fourier modes and amplitude of seeded probe fields.
+PROBE_FIELD_MODES = 3
+PROBE_FIELD_AMPLITUDE = 0.8
+# Tolerance of a declared local connection against the generic one.
+DECLARATION_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -58,17 +67,15 @@ class LatticeBase:
     def coordinates(self) -> np.ndarray:
         return np.arange(self.sites) * self.spacing
 
-    def field_space(
-        self, halfwidth: float = 64.0, fd_step: float = 1e-4, probe_halfwidth: float = 2.0
-    ) -> ParameterSpace:
+    def field_space(self, halfwidth: float = 64.0, fd_step: float = 1e-4) -> ParameterSpace:
         return ParameterSpace(
             self.sites,
             "euclidean-box",
             lower=(-halfwidth,) * self.sites,
             upper=(halfwidth,) * self.sites,
             fd_step=fd_step,
-            probe_lower=(-probe_halfwidth,) * self.sites,
-            probe_upper=(probe_halfwidth,) * self.sites,
+            probe_lower=(-PROBE_HALFWIDTH,) * self.sites,
+            probe_upper=(PROBE_HALFWIDTH,) * self.sites,
         )
 
     def zero_mode(self, values: np.ndarray) -> float:
@@ -133,9 +140,6 @@ class LocalDensity:
             raise EvaluationError(f"density {self.name!r} non-finite at site {bad}", point=bad)
         return out
 
-    def at_jet(self, jet: dict) -> float:
-        return float(self.fn(jet))
-
 
 class LocalFunctional:
     """A density summed over sites times the spacing."""
@@ -187,10 +191,6 @@ class LocalOneForm:
         self.slot_densities = list(slot_densities)
         self.name = name
 
-    @property
-    def order(self) -> int:
-        return len(self.slot_densities) - 1
-
     def __call__(self, field_values, variation) -> float:
         s = as_field(self.lattice, field_values)
         ds = as_field(self.lattice, variation)
@@ -204,6 +204,12 @@ class LocalOneForm:
 
     def as_form(self, field_space: ParameterSpace) -> OneForm:
         return OneForm(field_space, lambda s, v: self(s, v), name=self.name)
+
+
+def combine_densities(lattice: LatticeBase, terms, order: int, name="") -> LocalDensity:
+    """The density ``sum(c * d)`` over the (coefficient, density) terms."""
+    terms = list(terms)
+    return LocalDensity(lattice, lambda env: sum(c * d.fn(env) for c, d in terms), order, name)
 
 
 def integrate_local(density: LocalDensity, field_values) -> float:
@@ -312,7 +318,6 @@ def lie_derivative_local(
     step: float = 1e-3,
     kind: Optional[str] = None,
     chi=None,
-    agreement_tol: Optional[float] = None,
 ) -> Tuple[float, Optional[LocalDensity]]:
     """Directional derivative of the functional along the generator's flow.
 
@@ -327,8 +332,7 @@ def lie_derivative_local(
     def slope(h):
         return (functional(generator.flow_at(h, s)) - functional(generator.flow_at(-h, s))) / (2 * h)
 
-    d1, d2 = slope(step), slope(step / 2)
-    value = (4.0 * d2 - d1) / 3.0
+    value = richardson_slope(slope, step)
 
     induced = None
     if kind in ("fiber_translation", "shift"):
@@ -367,11 +371,10 @@ def lie_derivative_local(
             lattice, induced_fn, induced_order, name=f"L_{generator.label}({functional.name})"
         )
         chain_value = LocalFunctional(induced)(s)
-        if agreement_tol is None:
-            scale = max(1.0, abs(value), abs(chain_value))
-            agreement_tol = 1e-7 * scale
-            if kind == "shift":
-                agreement_tol += 5.0 * lattice.spacing**2 * scale
+        scale = max(1.0, abs(value), abs(chain_value))
+        agreement_tol = 1e-7 * scale
+        if kind == "shift":
+            agreement_tol += 5.0 * lattice.spacing**2 * scale
         if abs(value - chain_value) > agreement_tol:
             raise LocalityDeclarationError(
                 f"flow and chain-rule derivatives disagree: {value!r} vs {chain_value!r}"
@@ -381,6 +384,13 @@ def lie_derivative_local(
 
 # ---------------------------------------------------------------------------
 # Declared-locality checks
+
+
+def curl(form, s, v1, v2, h: float) -> float:
+    """d(form)(v1, v2) at the field s, by central differences of step h."""
+    a = (form(s + h * v1, v2) - form(s - h * v1, v2)) / (2 * h)
+    b = (form(s + h * v2, v1) - form(s - h * v2, v1)) / (2 * h)
+    return a - b
 
 
 @dataclass(frozen=True)
@@ -399,7 +409,6 @@ def check_local_declarations(
     probe_fields: Sequence[np.ndarray],
     probe_variations: Sequence[np.ndarray],
     assumptions: Optional[dict] = None,
-    tol: float = 1e-6,
 ) -> LocalityCheck:
     """Verify a declared local connection density against the generic form.
 
@@ -416,7 +425,7 @@ def check_local_declarations(
             gap = abs(declared(s, ds) - generic_rho(s, ds))
             if gap > rho_defect:
                 rho_defect = gap
-                if gap > tol:
+                if gap > DECLARATION_TOL:
                     witness = {
                         "field": [float(v) for v in s],
                         "variation": [float(v) for v in ds],
@@ -426,14 +435,11 @@ def check_local_declarations(
     for s in probe_fields[: max(1, len(probe_fields) // 2)]:
         for i in range(min(2, len(probe_variations) - 1)):
             v1, v2 = probe_variations[i], probe_variations[i + 1]
-
-            def curl(form):
-                a = (form(s + h * v1, v2) - form(s - h * v1, v2)) / (2 * h)
-                b = (form(s + h * v2, v1) - form(s - h * v2, v1)) / (2 * h)
-                return a - b
-
-            curvature_defect = max(curvature_defect, abs(curl(declared) - curl(generic_rho)))
-    ok = rho_defect <= tol and curvature_defect <= 50 * tol
+            curvature_defect = max(
+                curvature_defect,
+                abs(curl(declared, s, v1, v2, h) - curl(generic_rho, s, v1, v2, h)),
+            )
+    ok = rho_defect <= DECLARATION_TOL and curvature_defect <= 50 * DECLARATION_TOL
     if not ok and witness is None:
         witness = {"curvature_defect": curvature_defect}
     return LocalityCheck(ok, rho_defect, curvature_defect, witness, dict(assumptions or {}))
@@ -447,46 +453,23 @@ def density_basis(
     lattice: LatticeBase,
     jet_order: int,
     degree: int,
-    trig: bool = False,
 ) -> List[Tuple[str, LocalDensity]]:
-    """Monomials in the jet slots up to total degree, optionally times one
-    trig wave in the site coordinate."""
-    import itertools as it
-
+    """Monomials in the jet slots up to total degree."""
     symbols = JET_NAMES[: jet_order + 1]
     out: List[Tuple[str, LocalDensity]] = []
-    waves: List[Tuple[str, Callable[[dict], np.ndarray]]] = [("", lambda env: 1.0)]
-    if trig:
-        w = 2.0 * np.pi / lattice.period
-        waves.append((f"sin({w:g}x)*", lambda env: np.sin(w * env["x"])))
-        waves.append((f"cos({w:g}x)*", lambda env: np.cos(w * env["x"])))
-    for total in range(degree + 1):
-        for expo in it.product(range(total + 1), repeat=len(symbols)):
-            if sum(expo) != total:
-                continue
-            name = "*".join(
-                (sym if k == 1 else f"{sym}^{k}") for sym, k in zip(symbols, expo) if k > 0
-            ) or "1"
+    for expo in monomial_exponents(len(symbols), degree):
+        name = "*".join(
+            (sym if k == 1 else f"{sym}^{k}") for sym, k in zip(symbols, expo) if k > 0
+        ) or "1"
 
-            def fn(env, expo=expo, symbols=symbols):
-                acc = 1.0
-                for sym, k in zip(symbols, expo):
-                    if k:
-                        acc = acc * np.asarray(env[sym]) ** k
-                return acc
+        def fn(env, expo=expo, symbols=symbols):
+            acc = 1.0
+            for sym, k in zip(symbols, expo):
+                if k:
+                    acc = acc * np.asarray(env[sym]) ** k
+            return acc
 
-            for wname, wfn in waves:
-                out.append(
-                    (
-                        wname + name,
-                        LocalDensity(
-                            lattice,
-                            (lambda f, w: (lambda env: w(env) * f(env)))(fn, wfn),
-                            jet_order,
-                            name=wname + name,
-                        ),
-                    )
-                )
+        out.append((name, LocalDensity(lattice, fn, jet_order, name=name)))
     return out
 
 
@@ -495,12 +478,11 @@ def one_form_density_basis(
     jet_order: int,
     degree: int,
     slots: Optional[Sequence[int]] = None,
-    trig: bool = False,
 ) -> List[Tuple[str, LocalOneForm]]:
     """Coefficient densities on each variation slot up to the jet order."""
     if slots is None:
         slots = range(jet_order + 1)
-    scalars = density_basis(lattice, jet_order, degree, trig)
+    scalars = density_basis(lattice, jet_order, degree)
     zero = LocalDensity(lattice, lambda env: 0.0, jet_order, name="0")
     out: List[Tuple[str, LocalOneForm]] = []
     for name, dens in scalars:
@@ -512,15 +494,14 @@ def one_form_density_basis(
     return out
 
 
-def random_fields(
-    lattice: LatticeBase, n: int, rng, modes: int = 3, amplitude: float = 0.8
-) -> List[np.ndarray]:
+def random_fields(lattice: LatticeBase, n: int, rng) -> List[np.ndarray]:
     """Seeded band-limited probe fields with a random constant mode."""
     xs = lattice.coordinates
+    amplitude = PROBE_FIELD_AMPLITUDE
     out = []
     for _ in range(n):
         s = np.full(lattice.sites, rng.normal() * amplitude)
-        for k in range(1, modes + 1):
+        for k in range(1, PROBE_FIELD_MODES + 1):
             w = 2.0 * np.pi * k / lattice.period
             s = s + (amplitude / k) * (
                 rng.normal() * np.cos(w * xs) + rng.normal() * np.sin(w * xs)

@@ -12,13 +12,16 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from .bundle import Section, check_cocycle, connection_report, infinitesimal_anomaly
-from .geometry import CircleValue, line_integral
-from .holonomy import equivariant_holonomy, random_class_path
+from .geometry import line_integral
+from .holonomy import equivariant_holonomy, holonomy_form_gap, random_class_path
 from .lattice import (
     LocalDensity,
     LocalFunctional,
     LocalOneForm,
+    combine_densities,
+    curl,
     density_basis,
+    lie_derivative_local,
     one_form_density_basis,
     random_fields,
 )
@@ -34,19 +37,15 @@ from .solvers import (
 )
 
 
-def _functional_basis(model, cfg: SolverConfig, trig: bool = False):
-    named = density_basis(model.lattice, model.jet_order, model.density_degree, trig=trig)
+# Size of the sine bumps of class paths through field space.
+LOCAL_PATH_AMPLITUDE = 0.15
+# Fresh paths on which a local certificate is revalidated.
+REVALIDATION_PATHS = 8
+
+
+def _functional_basis(model, cfg: SolverConfig):
+    named = density_basis(model.lattice, model.jet_order, model.density_degree)
     return [(name, LocalFunctional(dens, name=name)) for name, dens in named]
-
-
-def _flow_slope(functional, lie_element, s, step=1e-3):
-    def slope(h):
-        return (
-            functional(lie_element.flow_at(h, s)) - functional(lie_element.flow_at(-h, s))
-        ) / (2 * h)
-
-    d1, d2 = slope(step), slope(step / 2)
-    return (4.0 * d2 - d1) / 3.0
 
 
 def solve_local_lie_coboundary(
@@ -78,21 +77,14 @@ def solve_local_lie_coboundary(
     for label, X in bundle.lie_generators.items():
         anomaly = anomalies[label]
         for s in fit_fields:
-            rows.append([_flow_slope(f, X, s) for f in functionals])
+            rows.append([lie_derivative_local(f, X, s)[0] for f in functionals])
             targets.append(anomaly(s))
     coef, fit_res, cond = _lstsq_with_lifts(
         rows, targets, [False] * len(targets), cfg, polish_budget=max(cfg.fit_tol, 1e-9)
     )
+    terms = [(c, f.density) for c, f in zip(coef, functionals)]
     combined = LocalFunctional(
-        LocalDensity(
-            model.lattice,
-            (lambda members: lambda env: sum(c * f.density.fn(env) for c, f in members))(
-                list(zip(coef, functionals))
-            ),
-            model.jet_order,
-            name="fit",
-        ),
-        name="fit",
+        combine_densities(model.lattice, terms, model.jet_order, name="fit"), name="fit"
     )
     hold_rng = rng_for(cfg.seed, "local-lie-holdout")
     hold_fields = random_fields(model.lattice, max(12, len(functionals)), hold_rng)
@@ -100,7 +92,7 @@ def solve_local_lie_coboundary(
     for label, X in bundle.lie_generators.items():
         anomaly = anomalies[label]
         for s in hold_fields:
-            holdout = max(holdout, abs(anomaly(s) - _flow_slope(combined, X, s)))
+            holdout = max(holdout, abs(anomaly(s) - lie_derivative_local(combined, X, s)[0]))
     coefficients = dict(zip(names, (float(c) for c in coef)))
     description = f"local jet densities: {len(names)} members, degree <= {model.density_degree}"
     if fit_res <= max(cfg.fit_tol, 1e-9) and holdout <= max(cfg.holdout_tol, 1e-8):
@@ -149,7 +141,8 @@ def solve_local_global_form(
     for wi, word in enumerate(fit_words):
         for s0 in base_fields:
             path = random_class_path(
-                space, bundle.action, word, s0, rng, samples=cfg.path_samples, amplitude=0.15
+                space, bundle.action, word, s0, rng, samples=cfg.path_samples,
+                amplitude=LOCAL_PATH_AMPLITUDE,
             )
             hol = equivariant_holonomy(
                 bundle, model.connection, section, word, path, method="formula"
@@ -174,14 +167,8 @@ def solve_local_global_form(
     for s in inv_fields[:2]:
         for i in range(len(inv_vars) - 1):
             v1, v2 = inv_vars[i], inv_vars[i + 1]
-
-            def curl(form):
-                a = (form(s + h * v1, v2) - form(s - h * v1, v2)) / (2 * h)
-                b = (form(s + h * v2, v1) - form(s - h * v2, v1)) / (2 * h)
-                return a - b
-
-            rows.append([curl(f) for f in member_forms])
-            targets.append(curl(rho))
+            rows.append([curl(f, s, v1, v2, h) for f in member_forms])
+            targets.append(curl(rho, s, v1, v2, h))
             circle_mask.append(False)
             circle_groups.append(-1)
 
@@ -199,12 +186,7 @@ def solve_local_global_form(
             if k < len(b.slot_densities)
         ]
         combined_slots.append(
-            LocalDensity(
-                model.lattice,
-                (lambda tt: lambda env: sum(c * d.fn(env) for c, d in tt))(terms),
-                model.jet_order,
-                name=f"slot{k}",
-            )
+            combine_densities(model.lattice, terms, model.jet_order, name=f"slot{k}")
             if terms
             else zero
         )
@@ -213,16 +195,11 @@ def solve_local_global_form(
 
     hold_rng = rng_for(cfg.seed, "local-global-holdout")
     hold_bases = random_fields(model.lattice, 2, rng_for(cfg.seed, "local-global-hbases"))
-    holdout = 0.0
-    for word in holdout_words:
-        for s0 in hold_bases:
-            path = random_class_path(
-                space, bundle.action, word, s0, hold_rng, samples=cfg.path_samples, amplitude=0.15
-            )
-            hol = equivariant_holonomy(
-                bundle, model.connection, section, word, path, method="formula"
-            )
-            holdout = max(holdout, hol.value.distance(CircleValue(line_integral(beta_form, path))))
+    holdout = holonomy_form_gap(
+        bundle, model.connection, section, beta_form,
+        [(word, s0) for word in holdout_words for s0 in hold_bases],
+        hold_rng, cfg.path_samples, amplitude=LOCAL_PATH_AMPLITUDE,
+    )
     coefficients = dict(zip(names, (float(c) for c in coef)))
     description = (
         f"local one-form densities: {len(names)} members, degree <= {model.density_degree}"
@@ -237,7 +214,7 @@ def solve_local_global_form(
 # Local verdict pipeline
 
 
-def local_verdict(model, cfg: SolverConfig, revalidation_paths: int = 8) -> Verdict:
+def local_verdict(model, cfg: SolverConfig) -> Verdict:
     """Staged local cancellation decision over a lattice field space.
 
     Stages: cocycle health, declared-connection consistency, the local
@@ -312,23 +289,19 @@ def local_verdict(model, cfg: SolverConfig, revalidation_paths: int = 8) -> Verd
     words = [((label, 1),) for label in bundle.action.labels] + [
         ((label, -1),) for label in bundle.action.labels
     ]
-    hol_res = 0.0
-    count = 0
-    while count < revalidation_paths:
-        word = words[count % len(words)]
-        s0 = bases[count % len(bases)]
-        path = random_class_path(
-            model.space, bundle.action, word, s0, rng, samples=cfg.path_samples, amplitude=0.15
-        )
-        hol = equivariant_holonomy(bundle, model.connection, section, word, path, method="formula")
-        hol_res = max(hol_res, hol.value.distance(CircleValue(line_integral(beta_form, path))))
-        count += 1
+    draws = [
+        (words[i % len(words)], bases[i % len(bases)]) for i in range(REVALIDATION_PATHS)
+    ]
+    hol_res = holonomy_form_gap(
+        bundle, model.connection, section, beta_form, draws, rng, cfg.path_samples,
+        amplitude=LOCAL_PATH_AMPLITUDE,
+    )
     ok = hol_res <= 1e-5
     stages.append(
         StageRecord(
             "revalidation",
             "pass" if ok else "fail",
-            {"holonomy_residual": hol_res, "paths": revalidation_paths},
+            {"holonomy_residual": hol_res, "paths": REVALIDATION_PATHS},
         )
     )
     if not ok:

@@ -11,6 +11,9 @@ import zlib
 import numpy as np
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+# Leading Halton indices skipped: index 0 is the origin and the first
+# points correlate across axes.
+HALTON_SKIP = 20
 
 
 def _radical_inverse(indices: np.ndarray, base: int) -> np.ndarray:
@@ -33,7 +36,7 @@ def rng_for(seed: int, tag: str) -> np.random.Generator:
     return np.random.default_rng(stream_seed(seed, tag))
 
 
-def halton(n: int, dim: int, seed: int = 0, tag: str = "halton", skip: int = 20) -> np.ndarray:
+def halton(n: int, dim: int, seed: int = 0, tag: str = "halton") -> np.ndarray:
     """n points in [0, 1)^dim: Halton sequence plus a seeded torus shift.
 
     Beyond 16 dimensions the radical-inverse bases correlate badly, so the
@@ -41,23 +44,20 @@ def halton(n: int, dim: int, seed: int = 0, tag: str = "halton", skip: int = 20)
     """
     if dim > len(_PRIMES):
         return rng_for(seed, tag).random((n, dim))
-    idx = np.arange(skip, skip + n)
+    idx = np.arange(HALTON_SKIP, HALTON_SKIP + n)
     pts = np.stack([_radical_inverse(idx, _PRIMES[d]) for d in range(dim)], axis=1)
     shift = rng_for(seed, tag).random(dim)
     return np.mod(pts + shift, 1.0)
 
 
-def probe_points(space, n: int, seed: int, tag: str = "probes", lower=None, upper=None):
+def probe_points(space, n: int, seed: int, tag: str = "probes"):
     """Low-discrepancy points inside the probe box of the space.
 
     The box defaults to the space's declared probe bounds, then to the
     central half of a euclidean box, or one full period cell of a torus.
     """
     unit = halton(n, space.dimension, seed, tag)
-    if lower is None:
-        lower = space.probe_lower
-    if upper is None:
-        upper = space.probe_upper
+    lower, upper = space.probe_lower, space.probe_upper
     if space.is_torus:
         per = np.asarray(space.periods)
         lo = np.zeros(space.dimension) if lower is None else np.asarray(lower, dtype=float)

@@ -49,18 +49,3 @@ def envelope(command: str, scenario: str, config: dict, assumptions: dict, resul
 def to_json(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
-
-def summarize(report: dict) -> str:
-    """Short human-readable digest of a structured report."""
-    lines = [f"{report['command']} on {report['scenario']}"]
-    result = report.get("result", {})
-    if isinstance(result, dict):
-        outcome = result.get("outcome")
-        if outcome:
-            lines.append(f"  outcome: {outcome}")
-        for key in ("value", "max_residual", "kappa", "certificate"):
-            if key in result and result[key] is not None:
-                lines.append(f"  {key}: {result[key]}")
-        for stage in result.get("stages", []):
-            lines.append(f"  stage {stage['name']}: {stage['status']}")
-    return "\n".join(lines) + "\n"

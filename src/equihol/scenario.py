@@ -38,6 +38,8 @@ from .geometry import (
     ScalarField,
     VectorField,
     Word,
+    _env,
+    format_word,
     parse_word,
 )
 from .lattice import (
@@ -386,20 +388,20 @@ class Scenario:
         action = GroupAction(space, gens, relations=self.relations)
         labels = [g.label for g in gens]
         gen_values = {
-            label: _circle_field(space, self.cocycle_exprs[label]) for label in labels
+            label: _circle_field(self.cocycle_exprs[label], _env) for label in labels
         }
         family = None
         if self.cocycle_family is not None:
-            family = _family_map(space, labels, self.cocycle_family)
+            family = _family_map(labels, self.cocycle_family, _env)
         flow_values = {}
         lie_elements = []
         fixed_points = {}
         for spec in self.lie_specs:
             fieldv = VectorField.from_expressions(space, spec.field, name=spec.label)
-            flow = _flow_map(space, spec.flow) if spec.flow else None
+            flow = _flow_map(spec.flow) if spec.flow else None
             lie_elements.append(LieElement(spec.label, fieldv, flow=flow))
             if spec.alpha is not None:
-                flow_values[spec.label] = _flow_circle(space, spec.alpha)
+                flow_values[spec.label] = _flow_circle(spec.alpha, _env)
             if spec.fixed_point is not None:
                 fixed_points[spec.label] = spec.fixed_point
         cocycle = Cocycle(gen_values, family=family, flow_values=flow_values)
@@ -443,6 +445,7 @@ class Scenario:
             halfwidth=cfg.get("halfwidth", 64.0), fd_step=cfg.get("fd_step", 1e-4)
         )
         jet_order = cfg.get("jet_order", 2)
+        zmode_env = _zmode_env(lattice)
         gens = []
         gen_values = {}
         for spec in self.field_generators:
@@ -463,14 +466,13 @@ class Scenario:
             alpha_expr = spec.alpha
             if alpha_expr is None:
                 raise ScenarioError(f"fieldgroup {spec.label!r} is missing its cocycle value")
-            gen_values[spec.label] = _zmode_circle(lattice, alpha_expr)
+            gen_values[spec.label] = _circle_field(alpha_expr, zmode_env)
         action = GroupAction(space, gens)
         family = None
         if self.field_cocycle_family is not None:
-            family = _zmode_family(lattice, [g.label for g in gens], self.field_cocycle_family)
+            family = _family_map([g.label for g in gens], self.field_cocycle_family, zmode_env)
         lie_elements = []
         flow_values = {}
-        lie_kinds = {}
         for spec in self.field_lie_specs:
             if spec.kind == "fiber_translation":
                 X = fiber_translation_lie(
@@ -480,9 +482,8 @@ class Scenario:
             else:
                 X = shift_lie(lattice, space, spec.label)
             lie_elements.append(X)
-            lie_kinds[spec.label] = (spec.kind, to_source(spec.chi) if spec.chi is not None else None)
             if spec.alpha is not None:
-                flow_values[spec.label] = _zmode_flow_circle(lattice, spec.alpha)
+                flow_values[spec.label] = _flow_circle(spec.alpha, zmode_env)
         cocycle = Cocycle(gen_values, family=family, flow_values=flow_values)
         bundle = EquivariantBundle(
             space, action, cocycle, lie_elements, seed=int(self.solver.get("seed", 0))
@@ -501,9 +502,7 @@ class Scenario:
             h = lattice.spacing
 
             def rho_fn(s, v):
-                return float(ev({"zmode": lattice.zero_mode(np.asarray(s))})) * float(
-                    np.sum(np.asarray(v)) * h
-                )
+                return float(ev(zmode_env(s))) * float(np.sum(np.asarray(v)) * h)
 
             connection = Connection(OneForm(space, rho_fn, name="rho_zmode"))
         else:
@@ -517,7 +516,6 @@ class Scenario:
             declared_rho=declared_rho,
             jet_order=jet_order,
             density_degree=cfg.get("density_degree", 4),
-            lie_kinds=lie_kinds,
         )
 
 
@@ -547,7 +545,6 @@ class LatticeModel:
     declared_rho: Optional[LocalOneForm]
     jet_order: int
     density_degree: int
-    lie_kinds: Dict[str, tuple]
 
     @property
     def reference_section(self) -> Section:
@@ -558,94 +555,63 @@ class LatticeModel:
 # Expression wiring
 
 
-def _coords(space) -> tuple:
-    return tuple(f"x{i + 1}" for i in range(space.dimension))
-
-
 def _vector_map(space, exprs):
     evs = [compile_expr(e) for e in exprs]
     if len(evs) != space.dimension:
         raise ScenarioError("map needs one component per dimension")
 
     def fn(x):
-        env = {f"x{i + 1}": x[i] for i in range(space.dimension)}
+        env = _env(x)
         return np.array([float(ev(env)) for ev in evs])
 
     return fn
 
 
-def _flow_map(space, exprs):
+def _flow_map(exprs):
     evs = [compile_expr(e) for e in exprs]
 
     def fn(t, x):
-        env = {f"x{i + 1}": x[i] for i in range(space.dimension)}
+        env = _env(x)
         env["t"] = float(t)
         return np.array([float(ev(env)) for ev in evs])
 
     return fn
 
 
-def _circle_field(space, expr):
+def _zmode_env(lattice):
+    """Lattice counterpart of ``geometry._env``: the variables of a field
+    for the ``env`` argument of the circle-valued wirings below."""
+    return lambda s: {"zmode": lattice.zero_mode(np.asarray(s))}
+
+
+def _circle_field(expr, env):
     ev = compile_expr(expr)
 
     def fn(x):
-        env = {f"x{i + 1}": x[i] for i in range(space.dimension)}
-        return CircleValue(float(ev(env)))
+        return CircleValue(float(ev(env(x))))
 
     return fn
 
 
-def _flow_circle(space, expr):
+def _flow_circle(expr, env):
     ev = compile_expr(expr)
 
     def fn(t, x):
-        env = {f"x{i + 1}": x[i] for i in range(space.dimension)}
-        env["t"] = float(t)
-        return CircleValue(float(ev(env)))
+        values = env(x)
+        values["t"] = float(t)
+        return CircleValue(float(ev(values)))
 
     return fn
 
 
-def _family_map(space, labels, expr):
+def _family_map(labels, expr, env):
     ev = compile_expr(expr)
 
     def fn(exponents, x):
-        env = {f"x{i + 1}": x[i] for i in range(space.dimension)}
+        values = env(x)
         for i, label in enumerate(labels):
-            env[f"n{i + 1}"] = float(exponents.get(label, 0))
-        return CircleValue(float(ev(env)))
-
-    return fn
-
-
-def _zmode_circle(lattice, expr):
-    ev = compile_expr(expr)
-
-    def fn(s):
-        return CircleValue(float(ev({"zmode": lattice.zero_mode(np.asarray(s))})))
-
-    return fn
-
-
-def _zmode_flow_circle(lattice, expr):
-    ev = compile_expr(expr)
-
-    def fn(t, s):
-        return CircleValue(
-            float(ev({"t": float(t), "zmode": lattice.zero_mode(np.asarray(s))}))
-        )
-
-    return fn
-
-
-def _zmode_family(lattice, labels, expr):
-    ev = compile_expr(expr)
-
-    def fn(exponents, s):
-        env = {"zmode": lattice.zero_mode(np.asarray(s))}
-        for i, label in enumerate(labels):
-            env[f"n{i + 1}"] = float(exponents.get(label, 0))
-        return CircleValue(float(ev(env)))
+            values[f"n{i + 1}"] = float(exponents.get(label, 0))
+        return CircleValue(float(ev(values)))
 
     return fn
 
@@ -689,6 +655,11 @@ def parse_scenario(text: str, name: str = "<scenario>") -> Scenario:
     return scenario
 
 
+def _labelled_sections(raw: RawScenario, prefix: str):
+    """(section, label, entries) of every ``[<prefix><label>]`` section, in file order."""
+    return [(s, s[len(prefix):], raw.sections[s]) for s in raw.order if s.startswith(prefix)]
+
+
 def _parse_chart(raw: RawScenario, scenario: Scenario):
     space_raw = raw.sections["space"]
     if "dimension" not in space_raw:
@@ -707,12 +678,10 @@ def _parse_chart(raw: RawScenario, scenario: Scenario):
     scenario.space = space
     coords = tuple(f"x{i + 1}" for i in range(dim))
 
-    gen_sections = [s for s in raw.order if s.startswith("group.")]
+    gen_sections = _labelled_sections(raw, "group.")
     if not gen_sections:
         raise ScenarioError("at least one generator is required: add a [group.<label>] section")
-    for section in gen_sections:
-        label = section.split(".", 1)[1]
-        entries = raw.sections[section]
+    for section, label, entries in gen_sections:
         if "forward" not in entries or "inverse" not in entries:
             raise ScenarioError(f"[{section}] needs forward and inverse maps")
         fwd = _typed(entries["forward"], "exprs", coords)
@@ -756,9 +725,7 @@ def _parse_chart(raw: RawScenario, scenario: Scenario):
         exponents = tuple(f"n{i + 1}" for i in range(len(scenario.generators)))
         scenario.cocycle_family = _typed(entries["family"], "expr", coords + exponents)
 
-    for section in [s for s in raw.order if s.startswith("lie.")]:
-        label = section.split(".", 1)[1]
-        entries = raw.sections[section]
+    for section, label, entries in _labelled_sections(raw, "lie."):
         if "field" not in entries:
             raise ScenarioError(f"[{section}] needs a field entry")
         fieldv = _typed(entries["field"], "exprs", coords)
@@ -783,16 +750,12 @@ def _parse_chart(raw: RawScenario, scenario: Scenario):
                 raise ScenarioError(f"moment for unknown generator {key!r}", value.line)
             scenario.moment_exprs[key] = _typed(value, "expr", coords)
 
-    for section in [s for s in raw.order if s.startswith("section.")]:
-        label = section.split(".", 1)[1]
-        entries = raw.sections[section]
+    for section, label, entries in _labelled_sections(raw, "section."):
         if "lambda" not in entries:
             raise ScenarioError(f"[{section}] needs a lambda entry")
         scenario.section_exprs[label] = _typed(entries["lambda"], "expr", coords)
 
-    for section in [s for s in raw.order if s.startswith("candidate.")]:
-        label = section.split(".", 1)[1]
-        entries = raw.sections[section]
+    for section, label, entries in _labelled_sections(raw, "candidate."):
         if "form" not in entries:
             raise ScenarioError(f"[{section}] needs a form entry")
         comps = _typed(entries["form"], "exprs", coords)
@@ -810,12 +773,10 @@ def _parse_lattice(raw: RawScenario, scenario: Scenario):
     jet_order = cfg.get("jet_order", 2)
     jet_symbols = ("x",) + JET_NAMES[: jet_order + 1]
 
-    gen_sections = [s for s in raw.order if s.startswith("fieldgroup.")]
+    gen_sections = _labelled_sections(raw, "fieldgroup.")
     if not gen_sections:
         raise ScenarioError("at least one generator is required: add a [fieldgroup.<label>] section")
-    for section in gen_sections:
-        label = section.split(".", 1)[1]
-        e = raw.sections[section]
+    for section, label, e in gen_sections:
         if "kind" not in e:
             raise ScenarioError(f"[{section}] needs a kind")
         kind = _typed(e["kind"], _SCHEMA["fieldgroup.*"]["kind"])
@@ -835,9 +796,7 @@ def _parse_lattice(raw: RawScenario, scenario: Scenario):
         exponents = tuple(f"n{i + 1}" for i in range(len(scenario.field_generators)))
         scenario.field_cocycle_family = _typed(e["family"], "expr", ("zmode",) + exponents)
 
-    for section in [s for s in raw.order if s.startswith("fieldlie.")]:
-        label = section.split(".", 1)[1]
-        e = raw.sections[section]
+    for section, label, e in _labelled_sections(raw, "fieldlie."):
         if "kind" not in e:
             raise ScenarioError(f"[{section}] needs a kind")
         kind = _typed(e["kind"], _SCHEMA["fieldlie.*"]["kind"])
@@ -902,8 +861,6 @@ def format_scenario(scenario: Scenario) -> str:
                 ],
             )
         if scenario.relations:
-            from .geometry import format_word
-
             emit(
                 "relations",
                 [(f"rel{i + 1}", format_word(w)) for i, w in enumerate(scenario.relations)],

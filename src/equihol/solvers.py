@@ -45,13 +45,13 @@ from .geometry import (
     directional_derivative,
     exterior_derivative,
     line_integral,
+    monomial_exponents,
 )
 from .holonomy import (
     Character,
     basic_form_defect,
-    equivariant_holonomy,
     flat_character,
-    random_class_path,
+    holonomy_form_gap,
     require_path_class,
 )
 from .probes import probe_points, rng_for
@@ -78,16 +78,6 @@ class SolverConfig:
     path_samples: int = 512
     lift_rounds: int = 8
     max_condition: float = 1e9
-
-
-def _monomials(dimension: int, degree: int):
-    """Exponent tuples ordered by total degree then lexicographically."""
-    out = []
-    for total in range(degree + 1):
-        for combo in itertools.product(range(total + 1), repeat=dimension):
-            if sum(combo) == total:
-                out.append(combo)
-    return out
 
 
 def _monomial_name(expo) -> str:
@@ -128,7 +118,7 @@ def scalar_basis(space, degree: int, trig: Optional[bool] = None) -> ScalarBasis
     if trig is None:
         trig = space.is_torus
     fields, names = [], []
-    for expo in _monomials(space.dimension, degree):
+    for expo in monomial_exponents(space.dimension, degree):
         fields.append((lambda e: (lambda x: float(np.prod(x**np.array(e)))))(expo))
         names.append(_monomial_name(expo))
     if trig:
@@ -155,11 +145,6 @@ def one_form_basis(space, degree: int, trig: Optional[bool] = None) -> FormBasis
             names.append(f"{name} dx{i + 1}")
     desc = f"{scal.description}, times each coordinate differential ({len(forms)} members)"
     return FormBasis(tuple(forms), tuple(names), desc)
-
-
-def scalar_fields_to_basis(space, named_fields) -> ScalarBasis:
-    names, fields = zip(*named_fields)
-    return ScalarBasis(tuple(fields), tuple(names), f"custom basis ({len(fields)} members)")
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +191,33 @@ def _effective_condition(singular_values) -> float:
     return float(sv[0] / kept[-1]) if len(kept) else float("inf")
 
 
+def _lift_fit(A, reps, circle_mask, lifts, rounds: int):
+    """One lift search from the given integer lifts.
+
+    Solves, snaps the circle-row lifts to the nearest integers of the
+    prediction gap, and repeats until they stabilize or the rounds run out.
+    Returns the coefficients, the worst residual (wrapped on circle rows)
+    and the final lifts.
+    """
+    coef = np.zeros(A.shape[1])
+    for _ in range(rounds):
+        coef, *_ = np.linalg.lstsq(A, reps + lifts, rcond=RANK_CUTOFF)
+        if not np.any(circle_mask):
+            break
+        pred = A @ coef
+        new_lifts = lifts.copy()
+        new_lifts[circle_mask] = np.round(pred[circle_mask] - reps[circle_mask])
+        if np.array_equal(new_lifts, lifts):
+            break
+        lifts = new_lifts
+    pred = A @ coef if A.size else np.zeros(len(reps))
+    resid = np.abs(pred - (reps + lifts))
+    if np.any(circle_mask):
+        wrapped = np.abs(np.mod(pred[circle_mask] - reps[circle_mask] + 0.5, 1.0) - 0.5)
+        resid[circle_mask] = wrapped
+    return coef, (float(np.max(resid)) if len(resid) else 0.0), lifts
+
+
 def _lstsq_with_lifts(A, targets, circle_mask, cfg: SolverConfig, circle_groups=None,
                       polish_budget=None, initial_lifts=None):
     """Min-norm least squares with per-row integer lifts on circle rows.
@@ -239,26 +251,6 @@ def _lstsq_with_lifts(A, targets, circle_mask, cfg: SolverConfig, circle_groups=
             "shrink the ansatz"
         )
 
-    def run(initial_lifts):
-        lifts = initial_lifts
-        coef = np.zeros(A.shape[1])
-        for _ in range(cfg.lift_rounds):
-            coef, *_ = np.linalg.lstsq(A, reps + lifts, rcond=RANK_CUTOFF)
-            if not np.any(circle_mask):
-                break
-            pred = A @ coef
-            new_lifts = lifts.copy()
-            new_lifts[circle_mask] = np.round(pred[circle_mask] - reps[circle_mask])
-            if np.array_equal(new_lifts, lifts):
-                break
-            lifts = new_lifts
-        pred = A @ coef if A.size else np.zeros(len(t))
-        resid = np.abs(pred - (reps + lifts))
-        if np.any(circle_mask):
-            wrapped = np.abs(np.mod(pred[circle_mask] - reps[circle_mask] + 0.5, 1.0) - 0.5)
-            resid[circle_mask] = wrapped
-        return coef, (float(np.max(resid)) if len(resid) else 0.0), lifts
-
     seeds = []
     if initial_lifts is not None:
         seeds.append(np.asarray(initial_lifts, dtype=float))
@@ -276,7 +268,7 @@ def _lstsq_with_lifts(A, targets, circle_mask, cfg: SolverConfig, circle_groups=
                 seeds.append(lifts)
     best = None
     for seed in seeds:
-        coef, fit_residual, lifts = run(seed)
+        coef, fit_residual, lifts = _lift_fit(A, reps, circle_mask, seed, cfg.lift_rounds)
         if best is None or fit_residual < best[1] - 1e-15:
             best = (coef, fit_residual, lifts)
         if best[1] <= 1e-12:
@@ -290,32 +282,11 @@ def _lstsq_with_lifts(A, targets, circle_mask, cfg: SolverConfig, circle_groups=
         floor = 1e-3 * max(float(np.max(np.abs(coef))), 1e-12)
         support = np.abs(coef) > floor
         if 0 < np.count_nonzero(support) < len(coef):
-            A_sub = A[:, support]
-
-            def run_sub(initial_lifts):
-                lifts = initial_lifts
-                sub = np.zeros(A_sub.shape[1])
-                for _ in range(cfg.lift_rounds):
-                    sub, *_ = np.linalg.lstsq(A_sub, reps + lifts, rcond=RANK_CUTOFF)
-                    if not np.any(circle_mask):
-                        break
-                    pred = A_sub @ sub
-                    new_lifts = lifts.copy()
-                    new_lifts[circle_mask] = np.round(pred[circle_mask] - reps[circle_mask])
-                    if np.array_equal(new_lifts, lifts):
-                        break
-                    lifts = new_lifts
-                pred = A_sub @ sub
-                resid = np.abs(pred - (reps + lifts))
-                if np.any(circle_mask):
-                    resid[circle_mask] = np.abs(
-                        np.mod(pred[circle_mask] - reps[circle_mask] + 0.5, 1.0) - 0.5
-                    )
-                return sub, (float(np.max(resid)) if len(resid) else 0.0)
-
             # Inherit the winning integer branch; a fresh start could fall
             # back into the knife-edge basin on half-integer targets.
-            sub, sparse_residual = run_sub(best_lifts.copy())
+            sub, sparse_residual, _ = _lift_fit(
+                A[:, support], reps, circle_mask, best_lifts.copy(), cfg.lift_rounds
+            )
             budget = max(fit_residual, polish_budget if polish_budget is not None else 0.0)
             if sparse_residual <= max(budget, fit_residual + 1e-12):
                 coef = np.zeros(len(coef))
@@ -448,23 +419,31 @@ def solve_lie_coboundary(
     coefficients = dict(zip(basis.names, (float(c) for c in coef)))
     if fit_res <= cfg.fit_tol * 10 and holdout <= cfg.holdout_tol:
         return Certificate(coefficients, fit_res, holdout, basis.description, cond), lam
-    witness = None
+    witness = fixed_point_witness(bundle, section, fixed_points, 10 * cfg.holdout_tol)
+    return NoCertificate(fit_res, holdout, basis.description, witness=witness), None
+
+
+def fixed_point_witness(bundle, section, fixed_points, threshold: float) -> Optional[dict]:
+    """The first declared fixed point whose anomaly exceeds the threshold.
+
+    No smooth potential can move a fixed point, so a nonvanishing anomaly
+    there obstructs every counterterm and every invariant primitive.
+    """
     for label, point in (fixed_points or {}).items():
         if label not in bundle.lie_generators:
             continue
-        x0 = space.point(point)
+        x0 = bundle.space.point(point)
         if float(np.linalg.norm(bundle.lie(label).generator_field(x0))) > 1e-8:
             continue
-        value = anomalies[label](x0)
-        if abs(value) > 10 * cfg.holdout_tol:
-            witness = {
+        value = infinitesimal_anomaly(bundle, section, label)(x0)
+        if abs(value) > threshold:
+            return {
                 "kind": "fixed-point",
                 "generator": label,
                 "point": [float(v) for v in x0],
                 "anomaly": float(value),
             }
-            break
-    return NoCertificate(fit_res, holdout, basis.description, witness=witness), None
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -531,22 +510,10 @@ def solve_equivariant_primitive(
     )
     beta = form_basis.combine(space, coef)
     hold_pts = probe_points(space, min(cfg.holdout, 64), cfg.seed, tag="primitive-holdout")
-    dbeta = exterior_derivative(beta)
-    holdout = 0.0
-    for x in hold_pts:
-        for a, b in pairs:
-            ea, eb = space.basis_vector(a), space.basis_vector(b)
-            holdout = max(holdout, abs(dbeta(x, ea, eb) - eq_curvature.omega(x, ea, eb)))
-        for label, mu in eq_curvature.moment.items():
-            Xf = bundle.lie(label).generator_field
-            holdout = max(holdout, abs(beta(x, Xf(x)) + mu(x)))
-        for label in invariance_labels:
-            g = bundle.action.generators[label]
-            for i in range(space.dimension):
-                e = space.basis_vector(i)
-                holdout = max(
-                    holdout, abs(beta(g(x), g.differential(x, e)) - beta(x, e))
-                )
+    holdout = max(
+        primitive_residual(bundle, eq_curvature, beta, hold_pts),
+        invariance_residual(bundle, beta, invariance_labels, hold_pts),
+    )
     # Finite differences in the d rows leave stencil-scale noise, so the
     # acceptance thresholds sit an order above the configured fit tolerance.
     coefficients = dict(zip(form_basis.names, (float(c) for c in coef)))
@@ -555,8 +522,47 @@ def solve_equivariant_primitive(
     return NoCertificate(fit_res, holdout, form_basis.description), None
 
 
+def primitive_residual(bundle, eq_curvature, beta: OneForm, points) -> float:
+    """Worst defect of the primitive equation of beta at the points.
+
+    The equation is d beta = omega on every coordinate plane and
+    beta(X) = -moment(X) for every one-parameter generator X.
+    """
+    space = bundle.space
+    dbeta = exterior_derivative(beta)
+    worst = 0.0
+    for x in points:
+        for a in range(space.dimension):
+            for b in range(a + 1, space.dimension):
+                ea, eb = space.basis_vector(a), space.basis_vector(b)
+                worst = max(worst, abs(dbeta(x, ea, eb) - eq_curvature.omega(x, ea, eb)))
+        for label, mu in eq_curvature.moment.items():
+            Xf = bundle.lie(label).generator_field
+            worst = max(worst, abs(beta(x, Xf(x)) + mu(x)))
+    return worst
+
+
+def invariance_residual(bundle, beta: OneForm, labels, points) -> float:
+    """Worst defect of g* beta = beta over the generators with the given
+    labels, at the points along every coordinate direction."""
+    space = bundle.space
+    worst = 0.0
+    for label in labels:
+        g = bundle.action.generators[label]
+        for x in points:
+            for i in range(space.dimension):
+                e = space.basis_vector(i)
+                worst = max(worst, abs(beta(g(x), g.differential(x, e)) - beta(x, e)))
+    return worst
+
+
 # ---------------------------------------------------------------------------
 # Invariance obstruction of a partial primitive
+
+
+# Fit probes of the defect potentials and path samples of their integrals.
+SIGMA_PROBES = 64
+SIGMA_SAMPLES = 192
 
 
 @dataclass(frozen=True)
@@ -573,8 +579,6 @@ def invariance_obstruction(
     basepoint,
     basis: ScalarBasis,
     cfg: SolverConfig,
-    sigma_probes: int = 64,
-    sigma_samples: int = 192,
 ):
     """Potentials of the invariance defect of beta0, and their exactness.
 
@@ -608,10 +612,12 @@ def invariance_obstruction(
                     "the curvature is not invariant under the full group"
                 )
 
-    def sigma_value(label, x, samples=sigma_samples):
+    def sigma_value(label, x):
         # Richardson-extrapolated midpoint: kills the quadratic error term.
-        coarse = line_integral(defects[label], Path.line(space, x0, x, samples=samples + 1))
-        fine = line_integral(defects[label], Path.line(space, x0, x, samples=2 * samples + 1))
+        coarse = line_integral(defects[label], Path.line(space, x0, x, samples=SIGMA_SAMPLES + 1))
+        fine = line_integral(
+            defects[label], Path.line(space, x0, x, samples=2 * SIGMA_SAMPLES + 1)
+        )
         return fine + (fine - coarse) / 3.0
 
     # Path-independence spot check through a bent detour.
@@ -622,8 +628,8 @@ def invariance_obstruction(
             direct = sigma_value(label, x)
             mid = space.point((x0 + x) / 2.0 + 0.3 * detour_rng.normal(size=space.dimension))
             bent = line_integral(
-                defects[label], Path.line(space, x0, mid, samples=sigma_samples)
-            ) + line_integral(defects[label], Path.line(space, mid, x, samples=sigma_samples))
+                defects[label], Path.line(space, x0, mid, samples=SIGMA_SAMPLES)
+            ) + line_integral(defects[label], Path.line(space, mid, x, samples=SIGMA_SAMPLES))
             spread = max(spread, abs(direct - bent))
     if spread > 1e-4:
         raise AssumptionViolation(
@@ -631,7 +637,7 @@ def invariance_obstruction(
             "the trivial-first-cohomology assertion fails for this scenario"
         )
 
-    fit_pts = probe_points(space, sigma_probes, cfg.seed, tag="sigma-fit")
+    fit_pts = probe_points(space, SIGMA_PROBES, cfg.seed, tag="sigma-fit")
     labels = bundle.action.labels
     n_basis = len(basis.fields)
     rows, targets = [], []
@@ -652,16 +658,7 @@ def invariance_obstruction(
     tau = basis.combine(space, coef[:n_basis])
     improved = beta0 - exterior_derivative(tau)
     hold_pts = probe_points(space, 24, cfg.seed, tag="sigma-holdout")
-    holdout = 0.0
-    for label in labels:
-        g = bundle.action.generators[label]
-        for x in hold_pts:
-            for i in range(space.dimension):
-                e = space.basis_vector(i)
-                holdout = max(
-                    holdout,
-                    abs(improved(g(x), g.differential(x, e)) - improved(x, e)),
-                )
+    holdout = invariance_residual(bundle, improved, labels, hold_pts)
     coefficients = dict(zip(basis.names, (float(c) for c in coef[:n_basis])))
     potentials = {
         label: (lambda l: (lambda x: sigma_value(l, x)))(label) for label in labels
@@ -694,7 +691,6 @@ def character_membership(
     candidates: Sequence[Tuple[str, OneForm]],
     bundle: EquivariantBundle,
     cfg: SolverConfig,
-    basepoint=None,
 ) -> MembershipResult:
     """Decide whether the character is a combination of candidate periods.
 
@@ -718,8 +714,7 @@ def character_membership(
         for label in bundle.action.labels
         if not bundle.action.generators[label].in_identity_component
     ]
-    if basepoint is None:
-        basepoint = probe_points(space, 1, cfg.seed, tag="membership-base")[0]
+    basepoint = probe_points(space, 1, cfg.seed, tag="membership-base")[0]
     period_table: Dict[str, dict] = {}
     K = np.zeros((len(gens), len(forms)))
     for gi, label in enumerate(gens):
@@ -809,6 +804,10 @@ def _result_data(result) -> dict:
     return data
 
 
+# Fresh (word, basepoint) pairs on which a certificate is revalidated.
+REVALIDATION_PAIRS = 20
+
+
 def verdict_pipeline(
     bundle: EquivariantBundle,
     connection: Connection,
@@ -817,9 +816,6 @@ def verdict_pipeline(
     candidates: Sequence[Tuple[str, OneForm]] = (),
     declared_moment: Optional[Dict[str, ScalarField]] = None,
     fixed_points: Optional[Dict[str, Sequence[float]]] = None,
-    form_basis: Optional[FormBasis] = None,
-    potential_basis: Optional[ScalarBasis] = None,
-    revalidation_pairs: int = 20,
 ) -> Verdict:
     """Run the staged cancellation decision.
 
@@ -831,10 +827,8 @@ def verdict_pipeline(
     on fresh words and paths.
     """
     space = bundle.space
-    if form_basis is None:
-        form_basis = one_form_basis(space, cfg.degree, cfg.trig)
-    if potential_basis is None:
-        potential_basis = scalar_basis(space, cfg.degree, cfg.trig)
+    form_basis = one_form_basis(space, cfg.degree, cfg.trig)
+    potential_basis = scalar_basis(space, cfg.degree, cfg.trig)
     stages: List[StageRecord] = []
     ansatz_desc = f"{form_basis.description}; {potential_basis.description}"
 
@@ -868,29 +862,17 @@ def verdict_pipeline(
 
     # A declared fixed point with a nonvanishing anomaly obstructs any
     # primitive: the contraction row at that point reads 0 = anomaly.
-    for label, point in (fixed_points or {}).items():
-        if label not in bundle.lie_generators:
-            continue
-        x0 = space.point(point)
-        if float(np.linalg.norm(bundle.lie(label).generator_field(x0))) > 1e-8:
-            continue
-        value = infinitesimal_anomaly(bundle, section, label)(x0)
-        if abs(value) > 1e-4:
-            witness = {
-                "kind": "fixed-point",
-                "generator": label,
-                "point": [float(v) for v in x0],
-                "anomaly": float(value),
-            }
-            stages.append(StageRecord("equivariant_primitive", "obstructed", {"witness": witness}))
-            return Verdict(
-                "OBSTRUCTED",
-                stages,
-                obstructed_stage="equivariant_primitive",
-                witness=witness,
-                kappa=None,
-                ansatz_description=ansatz_desc,
-            )
+    witness = fixed_point_witness(bundle, section, fixed_points, 1e-4)
+    if witness is not None:
+        stages.append(StageRecord("equivariant_primitive", "obstructed", {"witness": witness}))
+        return Verdict(
+            "OBSTRUCTED",
+            stages,
+            obstructed_stage="equivariant_primitive",
+            witness=witness,
+            kappa=None,
+            ansatz_description=ansatz_desc,
+        )
 
     full_result, beta_full = solve_equivariant_primitive(bundle, eq, form_basis, cfg)
     beta_flatten = None
@@ -1000,7 +982,7 @@ def verdict_pipeline(
     stages.append(StageRecord("character_membership", "certificate", mem_data))
 
     beta_total = beta_flatten + membership.combination
-    reval = _revalidate(bundle, connection, section, eq, beta_total, cfg, revalidation_pairs)
+    reval = _revalidate(bundle, connection, section, eq, beta_total, cfg, REVALIDATION_PAIRS)
     status = "pass" if reval["ok"] else "fail"
     stages.append(StageRecord("revalidation", status, reval))
     if not reval["ok"]:
@@ -1037,32 +1019,14 @@ def _revalidate(bundle, connection, section, eq, beta_total, cfg, pairs: int) ->
     """
     space = bundle.space
     pts = probe_points(space, 16, cfg.seed, tag="revalidate-points")
-    dbeta = exterior_derivative(beta_total)
-    curv_res = 0.0
-    dims = space.dimension
-    for x in pts:
-        for a in range(dims):
-            for b in range(a + 1, dims):
-                ea, eb = space.basis_vector(a), space.basis_vector(b)
-                curv_res = max(curv_res, abs(dbeta(x, ea, eb) - eq.omega(x, ea, eb)))
-        for label, mu in eq.moment.items():
-            Xf = bundle.lie(label).generator_field
-            curv_res = max(curv_res, abs(beta_total(x, Xf(x)) + mu(x)))
+    curv_res = primitive_residual(bundle, eq, beta_total, pts)
     words = list(bundle.action.words_up_to(min(cfg.max_word_len, 2)))
     rng = rng_for(cfg.seed, "revalidate-paths")
     bases = probe_points(space, max(4, pairs // 4), cfg.seed, tag="revalidate-bases")
-    hol_res = 0.0
-    count = 0
-    while count < pairs:
-        word = words[count % len(words)]
-        x0 = bases[count % len(bases)]
-        path = random_class_path(
-            space, bundle.action, word, x0, rng, samples=cfg.path_samples
-        )
-        hol = equivariant_holonomy(bundle, connection, section, word, path, method="formula")
-        predicted = CircleValue(line_integral(beta_total, path))
-        hol_res = max(hol_res, hol.value.distance(predicted))
-        count += 1
+    draws = [(words[i % len(words)], bases[i % len(bases)]) for i in range(pairs)]
+    hol_res = holonomy_form_gap(
+        bundle, connection, section, beta_total, draws, rng, cfg.path_samples
+    )
     return {
         "ok": bool(curv_res <= 1e-4 and hol_res <= 1e-5),
         "curvature_residual": curv_res,

@@ -8,11 +8,12 @@ it false, with the skip recorded.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
 from .bundle import (
+    Section,
     check_cocycle,
     connection_report,
     descent_residual,
@@ -25,6 +26,7 @@ from .geometry import (
     Path,
     ScalarField,
     circle_differential,
+    directional_derivative,
     exterior_derivative,
     line_integral,
 )
@@ -38,6 +40,10 @@ from .holonomy import (
 from .lattice import LatticeBase, LocalDensity, integrate_local, jets
 from .probes import probe_points, rng_for
 from .scenario import bundled_names, load_scenario
+
+
+# Random class paths on which the two holonomy routes are compared.
+HOLONOMY_DRAWS = 6
 
 
 def geometry_suite(model, seed: int) -> dict:
@@ -95,8 +101,6 @@ def bundle_suite(model, seed: int) -> dict:
     # Section-change law on a quadratic potential.
     space = model.space
     lam = ScalarField(space, lambda x: 0.1 * float(x[0]) ** 2)
-    from .bundle import Section
-
     shifted = Section(lam, name="suite")
     pts = probe_points(space, 16, seed, tag="bundle-pts")
     worst = 0.0
@@ -135,8 +139,6 @@ def bundle_suite(model, seed: int) -> dict:
                 dual = max(dual, abs(a_flow(x) - a_mom(x)))
                 for i in range(space.dimension):
                     desc = max(desc, abs(residual_form(x, space.basis_vector(i))))
-                from .geometry import directional_derivative
-
                 lie_lam = directional_derivative(space, lam.fn, x, X.generator_field(x))
                 shift_res = max(shift_res, abs(a_shift(x) - (a_flow(x) - lie_lam)))
         out["anomaly_dual_method"] = dual
@@ -152,7 +154,7 @@ def bundle_suite(model, seed: int) -> dict:
     return out
 
 
-def holonomy_suite(model, seed: int, draws: int = 6) -> dict:
+def holonomy_suite(model, seed: int) -> dict:
     out: Dict[str, float] = {}
     bundle = model.bundle
     section = model.reference_section
@@ -161,7 +163,7 @@ def holonomy_suite(model, seed: int, draws: int = 6) -> dict:
     bases = probe_points(space, 3, seed, tag="hol-bases")
     rng = rng_for(seed, "hol-paths")
     dual = 0.0
-    for i in range(draws):
+    for i in range(HOLONOMY_DRAWS):
         word = words[i % len(words)]
         x0 = bases[i % len(bases)]
         path = random_class_path(space, bundle.action, word, x0, rng, samples=512)
@@ -183,10 +185,13 @@ def holonomy_suite(model, seed: int, draws: int = 6) -> dict:
     out["transport"] = transported.distance(direct)
     # Holonomy does not depend on the trivializing section. The comparison
     # needs a finely sampled path: the two routes integrate different
-    # forms, so quadrature error does not cancel between them.
-    lam = ScalarField(space, lambda x: 0.05 * float(np.sin(x[0])))
-    from .bundle import Section
-
+    # forms, so quadrature error does not cancel between them. On a torus
+    # the shift must be periodic to be a function on the circle.
+    if space.is_torus:
+        freq = 2 * np.pi / space.periods[0]
+        lam = ScalarField(space, lambda x: 0.05 * float(np.sin(freq * x[0])))
+    else:
+        lam = ScalarField(space, lambda x: 0.05 * float(np.sin(x[0])))
     fine_gamma = random_class_path(
         space, bundle.action, word, bases[0], rng_for(seed, "hol-secind"), samples=2048
     )
@@ -266,11 +271,11 @@ def lattice_suite(model, seed: int) -> dict:
     return out
 
 
-def run_selftest(seed: int = 7, names: Optional[List[str]] = None) -> dict:
+def run_selftest(seed: int = 7) -> dict:
     """All bundled invariant suites; deterministic for a fixed seed."""
     results = {}
     overall = True
-    for name in names or bundled_names():
+    for name in bundled_names():
         scenario = load_scenario(name)
         entry: Dict[str, object] = {"assumptions": dict(scenario.assumptions)}
         if scenario.kind == "chart":

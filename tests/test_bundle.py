@@ -15,7 +15,7 @@ from equihol.bundle import (
     lie_cocycle_residual,
     section_cocycle,
 )
-from equihol.errors import ConsistencyError, PreconditionError
+from equihol.errors import ConsistencyError, PreconditionError, ResolutionError
 from equihol.geometry import (
     CircleValue,
     GroupAction,
@@ -24,6 +24,7 @@ from equihol.geometry import (
     ParameterSpace,
     ScalarField,
     parse_word,
+    richardson_slope,
 )
 from equihol.probes import probe_points
 
@@ -123,6 +124,33 @@ def test_anomaly_rotation_constant(models):
     anomaly = infinitesimal_anomaly(model.bundle, model.reference_section, "X")
     for x in probe_points(model.space, 6, 1):
         assert anomaly(x) == pytest.approx(0.25, abs=1e-8)
+
+
+def test_richardson_slope_quartic_and_cocycle_jump(models):
+    # A central difference of a quartic errs only at order h^2, which the
+    # extrapolation cancels: even a coarse step is exact to rounding.
+    def f(t):
+        return 1.0 + 2.0 * t - 3.0 * t**2 + 4.0 * t**3 + 5.0 * t**4
+
+    slope = richardson_slope(lambda h: (f(h) - f(-h)) / (2 * h), 0.5)
+    assert slope == pytest.approx(2.0, abs=1e-14)
+    # The circle-valued flow derivative refuses a cocycle that jumps
+    # across the flow step instead of unwrapping it on a wrong branch.
+    model = models["trivial"]
+    bundle = model.bundle
+    jumping = EquivariantBundle(
+        model.space,
+        bundle.action,
+        Cocycle(
+            bundle.cocycle.generator_values,
+            family=bundle.cocycle.family,
+            flow_values={"T": lambda t, x: CircleValue(0.4 if t > 0 else 0.0)},
+        ),
+        bundle.lie_generators.values(),
+    )
+    anomaly = infinitesimal_anomaly(jumping, model.reference_section, "T")
+    with pytest.raises(ResolutionError):
+        anomaly(probe_points(model.space, 1, 0)[0])
 
 
 def test_anomaly_methods_agree(models):

@@ -325,3 +325,14 @@ def test_dual_method_agreement_across_scenarios(models):
             count += 1
     assert count >= 40
     assert worst < 1e-5
+
+
+def test_holonomy_suite_section_independence_on_torus(models):
+    # The section shift must be periodic on the torus; a non-periodic one
+    # changes the holonomy by a seed-dependent amount.
+    from equihol.suites import holonomy_suite
+
+    for seed in range(12):
+        out = holonomy_suite(models["torus_shift"], seed)
+        assert out["section_independence"] < 1e-6, seed
+        assert out["ok"], seed

@@ -150,6 +150,21 @@ def test_cli_check_cocycle_witness_exit(tmp_path, capsys):
     assert "point" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verdict", "paper_example_Z_on_R", "--probes", "0"], "--probes"),
+        (["holonomy", "trivial", "--word", "q"], "unknown generator 'q'"),
+        (["holonomy", "trivial", "--word", "g", "--path", "wiggle:x"], "wiggle:x"),
+    ],
+)
+def test_cli_bad_input_is_typed_error(argv, message, capsys):
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert message in err
+
+
 def test_cli_missing_scenario_is_error(capsys):
     assert run_cli(["verdict", "no_such_scenario"]) == 1
     assert "error:" in capsys.readouterr().err
