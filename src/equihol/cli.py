@@ -62,8 +62,6 @@ def _config(scenario, args):
     if args.tol is not None:
         overrides["holdout_tol"] = args.tol
     if args.probes is not None:
-        if args.probes < 1:
-            raise ToolkitError(f"--probes must be at least 1, got {args.probes}")
         overrides["probes"] = args.probes
         overrides["holdout"] = args.probes
     if args.max_word_len is not None:

@@ -153,6 +153,16 @@ class ParameterSpace:
             x = np.mod(x, np.asarray(self.periods))
         return x
 
+    def points(self, coords) -> np.ndarray:
+        """:meth:`point` on every row of an ``(N, d)`` array."""
+        x = np.asarray(coords, dtype=float).reshape(-1, self.dimension)
+        bad = ~np.all(np.isfinite(x), axis=1)
+        if np.any(bad):
+            raise EvaluationError("non-finite point coordinates", point=x[int(np.argmax(bad))])
+        if self.is_torus:
+            x = np.mod(x, np.asarray(self.periods))
+        return x
+
     def displacement(self, a, b) -> np.ndarray:
         """Vector from a to b, minimal image on the torus."""
         d = np.asarray(b, dtype=float) - np.asarray(a, dtype=float)
@@ -166,12 +176,6 @@ class ParameterSpace:
 
     def translate(self, x, delta) -> np.ndarray:
         return self.point(np.asarray(x, dtype=float) + np.asarray(delta, dtype=float))
-
-    def contains(self, x) -> bool:
-        if self.is_torus:
-            return True
-        x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
 
     def require_stencil(self, x, radius: float) -> None:
         if self.is_torus:
@@ -245,12 +249,29 @@ class VectorField:
 
 
 class OneForm:
-    """Evaluator (point, tangent vector) -> real, linear in the vector."""
+    """Evaluator (point, tangent vector) -> real, linear in the vector.
+
+    :meth:`many` evaluates on stacks of points and vectors. A form built by
+    :meth:`batched` has only the stacked evaluator, and a single-point call
+    is its N=1 case; a form built from a pointwise ``fn`` goes row by row.
+    """
 
     def __init__(self, space: ParameterSpace, fn: Callable[[np.ndarray, np.ndarray], float], name=""):
         self.space = space
         self.fn = fn
         self.name = name
+        self._stacked = None
+
+    @classmethod
+    def batched(cls, space, many: Callable[[np.ndarray, np.ndarray], np.ndarray], name=""):
+        """Form from an evaluator of ``(N, d)`` points and vectors to ``(N,)`` values."""
+
+        def single(x, v):
+            return many(np.asarray(x, dtype=float)[None], np.asarray(v, dtype=float)[None])[0]
+
+        form = cls(space, single, name)
+        form._stacked = many
+        return form
 
     @classmethod
     def from_components(cls, space, components: Sequence[Callable], name=""):
@@ -270,12 +291,29 @@ class OneForm:
 
     @classmethod
     def zero(cls, space):
-        return cls(space, lambda x, v: 0.0, name="0")
+        return cls.batched(space, lambda xs, vs: np.zeros(len(xs)), name="0")
 
     def __call__(self, x, v) -> float:
         out = float(self.fn(x, v))
         if not math.isfinite(out):
             raise EvaluationError(f"one-form {self.name!r} non-finite", point=x)
+        return out
+
+    def many(self, points, vectors) -> np.ndarray:
+        """Values at the rows of ``(N, d)`` point and vector arrays, shape ``(N,)``.
+
+        A non-finite value raises an :class:`EvaluationError` at its point.
+        """
+        xs = np.asarray(points, dtype=float)
+        vs = np.asarray(vectors, dtype=float)
+        if self._stacked is None:
+            return np.array([self(x, v) for x, v in zip(xs, vs)], dtype=float)
+        out = np.broadcast_to(np.asarray(self._stacked(xs, vs), dtype=float), (len(xs),))
+        bad = ~np.isfinite(out)
+        if np.any(bad):
+            raise EvaluationError(
+                f"one-form {self.name!r} non-finite", point=xs[int(np.argmax(bad))]
+            )
         return out
 
     def __add__(self, other):
@@ -460,20 +498,17 @@ class Path:
         if not np.all(np.isfinite(pts)):
             raise EvaluationError("non-finite path sample")
         if space.is_torus:
-            per = min(space.periods)
-            steps = np.linalg.norm(
-                np.array([space.displacement(pts[i], pts[i + 1]) for i in range(len(pts) - 1)]),
-                axis=1,
-            )
-            if np.any(steps > 0.45 * per):
+            steps = np.linalg.norm(space.displacement(pts[:-1], pts[1:]), axis=1)
+            if np.any(steps > 0.45 * min(space.periods)):
                 raise CompositionError(
                     "path steps exceed the minimal-image patch; refine the sampling"
                 )
-            pts = np.array([space.point(p) for p in pts])
+            pts = space.points(pts)
         else:
-            for p in pts:
-                if not space.contains(p):
-                    raise DomainError(f"path sample {p.tolist()} leaves the box domain")
+            outside = np.any((pts < space.lower) | (pts > space.upper), axis=1)
+            if np.any(outside):
+                p = pts[int(np.argmax(outside))]
+                raise DomainError(f"path sample {p.tolist()} leaves the box domain")
         times = times.copy()
         times[0], times[-1] = 0.0, 1.0
         self.space = space
@@ -490,7 +525,7 @@ class Path:
         a = space.point(a)
         d = space.displacement(a, space.point(b))
         ts = np.linspace(0.0, 1.0, samples)
-        return cls(space, ts, [space.point(a + t * d) for t in ts])
+        return cls(space, ts, space.points(a + ts[:, None] * d))
 
     @property
     def start(self) -> np.ndarray:
@@ -500,18 +535,15 @@ class Path:
     def end(self) -> np.ndarray:
         return self.points[-1]
 
-    def point_at(self, t: float) -> np.ndarray:
-        t = min(max(float(t), 0.0), 1.0)
-        i = int(np.searchsorted(self.times, t, side="right") - 1)
-        i = min(max(i, 0), len(self.times) - 2)
-        t0, t1 = self.times[i], self.times[i + 1]
-        w = (t - t0) / (t1 - t0)
-        step = self.space.displacement(self.points[i], self.points[i + 1])
-        return self.space.point(self.points[i] + w * step)
-
     def resample(self, samples: int) -> "Path":
+        """The path through ``samples`` equally spaced times, interpolating
+        linearly between the current samples."""
         ts = np.linspace(0.0, 1.0, samples)
-        return Path(self.space, ts, [self.point_at(t) for t in ts])
+        i = np.clip(np.searchsorted(self.times, ts, side="right") - 1, 0, len(self.times) - 2)
+        t0, t1 = self.times[i], self.times[i + 1]
+        w = (ts - t0) / (t1 - t0)
+        step = self.space.displacement(self.points[i], self.points[i + 1])
+        return Path(self.space, ts, self.space.points(self.points[i] + w[:, None] * step))
 
     def reverse(self) -> "Path":
         return Path(self.space, 1.0 - self.times[::-1], self.points[::-1])
@@ -527,13 +559,10 @@ class Path:
         return Path(self.space, self.times, [apply_point(p) for p in self.points])
 
     def segments(self):
-        """Midpoints and displacement vectors of every linear segment."""
-        mids, steps = [], []
-        for i in range(len(self.points) - 1):
-            d = self.space.displacement(self.points[i], self.points[i + 1])
-            mids.append(self.space.point(self.points[i] + 0.5 * d))
-            steps.append(d)
-        return mids, steps
+        """``(P, d)`` arrays of the midpoints and displacement vectors of the
+        P linear segments."""
+        steps = self.space.displacement(self.points[:-1], self.points[1:])
+        return self.space.points(self.points[:-1] + 0.5 * steps), steps
 
 
 def concat_paths(first: Path, second: Path) -> Path:
@@ -562,10 +591,9 @@ def conjugate_path(zeta: Path, gamma: Path, apply_point: Callable) -> Path:
 
 def line_integral(form: OneForm, path: Path) -> float:
     """Composite midpoint quadrature of a one-form along a PL path."""
-    total = 0.0
-    mids, steps = path.segments()
-    for m, d in zip(mids, steps):
-        total += form(m, d)
+    # The terms are added in path order, as np.cumsum adds them, so the
+    # result is the last node of cumulative_line_integral bit for bit.
+    total = float(np.cumsum(form.many(*path.segments()))[-1])
     if not math.isfinite(total):
         raise EvaluationError("non-finite line integral", point=path.start)
     return total
@@ -573,12 +601,8 @@ def line_integral(form: OneForm, path: Path) -> float:
 
 def cumulative_line_integral(form: OneForm, path: Path) -> np.ndarray:
     """Partial sums of the midpoint quadrature at every path node."""
-    mids, steps = path.segments()
     out = np.zeros(len(path.points))
-    acc = 0.0
-    for i, (m, d) in enumerate(zip(mids, steps)):
-        acc += form(m, d)
-        out[i + 1] = acc
+    np.cumsum(form.many(*path.segments()), out=out[1:])
     if not np.all(np.isfinite(out)):
         raise EvaluationError("non-finite cumulative integral", point=path.start)
     return out
@@ -591,15 +615,11 @@ def rk4_line_integral(form: OneForm, path: Path) -> float:
     rule; it is an independent route to the same integral and is used as a
     cross-check on the midpoint quadrature.
     """
-    total = 0.0
-    pts = path.points
-    for i in range(len(pts) - 1):
-        d = path.space.displacement(pts[i], pts[i + 1])
-        mid = path.space.point(pts[i] + 0.5 * d)
-        k1 = form(pts[i], d)
-        kmid = form(mid, d)
-        k4 = form(pts[i + 1], d)
-        total += (k1 + 4.0 * kmid + k4) / 6.0
+    mids, steps = path.segments()
+    k1 = form.many(path.points[:-1], steps)
+    kmid = form.many(mids, steps)
+    k4 = form.many(path.points[1:], steps)
+    total = float(np.cumsum((k1 + 4.0 * kmid + k4) / 6.0)[-1])
     if not math.isfinite(total):
         raise EvaluationError("non-finite line integral", point=path.start)
     return total

@@ -12,7 +12,6 @@ no further structure of the holonomy map is assumed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -270,12 +269,9 @@ def random_class_path(
     waves = []
     for k in (1, 2, 3):
         waves.append((amplitude / k) * rng.normal(size=space.dimension))
-
-    def fn(t):
-        bump = sum(w * math.sin(math.pi * k * t) for k, w in zip((1, 2, 3), waves))
-        return x0 + t * chord + bump
-
-    return Path.from_map(space, fn, samples=samples)
+    ts = np.linspace(0.0, 1.0, samples)
+    bump = sum(np.sin(np.pi * k * ts)[:, None] * w for k, w in zip((1, 2, 3), waves))
+    return Path(space, ts, space.points(x0 + ts[:, None] * chord + bump))
 
 
 def holonomy_form_gap(

@@ -78,24 +78,31 @@ class LatticeBase:
             probe_upper=(PROBE_HALFWIDTH,) * self.sites,
         )
 
-    def zero_mode(self, values: np.ndarray) -> float:
-        """The lattice integral of the field itself."""
-        return float(np.sum(values) * self.spacing)
+    def zero_mode(self, values: np.ndarray):
+        """The lattice integral of the field itself, per row of a stack."""
+        return np.sum(values, axis=-1) * self.spacing
 
 
 def as_field(lattice: LatticeBase, values) -> np.ndarray:
-    v = np.asarray(values, dtype=float).reshape(lattice.sites)
+    """One field as an ``(m,)`` array, or an ``(N, m)`` stack of fields."""
+    v = np.asarray(values, dtype=float)
+    v = v.reshape((len(v), lattice.sites) if v.ndim == 2 else (lattice.sites,))
     if not np.all(np.isfinite(v)):
         raise EvaluationError("non-finite field configuration")
     return v
 
 
 def centered_difference(lattice: LatticeBase, values: np.ndarray) -> np.ndarray:
-    return (np.roll(values, -1) - np.roll(values, 1)) / (2.0 * lattice.spacing)
+    """Centered difference along the last (site) axis."""
+    return (np.roll(values, -1, axis=-1) - np.roll(values, 1, axis=-1)) / (2.0 * lattice.spacing)
 
 
 def jets(lattice: LatticeBase, values: np.ndarray, order: int) -> Dict[str, np.ndarray]:
-    """Per-site jet arrays: coordinate, value and iterated centered differences."""
+    """Per-site jet arrays: coordinate, value and iterated centered differences.
+
+    ``values`` is one field or an ``(N, m)`` stack; the jets of a stack are
+    stacks too, while the coordinate ``x`` stays ``(m,)`` and broadcasts.
+    """
     if order < 0 or order > MAX_JET_ORDER:
         raise ValueError(f"jet order must lie in 0..{MAX_JET_ORDER}")
     values = as_field(lattice, values)
@@ -133,11 +140,23 @@ class LocalDensity:
         return cls(lattice, ev, order, name or expressions.to_source(ast))
 
     def values(self, field_values) -> np.ndarray:
-        env = jets(self.lattice, field_values, self.order)
-        out = np.broadcast_to(np.asarray(self.fn(env), dtype=float), (self.lattice.sites,))
-        if not np.all(np.isfinite(out)):
-            bad = int(np.argmax(~np.isfinite(out)))
-            raise EvaluationError(f"density {self.name!r} non-finite at site {bad}", point=bad)
+        return self.on_jets(jets(self.lattice, field_values, self.order))
+
+    def on_jets(self, env: Dict[str, np.ndarray]) -> np.ndarray:
+        """The density at every site of jets from :func:`jets`, of this
+        density's order or higher; the shape is that of ``env["u"]``."""
+        out = np.broadcast_to(np.asarray(self.fn(env), dtype=float), np.shape(env["u"]))
+        bad = ~np.isfinite(out)
+        if np.any(bad):
+            if out.ndim == 1:
+                site = int(np.argmax(bad))
+                raise EvaluationError(
+                    f"density {self.name!r} non-finite at site {site}", point=site
+                )
+            row, site = (int(i) for i in np.unravel_index(int(np.argmax(bad)), out.shape))
+            raise EvaluationError(
+                f"density {self.name!r} non-finite at row {row}, site {site}", point=(row, site)
+            )
         return out
 
 
@@ -182,6 +201,8 @@ class LocalOneForm:
 
     Evaluates as the lattice sum of ``coeff_k(jet of s) * D^k(ds)`` over
     sites, times the spacing. Linearity in the variation is structural.
+    The jets of s are computed once per call, up to the highest slot
+    density order, and every argument may be an ``(N, m)`` stack.
     """
 
     def __init__(self, lattice: LatticeBase, slot_densities: Sequence[LocalDensity], name=""):
@@ -190,20 +211,24 @@ class LocalOneForm:
         self.lattice = lattice
         self.slot_densities = list(slot_densities)
         self.name = name
+        self._jet_order = max(dens.order for dens in self.slot_densities)
 
     def __call__(self, field_values, variation) -> float:
-        s = as_field(self.lattice, field_values)
-        ds = as_field(self.lattice, variation)
+        return float(self.values(field_values, variation))
+
+    def values(self, field_values, variations):
+        """The form at a field and variation, or ``(N,)`` values on stacks."""
+        env = jets(self.lattice, field_values, self._jet_order)
+        current = as_field(self.lattice, variations)
         total = 0.0
-        current = ds
         for k, dens in enumerate(self.slot_densities):
             if k > 0:
                 current = centered_difference(self.lattice, current)
-            total += float(np.sum(dens.values(s) * current))
+            total = total + np.sum(dens.on_jets(env) * current, axis=-1)
         return total * self.lattice.spacing
 
     def as_form(self, field_space: ParameterSpace) -> OneForm:
-        return OneForm(field_space, lambda s, v: self(s, v), name=self.name)
+        return OneForm.batched(field_space, self.values, name=self.name)
 
 
 def combine_densities(lattice: LatticeBase, terms, order: int, name="") -> LocalDensity:
@@ -386,11 +411,24 @@ def lie_derivative_local(
 # Declared-locality checks
 
 
-def curl(form, s, v1, v2, h: float) -> float:
-    """d(form)(v1, v2) at the field s, by central differences of step h."""
-    a = (form(s + h * v1, v2) - form(s - h * v1, v2)) / (2 * h)
-    b = (form(s + h * v2, v1) - form(s - h * v2, v1)) / (2 * h)
-    return a - b
+def curl(form: OneForm, s, v1, v2, h: float) -> np.ndarray:
+    """d(form)(v1, v2) at each row of the ``(N, m)`` field stack s, by
+    central differences of step h; v1 and v2 are stacks like s.
+
+    The four stencil points of every row go to one ``form.many`` call.
+    """
+    q = form.many(
+        np.concatenate([s + h * v1, s - h * v1, s + h * v2, s - h * v2]),
+        np.concatenate([v2, v2, v1, v1]),
+    ).reshape(4, -1)
+    return (q[0] - q[1]) / (2 * h) - (q[2] - q[3]) / (2 * h)
+
+
+def curl_stencils(fields, variations, pairs: int, width: int):
+    """Stacks ``(s, v1, v2)`` for :func:`curl`: every field with each of the
+    first ``pairs`` pairs of consecutive variations."""
+    triples = [(s, variations[i], variations[i + 1]) for s in fields for i in range(pairs)]
+    return tuple(np.array([t[k] for t in triples]).reshape(-1, width) for k in range(3))
 
 
 @dataclass(frozen=True)
@@ -417,28 +455,34 @@ def check_local_declarations(
     field and variation.
     """
     declared = declared_rho.as_form(field_space)
-    rho_defect, curvature_defect = 0.0, 0.0
+    m = field_space.dimension
+    probe_fields = np.asarray(probe_fields, dtype=float).reshape(-1, m)
+    probe_variations = np.asarray(probe_variations, dtype=float).reshape(-1, m)
+    fields = np.repeat(probe_fields, len(probe_variations), axis=0)
+    variations = np.tile(probe_variations, (len(probe_fields), 1))
+    declared_values = declared.many(fields, variations)
+    generic_values = generic_rho.many(fields, variations)
+    gaps = np.abs(declared_values - generic_values)
+    rho_defect = float(np.max(gaps, initial=0.0))
     witness = None
+    if rho_defect > DECLARATION_TOL:
+        i = int(np.argmax(gaps))
+        witness = {
+            "field": [float(v) for v in fields[i]],
+            "variation": [float(v) for v in variations[i]],
+            "declared": float(declared_values[i]),
+            "generic": float(generic_values[i]),
+        }
+    s, v1, v2 = curl_stencils(
+        probe_fields[: max(1, len(probe_fields) // 2)],
+        probe_variations,
+        min(2, len(probe_variations) - 1),
+        m,
+    )
     h = field_space.fd_step
-    for s in probe_fields:
-        for ds in probe_variations:
-            gap = abs(declared(s, ds) - generic_rho(s, ds))
-            if gap > rho_defect:
-                rho_defect = gap
-                if gap > DECLARATION_TOL:
-                    witness = {
-                        "field": [float(v) for v in s],
-                        "variation": [float(v) for v in ds],
-                        "declared": declared(s, ds),
-                        "generic": generic_rho(s, ds),
-                    }
-    for s in probe_fields[: max(1, len(probe_fields) // 2)]:
-        for i in range(min(2, len(probe_variations) - 1)):
-            v1, v2 = probe_variations[i], probe_variations[i + 1]
-            curvature_defect = max(
-                curvature_defect,
-                abs(curl(declared, s, v1, v2, h) - curl(generic_rho, s, v1, v2, h)),
-            )
+    curvature_defect = float(
+        np.max(np.abs(curl(declared, s, v1, v2, h) - curl(generic_rho, s, v1, v2, h)), initial=0.0)
+    )
     ok = rho_defect <= DECLARATION_TOL and curvature_defect <= 50 * DECLARATION_TOL
     if not ok and witness is None:
         witness = {"curvature_defect": curvature_defect}

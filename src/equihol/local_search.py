@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .bundle import Section, check_cocycle, connection_report, infinitesimal_anomaly
 from .geometry import line_integral
 from .holonomy import equivariant_holonomy, holonomy_form_gap, random_class_path
@@ -20,6 +22,7 @@ from .lattice import (
     LocalOneForm,
     combine_densities,
     curl,
+    curl_stencils,
     density_basis,
     lie_derivative_local,
     one_form_density_basis,
@@ -153,24 +156,28 @@ def solve_local_global_form(
             circle_groups.append(wi)
     inv_fields = random_fields(model.lattice, 4, rng_for(cfg.seed, "local-global-inv"))
     inv_vars = random_fields(model.lattice, 3, rng_for(cfg.seed, "local-global-vars"))
+    # Invariance rows over every (field, variation) pair, then curl rows
+    # over the consecutive variation pairs; one stacked call per member each.
+    fields = np.repeat(inv_fields, len(inv_vars), axis=0)
+    variations = np.tile(inv_vars, (len(inv_fields), 1))
+    blocks, block_targets = [], []
     for label in bundle.action.labels:
         g = bundle.action.generators[label]
-        for s in inv_fields:
-            gs = g(s)
-            for v in inv_vars:
-                push = g.differential(s, v)
-                rows.append([f(gs, push) - f(s, v) for f in member_forms])
-                targets.append(0.0)
-                circle_mask.append(False)
-                circle_groups.append(-1)
+        moved = np.array([g(s) for s in fields])
+        pushed = np.array([g.differential(s, v) for s, v in zip(fields, variations)])
+        blocks.append(np.column_stack(
+            [f.many(moved, pushed) - f.many(fields, variations) for f in member_forms]
+        ))
+        block_targets.append(np.zeros(len(fields)))
     h = space.fd_step
-    for s in inv_fields[:2]:
-        for i in range(len(inv_vars) - 1):
-            v1, v2 = inv_vars[i], inv_vars[i + 1]
-            rows.append([curl(f, s, v1, v2, h) for f in member_forms])
-            targets.append(curl(rho, s, v1, v2, h))
-            circle_mask.append(False)
-            circle_groups.append(-1)
+    s, v1, v2 = curl_stencils(inv_fields[:2], inv_vars, len(inv_vars) - 1, space.dimension)
+    blocks.append(np.column_stack([curl(f, s, v1, v2, h) for f in member_forms]))
+    block_targets.append(curl(rho, s, v1, v2, h))
+    real_rows = np.vstack(blocks)
+    rows.extend(real_rows.tolist())
+    targets.extend(np.concatenate(block_targets).tolist())
+    circle_mask.extend([False] * len(real_rows))
+    circle_groups.extend([-1] * len(real_rows))
 
     coef, fit_res, cond = _lstsq_with_lifts(
         rows, targets, circle_mask, cfg, circle_groups,

@@ -499,12 +499,11 @@ class Scenario:
             connection = Connection(declared_rho.as_form(space))
         elif self.field_connection_zmode is not None:
             ev = compile_expr(self.field_connection_zmode)
-            h = lattice.spacing
 
-            def rho_fn(s, v):
-                return float(ev(zmode_env(s))) * float(np.sum(np.asarray(v)) * h)
+            def rho_many(fields, variations):
+                return ev({"zmode": lattice.zero_mode(fields)}) * lattice.zero_mode(variations)
 
-            connection = Connection(OneForm(space, rho_fn, name="rho_zmode"))
+            connection = Connection(OneForm.batched(space, rho_many, name="rho_zmode"))
         else:
             connection = Connection(OneForm.zero(space))
         return LatticeModel(
@@ -581,7 +580,7 @@ def _flow_map(exprs):
 def _zmode_env(lattice):
     """Lattice counterpart of ``geometry._env``: the variables of a field
     for the ``env`` argument of the circle-valued wirings below."""
-    return lambda s: {"zmode": lattice.zero_mode(np.asarray(s))}
+    return lambda s: {"zmode": float(lattice.zero_mode(np.asarray(s)))}
 
 
 def _circle_field(expr, env):

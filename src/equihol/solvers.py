@@ -35,6 +35,7 @@ from .errors import (
     AssumptionViolation,
     ConditioningError,
     PreconditionError,
+    ToolkitError,
 )
 from .geometry import (
     CircleValue,
@@ -61,8 +62,22 @@ from .probes import probe_points, rng_for
 # Configuration and ansatz bases
 
 
+# Least value of each solver count, and the inputs that set it: the
+# scenario's [solver] keys and the --probes flag.
+COUNT_FLOORS = {
+    "probes": (1, "[solver] probes or --probes"),
+    "holdout": (1, "[solver] holdout or --probes"),
+    "path_samples": (2, "[solver] path_samples"),
+    "n_paths": (1, "[solver] paths"),
+    "n_basepoints": (1, "[solver] basepoints"),
+    "slack_bound": (0, "[solver] slack_bound"),
+}
+
+
 @dataclass(frozen=True)
 class SolverConfig:
+    """Solver settings; counts below their floor raise a :class:`ToolkitError`."""
+
     seed: int = 0
     probes: int = 256
     holdout: int = 256
@@ -78,6 +93,12 @@ class SolverConfig:
     path_samples: int = 512
     lift_rounds: int = 8
     max_condition: float = 1e9
+
+    def __post_init__(self):
+        for key, (least, source) in COUNT_FLOORS.items():
+            value = getattr(self, key)
+            if value < least:
+                raise ToolkitError(f"{source} must be at least {least}, got {value}")
 
 
 def _monomial_name(expo) -> str:

@@ -109,6 +109,12 @@ def test_path_validation():
         Path(space, [0.1, 1.0], [[0.0], [1.0]])
     with pytest.raises(DomainError):
         Path.line(space, [0.0], [40.0], samples=8)
+    # The message names the first sample outside the box.
+    with pytest.raises(DomainError, match=r"path sample \[20\.0\] leaves"):
+        Path(space, [0.0, 0.5, 1.0], [[0.0], [20.0], [30.0]])
+    torus = ParameterSpace(1, "torus", periods=(1.0,))
+    with pytest.raises(CompositionError, match="minimal-image patch"):
+        Path(torus, [0.0, 0.5, 1.0], [[0.0], [0.1], [0.6]])
 
 
 # Composite quadrature: exact for a constant form on a straight path.

@@ -72,6 +72,12 @@ def test_non_finite_density_reports_site():
         with pytest.raises(EvaluationError) as err:
             integrate_local(dens, s)
     assert err.value.point == 5
+    stack = np.ones((3, 32))
+    stack[2, 7] = 0.0
+    with np.errstate(divide="ignore"):
+        with pytest.raises(EvaluationError, match="row 2, site 7") as err:
+            dens.values(stack)
+    assert err.value.point == (2, 7)
 
 
 # ---------------------------------------------------------------------------

@@ -165,6 +165,29 @@ def test_cli_bad_input_is_typed_error(argv, message, capsys):
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("probes = 0", "[solver] probes"),
+        ("holdout = 0", "[solver] holdout"),
+        ("path_samples = 1", "[solver] path_samples"),
+        ("paths = 0", "[solver] paths"),
+        ("basepoints = 0", "[solver] basepoints"),
+        ("slack_bound = -1", "[solver] slack_bound"),
+    ],
+)
+def test_cli_bad_solver_value_is_typed_error(line, message, tmp_path, capsys):
+    key = line.split(" = ")[0]
+    text = (bundled_dir() / "paper_example_Z_on_R.scn").read_text()
+    kept = [row for row in text.splitlines() if not row.startswith(f"{key} =")]
+    scenario = tmp_path / "bad_solver.scn"
+    scenario.write_text("\n".join(kept).replace("[solver]", f"[solver]\n{line}") + "\n")
+    assert run_cli(["verdict", str(scenario)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert message in err
+
+
 def test_cli_missing_scenario_is_error(capsys):
     assert run_cli(["verdict", "no_such_scenario"]) == 1
     assert "error:" in capsys.readouterr().err
