@@ -66,9 +66,7 @@ def _rotation_pieces():
         flow=lambda t, x: rot(t)(x),
     )
     bundle = EquivariantBundle(space, action, cocycle, [X])
-    rho = OneForm.from_components(
-        space, [lambda x: -0.1 * x[1], lambda x: 0.1 * x[0]], name="0.1(x1 dx2 - x2 dx1)"
-    )
+    rho = OneForm.from_expressions(space, ["-0.1*x2", "0.1*x1"], name="0.1(x1 dx2 - x2 dx1)")
     moment = ScalarField(space, lambda x: 0.25 - 0.1 * (x[0] ** 2 + x[1] ** 2))
     return bundle, Connection(rho), moment, "X"
 
@@ -87,7 +85,7 @@ def _shear_pieces():
         "T", VectorField(space, lambda x: np.array([1.0, 0.0])), flow=lambda t, x: x + t * step
     )
     bundle = EquivariantBundle(space, action, cocycle, [T])
-    rho = OneForm.from_components(space, [lambda x: 0.0, lambda x: x[0]], name="x1 dx2")
+    rho = OneForm.from_expressions(space, ["0", "x1"], name="x1 dx2")
     moment = ScalarField(space, lambda x: x[1])
     return bundle, Connection(rho), moment, "T"
 

@@ -72,8 +72,11 @@ def _config(scenario, args):
 def _emit(args, report: dict, summary: str) -> None:
     text = reports.to_json(report)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ToolkitError(f"cannot write the report to {args.out!r}: {exc.strerror}")
     if args.format == "json-like":
         sys.stdout.write(text)
     else:

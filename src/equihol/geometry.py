@@ -252,8 +252,9 @@ class OneForm:
     """Evaluator (point, tangent vector) -> real, linear in the vector.
 
     :meth:`many` evaluates on stacks of points and vectors. A form built by
-    :meth:`batched` has only the stacked evaluator, and a single-point call
-    is its N=1 case; a form built from a pointwise ``fn`` goes row by row.
+    :meth:`batched`, :meth:`from_expressions` or a sum of forms has only the
+    stacked evaluator, and a single-point call is its N=1 case; a form built
+    from a pointwise ``fn`` goes row by row.
     """
 
     def __init__(self, space: ParameterSpace, fn: Callable[[np.ndarray, np.ndarray], float], name=""):
@@ -274,20 +275,18 @@ class OneForm:
         return form
 
     @classmethod
-    def from_components(cls, space, components: Sequence[Callable], name=""):
-        comps = list(components)
-
-        def fn(x, v):
-            return sum(float(c(x)) * v[i] for i, c in enumerate(comps))
-
-        return cls(space, fn, name)
-
-    @classmethod
     def from_expressions(cls, space, texts, name=""):
+        """The form ``sum_i c_i(x) dx_i`` of one compiled expression per axis."""
         evs = [expressions.compile_expr(_as_ast(space, t)) for t in texts]
-        return cls.from_components(
-            space, [(lambda e: (lambda x: e(_env(x))))(e) for e in evs], name
-        )
+
+        def many(xs, vs):
+            env = _env(xs.T)
+            out = np.zeros(len(xs))
+            for i, ev in enumerate(evs):
+                out = out + ev(env) * vs[:, i]
+            return out
+
+        return cls.batched(space, many, name)
 
     @classmethod
     def zero(cls, space):
@@ -317,10 +316,10 @@ class OneForm:
         return out
 
     def __add__(self, other):
-        return OneForm(self.space, lambda x, v: self.fn(x, v) + other.fn(x, v))
+        return OneForm.batched(self.space, lambda xs, vs: self.many(xs, vs) + other.many(xs, vs))
 
     def __sub__(self, other):
-        return OneForm(self.space, lambda x, v: self.fn(x, v) - other.fn(x, v))
+        return OneForm.batched(self.space, lambda xs, vs: self.many(xs, vs) - other.many(xs, vs))
 
     def contract(self, vf: VectorField) -> ScalarField:
         return ScalarField(self.space, lambda x: self.fn(x, vf(x)))

@@ -37,6 +37,7 @@ from .solvers import (
     Verdict,
     _lstsq_with_lifts,
     _result_data,
+    _significant,
 )
 
 
@@ -237,6 +238,9 @@ def local_verdict(model, cfg: SolverConfig) -> Verdict:
         f"jet densities to degree {model.density_degree} at jet order {model.jet_order}"
     )
 
+    def stop(outcome, stage=None, **found):
+        return Verdict(outcome, stages, stage, ansatz_description=ansatz_desc, **found)
+
     coc = check_cocycle(bundle, word_length=min(cfg.max_word_len, 3), probes=16, seed=cfg.seed)
     stages.append(
         StageRecord(
@@ -246,12 +250,10 @@ def local_verdict(model, cfg: SolverConfig) -> Verdict:
         )
     )
     if coc.max_residual > 1e-6:
-        return Verdict(
+        return stop(
             "OBSTRUCTED",
-            stages,
-            obstructed_stage="cocycle",
+            "cocycle",
             witness={"words": coc.witness_words, "point": coc.witness_point},
-            ansatz_description=ansatz_desc,
         )
 
     report = connection_report(bundle, model.connection, section, seed=cfg.seed)
@@ -268,12 +270,7 @@ def local_verdict(model, cfg: SolverConfig) -> Verdict:
         status = "certificate" if lie_result.found else "no_certificate"
         stages.append(StageRecord("local_counterterm", status, _result_data(lie_result)))
         if not lie_result.found:
-            return Verdict(
-                "INCONCLUSIVE",
-                stages,
-                obstructed_stage="local_counterterm",
-                ansatz_description=ansatz_desc,
-            )
+            return stop("INCONCLUSIVE", "local_counterterm")
     else:
         stages.append(
             StageRecord("local_counterterm", "skipped", {"reason": "no one-parameter generators"})
@@ -283,12 +280,7 @@ def local_verdict(model, cfg: SolverConfig) -> Verdict:
     status = "certificate" if global_result.found else "no_certificate"
     stages.append(StageRecord("local_global_form", status, _result_data(global_result)))
     if not global_result.found:
-        return Verdict(
-            "INCONCLUSIVE",
-            stages,
-            obstructed_stage="local_global_form",
-            ansatz_description=ansatz_desc,
-        )
+        return stop("INCONCLUSIVE", "local_global_form")
 
     beta_form = beta_local.as_form(model.space)
     rng = rng_for(cfg.seed, "local-reval")
@@ -312,16 +304,9 @@ def local_verdict(model, cfg: SolverConfig) -> Verdict:
         )
     )
     if not ok:
-        return Verdict(
-            "INCONCLUSIVE",
-            stages,
-            obstructed_stage="revalidation",
-            ansatz_description=ansatz_desc,
-        )
+        return stop("INCONCLUSIVE", "revalidation")
     certificate = {
-        "local_form_coefficients": {
-            k: v for k, v in global_result.coefficients.items() if abs(v) > 1e-9
-        },
+        "local_form_coefficients": _significant(global_result.coefficients),
         "holonomy_residual": hol_res,
     }
-    return Verdict("CANCELS", stages, certificate=certificate, ansatz_description=ansatz_desc)
+    return stop("CANCELS", certificate=certificate)

@@ -249,7 +249,8 @@ def _typed(value: RawValue, kind: str, variables=()):
     if kind == "ints":
         if value.kind != "list":
             raise ScenarioError("expected a bracketed list of integers", value.line, value.column)
-        return tuple(int(item) for item in value.items)
+        return tuple(_typed(RawValue("scalar", item, None, value.line, value.column), "int")
+                     for item in value.items)
     if kind == "expr":
         return parse_expr(value.text, variables, line=value.line, column=value.column)
     if kind == "exprs":

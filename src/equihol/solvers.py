@@ -15,6 +15,7 @@ of the character among the scenario's candidate periods.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field as dc_field
@@ -34,6 +35,7 @@ from .bundle import (
 from .errors import (
     AssumptionViolation,
     ConditioningError,
+    EvaluationError,
     PreconditionError,
     ToolkitError,
 )
@@ -72,11 +74,14 @@ COUNT_FLOORS = {
     "n_basepoints": (1, "[solver] basepoints"),
     "slack_bound": (0, "[solver] slack_bound"),
 }
+# Tolerances, which must be finite and positive, and the inputs that set them.
+TOLERANCES = {"fit_tol": "[solver] fit_tol", "holdout_tol": "[solver] holdout_tol or --tol"}
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Solver settings; counts below their floor raise a :class:`ToolkitError`."""
+    """Solver settings; counts below their floor and tolerances that are not
+    finite and positive raise a :class:`ToolkitError`."""
 
     seed: int = 0
     probes: int = 256
@@ -99,6 +104,10 @@ class SolverConfig:
             value = getattr(self, key)
             if value < least:
                 raise ToolkitError(f"{source} must be at least {least}, got {value}")
+        for key, source in TOLERANCES.items():
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value > 0):
+                raise ToolkitError(f"{source} must be finite and positive, got {value}")
 
 
 def _monomial_name(expo) -> str:
@@ -110,9 +119,22 @@ def _monomial_name(expo) -> str:
 
 @dataclass(frozen=True)
 class ScalarBasis:
+    """Scalar ansatz members. A field takes a point ``(d,)`` or a stack
+    ``(N, d)``, coordinates on the last axis; a scalar return broadcasts."""
+
     fields: tuple
     names: tuple
     description: str
+
+    def matrix(self, points) -> np.ndarray:
+        """Member values at the rows of ``(N, d)`` points, shape ``(N, M)``."""
+        xs = np.asarray(points, dtype=float)
+        out = np.empty((len(xs), len(self.fields)))
+        for j, f in enumerate(self.fields):
+            out[:, j] = f(xs)
+        if not np.all(np.isfinite(out)):
+            raise EvaluationError(f"scalar basis {self.description!r} non-finite")
+        return out
 
     def combine(self, space, coefficients) -> ScalarField:
         members = list(zip(coefficients, self.fields))
@@ -123,15 +145,44 @@ class ScalarBasis:
 
 @dataclass(frozen=True)
 class FormBasis:
-    forms: tuple
+    """Each scalar member times each coordinate differential, axis-major:
+    member ``i * M + j`` is scalar member j times ``dx_{i+1}``."""
+
+    scalars: ScalarBasis
     names: tuple
     description: str
 
+    def matrix(self, points, vectors) -> np.ndarray:
+        """Member values at the rows of ``(N, d)`` points and vectors, shape ``(N, d * M)``."""
+        s, vs = self.scalars.matrix(points), np.asarray(vectors, dtype=float)
+        return (s[:, None, :] * vs[:, :, None]).reshape(len(s), s.shape[1] * vs.shape[1])
+
     def combine(self, space, coefficients) -> OneForm:
-        members = list(zip(coefficients, self.forms))
-        return OneForm(
-            space, lambda x, v: sum(c * f(x, v) for c, f in members), name="fit"
-        )
+        return _combination(space, coefficients, lambda xs, vs: self.matrix(xs, vs).T)
+
+
+def _combination(space, coefficients, columns) -> OneForm:
+    """The form ``sum_k c_k column_k`` of the member values ``columns(xs, vs)``,
+    adding the terms in member order."""
+    coefficients = tuple(coefficients)
+
+    def many(xs, vs):
+        out = np.zeros(len(xs))
+        for c, col in zip(coefficients, columns(xs, vs)):
+            out = out + c * col
+        return out
+
+    return OneForm.batched(space, many, name="fit")
+
+
+def _monomial(e):
+    # A full-shape exponent keeps numpy on its general power loop; a
+    # broadcast exponent of 2 takes the x*x shortcut, which rounds differently.
+    return lambda x: np.prod(x ** np.full(np.shape(x), e), axis=-1)
+
+
+def _wave(fn, i: int, w: float):
+    return lambda x: fn(w * x[..., i])
 
 
 def scalar_basis(space, degree: int, trig: Optional[bool] = None) -> ScalarBasis:
@@ -140,14 +191,14 @@ def scalar_basis(space, degree: int, trig: Optional[bool] = None) -> ScalarBasis
         trig = space.is_torus
     fields, names = [], []
     for expo in monomial_exponents(space.dimension, degree):
-        fields.append((lambda e: (lambda x: float(np.prod(x**np.array(e)))))(expo))
+        fields.append(_monomial(np.array(expo)))
         names.append(_monomial_name(expo))
     if trig:
         for i in range(space.dimension):
             freq = 2 * np.pi / space.periods[i] if space.is_torus else 1.0
-            fields.append((lambda i, w: (lambda x: math.sin(w * x[i])))(i, freq))
+            fields.append(_wave(np.sin, i, freq))
             names.append(f"sin({freq:g}*x{i + 1})")
-            fields.append((lambda i, w: (lambda x: math.cos(w * x[i])))(i, freq))
+            fields.append(_wave(np.cos, i, freq))
             names.append(f"cos({freq:g}*x{i + 1})")
     desc = f"polynomials of degree <= {degree}" + (" with one trig wave per axis" if trig else "")
     desc += f" over {space.dimension} coordinates ({len(fields)} members)"
@@ -157,15 +208,9 @@ def scalar_basis(space, degree: int, trig: Optional[bool] = None) -> ScalarBasis
 def one_form_basis(space, degree: int, trig: Optional[bool] = None) -> FormBasis:
     """Scalar-basis coefficients on every coordinate differential."""
     scal = scalar_basis(space, degree, trig)
-    forms, names = [], []
-    for i in range(space.dimension):
-        for f, name in zip(scal.fields, scal.names):
-            forms.append(
-                (lambda f, i: OneForm(space, lambda x, v: f(x) * v[i]))(f, i)
-            )
-            names.append(f"{name} dx{i + 1}")
-    desc = f"{scal.description}, times each coordinate differential ({len(forms)} members)"
-    return FormBasis(tuple(forms), tuple(names), desc)
+    names = tuple(f"{name} dx{i + 1}" for i in range(space.dimension) for name in scal.names)
+    desc = f"{scal.description}, times each coordinate differential ({len(names)} members)"
+    return FormBasis(scal, names, desc)
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +395,11 @@ def _continuation_lifts(points, reps):
     return lifts
 
 
+def _shift_rows(basis: ScalarBasis, g, points) -> np.ndarray:
+    """Rows ``f(g x) - f(x)`` of every scalar member at the points."""
+    return basis.matrix(np.array([g(x) for x in points])) - basis.matrix(points)
+
+
 def solve_group_coboundary(
     bundle: EquivariantBundle,
     section: Section,
@@ -365,7 +415,7 @@ def solve_group_coboundary(
     """
     space = bundle.space
     fit_pts = probe_points(space, cfg.probes, cfg.seed, tag="coboundary-fit")
-    rows, targets = [], []
+    blocks, targets = [], []
     labels = bundle.action.labels
     initial = []
     for label in labels:
@@ -374,13 +424,11 @@ def solve_group_coboundary(
         values = [alpha(x).value for x in fit_pts]
         reps = np.mod(np.asarray(values) + 0.5, 1.0) - 0.5
         initial.append(_continuation_lifts(fit_pts, reps))
-        for x, value in zip(fit_pts, values):
-            gx = g(x)
-            rows.append([f(gx) - f(x) for f in basis.fields])
-            targets.append(value)
+        blocks.append(_shift_rows(basis, g, fit_pts))
+        targets.extend(values)
     circle_mask = [True] * len(targets)
     coef, fit_res, cond = _lstsq_with_lifts(
-        rows, targets, circle_mask, cfg, polish_budget=cfg.fit_tol,
+        np.concatenate(blocks), targets, circle_mask, cfg, polish_budget=cfg.fit_tol,
         initial_lifts=np.concatenate(initial) if initial else None,
     )
     theta = basis.combine(space, coef)
@@ -419,15 +467,13 @@ def solve_lie_coboundary(
     anomalies = {
         label: infinitesimal_anomaly(bundle, section, label) for label in bundle.lie_generators
     }
-    rows, targets = [], []
+    blocks, targets = [], []
     for label, X in bundle.lie_generators.items():
-        anomaly = anomalies[label]
-        for x in fit_pts:
-            v = X.generator_field(x)
-            rows.append([directional_derivative(space, f, x, v) for f in basis.fields])
-            targets.append(anomaly(x))
+        directions = [X.generator_field(x) for x in fit_pts]
+        blocks.append(_slopes(basis.matrix, space, fit_pts, directions))
+        targets += [anomalies[label](x) for x in fit_pts]
     coef, fit_res, cond = _lstsq_with_lifts(
-        rows, targets, [False] * len(targets), cfg, polish_budget=cfg.fit_tol
+        np.concatenate(blocks), targets, [False] * len(targets), cfg, polish_budget=cfg.fit_tol
     )
     lam = basis.combine(space, coef)
     hold_pts = probe_points(space, cfg.holdout, cfg.seed, tag="lie-coboundary-holdout")
@@ -492,41 +538,29 @@ def solve_equivariant_primitive(
     if invariance_labels is None:
         invariance_labels = bundle.action.labels
     fit_pts = probe_points(space, cfg.probes, cfg.seed, tag="primitive-fit")
-    dforms = [exterior_derivative(f) for f in form_basis.forms]
-    rows, targets, circle_mask = [], [], []
-    pairs = [(a, b) for a in range(space.dimension) for b in range(a + 1, space.dimension)]
-    for x in fit_pts:
-        for a, b in pairs:
-            ea, eb = space.basis_vector(a), space.basis_vector(b)
-            rows.append([df(x, ea, eb) for df in dforms])
-            targets.append(eq_curvature.omega(x, ea, eb))
-            circle_mask.append(False)
+    at, ea, eb = _planes(fit_pts, space.dimension)
+    blocks = [_d_rows(form_basis.matrix, space, at, ea, eb)]
+    targets = [eq_curvature.omega(x, u, w) for x, u, w in zip(at, ea, eb)]
     for label, mu in eq_curvature.moment.items():
         Xf = bundle.lie(label).generator_field
-        for x in fit_pts:
-            rows.append([f(x, Xf(x)) for f in form_basis.forms])
-            targets.append(-mu(x))
-            circle_mask.append(False)
+        blocks.append(form_basis.matrix(fit_pts, [Xf(x) for x in fit_pts]))
+        targets += [-mu(x) for x in fit_pts]
     for label in invariance_labels:
-        g = bundle.action.generators[label]
-        for x in fit_pts:
-            gx = g(x)
-            for i in range(space.dimension):
-                e = space.basis_vector(i)
-                push = g.differential(x, e)
-                rows.append([f(gx, push) - f(x, e) for f in form_basis.forms])
-                targets.append(0.0)
-                circle_mask.append(False)
-    circle_groups = [-1] * len(rows)
+        gx, pushed, x, e = _pullback(bundle.action.generators[label], fit_pts, space.dimension)
+        blocks.append(form_basis.matrix(gx, pushed) - form_basis.matrix(x, e))
+        targets += [0.0] * len(x)
+    circle_mask = [False] * len(targets)
+    circle_groups = [-1] * len(targets)
     word_ids = {}
     for word, path, value in holonomy_rows or ():
         require_path_class(bundle, word, path)
-        rows.append([line_integral(f, path) for f in form_basis.forms])
+        # Midpoint integrals of every member, terms added in path order.
+        blocks.append(np.cumsum(form_basis.matrix(*path.segments()), axis=0)[-1:])
         targets.append(CircleValue.of(value).value)
         circle_mask.append(True)
         circle_groups.append(word_ids.setdefault(word, len(word_ids)))
     coef, fit_res, cond = _lstsq_with_lifts(
-        rows, targets, circle_mask, cfg, circle_groups,
+        np.concatenate(blocks), targets, circle_mask, cfg, circle_groups,
         polish_budget=max(cfg.fit_tol, 1e-7) * 10,
     )
     beta = form_basis.combine(space, coef)
@@ -543,37 +577,64 @@ def solve_equivariant_primitive(
     return NoCertificate(fit_res, holdout, form_basis.description), None
 
 
+def _slopes(values, space, points, directions) -> np.ndarray:
+    """Central differences of ``values(stack) -> (N, K)`` along one direction
+    per point, stepping as :func:`directional_derivative` does."""
+    h = space.fd_step
+    points, directions = np.asarray(points, dtype=float), np.asarray(directions, dtype=float)
+    for x, radius in zip(points, h * np.linalg.norm(directions, axis=1)):
+        space.require_stencil(x, radius)
+    plus = values(space.points(points + h * directions))
+    return (plus - values(space.points(points - h * directions))) / (2 * h)
+
+
+def _planes(points, d: int):
+    """Every (point, e_a, e_b) with a < b, probe-major, as three stacks."""
+    a, b = np.triu_indices(d, 1)
+    eye, n = np.eye(d), len(points)
+    return np.repeat(points, len(a), axis=0), np.tile(eye[a], (n, 1)), np.tile(eye[b], (n, 1))
+
+
+def _pullback(g, points, d: int):
+    """Stacks ``(g x, g_* e_i)`` and ``(x, e_i)`` over the points and axes, probe-major."""
+    eye, n = np.eye(d), len(points)
+    pushed = [g.differential(x, e) for x in points for e in eye]
+    at_gx = np.repeat([g(x) for x in points], d, axis=0)
+    return at_gx, pushed, np.repeat(points, d, axis=0), np.tile(eye, (n, 1))
+
+
+def _d_rows(matrix, space, points, u, w) -> np.ndarray:
+    """``d(member)(x; u, w)`` of every column of ``matrix(points, vectors)``,
+    one (x, u, w) per row, by the central differences of :func:`exterior_derivative`."""
+
+    def along(a, b):
+        return _slopes(lambda xs: matrix(xs, b), space, points, a)
+
+    return along(u, w) - along(w, u)
+
+
 def primitive_residual(bundle, eq_curvature, beta: OneForm, points) -> float:
     """Worst defect of the primitive equation of beta at the points.
 
     The equation is d beta = omega on every coordinate plane and
     beta(X) = -moment(X) for every one-parameter generator X.
     """
-    space = bundle.space
-    dbeta = exterior_derivative(beta)
-    worst = 0.0
-    for x in points:
-        for a in range(space.dimension):
-            for b in range(a + 1, space.dimension):
-                ea, eb = space.basis_vector(a), space.basis_vector(b)
-                worst = max(worst, abs(dbeta(x, ea, eb) - eq_curvature.omega(x, ea, eb)))
-        for label, mu in eq_curvature.moment.items():
-            Xf = bundle.lie(label).generator_field
-            worst = max(worst, abs(beta(x, Xf(x)) + mu(x)))
-    return worst
+    at, ea, eb = _planes(points, bundle.space.dimension)
+    d_beta = _d_rows(lambda xs, vs: beta.many(xs, vs)[:, None], bundle.space, at, ea, eb)
+    gaps = [d_beta[:, 0] - [eq_curvature.omega(x, u, w) for x, u, w in zip(at, ea, eb)]]
+    for label, mu in eq_curvature.moment.items():
+        Xf = bundle.lie(label).generator_field
+        gaps.append(beta.many(points, [Xf(x) for x in points]) + [mu(x) for x in points])
+    return float(np.max(np.abs(np.concatenate(gaps)), initial=0.0))
 
 
 def invariance_residual(bundle, beta: OneForm, labels, points) -> float:
     """Worst defect of g* beta = beta over the generators with the given
     labels, at the points along every coordinate direction."""
-    space = bundle.space
-    worst = 0.0
+    worst, d = 0.0, bundle.space.dimension
     for label in labels:
-        g = bundle.action.generators[label]
-        for x in points:
-            for i in range(space.dimension):
-                e = space.basis_vector(i)
-                worst = max(worst, abs(beta(g(x), g.differential(x, e)) - beta(x, e)))
+        gx, pushed, x, e = _pullback(bundle.action.generators[label], points, d)
+        worst = max(worst, float(np.max(np.abs(beta.many(gx, pushed) - beta.many(x, e)))))
     return worst
 
 
@@ -661,19 +722,12 @@ def invariance_obstruction(
     fit_pts = probe_points(space, SIGMA_PROBES, cfg.seed, tag="sigma-fit")
     labels = bundle.action.labels
     n_basis = len(basis.fields)
-    rows, targets = [], []
-    sigma_cache = {label: [sigma_value(label, x) for x in fit_pts] for label in labels}
-    for li, label in enumerate(labels):
-        g = bundle.action.generators[label]
-        for xi, x in enumerate(fit_pts):
-            gx = g(x)
-            row = [f(gx) - f(x) for f in basis.fields]
-            const_block = [0.0] * len(labels)
-            const_block[li] = 1.0
-            rows.append(row + const_block)
-            targets.append(sigma_cache[label][xi])
+    shifts = [_shift_rows(basis, bundle.action.generators[label], fit_pts) for label in labels]
+    # One free constant per generator: the potentials are defined modulo constants.
+    consts = np.repeat(np.eye(len(labels)), len(fit_pts), axis=0)
+    targets = [sigma_value(label, x) for label in labels for x in fit_pts]
     coef, fit_res, cond = _lstsq_with_lifts(
-        rows, targets, [False] * len(targets), cfg,
+        np.hstack([np.concatenate(shifts), consts]), targets, [False] * len(targets), cfg,
         polish_budget=max(cfg.fit_tol, 1e-7) * 10,
     )
     tau = basis.combine(space, coef[:n_basis])
@@ -681,9 +735,7 @@ def invariance_obstruction(
     hold_pts = probe_points(space, 24, cfg.seed, tag="sigma-holdout")
     holdout = invariance_residual(bundle, improved, labels, hold_pts)
     coefficients = dict(zip(basis.names, (float(c) for c in coef[:n_basis])))
-    potentials = {
-        label: (lambda l: (lambda x: sigma_value(l, x)))(label) for label in labels
-    }
+    potentials = {label: functools.partial(sigma_value, label) for label in labels}
     if fit_res <= max(cfg.fit_tol, 1e-7) * 10 and holdout <= max(cfg.holdout_tol, 1e-6) * 10:
         cert = Certificate(coefficients, fit_res, holdout, basis.description, cond)
         return SigmaResult(potentials, cert, improved, spread)
@@ -748,10 +800,12 @@ def character_membership(
             K[gi, fi] = line_integral(f, path)
             period_table[label][names[fi]] = float(K[gi, fi])
     kappa = np.array([target.values[label].value for label in gens])
+
+    def combination(lam):
+        return _combination(space, lam, lambda xs, vs: [f.many(xs, vs) for f in forms])
+
     if not gens:
-        combo = FormBasis(tuple(forms), tuple(names), "candidates").combine(
-            space, np.zeros(len(forms))
-        ) if forms else OneForm.zero(space)
+        combo = combination(np.zeros(len(forms)))
         return MembershipResult("member", {}, {}, 0.0, period_table, combo, cfg.candidates_complete)
     bound = cfg.slack_bound if len(gens) <= 2 else min(cfg.slack_bound, 2)
     best = None
@@ -774,8 +828,7 @@ def character_membership(
     decision = "non-member-within-candidates"
     if resid <= cfg.holdout_tol:
         decision = "member"
-        combo = FormBasis(tuple(forms), tuple(names), "candidates").combine(space, lam) \
-            if forms else OneForm.zero(space)
+        combo = combination(lam)
     return MembershipResult(
         decision, lambdas, slack_map, resid, period_table, combo, cfg.candidates_complete
     )
@@ -803,11 +856,16 @@ class Verdict:
     ansatz_description: str = ""
 
 
+def _significant(coefficients) -> dict:
+    """The coefficients above 1e-9 in magnitude, as reports list them."""
+    return {k: v for k, v in (coefficients or {}).items() if abs(v) > 1e-9}
+
+
 def _result_data(result) -> dict:
     if isinstance(result, Certificate):
         return {
             "found": True,
-            "coefficients": {k: v for k, v in result.coefficients.items() if abs(v) > 1e-9},
+            "coefficients": _significant(result.coefficients),
             "fit_residual": result.fit_residual,
             "holdout_residual": result.holdout_residual,
             "basis": result.basis_description,
@@ -853,6 +911,9 @@ def verdict_pipeline(
     stages: List[StageRecord] = []
     ansatz_desc = f"{form_basis.description}; {potential_basis.description}"
 
+    def stop(outcome, stage=None, **found):
+        return Verdict(outcome, stages, stage, ansatz_description=ansatz_desc, **found)
+
     coc = check_cocycle(bundle, word_length=min(cfg.max_word_len, 3), probes=32, seed=cfg.seed)
     stages.append(
         StageRecord(
@@ -867,12 +928,10 @@ def verdict_pipeline(
         )
     )
     if coc.max_residual > 1e-6:
-        return Verdict(
+        return stop(
             "OBSTRUCTED",
-            stages,
-            obstructed_stage="cocycle",
+            "cocycle",
             witness={"words": coc.witness_words, "point": coc.witness_point},
-            ansatz_description=ansatz_desc,
         )
 
     report = connection_report(
@@ -886,14 +945,7 @@ def verdict_pipeline(
     witness = fixed_point_witness(bundle, section, fixed_points, 1e-4)
     if witness is not None:
         stages.append(StageRecord("equivariant_primitive", "obstructed", {"witness": witness}))
-        return Verdict(
-            "OBSTRUCTED",
-            stages,
-            obstructed_stage="equivariant_primitive",
-            witness=witness,
-            kappa=None,
-            ansatz_description=ansatz_desc,
-        )
+        return stop("OBSTRUCTED", "equivariant_primitive", witness=witness)
 
     full_result, beta_full = solve_equivariant_primitive(bundle, eq, form_basis, cfg)
     beta_flatten = None
@@ -912,41 +964,21 @@ def verdict_pipeline(
         partial_result, beta0 = solve_equivariant_primitive(
             bundle, eq, form_basis, cfg, invariance_labels=identity_labels
         )
+        status = "no_certificate" if beta0 is None else "partial_certificate"
+        stages.append(StageRecord("equivariant_primitive", status, _result_data(partial_result)))
         if beta0 is None:
-            stages.append(
-                StageRecord("equivariant_primitive", "no_certificate", _result_data(partial_result))
-            )
-            return Verdict(
-                "INCONCLUSIVE",
-                stages,
-                obstructed_stage="equivariant_primitive",
-                ansatz_description=ansatz_desc,
-            )
-        stages.append(
-            StageRecord("equivariant_primitive", "partial_certificate", _result_data(partial_result))
-        )
+            return stop("INCONCLUSIVE", "equivariant_primitive")
         basepoint = probe_points(space, 1, cfg.seed, tag="sigma-base")[0]
         sigma = invariance_obstruction(bundle, beta0, basepoint, potential_basis, cfg)
+        status = "no_certificate" if sigma.improved_beta is None else "certificate"
+        stages.append(StageRecord("invariance_obstruction", status, _result_data(sigma.exactness)))
         if sigma.improved_beta is None:
-            stages.append(
-                StageRecord("invariance_obstruction", "no_certificate", _result_data(sigma.exactness))
-            )
-            return Verdict(
-                "INCONCLUSIVE",
-                stages,
-                obstructed_stage="invariance_obstruction",
-                ansatz_description=ansatz_desc,
-            )
-        stages.append(
-            StageRecord("invariance_obstruction", "certificate", _result_data(sigma.exactness))
-        )
+            return stop("INCONCLUSIVE", "invariance_obstruction")
         beta_flatten = sigma.improved_beta
         flatten_coeffs = partial_result.coefficients
 
     flattened = Connection(connection.rho_ref - beta_flatten)
-    stages.append(StageRecord("flatten", "pass", {"primitive": {
-        k: v for k, v in (flatten_coeffs or {}).items() if abs(v) > 1e-9
-    }}))
+    stages.append(StageRecord("flatten", "pass", {"primitive": _significant(flatten_coeffs)}))
 
     kappa, flat_rep = flat_character(
         bundle,
@@ -985,21 +1017,9 @@ def verdict_pipeline(
     if membership.decision != "member":
         stages.append(StageRecord("character_membership", "no_certificate", mem_data))
         if cfg.candidates_complete:
-            return Verdict(
-                "OBSTRUCTED",
-                stages,
-                obstructed_stage="character_membership",
-                witness={"kappa": kappa_values, "periods": membership.period_table},
-                kappa=kappa_values,
-                ansatz_description=ansatz_desc,
-            )
-        return Verdict(
-            "INCONCLUSIVE",
-            stages,
-            obstructed_stage="character_membership",
-            kappa=kappa_values,
-            ansatz_description=ansatz_desc,
-        )
+            witness = {"kappa": kappa_values, "periods": membership.period_table}
+            return stop("OBSTRUCTED", "character_membership", witness=witness, kappa=kappa_values)
+        return stop("INCONCLUSIVE", "character_membership", kappa=kappa_values)
     stages.append(StageRecord("character_membership", "certificate", mem_data))
 
     beta_total = beta_flatten + membership.combination
@@ -1007,28 +1027,14 @@ def verdict_pipeline(
     status = "pass" if reval["ok"] else "fail"
     stages.append(StageRecord("revalidation", status, reval))
     if not reval["ok"]:
-        return Verdict(
-            "INCONCLUSIVE",
-            stages,
-            obstructed_stage="revalidation",
-            kappa=kappa_values,
-            ansatz_description=ansatz_desc,
-        )
+        return stop("INCONCLUSIVE", "revalidation", kappa=kappa_values)
     certificate = {
-        "primitive_coefficients": {
-            k: v for k, v in (flatten_coeffs or {}).items() if abs(v) > 1e-9
-        },
+        "primitive_coefficients": _significant(flatten_coeffs),
         "candidate_lambdas": membership.lambdas,
         "holonomy_residual": reval["holonomy_residual"],
         "curvature_residual": reval["curvature_residual"],
     }
-    return Verdict(
-        "CANCELS",
-        stages,
-        certificate=certificate,
-        kappa=kappa_values,
-        ansatz_description=ansatz_desc,
-    )
+    return stop("CANCELS", certificate=certificate, kappa=kappa_values)
 
 
 def _revalidate(bundle, connection, section, eq, beta_total, cfg, pairs: int) -> dict:

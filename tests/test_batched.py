@@ -2,10 +2,14 @@
 
 Lattice one-forms evaluate on whole ``(N, m)`` stacks of fields. Here they
 are checked against a per-site loop that evaluates each density on one
-site's jet at a time, summed segment by segment along paths. The
-tolerance is fixed in advance at ``1e-12 * max(1, sum of |terms|)``, since
-the batched sums add the same terms in another order.
+site's jet at a time, summed segment by segment along paths. Chart forms
+and the one-form ansatz are checked against hand-written per-point
+formulas. The tolerance is fixed in advance at
+``1e-12 * max(1, sum of |terms|)``, since the batched sums add the same
+terms in another order.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -17,11 +21,13 @@ from equihol.geometry import (
     Path,
     cumulative_line_integral,
     line_integral,
+    monomial_exponents,
     rk4_line_integral,
 )
 from equihol.holonomy import random_class_path
 from equihol.lattice import LatticeBase, LocalDensity, LocalOneForm, one_form_density_basis
 from equihol.probes import rng_for
+from equihol.solvers import one_form_basis
 
 LAT = LatticeBase(16, 1.0)
 
@@ -61,14 +67,6 @@ def zmode_reference(model, s, ds):
     coefficient = float(ev({"zmode": zmode}))
     terms = [coefficient * float(v) * h for v in ds]
     return sum(terms), sum(abs(t) for t in terms)
-
-
-def pointwise_reference(form: OneForm):
-    def evaluate(x, v):
-        value = form(x, v)
-        return value, abs(value)
-
-    return evaluate
 
 
 def assert_path_integrals(form: OneForm, reference, path: Path):
@@ -150,5 +148,52 @@ def test_zero_mode_connection_matches_site_loop(lattice_models):
 def test_chart_form_matches_segment_loop():
     space = ParameterSpace(2, "euclidean-box", lower=(-4.0, -4.0), upper=(4.0, 4.0))
     form = OneForm.from_expressions(space, ["x2*cos(x1)", "x1^2 - x2"])
+
+    def reference(x, v):
+        terms = (x[1] * math.cos(x[0]) * v[0], (x[0] ** 2 - x[1]) * v[1])
+        return sum(terms), sum(abs(t) for t in terms)
+
     path = field_path(space, 9, samples=64)
-    assert_path_integrals(form, pointwise_reference(form), path)
+    assert_path_integrals(form, reference, path)
+    s, v = path.points[:5], np.diff(path.points[:6], axis=0)
+    for row, (x, d) in enumerate(zip(s, v)):
+        assert form(x, d) == form.many(s, v)[row]
+
+
+def _monomial(x, expo):
+    value = 1.0
+    for xi, k in zip(x, expo):
+        value *= float(xi) ** k
+    return value
+
+
+def test_one_form_basis_matches_per_point_products():
+    # Member i * M + j of one_form_basis is the j-th monomial times dx_{i+1}.
+    space = ParameterSpace(2, "euclidean-box", lower=(-4.0, -4.0), upper=(4.0, 4.0))
+    basis = one_form_basis(space, 2)
+    exponents = monomial_exponents(2, 2)
+    members = [(i, e) for i in range(2) for e in exponents]
+    assert len(basis.names) == len(members) == 12
+    path = field_path(space, 4, samples=40)
+    for k, (i, expo) in enumerate(members):
+        unit = np.zeros(len(members))
+        unit[k] = 1.0
+
+        def reference(x, v, i=i, expo=expo):
+            term = _monomial(x, expo) * v[i]
+            return term, abs(term)
+
+        assert_path_integrals(basis.combine(space, unit), reference, path)
+
+    coefficients = rng_for(4, "basis-combine").normal(size=len(members))
+
+    def combined(x, v):
+        terms = [c * _monomial(x, expo) * v[i] for c, (i, expo) in zip(coefficients, members)]
+        return sum(terms), sum(abs(t) for t in terms)
+
+    fit = basis.combine(space, coefficients)
+    assert_path_integrals(fit, combined, path)
+    # A scalar member takes one point or a stack; the point is the N=1 row.
+    s = path.points[:6]
+    for f in basis.scalars.fields:
+        assert np.array_equal([f(x) for x in s], f(s))

@@ -279,7 +279,7 @@ def test_descent_residual_flags_non_invariant_connection(models):
     # rho = x2^2 dx2 is not preserved by the shear translation data: the
     # residual picks up the mismatch with the declared cocycle rate.
     model = models["translation_shear"]
-    bad = Connection(OneForm.from_components(model.space, [lambda x: 0.0, lambda x: x[1] ** 2]))
+    bad = Connection(OneForm.from_expressions(model.space, ["0", "x2^2"]))
     res = descent_residual(model.bundle, bad, model.reference_section, "T")
     worst = max(
         abs(res(x, model.space.basis_vector(1))) for x in probe_points(model.space, 6, 11)

@@ -120,14 +120,14 @@ def test_path_validation():
 # Composite quadrature: exact for a constant form on a straight path.
 def test_line_integral_dt_exact():
     space = line_space()
-    form = OneForm.from_components(space, [lambda x: 1.0], name="dt")
+    form = OneForm.from_expressions(space, ["1"], name="dt")
     path = Path.line(space, [0.0], [1.0])
     assert line_integral(form, path) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_line_integral_half_dt():
     space = line_space()
-    form = OneForm.from_components(space, [lambda x: 0.5])
+    form = OneForm.from_expressions(space, ["0.5"])
     path = Path.line(space, [0.0], [1.0])
     assert line_integral(form, path) == pytest.approx(0.5, abs=1e-14)
 
@@ -136,7 +136,7 @@ def test_line_integral_circle_two_pi():
     # Oracle: refine the sampling of the circle until the quadrature is
     # stable, then compare against the analytic value.
     space = plane()
-    form = OneForm.from_components(space, [lambda x: -x[1], lambda x: x[0]])
+    form = OneForm.from_expressions(space, ["-x2", "x1"])
 
     def circle(n):
         return Path.from_map(
@@ -155,7 +155,7 @@ def test_line_integral_circle_two_pi():
 
 def test_quadrature_converges_under_refinement():
     space = plane()
-    form = OneForm.from_components(space, [lambda x: x[0] * x[1], lambda x: math.sin(x[0])])
+    form = OneForm.from_expressions(space, ["x1*x2", "sin(x1)"])
     coarse = Path.from_map(space, lambda t: (math.sin(3 * t), t * t), samples=2048)
     fine = Path.from_map(space, lambda t: (math.sin(3 * t), t * t), samples=4096)
     assert abs(line_integral(form, coarse) - line_integral(form, fine)) < 1e-6
@@ -177,7 +177,7 @@ def test_d_one_form_analytic():
     # d(c(x dy - y dx)) = 2c dx^dy; analytic differentiation oracle at c = 0.3.
     space = plane()
     c = 0.3
-    rho = OneForm.from_components(space, [lambda x: -c * x[1], lambda x: c * x[0]])
+    rho = OneForm.from_expressions(space, [f"-{c}*x2", f"{c}*x1"])
     drho = exterior_derivative(rho)
     pt = np.array([0.4, -1.2])
     e1, e2 = np.eye(2)
@@ -300,7 +300,7 @@ def test_conjugate_constant_zeta_preserves_integrals():
     # Conjugating by a constant joining curve reparametrizes the path, so
     # every line integral is unchanged.
     space = line_space()
-    form = OneForm.from_components(space, [lambda x: x[0] ** 2])
+    form = OneForm.from_expressions(space, ["x1^2"])
     gamma = Path.line(space, [0.0], [1.0], samples=257)
     zeta = Path(space, [0.0, 1.0], [[0.0], [0.0]])
     conj = conjugate_path(zeta, gamma, lambda p: p + 1.0)

@@ -47,7 +47,7 @@ def test_horizontal_lift_flat_keeps_phase(models):
 
 def test_horizontal_lift_half_dt_shift():
     space = ParameterSpace(1, "euclidean-box", lower=(-16.0,), upper=(16.0,))
-    conn = Connection(OneForm.from_components(space, [lambda x: 0.5]))
+    conn = Connection(OneForm.from_expressions(space, ["0.5"]))
     path = Path.line(space, [0.0], [1.0])
     end, history = horizontal_lift(conn, Section(), path)
     assert end.distance(CircleValue(0.5)) < 1e-12
@@ -62,7 +62,7 @@ def test_horizontal_lift_circle_rk4_cross_check():
     space = ParameterSpace(2, "euclidean-box", lower=(-8.0, -8.0), upper=(8.0, 8.0))
     c = 0.12
     conn = Connection(
-        OneForm.from_components(space, [lambda x: -c * x[1], lambda x: c * x[0]])
+        OneForm.from_expressions(space, [f"-{c}*x2", f"{c}*x1"])
     )
     loop = Path.from_map(
         space, lambda t: (math.cos(2 * math.pi * t), math.sin(2 * math.pi * t)), samples=4096
@@ -241,7 +241,7 @@ def test_character_zero_on_identity_component():
 
 def test_invariant_form_character_worked_example(models):
     model = models["paper_example_Z_on_R"]
-    beta = OneForm.from_components(model.space, [lambda x: 0.5], name="half dt")
+    beta = OneForm.from_expressions(model.space, ["0.5"], name="half dt")
     for n in (1, 2, 3):
         path = Path.line(model.space, [0.0], [float(n)])
         value, report = invariant_form_character(
@@ -254,9 +254,7 @@ def test_invariant_form_character_worked_example(models):
 def test_invariant_form_character_exact_invariant_potential(models):
     # The differential of an invariant potential has vanishing periods.
     model = models["paper_example_Z_on_R"]
-    beta = OneForm.from_components(
-        model.space, [lambda x: 2 * math.pi * 0.2 * math.cos(2 * math.pi * x[0])]
-    )
+    beta = OneForm.from_expressions(model.space, ["2*pi*0.2*cos(2*pi*x1)"])
     path = Path.line(model.space, [0.0], [1.0], samples=4096)
     value, _ = invariant_form_character(beta, model.bundle, parse_word("g"), path)
     assert value.distance(CircleValue(0.0)) < 1e-6
@@ -266,7 +264,7 @@ def test_invariant_form_character_shifted_potential(models):
     # d of a non-invariant potential whose defect is constant: the period
     # equals that constant, evaluated as potential(g x) - potential(x).
     model = models["paper_example_Z_on_R"]
-    beta = OneForm.from_components(model.space, [lambda x: 0.2], name="d(0.2 x)")
+    beta = OneForm.from_expressions(model.space, ["0.2"], name="d(0.2 x)")
     path = Path.line(model.space, [0.3], [1.3])
     value, _ = invariant_form_character(beta, model.bundle, parse_word("g"), path)
     assert value.distance(CircleValue(0.2)) < 1e-9
@@ -274,7 +272,7 @@ def test_invariant_form_character_shifted_potential(models):
 
 def test_invariant_form_character_rejects_non_basic(models):
     model = models["rotation"]  # has the rotation generator field
-    beta = OneForm.from_components(model.space, [lambda x: 1.0, lambda x: 0.0])
+    beta = OneForm.from_expressions(model.space, ["1", "0"])
     path = random_class_path(
         model.space, model.bundle.action, parse_word("r"), np.array([1.0, 0.0]),
         rng_for(2, "nonbasic"),
@@ -287,7 +285,7 @@ def test_invariant_form_character_path_translation_invariance(models):
     # Replacing the path by a group translate or a conjugate leaves the
     # period unchanged.
     model = models["paper_example_Z_on_R"]
-    beta = OneForm.from_components(model.space, [lambda x: 0.5])
+    beta = OneForm.from_expressions(model.space, ["0.5"])
     word = parse_word("g")
     gamma = random_class_path(
         model.space, model.bundle.action, word, np.array([0.0]), rng_for(3, "kpaths")

@@ -103,6 +103,15 @@ def test_duplicate_key_rejected():
         parse_scenario(text)
 
 
+def test_lattice_slots_must_be_integers():
+    text = (bundled_dir() / "lattice_fiber_shift.scn").read_text()
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(text.replace("[solver]", "[solver]\nslots = [1, x]"))
+    assert "expected an integer, found 'x'" in str(err.value)
+    assert err.value.line is not None
+    assert err.value.column is not None
+
+
 def test_cocycle_for_unknown_generator_rejected():
     text = MINIMAL + "\n"  # then patch cocycle
     text = text.replace("[cocycle]\ng = 0.25", "[cocycle]\ng = 0.25\nh = 0.5")
@@ -156,6 +165,9 @@ def test_cli_check_cocycle_witness_exit(tmp_path, capsys):
         (["verdict", "paper_example_Z_on_R", "--probes", "0"], "--probes"),
         (["holonomy", "trivial", "--word", "q"], "unknown generator 'q'"),
         (["holonomy", "trivial", "--word", "g", "--path", "wiggle:x"], "wiggle:x"),
+        (["verdict", "trivial", "--tol", "nan"], "--tol must be finite and positive"),
+        (["verdict", "trivial", "--tol", "inf"], "--tol must be finite and positive"),
+        (["check-cocycle", "trivial", "--tol", "-0.5"], "--tol must be finite and positive"),
     ],
 )
 def test_cli_bad_input_is_typed_error(argv, message, capsys):
@@ -174,6 +186,9 @@ def test_cli_bad_input_is_typed_error(argv, message, capsys):
         ("paths = 0", "[solver] paths"),
         ("basepoints = 0", "[solver] basepoints"),
         ("slack_bound = -1", "[solver] slack_bound"),
+        ("holdout_tol = nan", "[solver] holdout_tol"),
+        ("fit_tol = 0", "[solver] fit_tol"),
+        ("fit_tol = inf", "[solver] fit_tol"),
     ],
 )
 def test_cli_bad_solver_value_is_typed_error(line, message, tmp_path, capsys):
@@ -186,6 +201,15 @@ def test_cli_bad_solver_value_is_typed_error(line, message, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert message in err
+
+
+def test_cli_unwritable_out_is_typed_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    argv = ["holonomy", "paper_example_Z_on_R", "--word", "g", "--out", str(out)]
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert str(out) in err
 
 
 def test_cli_missing_scenario_is_error(capsys):

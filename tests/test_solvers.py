@@ -242,7 +242,7 @@ def test_primitive_with_holonomy_rows_worked_example(models):
 
     from equihol.solvers import FormBasis
 
-    empty = FormBasis((), (), "empty ansatz")
+    empty = FormBasis(ScalarBasis((), (), "no members"), (), "empty ansatz")
     result2, beta2 = solve_equivariant_primitive(
         model.bundle, rep.equivariant_curvature, empty, CFG, holonomy_rows=rows
     )
@@ -256,7 +256,7 @@ def test_primitive_with_holonomy_rows_worked_example(models):
 
 def test_sigma_invariant_input_is_exact(models):
     model = models["paper_example_Z_on_R"]
-    beta0 = OneForm.from_components(model.space, [lambda x: 0.5])
+    beta0 = OneForm.from_expressions(model.space, ["0.5"])
     basis = scalar_basis(model.space, 2)
     sigma = invariance_obstruction(model.bundle, beta0, np.array([0.0]), basis, CFG)
     assert sigma.exactness.found
@@ -268,8 +268,8 @@ def test_sigma_invariant_input_is_exact(models):
 def test_sigma_planted_defect_recovered(models):
     model = models["paper_example_Z_on_R"]
     tau = lambda x: 0.2 * math.sin(x[0])
-    beta0 = OneForm.from_components(
-        model.space, [lambda x: 0.5 + 0.2 * math.cos(x[0])], name="half dt + d tau"
+    beta0 = OneForm.from_expressions(
+        model.space, ["0.5 + 0.2*cos(x1)"], name="half dt + d tau"
     )
     basis = scalar_basis(model.space, 3, trig=True)
     sigma = invariance_obstruction(model.bundle, beta0, np.array([0.0]), basis, CFG)
@@ -286,7 +286,7 @@ def test_sigma_linear_defect_not_exact_over_constants(models):
     # The potential of the defect of x dx grows linearly, which constants
     # cannot produce: the two-constraint system is inconsistent.
     model = models["paper_example_Z_on_R"]
-    beta0 = OneForm.from_components(model.space, [lambda x: x[0]], name="x dx")
+    beta0 = OneForm.from_expressions(model.space, ["x1"], name="x dx")
     consts = ScalarBasis((lambda x: 1.0,), ("1",), "constants only")
     sigma = invariance_obstruction(model.bundle, beta0, np.array([0.0]), consts, CFG)
     assert isinstance(sigma.exactness, NoCertificate)
@@ -310,7 +310,7 @@ def test_membership_zero_character(models):
 
 def test_membership_worked_example_half_candidate(models):
     model = models["paper_example_Z_on_R"]
-    half = OneForm.from_components(model.space, [lambda x: 0.5], name="half dt")
+    half = OneForm.from_expressions(model.space, ["0.5"], name="half dt")
     kappa = Character({"g": CircleValue(0.5)})
     res = character_membership(kappa, [("half_dt", half)], model.bundle, CFG)
     assert res.decision == "member"
@@ -329,7 +329,7 @@ def test_membership_insolvable_with_integer_periods(models):
 
 def test_membership_rejects_non_basic_candidate(models):
     model = models["rotation"]
-    bad = OneForm.from_components(model.space, [lambda x: 1.0, lambda x: 0.0])
+    bad = OneForm.from_expressions(model.space, ["1", "0"])
     kappa = Character({"r": CircleValue(0.0)})
     with pytest.raises(PreconditionError):
         character_membership(kappa, [("bad", bad)], model.bundle, CFG)
