@@ -146,19 +146,15 @@ class ParameterSpace:
         return self.topology == "torus"
 
     def point(self, coords) -> np.ndarray:
-        x = np.asarray(coords, dtype=float).reshape(self.dimension)
-        if not np.all(np.isfinite(x)):
-            raise EvaluationError("non-finite point coordinates", point=x)
-        if self.is_torus:
-            x = np.mod(x, np.asarray(self.periods))
-        return x
+        """One point: the N=1 row of :meth:`points`."""
+        return self.points(np.asarray(coords, dtype=float).reshape(1, self.dimension))[0]
 
     def points(self, coords) -> np.ndarray:
-        """:meth:`point` on every row of an ``(N, d)`` array."""
+        """The rows of an ``(N, d)`` array as points: finite, wrapped on the torus."""
         x = np.asarray(coords, dtype=float).reshape(-1, self.dimension)
-        bad = ~np.all(np.isfinite(x), axis=1)
-        if np.any(bad):
-            raise EvaluationError("non-finite point coordinates", point=x[int(np.argmax(bad))])
+        if not np.isfinite(x).all():
+            bad = int(np.argmin(np.isfinite(x).all(axis=1)))
+            raise EvaluationError("non-finite point coordinates", point=x[bad])
         if self.is_torus:
             x = np.mod(x, np.asarray(self.periods))
         return x
@@ -177,13 +173,17 @@ class ParameterSpace:
     def translate(self, x, delta) -> np.ndarray:
         return self.point(np.asarray(x, dtype=float) + np.asarray(delta, dtype=float))
 
-    def require_stencil(self, x, radius: float) -> None:
+    def require_stencil(self, points, radii) -> None:
+        """Raise if a stencil leaves the box, for ``(N, d)`` points and ``(N,)`` radii."""
         if self.is_torus:
             return
-        x = np.asarray(x, dtype=float)
-        if np.any(x - radius < self.lower) or np.any(x + radius > self.upper):
+        xs = np.asarray(points, dtype=float).reshape(-1, self.dimension)
+        r = np.asarray(radii, dtype=float).reshape(-1, 1)
+        out = ((xs - r < self.lower) | (xs + r > self.upper)).any(axis=1)
+        if out.any():
+            i = int(np.argmax(out))
             raise DomainError(
-                f"stencil of radius {radius:g} at {x.tolist()} leaves the box domain"
+                f"stencil of radius {r[i, 0]:g} at {xs[i].tolist()} leaves the box domain"
             )
 
     def basis_vector(self, i: int) -> np.ndarray:
@@ -307,9 +307,11 @@ class OneForm:
         vs = np.asarray(vectors, dtype=float)
         if self._stacked is None:
             return np.array([self(x, v) for x, v in zip(xs, vs)], dtype=float)
-        out = np.broadcast_to(np.asarray(self._stacked(xs, vs), dtype=float), (len(xs),))
+        out = np.asarray(self._stacked(xs, vs), dtype=float)
+        if out.shape != (len(xs),):
+            out = np.broadcast_to(out, (len(xs),))
         bad = ~np.isfinite(out)
-        if np.any(bad):
+        if bad.any():
             raise EvaluationError(
                 f"one-form {self.name!r} non-finite", point=xs[int(np.argmax(bad))]
             )
@@ -362,16 +364,35 @@ def _as_ast(space, text_or_ast):
 # Exterior calculus by central differences
 
 
-def directional_derivative(space: ParameterSpace, fn: Callable, x, v) -> float:
-    """Central-difference derivative of a scalar evaluator along v."""
+def central_difference(space: ParameterSpace, values: Callable, points, directions) -> np.ndarray:
+    """``(f(x + h v) - f(x - h v)) / 2h`` per row of ``(N, d)`` points and
+    directions, for ``values`` mapping points to ``(N,)`` or ``(N, K)`` arrays;
+    h is the space's ``fd_step`` and every stencil must stay in the domain."""
     h = space.fd_step
-    scale = float(np.linalg.norm(v))
-    if scale == 0.0:
+    xs = np.asarray(points, dtype=float).reshape(-1, space.dimension)
+    vs = np.asarray(directions, dtype=float).reshape(-1, space.dimension)
+    space.require_stencil(xs, h * np.linalg.norm(vs, axis=1))
+    plus = values(space.points(xs + h * vs))
+    return (plus - values(space.points(xs - h * vs))) / (2 * h)
+
+
+def directional_derivative(space: ParameterSpace, fn: Callable, x, v) -> float:
+    """Central-difference derivative of a scalar evaluator along v: the N=1
+    case of :func:`central_difference`, and 0 along the zero vector."""
+    if float(np.linalg.norm(v)) == 0.0:
         return 0.0
-    space.require_stencil(x, h * scale)
-    xp = space.translate(x, h * np.asarray(v))
-    xm = space.translate(x, -h * np.asarray(v))
-    return (float(fn(xp)) - float(fn(xm))) / (2 * h)
+    return float(central_difference(space, lambda xs: np.array([float(fn(xs[0]))]), x, v)[0])
+
+
+def exterior_rows(space: ParameterSpace, many: Callable, points, u, v) -> np.ndarray:
+    """``d beta(x; u, v)`` per row of ``(N, d)`` stacks, for a stacked one-form
+    evaluator ``many(points, vectors)``: the central difference along u of
+    beta(v) minus the one along v of beta(u)."""
+
+    def along(a, b):
+        return central_difference(space, lambda xs: many(xs, b), points, a)
+
+    return along(u, v) - along(v, u)
 
 
 def exterior_derivative(form):
@@ -386,9 +407,8 @@ def exterior_derivative(form):
         space = form.space
 
         def fn(x, u, v):
-            du = directional_derivative(space, lambda y: form.fn(y, v), x, u)
-            dv = directional_derivative(space, lambda y: form.fn(y, u), x, v)
-            return du - dv
+            rows = (np.asarray(a, dtype=float).reshape(1, -1) for a in (x, u, v))
+            return exterior_rows(space, form.many, *rows)[0]
 
         return TwoForm(space, fn, name=f"d({form.name})")
     raise TypeError("exterior_derivative expects a ScalarField or OneForm")
@@ -420,14 +440,12 @@ def two_form_derivative(omega: TwoForm):
 def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
     """[X, Y] via central differences of the coordinate formula."""
     space = X.space
-    h = space.fd_step
 
     def fn(x):
-        xv, yv = X(x), Y(x)
-        space.require_stencil(x, h * max(np.linalg.norm(xv), np.linalg.norm(yv), 1e-30))
-        dy = (Y(space.translate(x, h * xv)) - Y(space.translate(x, -h * xv))) / (2 * h)
-        dx = (X(space.translate(x, h * yv)) - X(space.translate(x, -h * yv))) / (2 * h)
-        return dy - dx
+        def along(a, F):
+            return central_difference(space, lambda xs: F(xs[0])[None], x, a)[0]
+
+        return along(X(x), Y) - along(Y(x), X)
 
     return VectorField(space, fn, name=f"[{X.name},{Y.name}]")
 
@@ -456,7 +474,7 @@ def circle_differential(space: ParameterSpace, alpha: Callable[[np.ndarray], Cir
         scale = float(np.linalg.norm(v))
         if scale == 0.0:
             return 0.0
-        space.require_stencil(x, h * scale)
+        space.require_stencil(x, [h * scale])
         center = CircleValue.of(alpha(x))
         plus = CircleValue.of(alpha(space.translate(x, h * np.asarray(v))))
         minus = CircleValue.of(alpha(space.translate(x, -h * np.asarray(v))))
@@ -588,14 +606,19 @@ def conjugate_path(zeta: Path, gamma: Path, apply_point: Callable) -> Path:
 # Quadrature along paths
 
 
-def line_integral(form: OneForm, path: Path) -> float:
-    """Composite midpoint quadrature of a one-form along a PL path."""
-    # The terms are added in path order, as np.cumsum adds them, so the
-    # result is the last node of cumulative_line_integral bit for bit.
-    total = float(np.cumsum(form.many(*path.segments()))[-1])
-    if not math.isfinite(total):
+def segment_sum(values: Callable, path: Path) -> np.ndarray:
+    """Sum over the segments of a PL path of ``values(midpoints, steps)``,
+    ``(P,)`` or ``(P, K)`` terms, added in path order as np.cumsum adds them,
+    so a midpoint integral is the last node of the cumulative one bit for bit."""
+    total = np.cumsum(values(*path.segments()), axis=0)[-1]
+    if not np.all(np.isfinite(total)):
         raise EvaluationError("non-finite line integral", point=path.start)
     return total
+
+
+def line_integral(form: OneForm, path: Path) -> float:
+    """Composite midpoint quadrature of a one-form along a PL path."""
+    return float(segment_sum(form.many, path))
 
 
 def cumulative_line_integral(form: OneForm, path: Path) -> np.ndarray:
@@ -614,14 +637,12 @@ def rk4_line_integral(form: OneForm, path: Path) -> float:
     rule; it is an independent route to the same integral and is used as a
     cross-check on the midpoint quadrature.
     """
-    mids, steps = path.segments()
-    k1 = form.many(path.points[:-1], steps)
-    kmid = form.many(mids, steps)
-    k4 = form.many(path.points[1:], steps)
-    total = float(np.cumsum((k1 + 4.0 * kmid + k4) / 6.0)[-1])
-    if not math.isfinite(total):
-        raise EvaluationError("non-finite line integral", point=path.start)
-    return total
+
+    def simpson(mids, steps):
+        k1, kmid = form.many(path.points[:-1], steps), form.many(mids, steps)
+        return (k1 + 4.0 * kmid + form.many(path.points[1:], steps)) / 6.0
+
+    return float(segment_sum(simpson, path))
 
 
 # ---------------------------------------------------------------------------

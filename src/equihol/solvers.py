@@ -45,9 +45,12 @@ from .geometry import (
     Path,
     ScalarField,
     Word,
+    central_difference,
     directional_derivative,
     exterior_derivative,
+    exterior_rows,
     line_integral,
+    segment_sum,
     monomial_exponents,
 )
 from .holonomy import (
@@ -137,10 +140,12 @@ class ScalarBasis:
         return out
 
     def combine(self, space, coefficients) -> ScalarField:
-        members = list(zip(coefficients, self.fields))
-        return ScalarField(
-            space, lambda x: sum(c * f(x) for c, f in members), name="fit"
-        )
+        coefficients = tuple(coefficients)
+
+        def fn(x):
+            return _combined(coefficients, self.matrix(np.reshape(x, (1, -1)))[0])
+
+        return ScalarField(space, fn, name="fit")
 
 
 @dataclass(frozen=True)
@@ -158,21 +163,18 @@ class FormBasis:
         return (s[:, None, :] * vs[:, :, None]).reshape(len(s), s.shape[1] * vs.shape[1])
 
     def combine(self, space, coefficients) -> OneForm:
-        return _combination(space, coefficients, lambda xs, vs: self.matrix(xs, vs).T)
+        coefficients = tuple(coefficients)
+        return OneForm.batched(
+            space, lambda xs, vs: _combined(coefficients, self.matrix(xs, vs).T), "fit"
+        )
 
 
-def _combination(space, coefficients, columns) -> OneForm:
-    """The form ``sum_k c_k column_k`` of the member values ``columns(xs, vs)``,
-    adding the terms in member order."""
-    coefficients = tuple(coefficients)
-
-    def many(xs, vs):
-        out = np.zeros(len(xs))
-        for c, col in zip(coefficients, columns(xs, vs)):
-            out = out + c * col
-        return out
-
-    return OneForm.batched(space, many, name="fit")
+def _combined(coefficients, columns):
+    """``sum_k c_k columns[k]``, adding the terms in member order from zero."""
+    out = 0.0
+    for c, col in zip(coefficients, columns):
+        out = out + c * col
+    return out
 
 
 def _monomial(e):
@@ -470,7 +472,7 @@ def solve_lie_coboundary(
     blocks, targets = [], []
     for label, X in bundle.lie_generators.items():
         directions = [X.generator_field(x) for x in fit_pts]
-        blocks.append(_slopes(basis.matrix, space, fit_pts, directions))
+        blocks.append(central_difference(space, basis.matrix, fit_pts, directions))
         targets += [anomalies[label](x) for x in fit_pts]
     coef, fit_res, cond = _lstsq_with_lifts(
         np.concatenate(blocks), targets, [False] * len(targets), cfg, polish_budget=cfg.fit_tol
@@ -539,7 +541,7 @@ def solve_equivariant_primitive(
         invariance_labels = bundle.action.labels
     fit_pts = probe_points(space, cfg.probes, cfg.seed, tag="primitive-fit")
     at, ea, eb = _planes(fit_pts, space.dimension)
-    blocks = [_d_rows(form_basis.matrix, space, at, ea, eb)]
+    blocks = [exterior_rows(space, form_basis.matrix, at, ea, eb)]
     targets = [eq_curvature.omega(x, u, w) for x, u, w in zip(at, ea, eb)]
     for label, mu in eq_curvature.moment.items():
         Xf = bundle.lie(label).generator_field
@@ -554,8 +556,7 @@ def solve_equivariant_primitive(
     word_ids = {}
     for word, path, value in holonomy_rows or ():
         require_path_class(bundle, word, path)
-        # Midpoint integrals of every member, terms added in path order.
-        blocks.append(np.cumsum(form_basis.matrix(*path.segments()), axis=0)[-1:])
+        blocks.append(segment_sum(form_basis.matrix, path)[None])
         targets.append(CircleValue.of(value).value)
         circle_mask.append(True)
         circle_groups.append(word_ids.setdefault(word, len(word_ids)))
@@ -577,17 +578,6 @@ def solve_equivariant_primitive(
     return NoCertificate(fit_res, holdout, form_basis.description), None
 
 
-def _slopes(values, space, points, directions) -> np.ndarray:
-    """Central differences of ``values(stack) -> (N, K)`` along one direction
-    per point, stepping as :func:`directional_derivative` does."""
-    h = space.fd_step
-    points, directions = np.asarray(points, dtype=float), np.asarray(directions, dtype=float)
-    for x, radius in zip(points, h * np.linalg.norm(directions, axis=1)):
-        space.require_stencil(x, radius)
-    plus = values(space.points(points + h * directions))
-    return (plus - values(space.points(points - h * directions))) / (2 * h)
-
-
 def _planes(points, d: int):
     """Every (point, e_a, e_b) with a < b, probe-major, as three stacks."""
     a, b = np.triu_indices(d, 1)
@@ -603,16 +593,6 @@ def _pullback(g, points, d: int):
     return at_gx, pushed, np.repeat(points, d, axis=0), np.tile(eye, (n, 1))
 
 
-def _d_rows(matrix, space, points, u, w) -> np.ndarray:
-    """``d(member)(x; u, w)`` of every column of ``matrix(points, vectors)``,
-    one (x, u, w) per row, by the central differences of :func:`exterior_derivative`."""
-
-    def along(a, b):
-        return _slopes(lambda xs: matrix(xs, b), space, points, a)
-
-    return along(u, w) - along(w, u)
-
-
 def primitive_residual(bundle, eq_curvature, beta: OneForm, points) -> float:
     """Worst defect of the primitive equation of beta at the points.
 
@@ -620,8 +600,8 @@ def primitive_residual(bundle, eq_curvature, beta: OneForm, points) -> float:
     beta(X) = -moment(X) for every one-parameter generator X.
     """
     at, ea, eb = _planes(points, bundle.space.dimension)
-    d_beta = _d_rows(lambda xs, vs: beta.many(xs, vs)[:, None], bundle.space, at, ea, eb)
-    gaps = [d_beta[:, 0] - [eq_curvature.omega(x, u, w) for x, u, w in zip(at, ea, eb)]]
+    d_beta = exterior_rows(bundle.space, beta.many, at, ea, eb)
+    gaps = [d_beta - [eq_curvature.omega(x, u, w) for x, u, w in zip(at, ea, eb)]]
     for label, mu in eq_curvature.moment.items():
         Xf = bundle.lie(label).generator_field
         gaps.append(beta.many(points, [Xf(x) for x in points]) + [mu(x) for x in points])
@@ -802,7 +782,9 @@ def character_membership(
     kappa = np.array([target.values[label].value for label in gens])
 
     def combination(lam):
-        return _combination(space, lam, lambda xs, vs: [f.many(xs, vs) for f in forms])
+        return OneForm.batched(
+            space, lambda xs, vs: _combined(lam, [f.many(xs, vs) for f in forms]), "fit"
+        )
 
     if not gens:
         combo = combination(np.zeros(len(forms)))

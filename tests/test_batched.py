@@ -19,10 +19,15 @@ from equihol.geometry import (
     OneForm,
     ParameterSpace,
     Path,
+    central_difference,
     cumulative_line_integral,
+    directional_derivative,
+    exterior_derivative,
+    exterior_rows,
     line_integral,
-    monomial_exponents,
+        monomial_exponents,
     rk4_line_integral,
+    segment_sum,
 )
 from equihol.holonomy import random_class_path
 from equihol.lattice import LatticeBase, LocalDensity, LocalOneForm, one_form_density_basis
@@ -197,3 +202,39 @@ def test_one_form_basis_matches_per_point_products():
     s = path.points[:6]
     for f in basis.scalars.fields:
         assert np.array_equal([f(x) for x in s], f(s))
+
+
+def test_stacked_stencil_rows_are_single_point_calls():
+    # One stencil serves stacks and single points: every row of a stacked
+    # call is the N=1 call, and both approximate the analytic derivatives.
+    space = ParameterSpace(2, "euclidean-box", lower=(-4.0, -4.0), upper=(4.0, 4.0))
+    rng = rng_for(6, "stencil")
+    xs, us, vs = rng.uniform(-2.0, 2.0, size=(8, 2)), rng.normal(size=(8, 2)), rng.normal(size=(8, 2))
+    basis = one_form_basis(space, 2, trig=True)
+    slopes = central_difference(space, basis.scalars.matrix, xs, us)
+    for row, (x, u) in enumerate(zip(xs, us)):
+        for j, f in enumerate(basis.scalars.fields):
+            assert slopes[row, j] == directional_derivative(space, f, x, u)
+    # x2^2 dx1 + x1 x2 dx2, so d beta(u, v) = -x2 (u1 v2 - u2 v1).
+    beta = OneForm.from_expressions(space, ["x2*x2", "x1*x2"])
+    rows = exterior_rows(space, beta.many, xs, us, vs)
+    d_beta = exterior_derivative(beta)
+    for row, (x, u, v) in enumerate(zip(xs, us, vs)):
+        assert rows[row] == d_beta(x, u, v)
+        assert rows[row] == pytest.approx(-x[1] * (u[0] * v[1] - u[1] * v[0]), abs=1e-6)
+    # Midpoint sums of the basis matrix are the integrals of its members.
+    path = field_path(space, 7)
+    totals = segment_sum(basis.matrix, path)
+    for k in range(len(basis.names)):
+        unit = np.zeros(len(basis.names))
+        unit[k] = 1.0
+        assert totals[k] == line_integral(basis.combine(space, unit), path)
+    # A fitted scalar field is the hand-written sum of its members.
+    coefficients = rng.normal(size=len(basis.scalars.names))
+    theta = basis.scalars.combine(space, coefficients)
+    exponents = monomial_exponents(2, 2)
+    for x in xs:
+        waves = [np.sin(x[0]), np.cos(x[0]), np.sin(x[1]), np.cos(x[1])]
+        values = [_monomial(x, e) for e in exponents] + waves
+        expected = sum(c * f for c, f in zip(coefficients, values))
+        assert theta(x) == pytest.approx(expected, rel=0, abs=1e-12 * max(1.0, np.abs(values).sum()))

@@ -21,6 +21,7 @@ from equihol.geometry import (
     ScalarField,
     VectorField,
     act_on_path,
+    central_difference,
     circle_differential,
     circle_distance,
     concat_paths,
@@ -204,6 +205,11 @@ def test_d_stencil_domain_error():
     df = exterior_derivative(f)
     with pytest.raises(DomainError):
         df(np.array([1.0]), np.array([1.0]))
+    # On a stack the error names the first row whose stencil leaves the box.
+    values = lambda xs: xs[:, 0] ** 2
+    with pytest.raises(DomainError, match=r"radius 0\.5 at \[0\.75\] leaves"):
+        directions = [[1.0], [0.5 / space.fd_step], [1.0]]
+        central_difference(space, values, [[0.0], [0.75], [1.0]], directions)
 
 
 def test_lie_bracket_coordinate_fields():
