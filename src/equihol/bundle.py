@@ -29,11 +29,14 @@ from .geometry import (
     TwoForm,
     VectorField,
     Word,
+    circle_gaps,
+    circle_values,
     directional_derivative,
     exterior_derivative,
     format_word,
     lie_bracket,
     lie_derivative_one_form,
+    on_rows,
     richardson_slope,
     two_form_derivative,
 )
@@ -60,6 +63,12 @@ class Cocycle:
     exponent vector, abelian presentations only) it is used instead and the
     two routes are cross-checked by :func:`check_cocycle`. ``flow_values``
     carries the cocycle along each declared one-parameter subgroup.
+
+    Generator values and the family return reals or circle values; those
+    marked :func:`~equihol.geometry.stacked` take an ``(N, d)`` stack and
+    return ``(N,)`` reals (a constant broadcasts), others take one point.
+    Word values are a :class:`CircleValue` at a point ``(d,)`` and an
+    ``(N,)`` array of representatives in [0, 1) on a stack ``(N, d)``.
     """
 
     def __init__(
@@ -72,26 +81,33 @@ class Cocycle:
         self.family = family
         self.flow_values = dict(flow_values or {})
 
-    def generator(self, label: str, x) -> CircleValue:
-        return CircleValue.of(self.generator_values[label](x))
-
-    def extend(self, action: GroupAction, word: Word, x) -> CircleValue:
+    def extend(self, action: GroupAction, word: Word, x):
         """Word value by the cocycle law alone, ignoring any family."""
-        total = CircleValue(0.0)
-        y = np.asarray(x, dtype=float)
+        return _per_point(x, action.space, lambda xs: self._extend(action, word, xs))
+
+    def on_word(self, action: GroupAction, word: Word, x):
+        return _per_point(x, action.space, lambda xs: self._on_word(action, word, xs))
+
+    def _extend(self, action: GroupAction, word: Word, xs: np.ndarray) -> np.ndarray:
+        total = np.zeros(len(xs))
+        y = xs
         for name, sign in reversed(word):
             if sign > 0:
-                total = total + self.generator(name, y)
+                total = circle_values(total + self._generator(name, y, word, xs), xs)
                 y = action.generators[name](y)
             else:
                 y = action.generators[name].inv(y)
-                total = total - self.generator(name, y)
+                total = circle_values(total - self._generator(name, y, word, xs), xs)
         return total
 
-    def on_word(self, action: GroupAction, word: Word, x) -> CircleValue:
-        if self.family is not None:
-            return CircleValue.of(self.family(action.exponent_vector(word), x))
-        return self.extend(action, word, x)
+    def _on_word(self, action: GroupAction, word: Word, xs: np.ndarray) -> np.ndarray:
+        if self.family is None:
+            return self._extend(action, word, xs)
+        values = on_rows(self.family, xs, action.exponent_vector(word))
+        return _circle_rows(values, word, xs)
+
+    def _generator(self, label: str, ys: np.ndarray, word: Word, xs: np.ndarray) -> np.ndarray:
+        return _circle_rows(on_rows(self.generator_values[label], ys), word, xs)
 
     def on_flow(self, lie_label: str, t: float, x) -> CircleValue:
         if lie_label not in self.flow_values:
@@ -99,6 +115,22 @@ class Cocycle:
                 f"no cocycle declared along the flow of {lie_label!r}"
             )
         return CircleValue.of(self.flow_values[lie_label](float(t), x))
+
+
+def _circle_rows(values, word: Word, probes: np.ndarray) -> np.ndarray:
+    """Representatives of the values of a word at a stack of probes; the
+    values are a stacked array or one real or circle value per probe."""
+    if isinstance(values, list):
+        values = [v.value if isinstance(v, CircleValue) else float(v) for v in values]
+    values = np.broadcast_to(np.asarray(values, dtype=float), (len(probes),))
+    return circle_values(values, probes, f" on word {format_word(word)!r}")
+
+
+def _per_point(x, space: ParameterSpace, stacked_fn):
+    """``stacked_fn`` on a stack ``(N, d)``, or its N=1 row as a circle value."""
+    x = np.asarray(x, dtype=float)
+    values = stacked_fn(x.reshape(-1, space.dimension))
+    return values if x.ndim == 2 else CircleValue(values[0])
 
 
 @dataclass(frozen=True)
@@ -213,61 +245,69 @@ def check_cocycle(
     For every pair of words with combined length up to ``word_length`` the
     law value at a probe is compared against the sum route; declared
     relations must carry value zero; when a family is present it is checked
-    against the law extension letter by letter.
+    against the law extension letter by letter. Each check evaluates a
+    whole stack of probes at once; the witness is the first largest
+    residual in (word pair, probe) order.
     """
     if word_length < 2:
         raise PreconditionError("word_length must be at least 2")
     action, cocycle = bundle.action, bundle.cocycle
-    pts = probe_points(bundle.space, probes, seed, tag="cocycle-check")
+    space = bundle.space
+    pts = np.reshape(probe_points(space, probes, seed, tag="cocycle-check"), (-1, space.dimension))
     worst, witness_words, witness_point = 0.0, None, None
-
-    def note(residual, words, x):
-        nonlocal worst, witness_words, witness_point
-        if residual > worst:
-            worst = residual
-            witness_words = tuple(format_word(w) for w in words)
-            witness_point = [float(v) for v in x]
-
     checks = 0
+
+    def note(residuals, words):
+        nonlocal worst, witness_words, witness_point, checks
+        checks += len(residuals)
+        if not len(residuals):
+            return
+        i = int(np.argmax(residuals))
+        if residuals[i] > worst:
+            worst = float(residuals[i])
+            witness_words = tuple(format_word(w) for w in words)
+            witness_point = [float(v) for v in pts[i]]
+
     words = list(action.words_up_to(word_length - 1))
     for u in words:
         for v in words:
             if len(u) + len(v) > word_length:
                 continue
-            for x in pts:
-                combined = cocycle.on_word(action, u + v, x)
-                split = cocycle.on_word(action, v, x) + cocycle.on_word(
-                    action, u, action.apply(v, x)
-                )
-                note(combined.distance(split), (u, v), x)
-                checks += 1
+            combined = cocycle.on_word(action, u + v, pts)
+            split = circle_values(
+                cocycle.on_word(action, v, pts)
+                + cocycle.on_word(action, u, action.apply(v, pts)),
+                pts,
+            )
+            note(circle_gaps(combined, split), (u, v))
     for rel in action.relations:
-        for x in pts:
-            note(cocycle.on_word(action, rel, x).distance(CircleValue(0.0)), (rel, ()), x)
-            checks += 1
+        note(circle_gaps(cocycle.on_word(action, rel, pts), 0.0), (rel, ()))
     if cocycle.family is not None:
         for w in action.words_up_to(min(word_length, 3)):
-            for x in pts:
-                note(
-                    cocycle.on_word(action, w, x).distance(cocycle.extend(action, w, x)),
-                    (w, w),
-                    x,
-                )
-                checks += 1
+            note(
+                circle_gaps(cocycle.on_word(action, w, pts), cocycle.extend(action, w, pts)),
+                (w, w),
+            )
     return CocycleReport(worst, witness_words, witness_point, checks)
 
 
 def section_cocycle(bundle: EquivariantBundle, section: Section, word: Word):
-    """Cocycle of the section ``S0 exp(2 pi i Lambda)``: adds Lambda - Lambda o phi."""
+    """Cocycle of the section ``S0 exp(2 pi i Lambda)``: adds Lambda - Lambda o phi.
 
-    def value(x) -> CircleValue:
-        base = bundle.cocycle.on_word(bundle.action, word, x)
+    The value is a :class:`CircleValue` at a point ``(d,)`` and an ``(N,)``
+    array of representatives on a stack ``(N, d)``.
+    """
+    action = bundle.action
+
+    def values(xs):
+        base = bundle.cocycle.on_word(action, word, xs)
         if section.is_reference:
             return base
-        shift = section.lam(x) - section.lam(bundle.action.apply(word, x))
-        return base + CircleValue(shift)
+        lam = section.lambda_field.many
+        shift = _circle_rows(lam(xs) - lam(action.apply(word, xs)), word, xs)
+        return circle_values(base + shift, xs)
 
-    return value
+    return lambda x: _per_point(x, bundle.space, values)
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from .geometry import (
     VectorField,
     exterior_derivative,
     lie_derivative_one_form,
+    stacked,
 )
 from .probes import probe_points
 
@@ -50,14 +51,17 @@ def _rotation_pieces():
     angle = 0.7
 
     def rot(t):
+        # A point (2,) or a stack (N, 2), coordinates on the last axis.
         c, s = np.cos(t), np.sin(t)
-        return lambda x: np.array([c * x[0] - s * x[1], s * x[0] + c * x[1]])
+        return stacked(
+            lambda x: np.stack([c * x[..., 0] - s * x[..., 1], s * x[..., 0] + c * x[..., 1]], -1)
+        )
 
     g = GroupElement("r", rot(angle), rot(-angle), space, in_identity_component=True)
     action = GroupAction(space, [g])
     cocycle = Cocycle(
-        {"r": lambda x: CircleValue(0.25 * angle)},
-        family=lambda e, x: CircleValue(0.25 * angle * e["r"]),
+        {"r": stacked(lambda xs: 0.25 * angle)},
+        family=stacked(lambda e, xs: 0.25 * angle * e["r"]),
         flow_values={"X": lambda t, x: CircleValue(0.25 * t)},
     )
     X = LieElement(
@@ -74,11 +78,14 @@ def _rotation_pieces():
 def _shear_pieces():
     space = ParameterSpace(2, "euclidean-box", lower=(-16.0, -4.0), upper=(16.0, 4.0))
     step = np.array([1.0, 0.0])
-    g = GroupElement("s", lambda x: x + step, lambda x: x - step, space, in_identity_component=True)
+    g = GroupElement(
+        "s", stacked(lambda x: x + step), stacked(lambda x: x - step), space,
+        in_identity_component=True,
+    )
     action = GroupAction(space, [g])
     cocycle = Cocycle(
-        {"s": lambda x: CircleValue(x[1])},
-        family=lambda e, x: CircleValue(e["s"] * x[1]),
+        {"s": stacked(lambda xs: xs[:, 1])},
+        family=stacked(lambda e, xs: e["s"] * xs[:, 1]),
         flow_values={"T": lambda t, x: CircleValue(t * x[1])},
     )
     T = LieElement(

@@ -9,7 +9,9 @@ its witness in the report).
 from __future__ import annotations
 
 import argparse
+import re
 import sys
+
 from . import reports
 from .bundle import check_cocycle, connection_report, infinitesimal_anomaly
 from .errors import ToolkitError
@@ -22,6 +24,14 @@ from .solvers import verdict_pipeline
 from .suites import run_selftest
 
 
+# argparse takes an argument for a number, not an option, when it matches
+# this; its own pattern misses exponents, inf and nan, so "--tol -1e-5"
+# would end in a usage error before the tolerance check.
+NEGATIVE_NUMBER = re.compile(
+    r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="equihol",
@@ -31,6 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, scenario=True):
+        p._negative_number_matcher = NEGATIVE_NUMBER
         if scenario:
             p.add_argument("scenario", help="scenario file path or bundled name")
         p.add_argument("--seed", type=int, default=None, help="override scenario seed")

@@ -21,6 +21,7 @@ numpy-transparent: feeding arrays evaluates elementwise.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -281,8 +282,14 @@ def _check_names(node: Expr, allowed: set) -> None:
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def compile_expr(node: Expr) -> Callable[[dict], float]:
-    """Compile an AST into a closure over an environment dict."""
+def compile_expr(node: Expr, power: Callable = operator.pow) -> Callable[[dict], float]:
+    """Compile an AST into a closure over an environment dict.
+
+    ``power`` evaluates ``^``. The default ``**`` takes numpy's vector loop
+    on arrays, which rounds differently from ``**`` on one float;
+    ``np.float_power`` rounds on every element of an array as ``**`` does
+    on one float.
+    """
     if isinstance(node, Num):
         v = node.value
         return lambda env: v
@@ -293,18 +300,18 @@ def compile_expr(node: Expr) -> Callable[[dict], float]:
         return lambda env: env[name]
     if isinstance(node, Call):
         fn = FUNCTIONS[node.func]
-        arg = compile_expr(node.args[0])
+        arg = compile_expr(node.args[0], power)
         return lambda env: fn(arg(env))
     if isinstance(node, Neg):
-        inner = compile_expr(node.operand)
+        inner = compile_expr(node.operand, power)
         return lambda env: -inner(env)
     if isinstance(node, Pow):
-        base = compile_expr(node.base)
+        base = compile_expr(node.base, power)
         k = node.exponent
-        return lambda env: base(env) ** k
+        return lambda env: power(base(env), k)
     if isinstance(node, BinOp):
-        left = compile_expr(node.left)
-        right = compile_expr(node.right)
+        left = compile_expr(node.left, power)
+        right = compile_expr(node.right, power)
         if node.op == "+":
             return lambda env: left(env) + right(env)
         if node.op == "-":

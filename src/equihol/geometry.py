@@ -82,6 +82,49 @@ def circle_distance(a, b) -> float:
     return CircleValue.of(a).distance(CircleValue.of(b))
 
 
+def circle_values(values, points, context: str = "") -> np.ndarray:
+    """Representatives in [0, 1) of an ``(N,)`` array of reals, one per row
+    of the ``(N, d)`` points, reduced as :class:`CircleValue` reduces one
+    value. A non-finite value raises an :class:`EvaluationError` naming
+    ``context`` and the first offending point."""
+    v = np.asarray(values, dtype=float)
+    bad = ~np.isfinite(v)
+    if bad.any():
+        i = int(np.argmax(bad))
+        point = np.asarray(points[i], dtype=float)
+        raise EvaluationError(
+            f"non-finite circle value {float(v[i])!r}{context} at probe point {point.tolist()}",
+            point=point,
+        )
+    v = np.mod(v, 1.0)
+    return np.where(v >= 1.0, 0.0, v)  # -1e-18 % 1.0 rounds to 1.0 in binary64
+
+
+def circle_gaps(a, b) -> np.ndarray:
+    """Circle distances between arrays of representatives in [0, 1), as
+    :meth:`CircleValue.distance` measures one pair."""
+    d = np.abs(np.asarray(a) - np.asarray(b))
+    return np.minimum(d, 1.0 - d)
+
+
+def stacked(fn: Callable) -> Callable:
+    """Mark a map of points as taking an ``(N, d)`` stack in one call.
+
+    Group maps and cocycle values are called on whole stacks when marked
+    and once per row otherwise; see :func:`on_rows`.
+    """
+    fn.stacked = True
+    return fn
+
+
+def on_rows(fn: Callable, points: np.ndarray, *lead) -> Sequence:
+    """``fn(*lead, p)`` for the rows p of an ``(N, d)`` stack: one call on the
+    whole stack for a :func:`stacked` map, one call per row otherwise."""
+    if getattr(fn, "stacked", False):
+        return fn(*lead, points)
+    return [fn(*lead, p) for p in points]
+
+
 # ---------------------------------------------------------------------------
 # Parameter spaces
 
@@ -201,12 +244,25 @@ def _env(x: np.ndarray) -> dict:
 
 
 class ScalarField:
-    """A pure evaluator point -> real."""
+    """A pure evaluator point -> real.
+
+    :meth:`many` evaluates on a stack of points. A field built by
+    :meth:`batched` has only the stacked evaluator, and a single-point call
+    is its N=1 case; a field built from a pointwise ``fn`` goes row by row.
+    """
 
     def __init__(self, space: ParameterSpace, fn: Callable[[np.ndarray], float], name=""):
         self.space = space
         self.fn = fn
         self.name = name
+        self._stacked = None
+
+    @classmethod
+    def batched(cls, space, many: Callable[[np.ndarray], np.ndarray], name=""):
+        """Field from an evaluator of ``(N, d)`` points to ``(N,)`` values."""
+        field = cls(space, lambda x: many(np.asarray(x, dtype=float)[None])[0], name)
+        field._stacked = many
+        return field
 
     @classmethod
     def from_expression(cls, space, text_or_ast, name=""):
@@ -224,6 +280,20 @@ class ScalarField:
         if not math.isfinite(v):
             raise EvaluationError(f"scalar field {self.name!r} non-finite", point=x)
         return v
+
+    def many(self, points) -> np.ndarray:
+        """Values at the rows of an ``(N, d)`` stack, shape ``(N,)``; a
+        non-finite value raises an :class:`EvaluationError` at its point."""
+        xs = np.asarray(points, dtype=float)
+        if self._stacked is None:
+            return np.array([self(x) for x in xs], dtype=float)
+        out = np.asarray(self._stacked(xs), dtype=float)
+        bad = ~np.isfinite(out)
+        if bad.any():
+            raise EvaluationError(
+                f"scalar field {self.name!r} non-finite", point=xs[int(np.argmax(bad))]
+            )
+        return out
 
     def __add__(self, other):
         other = other if isinstance(other, ScalarField) else ScalarField.constant(self.space, other)
@@ -649,12 +719,30 @@ def rk4_line_integral(form: OneForm, path: Path) -> float:
 # Group elements and words
 
 
+def pushforward(space: ParameterSpace, apply: Callable, points, vectors) -> np.ndarray:
+    """Central-difference pushforward of tangent vectors by a point map.
+
+    Per row of ``(N, d)`` points and vectors (or for one point and vector):
+    ``apply`` at ``x + h v`` and ``x - h v``, their minimal-image
+    displacement over 2h, with h the space's ``fd_step``. ``apply`` maps
+    ``(N, d)`` stacks.
+    """
+    h = space.fd_step
+    xs, vs = np.asarray(points, dtype=float), np.asarray(vectors, dtype=float)
+    plus = apply(space.points(xs + h * vs))
+    minus = apply(space.points(xs - h * vs))
+    out = space.displacement(minus, plus) / (2 * h)
+    return out if xs.ndim == 2 else out[0]
+
+
 @dataclass(frozen=True)
 class GroupElement:
     """A diffeomorphism of the space with an explicit inverse.
 
     Elements without an inverse map are rejected outright: the group axioms
-    are load-bearing everywhere downstream.
+    are load-bearing everywhere downstream. The element maps a point
+    ``(d,)`` or every row of a stack ``(N, d)``; maps marked :func:`stacked`
+    get the whole stack in one call, others one row at a time.
     """
 
     label: str
@@ -667,21 +755,25 @@ class GroupElement:
         if self.forward is None or self.inverse is None:
             raise ValueError(f"generator {self.label!r} needs forward and inverse maps")
 
+    def _map(self, fn, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        images = self.space.points(on_rows(fn, x.reshape(-1, self.space.dimension)))
+        return images if x.ndim == 2 else images[0]
+
     def __call__(self, x) -> np.ndarray:
-        return self.space.point(self.forward(np.asarray(x, dtype=float)))
+        return self._map(self.forward, x)
 
     def inv(self, x) -> np.ndarray:
-        return self.space.point(self.inverse(np.asarray(x, dtype=float)))
+        return self._map(self.inverse, x)
 
     def differential(self, x, v) -> np.ndarray:
-        """Pushforward of a tangent vector by central differences."""
-        h = self.space.fd_step
-        xp = self(self.space.translate(x, h * np.asarray(v)))
-        xm = self(self.space.translate(x, -h * np.asarray(v)))
-        return self.space.displacement(xm, xp) / (2 * h)
+        """Pushforward of tangent vectors by central differences: the
+        one-letter case of :meth:`GroupAction.word_differential`."""
+        return pushforward(self.space, self, x, v)
 
     def inverse_defect(self, points) -> float:
-        return max(self.space.distance(self.inv(self(x)), x) for x in points)
+        xs = np.reshape(points, (-1, self.space.dimension))
+        return max(self.space.distance(y, x) for y, x in zip(self.inv(self(xs)), xs))
 
 
 Word = tuple  # tuple of (label, +1 | -1)
@@ -751,18 +843,19 @@ class GroupAction:
         return g(x) if sign > 0 else g.inv(x)
 
     def apply(self, word: Word, x):
-        y = self.space.point(x)
+        """Image of a point ``(d,)`` or of every row of a stack ``(N, d)``."""
+        x = np.asarray(x, dtype=float)
+        y = self.space.points(x)
         # Words act in reading order as function composition: the last
         # letter is applied first, matching the product convention.
         for letter in reversed(word):
             y = self.apply_letter(letter, y)
-        return y
+        return y if x.ndim == 2 else y[0]
 
     def word_differential(self, word: Word, x, v):
-        h = self.space.fd_step
-        xp = self.apply(word, self.space.translate(x, h * np.asarray(v)))
-        xm = self.apply(word, self.space.translate(x, -h * np.asarray(v)))
-        return self.space.displacement(xm, xp) / (2 * h)
+        """Pushforward of a tangent vector, or of each row of ``(N, d)``
+        vectors at ``(N, d)`` points, by the word."""
+        return pushforward(self.space, lambda ys: self.apply(word, ys), x, v)
 
     def word_in_identity_component(self, word: Word) -> bool:
         """Declared-flag criterion: every letter sits in the identity component."""
@@ -793,10 +886,11 @@ class GroupAction:
             frontier = new
 
     def relation_defect(self, points) -> float:
+        xs = np.reshape(points, (-1, self.space.dimension))
         worst = 0.0
         for rel in self.relations:
-            for x in points:
-                worst = max(worst, self.space.distance(self.apply(rel, x), x))
+            for y, x in zip(self.apply(rel, xs), xs):
+                worst = max(worst, self.space.distance(y, x))
         return worst
 
 

@@ -46,6 +46,7 @@ from .geometry import (
     format_word,
     line_integral,
     rk4_line_integral,
+    stacked,
 )
 from .probes import probe_points, rng_for
 
@@ -208,10 +209,11 @@ def transport_cocycle(
         raise PathClassError("zeta must join y to x")
     rho = connection.rho(section)
 
-    def pulled_fn(p, v):
-        return rho(bundle.action.apply(word, p), bundle.action.word_differential(word, p, v))
+    def pulled(xs, vs):
+        action = bundle.action
+        return rho.many(action.apply(word, xs), action.word_differential(word, xs, vs))
 
-    defect = line_integral(OneForm(space, pulled_fn) - rho, zeta)
+    defect = line_integral(OneForm.batched(space, pulled) - rho, zeta)
     return section_cocycle(bundle, section, word)(y) + CircleValue(defect)
 
 
@@ -476,14 +478,16 @@ def build_flat_from_character(
     character.validate(action)
 
     values = {
-        label: (lambda v: (lambda x: v))(character.values[label]) for label in action.labels
+        label: (lambda v: stacked(lambda xs: v))(character.values[label].value)
+        for label in action.labels
     }
 
-    def family(exponents: Dict[str, int], x) -> CircleValue:
+    @stacked
+    def family(exponents: Dict[str, int], xs) -> float:
         total = CircleValue(0.0)
         for label, k in exponents.items():
             total = total + character.values[label].times(k)
-        return total
+        return total.value
 
     cocycle = Cocycle(values, family=family)
     bundle = EquivariantBundle(space, action, cocycle, lie_generators=())

@@ -33,6 +33,7 @@ from .geometry import (
     VectorField,
     monomial_exponents,
     richardson_slope,
+    stacked,
 )
 
 MAX_JET_ORDER = 6
@@ -270,12 +271,16 @@ def site_shift_element(
     lattice: LatticeBase, space: ParameterSpace, label: str, steps: int,
     in_identity_component: bool = False,
 ) -> GroupElement:
-    """Rotation of the base circle by a whole number of sites."""
+    """Rotation of the base circle by a whole number of sites.
+
+    The maps roll the site axis, the last one, of a field or a stack of
+    fields; a bare ``np.roll`` would roll a flattened stack across rows.
+    """
     k = int(steps)
     return GroupElement(
         label,
-        lambda s: np.roll(s, k),
-        lambda s: np.roll(s, -k),
+        stacked(lambda s: np.roll(s, k, axis=-1)),
+        stacked(lambda s: np.roll(s, -k, axis=-1)),
         space,
         in_identity_component=in_identity_component,
     )
@@ -289,15 +294,16 @@ def fiber_affine_element(
     chi=None,
     in_identity_component: bool = False,
 ) -> GroupElement:
-    """Fiberwise map s -> scale * s + chi(x); scale must be nonzero."""
+    """Fiberwise map s -> scale * s + chi(x) of a field or of each row of a
+    stack of fields; scale must be nonzero."""
     a = float(scale)
     if a == 0.0:
         raise PreconditionError(f"generator {label!r} has no inverse: zero scale")
     shift = _chi_values(lattice, chi)
     return GroupElement(
         label,
-        lambda s: a * s + shift,
-        lambda s: (s - shift) / a,
+        stacked(lambda s: a * s + shift),
+        stacked(lambda s: (s - shift) / a),
         space,
         in_identity_component=in_identity_component,
     )

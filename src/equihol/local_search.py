@@ -164,8 +164,7 @@ def solve_local_global_form(
     blocks, block_targets = [], []
     for label in bundle.action.labels:
         g = bundle.action.generators[label]
-        moved = np.array([g(s) for s in fields])
-        pushed = np.array([g.differential(s, v) for s, v in zip(fields, variations)])
+        moved, pushed = g(fields), g.differential(fields, variations)
         blocks.append(np.column_stack(
             [f.many(moved, pushed) - f.many(fields, variations) for f in member_forms]
         ))

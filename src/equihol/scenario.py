@@ -41,6 +41,7 @@ from .geometry import (
     _env,
     format_word,
     parse_word,
+    stacked,
 )
 from .lattice import (
     JET_NAMES,
@@ -389,11 +390,11 @@ class Scenario:
         action = GroupAction(space, gens, relations=self.relations)
         labels = [g.label for g in gens]
         gen_values = {
-            label: _circle_field(self.cocycle_exprs[label], _env) for label in labels
+            label: _circle_field(self.cocycle_exprs[label], _chart_env) for label in labels
         }
         family = None
         if self.cocycle_family is not None:
-            family = _family_map(labels, self.cocycle_family, _env)
+            family = _family_map(labels, self.cocycle_family, _chart_env)
         flow_values = {}
         lie_elements = []
         fixed_points = {}
@@ -555,14 +556,25 @@ class LatticeModel:
 # Expression wiring
 
 
+def _stack_compiled(expr):
+    """``expr`` compiled for stacks: ``^`` as np.float_power, which rounds
+    every element as ``**`` rounds one float, so a stack and a single point
+    give the same bits."""
+    return compile_expr(expr, power=np.float_power)
+
+
 def _vector_map(space, exprs):
-    evs = [compile_expr(e) for e in exprs]
+    """Point map of one expression per axis, on an ``(N, d)`` stack."""
+    evs = [_stack_compiled(e) for e in exprs]
     if len(evs) != space.dimension:
         raise ScenarioError("map needs one component per dimension")
 
-    def fn(x):
-        env = _env(x)
-        return np.array([float(ev(env)) for ev in evs])
+    @stacked
+    def fn(xs):
+        env, out = _chart_env(xs), np.empty(np.shape(xs))
+        for i, ev in enumerate(evs):
+            out[:, i] = ev(env)  # a constant component broadcasts
+        return out
 
     return fn
 
@@ -578,19 +590,22 @@ def _flow_map(exprs):
     return fn
 
 
+def _chart_env(x):
+    """Coordinates ``x1..xd`` of a point ``(d,)`` or coordinate columns of a
+    stack ``(N, d)``."""
+    return _env(np.asarray(x).T)
+
+
 def _zmode_env(lattice):
-    """Lattice counterpart of ``geometry._env``: the variables of a field
-    for the ``env`` argument of the circle-valued wirings below."""
-    return lambda s: {"zmode": float(lattice.zero_mode(np.asarray(s)))}
+    """Lattice counterpart of :func:`_chart_env`: the zero mode of a field
+    ``(m,)`` or of each row of a stack ``(N, m)``."""
+    return lambda s: {"zmode": lattice.zero_mode(np.asarray(s, dtype=float))}
 
 
 def _circle_field(expr, env):
-    ev = compile_expr(expr)
-
-    def fn(x):
-        return CircleValue(float(ev(env(x))))
-
-    return fn
+    """Circle value of ``expr`` per row of a stack, as ``(N,)`` reals."""
+    ev = _stack_compiled(expr)
+    return stacked(lambda xs: ev(env(xs)))
 
 
 def _flow_circle(expr, env):
@@ -605,13 +620,15 @@ def _flow_circle(expr, env):
 
 
 def _family_map(labels, expr, env):
-    ev = compile_expr(expr)
+    """Family value of ``expr`` at the exponents, per row of a stack."""
+    ev = _stack_compiled(expr)
 
-    def fn(exponents, x):
-        values = env(x)
+    @stacked
+    def fn(exponents, xs):
+        values = env(xs)
         for i, label in enumerate(labels):
             values[f"n{i + 1}"] = float(exponents.get(label, 0))
-        return CircleValue(float(ev(values)))
+        return ev(values)
 
     return fn
 

@@ -46,6 +46,8 @@ from .geometry import (
     ScalarField,
     Word,
     central_difference,
+    circle_gaps,
+    circle_values,
     directional_derivative,
     exterior_derivative,
     exterior_rows,
@@ -141,11 +143,9 @@ class ScalarBasis:
 
     def combine(self, space, coefficients) -> ScalarField:
         coefficients = tuple(coefficients)
-
-        def fn(x):
-            return _combined(coefficients, self.matrix(np.reshape(x, (1, -1)))[0])
-
-        return ScalarField(space, fn, name="fit")
+        return ScalarField.batched(
+            space, lambda xs: _combined(coefficients, self.matrix(xs).T), name="fit"
+        )
 
 
 @dataclass(frozen=True)
@@ -399,7 +399,7 @@ def _continuation_lifts(points, reps):
 
 def _shift_rows(basis: ScalarBasis, g, points) -> np.ndarray:
     """Rows ``f(g x) - f(x)`` of every scalar member at the points."""
-    return basis.matrix(np.array([g(x) for x in points])) - basis.matrix(points)
+    return basis.matrix(g(points)) - basis.matrix(points)
 
 
 def solve_group_coboundary(
@@ -416,32 +416,30 @@ def solve_group_coboundary(
     Returns ``(result, theta_or_None)``.
     """
     space = bundle.space
-    fit_pts = probe_points(space, cfg.probes, cfg.seed, tag="coboundary-fit")
+    fit_pts = np.array(probe_points(space, cfg.probes, cfg.seed, tag="coboundary-fit"))
     blocks, targets = [], []
     labels = bundle.action.labels
     initial = []
     for label in labels:
         g = bundle.action.generators[label]
-        alpha = section_cocycle(bundle, section, ((label, 1),))
-        values = [alpha(x).value for x in fit_pts]
-        reps = np.mod(np.asarray(values) + 0.5, 1.0) - 0.5
+        values = section_cocycle(bundle, section, ((label, 1),))(fit_pts)
+        reps = np.mod(values + 0.5, 1.0) - 0.5
         initial.append(_continuation_lifts(fit_pts, reps))
         blocks.append(_shift_rows(basis, g, fit_pts))
-        targets.extend(values)
+        targets.extend(values.tolist())
     circle_mask = [True] * len(targets)
     coef, fit_res, cond = _lstsq_with_lifts(
         np.concatenate(blocks), targets, circle_mask, cfg, polish_budget=cfg.fit_tol,
         initial_lifts=np.concatenate(initial) if initial else None,
     )
     theta = basis.combine(space, coef)
-    hold_pts = probe_points(space, cfg.holdout, cfg.seed, tag="coboundary-holdout")
+    hold_pts = np.array(probe_points(space, cfg.holdout, cfg.seed, tag="coboundary-holdout"))
     holdout = 0.0
     for label in labels:
         g = bundle.action.generators[label]
-        alpha = section_cocycle(bundle, section, ((label, 1),))
-        for x in hold_pts:
-            model = CircleValue(theta(g(x)) - theta(x))
-            holdout = max(holdout, alpha(x).distance(model))
+        model = theta.many(g(hold_pts)) - theta.many(hold_pts)
+        alpha = section_cocycle(bundle, section, ((label, 1),))(hold_pts)
+        holdout = max(holdout, float(np.max(circle_gaps(alpha, circle_values(model, hold_pts)))))
     coefficients = dict(zip(basis.names, (float(c) for c in coef)))
     if fit_res <= cfg.fit_tol and holdout <= cfg.holdout_tol:
         return Certificate(coefficients, fit_res, holdout, basis.description, cond), theta
@@ -587,10 +585,8 @@ def _planes(points, d: int):
 
 def _pullback(g, points, d: int):
     """Stacks ``(g x, g_* e_i)`` and ``(x, e_i)`` over the points and axes, probe-major."""
-    eye, n = np.eye(d), len(points)
-    pushed = [g.differential(x, e) for x in points for e in eye]
-    at_gx = np.repeat([g(x) for x in points], d, axis=0)
-    return at_gx, pushed, np.repeat(points, d, axis=0), np.tile(eye, (n, 1))
+    at_x, axes = np.repeat(points, d, axis=0), np.tile(np.eye(d), (len(points), 1))
+    return np.repeat(g(points), d, axis=0), g.differential(at_x, axes), at_x, axes
 
 
 def primitive_residual(bundle, eq_curvature, beta: OneForm, points) -> float:
@@ -653,14 +649,14 @@ def invariance_obstruction(
     """
     space = bundle.space
     x0 = space.point(basepoint)
-    defects = {}
-    for label in bundle.action.labels:
-        g = bundle.action.generators[label]
-        defects[label] = OneForm(
-            space,
-            (lambda g: lambda x, v: beta0(g(x), g.differential(x, v)) - beta0(x, v))(g),
-            name=f"defect({label})",
-        )
+
+    def pulled_back(g):
+        return lambda xs, vs: beta0.many(g(xs), g.differential(xs, vs)) - beta0.many(xs, vs)
+
+    defects = {
+        label: OneForm.batched(space, pulled_back(g), name=f"defect({label})")
+        for label, g in bundle.action.generators.items()
+    }
     d_checks = probe_points(space, 8, cfg.seed, tag="sigma-closed")
     rng = rng_for(cfg.seed, "sigma-dirs")
     for label, defect in defects.items():

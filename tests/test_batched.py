@@ -7,6 +7,10 @@ and the one-form ansatz are checked against hand-written per-point
 formulas. The tolerance is fixed in advance at
 ``1e-12 * max(1, sum of |terms|)``, since the batched sums add the same
 terms in another order.
+
+Group words, cocycle values and the cocycle law evaluate on whole probe
+stacks; they are checked against per-point loops over single points,
+which must agree bit for bit, witnesses included.
 """
 
 import math
@@ -14,8 +18,10 @@ import math
 import numpy as np
 import pytest
 
+from equihol.bundle import Cocycle, EquivariantBundle, check_cocycle
 from equihol.expressions import compile_expr
 from equihol.geometry import (
+    CircleValue,
     OneForm,
     ParameterSpace,
     Path,
@@ -24,14 +30,17 @@ from equihol.geometry import (
     directional_derivative,
     exterior_derivative,
     exterior_rows,
+    format_word,
     line_integral,
-        monomial_exponents,
+    monomial_exponents,
     rk4_line_integral,
     segment_sum,
+    stacked,
 )
 from equihol.holonomy import random_class_path
 from equihol.lattice import LatticeBase, LocalDensity, LocalOneForm, one_form_density_basis
-from equihol.probes import rng_for
+from equihol.probes import probe_points, rng_for
+from equihol.scenario import bundled_dir, bundled_names, load_scenario, parse_scenario
 from equihol.solvers import one_form_basis
 
 LAT = LatticeBase(16, 1.0)
@@ -238,3 +247,157 @@ def test_stacked_stencil_rows_are_single_point_calls():
         values = [_monomial(x, e) for e in exponents] + waves
         expected = sum(c * f for c, f in zip(coefficients, values))
         assert theta(x) == pytest.approx(expected, rel=0, abs=1e-12 * max(1.0, np.abs(values).sum()))
+
+
+# ---------------------------------------------------------------------------
+# Group words and the cocycle law against per-point loops
+
+
+def _point_value(fn, x, *lead) -> CircleValue:
+    """A cocycle callable at one point: the N=1 row of a stacked one."""
+    if getattr(fn, "stacked", False):
+        return CircleValue(float(np.broadcast_to(fn(*lead, x[None]), (1,))[0]))
+    return CircleValue.of(fn(*lead, x))
+
+
+def ref_apply(action, word, x):
+    y = action.space.point(x)
+    for name, sign in reversed(word):
+        g = action.generators[name]
+        y = g(y) if sign > 0 else g.inv(y)
+    return y
+
+
+def ref_extend(action, cocycle, word, x):
+    total = CircleValue(0.0)
+    y = np.asarray(x, dtype=float)
+    for name, sign in reversed(word):
+        g, value = action.generators[name], cocycle.generator_values[name]
+        if sign > 0:
+            total = total + _point_value(value, y)
+            y = g(y)
+        else:
+            y = g.inv(y)
+            total = total - _point_value(value, y)
+    return total
+
+
+def ref_on_word(action, cocycle, word, x):
+    if cocycle.family is not None:
+        return _point_value(cocycle.family, x, action.exponent_vector(word))
+    return ref_extend(action, cocycle, word, x)
+
+
+def ref_check_cocycle(bundle, word_length, probes, seed):
+    """The cocycle check one probe point and one word at a time."""
+    action, cocycle = bundle.action, bundle.cocycle
+    pts = probe_points(bundle.space, probes, seed, tag="cocycle-check")
+    worst, witness_words, witness_point, checks = 0.0, None, None, 0
+
+    def note(residual, words, x):
+        nonlocal worst, witness_words, witness_point
+        if residual > worst:
+            worst = residual
+            witness_words = tuple(format_word(w) for w in words)
+            witness_point = [float(v) for v in x]
+
+    words = list(action.words_up_to(word_length - 1))
+    for u in words:
+        for v in words:
+            if len(u) + len(v) > word_length:
+                continue
+            for x in pts:
+                combined = ref_on_word(action, cocycle, u + v, x)
+                split = ref_on_word(action, cocycle, v, x) + ref_on_word(
+                    action, cocycle, u, ref_apply(action, v, x)
+                )
+                note(combined.distance(split), (u, v), x)
+                checks += 1
+    for rel in action.relations:
+        for x in pts:
+            note(ref_on_word(action, cocycle, rel, x).distance(CircleValue(0.0)), (rel, ()), x)
+            checks += 1
+    if cocycle.family is not None:
+        for w in action.words_up_to(min(word_length, 3)):
+            for x in pts:
+                residual = ref_on_word(action, cocycle, w, x).distance(
+                    ref_extend(action, cocycle, w, x)
+                )
+                note(residual, (w, w), x)
+                checks += 1
+    return worst, witness_words, witness_point, checks
+
+
+def assert_words_match_point_loops(bundle, word_length, probes=12, seed=3):
+    action, cocycle = bundle.action, bundle.cocycle
+    pts = np.array(probe_points(bundle.space, probes, seed, tag="word-stack"))
+    for word in action.words_up_to(word_length):
+        images = action.apply(word, pts)
+        values = cocycle.on_word(action, word, pts)
+        extended = cocycle.extend(action, word, pts)
+        for row, x in enumerate(pts):
+            assert np.array_equal(images[row], ref_apply(action, word, x)), word
+            assert values[row] == ref_on_word(action, cocycle, word, x).value, word
+            assert extended[row] == ref_extend(action, cocycle, word, x).value, word
+            # The single-point call is the N=1 row of the stacked one.
+            assert np.array_equal(action.apply(word, x), images[row])
+            assert cocycle.on_word(action, word, x) == CircleValue(values[row])
+    for length in (2, 3):
+        report = check_cocycle(bundle, word_length=length, probes=probes, seed=seed)
+        assert (
+            report.max_residual, report.witness_words, report.witness_point, report.checks
+        ) == ref_check_cocycle(bundle, length, probes, seed)
+        yield report
+
+
+# A site shift next to the fiber translation of lattice_planted_local: the
+# shift leaves the zero mode, and so the cocycle, unchanged.
+SITE_SHIFT = """
+[fieldgroup.r]
+kind = site_shift
+steps = 3
+identity_component = false
+alpha = 0
+"""
+
+
+def _bundle(name):
+    if name == "site_shift":
+        text = (bundled_dir() / "lattice_planted_local.scn").read_text()
+        text = text.replace("[fieldcocycle_family]", SITE_SHIFT + "\n[fieldcocycle_family]")
+        return parse_scenario(text, name).build_lattice_model().bundle
+    scenario = load_scenario(name)
+    if scenario.kind == "chart":
+        return scenario.build_model().bundle
+    return scenario.build_lattice_model().bundle
+
+
+@pytest.mark.parametrize("name", bundled_names() + ["site_shift"])
+def test_stacked_words_and_cocycle_match_point_loops(name):
+    for report in assert_words_match_point_loops(_bundle(name), 3):
+        assert report.max_residual < 1e-8, name
+
+
+def _corrupted(bundle, stacked_values: bool):
+    """The bundle with a position-dependent term added to every generator
+    value, so the values no longer match the family."""
+    bump = lambda xs: 0.05 * np.sin(3.0 * xs[..., 0])
+    values = {}
+    for label, fn in bundle.cocycle.generator_values.items():
+        if stacked_values:
+            values[label] = stacked(lambda xs, fn=fn: np.asarray(fn(xs)) + bump(xs))
+        else:
+            values[label] = lambda x, fn=fn: _point_value(fn, x).value + float(bump(x))
+    cocycle = Cocycle(values, family=bundle.cocycle.family)
+    return EquivariantBundle(bundle.space, bundle.action, cocycle, check=False)
+
+
+@pytest.mark.parametrize("stacked_values", [True, False], ids=["stacked", "pointwise"])
+def test_corrupted_cocycle_witness_matches_point_loop(models, lattice_models, stacked_values):
+    for name in ("paper_example_Z_on_R", "translation_shear", "rotation"):
+        bundle = _corrupted(models[name].bundle, stacked_values)
+        for report in assert_words_match_point_loops(bundle, 3, probes=16, seed=5):
+            assert report.max_residual > 1e-3 and report.witness_point is not None, name
+    bundle = _corrupted(lattice_models["lattice_planted_local"].bundle, stacked_values)
+    for report in assert_words_match_point_loops(bundle, 2, probes=8, seed=5):
+        assert report.max_residual > 1e-3, "lattice_planted_local"

@@ -168,6 +168,7 @@ def test_cli_check_cocycle_witness_exit(tmp_path, capsys):
         (["verdict", "trivial", "--tol", "nan"], "--tol must be finite and positive"),
         (["verdict", "trivial", "--tol", "inf"], "--tol must be finite and positive"),
         (["check-cocycle", "trivial", "--tol", "-0.5"], "--tol must be finite and positive"),
+        (["check-cocycle", "trivial", "--tol", "-1e-5"], "--tol must be finite and positive"),
     ],
 )
 def test_cli_bad_input_is_typed_error(argv, message, capsys):
@@ -201,6 +202,28 @@ def test_cli_bad_solver_value_is_typed_error(line, message, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "line, edited, message",
+    [
+        ("g = 0.5\n", "g = 0.5 + 1/(x1 - x1)\n", "non-finite circle value inf on word 'g' at "),
+        ("forward = [x1 + 1]", "forward = [x1 + exp(1000*x1)]", "non-finite point coordinates"),
+    ],
+    ids=["cocycle", "map"],
+)
+def test_cli_non_finite_scenario_value_is_typed_error(line, edited, message, tmp_path, capsys):
+    # The construction checks evaluate cocycle values and group maps on
+    # whole probe stacks; a non-finite row still ends in an EvaluationError.
+    text = (bundled_dir() / "paper_example_Z_on_R.scn").read_text()
+    assert text.count(line) == 1
+    scenario = tmp_path / "non_finite.scn"
+    scenario.write_text(text.replace(line, edited))
+    assert run_cli(["check-cocycle", str(scenario)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert message in err
+    assert "Traceback" not in err
 
 
 def test_cli_unwritable_out_is_typed_error(tmp_path, capsys):
