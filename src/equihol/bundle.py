@@ -29,18 +29,19 @@ from .geometry import (
     TwoForm,
     VectorField,
     Word,
+    central_difference,
     circle_gaps,
     circle_values,
-    directional_derivative,
     exterior_derivative,
     format_word,
     lie_bracket,
     lie_derivative_one_form,
-    on_rows,
+    max_abs,
+    pointwise,
     richardson_slope,
     two_form_derivative,
 )
-from .probes import probe_points, rng_for
+from .probes import direction_draws, probe_points, rng_for
 
 # Probe count and cocycle tolerance of the construction checks.
 CHECK_PROBES = 24
@@ -64,11 +65,13 @@ class Cocycle:
     two routes are cross-checked by :func:`check_cocycle`. ``flow_values``
     carries the cocycle along each declared one-parameter subgroup.
 
-    Generator values and the family return reals or circle values; those
-    marked :func:`~equihol.geometry.stacked` take an ``(N, d)`` stack and
-    return ``(N,)`` reals (a constant broadcasts), others take one point.
-    Word values are a :class:`CircleValue` at a point ``(d,)`` and an
-    ``(N,)`` array of representatives in [0, 1) on a stack ``(N, d)``.
+    The values are stacked: a generator value maps an ``(N, d)`` stack to
+    ``(N,)`` reals (a constant broadcasts), the family maps
+    ``(exponents, stack)`` and a flow value ``(t, stack)`` the same way.
+    :meth:`batched` takes such maps; the constructor takes single-point
+    functions returning reals or circle values (see
+    :func:`~equihol.geometry.pointwise`). Word and flow values are ``(N,)``
+    arrays of representatives in [0, 1).
     """
 
     def __init__(
@@ -77,18 +80,21 @@ class Cocycle:
         family: Optional[Callable[[Dict[str, int], np.ndarray], CircleValue]] = None,
         flow_values: Optional[Dict[str, Callable[[float, np.ndarray], CircleValue]]] = None,
     ):
-        self.generator_values = dict(generator_values)
-        self.family = family
-        self.flow_values = dict(flow_values or {})
+        self.generator_values = {k: pointwise(f) for k, f in generator_values.items()}
+        self.family = None if family is None else pointwise(family)
+        self.flow_values = {k: pointwise(f) for k, f in (flow_values or {}).items()}
 
-    def extend(self, action: GroupAction, word: Word, x):
+    @classmethod
+    def batched(cls, generator_values, family=None, flow_values=None) -> "Cocycle":
+        """Cocycle from maps of ``(N, d)`` stacks to ``(N,)`` reals."""
+        cocycle = cls({})
+        cocycle.generator_values = dict(generator_values)
+        cocycle.family = family
+        cocycle.flow_values = dict(flow_values or {})
+        return cocycle
+
+    def extend(self, action: GroupAction, word: Word, xs: np.ndarray) -> np.ndarray:
         """Word value by the cocycle law alone, ignoring any family."""
-        return _per_point(x, action.space, lambda xs: self._extend(action, word, xs))
-
-    def on_word(self, action: GroupAction, word: Word, x):
-        return _per_point(x, action.space, lambda xs: self._on_word(action, word, xs))
-
-    def _extend(self, action: GroupAction, word: Word, xs: np.ndarray) -> np.ndarray:
         total = np.zeros(len(xs))
         y = xs
         for name, sign in reversed(word):
@@ -100,37 +106,29 @@ class Cocycle:
                 total = circle_values(total - self._generator(name, y, word, xs), xs)
         return total
 
-    def _on_word(self, action: GroupAction, word: Word, xs: np.ndarray) -> np.ndarray:
+    def on_word(self, action: GroupAction, word: Word, xs: np.ndarray) -> np.ndarray:
         if self.family is None:
-            return self._extend(action, word, xs)
-        values = on_rows(self.family, xs, action.exponent_vector(word))
-        return _circle_rows(values, word, xs)
+            return self.extend(action, word, xs)
+        values = self.family(action.exponent_vector(word), xs)
+        return _circle_rows(values, xs, f" on word {format_word(word)!r}")
 
     def _generator(self, label: str, ys: np.ndarray, word: Word, xs: np.ndarray) -> np.ndarray:
-        return _circle_rows(on_rows(self.generator_values[label], ys), word, xs)
+        values = self.generator_values[label](ys)
+        return _circle_rows(values, xs, f" on word {format_word(word)!r}")
 
-    def on_flow(self, lie_label: str, t: float, x) -> CircleValue:
+    def on_flow(self, lie_label: str, t: float, xs: np.ndarray) -> np.ndarray:
         if lie_label not in self.flow_values:
             raise PreconditionError(
                 f"no cocycle declared along the flow of {lie_label!r}"
             )
-        return CircleValue.of(self.flow_values[lie_label](float(t), x))
+        values = self.flow_values[lie_label](float(t), xs)
+        return _circle_rows(values, xs, f" along the flow of {lie_label!r}")
 
 
-def _circle_rows(values, word: Word, probes: np.ndarray) -> np.ndarray:
-    """Representatives of the values of a word at a stack of probes; the
-    values are a stacked array or one real or circle value per probe."""
-    if isinstance(values, list):
-        values = [v.value if isinstance(v, CircleValue) else float(v) for v in values]
+def _circle_rows(values, probes: np.ndarray, context: str) -> np.ndarray:
+    """Representatives of stacked values at the probes (a constant broadcasts)."""
     values = np.broadcast_to(np.asarray(values, dtype=float), (len(probes),))
-    return circle_values(values, probes, f" on word {format_word(word)!r}")
-
-
-def _per_point(x, space: ParameterSpace, stacked_fn):
-    """``stacked_fn`` on a stack ``(N, d)``, or its N=1 row as a circle value."""
-    x = np.asarray(x, dtype=float)
-    values = stacked_fn(x.reshape(-1, space.dimension))
-    return values if x.ndim == 2 else CircleValue(values[0])
+    return circle_values(values, probes, context)
 
 
 @dataclass(frozen=True)
@@ -144,16 +142,15 @@ class Section:
     def is_reference(self) -> bool:
         return self.lambda_field is None
 
-    def lam(self, x) -> float:
-        return 0.0 if self.lambda_field is None else self.lambda_field(x)
-
     def shifted(self, extra: ScalarField, name: str = "") -> "Section":
         """The section multiplied by exp(2 pi i extra), e.g. by a recovered
         potential; solver certificates induce their sections this way."""
+        name = name or f"{self.name}+{extra.name}"
         if self.is_reference:
-            return Section(extra, name or f"{self.name}+{extra.name}")
-        combined = self.lambda_field + extra
-        return Section(combined, name or f"{self.name}+{extra.name}")
+            return Section(extra, name)
+        lam = self.lambda_field
+        combined = ScalarField.batched(extra.space, lambda xs: lam.many(xs) + extra.many(xs))
+        return Section(combined, name)
 
 
 @dataclass(frozen=True)
@@ -253,7 +250,7 @@ def check_cocycle(
         raise PreconditionError("word_length must be at least 2")
     action, cocycle = bundle.action, bundle.cocycle
     space = bundle.space
-    pts = np.reshape(probe_points(space, probes, seed, tag="cocycle-check"), (-1, space.dimension))
+    pts = probe_points(space, probes, seed, tag="cocycle-check")
     worst, witness_words, witness_point = 0.0, None, None
     checks = 0
 
@@ -294,43 +291,48 @@ def check_cocycle(
 def section_cocycle(bundle: EquivariantBundle, section: Section, word: Word):
     """Cocycle of the section ``S0 exp(2 pi i Lambda)``: adds Lambda - Lambda o phi.
 
-    The value is a :class:`CircleValue` at a point ``(d,)`` and an ``(N,)``
-    array of representatives on a stack ``(N, d)``.
+    The value is an ``(N,)`` array of representatives on a stack ``(N, d)``
+    and a :class:`CircleValue` at a point ``(d,)``, the N=1 row.
     """
-    action = bundle.action
+    action, context = bundle.action, f" on word {format_word(word)!r}"
 
-    def values(xs):
-        base = bundle.cocycle.on_word(action, word, xs)
-        if section.is_reference:
-            return base
-        lam = section.lambda_field.many
-        shift = _circle_rows(lam(xs) - lam(action.apply(word, xs)), word, xs)
-        return circle_values(base + shift, xs)
+    def value(x):
+        x = np.asarray(x, dtype=float)
+        xs = x.reshape(-1, bundle.space.dimension)
+        out = bundle.cocycle.on_word(action, word, xs)
+        if not section.is_reference:
+            lam = section.lambda_field.many
+            shift = lam(xs) - lam(action.apply(word, xs))
+            out = circle_values(out + _circle_rows(shift, xs, context), xs)
+        return out if x.ndim == 2 else CircleValue(out[0])
 
-    return lambda x: _per_point(x, bundle.space, values)
+    return value
 
 
 # ---------------------------------------------------------------------------
 # Infinitesimal anomaly
 
 
-def _flow_cocycle_derivative(bundle, section, lie_label: str, x, dt: float) -> float:
-    """Richardson-extrapolated central difference of t -> cocycle(flow t) at 0."""
+def _flow_cocycle_derivative(bundle, section, lie_label: str, xs, dt: float) -> np.ndarray:
+    """Richardson-extrapolated central difference of t -> cocycle(flow t) at
+    0, per row of an ``(N, d)`` stack."""
     X = bundle.lie(lie_label)
 
-    def alpha_at(t: float) -> CircleValue:
-        base = bundle.cocycle.on_flow(lie_label, t, x)
+    def alpha_at(t: float) -> np.ndarray:
+        base = bundle.cocycle.on_flow(lie_label, t, xs)
         if section.is_reference:
             return base
-        return base + CircleValue(section.lam(x) - section.lam(X.flow_at(t, x)))
+        lam = section.lambda_field.many
+        return circle_values(base + circle_values(lam(xs) - lam(X.flow_at(t, xs)), xs), xs)
 
-    def slope(h: float) -> float:
+    def slope(h: float) -> np.ndarray:
         plus, minus = alpha_at(h), alpha_at(-h)
-        if plus.distance(CircleValue(0.0)) >= 0.25 or minus.distance(CircleValue(0.0)) >= 0.25:
+        if (circle_gaps(plus, 0.0) >= 0.25).any() or (circle_gaps(minus, 0.0) >= 0.25).any():
             raise ResolutionError(
                 "cocycle moves by 0.25 or more over the flow step; shrink the step"
             )
-        return (plus.lift_near(0.0) - minus.lift_near(0.0)) / (2 * h)
+        # Each value lifted next to 0, as CircleValue.lift_near(0.0) lifts one.
+        return (plus + np.round(-plus) - (minus + np.round(-minus))) / (2 * h)
 
     return richardson_slope(slope, dt)
 
@@ -345,27 +347,29 @@ def infinitesimal_anomaly(
 ) -> ScalarField:
     """The derivative of the cocycle along a one-parameter subgroup.
 
-    ``flow-derivative`` differentiates the unwrapped cocycle directly;
-    ``moment-formula`` recovers the same field as moment(X) + rho(X) for a
-    supplied connection and moment. The two agree under the calibrated sign
-    convention and are cross-checked by the invariant suites.
+    ``flow-derivative`` differentiates the unwrapped cocycle directly, one
+    Richardson slope over the whole stack; ``moment-formula`` recovers the
+    same field as moment(X) + rho(X) for a supplied connection and moment.
+    The two agree under the calibrated sign convention and are
+    cross-checked by the invariant suites.
     """
     bundle.require_lie()
+    name = f"anomaly({lie_label})"
     if method == "flow-derivative":
-        return ScalarField(
+        return ScalarField.batched(
             bundle.space,
-            lambda x: _flow_cocycle_derivative(bundle, section, lie_label, x, FLOW_STEP),
-            name=f"anomaly({lie_label})",
+            lambda xs: _flow_cocycle_derivative(bundle, section, lie_label, xs, FLOW_STEP),
+            name,
         )
     if method == "moment-formula":
         if connection is None or moment is None:
             raise PreconditionError("moment-formula needs a connection and its moment")
         rho = connection.rho(section)
-        X = bundle.lie(lie_label)
-        return ScalarField(
+        field = bundle.lie(lie_label).generator_field
+        return ScalarField.batched(
             bundle.space,
-            lambda x: ANOMALY_MOMENT_SIGN * (moment(x) + rho(x, X.generator_field(x))),
-            name=f"anomaly({lie_label})",
+            lambda xs: ANOMALY_MOMENT_SIGN * (moment.many(xs) + rho.many(xs, field.many(xs))),
+            name,
         )
     raise PreconditionError(f"unknown anomaly method {method!r}")
 
@@ -379,12 +383,8 @@ def lie_algebra_expansion(bundle: EquivariantBundle, target: VectorField):
     bundle.require_lie()
     labels = list(bundle.lie_generators)
     pts = probe_points(bundle.space, EXPANSION_PROBES, 0, tag="algebra-expansion")
-    cols = []
-    for label in labels:
-        f = bundle.lie_generators[label].generator_field
-        cols.append(np.concatenate([f(x) for x in pts]))
-    A = np.stack(cols, axis=1)
-    b = np.concatenate([target(x) for x in pts])
+    A = np.stack([bundle.lie(label).generator_field.many(pts).ravel() for label in labels], axis=1)
+    b = target.many(pts).ravel()
     coef, *_ = np.linalg.lstsq(A, b, rcond=None)
     resid = float(np.max(np.abs(A @ coef - b))) if len(b) else 0.0
     if resid > EXPANSION_TOL:
@@ -405,21 +405,20 @@ def lie_cocycle_residual(
     Vanishes to stencil accuracy for genuine actions; the bracket is
     expanded in the declared generators to evaluate the anomaly on it.
     """
-    X = bundle.lie(x_label)
-    Y = bundle.lie(y_label)
+    space = bundle.space
+    X = bundle.lie(x_label).generator_field
+    Y = bundle.lie(y_label).generator_field
     aX = infinitesimal_anomaly(bundle, section, x_label)
     aY = infinitesimal_anomaly(bundle, section, y_label)
-    bracket = lie_bracket(X.generator_field, Y.generator_field)
-    coeffs = lie_algebra_expansion(bundle, bracket)
+    coeffs = lie_algebra_expansion(bundle, lie_bracket(X, Y))
     anomalies = {label: infinitesimal_anomaly(bundle, section, label) for label in coeffs}
 
-    def fn(x):
-        lead = directional_derivative(bundle.space, aY.fn, x, X.generator_field(x))
-        lead -= directional_derivative(bundle.space, aX.fn, x, Y.generator_field(x))
-        lead -= sum(c * anomalies[label](x) for label, c in coeffs.items())
-        return lead
+    def many(xs):
+        lead = central_difference(space, aY.many, xs, X.many(xs))
+        lead = lead - central_difference(space, aX.many, xs, Y.many(xs))
+        return lead - sum(c * anomalies[label].many(xs) for label, c in coeffs.items())
 
-    return ScalarField(bundle.space, fn, name=f"residual({x_label},{y_label})")
+    return ScalarField.batched(space, many, name=f"residual({x_label},{y_label})")
 
 
 # ---------------------------------------------------------------------------
@@ -434,31 +433,30 @@ class EquivariantCurvature:
     moment: Dict[str, ScalarField] = field(default_factory=dict)
 
     def closedness_residuals(self, bundle, probes: int = 16, seed: int = 0) -> dict:
-        """Numerical defects of d omega = 0 and contract(X, omega) = d moment(X)."""
+        """Numerical defects of d omega = 0 and contract(X, omega) = d moment(X),
+        each on the whole probe stack."""
         space = bundle.space
         pts = probe_points(space, probes, seed, tag="closedness")
         rng = rng_for(seed, "closedness-dirs")
         d_omega = 0.0
         if space.dimension >= 3:
-            dw = two_form_derivative(self.omega)
-            for x in pts:
-                u, v, w = (_unit(rng, space.dimension) for _ in range(3))
-                d_omega = max(d_omega, abs(dw(x, u, v, w)))
+            u, v, w = _unit_rows(direction_draws(rng, len(pts), 3, space.dimension))
+            d_omega = max_abs(two_form_derivative(self.omega)(pts, u, v, w))
         moment_defect = 0.0
         for label, mu in self.moment.items():
             Xf = bundle.lie(label).generator_field
-            dmu = exterior_derivative(mu)
-            for x in pts:
-                v = _unit(rng, space.dimension)
-                moment_defect = max(
-                    moment_defect, abs(self.omega(x, Xf(x), v) - dmu(x, v))
-                )
+            (v,) = _unit_rows(direction_draws(rng, len(pts), 1, space.dimension))
+            gaps = self.omega.many(pts, Xf.many(pts), v) - exterior_derivative(mu).many(pts, v)
+            moment_defect = max(moment_defect, max_abs(gaps))
         return {"d_omega": d_omega, "moment": moment_defect}
 
 
-def _unit(rng, dim):
-    v = rng.normal(size=dim)
-    return v / np.linalg.norm(v)
+def _unit_rows(v: np.ndarray) -> np.ndarray:
+    """Each vector along the last axis over its own ``np.linalg.norm``. The
+    norm is taken vector by vector: the axis reduction rounds differently
+    from the dot product the norm of one vector uses."""
+    norms = np.reshape([np.linalg.norm(r) for r in v.reshape(-1, v.shape[-1])], v.shape[:-1])
+    return v / norms[..., None]
 
 
 @dataclass(frozen=True)
@@ -492,9 +490,11 @@ def connection_report(
         else:
             anomaly = infinitesimal_anomaly(bundle, section, label)
             contraction = rho.contract(bundle.lie(label).generator_field)
-            moment[label] = ScalarField(
+            moment[label] = ScalarField.batched(
                 bundle.space,
-                (lambda a, c: lambda x: ANOMALY_MOMENT_SIGN * a(x) - c(x))(anomaly, contraction),
+                (lambda a, c: lambda xs: ANOMALY_MOMENT_SIGN * a.many(xs) - c.many(xs))(
+                    anomaly, contraction
+                ),
                 name=f"moment({label})",
             )
     eq = EquivariantCurvature(curv, moment)
@@ -517,11 +517,10 @@ def descent_residual(
     """L_X rho - d(anomaly(X)); vanishes for invariant connections."""
     rho = connection.rho(section)
     X = bundle.lie(lie_label)
-    anomaly = infinitesimal_anomaly(bundle, section, lie_label)
     lie_term = lie_derivative_one_form(rho, X.generator_field)
-    grad = exterior_derivative(anomaly)
+    grad = exterior_derivative(infinitesimal_anomaly(bundle, section, lie_label))
     return OneForm(
         bundle.space,
-        lambda x, v: lie_term(x, v) - ANOMALY_MOMENT_SIGN * grad(x, v),
+        lambda xs, vs: lie_term.many(xs, vs) - ANOMALY_MOMENT_SIGN * grad.many(xs, vs),
         name=f"descent({lie_label})",
     )

@@ -21,7 +21,6 @@ import numpy as np
 
 from .bundle import Cocycle, Connection, EquivariantBundle, Section, infinitesimal_anomaly
 from .geometry import (
-    CircleValue,
     GroupAction,
     GroupElement,
     LieElement,
@@ -31,7 +30,7 @@ from .geometry import (
     VectorField,
     exterior_derivative,
     lie_derivative_one_form,
-    stacked,
+    max_abs,
 )
 from .probes import probe_points
 
@@ -51,27 +50,24 @@ def _rotation_pieces():
     angle = 0.7
 
     def rot(t):
-        # A point (2,) or a stack (N, 2), coordinates on the last axis.
         c, s = np.cos(t), np.sin(t)
-        return stacked(
-            lambda x: np.stack([c * x[..., 0] - s * x[..., 1], s * x[..., 0] + c * x[..., 1]], -1)
-        )
+        return lambda xs: np.stack([c * xs[:, 0] - s * xs[:, 1], s * xs[:, 0] + c * xs[:, 1]], -1)
 
     g = GroupElement("r", rot(angle), rot(-angle), space, in_identity_component=True)
     action = GroupAction(space, [g])
-    cocycle = Cocycle(
-        {"r": stacked(lambda xs: 0.25 * angle)},
-        family=stacked(lambda e, xs: 0.25 * angle * e["r"]),
-        flow_values={"X": lambda t, x: CircleValue(0.25 * t)},
+    cocycle = Cocycle.batched(
+        {"r": lambda xs: 0.25 * angle},
+        family=lambda e, xs: 0.25 * angle * e["r"],
+        flow_values={"X": lambda t, xs: 0.25 * t},
     )
     X = LieElement(
         "X",
-        VectorField(space, lambda x: np.array([-x[1], x[0]])),
-        flow=lambda t, x: rot(t)(x),
+        VectorField.from_expressions(space, ["-x2", "x1"]),
+        flow=lambda t, xs: rot(t)(xs),
     )
     bundle = EquivariantBundle(space, action, cocycle, [X])
     rho = OneForm.from_expressions(space, ["-0.1*x2", "0.1*x1"], name="0.1(x1 dx2 - x2 dx1)")
-    moment = ScalarField(space, lambda x: 0.25 - 0.1 * (x[0] ** 2 + x[1] ** 2))
+    moment = ScalarField.from_expression(space, "0.25 - 0.1 * (x1^2 + x2^2)")
     return bundle, Connection(rho), moment, "X"
 
 
@@ -79,21 +75,20 @@ def _shear_pieces():
     space = ParameterSpace(2, "euclidean-box", lower=(-16.0, -4.0), upper=(16.0, 4.0))
     step = np.array([1.0, 0.0])
     g = GroupElement(
-        "s", stacked(lambda x: x + step), stacked(lambda x: x - step), space,
-        in_identity_component=True,
+        "s", lambda xs: xs + step, lambda xs: xs - step, space, in_identity_component=True
     )
     action = GroupAction(space, [g])
-    cocycle = Cocycle(
-        {"s": stacked(lambda xs: xs[:, 1])},
-        family=stacked(lambda e, xs: e["s"] * xs[:, 1]),
-        flow_values={"T": lambda t, x: CircleValue(t * x[1])},
+    cocycle = Cocycle.batched(
+        {"s": lambda xs: xs[:, 1]},
+        family=lambda e, xs: e["s"] * xs[:, 1],
+        flow_values={"T": lambda t, xs: t * xs[:, 1]},
     )
     T = LieElement(
-        "T", VectorField(space, lambda x: np.array([1.0, 0.0])), flow=lambda t, x: x + t * step
+        "T", VectorField(space, lambda xs: step), flow=lambda t, xs: xs + t * step
     )
     bundle = EquivariantBundle(space, action, cocycle, [T])
     rho = OneForm.from_expressions(space, ["0", "x1"], name="x1 dx2")
-    moment = ScalarField(space, lambda x: x[1])
+    moment = ScalarField.from_expression(space, "x2")
     return bundle, Connection(rho), moment, "T"
 
 
@@ -110,18 +105,15 @@ def run() -> CalibrationResult:
         lie_term = lie_derivative_one_form(rho, field)
         grad = exterior_derivative(anomaly)
         pts = probe_points(bundle.space, CALIBRATION_PROBES, 0, tag="calibration")
-        for x in pts:
-            a = anomaly(x)
-            contraction = rho(x, field(x))
-            for sign in (+1, -1):
-                moment_res[sign] = max(
-                    moment_res[sign], abs(sign * (moment(x) + contraction) - a)
-                )
-            for i in range(bundle.space.dimension):
-                v = bundle.space.basis_vector(i)
-                lead = lie_term(x, v)
-                for sign in (+1, -1):
-                    descent_res[sign] = max(descent_res[sign], abs(lead - sign * grad(x, v)))
+        a = anomaly.many(pts)
+        pulled = moment.many(pts) + rho.many(pts, field.many(pts))
+        axes = [np.tile(e, (len(pts), 1)) for e in np.eye(bundle.space.dimension)]
+        lead = [lie_term.many(pts, v) for v in axes]
+        slope = [grad.many(pts, v) for v in axes]
+        for sign in (+1, -1):
+            moment_res[sign] = max(moment_res[sign], max_abs(sign * pulled - a))
+            for lead_i, slope_i in zip(lead, slope):
+                descent_res[sign] = max(descent_res[sign], max_abs(lead_i - sign * slope_i))
     scores = {s: max(moment_res[s], descent_res[s]) for s in (+1, -1)}
     sign = min(scores, key=scores.get)
     if scores[sign] > 1e-4:

@@ -12,6 +12,8 @@ import argparse
 import re
 import sys
 
+import numpy as np
+
 from . import reports
 from .bundle import check_cocycle, connection_report, infinitesimal_anomaly
 from .errors import ToolkitError
@@ -176,7 +178,7 @@ def _run(args) -> int:
             pts = probe_points(model.space, 8, cfg.seed, tag="cli-anomaly")
             for label in model.bundle.lie_generators:
                 field = infinitesimal_anomaly(model.bundle, section, label)
-                entries[label] = {"values": [field(x) for x in pts]}
+                entries[label] = {"values": field.many(pts).tolist()}
             result = {"applicable": True, "generators": entries}
         report = reports.envelope("anomaly", scenario.name, config_echo, scenario.assumptions, result)
         summary = "anomaly report: " + (
@@ -219,15 +221,14 @@ def _run(args) -> int:
             declared_moment=getattr(model, "declared_moment", None), seed=cfg.seed,
         )
         pts = probe_points(model.space, 4, cfg.seed, tag="cli-curv")
-        samples = []
-        for x in pts:
-            row = {"point": [float(v) for v in x]}
-            if model.space.dimension >= 2:
-                row["curvature_12"] = rep.curvature(
-                    x, model.space.basis_vector(0), model.space.basis_vector(1)
-                )
-            row["moment"] = {label: mu(x) for label, mu in rep.moment.items()}
-            samples.append(row)
+        samples = [{"point": x} for x in pts.tolist()]
+        if model.space.dimension >= 2:
+            e1, e2 = (np.tile(model.space.basis_vector(i), (len(pts), 1)) for i in (0, 1))
+            for row, value in zip(samples, rep.curvature.many(pts, e1, e2).tolist()):
+                row["curvature_12"] = value
+        moments = {label: mu.many(pts).tolist() for label, mu in rep.moment.items()}
+        for i, row in enumerate(samples):
+            row["moment"] = {label: values[i] for label, values in moments.items()}
         result = {"residuals": rep.residuals, "samples": samples}
         report = reports.envelope("curvature", scenario.name, config_echo, scenario.assumptions, result)
         _emit(args, report, f"curvature report: residuals {rep.residuals}\n")

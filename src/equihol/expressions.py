@@ -21,7 +21,6 @@ numpy-transparent: feeding arrays evaluates elementwise.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -282,14 +281,25 @@ def _check_names(node: Expr, allowed: set) -> None:
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def compile_expr(node: Expr, power: Callable = operator.pow) -> Callable[[dict], float]:
+def compile_expr(node: Expr) -> Callable[[dict], float]:
     """Compile an AST into a closure over an environment dict.
 
-    ``power`` evaluates ``^``. The default ``**`` takes numpy's vector loop
-    on arrays, which rounds differently from ``**`` on one float;
-    ``np.float_power`` rounds on every element of an array as ``**`` does
-    on one float.
+    ``^`` is ``np.float_power``, which rounds every element of an array as
+    ``**`` rounds one float, so a stack and a single point give the same
+    bits wherever the expression is used. Evaluation runs under
+    ``np.errstate(all="ignore")``: a non-finite value is reported by the
+    caller's typed finiteness check, not by a numpy warning.
     """
+    inner = _compile(node)
+
+    def ev(env):
+        with np.errstate(all="ignore"):
+            return inner(env)
+
+    return ev
+
+
+def _compile(node: Expr) -> Callable[[dict], float]:
     if isinstance(node, Num):
         v = node.value
         return lambda env: v
@@ -300,18 +310,18 @@ def compile_expr(node: Expr, power: Callable = operator.pow) -> Callable[[dict],
         return lambda env: env[name]
     if isinstance(node, Call):
         fn = FUNCTIONS[node.func]
-        arg = compile_expr(node.args[0], power)
+        arg = _compile(node.args[0])
         return lambda env: fn(arg(env))
     if isinstance(node, Neg):
-        inner = compile_expr(node.operand, power)
+        inner = _compile(node.operand)
         return lambda env: -inner(env)
     if isinstance(node, Pow):
-        base = compile_expr(node.base, power)
+        base = _compile(node.base)
         k = node.exponent
-        return lambda env: power(base(env), k)
+        return lambda env: np.float_power(base(env), k)
     if isinstance(node, BinOp):
-        left = compile_expr(node.left, power)
-        right = compile_expr(node.right, power)
+        left = _compile(node.left)
+        right = _compile(node.right)
         if node.op == "+":
             return lambda env: left(env) + right(env)
         if node.op == "-":

@@ -45,10 +45,10 @@ from .geometry import (
     exterior_derivative,
     format_word,
     line_integral,
+    max_abs,
     rk4_line_integral,
-    stacked,
 )
-from .probes import probe_points, rng_for
+from .probes import direction_draws, probe_points, rng_for
 
 ENDPOINT_TOL = 1e-7
 CROSS_CHECK_TOL = 1e-5
@@ -213,7 +213,7 @@ def transport_cocycle(
         action = bundle.action
         return rho.many(action.apply(word, xs), action.word_differential(word, xs, vs))
 
-    defect = line_integral(OneForm.batched(space, pulled) - rho, zeta)
+    defect = line_integral(OneForm(space, pulled) - rho, zeta)
     return section_cocycle(bundle, section, word)(y) + CircleValue(defect)
 
 
@@ -332,15 +332,9 @@ def flat_character(
     )
     space = bundle.space
     pts = probe_points(space, 8, seed, tag="flatness")
-    rng = rng_for(seed, "flat-dirs")
-    curv_res = 0.0
-    for x in pts:
-        u = rng.normal(size=space.dimension)
-        v = rng.normal(size=space.dimension)
-        curv_res = max(curv_res, abs(report.curvature(x, u, v)))
-    for mu in report.moment.values():
-        for x in pts:
-            curv_res = max(curv_res, abs(mu(x)))
+    u, v = direction_draws(rng_for(seed, "flat-dirs"), len(pts), 2, space.dimension)
+    residuals = [report.curvature.many(pts, u, v)] + [mu.many(pts) for mu in report.moment.values()]
+    curv_res = max_abs(np.concatenate(residuals))
     if curv_res > FLAT_TOL:
         raise NotFlatError(
             f"equivariant curvature residual {curv_res:.3e} exceeds {FLAT_TOL:g}"
@@ -402,19 +396,13 @@ def basic_form_defect(
     """Defect of closedness, invariance and vanishing contractions for beta."""
     space = bundle.space
     pts = probe_points(space, BASIC_PROBES, seed, tag="basic-check")
-    rng = rng_for(seed, "basic-dirs")
-    dbeta = exterior_derivative(beta)
-    worst = 0.0
-    for x in pts:
-        u = rng.normal(size=space.dimension)
-        v = rng.normal(size=space.dimension)
-        worst = max(worst, abs(dbeta(x, u, v)))
-        for label in bundle.action.labels:
-            g = bundle.action.generators[label]
-            worst = max(worst, abs(beta(g(x), g.differential(x, v)) - beta(x, v)))
-        for X in bundle.lie_generators.values():
-            worst = max(worst, abs(beta(x, X.generator_field(x))))
-    return worst
+    u, v = direction_draws(rng_for(seed, "basic-dirs"), len(pts), 2, space.dimension)
+    defects = [exterior_derivative(beta).many(pts, u, v)]
+    for g in bundle.action.generators.values():
+        defects.append(beta.many(g(pts), g.differential(pts, v)) - beta.many(pts, v))
+    for X in bundle.lie_generators.values():
+        defects.append(beta.many(pts, X.generator_field.many(pts)))
+    return max_abs(np.concatenate(defects))
 
 
 def invariant_form_character(
@@ -478,17 +466,15 @@ def build_flat_from_character(
     character.validate(action)
 
     values = {
-        label: (lambda v: stacked(lambda xs: v))(character.values[label].value)
-        for label in action.labels
+        label: (lambda v: lambda xs: v)(character.values[label].value) for label in action.labels
     }
 
-    @stacked
     def family(exponents: Dict[str, int], xs) -> float:
         total = CircleValue(0.0)
         for label, k in exponents.items():
             total = total + character.values[label].times(k)
         return total.value
 
-    cocycle = Cocycle(values, family=family)
+    cocycle = Cocycle.batched(values, family=family)
     bundle = EquivariantBundle(space, action, cocycle, lie_generators=())
     return bundle, Connection(OneForm.zero(space))

@@ -33,7 +33,6 @@ from .geometry import (
     VectorField,
     monomial_exponents,
     richardson_slope,
-    stacked,
 )
 
 MAX_JET_ORDER = 6
@@ -229,7 +228,7 @@ class LocalOneForm:
         return total * self.lattice.spacing
 
     def as_form(self, field_space: ParameterSpace) -> OneForm:
-        return OneForm.batched(field_space, self.values, name=self.name)
+        return OneForm(field_space, self.values, name=self.name)
 
 
 def combine_densities(lattice: LatticeBase, terms, order: int, name="") -> LocalDensity:
@@ -279,8 +278,8 @@ def site_shift_element(
     k = int(steps)
     return GroupElement(
         label,
-        stacked(lambda s: np.roll(s, k, axis=-1)),
-        stacked(lambda s: np.roll(s, -k, axis=-1)),
+        lambda s: np.roll(s, k, axis=-1),
+        lambda s: np.roll(s, -k, axis=-1),
         space,
         in_identity_component=in_identity_component,
     )
@@ -302,8 +301,8 @@ def fiber_affine_element(
     shift = _chi_values(lattice, chi)
     return GroupElement(
         label,
-        stacked(lambda s: a * s + shift),
-        stacked(lambda s: (s - shift) / a),
+        lambda s: a * s + shift,
+        lambda s: (s - shift) / a,
         space,
         in_identity_component=in_identity_component,
     )
@@ -313,7 +312,7 @@ def fiber_translation_lie(
     lattice: LatticeBase, space: ParameterSpace, label: str, chi=None
 ) -> LieElement:
     direction = _chi_values(lattice, chi if chi is not None else 1.0)
-    fieldv = VectorField(space, lambda s: direction, name=f"fiber({label})")
+    fieldv = VectorField(space, lambda s: direction, name=f"fiber({label})")  # broadcasts
     return LieElement(label, fieldv, flow=lambda t, s: s + t * direction)
 
 
@@ -327,15 +326,16 @@ def shift_lie(lattice: LatticeBase, space: ParameterSpace, label: str) -> LieEle
     m = lattice.sites
     freq = 2.0 * np.pi * np.fft.fftfreq(m, d=lattice.spacing)
 
+    def spectral(s, factor):
+        """``s`` times ``factor`` per Fourier mode, along the site axis."""
+        spec = np.fft.fft(np.asarray(s, dtype=float), axis=-1)
+        return np.real(np.fft.ifft(spec * factor, axis=-1))
+
     def flow(t, s):
-        spec = np.fft.fft(np.asarray(s, dtype=float))
-        return np.real(np.fft.ifft(spec * np.exp(-1j * freq * t)))
+        return spectral(s, np.exp(-1j * freq * t))
 
-    def gen(s):
-        spec = np.fft.fft(np.asarray(s, dtype=float))
-        return -np.real(np.fft.ifft(spec * 1j * freq))
-
-    return LieElement(label, VectorField(space, gen, name=f"shift({label})"), flow=flow)
+    generator = VectorField(space, lambda s: -spectral(s, 1j * freq), name=f"shift({label})")
+    return LieElement(label, generator, flow=flow)
 
 
 # ---------------------------------------------------------------------------

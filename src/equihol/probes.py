@@ -55,6 +55,7 @@ def probe_points(space, n: int, seed: int, tag: str = "probes"):
 
     The box defaults to the space's declared probe bounds, then to the
     central half of a euclidean box, or one full period cell of a torus.
+    The points are the rows of an ``(n, d)`` array.
     """
     unit = halton(n, space.dimension, seed, tag)
     lower, upper = space.probe_lower, space.probe_upper
@@ -68,4 +69,11 @@ def probe_points(space, n: int, seed: int, tag: str = "probes"):
         mid, half = (slo + shi) / 2.0, (shi - slo) / 2.0
         lo = mid - half / 2.0 if lower is None else np.asarray(lower, dtype=float)
         hi = mid + half / 2.0 if upper is None else np.asarray(upper, dtype=float)
-    return [space.point(lo + u * (hi - lo)) for u in unit]
+    return space.points(lo + unit * (hi - lo))
+
+
+def direction_draws(rng: np.random.Generator, probes: int, per_probe: int, dim: int) -> np.ndarray:
+    """``per_probe`` normal vectors for each of ``probes`` probes, shape
+    ``(per_probe, probes, dim)``, drawn probe by probe in the order of
+    successive ``rng.normal(size=dim)`` calls."""
+    return np.moveaxis(rng.normal(size=(probes, per_probe, dim)), 1, 0)

@@ -29,7 +29,6 @@ from .bundle import Cocycle, Connection, EquivariantBundle, Section
 from .errors import ScenarioError
 from .expressions import compile_expr, parse as parse_expr, to_source
 from .geometry import (
-    CircleValue,
     GroupAction,
     GroupElement,
     LieElement,
@@ -41,7 +40,6 @@ from .geometry import (
     _env,
     format_word,
     parse_word,
-    stacked,
 )
 from .lattice import (
     JET_NAMES,
@@ -403,10 +401,10 @@ class Scenario:
             flow = _flow_map(spec.flow) if spec.flow else None
             lie_elements.append(LieElement(spec.label, fieldv, flow=flow))
             if spec.alpha is not None:
-                flow_values[spec.label] = _flow_circle(spec.alpha, _env)
+                flow_values[spec.label] = _flow_circle(spec.alpha, _chart_env)
             if spec.fixed_point is not None:
                 fixed_points[spec.label] = spec.fixed_point
-        cocycle = Cocycle(gen_values, family=family, flow_values=flow_values)
+        cocycle = Cocycle.batched(gen_values, family=family, flow_values=flow_values)
         bundle = EquivariantBundle(
             space, action, cocycle, lie_elements, seed=int(self.solver.get("seed", 0))
         )
@@ -486,7 +484,7 @@ class Scenario:
             lie_elements.append(X)
             if spec.alpha is not None:
                 flow_values[spec.label] = _flow_circle(spec.alpha, zmode_env)
-        cocycle = Cocycle(gen_values, family=family, flow_values=flow_values)
+        cocycle = Cocycle.batched(gen_values, family=family, flow_values=flow_values)
         bundle = EquivariantBundle(
             space, action, cocycle, lie_elements, seed=int(self.solver.get("seed", 0))
         )
@@ -505,7 +503,7 @@ class Scenario:
             def rho_many(fields, variations):
                 return ev({"zmode": lattice.zero_mode(fields)}) * lattice.zero_mode(variations)
 
-            connection = Connection(OneForm.batched(space, rho_many, name="rho_zmode"))
+            connection = Connection(OneForm(space, rho_many, name="rho_zmode"))
         else:
             connection = Connection(OneForm.zero(space))
         return LatticeModel(
@@ -556,36 +554,25 @@ class LatticeModel:
 # Expression wiring
 
 
-def _stack_compiled(expr):
-    """``expr`` compiled for stacks: ``^`` as np.float_power, which rounds
-    every element as ``**`` rounds one float, so a stack and a single point
-    give the same bits."""
-    return compile_expr(expr, power=np.float_power)
-
-
 def _vector_map(space, exprs):
     """Point map of one expression per axis, on an ``(N, d)`` stack."""
-    evs = [_stack_compiled(e) for e in exprs]
-    if len(evs) != space.dimension:
+    if len(exprs) != space.dimension:
         raise ScenarioError("map needs one component per dimension")
-
-    @stacked
-    def fn(xs):
-        env, out = _chart_env(xs), np.empty(np.shape(xs))
-        for i, ev in enumerate(evs):
-            out[:, i] = ev(env)  # a constant component broadcasts
-        return out
-
-    return fn
+    flow = _flow_map(exprs)
+    return lambda xs: flow(None, xs)
 
 
 def _flow_map(exprs):
+    """Map of one expression per axis at time ``t``, on an ``(N, d)`` stack."""
     evs = [compile_expr(e) for e in exprs]
 
-    def fn(t, x):
-        env = _env(x)
-        env["t"] = float(t)
-        return np.array([float(ev(env)) for ev in evs])
+    def fn(t, xs):
+        env, out = _chart_env(xs), np.empty(np.shape(xs))
+        if t is not None:
+            env["t"] = float(t)
+        for i, ev in enumerate(evs):
+            out[:, i] = ev(env)  # a constant component broadcasts
+        return out
 
     return fn
 
@@ -604,26 +591,26 @@ def _zmode_env(lattice):
 
 def _circle_field(expr, env):
     """Circle value of ``expr`` per row of a stack, as ``(N,)`` reals."""
-    ev = _stack_compiled(expr)
-    return stacked(lambda xs: ev(env(xs)))
+    ev = compile_expr(expr)
+    return lambda xs: ev(env(xs))
 
 
 def _flow_circle(expr, env):
+    """Circle value of ``expr`` at flow time ``t`` per row of a stack."""
     ev = compile_expr(expr)
 
-    def fn(t, x):
-        values = env(x)
+    def fn(t, xs):
+        values = env(xs)
         values["t"] = float(t)
-        return CircleValue(float(ev(values)))
+        return ev(values)
 
     return fn
 
 
 def _family_map(labels, expr, env):
     """Family value of ``expr`` at the exponents, per row of a stack."""
-    ev = _stack_compiled(expr)
+    ev = compile_expr(expr)
 
-    @stacked
     def fn(exponents, xs):
         values = env(xs)
         for i, label in enumerate(labels):

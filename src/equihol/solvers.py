@@ -40,19 +40,15 @@ from .errors import (
     ToolkitError,
 )
 from .geometry import (
-    CircleValue,
     OneForm,
     Path,
     ScalarField,
-    Word,
     central_difference,
     circle_gaps,
     circle_values,
-    directional_derivative,
     exterior_derivative,
     exterior_rows,
     line_integral,
-    segment_sum,
     monomial_exponents,
 )
 from .holonomy import (
@@ -60,9 +56,8 @@ from .holonomy import (
     basic_form_defect,
     flat_character,
     holonomy_form_gap,
-    require_path_class,
 )
-from .probes import probe_points, rng_for
+from .probes import direction_draws, probe_points, rng_for
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +159,7 @@ class FormBasis:
 
     def combine(self, space, coefficients) -> OneForm:
         coefficients = tuple(coefficients)
-        return OneForm.batched(
+        return OneForm(
             space, lambda xs, vs: _combined(coefficients, self.matrix(xs, vs).T), "fit"
         )
 
@@ -416,7 +411,7 @@ def solve_group_coboundary(
     Returns ``(result, theta_or_None)``.
     """
     space = bundle.space
-    fit_pts = np.array(probe_points(space, cfg.probes, cfg.seed, tag="coboundary-fit"))
+    fit_pts = probe_points(space, cfg.probes, cfg.seed, tag="coboundary-fit")
     blocks, targets = [], []
     labels = bundle.action.labels
     initial = []
@@ -433,7 +428,7 @@ def solve_group_coboundary(
         initial_lifts=np.concatenate(initial) if initial else None,
     )
     theta = basis.combine(space, coef)
-    hold_pts = np.array(probe_points(space, cfg.holdout, cfg.seed, tag="coboundary-holdout"))
+    hold_pts = probe_points(space, cfg.holdout, cfg.seed, tag="coboundary-holdout")
     holdout = 0.0
     for label in labels:
         g = bundle.action.generators[label]
@@ -469,9 +464,9 @@ def solve_lie_coboundary(
     }
     blocks, targets = [], []
     for label, X in bundle.lie_generators.items():
-        directions = [X.generator_field(x) for x in fit_pts]
+        directions = X.generator_field.many(fit_pts)
         blocks.append(central_difference(space, basis.matrix, fit_pts, directions))
-        targets += [anomalies[label](x) for x in fit_pts]
+        targets += anomalies[label].many(fit_pts).tolist()
     coef, fit_res, cond = _lstsq_with_lifts(
         np.concatenate(blocks), targets, [False] * len(targets), cfg, polish_budget=cfg.fit_tol
     )
@@ -479,10 +474,9 @@ def solve_lie_coboundary(
     hold_pts = probe_points(space, cfg.holdout, cfg.seed, tag="lie-coboundary-holdout")
     holdout = 0.0
     for label, X in bundle.lie_generators.items():
-        anomaly = anomalies[label]
-        for x in hold_pts:
-            model = directional_derivative(space, lam.fn, x, X.generator_field(x))
-            holdout = max(holdout, abs(anomaly(x) - model))
+        model = central_difference(space, lam.many, hold_pts, X.generator_field.many(hold_pts))
+        gaps = np.abs(anomalies[label].many(hold_pts) - model)
+        holdout = max(holdout, float(np.max(gaps, initial=0.0)))
     coefficients = dict(zip(basis.names, (float(c) for c in coef)))
     if fit_res <= cfg.fit_tol * 10 and holdout <= cfg.holdout_tol:
         return Certificate(coefficients, fit_res, holdout, basis.description, cond), lam
@@ -523,16 +517,13 @@ def solve_equivariant_primitive(
     form_basis: FormBasis,
     cfg: SolverConfig,
     invariance_labels: Optional[Sequence[str]] = None,
-    holonomy_rows: Optional[Sequence[Tuple[Word, Path, CircleValue]]] = None,
 ):
     """Search for an invariant one-form primitive of the equivariant curvature.
 
     Imposes, at probe points: the exterior derivative against the curvature
     on coordinate planes, the contraction against minus the moment for
     every one-parameter generator, and invariance under the requested group
-    generators (all of them by default). Optional holonomy rows additionally
-    match path integrals to given circle values, with integer lifts.
-    Returns ``(result, beta_or_None)``.
+    generators (all of them by default). Returns ``(result, beta_or_None)``.
     """
     space = bundle.space
     if invariance_labels is None:
@@ -540,26 +531,16 @@ def solve_equivariant_primitive(
     fit_pts = probe_points(space, cfg.probes, cfg.seed, tag="primitive-fit")
     at, ea, eb = _planes(fit_pts, space.dimension)
     blocks = [exterior_rows(space, form_basis.matrix, at, ea, eb)]
-    targets = [eq_curvature.omega(x, u, w) for x, u, w in zip(at, ea, eb)]
+    targets = eq_curvature.omega.many(at, ea, eb).tolist()
     for label, mu in eq_curvature.moment.items():
-        Xf = bundle.lie(label).generator_field
-        blocks.append(form_basis.matrix(fit_pts, [Xf(x) for x in fit_pts]))
-        targets += [-mu(x) for x in fit_pts]
+        blocks.append(form_basis.matrix(fit_pts, bundle.lie(label).generator_field.many(fit_pts)))
+        targets += (-mu.many(fit_pts)).tolist()
     for label in invariance_labels:
         gx, pushed, x, e = _pullback(bundle.action.generators[label], fit_pts, space.dimension)
         blocks.append(form_basis.matrix(gx, pushed) - form_basis.matrix(x, e))
         targets += [0.0] * len(x)
-    circle_mask = [False] * len(targets)
-    circle_groups = [-1] * len(targets)
-    word_ids = {}
-    for word, path, value in holonomy_rows or ():
-        require_path_class(bundle, word, path)
-        blocks.append(segment_sum(form_basis.matrix, path)[None])
-        targets.append(CircleValue.of(value).value)
-        circle_mask.append(True)
-        circle_groups.append(word_ids.setdefault(word, len(word_ids)))
     coef, fit_res, cond = _lstsq_with_lifts(
-        np.concatenate(blocks), targets, circle_mask, cfg, circle_groups,
+        np.concatenate(blocks), targets, [False] * len(targets), cfg,
         polish_budget=max(cfg.fit_tol, 1e-7) * 10,
     )
     beta = form_basis.combine(space, coef)
@@ -597,10 +578,10 @@ def primitive_residual(bundle, eq_curvature, beta: OneForm, points) -> float:
     """
     at, ea, eb = _planes(points, bundle.space.dimension)
     d_beta = exterior_rows(bundle.space, beta.many, at, ea, eb)
-    gaps = [d_beta - [eq_curvature.omega(x, u, w) for x, u, w in zip(at, ea, eb)]]
+    gaps = [d_beta - eq_curvature.omega.many(at, ea, eb)]
     for label, mu in eq_curvature.moment.items():
         Xf = bundle.lie(label).generator_field
-        gaps.append(beta.many(points, [Xf(x) for x in points]) + [mu(x) for x in points])
+        gaps.append(beta.many(points, Xf.many(points)) + mu.many(points))
     return float(np.max(np.abs(np.concatenate(gaps)), initial=0.0))
 
 
@@ -654,21 +635,19 @@ def invariance_obstruction(
         return lambda xs, vs: beta0.many(g(xs), g.differential(xs, vs)) - beta0.many(xs, vs)
 
     defects = {
-        label: OneForm.batched(space, pulled_back(g), name=f"defect({label})")
+        label: OneForm(space, pulled_back(g), name=f"defect({label})")
         for label, g in bundle.action.generators.items()
     }
     d_checks = probe_points(space, 8, cfg.seed, tag="sigma-closed")
     rng = rng_for(cfg.seed, "sigma-dirs")
     for label, defect in defects.items():
-        dd = exterior_derivative(defect)
-        for x in d_checks:
-            u = rng.normal(size=space.dimension)
-            v = rng.normal(size=space.dimension)
-            if abs(dd(x, u, v)) > 1e-3 * max(1.0, np.linalg.norm(u) * np.linalg.norm(v)):
-                raise PreconditionError(
-                    f"invariance defect of {label!r} is not closed; "
-                    "the curvature is not invariant under the full group"
-                )
+        u, v = direction_draws(rng, len(d_checks), 2, space.dimension)
+        scale = np.maximum(1.0, np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1))
+        if np.any(np.abs(exterior_derivative(defect).many(d_checks, u, v)) > 1e-3 * scale):
+            raise PreconditionError(
+                f"invariance defect of {label!r} is not closed; "
+                "the curvature is not invariant under the full group"
+            )
 
     def sigma_value(label, x):
         # Richardson-extrapolated midpoint: kills the quadratic error term.
@@ -778,7 +757,7 @@ def character_membership(
     kappa = np.array([target.values[label].value for label in gens])
 
     def combination(lam):
-        return OneForm.batched(
+        return OneForm(
             space, lambda xs, vs: _combined(lam, [f.many(xs, vs) for f in forms]), "fit"
         )
 

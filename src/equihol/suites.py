@@ -25,12 +25,13 @@ from .geometry import (
     CircleValue,
     Path,
     ScalarField,
+    central_difference,
     circle_differential,
     circle_gaps,
     circle_values,
-    directional_derivative,
     exterior_derivative,
     line_integral,
+    max_abs,
 )
 from .holonomy import (
     equivariant_holonomy,
@@ -40,7 +41,7 @@ from .holonomy import (
     transport_cocycle,
 )
 from .lattice import LatticeBase, LocalDensity, integrate_local, jets
-from .probes import probe_points, rng_for
+from .probes import direction_draws, probe_points, rng_for
 from .scenario import bundled_names, load_scenario
 
 
@@ -61,30 +62,23 @@ def geometry_suite(model, seed: int) -> dict:
     fine = coarse_path.resample(4096)
     out["quadrature_step"] = abs(line_integral(rho, coarse_path) - line_integral(rho, fine))
     # d(d f) vanishes on a generic smooth field.
-    f = ScalarField(space, lambda x: float(np.sin(x[0]) * np.cos(x[:].sum())))
+    f = ScalarField.batched(space, lambda xs: np.sin(xs[:, 0]) * np.cos(xs.sum(axis=1)))
     ddf = exterior_derivative(exterior_derivative(f))
     pts = probe_points(space, 20, seed, tag="geom-ddf")
     rng2 = rng_for(seed, "geom-dirs")
-    worst = 0.0
-    for x in pts:
-        u = rng2.normal(size=space.dimension)
-        v = rng2.normal(size=space.dimension)
-        worst = max(worst, abs(ddf(x, u, v)))
-    out["dd_residual"] = worst
+    u, v = direction_draws(rng2, len(pts), 2, space.dimension)
+    out["dd_residual"] = max_abs(ddf.many(pts, u, v))
     # Generator inverses on probes.
     out["inverse_defect"] = max(
         g.inverse_defect(pts) for g in model.bundle.action.generators.values()
     )
     # The finite-difference circle differential of a reduced real field
     # matches the exterior derivative of the field itself.
-    lift = ScalarField(space, lambda x: 0.3 * x[0])
-    delta = circle_differential(space, lambda x: CircleValue(lift(x)))
+    lift = ScalarField.batched(space, lambda xs: 0.3 * xs[:, 0])
+    delta = circle_differential(space, lift.many)
     dlift = exterior_derivative(lift)
-    worst = 0.0
-    for x in pts[:10]:
-        v = rng2.normal(size=space.dimension)
-        worst = max(worst, abs(delta(x, v) - dlift(x, v)))
-    out["circle_delta_vs_d"] = worst
+    v = rng2.normal(size=(10, space.dimension))
+    out["circle_delta_vs_d"] = max_abs(delta.many(pts[:10], v) - dlift.many(pts[:10], v))
     out["ok"] = bool(
         out["quadrature_step"] < 1e-6
         and out["dd_residual"] < 1e-5
@@ -102,9 +96,10 @@ def bundle_suite(model, seed: int) -> dict:
     out["cocycle_residual"] = report.max_residual
     # Section-change law on a quadratic potential.
     space = model.space
-    lam = ScalarField(space, lambda x: 0.1 * float(x[0]) ** 2)
+    # np.float_power rounds as ** rounds one float.
+    lam = ScalarField.batched(space, lambda xs: 0.1 * np.float_power(xs[:, 0], 2))
     shifted = Section(lam, name="suite")
-    pts = np.array(probe_points(space, 16, seed, tag="bundle-pts"))
+    pts = probe_points(space, 16, seed, tag="bundle-pts")
     worst = 0.0
     for label in bundle.action.labels:
         word = ((label, 1),)
@@ -125,8 +120,9 @@ def bundle_suite(model, seed: int) -> dict:
         dual = 0.0
         desc = 0.0
         shift_res = 0.0
+        near = pts[:10]
         for label in bundle.lie_generators:
-            a_flow = infinitesimal_anomaly(bundle, section, label)
+            a_flow = infinitesimal_anomaly(bundle, section, label).many(near)
             a_mom = infinitesimal_anomaly(
                 bundle,
                 section,
@@ -137,13 +133,12 @@ def bundle_suite(model, seed: int) -> dict:
             )
             residual_form = descent_residual(bundle, model.connection, section, label)
             a_shift = infinitesimal_anomaly(bundle, shifted, label)
-            X = bundle.lie(label)
-            for x in pts[:10]:
-                dual = max(dual, abs(a_flow(x) - a_mom(x)))
-                for i in range(space.dimension):
-                    desc = max(desc, abs(residual_form(x, space.basis_vector(i))))
-                lie_lam = directional_derivative(space, lam.fn, x, X.generator_field(x))
-                shift_res = max(shift_res, abs(a_shift(x) - (a_flow(x) - lie_lam)))
+            dual = max(dual, max_abs(a_flow - a_mom.many(near)))
+            for axis in np.eye(space.dimension):
+                desc = max(desc, max_abs(residual_form.many(near, np.tile(axis, (len(near), 1)))))
+            directions = bundle.lie(label).generator_field.many(near)
+            lie_lam = central_difference(space, lam.many, near, directions)
+            shift_res = max(shift_res, max_abs(a_shift.many(near) - (a_flow - lie_lam)))
         out["anomaly_dual_method"] = dual
         out["descent_residual"] = desc
         out["anomaly_section_shift"] = shift_res
@@ -151,7 +146,7 @@ def bundle_suite(model, seed: int) -> dict:
         if len(bundle.lie_generators) >= 2:
             labels = list(bundle.lie_generators)
             res_field = lie_cocycle_residual(bundle, section, labels[0], labels[1])
-            out["lie_cocycle_residual"] = max(abs(res_field(x)) for x in pts[:8])
+            out["lie_cocycle_residual"] = max_abs(res_field.many(pts[:8]))
             ok = ok and out["lie_cocycle_residual"] < 1e-4
     out["ok"] = bool(ok)
     return out
@@ -192,9 +187,9 @@ def holonomy_suite(model, seed: int) -> dict:
     # the shift must be periodic to be a function on the circle.
     if space.is_torus:
         freq = 2 * np.pi / space.periods[0]
-        lam = ScalarField(space, lambda x: 0.05 * float(np.sin(freq * x[0])))
+        lam = ScalarField.batched(space, lambda xs: 0.05 * np.sin(freq * xs[:, 0]))
     else:
-        lam = ScalarField(space, lambda x: 0.05 * float(np.sin(x[0])))
+        lam = ScalarField.batched(space, lambda xs: 0.05 * np.sin(xs[:, 0]))
     fine_gamma = random_class_path(
         space, bundle.action, word, bases[0], rng_for(seed, "hol-secind"), samples=2048
     )

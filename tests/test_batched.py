@@ -18,29 +18,54 @@ import math
 import numpy as np
 import pytest
 
-from equihol.bundle import Cocycle, EquivariantBundle, check_cocycle
-from equihol.expressions import compile_expr
+from equihol import calibration
+from equihol.bundle import (
+    FLOW_STEP,
+    Cocycle,
+    EquivariantBundle,
+    Section,
+    check_cocycle,
+    connection_report,
+    descent_residual,
+    infinitesimal_anomaly,
+    lie_algebra_expansion,
+    lie_cocycle_residual,
+    section_cocycle,
+)
+from equihol.conventions import ANOMALY_MOMENT_SIGN
+from equihol.errors import ResolutionError
+from equihol.expressions import compile_expr, parse as parse_expr
 from equihol.geometry import (
     CircleValue,
     OneForm,
     ParameterSpace,
     Path,
+    ScalarField,
+    VectorField,
+    act_on_path,
+    circle_differential,
     central_difference,
     cumulative_line_integral,
     directional_derivative,
     exterior_derivative,
     exterior_rows,
     format_word,
+    lie_bracket,
     line_integral,
     monomial_exponents,
     rk4_line_integral,
     segment_sum,
-    stacked,
 )
 from equihol.holonomy import random_class_path
 from equihol.lattice import LatticeBase, LocalDensity, LocalOneForm, one_form_density_basis
 from equihol.probes import probe_points, rng_for
-from equihol.scenario import bundled_dir, bundled_names, load_scenario, parse_scenario
+from equihol.scenario import (
+    _vector_map,
+    bundled_dir,
+    bundled_names,
+    load_scenario,
+    parse_scenario,
+)
 from equihol.solvers import one_form_basis
 
 LAT = LatticeBase(16, 1.0)
@@ -254,10 +279,8 @@ def test_stacked_stencil_rows_are_single_point_calls():
 
 
 def _point_value(fn, x, *lead) -> CircleValue:
-    """A cocycle callable at one point: the N=1 row of a stacked one."""
-    if getattr(fn, "stacked", False):
-        return CircleValue(float(np.broadcast_to(fn(*lead, x[None]), (1,))[0]))
-    return CircleValue.of(fn(*lead, x))
+    """A stacked cocycle map at one point: its N=1 row."""
+    return CircleValue(float(np.broadcast_to(fn(*lead, x[None]), (1,))[0]))
 
 
 def ref_apply(action, word, x):
@@ -341,7 +364,7 @@ def assert_words_match_point_loops(bundle, word_length, probes=12, seed=3):
             assert extended[row] == ref_extend(action, cocycle, word, x).value, word
             # The single-point call is the N=1 row of the stacked one.
             assert np.array_equal(action.apply(word, x), images[row])
-            assert cocycle.on_word(action, word, x) == CircleValue(values[row])
+            assert cocycle.on_word(action, word, x[None])[0] == values[row]
     for length in (2, 3):
         report = check_cocycle(bundle, word_length=length, probes=probes, seed=seed)
         assert (
@@ -382,13 +405,17 @@ def _corrupted(bundle, stacked_values: bool):
     """The bundle with a position-dependent term added to every generator
     value, so the values no longer match the family."""
     bump = lambda xs: 0.05 * np.sin(3.0 * xs[..., 0])
-    values = {}
+    values, family = {}, bundle.cocycle.family
     for label, fn in bundle.cocycle.generator_values.items():
         if stacked_values:
-            values[label] = stacked(lambda xs, fn=fn: np.asarray(fn(xs)) + bump(xs))
+            values[label] = lambda xs, fn=fn: np.asarray(fn(xs)) + bump(xs)
         else:
             values[label] = lambda x, fn=fn: _point_value(fn, x).value + float(bump(x))
-    cocycle = Cocycle(values, family=bundle.cocycle.family)
+    if stacked_values:
+        cocycle = Cocycle.batched(values, family=family)
+    else:
+        # The constructor takes functions of one point.
+        cocycle = Cocycle(values, family=lambda e, x: _point_value(family, x, e))
     return EquivariantBundle(bundle.space, bundle.action, cocycle, check=False)
 
 
@@ -401,3 +428,274 @@ def test_corrupted_cocycle_witness_matches_point_loop(models, lattice_models, st
     bundle = _corrupted(lattice_models["lattice_planted_local"].bundle, stacked_values)
     for report in assert_words_match_point_loops(bundle, 2, probes=8, seed=5):
         assert report.max_residual > 1e-3, "lattice_planted_local"
+
+
+# ---------------------------------------------------------------------------
+# The Cartan-model layer against per-point loops
+#
+# Each reference below evaluates one point (and one vector) at a time with
+# the arithmetic of the earlier single-point code: CircleValue lifts,
+# stencils with the zero-vector shortcut, Richardson weights written out,
+# and closedness directions drawn and normalised one vector at a time. The
+# stacked objects must agree with them bit for bit.
+
+CHART = (
+    "paper_example_Z_on_R", "trivial", "rotation", "rotation_anomalous",
+    "translation_shear", "affine_line", "torus_shift",
+)
+CALIBRATION = {"calibration_rotation": calibration._rotation_pieces,
+               "calibration_shear": calibration._shear_pieces}
+
+
+def _cartan_model(name, models):
+    """(bundle, connection, declared moment) of a chart scenario or a calibration model."""
+    if name in CALIBRATION:
+        bundle, connection, moment, label = CALIBRATION[name]()
+        return bundle, connection, {label: moment}
+    model = models[name]
+    return model.bundle, model.connection, model.declared_moment
+
+
+def ref_d(space, f, x, v):
+    """d f(x; v) of a single-point function, 0 along the zero vector."""
+    if float(np.linalg.norm(v)) == 0.0:
+        return 0.0
+    h = space.fd_step
+    return (f(space.point(x + h * v)) - f(space.point(x - h * v))) / (2 * h)
+
+
+def ref_two_form(space, rho, x, u, v):
+    """d rho(x; u, v) of a one-form called at single points."""
+    return ref_d(space, lambda y: rho(y, v), x, u) - ref_d(space, lambda y: rho(y, u), x, v)
+
+
+def ref_anomaly(bundle, section, label, x):
+    """The flow derivative of the cocycle at one point."""
+    X = bundle.lie(label)
+
+    def alpha_at(t):
+        base = _point_value(bundle.cocycle.flow_values[label], x, t)
+        if section.is_reference:
+            return base
+        lam = section.lambda_field
+        return base + CircleValue(lam(x) - lam(X.flow_at(t, x)))
+
+    def slope(h):
+        plus, minus = alpha_at(h), alpha_at(-h)
+        assert plus.distance(CircleValue(0.0)) < 0.25 and minus.distance(CircleValue(0.0)) < 0.25
+        return (plus.lift_near(0.0) - minus.lift_near(0.0)) / (2 * h)
+
+    d1, d2 = slope(FLOW_STEP), slope(FLOW_STEP / 2)
+    return (4.0 * d2 - d1) / 3.0
+
+
+def ref_circle_differential(space, alpha, x, v):
+    """The unwrapped central difference of a circle-valued map at one point."""
+    if float(np.linalg.norm(v)) == 0.0:
+        return 0.0
+    h = space.fd_step
+    value = lambda y: CircleValue(float(alpha(y[None])[0]))
+    center = value(x)
+    plus, minus = value(space.translate(x, h * v)), value(space.translate(x, -h * v))
+    if plus.distance(center) >= 0.25 or minus.distance(center) >= 0.25:
+        raise ResolutionError("jump")
+    return (plus.lift_near(center.value) - minus.lift_near(center.value)) / (2 * h)
+
+
+def ref_closedness(bundle, omega, moment, probes, seed):
+    """The closedness residuals one probe and one direction at a time."""
+    space = bundle.space
+    pts = probe_points(space, probes, seed, tag="closedness")
+    rng = rng_for(seed, "closedness-dirs")
+
+    def unit():
+        v = rng.normal(size=space.dimension)
+        return v / np.linalg.norm(v)
+
+    d_omega = 0.0
+    if space.dimension >= 3:
+        for x in pts:
+            u, v, w = unit(), unit(), unit()
+            dw = (
+                ref_d(space, lambda y: omega(y, v, w), x, u)
+                - ref_d(space, lambda y: omega(y, u, w), x, v)
+                + ref_d(space, lambda y: omega(y, u, v), x, w)
+            )
+            d_omega = max(d_omega, abs(dw))
+    moment_defect = 0.0
+    for label, mu in moment.items():
+        Xf = bundle.lie(label).generator_field
+        for x in pts:
+            v = unit()
+            moment_defect = max(moment_defect, abs(omega(x, Xf(x), v) - ref_d(space, mu, x, v)))
+    return {"d_omega": d_omega, "moment": moment_defect}
+
+
+def _sections(space):
+    shift = ScalarField.from_expression(space, "0.1*x1^2 + 0.05*sin(x1)", name="lam")
+    return (Section(), Section(shift, name="shifted"))
+
+
+@pytest.mark.parametrize("name", CHART + tuple(CALIBRATION))
+def test_cartan_layer_matches_point_loops(name, models):
+    bundle, connection, declared = _cartan_model(name, models)
+    space, d = bundle.space, bundle.space.dimension
+    pts = np.array(probe_points(space, 10, 4, tag="cartan"))
+    vs = rng_for(4, f"cartan-{name}").normal(size=(len(pts), d))
+    vs[0] = 0.0  # the zero vector gives exactly 0
+    for section in _sections(space):
+        rho = connection.rho(section)
+        # d Lambda and the curvature two-form.
+        if not section.is_reference:
+            lam = section.lambda_field
+            d_lam = exterior_derivative(lam).many(pts, vs)
+            assert d_lam.tolist() == [ref_d(space, lam, x, v) for x, v in zip(pts, vs)]
+        us = np.roll(vs, 1, axis=0)
+        curvature = exterior_derivative(rho).many(pts, us, vs)
+        expected = [ref_two_form(space, rho, x, u, v) for x, u, v in zip(pts, us, vs)]
+        assert curvature.tolist() == expected
+        if not bundle.lie_generators:
+            continue
+        rep = connection_report(bundle, connection, section, declared_moment=declared)
+        omega, moment = rep.curvature, rep.moment
+        assert rep.residuals == ref_closedness(bundle, omega, moment, 16, 0)
+        for seed in (3, 31):
+            got = rep.equivariant_curvature.closedness_residuals(bundle, probes=8, seed=seed)
+            assert got == ref_closedness(bundle, omega, moment, 8, seed)
+        for label in bundle.lie_generators:
+            Xf = bundle.lie(label).generator_field
+            flow = infinitesimal_anomaly(bundle, section, label).many(pts)
+            ref_flow = [ref_anomaly(bundle, section, label, x) for x in pts]
+            assert flow.tolist() == ref_flow
+            dual = infinitesimal_anomaly(
+                bundle, section, label, method="moment-formula",
+                connection=connection, moment=moment[label],
+            ).many(pts)
+            sign = ANOMALY_MOMENT_SIGN
+            assert dual.tolist() == [sign * (moment[label](x) + rho(x, Xf(x))) for x in pts]
+            if declared is None or label not in declared:
+                expected = [sign * a - rho(x, Xf(x)) for a, x in zip(ref_flow, pts)]
+                assert moment[label].many(pts).tolist() == expected
+            descent = descent_residual(bundle, connection, section, label).many(pts, vs)
+            a_one = lambda y: ref_anomaly(bundle, section, label, y)
+            ref_descent = [
+                ref_two_form(space, rho, x, Xf(x), v)
+                + ref_d(space, lambda y: rho(y, Xf(y)), x, v)
+                - sign * ref_d(space, a_one, x, v)
+                for x, v in zip(pts, vs)
+            ]
+            assert descent.tolist() == ref_descent
+        labels = list(bundle.lie_generators)
+        if len(labels) >= 2:
+            X, Y = (bundle.lie(label).generator_field for label in labels[:2])
+            coeffs = lie_algebra_expansion(bundle, lie_bracket(X, Y))
+            residual = lie_cocycle_residual(bundle, section, labels[0], labels[1]).many(pts[:4])
+            for x, value in zip(pts[:4], residual):
+                a = {k: (lambda y, k=k: ref_anomaly(bundle, section, k, y)) for k in labels}
+                lead = ref_d(space, a[labels[1]], x, X(x)) - ref_d(space, a[labels[0]], x, Y(x))
+                lead -= sum(c * a[k](x) for k, c in coeffs.items())
+                assert value == lead
+
+
+@pytest.mark.parametrize("name", CHART + tuple(CALIBRATION))
+def test_circle_differential_and_transform_match_point_loops(name, models):
+    bundle, _, _ = _cartan_model(name, models)
+    space, action = bundle.space, bundle.action
+    pts = np.array(probe_points(space, 10, 5, tag="circle-delta"))
+    vs = rng_for(5, f"circle-delta-{name}").normal(size=pts.shape)
+    vs[0] = 0.0
+    for section in _sections(space):
+        for label in action.labels:
+            word = ((label, 1),)
+            alpha = section_cocycle(bundle, section, word)
+            delta = circle_differential(space, alpha).many(pts, vs)
+            expected = [ref_circle_differential(space, alpha, x, v) for x, v in zip(pts, vs)]
+            assert delta.tolist() == expected
+            path = random_class_path(space, action, word, pts[1], rng_for(5, name), samples=64)
+            moved = act_on_path(lambda p: action.apply(word, p), path)
+            assert np.array_equal(moved.points, [action.apply(word, p) for p in path.points])
+
+
+def test_circle_differential_unwraps_across_the_cut():
+    # 0.3 x1 + 0.5 crosses an integer within the stencil at these points,
+    # so the lifted difference must move a neighbour by one turn.
+    space = ParameterSpace(2, "euclidean-box", lower=(-8.0, -8.0), upper=(8.0, 8.0))
+    alpha = lambda xs: 0.3 * xs[:, 0] + 0.5
+    cut = [(k - 0.5) / 0.3 for k in (1, 2, -1)]
+    pts = np.array([[c + dx, 0.2] for c in cut for dx in (-4e-5, 0.0, 4e-5)])
+    vs = np.tile([1.0, 0.5], (len(pts), 1))
+    delta = circle_differential(space, alpha).many(pts, vs)
+    assert delta.tolist() == [ref_circle_differential(space, alpha, x, v) for x, v in zip(pts, vs)]
+    assert delta == pytest.approx([0.3] * len(pts), abs=1e-9)
+    # The jump check runs on the whole stack and names the first jumping row.
+    steep = circle_differential(space, lambda xs: 2600.0 * xs[:, 0])
+    with pytest.raises(ResolutionError, match=r"at \[1\.0, 0\.2\]"):
+        steep.many([[0.0, 0.2], [1.0, 0.2], [2.0, 0.2]], [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
+
+
+def test_power_rule_is_one_for_forms_fields_and_maps():
+    # The same "^" text gives the same bits as a field, a form component,
+    # a vector field, a scenario group map and a lattice density, and each
+    # element is what ** gives on one Python float.
+    space = ParameterSpace(2, "euclidean-box", lower=(-4.0, -4.0), upper=(4.0, 4.0))
+    text = "x1^3 - 0.7*x2^5 + (x1 + x2)^2"
+    xs = rng_for(8, "power").uniform(-3.0, 3.0, size=(400, 2))
+    e1 = np.tile([1.0, 0.0], (len(xs), 1))
+    field = ScalarField.from_expression(space, text).many(xs)
+    form = OneForm.from_expressions(space, [text, "0"]).many(xs, e1)
+    vector = VectorField.from_expressions(space, [text, "x2"]).many(xs)[:, 0]
+    group_map = _vector_map(space, [parse_expr(text, ("x1", "x2")), parse_expr("x2", ("x1", "x2"))])
+    density = LocalDensity.from_expression(LAT, "u^3 - 0.7*u1^5 + (u + u1)^2", 1)
+    jets = {"x": 0.0, "u": xs[:, 0], "u1": xs[:, 1]}
+    expected = [
+        float(a) ** 3 - 0.7 * float(b) ** 5 + (float(a) + float(b)) ** 2 for a, b in xs
+    ]
+    for values in (field, form, vector, group_map(xs)[:, 0], density.fn(jets)):
+        assert np.asarray(values).tolist() == expected
+
+
+ROTATION_3D = """
+schema_version = 1
+
+[space]
+dimension = 3
+topology = euclidean-box
+lower = [-6, -6, -6]
+upper = [6, 6, 6]
+probe_lower = [-1.5, -1.5, -1.5]
+probe_upper = [1.5, 1.5, 1.5]
+
+[group.r]
+forward = [cos(0.7)*x1 - sin(0.7)*x2, sin(0.7)*x1 + cos(0.7)*x2, x3]
+inverse = [cos(0.7)*x1 + sin(0.7)*x2, cos(0.7)*x2 - sin(0.7)*x1, x3]
+identity_component = true
+
+[cocycle]
+r = 0
+
+[lie.X]
+field = [-x2, x1, 0]
+flow = [cos(t)*x1 - sin(t)*x2, sin(t)*x1 + cos(t)*x2, x3]
+alpha = 0.1*t
+
+[connection]
+rho = [-0.1*x2*x3^2, 0.1*x1*x3^2, 0.2*sin(x3)*(x1^2 + x2^2)]
+"""
+
+
+def test_closedness_draws_match_point_loops_in_three_and_more_dimensions(lattice_models):
+    # d omega is only checked from dimension 3 on: three directions per
+    # probe, drawn before the moment directions.
+    model = parse_scenario(ROTATION_3D, "rotation_3d").build_model()
+    bundles = [(model.bundle, model.connection)] + [
+        (m.bundle, m.connection) for m in lattice_models.values() if m.bundle.lie_generators
+    ]
+    for bundle, connection in bundles:
+        rep = connection_report(bundle, connection, Section())
+        omega, moment = rep.curvature, rep.moment
+        assert rep.residuals == ref_closedness(bundle, omega, moment, 16, 0)
+        got = rep.equivariant_curvature.closedness_residuals(bundle, probes=5, seed=9)
+        assert got == ref_closedness(bundle, omega, moment, 5, 9)
+        if bundle is model.bundle:
+            # Stencil noise, so the draws are seen in the value.
+            assert got["d_omega"] > 0.0 and got["moment"] > 0.0

@@ -214,36 +214,32 @@ def test_d_stencil_domain_error():
 
 def test_lie_bracket_coordinate_fields():
     space = plane()
-    X = VectorField(space, lambda x: np.array([1.0, 0.0]))
-    Y = VectorField(space, lambda x: np.array([0.0, 1.0]))
+    X = VectorField(space, lambda xs: np.array([1.0, 0.0]))
+    Y = VectorField(space, lambda xs: np.array([0.0, 1.0]))
     assert np.allclose(lie_bracket(X, Y)(np.array([0.3, 0.7])), 0.0, atol=1e-9)
 
 
 def test_lie_bracket_rotation_oracle():
     # Hand computation: [(-y, x), (1, 0)] = (0, -1).
     space = plane()
-    rot = VectorField(space, lambda x: np.array([-x[1], x[0]]))
-    dx = VectorField(space, lambda x: np.array([1.0, 0.0]))
+    rot = VectorField.from_expressions(space, ["-x2", "x1"])
+    dx = VectorField(space, lambda xs: np.array([1.0, 0.0]))
     val = lie_bracket(rot, dx)(np.array([0.8, -0.4]))
     assert np.allclose(val, [0.0, -1.0], atol=1e-6)
 
 
 def test_lie_bracket_antisymmetry_and_jacobi(rng):
     space = plane()
-    X = VectorField(space, lambda x: np.array([x[0] * x[1], -x[1]]))
-    Y = VectorField(space, lambda x: np.array([x[1] ** 2, x[0]]))
-    Z = VectorField(space, lambda x: np.array([x[0], x[0] + x[1]]))
+    X = VectorField.from_expressions(space, ["x1 * x2", "-x2"])
+    Y = VectorField.from_expressions(space, ["x2^2", "x1"])
+    Z = VectorField.from_expressions(space, ["x1", "x1 + x2"])
     XX = lie_bracket(X, X)
     jac1 = lie_bracket(lie_bracket(X, Y), Z)
     jac2 = lie_bracket(lie_bracket(Y, Z), X)
     jac3 = lie_bracket(lie_bracket(Z, X), Y)
-    worst_anti, worst_jac = 0.0, 0.0
-    for _ in range(10):
-        x = rng.uniform(-1.5, 1.5, size=2)
-        worst_anti = max(worst_anti, float(np.max(np.abs(XX(x)))))
-        worst_jac = max(worst_jac, float(np.max(np.abs(jac1(x) + jac2(x) + jac3(x)))))
-    assert worst_anti < 1e-9
-    assert worst_jac < 1e-4
+    xs = rng.uniform(-1.5, 1.5, size=(10, 2))
+    assert np.max(np.abs(XX.many(xs))) < 1e-9
+    assert np.max(np.abs(jac1.many(xs) + jac2.many(xs) + jac3.many(xs))) < 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -252,14 +248,14 @@ def test_lie_bracket_antisymmetry_and_jacobi(rng):
 
 def test_circle_delta_matches_d_of_lift():
     space = line_space()
-    delta = circle_differential(space, lambda x: CircleValue(0.3 * x[0]))
-    for x in (-3.0, 0.2, 5.0):
-        assert delta(np.array([x]), np.array([1.0])) == pytest.approx(0.3, abs=1e-8)
+    delta = circle_differential(space, lambda xs: 0.3 * xs[:, 0])
+    values = delta.many([[-3.0], [0.2], [5.0]], np.ones((3, 1)))
+    assert values == pytest.approx([0.3] * 3, abs=1e-8)
 
 
 def test_circle_delta_constant_is_zero():
     space = plane()
-    delta = circle_differential(space, lambda x: CircleValue(0.77))
+    delta = circle_differential(space, lambda xs: 0.77)
     assert delta(np.array([0.3, 0.4]), np.array([1.0, 2.0])) == 0.0
 
 
@@ -268,7 +264,7 @@ def test_circle_delta_winding_on_torus():
     # loop integral is the integer winding; oracle is loop quadrature.
     torus = ParameterSpace(1, "torus", periods=(1.0,))
     k = 2
-    delta = circle_differential(torus, lambda x: CircleValue(k * x[0]))
+    delta = circle_differential(torus, lambda xs: k * xs[:, 0])
     loop = Path.from_map(torus, lambda t: (t,), samples=513)
     total = line_integral(delta, loop)
     assert total == pytest.approx(k, abs=1e-8)
@@ -277,9 +273,13 @@ def test_circle_delta_winding_on_torus():
 def test_circle_delta_resolution_error():
     space = line_space()
     # A jump of almost one half across the stencil cannot be unwrapped.
-    delta = circle_differential(space, lambda x: CircleValue(2600.0 * x[0]))
+    delta = circle_differential(space, lambda xs: 2600.0 * xs[:, 0])
     with pytest.raises(ResolutionError):
         delta(np.array([0.5]), np.array([1.0]))
+    # On a stack the error names the first row that jumps; a zero vector
+    # never jumps.
+    with pytest.raises(ResolutionError, match=r"stencil at \[0\.25\]"):
+        delta.many([[0.0], [0.25], [0.5]], [[0.0], [1.0], [1.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -348,11 +348,16 @@ def test_group_inverse_probes(rng):
 
     def rot(t):
         c, s = math.cos(t), math.sin(t)
-        return lambda x: np.array([c * x[0] - s * x[1], s * x[0] + c * x[1]])
+        return lambda xs: np.stack([c * xs[:, 0] - s * xs[:, 1], s * xs[:, 0] + c * xs[:, 1]], -1)
 
     g = GroupElement("r", rot(theta), rot(-theta), space)
-    pts = [rng.uniform(-2, 2, size=2) for _ in range(100)]
+    pts = rng.uniform(-2, 2, size=(100, 2))
     assert g.inverse_defect(pts) < 1e-8
+    # A map written for one point fails on a stack instead of answering
+    # for the wrong rows.
+    pointwise = GroupElement("p", lambda x: np.array([x[1], x[0]]), lambda x: x, space)
+    with pytest.raises(ValueError, match="one row per point"):
+        pointwise(pts[:3])
 
 
 def test_word_parsing_and_inverse():
@@ -375,12 +380,16 @@ def test_action_word_application_order():
 
 def test_lie_element_flow_consistency():
     space = plane()
-    field = VectorField(space, lambda x: np.array([-x[1], x[0]]))
+    field = VectorField.from_expressions(space, ["-x2", "x1"])
     closed = LieElement(
         "X",
         field,
-        flow=lambda t, x: np.array(
-            [math.cos(t) * x[0] - math.sin(t) * x[1], math.sin(t) * x[0] + math.cos(t) * x[1]]
+        flow=lambda t, xs: np.stack(
+            [
+                math.cos(t) * xs[:, 0] - math.sin(t) * xs[:, 1],
+                math.sin(t) * xs[:, 0] + math.cos(t) * xs[:, 1],
+            ],
+            -1,
         ),
     )
     integrated = LieElement("Y", field)  # falls back to RK4

@@ -218,7 +218,7 @@ def test_character_must_respect_relations():
 
     def rot(t):
         c, s = math.cos(t), math.sin(t)
-        return lambda x: np.array([c * x[0] - s * x[1], s * x[0] + c * x[1]])
+        return lambda xs: np.stack([c * xs[:, 0] - s * xs[:, 1], s * xs[:, 0] + c * xs[:, 1]], -1)
 
     g = GroupElement("g", rot(theta), rot(-theta), space)
     action = GroupAction(space, [g], relations=[parse_word("g^3")])

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -219,11 +220,22 @@ def test_cli_non_finite_scenario_value_is_typed_error(line, edited, message, tmp
     assert text.count(line) == 1
     scenario = tmp_path / "non_finite.scn"
     scenario.write_text(text.replace(line, edited))
-    assert run_cli(["check-cocycle", str(scenario)]) == 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(["check-cocycle", str(scenario)]) == 1
+    assert [str(w.message) for w in caught] == []
     err = capsys.readouterr().err
-    assert err.startswith("error: ")
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
-    assert "Traceback" not in err
+    # In a fresh interpreter stderr is exactly the typed error line: no
+    # numpy warning and no traceback before it.
+    proc = subprocess.run(
+        [sys.executable, "-m", "equihol.cli", "check-cocycle", str(scenario)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == err
 
 
 def test_cli_unwritable_out_is_typed_error(tmp_path, capsys):

@@ -21,7 +21,7 @@ from equihol.geometry import (
     ScalarField,
     parse_word,
 )
-from equihol.holonomy import Character, equivariant_holonomy
+from equihol.holonomy import Character
 from equihol.probes import probe_points
 from equihol.solvers import (
     NoCertificate,
@@ -214,40 +214,6 @@ def test_primitive_recovers_rotation_connection(models):
     for x in probe_points(model.space, 6, 7):
         for v in np.eye(2):
             assert beta(x, v) == pytest.approx(rho(x, v), abs=1e-6)
-
-
-def test_primitive_with_holonomy_rows_worked_example(models):
-    # Matching holonomies over class paths pins the half-integer
-    # coefficient of the constant form; removing that form leaves nothing.
-    model = models["paper_example_Z_on_R"]
-    rep = connection_report(model.bundle, model.connection, model.reference_section)
-    rows = []
-    for n in (1, 2, 3):
-        word = parse_word(f"g^{n}")
-        from equihol.geometry import Path
-
-        path = Path.line(model.space, [0.1], [0.1 + n])
-        hol = equivariant_holonomy(
-            model.bundle, model.connection, model.reference_section, word, path,
-            method="formula",
-        )
-        rows.append((word, path, hol.value))
-    with_dt = one_form_basis(model.space, 0)  # constants only: spans dt
-    result, beta = solve_equivariant_primitive(
-        model.bundle, rep.equivariant_curvature, with_dt, CFG, holonomy_rows=rows
-    )
-    assert result.found
-    coeff = beta(np.zeros(1), np.array([1.0]))
-    assert abs(coeff) == pytest.approx(0.5, abs=1e-9)
-
-    from equihol.solvers import FormBasis
-
-    empty = FormBasis(ScalarBasis((), (), "no members"), (), "empty ansatz")
-    result2, beta2 = solve_equivariant_primitive(
-        model.bundle, rep.equivariant_curvature, empty, CFG, holonomy_rows=rows
-    )
-    assert isinstance(result2, NoCertificate)
-    assert result2.best_residual == pytest.approx(0.5, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
