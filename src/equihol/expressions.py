@@ -328,7 +328,8 @@ def _compile(node: Expr) -> Callable[[dict], float]:
             return lambda env: left(env) - right(env)
         if node.op == "*":
             return lambda env: left(env) * right(env)
-        return lambda env: left(env) / right(env)
+        # np.divide, so a constant division by zero is inf, as on arrays.
+        return lambda env: np.divide(left(env), right(env))
     raise TypeError(f"not an expression node: {node!r}")
 
 

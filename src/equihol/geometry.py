@@ -160,18 +160,20 @@ class ParameterSpace:
             value = getattr(self, key)
             if value is not None:
                 value = tuple(float(v) for v in value)
-                if len(value) != self.dimension:
-                    raise ValueError(f"{key} needs one entry per axis")
+                if len(value) != self.dimension or not all(map(math.isfinite, value)):
+                    raise ValueError(f"{key} needs one finite entry per axis")
                 object.__setattr__(self, key, value)
         if self.topology not in ("euclidean-box", "torus"):
             raise ValueError(f"unknown topology {self.topology!r}")
-        if self.fd_step <= 0:
-            raise ValueError("fd_step must be positive")
+        if not 0 < self.fd_step < math.inf:
+            raise ValueError("fd_step must be finite and positive")
         if self.topology == "euclidean-box":
             lo = tuple(float(v) for v in (self.lower or (-8.0,) * self.dimension))
             hi = tuple(float(v) for v in (self.upper or (8.0,) * self.dimension))
             if len(lo) != self.dimension or len(hi) != self.dimension:
                 raise ValueError("bounds must have one entry per axis")
+            if not all(map(math.isfinite, lo + hi)):
+                raise ValueError("bounds must be finite")
             extents = [h - l for l, h in zip(lo, hi)]
             if any(e <= 0 for e in extents):
                 raise ValueError("upper bounds must exceed lower bounds")
@@ -182,8 +184,8 @@ class ParameterSpace:
             object.__setattr__(self, "periods", None)
         else:
             per = tuple(float(p) for p in (self.periods or (1.0,) * self.dimension))
-            if len(per) != self.dimension or any(p <= 0 for p in per):
-                raise ValueError("periods must be positive, one per axis")
+            if len(per) != self.dimension or not all(0 < p < math.inf for p in per):
+                raise ValueError("periods must be finite and positive, one per axis")
             if any(self.fd_step >= p / 10 for p in per):
                 raise ValueError("fd_step must be under a tenth of every period")
             object.__setattr__(self, "periods", per)
@@ -420,6 +422,20 @@ def monomial_exponents(count: int, degree: int):
     return out
 
 
+def monomial_name(symbols, expo) -> str:
+    """``"a*b^2"`` for the exponents over the symbols, ``"1"`` for none."""
+    parts = [(sym if k == 1 else f"{sym}^{k}") for sym, k in zip(symbols, expo) if k > 0]
+    return "*".join(parts) or "1"
+
+
+def linear_combination(coefficients, columns):
+    """``sum_k c_k columns[k]``, adding the terms in member order from zero."""
+    out = 0.0
+    for c, col in zip(coefficients, columns):
+        out = out + c * col
+    return out
+
+
 def _as_ast(space, text_or_ast):
     if isinstance(text_or_ast, str):
         names = [f"x{i + 1}" for i in range(space.dimension)]
@@ -649,14 +665,6 @@ class Path:
         return self.space.points(self.points[:-1] + 0.5 * steps), steps
 
 
-def concat_paths(first: Path, second: Path) -> Path:
-    return first.concat(second)
-
-
-def act_on_path(apply_point: Callable, path: Path) -> Path:
-    return path.transform(apply_point)
-
-
 def conjugate_path(zeta: Path, gamma: Path, apply_point: Callable) -> Path:
     """zeta, then gamma, then the image of zeta reversed.
 
@@ -665,7 +673,7 @@ def conjugate_path(zeta: Path, gamma: Path, apply_point: Callable) -> Path:
     """
     if gamma.space.distance(zeta.end, gamma.start) > JOIN_TOL:
         raise CompositionError("conjugation requires zeta to end at the path start")
-    tail = act_on_path(apply_point, zeta.reverse())
+    tail = zeta.reverse().transform(apply_point)
     return zeta.concat(gamma).concat(tail)
 
 

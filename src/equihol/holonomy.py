@@ -39,7 +39,6 @@ from .geometry import (
     ParameterSpace,
     Path,
     Word,
-    act_on_path,
     conjugate_path,
     cumulative_line_integral,
     exterior_derivative,
@@ -179,7 +178,7 @@ def holonomy_invariance_report(
     residuals of each comparison.
     """
     base = equivariant_holonomy(bundle, connection, section, word, path, method="formula")
-    translated = act_on_path(lambda p: bundle.action.apply(other_word, p), path)
+    translated = path.transform(lambda p: bundle.action.apply(other_word, p))
     moved = equivariant_holonomy(bundle, connection, section, word, translated, method="formula")
     conj = conjugate_path(zeta, path, lambda p: bundle.action.apply(word, p))
     conj_val = equivariant_holonomy(bundle, connection, section, word, conj, method="formula")

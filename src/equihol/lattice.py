@@ -15,7 +15,7 @@ linearity in the variation structural.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,7 +31,9 @@ from .geometry import (
     OneForm,
     ParameterSpace,
     VectorField,
+    linear_combination,
     monomial_exponents,
+    monomial_name,
     richardson_slope,
 )
 
@@ -56,8 +58,8 @@ class LatticeBase:
     def __post_init__(self):
         if self.sites < 8:
             raise ValueError("a lattice needs at least 8 sites")
-        if self.period <= 0:
-            raise ValueError("period must be positive")
+        if not 0 < self.period < np.inf:
+            raise ValueError("period must be finite and positive")
 
     @property
     def spacing(self) -> float:
@@ -146,18 +148,20 @@ class LocalDensity:
         """The density at every site of jets from :func:`jets`, of this
         density's order or higher; the shape is that of ``env["u"]``."""
         out = np.broadcast_to(np.asarray(self.fn(env), dtype=float), np.shape(env["u"]))
-        bad = ~np.isfinite(out)
-        if np.any(bad):
-            if out.ndim == 1:
-                site = int(np.argmax(bad))
-                raise EvaluationError(
-                    f"density {self.name!r} non-finite at site {site}", point=site
-                )
-            row, site = (int(i) for i in np.unravel_index(int(np.argmax(bad)), out.shape))
-            raise EvaluationError(
-                f"density {self.name!r} non-finite at row {row}, site {site}", point=(row, site)
-            )
+        _require_finite(out, self.name)
         return out
+
+
+def _require_finite(values: np.ndarray, name: str) -> None:
+    """Raise an EvaluationError naming the site, or the (row, site) on a
+    stack, of the first non-finite value of the density ``name``."""
+    bad = ~np.isfinite(values)
+    if np.any(bad):
+        at = tuple(int(i) for i in np.unravel_index(int(np.argmax(bad)), values.shape))
+        where = f"site {at[0]}" if len(at) == 1 else f"row {at[0]}, site {at[1]}"
+        raise EvaluationError(
+            f"density {name!r} non-finite at {where}", point=at[0] if len(at) == 1 else at
+        )
 
 
 class LocalFunctional:
@@ -169,7 +173,11 @@ class LocalFunctional:
         self.name = name or density.name
 
     def __call__(self, field_values) -> float:
-        return float(np.sum(self.density.values(field_values)) * self.lattice.spacing)
+        return float(self.values(field_values))
+
+    def values(self, field_values):
+        """The functional at one field, or ``(N,)`` values on a stack."""
+        return np.sum(self.density.values(field_values), axis=-1) * self.lattice.spacing
 
     def differential(self) -> "LocalOneForm":
         """The variation as a local one-form, by slot-wise chain rule.
@@ -229,12 +237,6 @@ class LocalOneForm:
 
     def as_form(self, field_space: ParameterSpace) -> OneForm:
         return OneForm(field_space, self.values, name=self.name)
-
-
-def combine_densities(lattice: LatticeBase, terms, order: int, name="") -> LocalDensity:
-    """The density ``sum(c * d)`` over the (coefficient, density) terms."""
-    terms = list(terms)
-    return LocalDensity(lattice, lambda env: sum(c * d.fn(env) for c, d in terms), order, name)
 
 
 def integrate_local(density: LocalDensity, field_values) -> float:
@@ -342,6 +344,18 @@ def shift_lie(lattice: LatticeBase, space: ParameterSpace, label: str) -> LieEle
 # Derivatives of local functionals along the action
 
 
+def flow_slope(values: Callable, generator: LieElement, fields, step: float = 1e-3):
+    """Richardson slope of ``values`` along the generator's flow at one
+    field, or at every row of an ``(N, m)`` stack; ``values`` maps fields
+    to ``(N,)`` or ``(N, K)`` reals."""
+
+    def slope(h):
+        ahead, behind = generator.flow_at(h, fields), generator.flow_at(-h, fields)
+        return (values(ahead) - values(behind)) / (2 * h)
+
+    return richardson_slope(slope, step)
+
+
 def lie_derivative_local(
     functional: LocalFunctional,
     generator: LieElement,
@@ -359,45 +373,31 @@ def lie_derivative_local(
     is spectral while jets use centered differences.
     """
     s = as_field(functional.lattice, field_values)
-
-    def slope(h):
-        return (functional(generator.flow_at(h, s)) - functional(generator.flow_at(-h, s))) / (2 * h)
-
-    value = richardson_slope(slope, step)
+    value = float(flow_slope(functional.values, generator, s, step))
 
     induced = None
     if kind in ("fiber_translation", "shift"):
         lattice = functional.lattice
         order = functional.density.order
-        diff = functional.differential()
-        slots = diff.slot_densities
+        slots = functional.differential().slot_densities
         if kind == "fiber_translation":
-            chi_vals = _chi_values(lattice, chi if chi is not None else 1.0)
-            chi_env = jets(lattice, chi_vals, order)
-            table = {JET_NAMES[k]: chi_env[JET_NAMES[k]] for k in range(order + 1)}
-
-            def induced_fn(env_in):
-                total = 0.0
-                for k, dens in enumerate(slots):
-                    total = total + dens.fn(env_in) * table[JET_NAMES[k]]
-                return total
-
+            chi_env = jets(lattice, _chi_values(lattice, chi if chi is not None else 1.0), order)
+            variation_jet = lambda env, k: chi_env[JET_NAMES[k]]
             induced_order = order
         else:
             if order + 1 > MAX_JET_ORDER:
                 raise PreconditionError(
                     "shift chain rule needs one jet order above the density's"
                 )
-
             # The variation jet of the shift is minus the next derivative,
             # read off the incoming environment so the density stays local.
-            def induced_fn(env_in):
-                total = 0.0
-                for k, dens in enumerate(slots):
-                    total = total - dens.fn(env_in) * np.asarray(env_in[JET_NAMES[k + 1]])
-                return total
-
+            variation_jet = lambda env, k: -np.asarray(env[JET_NAMES[k + 1]])
             induced_order = order + 1
+
+        def induced_fn(env):
+            return linear_combination([dens.fn(env) for dens in slots],
+                                      [variation_jet(env, k) for k in range(len(slots))])
+
         induced = LocalDensity(
             lattice, induced_fn, induced_order, name=f"L_{generator.label}({functional.name})"
         )
@@ -417,24 +417,28 @@ def lie_derivative_local(
 # Declared-locality checks
 
 
-def curl(form: OneForm, s, v1, v2, h: float) -> np.ndarray:
+def curl(many: Callable, s, v1, v2, h: float) -> np.ndarray:
     """d(form)(v1, v2) at each row of the ``(N, m)`` field stack s, by
     central differences of step h; v1 and v2 are stacks like s.
 
-    The four stencil points of every row go to one ``form.many`` call.
+    ``many`` is a stacked form evaluator giving ``(N,)`` values, or an
+    ``(N, K)`` matrix of K forms; the four stencil points of every row go
+    to one call, and the result has the same shape.
     """
-    q = form.many(
+    q = many(
         np.concatenate([s + h * v1, s - h * v1, s + h * v2, s - h * v2]),
         np.concatenate([v2, v2, v1, v1]),
-    ).reshape(4, -1)
+    )
+    q = q.reshape((4, len(s)) + q.shape[1:])
     return (q[0] - q[1]) / (2 * h) - (q[2] - q[3]) / (2 * h)
 
 
-def curl_stencils(fields, variations, pairs: int, width: int):
+def curl_stencils(fields, variations, pairs: int):
     """Stacks ``(s, v1, v2)`` for :func:`curl`: every field with each of the
-    first ``pairs`` pairs of consecutive variations."""
-    triples = [(s, variations[i], variations[i + 1]) for s in fields for i in range(pairs)]
-    return tuple(np.array([t[k] for t in triples]).reshape(-1, width) for k in range(3))
+    first ``pairs`` pairs of consecutive variations, field-major."""
+    fields, variations = np.asarray(fields, dtype=float), np.asarray(variations, dtype=float)
+    tile = lambda vs: np.tile(vs, (len(fields), 1))
+    return np.repeat(fields, pairs, axis=0), tile(variations[:pairs]), tile(variations[1:pairs + 1])
 
 
 @dataclass(frozen=True)
@@ -483,12 +487,12 @@ def check_local_declarations(
         probe_fields[: max(1, len(probe_fields) // 2)],
         probe_variations,
         min(2, len(probe_variations) - 1),
-        m,
     )
     h = field_space.fd_step
-    curvature_defect = float(
-        np.max(np.abs(curl(declared, s, v1, v2, h) - curl(generic_rho, s, v1, v2, h)), initial=0.0)
-    )
+    curvature_defect = float(np.max(
+        np.abs(curl(declared.many, s, v1, v2, h) - curl(generic_rho.many, s, v1, v2, h)),
+        initial=0.0,
+    ))
     ok = rho_defect <= DECLARATION_TOL and curvature_defect <= 50 * DECLARATION_TOL
     if not ok and witness is None:
         witness = {"curvature_defect": curvature_defect}
@@ -496,65 +500,94 @@ def check_local_declarations(
 
 
 # ---------------------------------------------------------------------------
-# Density ansatz bases
+# Density ansatz basis
 
 
-def density_basis(
-    lattice: LatticeBase,
-    jet_order: int,
-    degree: int,
-) -> List[Tuple[str, LocalDensity]]:
-    """Monomials in the jet slots up to total degree."""
-    symbols = JET_NAMES[: jet_order + 1]
-    out: List[Tuple[str, LocalDensity]] = []
-    for expo in monomial_exponents(len(symbols), degree):
-        name = "*".join(
-            (sym if k == 1 else f"{sym}^{k}") for sym, k in zip(symbols, expo) if k > 0
-        ) or "1"
+class DensityBasis:
+    """Monomials in the jet slots up to a total degree: the lattice ansatz,
+    counterpart of ``solvers.ScalarBasis`` and ``FormBasis``. Its matrices
+    read every member on a whole ``(N, m)`` field stack, on jets computed
+    once, summing over sites along the last axis."""
 
-        def fn(env, expo=expo, symbols=symbols):
-            acc = 1.0
-            for sym, k in zip(symbols, expo):
-                if k:
-                    acc = acc * np.asarray(env[sym]) ** k
-            return acc
+    def __init__(self, lattice: LatticeBase, jet_order: int, degree: int):
+        self.lattice, self.jet_order = lattice, jet_order
+        self.symbols = JET_NAMES[: jet_order + 1]
+        self.exponents = monomial_exponents(len(self.symbols), degree)
+        self.names = tuple(monomial_name(self.symbols, e) for e in self.exponents)
 
-        out.append((name, LocalDensity(lattice, fn, jet_order, name=name)))
-    return out
+    def form_names(self, slots: Sequence[int]) -> list:
+        """Column names of :meth:`forms`, as ``"u*u1 du2"``."""
+        return [f"{name} d{JET_NAMES[k]}" for name in self.names for k in slots]
+
+    def member(self, env: Dict[str, np.ndarray], j: int):
+        """Member j on jets from :func:`jets`; the constant member is 1.0."""
+        acc = 1.0
+        for sym, k in zip(self.symbols, self.exponents[j]):
+            if k:
+                acc = acc * np.asarray(env[sym]) ** k
+        return acc
+
+    def _columns(self, fields, reduce) -> np.ndarray:
+        """``reduce`` of every member's ``(N, m)`` values on a field stack,
+        stacked member-major; a non-finite member names its (row, site)."""
+        env = jets(self.lattice, np.reshape(fields, (-1, self.lattice.sites)), self.jet_order)
+        columns = []
+        for j, name in enumerate(self.names):
+            with np.errstate(over="ignore", invalid="ignore"):
+                values = np.broadcast_to(self.member(env, j), env["u"].shape)
+            _require_finite(values, name)
+            columns.append(reduce(values))
+        return np.stack(columns, axis=1)
+
+    def functionals(self, fields) -> np.ndarray:
+        """``(N, M)`` lattice integrals of the members."""
+        return self._columns(fields, lambda values: np.sum(values, axis=-1)) * self.lattice.spacing
+
+    def forms(self, fields, variations, slots: Sequence[int]) -> np.ndarray:
+        """``(N, M * S)`` values of the one-forms ``member du<k>`` at stacked
+        fields and variations: column ``j * S + q`` is member j on the
+        variation jet ``slots[q]``."""
+        dv = [as_field(self.lattice, np.reshape(variations, (-1, self.lattice.sites)))]
+        for _ in range(max(slots)):
+            dv.append(centered_difference(self.lattice, dv[-1]))
+
+        def on_slots(values):
+            return np.stack([np.sum(values * dv[k], axis=-1) for k in slots], axis=1)
+
+        columns = self._columns(fields, on_slots)
+        return columns.reshape(len(columns), -1) * self.lattice.spacing
+
+    def combine(self, coefficients, slots: Optional[Sequence[int]] = None):
+        """The fitted density ``sum_j c_j member_j``; with slots, the fitted
+        :class:`LocalOneForm` over the columns of :meth:`forms`. Terms are
+        added in column order from zero."""
+        if slots is None:
+            return self._density(list(coefficients), range(len(self.names)), "fit")
+        slots = list(slots)
+        on_slot = [[q for q in range(len(coefficients)) if slots[q % len(slots)] == k]
+                   for k in range(self.jet_order + 1)]
+        densities = [
+            self._density([coefficients[q] for q in qs], [q // len(slots) for q in qs], f"slot{k}")
+            for k, qs in enumerate(on_slot)
+        ]
+        return LocalOneForm(self.lattice, densities, name="fit")
+
+    def _density(self, coefficients, members, name) -> LocalDensity:
+        def fn(env):
+            return linear_combination(coefficients, (self.member(env, j) for j in members))
+
+        return LocalDensity(self.lattice, fn, self.jet_order, name=name)
 
 
-def one_form_density_basis(
-    lattice: LatticeBase,
-    jet_order: int,
-    degree: int,
-    slots: Optional[Sequence[int]] = None,
-) -> List[Tuple[str, LocalOneForm]]:
-    """Coefficient densities on each variation slot up to the jet order."""
-    if slots is None:
-        slots = range(jet_order + 1)
-    scalars = density_basis(lattice, jet_order, degree)
-    zero = LocalDensity(lattice, lambda env: 0.0, jet_order, name="0")
-    out: List[Tuple[str, LocalOneForm]] = []
-    for name, dens in scalars:
-        for k in slots:
-            coeffs = [zero] * (jet_order + 1)
-            coeffs[k] = dens
-            slot_name = "du" if k == 0 else f"du{k}"
-            out.append((f"{name} {slot_name}", LocalOneForm(lattice, coeffs, name=f"{name} {slot_name}")))
-    return out
-
-
-def random_fields(lattice: LatticeBase, n: int, rng) -> List[np.ndarray]:
-    """Seeded band-limited probe fields with a random constant mode."""
+def random_fields(lattice: LatticeBase, n: int, rng) -> np.ndarray:
+    """An ``(n, m)`` stack of seeded band-limited probe fields, each with a
+    random constant mode; row i takes the i-th run of draws."""
     xs = lattice.coordinates
     amplitude = PROBE_FIELD_AMPLITUDE
-    out = []
-    for _ in range(n):
-        s = np.full(lattice.sites, rng.normal() * amplitude)
-        for k in range(1, PROBE_FIELD_MODES + 1):
-            w = 2.0 * np.pi * k / lattice.period
-            s = s + (amplitude / k) * (
-                rng.normal() * np.cos(w * xs) + rng.normal() * np.sin(w * xs)
-            )
-        out.append(s)
-    return out
+    draws = rng.normal(size=(n, 1 + 2 * PROBE_FIELD_MODES))
+    s = np.repeat(draws[:, :1] * amplitude, lattice.sites, axis=1)
+    for k in range(1, PROBE_FIELD_MODES + 1):
+        w = 2.0 * np.pi * k / lattice.period
+        a, b = draws[:, 2 * k - 1, None], draws[:, 2 * k, None]
+        s = s + (amplitude / k) * (a * np.cos(w * xs) + b * np.sin(w * xs))
+    return s

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import importlib.resources
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path as FilePath
 from typing import Dict, List, Optional, Tuple
@@ -43,6 +44,7 @@ from .geometry import (
 )
 from .lattice import (
     JET_NAMES,
+    MAX_JET_ORDER,
     LatticeBase,
     LocalDensity,
     LocalOneForm,
@@ -368,7 +370,8 @@ class Scenario:
             kwargs["probe_lower"] = sp["probe_lower"]
         if "probe_upper" in sp:
             kwargs["probe_upper"] = sp["probe_upper"]
-        return ParameterSpace(**kwargs)
+        with _section_values("space"):
+            return ParameterSpace(**kwargs)
 
     def basepoint(self, space) -> np.ndarray:
         sp = self.space or {}
@@ -440,10 +443,11 @@ class Scenario:
         if self.kind != "lattice":
             raise ScenarioError(f"scenario {self.name!r} is not a lattice scenario")
         cfg = self.lattice_cfg
-        lattice = LatticeBase(cfg["sites"], cfg.get("period", 1.0))
-        space = lattice.field_space(
-            halfwidth=cfg.get("halfwidth", 64.0), fd_step=cfg.get("fd_step", 1e-4)
-        )
+        with _section_values("lattice"):
+            lattice = LatticeBase(cfg["sites"], cfg.get("period", 1.0))
+            space = lattice.field_space(
+                halfwidth=cfg.get("halfwidth", 64.0), fd_step=cfg.get("fd_step", 1e-4)
+            )
         jet_order = cfg.get("jet_order", 2)
         zmode_env = _zmode_env(lattice)
         gens = []
@@ -516,6 +520,16 @@ class Scenario:
             jet_order=jet_order,
             density_degree=cfg.get("density_degree", 4),
         )
+
+
+@contextmanager
+def _section_values(section: str):
+    """Report a constructor's ValueError on a section's values as a
+    ScenarioError naming the section."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ScenarioError(f"[{section}] {exc}") from None
 
 
 @dataclass
@@ -656,6 +670,13 @@ def parse_scenario(text: str, name: str = "<scenario>") -> Scenario:
     if "solver" in raw.sections:
         for key, value in raw.sections["solver"].items():
             scenario.solver[key] = _typed(value, _SOLVER_KEYS[key])
+        slots = scenario.solver.get("slots")
+        top = (scenario.lattice_cfg or {}).get("jet_order", 2)
+        if is_lattice and slots is not None and (not slots or min(slots) < 0 or max(slots) > top):
+            raise ScenarioError(
+                f"[solver] slots must be variation slots in 0..{top}",
+                raw.sections["solver"]["slots"].line,
+            )
     return scenario
 
 
@@ -775,6 +796,10 @@ def _parse_lattice(raw: RawScenario, scenario: Scenario):
     cfg = {key: _typed(value, _SCHEMA["lattice"][key]) for key, value in entries.items()}
     scenario.lattice_cfg = cfg
     jet_order = cfg.get("jet_order", 2)
+    if not 0 <= jet_order <= MAX_JET_ORDER:
+        raise ScenarioError(
+            f"[lattice] jet_order must lie in 0..{MAX_JET_ORDER}", entries["jet_order"].line
+        )
     jet_symbols = ("x",) + JET_NAMES[: jet_order + 1]
 
     gen_sections = _labelled_sections(raw, "fieldgroup.")

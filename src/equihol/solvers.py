@@ -49,7 +49,9 @@ from .geometry import (
     exterior_derivative,
     exterior_rows,
     line_integral,
+    linear_combination,
     monomial_exponents,
+    monomial_name,
 )
 from .holonomy import (
     Character,
@@ -74,6 +76,9 @@ COUNT_FLOORS = {
     "n_basepoints": (1, "[solver] basepoints"),
     "slack_bound": (0, "[solver] slack_bound"),
 }
+# Longest word the cocycle check takes: the word pairs it compares grow
+# geometrically with the length once two generators act.
+MAX_WORD_LEN = 6
 # Tolerances, which must be finite and positive, and the inputs that set them.
 TOLERANCES = {"fit_tol": "[solver] fit_tol", "holdout_tol": "[solver] holdout_tol or --tol"}
 
@@ -104,17 +109,15 @@ class SolverConfig:
             value = getattr(self, key)
             if value < least:
                 raise ToolkitError(f"{source} must be at least {least}, got {value}")
+        if self.max_word_len > MAX_WORD_LEN:
+            raise ToolkitError(
+                f"[solver] max_word_len or --max-word-len must be at most {MAX_WORD_LEN}, "
+                f"got {self.max_word_len}"
+            )
         for key, source in TOLERANCES.items():
             value = getattr(self, key)
             if not (math.isfinite(value) and value > 0):
                 raise ToolkitError(f"{source} must be finite and positive, got {value}")
-
-
-def _monomial_name(expo) -> str:
-    parts = [
-        (f"x{i + 1}" if k == 1 else f"x{i + 1}^{k}") for i, k in enumerate(expo) if k > 0
-    ]
-    return "*".join(parts) if parts else "1"
 
 
 @dataclass(frozen=True)
@@ -139,7 +142,7 @@ class ScalarBasis:
     def combine(self, space, coefficients) -> ScalarField:
         coefficients = tuple(coefficients)
         return ScalarField.batched(
-            space, lambda xs: _combined(coefficients, self.matrix(xs).T), name="fit"
+            space, lambda xs: linear_combination(coefficients, self.matrix(xs).T), name="fit"
         )
 
 
@@ -160,16 +163,8 @@ class FormBasis:
     def combine(self, space, coefficients) -> OneForm:
         coefficients = tuple(coefficients)
         return OneForm(
-            space, lambda xs, vs: _combined(coefficients, self.matrix(xs, vs).T), "fit"
+            space, lambda xs, vs: linear_combination(coefficients, self.matrix(xs, vs).T), "fit"
         )
-
-
-def _combined(coefficients, columns):
-    """``sum_k c_k columns[k]``, adding the terms in member order from zero."""
-    out = 0.0
-    for c, col in zip(coefficients, columns):
-        out = out + c * col
-    return out
 
 
 def _monomial(e):
@@ -187,9 +182,10 @@ def scalar_basis(space, degree: int, trig: Optional[bool] = None) -> ScalarBasis
     if trig is None:
         trig = space.is_torus
     fields, names = [], []
+    symbols = [f"x{i + 1}" for i in range(space.dimension)]
     for expo in monomial_exponents(space.dimension, degree):
         fields.append(_monomial(np.array(expo)))
-        names.append(_monomial_name(expo))
+        names.append(monomial_name(symbols, expo))
     if trig:
         for i in range(space.dimension):
             freq = 2 * np.pi / space.periods[i] if space.is_torus else 1.0
@@ -758,7 +754,7 @@ def character_membership(
 
     def combination(lam):
         return OneForm(
-            space, lambda xs, vs: _combined(lam, [f.many(xs, vs) for f in forms]), "fit"
+            space, lambda xs, vs: linear_combination(lam, [f.many(xs, vs) for f in forms]), "fit"
         )
 
     if not gens:

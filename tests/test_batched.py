@@ -33,7 +33,7 @@ from equihol.bundle import (
     section_cocycle,
 )
 from equihol.conventions import ANOMALY_MOMENT_SIGN
-from equihol.errors import ResolutionError
+from equihol.errors import EvaluationError, ResolutionError
 from equihol.expressions import compile_expr, parse as parse_expr
 from equihol.geometry import (
     CircleValue,
@@ -42,7 +42,6 @@ from equihol.geometry import (
     Path,
     ScalarField,
     VectorField,
-    act_on_path,
     circle_differential,
     central_difference,
     cumulative_line_integral,
@@ -57,7 +56,18 @@ from equihol.geometry import (
     segment_sum,
 )
 from equihol.holonomy import random_class_path
-from equihol.lattice import LatticeBase, LocalDensity, LocalOneForm, one_form_density_basis
+from equihol.lattice import (
+    DensityBasis,
+    LatticeBase,
+    LocalDensity,
+    LocalFunctional,
+    LocalOneForm,
+    fiber_translation_lie,
+    flow_slope,
+    lie_derivative_local,
+    random_fields,
+    shift_lie,
+)
 from equihol.probes import probe_points, rng_for
 from equihol.scenario import (
     _vector_map,
@@ -160,13 +170,88 @@ def test_local_one_form_integrals_match_site_loop(slots):
             assert batched(x, d) == batched.many(s, v)[row]
 
 
+def _member(basis, j):
+    """Member j of a density basis as a density of its own."""
+    return LocalDensity(
+        basis.lattice, lambda env: basis.member(env, j), basis.jet_order, basis.names[j]
+    )
+
+
 def test_basis_members_match_site_loop():
+    # Column j * S + q of the form matrix is member j on slot slots[q]; the
+    # site loop evaluates the member's name as an expression, site by site.
     space = LAT.field_space()
     path = field_path(space, 5)
-    for _, member in one_form_density_basis(LAT, 2, 2):
-        assert_path_integrals(
-            member.as_form(space), lambda s, v, m=member: local_reference(m, s, v), path
-        )
+    basis = DensityBasis(LAT, 2, 2)
+    slots = [0, 1, 2]
+    names = basis.form_names(slots)
+    for col, (name, k) in enumerate((n, k) for n in basis.names for k in slots):
+        assert names[col] == f"{name} d{'u' if k == 0 else f'u{k}'}"
+        column = OneForm(space, lambda s, v, c=col: basis.forms(s, v, slots)[:, c])
+        densities = [LocalDensity(LAT, lambda env: 0.0, 2)] * 3
+        densities[k] = LocalDensity.from_expression(LAT, name, 2)
+        reference = LocalOneForm(LAT, densities)
+        assert_path_integrals(column, lambda s, v: local_reference(reference, s, v), path)
+
+
+def test_basis_functionals_and_flow_slopes_match_members():
+    # Each functional column is the member's own LocalFunctional, and each
+    # row of a flow slope over the field stack is the N=1 derivative, bit
+    # for bit.
+    space = LAT.field_space()
+    basis = DensityBasis(LAT, 2, 2)
+    fields = random_fields(LAT, 5, rng_for(4, "basis-fields"))
+    columns = basis.functionals(fields)
+    generators = [fiber_translation_lie(LAT, space, "T", "sin(2*pi*x)"), shift_lie(LAT, space, "S")]
+    slopes = [flow_slope(basis.functionals, X, fields) for X in generators]
+    assert columns.shape == slopes[0].shape == (5, len(basis.names))
+    for j in range(len(basis.names)):
+        functional = LocalFunctional(_member(basis, j))
+        for i, s in enumerate(fields):
+            assert columns[i, j] == functional(s)
+            for X, rows in zip(generators, slopes):
+                assert rows[i, j] == lie_derivative_local(functional, X, s)[0]
+
+
+def test_basis_combine_is_the_coefficient_sum_of_columns():
+    space = LAT.field_space()
+    basis = DensityBasis(LAT, 2, 2)
+    fields = random_fields(LAT, 4, rng_for(5, "combine-fields"))
+    variations = random_fields(LAT, 4, rng_for(5, "combine-vars"))
+    rng = rng_for(5, "combine-coefficients")
+    c = rng.normal(size=len(basis.names))
+    columns = basis.functionals(fields)
+    values = LocalFunctional(basis.combine(c)).values(fields)
+    assert values == pytest.approx(columns @ c, rel=0, abs=1e-12 * np.sum(np.abs(columns * c)))
+    for slots in ([0, 1, 2], [2, 0]):
+        c = rng.normal(size=len(basis.names) * len(slots))
+        columns = basis.forms(fields, variations, slots)
+        values = basis.combine(c, slots).as_form(space).many(fields, variations)
+        tol = 1e-12 * np.sum(np.abs(columns * c))
+        assert values == pytest.approx(columns @ c, rel=0, abs=tol)
+
+
+def test_random_fields_rows_match_draw_loop():
+    # Row i of the probe stack is the field built from the i-th run of
+    # seven draws: the constant mode, then a cosine and a sine per mode.
+    rng = rng_for(6, "probe-fields")
+    stack = random_fields(LAT, 5, rng_for(6, "probe-fields"))
+    xs = LAT.coordinates
+    for row in stack:
+        s = np.full(LAT.sites, rng.normal() * 0.8)
+        for k in (1, 2, 3):
+            w = 2.0 * np.pi * k / LAT.period
+            s = s + (0.8 / k) * (rng.normal() * np.cos(w * xs) + rng.normal() * np.sin(w * xs))
+        assert np.array_equal(row, s)
+
+
+def test_basis_non_finite_member_names_row_and_site():
+    basis = DensityBasis(LAT, 0, 2)
+    fields = np.ones((3, LAT.sites))
+    fields[2, 7] = 1e200
+    with pytest.raises(EvaluationError, match="density 'u\\^2' non-finite at row 2, site 7") as err:
+        basis.functionals(fields)
+    assert err.value.point == (2, 7)
 
 
 def test_zero_mode_connection_matches_site_loop(lattice_models):
@@ -612,7 +697,7 @@ def test_circle_differential_and_transform_match_point_loops(name, models):
             expected = [ref_circle_differential(space, alpha, x, v) for x, v in zip(pts, vs)]
             assert delta.tolist() == expected
             path = random_class_path(space, action, word, pts[1], rng_for(5, name), samples=64)
-            moved = act_on_path(lambda p: action.apply(word, p), path)
+            moved = path.transform(lambda p: action.apply(word, p))
             assert np.array_equal(moved.points, [action.apply(word, p) for p in path.points])
 
 

@@ -20,11 +20,9 @@ from equihol.geometry import (
     Path,
     ScalarField,
     VectorField,
-    act_on_path,
     central_difference,
     circle_differential,
     circle_distance,
-    concat_paths,
     conjugate_path,
     exterior_derivative,
     format_word,
@@ -299,7 +297,7 @@ def test_concat_requires_matching_endpoints():
     a = Path.line(space, [0.0], [1.0], samples=16)
     b = Path.line(space, [2.0], [3.0], samples=16)
     with pytest.raises(CompositionError):
-        concat_paths(a, b)
+        a.concat(b)
 
 
 def test_conjugate_constant_zeta_preserves_integrals():
@@ -328,7 +326,7 @@ def test_conjugate_endpoint_arithmetic():
 def test_act_on_path():
     space = line_space()
     path = Path.line(space, [0.0], [1.0], samples=9)
-    moved = act_on_path(lambda p: p + 3.0, path)
+    moved = path.transform(lambda p: p + 3.0)
     assert np.allclose(moved.points, path.points + 3.0)
 
 

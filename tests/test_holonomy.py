@@ -291,9 +291,9 @@ def test_invariant_form_character_path_translation_invariance(models):
         model.space, model.bundle.action, word, np.array([0.0]), rng_for(3, "kpaths")
     )
     value, _ = invariant_form_character(beta, model.bundle, word, gamma)
-    from equihol.geometry import act_on_path, conjugate_path
+    from equihol.geometry import conjugate_path
 
-    moved = act_on_path(lambda p: model.bundle.action.apply(parse_word("g^2"), p), gamma)
+    moved = gamma.transform(lambda p: model.bundle.action.apply(parse_word("g^2"), p))
     v_moved, _ = invariant_form_character(beta, model.bundle, word, moved)
     zeta = Path.line(model.space, [1.5], [0.0], samples=512)
     conj = conjugate_path(zeta, gamma, lambda p: model.bundle.action.apply(word, p))

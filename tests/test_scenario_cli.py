@@ -170,6 +170,7 @@ def test_cli_check_cocycle_witness_exit(tmp_path, capsys):
         (["verdict", "trivial", "--tol", "inf"], "--tol must be finite and positive"),
         (["check-cocycle", "trivial", "--tol", "-0.5"], "--tol must be finite and positive"),
         (["check-cocycle", "trivial", "--tol", "-1e-5"], "--tol must be finite and positive"),
+        (["check-cocycle", "trivial", "--max-word-len", "7"], "--max-word-len must be at most 6"),
     ],
 )
 def test_cli_bad_input_is_typed_error(argv, message, capsys):
@@ -191,6 +192,7 @@ def test_cli_bad_input_is_typed_error(argv, message, capsys):
         ("holdout_tol = nan", "[solver] holdout_tol"),
         ("fit_tol = 0", "[solver] fit_tol"),
         ("fit_tol = inf", "[solver] fit_tol"),
+        ("max_word_len = 7", "[solver] max_word_len"),
     ],
 )
 def test_cli_bad_solver_value_is_typed_error(line, message, tmp_path, capsys):
@@ -209,9 +211,10 @@ def test_cli_bad_solver_value_is_typed_error(line, message, tmp_path, capsys):
     "line, edited, message",
     [
         ("g = 0.5\n", "g = 0.5 + 1/(x1 - x1)\n", "non-finite circle value inf on word 'g' at "),
+        ("g = 0.5\n", "g = 1/0\n", "non-finite circle value inf on word 'g' at "),
         ("forward = [x1 + 1]", "forward = [x1 + exp(1000*x1)]", "non-finite point coordinates"),
     ],
-    ids=["cocycle", "map"],
+    ids=["cocycle", "constant", "map"],
 )
 def test_cli_non_finite_scenario_value_is_typed_error(line, edited, message, tmp_path, capsys):
     # The construction checks evaluate cocycle values and group maps on
@@ -236,6 +239,45 @@ def test_cli_non_finite_scenario_value_is_typed_error(line, edited, message, tmp
     )
     assert proc.returncode == 1
     assert proc.stderr == err
+
+
+@pytest.mark.parametrize(
+    "name, line, edited, message",
+    [
+        ("lattice_fiber_shift", "sites = 32", "sites = 4", "[lattice] a lattice needs at least 8 sites"),
+        ("lattice_fiber_shift", "period = 1.0", "period = -1",
+         "[lattice] period must be finite and positive"),
+        ("lattice_fiber_shift", "period = 1.0", "period = 1e400",
+         "[lattice] period must be finite and positive"),
+        ("lattice_fiber_shift", "density_degree = 2", "density_degree = 2\nhalfwidth = -1",
+         "[lattice] upper bounds must exceed lower bounds"),
+        ("rotation", "upper = [6, 6]", "upper = [6]", "[space] bounds must have one entry per axis"),
+        ("rotation", "upper = [6, 6]", "upper = [1e400, 6]", "[space] bounds must be finite"),
+        ("lattice_fiber_shift", "density_degree = 2", "density_degree = 2\nhalfwidth = 1e400",
+         "[lattice] bounds must be finite"),
+        ("lattice_fiber_shift", "jet_order = 2", "jet_order = 9",
+         "[lattice] jet_order must lie in 0..6 (line 10)"),
+        ("lattice_planted_local", "jet_order = 2", "jet_order = -1",
+         "[lattice] jet_order must lie in 0..6 (line 9)"),
+        ("lattice_fiber_shift", "path_samples = 192", "path_samples = 192\nslots = [3]",
+         "[solver] slots must be variation slots in 0..2 (line 34)"),
+        ("lattice_fiber_shift", "path_samples = 192", "path_samples = 192\nslots = []",
+         "[solver] slots must be variation slots in 0..2 (line 34)"),
+    ],
+    ids=["sites", "period", "infinite_period", "halfwidth", "upper", "infinite_upper",
+         "infinite_halfwidth", "jet_order", "jet_order_negative",
+         "slot_above_jet_order", "no_slots"],
+)
+def test_cli_rejected_model_value_is_typed_error(name, line, edited, message, tmp_path, capsys):
+    # Values the lattice and parameter-space constructors reject, and jet
+    # orders and slots out of range, end in one typed error line.
+    text = (bundled_dir() / f"{name}.scn").read_text()
+    assert text.count(line + "\n") == 1
+    scenario = tmp_path / "rejected.scn"
+    scenario.write_text(text.replace(line + "\n", edited + "\n"))
+    assert run_cli(["check-cocycle", str(scenario)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
 
 
 def test_cli_unwritable_out_is_typed_error(tmp_path, capsys):
