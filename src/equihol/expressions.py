@@ -35,9 +35,6 @@ FUNCTIONS = {
     "tanh": np.tanh,
 }
 
-COORDINATES = tuple(f"x{i}" for i in range(1, 10))
-JET_SYMBOLS = ("x", "u", "u1", "u2", "u3", "u4", "u5", "u6")
-
 
 @dataclass(frozen=True)
 class Span:

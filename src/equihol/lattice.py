@@ -44,8 +44,6 @@ PROBE_HALFWIDTH = 2.0
 # Fourier modes and amplitude of seeded probe fields.
 PROBE_FIELD_MODES = 3
 PROBE_FIELD_AMPLITUDE = 0.8
-# Tolerance of a declared local connection against the generic one.
-DECLARATION_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -255,17 +253,17 @@ def constant_functional_density(lattice: LatticeBase, c: float, order: int = 0) 
 
 
 def _chi_values(lattice: LatticeBase, chi) -> np.ndarray:
+    """Site values of a fiber shift given as a number or as an expression
+    in ``x`` (text or parsed); a non-finite value raises an EvaluationError."""
     if chi is None:
         return np.zeros(lattice.sites)
-    if isinstance(chi, (int, float)):
-        return np.full(lattice.sites, float(chi))
     if isinstance(chi, str):
-        ast = expressions.parse(chi, ("x",))
-        ev = expressions.compile_expr(ast)
-        return np.broadcast_to(
-            np.asarray(ev({"x": lattice.coordinates}), dtype=float), (lattice.sites,)
-        ).copy()
-    return as_field(lattice, chi)
+        chi = expressions.parse(chi, ("x",))
+    if not isinstance(chi, (int, float)):
+        chi = expressions.compile_expr(chi)({"x": lattice.coordinates})
+    values = np.empty(lattice.sites)
+    values[:] = chi  # a constant broadcasts
+    return as_field(lattice, values)
 
 
 def site_shift_element(
@@ -414,7 +412,7 @@ def lie_derivative_local(
 
 
 # ---------------------------------------------------------------------------
-# Declared-locality checks
+# Curl stencils
 
 
 def curl(many: Callable, s, v1, v2, h: float) -> np.ndarray:
@@ -439,64 +437,6 @@ def curl_stencils(fields, variations, pairs: int):
     fields, variations = np.asarray(fields, dtype=float), np.asarray(variations, dtype=float)
     tile = lambda vs: np.tile(vs, (len(fields), 1))
     return np.repeat(fields, pairs, axis=0), tile(variations[:pairs]), tile(variations[1:pairs + 1])
-
-
-@dataclass(frozen=True)
-class LocalityCheck:
-    ok: bool
-    rho_defect: float
-    curvature_defect: float
-    witness: Optional[dict]
-    assumptions: dict
-
-
-def check_local_declarations(
-    field_space: ParameterSpace,
-    generic_rho: OneForm,
-    declared_rho: LocalOneForm,
-    probe_fields: Sequence[np.ndarray],
-    probe_variations: Sequence[np.ndarray],
-    assumptions: Optional[dict] = None,
-) -> LocalityCheck:
-    """Verify a declared local connection density against the generic form.
-
-    Also compares the induced curvature two-forms by central differences
-    over field-space directions. A mismatch is reported with the offending
-    field and variation.
-    """
-    declared = declared_rho.as_form(field_space)
-    m = field_space.dimension
-    probe_fields = np.asarray(probe_fields, dtype=float).reshape(-1, m)
-    probe_variations = np.asarray(probe_variations, dtype=float).reshape(-1, m)
-    fields = np.repeat(probe_fields, len(probe_variations), axis=0)
-    variations = np.tile(probe_variations, (len(probe_fields), 1))
-    declared_values = declared.many(fields, variations)
-    generic_values = generic_rho.many(fields, variations)
-    gaps = np.abs(declared_values - generic_values)
-    rho_defect = float(np.max(gaps, initial=0.0))
-    witness = None
-    if rho_defect > DECLARATION_TOL:
-        i = int(np.argmax(gaps))
-        witness = {
-            "field": [float(v) for v in fields[i]],
-            "variation": [float(v) for v in variations[i]],
-            "declared": float(declared_values[i]),
-            "generic": float(generic_values[i]),
-        }
-    s, v1, v2 = curl_stencils(
-        probe_fields[: max(1, len(probe_fields) // 2)],
-        probe_variations,
-        min(2, len(probe_variations) - 1),
-    )
-    h = field_space.fd_step
-    curvature_defect = float(np.max(
-        np.abs(curl(declared.many, s, v1, v2, h) - curl(generic_rho.many, s, v1, v2, h)),
-        initial=0.0,
-    ))
-    ok = rho_defect <= DECLARATION_TOL and curvature_defect <= 50 * DECLARATION_TOL
-    if not ok and witness is None:
-        witness = {"curvature_defect": curvature_defect}
-    return LocalityCheck(ok, rho_defect, curvature_defect, witness, dict(assumptions or {}))
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,10 @@ A scenario is a line-based config with ``[section]`` headers and
 ``key = value`` entries; values are numbers, booleans, group words,
 expression text or bracketed expression lists. The schema is strict and
 versioned: unknown sections or keys are rejected with their line numbers,
-and every expression is parsed against the variable set its context
-allows (chart coordinates, flow time, word exponents, jet symbols, or the
-lattice zero mode).
+and every expression is parsed against the identifier groups its key
+allows (chart coordinates, flow time, word exponents, jet symbols, the
+lattice site or the lattice zero mode). One table, ``_SCHEMA``, states
+every key's kind; parsing, the cross-entry rules and printing all read it.
 
 Two scenario shapes exist. Chart scenarios declare a parameter space with
 a group action, cocycle, connection and optional one-parameter data.
@@ -20,9 +21,10 @@ from __future__ import annotations
 import importlib.resources
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from pathlib import Path as FilePath
-from typing import Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -37,7 +39,6 @@ from .geometry import (
     ParameterSpace,
     ScalarField,
     VectorField,
-    Word,
     _env,
     format_word,
     parse_word,
@@ -150,28 +151,16 @@ def _split_top_level(text: str, lineno: int, column: int) -> List[str]:
 # ---------------------------------------------------------------------------
 # Schema
 
-
-_SOLVER_KEYS = {
-    "seed": "int",
-    "probes": "int",
-    "holdout": "int",
-    "degree": "int",
-    "trig": "bool",
-    "max_word_len": "int",
-    "fit_tol": "float",
-    "holdout_tol": "float",
-    "slack_bound": "int",
-    "candidates_complete": "bool",
-    "paths": "int",
-    "basepoints": "int",
-    "path_samples": "int",
-    "slots": "ints",
-}
-
-_SCHEMA: Dict[str, Dict[str, str]] = {
+# Each key's kind: ``int``, ``float``, ``bool``, ``floats``, ``ints``,
+# ``word``, ``enum`` followed by its options, or ``expr``/``exprs`` followed
+# by the identifier groups the expression may use. An ``exprs`` list has one
+# expression per name of its first group: per axis (``coords``) or per
+# variation jet (``jets``). A ``*`` key stands for any key. Each kind is
+# split into its words once, at import.
+_SCHEMA: Dict[str, Dict[str, Tuple[str, ...]]] = {
     "space": {
         "dimension": "int",
-        "topology": "enum:euclidean-box|torus",
+        "topology": "enum euclidean-box torus",
         "lower": "floats",
         "upper": "floats",
         "periods": "floats",
@@ -180,17 +169,24 @@ _SCHEMA: Dict[str, Dict[str, str]] = {
         "probe_upper": "floats",
         "basepoint": "floats",
     },
-    "group.*": {"forward": "exprs", "inverse": "exprs", "identity_component": "bool"},
+    "group.*": {
+        "forward": "exprs coords",
+        "inverse": "exprs coords",
+        "identity_component": "bool",
+    },
     "relations": {"*": "word"},
-    "cocycle": {"*": "expr"},
-    "cocycle_family": {"family": "expr"},
-    "lie.*": {"field": "exprs", "flow": "exprs", "alpha": "expr", "fixed_point": "floats"},
-    "connection": {"rho": "exprs"},
-    "moment": {"*": "expr"},
-    "section.*": {"lambda": "expr"},
-    "assumptions": {"a1": "bool", "a2": "bool", "a3": "bool"},
-    "solver": _SOLVER_KEYS,
-    "candidate.*": {"form": "exprs"},
+    "cocycle": {"*": "expr coords"},
+    "cocycle_family": {"family": "expr coords exps"},
+    "lie.*": {
+        "field": "exprs coords",
+        "flow": "exprs coords t",
+        "alpha": "expr coords t",
+        "fixed_point": "floats",
+    },
+    "connection": {"rho": "exprs coords"},
+    "moment": {"*": "expr coords"},
+    "section.*": {"lambda": "expr coords"},
+    "candidate.*": {"form": "exprs coords"},
     "lattice": {
         "sites": "int",
         "period": "float",
@@ -200,35 +196,83 @@ _SCHEMA: Dict[str, Dict[str, str]] = {
         "fd_step": "float",
     },
     "fieldgroup.*": {
-        "kind": "enum:fiber_affine|site_shift",
+        "kind": "enum fiber_affine site_shift",
         "scale": "float",
-        "chi": "expr",
+        "chi": "expr site",
         "steps": "int",
         "identity_component": "bool",
-        "alpha": "expr",
+        "alpha": "expr zmode",
     },
-    "fieldcocycle_family": {"family": "expr"},
-    "fieldlie.*": {"kind": "enum:fiber_translation|shift", "chi": "expr", "alpha": "expr"},
-    "fieldconnection": {"rho": "exprs", "rho_zmode": "expr"},
+    "fieldcocycle_family": {"family": "expr zmode exps"},
+    "fieldlie.*": {
+        "kind": "enum fiber_translation shift",
+        "chi": "expr site",
+        "alpha": "expr t zmode",
+    },
+    "fieldconnection": {"rho": "exprs jets site", "rho_zmode": "expr zmode"},
+    "assumptions": {"a1": "bool", "a2": "bool", "a3": "bool"},
+    "solver": {
+        "seed": "int",
+        "probes": "int",
+        "holdout": "int",
+        "degree": "int",
+        "trig": "bool",
+        "max_word_len": "int",
+        "fit_tol": "float",
+        "holdout_tol": "float",
+        "slack_bound": "int",
+        "candidates_complete": "bool",
+        "paths": "int",
+        "basepoints": "int",
+        "path_samples": "int",
+        "slots": "ints",
+    },
+}
+for _keys in _SCHEMA.values():
+    _keys.update({key: tuple(spec.split()) for key, spec in _keys.items()})
+
+_REQUIRED: Dict[str, Tuple[str, ...]] = {
+    "space": ("dimension",),
+    "group.*": ("forward", "inverse"),
+    "cocycle_family": ("family",),
+    "lie.*": ("field",),
+    "connection": ("rho",),
+    "section.*": ("lambda",),
+    "candidate.*": ("form",),
+    "lattice": ("sites",),
+    "fieldgroup.*": ("kind", "alpha"),
+    "fieldcocycle_family": ("family",),
+    "fieldlie.*": ("kind",),
 }
 
+# Sections only lattice scenarios read; [assumptions] and [solver] belong to
+# both shapes and the rest to chart scenarios. A section of the other shape
+# has its keys checked and is otherwise ignored.
+_LATTICE = frozenset(
+    {"lattice", "fieldgroup.*", "fieldcocycle_family", "fieldlie.*", "fieldconnection"}
+)
+_COMMON = frozenset({"assumptions", "solver"})
 
-def _schema_for(section: str) -> Dict[str, str]:
+
+def _pattern(section: str) -> str:
+    """The ``_SCHEMA`` entry of a section: its name, or ``<kind>.*``."""
     if section in _SCHEMA:
-        return _SCHEMA[section]
+        return section
     head = section.split(".", 1)[0] + ".*"
     if "." in section and head in _SCHEMA:
-        return _SCHEMA[head]
+        return head
     raise ScenarioError(f"unknown section [{section}]")
 
 
-def _typed(value: RawValue, kind: str, variables=()):
+def _typed(value: RawValue, spec: Tuple[str, ...], idents: Optional[dict] = None):
+    """``value`` as the schema kind ``spec``; ``idents`` maps identifier
+    groups to their names."""
+    kind = spec[0]
     if kind == "int":
         try:
-            out = int(value.text)
+            return int(value.text)
         except ValueError:
             raise ScenarioError(f"expected an integer, found {value.text!r}", value.line, value.column)
-        return out
     if kind == "float":
         try:
             return float(value.text)
@@ -250,27 +294,47 @@ def _typed(value: RawValue, kind: str, variables=()):
     if kind == "ints":
         if value.kind != "list":
             raise ScenarioError("expected a bracketed list of integers", value.line, value.column)
-        return tuple(_typed(RawValue("scalar", item, None, value.line, value.column), "int")
+        return tuple(_typed(RawValue("scalar", item, None, value.line, value.column), ("int",))
                      for item in value.items)
-    if kind == "expr":
-        return parse_expr(value.text, variables, line=value.line, column=value.column)
-    if kind == "exprs":
-        if value.kind != "list":
-            raise ScenarioError("expected a bracketed expression list", value.line, value.column)
-        return tuple(
-            parse_expr(item, variables, line=value.line, column=value.column)
-            for item in value.items
-        )
     if kind == "word":
         return parse_word(value.text)
-    if kind.startswith("enum:"):
-        options = kind[5:].split("|")
-        if value.text not in options:
+    if kind == "enum":
+        if value.text not in spec[1:]:
             raise ScenarioError(
-                f"expected one of {options}, found {value.text!r}", value.line, value.column
+                f"expected one of {list(spec[1:])}, found {value.text!r}", value.line, value.column
             )
         return value.text
-    raise AssertionError(kind)
+    variables = sum(map(idents.__getitem__, spec[1:]), ())
+    if kind == "expr":
+        return parse_expr(value.text, variables, line=value.line, column=value.column)
+    if value.kind != "list":
+        raise ScenarioError("expected a bracketed expression list", value.line, value.column)
+    out = tuple(
+        parse_expr(item, variables, line=value.line, column=value.column) for item in value.items
+    )
+    if len(out) != len(idents[spec[1]]):
+        per = "axis" if spec[1] == "coords" else "variation jet"
+        raise ScenarioError(
+            f"expected {len(idents[spec[1]])} expressions (one per {per}), found {len(out)}",
+            value.line, value.column,
+        )
+    return out
+
+
+def _printed(value, spec: Tuple[str, ...]) -> str:
+    """Canonical text of a typed value of the schema kind ``spec``."""
+    kind = spec[0]
+    if kind in ("floats", "ints", "exprs"):
+        return "[" + ", ".join(_printed(v, (kind[:-1],)) for v in value) + "]"
+    if kind == "bool":
+        return "true" if value else "false"
+    if kind == "float":
+        return repr(value)
+    if kind == "expr":
+        return to_source(value)
+    if kind == "word":
+        return format_word(value)
+    return str(value)
 
 
 # ---------------------------------------------------------------------------
@@ -278,71 +342,36 @@ def _typed(value: RawValue, kind: str, variables=()):
 
 
 @dataclass
-class GeneratorSpec:
-    label: str
-    forward: tuple
-    inverse: tuple
-    identity_component: bool
-
-
-@dataclass
-class LieSpec:
-    label: str
-    field: tuple
-    flow: Optional[tuple]
-    alpha: Optional[object]
-    fixed_point: Optional[tuple]
-
-
-@dataclass
-class FieldGeneratorSpec:
-    label: str
-    kind: str
-    scale: float
-    chi: Optional[object]
-    steps: int
-    identity_component: bool
-    alpha: Optional[object]
-
-
-@dataclass
-class FieldLieSpec:
-    label: str
-    kind: str
-    chi: Optional[object]
-    alpha: Optional[object]
-
-
-@dataclass
 class Scenario:
+    """A parsed scenario: the typed entries of each section, in file order."""
+
     name: str
     version: int
-    kind: str  # "chart" | "lattice"
-    space: Optional[dict] = None
-    generators: List[GeneratorSpec] = dc_field(default_factory=list)
-    relations: List[Word] = dc_field(default_factory=list)
-    cocycle_exprs: Dict[str, object] = dc_field(default_factory=dict)
-    cocycle_family: Optional[object] = None
-    lie_specs: List[LieSpec] = dc_field(default_factory=list)
-    connection_exprs: Optional[tuple] = None
-    moment_exprs: Dict[str, object] = dc_field(default_factory=dict)
-    section_exprs: Dict[str, object] = dc_field(default_factory=dict)
-    assumptions: Dict[str, bool] = dc_field(default_factory=dict)
-    solver: Dict[str, object] = dc_field(default_factory=dict)
-    candidates: List[Tuple[str, tuple]] = dc_field(default_factory=list)
-    lattice_cfg: Optional[dict] = None
-    field_generators: List[FieldGeneratorSpec] = dc_field(default_factory=list)
-    field_cocycle_family: Optional[object] = None
-    field_lie_specs: List[FieldLieSpec] = dc_field(default_factory=list)
-    field_connection_exprs: Optional[tuple] = None
-    field_connection_zmode: Optional[object] = None
+    sections: Dict[str, Dict[str, object]]
+
+    @property
+    def kind(self) -> str:
+        return "lattice" if "lattice" in self.sections else "chart"
+
+    @property
+    def assumptions(self) -> Dict[str, bool]:
+        """The declared assumptions; an undeclared one holds."""
+        out = dict(self.sections.get("assumptions", {}))
+        for key in ("a1", "a2", "a3"):
+            out.setdefault(key, True)
+        return out
+
+    @property
+    def solver(self) -> Mapping[str, object]:
+        return MappingProxyType(self.sections.get("solver", {}))
+
+    def labelled(self, prefix: str) -> Dict[str, dict]:
+        """Entries of every ``[<prefix><label>]`` section by label, in file order."""
+        return {s[len(prefix):]: e for s, e in self.sections.items() if s.startswith(prefix)}
 
     # ------------------------------------------------------------------
     def solver_config(self, **overrides) -> SolverConfig:
-        mapping = {
-            "paths": "n_paths",
-            "basepoints": "n_basepoints",
-        }
+        mapping = {"paths": "n_paths", "basepoints": "n_basepoints"}
         kwargs = {}
         for key, value in self.solver.items():
             if key == "slots":
@@ -357,83 +386,74 @@ class Scenario:
 
     # ------------------------------------------------------------------
     def build_space(self) -> ParameterSpace:
-        sp = self.space
-        kwargs = dict(dimension=sp["dimension"], topology=sp["topology"])
-        if sp["topology"] == "torus":
-            kwargs["periods"] = sp.get("periods")
-        else:
-            kwargs["lower"] = sp.get("lower")
-            kwargs["upper"] = sp.get("upper")
-        if "fd_step" in sp:
-            kwargs["fd_step"] = sp["fd_step"]
-        if "probe_lower" in sp:
-            kwargs["probe_lower"] = sp["probe_lower"]
-        if "probe_upper" in sp:
-            kwargs["probe_upper"] = sp["probe_upper"]
+        sp = self.sections["space"]
+        topology = sp.get("topology", "euclidean-box")
+        bounds = ("periods",) if topology == "torus" else ("lower", "upper")
+        kwargs = {k: sp[k] for k in bounds + ("fd_step", "probe_lower", "probe_upper") if k in sp}
         with _section_values("space"):
-            return ParameterSpace(**kwargs)
+            return ParameterSpace(sp["dimension"], topology, **kwargs)
 
     def basepoint(self, space) -> np.ndarray:
-        sp = self.space or {}
-        if "basepoint" in sp:
-            return space.point(sp["basepoint"])
-        return space.point(np.zeros(space.dimension))
+        point = self.sections.get("space", {}).get("basepoint")
+        return space.point(np.zeros(space.dimension) if point is None else point)
 
     def build_model(self) -> "ScenarioModel":
         if self.kind != "chart":
             raise ScenarioError(f"scenario {self.name!r} is a lattice scenario")
         space = self.build_space()
-        gens = []
-        for spec in self.generators:
-            fwd = _vector_map(space, spec.forward)
-            inv = _vector_map(space, spec.inverse)
-            gens.append(GroupElement(spec.label, fwd, inv, space, spec.identity_component))
-        action = GroupAction(space, gens, relations=self.relations)
+        sections = self.sections
+        gens = [
+            GroupElement(label, _vector_map(space, e["forward"]), _vector_map(space, e["inverse"]),
+                         space, e.get("identity_component", False))
+            for label, e in self.labelled("group.").items()
+        ]
+        action = GroupAction(space, gens, relations=list(sections.get("relations", {}).values()))
         labels = [g.label for g in gens]
         gen_values = {
-            label: _circle_field(self.cocycle_exprs[label], _chart_env) for label in labels
+            label: _circle_field(sections["cocycle"][label], _chart_env) for label in labels
         }
         family = None
-        if self.cocycle_family is not None:
-            family = _family_map(labels, self.cocycle_family, _chart_env)
+        if "cocycle_family" in sections:
+            family = _family_map(labels, sections["cocycle_family"]["family"], _chart_env)
         flow_values = {}
         lie_elements = []
         fixed_points = {}
-        for spec in self.lie_specs:
-            fieldv = VectorField.from_expressions(space, spec.field, name=spec.label)
-            flow = _flow_map(spec.flow) if spec.flow else None
-            lie_elements.append(LieElement(spec.label, fieldv, flow=flow))
-            if spec.alpha is not None:
-                flow_values[spec.label] = _flow_circle(spec.alpha, _chart_env)
-            if spec.fixed_point is not None:
-                fixed_points[spec.label] = spec.fixed_point
+        for label, e in self.labelled("lie.").items():
+            fieldv = VectorField.from_expressions(space, e["field"], name=label)
+            flow = _flow_map(e["flow"]) if "flow" in e else None
+            lie_elements.append(LieElement(label, fieldv, flow=flow))
+            if "alpha" in e:
+                flow_values[label] = _flow_circle(e["alpha"], _chart_env)
+            if "fixed_point" in e:
+                fixed_points[label] = e["fixed_point"]
         cocycle = Cocycle.batched(gen_values, family=family, flow_values=flow_values)
         bundle = EquivariantBundle(
             space, action, cocycle, lie_elements, seed=int(self.solver.get("seed", 0))
         )
         rho = (
-            OneForm.from_expressions(space, self.connection_exprs, name="rho")
-            if self.connection_exprs is not None
+            OneForm.from_expressions(space, sections["connection"]["rho"], name="rho")
+            if "connection" in sections
             else OneForm.zero(space)
         )
         connection = Connection(rho)
-        sections = {"reference": Section()}
-        for name, expr in self.section_exprs.items():
-            sections[name] = Section(ScalarField.from_expression(space, expr, name=name), name=name)
+        named = {"reference": Section()}
+        for name, e in self.labelled("section.").items():
+            lam = ScalarField.from_expression(space, e["lambda"], name=name)
+            named[name] = Section(lam, name=name)
         moment = {
             label: ScalarField.from_expression(space, expr, name=f"moment({label})")
-            for label, expr in self.moment_exprs.items()
+            for label, expr in sections.get("moment", {}).items()
         }
         candidates = [
-            (name, OneForm.from_expressions(space, comps, name=name))
-            for name, comps in self.candidates
+            (name, OneForm.from_expressions(space, e["form"], name=name))
+            for name, e in self.labelled("candidate.").items()
         ]
         return ScenarioModel(
             scenario=self,
             space=space,
             bundle=bundle,
             connection=connection,
-            sections=sections,
+            sections=named,
             declared_moment=moment or None,
             candidates=candidates,
             fixed_points=fixed_points or None,
@@ -442,7 +462,7 @@ class Scenario:
     def build_lattice_model(self) -> "LatticeModel":
         if self.kind != "lattice":
             raise ScenarioError(f"scenario {self.name!r} is not a lattice scenario")
-        cfg = self.lattice_cfg
+        cfg = self.sections["lattice"]
         with _section_values("lattice"):
             lattice = LatticeBase(cfg["sites"], cfg.get("period", 1.0))
             space = lattice.field_space(
@@ -452,57 +472,46 @@ class Scenario:
         zmode_env = _zmode_env(lattice)
         gens = []
         gen_values = {}
-        for spec in self.field_generators:
-            if spec.kind == "site_shift":
-                g = site_shift_element(
-                    lattice, space, spec.label, spec.steps, spec.identity_component
-                )
+        for label, e in self.labelled("fieldgroup.").items():
+            identity = e.get("identity_component", False)
+            if e["kind"] == "site_shift":
+                g = site_shift_element(lattice, space, label, e.get("steps", 1), identity)
             else:
                 g = fiber_affine_element(
-                    lattice,
-                    space,
-                    spec.label,
-                    scale=spec.scale,
-                    chi=to_source(spec.chi) if spec.chi is not None else None,
-                    in_identity_component=spec.identity_component,
+                    lattice, space, label, scale=e.get("scale", 1.0), chi=e.get("chi"),
+                    in_identity_component=identity,
                 )
             gens.append(g)
-            alpha_expr = spec.alpha
-            if alpha_expr is None:
-                raise ScenarioError(f"fieldgroup {spec.label!r} is missing its cocycle value")
-            gen_values[spec.label] = _circle_field(alpha_expr, zmode_env)
+            gen_values[label] = _circle_field(e["alpha"], zmode_env)
         action = GroupAction(space, gens)
         family = None
-        if self.field_cocycle_family is not None:
-            family = _family_map([g.label for g in gens], self.field_cocycle_family, zmode_env)
+        if "fieldcocycle_family" in self.sections:
+            family = _family_map(
+                [g.label for g in gens], self.sections["fieldcocycle_family"]["family"], zmode_env
+            )
         lie_elements = []
         flow_values = {}
-        for spec in self.field_lie_specs:
-            if spec.kind == "fiber_translation":
-                X = fiber_translation_lie(
-                    lattice, space, spec.label,
-                    to_source(spec.chi) if spec.chi is not None else 1.0,
-                )
+        for label, e in self.labelled("fieldlie.").items():
+            if e["kind"] == "fiber_translation":
+                lie_elements.append(fiber_translation_lie(lattice, space, label, e.get("chi")))
             else:
-                X = shift_lie(lattice, space, spec.label)
-            lie_elements.append(X)
-            if spec.alpha is not None:
-                flow_values[spec.label] = _flow_circle(spec.alpha, zmode_env)
+                lie_elements.append(shift_lie(lattice, space, label))
+            if "alpha" in e:
+                flow_values[label] = _flow_circle(e["alpha"], zmode_env)
         cocycle = Cocycle.batched(gen_values, family=family, flow_values=flow_values)
         bundle = EquivariantBundle(
             space, action, cocycle, lie_elements, seed=int(self.solver.get("seed", 0))
         )
+        declared = self.sections.get("fieldconnection", {})
         declared_rho = None
-        if self.field_connection_exprs is not None:
+        if "rho" in declared:
             slot_densities = [
-                LocalDensity.from_expression(lattice, to_source(e), jet_order)
-                for e in self.field_connection_exprs
+                LocalDensity.from_expression(lattice, e, jet_order) for e in declared["rho"]
             ]
             declared_rho = LocalOneForm(lattice, slot_densities, name="rho")
-        if declared_rho is not None:
             connection = Connection(declared_rho.as_form(space))
-        elif self.field_connection_zmode is not None:
-            ev = compile_expr(self.field_connection_zmode)
+        elif "rho_zmode" in declared:
+            ev = compile_expr(declared["rho_zmode"])
 
             def rho_many(fields, variations):
                 return ev({"zmode": lattice.zero_mode(fields)}) * lattice.zero_mode(variations)
@@ -639,216 +648,107 @@ def _family_map(labels, expr, env):
 
 
 def parse_scenario(text: str, name: str = "<scenario>") -> Scenario:
+    """Type the head section, derive the identifier groups from it and the
+    generator count, type every entry by ``_SCHEMA`` and apply the rules
+    that relate entries."""
     raw = _split_sections(text)
-    for section in raw.order:
-        schema = _schema_for(section)
-        for key, value in raw.sections[section].items():
-            if key not in schema and "*" not in schema:
-                raise ScenarioError(
-                    f"unknown key {key!r} in [{section}]", value.line
-                )
-
     is_lattice = "lattice" in raw.sections
     if is_lattice and "space" in raw.sections:
         raise ScenarioError("a scenario declares either [space] or [lattice], not both")
     if not is_lattice and "space" not in raw.sections:
         raise ScenarioError("missing [space] (or [lattice]) section")
-
-    scenario = Scenario(name=name, version=raw.version, kind="lattice" if is_lattice else "chart")
-
-    if is_lattice:
-        _parse_lattice(raw, scenario)
-    else:
-        _parse_chart(raw, scenario)
-
-    if "assumptions" in raw.sections:
-        for key, value in raw.sections["assumptions"].items():
-            scenario.assumptions[key] = _typed(value, "bool")
-    for key in ("a1", "a2", "a3"):
-        scenario.assumptions.setdefault(key, True)
-
-    if "solver" in raw.sections:
-        for key, value in raw.sections["solver"].items():
-            scenario.solver[key] = _typed(value, _SOLVER_KEYS[key])
-        slots = scenario.solver.get("slots")
-        top = (scenario.lattice_cfg or {}).get("jet_order", 2)
-        if is_lattice and slots is not None and (not slots or min(slots) < 0 or max(slots) > top):
-            raise ScenarioError(
-                f"[solver] slots must be variation slots in 0..{top}",
-                raw.sections["solver"]["slots"].line,
-            )
+    head = "lattice" if is_lattice else "space"
+    head_values = _typed_section(raw, head, head, {})
+    idents = _identifiers(raw, head, head_values)
+    sections = {}
+    for section in raw.order:
+        pattern = _pattern(section)
+        if section == head:
+            sections[head] = head_values
+        elif pattern in _COMMON or (pattern in _LATTICE) == is_lattice:
+            sections[section] = _typed_section(raw, section, pattern, idents)
+        else:
+            _typed_section(raw, section, pattern, None)
+    scenario = Scenario(name, raw.version, sections)
+    _check_entries(raw, scenario)
     return scenario
 
 
-def _labelled_sections(raw: RawScenario, prefix: str):
-    """(section, label, entries) of every ``[<prefix><label>]`` section, in file order."""
-    return [(s, s[len(prefix):], raw.sections[s]) for s in raw.order if s.startswith(prefix)]
+def _typed_section(raw: RawScenario, section: str, pattern: str, idents) -> dict:
+    """The typed entries of one section; with ``idents=None`` only its keys
+    are checked."""
+    schema, entries = _SCHEMA[pattern], raw.sections[section]
+    out = {}
+    for key, value in entries.items():
+        spec = schema.get(key) or schema.get("*")
+        if spec is None:
+            raise ScenarioError(f"unknown key {key!r} in [{section}]", value.line)
+        if idents is not None:
+            out[key] = _typed(value, spec, idents)
+    missing = [key for key in _REQUIRED.get(pattern, ()) if key not in entries]
+    if missing and idents is not None:
+        raise ScenarioError(f"[{section}] is missing its {missing[0]} entry")
+    return out
 
 
-def _parse_chart(raw: RawScenario, scenario: Scenario):
-    space_raw = raw.sections["space"]
-    if "dimension" not in space_raw:
-        raise ScenarioError("[space] needs a dimension")
-    space: dict = {}
-    for key, value in space_raw.items():
-        space[key] = _typed(value, _SCHEMA["space"][key])
-    space.setdefault("topology", "euclidean-box")
-    dim = space["dimension"]
-    if space["topology"] == "torus":
-        if "periods" not in space:
-            raise ScenarioError("torus space needs periods")
-    else:
-        if "lower" not in space or "upper" not in space:
+def _identifiers(raw: RawScenario, head: str, values: dict) -> Dict[str, tuple]:
+    """Identifier groups of expressions, from the typed head section and the
+    generator count; checks the head's own rules on the way."""
+    prefix = "fieldgroup." if head == "lattice" else "group."
+    generators = sum(1 for s in raw.order if s.startswith(prefix))
+    idents = {"t": ("t",), "exps": tuple(f"n{i + 1}" for i in range(generators))}
+    if head == "space":
+        if values.get("topology") == "torus":
+            if "periods" not in values:
+                raise ScenarioError("torus space needs periods")
+        elif "lower" not in values or "upper" not in values:
             raise ScenarioError("box space needs lower and upper bounds")
-    scenario.space = space
-    coords = tuple(f"x{i + 1}" for i in range(dim))
-
-    gen_sections = _labelled_sections(raw, "group.")
-    if not gen_sections:
-        raise ScenarioError("at least one generator is required: add a [group.<label>] section")
-    for section, label, entries in gen_sections:
-        if "forward" not in entries or "inverse" not in entries:
-            raise ScenarioError(f"[{section}] needs forward and inverse maps")
-        fwd = _typed(entries["forward"], "exprs", coords)
-        inv = _typed(entries["inverse"], "exprs", coords)
-        if len(fwd) != dim or len(inv) != dim:
-            raise ScenarioError(
-                f"[{section}] maps need {dim} components", entries["forward"].line
-            )
-        ident = (
-            _typed(entries["identity_component"], "bool")
-            if "identity_component" in entries
-            else False
-        )
-        scenario.generators.append(GeneratorSpec(label, fwd, inv, ident))
-    labels = {g.label for g in scenario.generators}
-
-    if "relations" in raw.sections:
-        for key, value in raw.sections["relations"].items():
-            word = _typed(value, "word")
-            for wname, _ in word:
-                if wname not in labels:
-                    raise ScenarioError(
-                        f"relation uses unknown generator {wname!r}", value.line
-                    )
-            scenario.relations.append(word)
-
-    if "cocycle" not in raw.sections:
-        raise ScenarioError("missing [cocycle] section")
-    for key, value in raw.sections["cocycle"].items():
-        if key not in labels:
-            raise ScenarioError(f"cocycle for unknown generator {key!r}", value.line)
-        scenario.cocycle_exprs[key] = _typed(value, "expr", coords)
-    for label in labels:
-        if label not in scenario.cocycle_exprs:
-            raise ScenarioError(f"missing cocycle entry for generator {label!r}")
-
-    if "cocycle_family" in raw.sections:
-        entries = raw.sections["cocycle_family"]
-        if "family" not in entries:
-            raise ScenarioError("[cocycle_family] needs a family entry")
-        exponents = tuple(f"n{i + 1}" for i in range(len(scenario.generators)))
-        scenario.cocycle_family = _typed(entries["family"], "expr", coords + exponents)
-
-    for section, label, entries in _labelled_sections(raw, "lie."):
-        if "field" not in entries:
-            raise ScenarioError(f"[{section}] needs a field entry")
-        fieldv = _typed(entries["field"], "exprs", coords)
-        flow = _typed(entries["flow"], "exprs", coords + ("t",)) if "flow" in entries else None
-        alpha = _typed(entries["alpha"], "expr", coords + ("t",)) if "alpha" in entries else None
-        fixed = _typed(entries["fixed_point"], "floats") if "fixed_point" in entries else None
-        scenario.lie_specs.append(LieSpec(label, fieldv, flow, alpha, fixed))
-
-    if "connection" in raw.sections:
-        entries = raw.sections["connection"]
-        if "rho" not in entries:
-            raise ScenarioError("[connection] needs rho")
-        comps = _typed(entries["rho"], "exprs", coords)
-        if len(comps) != dim:
-            raise ScenarioError(f"rho needs {dim} components", entries["rho"].line)
-        scenario.connection_exprs = comps
-
-    if "moment" in raw.sections:
-        lie_labels = {spec.label for spec in scenario.lie_specs}
-        for key, value in raw.sections["moment"].items():
-            if key not in lie_labels:
-                raise ScenarioError(f"moment for unknown generator {key!r}", value.line)
-            scenario.moment_exprs[key] = _typed(value, "expr", coords)
-
-    for section, label, entries in _labelled_sections(raw, "section."):
-        if "lambda" not in entries:
-            raise ScenarioError(f"[{section}] needs a lambda entry")
-        scenario.section_exprs[label] = _typed(entries["lambda"], "expr", coords)
-
-    for section, label, entries in _labelled_sections(raw, "candidate."):
-        if "form" not in entries:
-            raise ScenarioError(f"[{section}] needs a form entry")
-        comps = _typed(entries["form"], "exprs", coords)
-        if len(comps) != dim:
-            raise ScenarioError(f"candidate form needs {dim} components", entries["form"].line)
-        scenario.candidates.append((label, comps))
-
-
-def _parse_lattice(raw: RawScenario, scenario: Scenario):
-    entries = raw.sections["lattice"]
-    if "sites" not in entries:
-        raise ScenarioError("[lattice] needs a sites entry")
-    cfg = {key: _typed(value, _SCHEMA["lattice"][key]) for key, value in entries.items()}
-    scenario.lattice_cfg = cfg
-    jet_order = cfg.get("jet_order", 2)
+        idents["coords"] = tuple(f"x{i + 1}" for i in range(values["dimension"]))
+        return idents
+    jet_order = values.get("jet_order", 2)
     if not 0 <= jet_order <= MAX_JET_ORDER:
         raise ScenarioError(
-            f"[lattice] jet_order must lie in 0..{MAX_JET_ORDER}", entries["jet_order"].line
+            f"[lattice] jet_order must lie in 0..{MAX_JET_ORDER}",
+            raw.sections["lattice"]["jet_order"].line,
         )
-    jet_symbols = ("x",) + JET_NAMES[: jet_order + 1]
+    idents.update(jets=JET_NAMES[: jet_order + 1], site=("x",), zmode=("zmode",))
+    return idents
 
-    gen_sections = _labelled_sections(raw, "fieldgroup.")
-    if not gen_sections:
-        raise ScenarioError("at least one generator is required: add a [fieldgroup.<label>] section")
-    for section, label, e in gen_sections:
-        if "kind" not in e:
-            raise ScenarioError(f"[{section}] needs a kind")
-        kind = _typed(e["kind"], _SCHEMA["fieldgroup.*"]["kind"])
-        scale = _typed(e["scale"], "float") if "scale" in e else 1.0
-        chi = _typed(e["chi"], "expr", ("x",)) if "chi" in e else None
-        steps = _typed(e["steps"], "int") if "steps" in e else 1
-        ident = _typed(e["identity_component"], "bool") if "identity_component" in e else False
-        alpha = _typed(e["alpha"], "expr", ("zmode",)) if "alpha" in e else None
-        scenario.field_generators.append(
-            FieldGeneratorSpec(label, kind, scale, chi, steps, ident, alpha)
-        )
 
-    if "fieldcocycle_family" in raw.sections:
-        e = raw.sections["fieldcocycle_family"]
-        if "family" not in e:
-            raise ScenarioError("[fieldcocycle_family] needs a family entry")
-        exponents = tuple(f"n{i + 1}" for i in range(len(scenario.field_generators)))
-        scenario.field_cocycle_family = _typed(e["family"], "expr", ("zmode",) + exponents)
-
-    for section, label, e in _labelled_sections(raw, "fieldlie."):
-        if "kind" not in e:
-            raise ScenarioError(f"[{section}] needs a kind")
-        kind = _typed(e["kind"], _SCHEMA["fieldlie.*"]["kind"])
-        chi = _typed(e["chi"], "expr", ("x",)) if "chi" in e else None
-        alpha = _typed(e["alpha"], "expr", ("t", "zmode")) if "alpha" in e else None
-        scenario.field_lie_specs.append(FieldLieSpec(label, kind, chi, alpha))
-
-    if "fieldconnection" in raw.sections:
-        e = raw.sections["fieldconnection"]
-        if "rho" in e and "rho_zmode" in e:
-            raise ScenarioError("[fieldconnection] takes rho or rho_zmode, not both")
-        if "rho" in e:
-            comps = _typed(e["rho"], "exprs", jet_symbols)
-            if len(comps) != jet_order + 1:
+def _check_entries(raw: RawScenario, scenario: Scenario) -> None:
+    """Rules across entries: declared generators, one lattice connection,
+    and distinct variation slots in range."""
+    sections, lattice = scenario.sections, scenario.kind == "lattice"
+    prefix = "fieldgroup." if lattice else "group."
+    labels = scenario.labelled(prefix)
+    if not labels:
+        raise ScenarioError(f"at least one generator is required: add a [{prefix}<label>] section")
+    for key, word in sections.get("relations", {}).items():
+        for letter, _ in word:
+            if letter not in labels:
                 raise ScenarioError(
-                    f"rho needs one slot density per variation jet (expected {jet_order + 1})",
-                    e["rho"].line,
+                    f"relation uses unknown generator {letter!r}",
+                    raw.sections["relations"][key].line,
                 )
-            scenario.field_connection_exprs = comps
-        elif "rho_zmode" in e:
-            scenario.field_connection_zmode = _typed(e["rho_zmode"], "expr", ("zmode",))
-        else:
-            raise ScenarioError("[fieldconnection] needs rho or rho_zmode")
+    for section, known in (("cocycle", labels), ("moment", scenario.labelled("lie."))):
+        for key in sections.get(section, {}):
+            if key not in known:
+                raise ScenarioError(
+                    f"{section} for unknown generator {key!r}", raw.sections[section][key].line
+                )
+    if not lattice:
+        for label in labels:
+            if label not in sections.get("cocycle", {}):
+                raise ScenarioError(f"missing cocycle entry for generator {label!r}")
+    if "fieldconnection" in sections and len(sections["fieldconnection"]) != 1:
+        raise ScenarioError("[fieldconnection] takes exactly one of rho and rho_zmode")
+    slots = scenario.slot_restriction
+    if lattice and slots is not None:
+        top, line = sections["lattice"].get("jet_order", 2), raw.sections["solver"]["slots"].line
+        if not slots or min(slots) < 0 or max(slots) > top:
+            raise ScenarioError(f"[solver] slots must be variation slots in 0..{top}", line)
+        if len(set(slots)) != len(slots):
+            raise ScenarioError("[solver] slots must not repeat a slot", line)
 
 
 # ---------------------------------------------------------------------------
@@ -856,111 +756,15 @@ def _parse_lattice(raw: RawScenario, scenario: Scenario):
 
 
 def format_scenario(scenario: Scenario) -> str:
-    """Canonical text for a scenario; reparsing reproduces the structure."""
+    """Canonical text: the given sections and keys in file order, each
+    value printed by its kind; reparsing reproduces ``sections``."""
     lines = [f"schema_version = {scenario.version}", ""]
-
-    def emit(section, entries):
+    for section, entries in scenario.sections.items():
+        schema = _SCHEMA[_pattern(section)]
         lines.append(f"[{section}]")
-        for key, value in entries:
-            lines.append(f"{key} = {value}")
+        for key, value in entries.items():
+            lines.append(f"{key} = {_printed(value, schema.get(key) or schema['*'])}")
         lines.append("")
-
-    def fmt_floats(values):
-        return "[" + ", ".join(repr(float(v)) for v in values) + "]"
-
-    def fmt_exprs(values):
-        return "[" + ", ".join(to_source(v) for v in values) + "]"
-
-    if scenario.kind == "chart":
-        sp = scenario.space
-        entries = [("dimension", sp["dimension"]), ("topology", sp["topology"])]
-        for key in ("lower", "upper", "periods", "probe_lower", "probe_upper", "basepoint"):
-            if key in sp:
-                entries.append((key, fmt_floats(sp[key])))
-        if "fd_step" in sp:
-            entries.append(("fd_step", repr(sp["fd_step"])))
-        emit("space", entries)
-        for g in scenario.generators:
-            emit(
-                f"group.{g.label}",
-                [
-                    ("forward", fmt_exprs(g.forward)),
-                    ("inverse", fmt_exprs(g.inverse)),
-                    ("identity_component", "true" if g.identity_component else "false"),
-                ],
-            )
-        if scenario.relations:
-            emit(
-                "relations",
-                [(f"rel{i + 1}", format_word(w)) for i, w in enumerate(scenario.relations)],
-            )
-        emit("cocycle", [(k, to_source(v)) for k, v in scenario.cocycle_exprs.items()])
-        if scenario.cocycle_family is not None:
-            emit("cocycle_family", [("family", to_source(scenario.cocycle_family))])
-        for spec in scenario.lie_specs:
-            entries = [("field", fmt_exprs(spec.field))]
-            if spec.flow is not None:
-                entries.append(("flow", fmt_exprs(spec.flow)))
-            if spec.alpha is not None:
-                entries.append(("alpha", to_source(spec.alpha)))
-            if spec.fixed_point is not None:
-                entries.append(("fixed_point", fmt_floats(spec.fixed_point)))
-            emit(f"lie.{spec.label}", entries)
-        if scenario.connection_exprs is not None:
-            emit("connection", [("rho", fmt_exprs(scenario.connection_exprs))])
-        if scenario.moment_exprs:
-            emit("moment", [(k, to_source(v)) for k, v in scenario.moment_exprs.items()])
-        for name, expr in scenario.section_exprs.items():
-            emit(f"section.{name}", [("lambda", to_source(expr))])
-        for name, comps in scenario.candidates:
-            emit(f"candidate.{name}", [("form", fmt_exprs(comps))])
-    else:
-        cfg = scenario.lattice_cfg
-        entries = [("sites", cfg["sites"])]
-        for key in ("period", "jet_order", "density_degree", "halfwidth", "fd_step"):
-            if key in cfg:
-                value = cfg[key]
-                entries.append((key, value if isinstance(value, int) else repr(value)))
-        emit("lattice", entries)
-        for g in scenario.field_generators:
-            entries = [("kind", g.kind)]
-            if g.kind == "site_shift":
-                entries.append(("steps", g.steps))
-            else:
-                entries.append(("scale", repr(g.scale)))
-                if g.chi is not None:
-                    entries.append(("chi", to_source(g.chi)))
-            entries.append(("identity_component", "true" if g.identity_component else "false"))
-            if g.alpha is not None:
-                entries.append(("alpha", to_source(g.alpha)))
-            emit(f"fieldgroup.{g.label}", entries)
-        if scenario.field_cocycle_family is not None:
-            emit("fieldcocycle_family", [("family", to_source(scenario.field_cocycle_family))])
-        for spec in scenario.field_lie_specs:
-            entries = [("kind", spec.kind)]
-            if spec.chi is not None:
-                entries.append(("chi", to_source(spec.chi)))
-            if spec.alpha is not None:
-                entries.append(("alpha", to_source(spec.alpha)))
-            emit(f"fieldlie.{spec.label}", entries)
-        if scenario.field_connection_exprs is not None:
-            emit("fieldconnection", [("rho", fmt_exprs(scenario.field_connection_exprs))])
-        elif scenario.field_connection_zmode is not None:
-            emit("fieldconnection", [("rho_zmode", to_source(scenario.field_connection_zmode))])
-
-    emit("assumptions", [(k, "true" if v else "false") for k, v in sorted(scenario.assumptions.items())])
-    if scenario.solver:
-        entries = []
-        for key, value in scenario.solver.items():
-            if isinstance(value, bool):
-                entries.append((key, "true" if value else "false"))
-            elif isinstance(value, tuple):
-                entries.append((key, "[" + ", ".join(str(v) for v in value) + "]"))
-            elif isinstance(value, float):
-                entries.append((key, repr(value)))
-            else:
-                entries.append((key, value))
-        emit("solver", entries)
     return "\n".join(lines)
 
 

@@ -21,6 +21,7 @@ from .bundle import (
     lie_cocycle_residual,
     section_cocycle,
 )
+from .errors import NotFlatError, ToolkitError
 from .geometry import (
     CircleValue,
     Path,
@@ -211,15 +212,18 @@ def holonomy_suite(model, seed: int) -> dict:
 
 
 def flat_suite(model, seed: int) -> Optional[dict]:
-    """Character facts for scenarios that are flat as declared."""
+    """Character facts for scenarios that are flat as declared; None when the
+    curvature does not vanish, and a failed suite on any other error."""
     bundle = model.bundle
     try:
         kappa, rep = flat_character(
             bundle, model.connection, model.reference_section,
             declared_moment=model.declared_moment, seed=seed,
         )
-    except Exception:
+    except NotFlatError:
         return None
+    except ToolkitError as exc:
+        return {"ok": False, "error": str(exc)}
     out = {
         "spread": max(rep.spreads.values()) if rep.spreads else 0.0,
         "kappa": {k: v.value for k, v in kappa.values.items()},

@@ -111,7 +111,7 @@ def local_reference(form: LocalOneForm, s, ds):
 def zmode_reference(model, s, ds):
     """Value and size of the ``rho_zmode`` connection, looping over sites."""
     h = model.lattice.spacing
-    ev = compile_expr(model.scenario.field_connection_zmode)
+    ev = compile_expr(model.scenario.sections["fieldconnection"]["rho_zmode"])
     zmode = sum(float(v) for v in s) * h
     coefficient = float(ev({"zmode": zmode}))
     terms = [coefficient * float(v) * h for v in ds]

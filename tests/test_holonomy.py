@@ -5,6 +5,7 @@ import pytest
 
 from equihol.bundle import Connection, Section
 from equihol.errors import (
+    ConsistencyError,
     InvalidCharacterError,
     NotFlatError,
     PathClassError,
@@ -334,3 +335,23 @@ def test_holonomy_suite_section_independence_on_torus(models):
         out = holonomy_suite(models["torus_shift"], seed)
         assert out["section_independence"] < 1e-6, seed
         assert out["ok"], seed
+
+
+def test_flat_suite_skips_only_curved_scenarios(models, monkeypatch):
+    # A curved scenario skips the flat suite; any other typed error fails
+    # the suite, and so the selftest, with its message.
+    from equihol import suites
+
+    assert suites.flat_suite(models["rotation"], 7) is None
+    assert suites.flat_suite(models["trivial"], 7)["ok"]
+
+    def inconsistent(*args, **kwargs):
+        raise ConsistencyError("moment and character disagree")
+
+    monkeypatch.setattr(suites, "flat_character", inconsistent)
+    failed = {"ok": False, "error": "moment and character disagree"}
+    assert suites.flat_suite(models["trivial"], 7) == failed
+    result = suites.run_selftest(seed=7)
+    assert result["scenarios"]["trivial"]["flat"] == failed
+    assert result["scenarios"]["rotation"]["flat"] == failed
+    assert not result["ok"]

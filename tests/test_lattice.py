@@ -3,13 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from equihol.errors import EvaluationError, PreconditionError
-from equihol.geometry import OneForm
 from equihol.lattice import (
     LatticeBase,
     LocalDensity,
     LocalFunctional,
     LocalOneForm,
-    check_local_declarations,
     constant_functional_density,
     fiber_affine_element,
     fiber_translation_lie,
@@ -190,55 +188,6 @@ def test_lie_derivative_fiber_translation_chain_rule():
     assert value == pytest.approx(2 * LAT.zero_mode(s), abs=1e-9)
     # the induced density acts like 2u
     assert integrate_local(induced, np.ones(32)) == pytest.approx(2.0, abs=1e-9)
-
-
-# ---------------------------------------------------------------------------
-# Locality declarations
-
-
-def test_local_declaration_check_passes_for_matching_form():
-    space = LAT.field_space()
-    declared = LocalOneForm(
-        LAT,
-        [LocalDensity.from_expression(LAT, "u", 2),
-         LocalDensity(LAT, lambda e: 0.0, 2),
-         LocalDensity(LAT, lambda e: 0.0, 2)],
-    )
-    generic = declared.as_form(space)
-    rng = rng_for(0, "loc-fields")
-    fields = random_fields(LAT, 4, rng)
-    variations = random_fields(LAT, 4, rng)
-    check = check_local_declarations(space, generic, declared, fields, variations)
-    assert check.ok
-    assert check.rho_defect < 1e-12
-
-
-def test_local_declaration_check_flags_nonlocal(rng):
-    space = LAT.field_space()
-    declared = LocalOneForm(
-        LAT,
-        [LocalDensity.from_expression(LAT, "u", 2),
-         LocalDensity(LAT, lambda e: 0.0, 2),
-         LocalDensity(LAT, lambda e: 0.0, 2)],
-    )
-    nonlocal_form = OneForm(
-        space, lambda s, v: float(np.sum(s) * np.sum(v)) / 32.0**2, name="zero-mode square"
-    )
-    fields = random_fields(LAT, 4, rng_for(1, "loc-f2"))
-    variations = random_fields(LAT, 4, rng_for(2, "loc-v2"))
-    check = check_local_declarations(space, nonlocal_form, declared, fields, variations)
-    assert not check.ok
-    assert check.witness is not None
-
-
-def test_assumptions_echoed_into_check():
-    space = LAT.field_space()
-    declared = LocalOneForm(LAT, [LocalDensity(LAT, lambda e: 0.0, 2)] * 3)
-    check = check_local_declarations(
-        space, declared.as_form(space), declared, [np.zeros(32)], [np.ones(32)],
-        assumptions={"a1": True, "a2": False, "a3": True},
-    )
-    assert check.assumptions == {"a1": True, "a2": False, "a3": True}
 
 
 # ---------------------------------------------------------------------------

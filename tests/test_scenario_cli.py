@@ -1,12 +1,15 @@
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
 from equihol.cli import main as cli_main
 from equihol.errors import ExpressionNameError, ExpressionSyntaxError, ScenarioError
 from equihol.scenario import (
+    _SCHEMA,
+    _pattern,
     bundled_dir,
     bundled_names,
     format_scenario,
@@ -40,7 +43,24 @@ def test_bundled_scenarios_parse_and_round_trip():
         again = parse_scenario(printed, name=name)
         assert format_scenario(again) == printed, name
         # expression nodes compare structurally, positions excluded
-        assert again.cocycle_exprs == scenario.cocycle_exprs or scenario.kind == "lattice"
+        assert again.sections == scenario.sections, name
+
+
+def test_format_doc_names_the_schema_keys():
+    # The code blocks of the format document and the schema table name the
+    # same (section, key) pairs: a labelled section stands for its
+    # ``kind.*`` entry, and any key of a ``*`` section for ``*``.
+    doc = (Path(__file__).resolve().parents[1] / "docs" / "scenario-format.md").read_text()
+    pairs, section = set(), None
+    for block in doc.split("```")[1::2]:
+        for row in block.splitlines():
+            row = row.split("#", 1)[0].strip()
+            if row.startswith("["):
+                section = _pattern(row[1:-1])
+            elif " = " in row:
+                key = row.split(" = ", 1)[0]
+                pairs.add((section, "*" if "*" in _SCHEMA[section] else key))
+    assert pairs == {(section, key) for section, keys in _SCHEMA.items() for key in keys}
 
 
 def test_minimal_scenario_builds():
@@ -263,14 +283,28 @@ def test_cli_non_finite_scenario_value_is_typed_error(line, edited, message, tmp
          "[solver] slots must be variation slots in 0..2 (line 34)"),
         ("lattice_fiber_shift", "path_samples = 192", "path_samples = 192\nslots = []",
          "[solver] slots must be variation slots in 0..2 (line 34)"),
+        ("lattice_fiber_shift", "path_samples = 192", "path_samples = 192\nslots = [0, 0]",
+         "[solver] slots must not repeat a slot (line 34)"),
+        ("rotation", "field = [-x2, x1]", "field = [-x2]",
+         "expected 2 expressions (one per axis), found 1 (line 27, column 9)"),
+        ("rotation", "field = [-x2, x1]", "field = [-x2, x1, 0]",
+         "expected 2 expressions (one per axis), found 3 (line 27, column 9)"),
+        ("rotation", "flow = [cos(t)*x1 - sin(t)*x2, sin(t)*x1 + cos(t)*x2]",
+         "flow = [cos(t)*x1 - sin(t)*x2]",
+         "expected 2 expressions (one per axis), found 1 (line 28, column 8)"),
+        ("rotation", "forward = [cos(0.7)*x1 - sin(0.7)*x2, sin(0.7)*x1 + cos(0.7)*x2]",
+         "forward = [cos(0.7)*x1 - sin(0.7)*x2]",
+         "expected 2 expressions (one per axis), found 1 (line 16, column 11)"),
     ],
     ids=["sites", "period", "infinite_period", "halfwidth", "upper", "infinite_upper",
          "infinite_halfwidth", "jet_order", "jet_order_negative",
-         "slot_above_jet_order", "no_slots"],
+         "slot_above_jet_order", "no_slots", "repeated_slot",
+         "short_field", "long_field", "short_flow", "short_forward"],
 )
 def test_cli_rejected_model_value_is_typed_error(name, line, edited, message, tmp_path, capsys):
-    # Values the lattice and parameter-space constructors reject, and jet
-    # orders and slots out of range, end in one typed error line.
+    # Values the lattice and parameter-space constructors reject, jet orders
+    # and slots out of range, repeated slots and expression lists without
+    # one entry per axis end in one typed error line.
     text = (bundled_dir() / f"{name}.scn").read_text()
     assert text.count(line + "\n") == 1
     scenario = tmp_path / "rejected.scn"
@@ -278,6 +312,22 @@ def test_cli_rejected_model_value_is_typed_error(name, line, edited, message, tm
     assert run_cli(["check-cocycle", str(scenario)]) == 1
     err = capsys.readouterr().err
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [["check-cocycle"], ["holonomy", "--word", "g"], ["anomaly"], ["verdict", "--local"]]
+)
+@pytest.mark.parametrize("section", ["[fieldgroup.g]", "[fieldlie.Z]"])
+def test_cli_non_finite_chi_fails_at_model_build(argv, section, tmp_path, capsys):
+    # A fiber shift is evaluated on the sites when the model is built, so a
+    # non-finite chi fails every command, not only the local verdict.
+    text = (bundled_dir() / "lattice_zero_mode.scn").read_text()
+    head, _, rest = text.partition(section + "\n")
+    assert rest.count("chi = 1\n") >= 1
+    scenario = tmp_path / "chi.scn"
+    scenario.write_text(head + section + "\n" + rest.replace("chi = 1\n", "chi = 1/0\n", 1))
+    assert run_cli([argv[0], str(scenario)] + argv[1:]) == 1
+    assert capsys.readouterr().err == "error: non-finite field configuration\n"
 
 
 def test_cli_unwritable_out_is_typed_error(tmp_path, capsys):
