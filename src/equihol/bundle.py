@@ -60,10 +60,11 @@ class Cocycle:
     """Circle-valued cocycle data for a group action.
 
     ``generator_values`` gives the field for each generator. Words extend
-    by the cocycle law; when ``family`` is supplied (a closed form over the
-    exponent vector, abelian presentations only) it is used instead and the
-    two routes are cross-checked by :func:`check_cocycle`. ``flow_values``
-    carries the cocycle along each declared one-parameter subgroup.
+    by the cocycle law, one fold over a :class:`_WordTree`; when ``family``
+    is supplied (a closed form over the exponent vector, abelian
+    presentations only) it is used instead and the two routes are
+    cross-checked by :func:`check_cocycle`. ``flow_values`` carries the
+    cocycle along each declared one-parameter subgroup.
 
     The values are stacked: a generator value maps an ``(N, d)`` stack to
     ``(N,)`` reals (a constant broadcasts), the family maps
@@ -94,26 +95,14 @@ class Cocycle:
         return cocycle
 
     def extend(self, action: GroupAction, word: Word, xs: np.ndarray) -> np.ndarray:
-        """Word value by the cocycle law alone, ignoring any family."""
-        total = np.zeros(len(xs))
-        y = xs
-        for name, sign in reversed(word):
-            if sign > 0:
-                total = circle_values(total + self._generator(name, y, word, xs), xs)
-                y = action.generators[name](y)
-            else:
-                y = action.generators[name].inv(y)
-                total = circle_values(total - self._generator(name, y, word, xs), xs)
-        return total
+        """Word value by the cocycle law alone, ignoring any family: the
+        one-word case of the :class:`_WordTree` fold."""
+        return _WordTree(action, self, xs).law(word)
 
     def on_word(self, action: GroupAction, word: Word, xs: np.ndarray) -> np.ndarray:
         if self.family is None:
             return self.extend(action, word, xs)
         values = self.family(action.exponent_vector(word), xs)
-        return _circle_rows(values, xs, f" on word {format_word(word)!r}")
-
-    def _generator(self, label: str, ys: np.ndarray, word: Word, xs: np.ndarray) -> np.ndarray:
-        values = self.generator_values[label](ys)
         return _circle_rows(values, xs, f" on word {format_word(word)!r}")
 
     def on_flow(self, lie_label: str, t: float, xs: np.ndarray) -> np.ndarray:
@@ -123,6 +112,54 @@ class Cocycle:
             )
         values = self.flow_values[lie_label](float(t), xs)
         return _circle_rows(values, xs, f" along the flow of {lie_label!r}")
+
+
+class _WordTree:
+    """Images, generator terms and law values of words over one probe stack.
+
+    A node is a letter tuple read as a word acting on the stack ``xs``. Its
+    image is its first letter acting on the image of the rest, and its term
+    is the cocycle value of that letter there: at the image of the rest for
+    a positive letter, at the node's own image for an inverse one. Each is
+    computed once, so the words of a check share every common suffix.
+    """
+
+    def __init__(self, action: GroupAction, cocycle: Cocycle, xs: np.ndarray):
+        self.action, self.cocycle = action, cocycle
+        self.images, self.terms, self.laws, self.families = {(): xs}, {}, {}, {}
+
+    def image(self, node: Word) -> np.ndarray:
+        if node not in self.images:
+            self.images[node] = self.action.apply_letter(node[0], self.image(node[1:]))
+        return self.images[node]
+
+    def law(self, word: Word, base: Word = ()) -> np.ndarray:
+        """Value of ``word`` by the cocycle law at the image of ``base``: the
+        letters fold last first, reduced to the circle after each one."""
+        xs = self.image(base)
+        total = self.laws.setdefault(((), base), np.zeros(len(xs)))
+        for k in range(len(word) - 1, -1, -1):
+            key, node = (word[k:], base), word[k:] + base
+            if key not in self.laws:
+                if node not in self.terms:
+                    name, sign = node[0]
+                    ys = self.image(node[1:] if sign > 0 else node)
+                    values = self.cocycle.generator_values[name](ys)
+                    self.terms[node] = _circle_rows(values, xs, f" on word {format_word(word)!r}")
+                self.laws[key] = circle_values(total + word[k][1] * self.terms[node], xs)
+            total = self.laws[key]
+        self.image(word + base)  # the fold ends on the word's image
+        return total
+
+    def value(self, word: Word, base: Word = ()) -> np.ndarray:
+        """:meth:`Cocycle.on_word` at the image of ``base``; a family value is
+        computed once per exponent vector and base."""
+        if self.cocycle.family is None:
+            return self.law(word, base)
+        key = (tuple(self.action.exponent_vector(word).values()), base)
+        if key not in self.families:
+            self.families[key] = self.cocycle.on_word(self.action, word, self.image(base))
+        return self.families[key]
 
 
 def _circle_rows(values, probes: np.ndarray, context: str) -> np.ndarray:
@@ -242,49 +279,40 @@ def check_cocycle(
     For every pair of words with combined length up to ``word_length`` the
     law value at a probe is compared against the sum route; declared
     relations must carry value zero; when a family is present it is checked
-    against the law extension letter by letter. Each check evaluates a
-    whole stack of probes at once; the witness is the first largest
-    residual in (word pair, probe) order.
+    against the law extension letter by letter. The values are those of
+    :meth:`Cocycle.on_word`, read off one :class:`_WordTree` over the probe
+    stack. Each check stacks its residuals over word pairs and probes; the
+    witness is the first largest residual in (word pair, probe) order.
     """
     if word_length < 2:
         raise PreconditionError("word_length must be at least 2")
     action, cocycle = bundle.action, bundle.cocycle
-    space = bundle.space
-    pts = probe_points(space, probes, seed, tag="cocycle-check")
+    pts = probe_points(bundle.space, probes, seed, tag="cocycle-check")
+    tree = _WordTree(action, cocycle, pts)
     worst, witness_words, witness_point = 0.0, None, None
     checks = 0
 
-    def note(residuals, words):
+    def note(rows, labels):  # one row of residuals per word pair
         nonlocal worst, witness_words, witness_point, checks
-        checks += len(residuals)
-        if not len(residuals):
+        residuals = np.reshape(rows, (len(labels), len(pts)))
+        checks += residuals.size
+        if not residuals.size:
             return
-        i = int(np.argmax(residuals))
-        if residuals[i] > worst:
-            worst = float(residuals[i])
-            witness_words = tuple(format_word(w) for w in words)
+        k, i = divmod(int(np.argmax(residuals)), len(pts))
+        if residuals[k, i] > worst:
+            worst = float(residuals[k, i])
+            witness_words = tuple(format_word(w) for w in labels[k])
             witness_point = [float(v) for v in pts[i]]
 
     words = list(action.words_up_to(word_length - 1))
-    for u in words:
-        for v in words:
-            if len(u) + len(v) > word_length:
-                continue
-            combined = cocycle.on_word(action, u + v, pts)
-            split = circle_values(
-                cocycle.on_word(action, v, pts)
-                + cocycle.on_word(action, u, action.apply(v, pts)),
-                pts,
-            )
-            note(circle_gaps(combined, split), (u, v))
-    for rel in action.relations:
-        note(circle_gaps(cocycle.on_word(action, rel, pts), 0.0), (rel, ()))
+    pairs = [(u, v) for u in words for v in words if len(u) + len(v) <= word_length]
+    values = np.array([(tree.value(u + v), tree.value(v), tree.value(u, base=v)) for u, v in pairs])
+    note(circle_gaps(values[:, 0], circle_values(values[:, 1] + values[:, 2], pts)), pairs)
+    rels = action.relations
+    note([circle_gaps(tree.value(rel), 0.0) for rel in rels], [(rel, ()) for rel in rels])
     if cocycle.family is not None:
-        for w in action.words_up_to(min(word_length, 3)):
-            note(
-                circle_gaps(cocycle.on_word(action, w, pts), cocycle.extend(action, w, pts)),
-                (w, w),
-            )
+        family = list(action.words_up_to(min(word_length, 3)))
+        note([circle_gaps(tree.value(w), tree.law(w)) for w in family], [(w, w) for w in family])
     return CocycleReport(worst, witness_words, witness_point, checks)
 
 

@@ -68,6 +68,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process; every ``main`` call parses its own argv with it.
+PARSER = build_parser()
+
+
 def _config(scenario, args):
     overrides = {}
     if args.seed is not None:
@@ -277,7 +281,7 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         return _run(args)
     except ToolkitError as exc:

@@ -221,8 +221,14 @@ class ParameterSpace:
     def distance(self, a, b) -> float:
         return float(np.linalg.norm(self.displacement(a, b)))
 
-    def translate(self, x, delta) -> np.ndarray:
-        return self.point(np.asarray(x, dtype=float) + np.asarray(delta, dtype=float))
+    def max_distance(self, a, b) -> float:
+        """The largest :meth:`distance` between rows of two ``(N, d)`` stacks.
+        Rows near the top stacked norm are measured again as :meth:`distance`
+        measures one, since the axis norm rounds differently."""
+        d = self.displacement(a, b)
+        norms = np.linalg.norm(d, axis=-1)
+        top = np.flatnonzero(norms > norms.max(initial=0.0) * (1 - 1e-12))
+        return max((float(np.linalg.norm(d[i])) for i in top), default=0.0)
 
     def require_stencil(self, points, radii) -> None:
         """Raise if a stencil leaves the box, for ``(N, d)`` points and ``(N,)`` radii."""
@@ -784,7 +790,7 @@ class GroupElement:
 
     def inverse_defect(self, points) -> float:
         xs = np.reshape(points, (-1, self.space.dimension))
-        return max(self.space.distance(y, x) for y, x in zip(self.inv(self(xs)), xs))
+        return self.space.max_distance(self.inv(self(xs)), xs)
 
 
 Word = tuple  # tuple of (label, +1 | -1)
@@ -898,11 +904,8 @@ class GroupAction:
 
     def relation_defect(self, points) -> float:
         xs = np.reshape(points, (-1, self.space.dimension))
-        worst = 0.0
-        for rel in self.relations:
-            for y, x in zip(self.apply(rel, xs), xs):
-                worst = max(worst, self.space.distance(y, x))
-        return worst
+        return max((self.space.max_distance(self.apply(rel, xs), xs) for rel in self.relations),
+                   default=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from .bundle import Cocycle, Connection, EquivariantBundle, Section
-from .errors import ScenarioError
+from .errors import EvaluationError, ScenarioError
 from .expressions import compile_expr, parse as parse_expr, to_source
 from .geometry import (
     GroupAction,
@@ -74,12 +74,12 @@ class RawValue:
 class RawScenario:
     version: int
     sections: Dict[str, Dict[str, RawValue]]
-    order: List[str]
+    headers: Dict[str, int]  # the line of each section header, in file order
 
 
 def _split_sections(text: str) -> RawScenario:
     sections: Dict[str, Dict[str, RawValue]] = {}
-    order: List[str] = []
+    headers: Dict[str, int] = {}
     current: Optional[str] = None
     version: Optional[int] = None
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
@@ -96,7 +96,7 @@ def _split_sections(text: str) -> RawScenario:
             if name in sections:
                 raise ScenarioError(f"duplicate section [{name}]", lineno)
             sections[name] = {}
-            order.append(name)
+            headers[name] = lineno
             current = name
             continue
         if "=" not in stripped:
@@ -129,7 +129,7 @@ def _split_sections(text: str) -> RawScenario:
         raise ScenarioError("missing schema_version")
     if version != SCHEMA_VERSION:
         raise ScenarioError(f"unsupported schema_version {version}; this build reads {SCHEMA_VERSION}")
-    return RawScenario(version, sections, order)
+    return RawScenario(version, sections, headers)
 
 
 def _split_top_level(text: str, lineno: int, column: int) -> List[str]:
@@ -247,7 +247,7 @@ _REQUIRED: Dict[str, Tuple[str, ...]] = {
 
 # Sections only lattice scenarios read; [assumptions] and [solver] belong to
 # both shapes and the rest to chart scenarios. A section of the other shape
-# has its keys checked and is otherwise ignored.
+# is rejected.
 _LATTICE = frozenset(
     {"lattice", "fieldgroup.*", "fieldcocycle_family", "fieldlie.*", "fieldconnection"}
 )
@@ -477,10 +477,11 @@ class Scenario:
             if e["kind"] == "site_shift":
                 g = site_shift_element(lattice, space, label, e.get("steps", 1), identity)
             else:
-                g = fiber_affine_element(
-                    lattice, space, label, scale=e.get("scale", 1.0), chi=e.get("chi"),
-                    in_identity_component=identity,
-                )
+                with _section_values(f"fieldgroup.{label}", "chi", e.get("chi")):
+                    g = fiber_affine_element(
+                        lattice, space, label, scale=e.get("scale", 1.0), chi=e.get("chi"),
+                        in_identity_component=identity,
+                    )
             gens.append(g)
             gen_values[label] = _circle_field(e["alpha"], zmode_env)
         action = GroupAction(space, gens)
@@ -493,7 +494,8 @@ class Scenario:
         flow_values = {}
         for label, e in self.labelled("fieldlie.").items():
             if e["kind"] == "fiber_translation":
-                lie_elements.append(fiber_translation_lie(lattice, space, label, e.get("chi")))
+                with _section_values(f"fieldlie.{label}", "chi", e.get("chi")):
+                    lie_elements.append(fiber_translation_lie(lattice, space, label, e.get("chi")))
             else:
                 lie_elements.append(shift_lie(lattice, space, label))
             if "alpha" in e:
@@ -532,13 +534,16 @@ class Scenario:
 
 
 @contextmanager
-def _section_values(section: str):
-    """Report a constructor's ValueError on a section's values as a
-    ScenarioError naming the section."""
+def _section_values(section: str, key: str = "", expr=None):
+    """Report a constructor's ValueError or EvaluationError on a section's
+    values as a ScenarioError naming the section, or the entry ``key`` and
+    the line of its expression ``expr`` when one is given."""
     try:
         yield
-    except ValueError as exc:
-        raise ScenarioError(f"[{section}] {exc}") from None
+    except (ValueError, EvaluationError) as exc:
+        if expr is None:
+            raise ScenarioError(f"[{section}] {exc}") from None
+        raise ScenarioError(f"[{section}] {key}: {exc}", expr.pos.line) from None
 
 
 @dataclass
@@ -661,32 +666,31 @@ def parse_scenario(text: str, name: str = "<scenario>") -> Scenario:
     head_values = _typed_section(raw, head, head, {})
     idents = _identifiers(raw, head, head_values)
     sections = {}
-    for section in raw.order:
+    for section, line in raw.headers.items():
         pattern = _pattern(section)
         if section == head:
             sections[head] = head_values
         elif pattern in _COMMON or (pattern in _LATTICE) == is_lattice:
             sections[section] = _typed_section(raw, section, pattern, idents)
         else:
-            _typed_section(raw, section, pattern, None)
+            shape = "lattice" if is_lattice else "chart"
+            raise ScenarioError(f"[{section}] has no place in a {shape} scenario", line)
     scenario = Scenario(name, raw.version, sections)
     _check_entries(raw, scenario)
     return scenario
 
 
-def _typed_section(raw: RawScenario, section: str, pattern: str, idents) -> dict:
-    """The typed entries of one section; with ``idents=None`` only its keys
-    are checked."""
+def _typed_section(raw: RawScenario, section: str, pattern: str, idents: dict) -> dict:
+    """The typed entries of one section."""
     schema, entries = _SCHEMA[pattern], raw.sections[section]
     out = {}
     for key, value in entries.items():
         spec = schema.get(key) or schema.get("*")
         if spec is None:
             raise ScenarioError(f"unknown key {key!r} in [{section}]", value.line)
-        if idents is not None:
-            out[key] = _typed(value, spec, idents)
+        out[key] = _typed(value, spec, idents)
     missing = [key for key in _REQUIRED.get(pattern, ()) if key not in entries]
-    if missing and idents is not None:
+    if missing:
         raise ScenarioError(f"[{section}] is missing its {missing[0]} entry")
     return out
 
@@ -695,7 +699,7 @@ def _identifiers(raw: RawScenario, head: str, values: dict) -> Dict[str, tuple]:
     """Identifier groups of expressions, from the typed head section and the
     generator count; checks the head's own rules on the way."""
     prefix = "fieldgroup." if head == "lattice" else "group."
-    generators = sum(1 for s in raw.order if s.startswith(prefix))
+    generators = sum(1 for s in raw.headers if s.startswith(prefix))
     idents = {"t": ("t",), "exps": tuple(f"n{i + 1}" for i in range(generators))}
     if head == "space":
         if values.get("topology") == "torus":

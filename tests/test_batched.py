@@ -13,7 +13,9 @@ stacks; they are checked against per-point loops over single points,
 which must agree bit for bit, witnesses included.
 """
 
+import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -37,6 +39,7 @@ from equihol.errors import EvaluationError, ResolutionError
 from equihol.expressions import compile_expr, parse as parse_expr
 from equihol.geometry import (
     CircleValue,
+    GroupAction,
     OneForm,
     ParameterSpace,
     Path,
@@ -486,6 +489,66 @@ def test_stacked_words_and_cocycle_match_point_loops(name):
         assert report.max_residual < 1e-8, name
 
 
+# A quarter turn of the circle with the relator g^4, with and without a
+# family: the relator carries value zero by the law and by the family.
+QUARTER_TURN = (
+    (bundled_dir() / "torus_shift.scn").read_text()
+    .replace("x1 + 0.3", "x1 + 0.25").replace("x1 - 0.3", "x1 - 0.25")
+    .replace("[cocycle]", "[relations]\nr = g^4\n\n[cocycle]")
+)
+
+
+@pytest.mark.parametrize("name", ["affine_line", "quarter_turn", "quarter_turn_family"])
+def test_word_tree_check_matches_point_loop_at_length_4(models, name):
+    if name == "affine_line":
+        bundle = models[name].bundle
+    else:
+        text = QUARTER_TURN
+        if name == "quarter_turn":
+            text = text.replace("[cocycle_family]\nfamily = 0.25*n1\n", "")
+        bundle = parse_scenario(text, name).build_model().bundle
+        assert bundle.action.relations and (bundle.cocycle.family is None) == (name == "quarter_turn")
+    report = check_cocycle(bundle, word_length=4, probes=5, seed=3)
+    assert (
+        report.max_residual, report.witness_words, report.witness_point, report.checks
+    ) == ref_check_cocycle(bundle, 4, 5, 3)
+    assert report.max_residual < 1e-8
+
+
+def test_cocycle_check_evaluates_each_tree_edge_once(models):
+    """Each generator map and cocycle value runs once per distinct edge of
+    the word tree (a nonempty suffix of some pair ``u v``, whose first
+    letter acts last), not once per word pair."""
+    bundle = models["affine_line"].bundle
+    calls = Counter()
+
+    def counted(key, fn):
+        def wrapped(xs):
+            calls[key] += 1
+            return fn(xs)
+        return wrapped
+
+    gens = [
+        dataclasses.replace(g, forward=counted((g.label, 1), g.forward),
+                            inverse=counted((g.label, -1), g.inverse))
+        for g in bundle.action.generators.values()
+    ]
+    values = {k: counted(k, fn) for k, fn in bundle.cocycle.generator_values.items()}
+    counting = EquivariantBundle(
+        bundle.space, GroupAction(bundle.space, gens), Cocycle.batched(values), check=False
+    )
+    report = check_cocycle(counting, word_length=3, probes=8, seed=3)
+    assert report == check_cocycle(bundle, word_length=3, probes=8, seed=3)
+    words = list(bundle.action.words_up_to(2))
+    nodes = {(u + v)[k:] for u in words for v in words if len(u + v) <= 3 for k in range(len(u + v))}
+    edges = Counter(node[0] for node in nodes)
+    assert sum(calls.values()) > 0
+    for (label, sign), n in edges.items():
+        assert 0 < calls[(label, sign)] <= n, (label, sign)
+    for label in bundle.action.labels:
+        assert 0 < calls[label] <= edges[(label, 1)] + edges[(label, -1)], label
+
+
 def _corrupted(bundle, stacked_values: bool):
     """The bundle with a position-dependent term added to every generator
     value, so the values no longer match the family."""
@@ -581,7 +644,7 @@ def ref_circle_differential(space, alpha, x, v):
     h = space.fd_step
     value = lambda y: CircleValue(float(alpha(y[None])[0]))
     center = value(x)
-    plus, minus = value(space.translate(x, h * v)), value(space.translate(x, -h * v))
+    plus, minus = value(space.point(x + h * v)), value(space.point(x - h * v))
     if plus.distance(center) >= 0.25 or minus.distance(center) >= 0.25:
         raise ResolutionError("jump")
     return (plus.lift_near(center.value) - minus.lift_near(center.value)) / (2 * h)

@@ -1,3 +1,6 @@
+import argparse
+import contextlib
+import io
 import subprocess
 import sys
 import warnings
@@ -5,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from equihol import cli
 from equihol.cli import main as cli_main
 from equihol.errors import ExpressionNameError, ExpressionSyntaxError, ScenarioError
 from equihol.scenario import (
@@ -146,6 +150,35 @@ def test_cocycle_for_unknown_generator_rejected():
 
 def run_cli(args):
     return cli_main(args)
+
+
+def _printed(call, argv):
+    """Exit code, stdout and stderr of one CLI call; usage errors exit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = call(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_cli_reuses_one_parser_across_calls(monkeypatch):
+    # The parser is built once per process; each call parses its own argv,
+    # and a usage error leaves nothing behind for the calls after it.
+    holonomy = ["holonomy", "paper_example_Z_on_R", "--word", "g^2", "--format", "json-like"]
+    argvs = [holonomy, ["holonomy", "trivial", "--probes", "x"],
+             ["verdict", "trivial", "--seed", "5"], holonomy]
+    first = [_printed(lambda a: cli._run(cli.build_parser().parse_args(a)), a) for a in argvs]
+    assert [code for code, _, _ in first] == [0, 2, 0, 0]
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(
+        argparse.ArgumentParser, "__init__",
+        lambda self, *a, **k: built.append(1) or init(self, *a, **k),
+    )
+    assert [_printed(cli_main, a) for a in argvs] == first
+    assert built == []
 
 
 def test_cli_holonomy_worked_example(capsys):
@@ -320,14 +353,39 @@ def test_cli_rejected_model_value_is_typed_error(name, line, edited, message, tm
 @pytest.mark.parametrize("section", ["[fieldgroup.g]", "[fieldlie.Z]"])
 def test_cli_non_finite_chi_fails_at_model_build(argv, section, tmp_path, capsys):
     # A fiber shift is evaluated on the sites when the model is built, so a
-    # non-finite chi fails every command, not only the local verdict.
+    # non-finite chi fails every command, not only the local verdict; the
+    # error names the entry and its line.
     text = (bundled_dir() / "lattice_zero_mode.scn").read_text()
     head, _, rest = text.partition(section + "\n")
     assert rest.count("chi = 1\n") >= 1
+    line = (head + section + "\n" + rest.partition("chi = 1\n")[0]).count("\n") + 1
     scenario = tmp_path / "chi.scn"
     scenario.write_text(head + section + "\n" + rest.replace("chi = 1\n", "chi = 1/0\n", 1))
     assert run_cli([argv[0], str(scenario)] + argv[1:]) == 1
-    assert capsys.readouterr().err == "error: non-finite field configuration\n"
+    assert capsys.readouterr().err == (
+        f"error: {section} chi: non-finite field configuration (line {line})\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "name, extra, message",
+    [
+        ("lattice_fiber_shift", "[connection]\nrho = [x1 + bogus]\n",
+         "[connection] has no place in a lattice scenario"),
+        ("lattice_fiber_shift", "[lie.X]\nfield = []\n", "[lie.X] has no place in a lattice scenario"),
+        ("trivial", "[fieldlie.Z]\nkind = shift\n", "[fieldlie.Z] has no place in a chart scenario"),
+    ],
+    ids=["chart_connection", "chart_lie", "lattice_lie"],
+)
+def test_cli_section_of_the_other_shape_is_rejected(name, extra, message, tmp_path, capsys):
+    # A chart-only section in a lattice scenario, or the reverse, is never
+    # read by the model; it is rejected at its header line.
+    text = (bundled_dir() / f"{name}.scn").read_text() + "\n"
+    header = text.count("\n") + 1
+    scenario = tmp_path / "other_shape.scn"
+    scenario.write_text(text + extra)
+    assert run_cli(["check-cocycle", str(scenario)]) == 1
+    assert capsys.readouterr().err == f"error: {message} (line {header})\n"
 
 
 def test_cli_unwritable_out_is_typed_error(tmp_path, capsys):
