@@ -103,7 +103,7 @@ class Cocycle:
         if self.family is None:
             return self.extend(action, word, xs)
         values = self.family(action.exponent_vector(word), xs)
-        return _circle_rows(values, xs, f" on word {format_word(word)!r}")
+        return _circle_rows(values, xs, lambda: f" on word {format_word(word)!r}")
 
     def on_flow(self, lie_label: str, t: float, xs: np.ndarray) -> np.ndarray:
         if lie_label not in self.flow_values:
@@ -145,7 +145,9 @@ class _WordTree:
                     name, sign = node[0]
                     ys = self.image(node[1:] if sign > 0 else node)
                     values = self.cocycle.generator_values[name](ys)
-                    self.terms[node] = _circle_rows(values, xs, f" on word {format_word(word)!r}")
+                    self.terms[node] = _circle_rows(
+                        values, xs, lambda: f" on word {format_word(word)!r}"
+                    )
                 self.laws[key] = circle_values(total + word[k][1] * self.terms[node], xs)
             total = self.laws[key]
         self.image(word + base)  # the fold ends on the word's image
@@ -162,7 +164,7 @@ class _WordTree:
         return self.families[key]
 
 
-def _circle_rows(values, probes: np.ndarray, context: str) -> np.ndarray:
+def _circle_rows(values, probes: np.ndarray, context) -> np.ndarray:
     """Representatives of stacked values at the probes (a constant broadcasts)."""
     values = np.broadcast_to(np.asarray(values, dtype=float), (len(probes),))
     return circle_values(values, probes, context)
@@ -322,7 +324,7 @@ def section_cocycle(bundle: EquivariantBundle, section: Section, word: Word):
     The value is an ``(N,)`` array of representatives on a stack ``(N, d)``
     and a :class:`CircleValue` at a point ``(d,)``, the N=1 row.
     """
-    action, context = bundle.action, f" on word {format_word(word)!r}"
+    action, context = bundle.action, lambda: f" on word {format_word(word)!r}"
 
     def value(x):
         x = np.asarray(x, dtype=float)

@@ -82,16 +82,18 @@ def circle_distance(a, b) -> float:
     return CircleValue.of(a).distance(CircleValue.of(b))
 
 
-def circle_values(values, points, context: str = "") -> np.ndarray:
+def circle_values(values, points, context="") -> np.ndarray:
     """Representatives in [0, 1) of an ``(N,)`` array of reals, one per row
     of the ``(N, d)`` points, reduced as :class:`CircleValue` reduces one
     value. A non-finite value raises an :class:`EvaluationError` naming
-    ``context`` and the first offending point."""
+    ``context`` (a string, or a callable giving it, called only then) and
+    the first offending point."""
     v = np.asarray(values, dtype=float)
     bad = ~np.isfinite(v)
     if bad.any():
         i = int(np.argmax(bad))
         point = np.asarray(points[i], dtype=float)
+        context = context() if callable(context) else context
         raise EvaluationError(
             f"non-finite circle value {float(v[i])!r}{context} at probe point {point.tolist()}",
             point=point,
@@ -226,6 +228,8 @@ class ParameterSpace:
         Rows near the top stacked norm are measured again as :meth:`distance`
         measures one, since the axis norm rounds differently."""
         d = self.displacement(a, b)
+        if len(d) == 1:
+            return float(np.linalg.norm(d[0]))
         norms = np.linalg.norm(d, axis=-1)
         top = np.flatnonzero(norms > norms.max(initial=0.0) * (1 - 1e-12))
         return max((float(np.linalg.norm(d[i])) for i in top), default=0.0)
@@ -581,6 +585,45 @@ def circle_differential(space: ParameterSpace, alpha: Callable) -> OneForm:
 # Paths
 
 
+def _path_samples(space: ParameterSpace, times, points):
+    """Checked ``(S,)`` times and ``(K, S, d)`` samples of K paths.
+
+    Every check of :class:`Path` runs on the whole stack. The first faulty
+    path raises its first fault, as :class:`Path` raises it for that path
+    alone. Returns the times pinned to 0 and 1 and the samples, wrapped on
+    the torus.
+    """
+    times = np.asarray(times, dtype=float)
+    pts = np.asarray(points, dtype=float)
+    if times.ndim != 1 or len(times) < 2:
+        raise CompositionError("a path needs at least two samples")
+    if pts.shape[1:] != (len(times), space.dimension):
+        raise CompositionError("sample array shape does not match times")
+    if abs(times[0]) > 1e-12 or abs(times[-1] - 1.0) > 1e-12:
+        raise CompositionError("path parameter must run from 0 to 1")
+    if np.any(np.diff(times) <= 0):
+        raise CompositionError("path times must be strictly increasing")
+    finite = np.isfinite(pts)
+    head = pts if finite.all() else pts[: int(np.argmin(finite.all(axis=(1, 2))))]
+    if space.is_torus:
+        steps = np.linalg.norm(space.displacement(head[:, :-1], head[:, 1:]), axis=-1)
+        if np.any(steps > 0.45 * min(space.periods)):
+            raise CompositionError("path steps exceed the minimal-image patch; refine the sampling")
+    else:
+        outside = np.any((head < space.lower) | (head > space.upper), axis=-1)
+        if np.any(outside):
+            k = int(np.argmax(outside.any(axis=1)))
+            p = head[k, int(np.argmax(outside[k]))]
+            raise DomainError(f"path sample {p.tolist()} leaves the box domain")
+    if len(head) < len(pts):
+        raise EvaluationError("non-finite path sample")
+    if space.is_torus:
+        pts = space.points(pts).reshape(pts.shape)
+    times = times.copy()
+    times[0], times[-1] = 0.0, 1.0
+    return times, pts
+
+
 class Path:
     """Piecewise-linear path: strictly increasing times in [0, 1] and samples.
 
@@ -590,35 +633,9 @@ class Path:
     """
 
     def __init__(self, space: ParameterSpace, times, points):
-        times = np.asarray(times, dtype=float)
-        pts = np.asarray(points, dtype=float)
-        if times.ndim != 1 or len(times) < 2:
-            raise CompositionError("a path needs at least two samples")
-        if pts.shape != (len(times), space.dimension):
-            raise CompositionError("sample array shape does not match times")
-        if abs(times[0]) > 1e-12 or abs(times[-1] - 1.0) > 1e-12:
-            raise CompositionError("path parameter must run from 0 to 1")
-        if np.any(np.diff(times) <= 0):
-            raise CompositionError("path times must be strictly increasing")
-        if not np.all(np.isfinite(pts)):
-            raise EvaluationError("non-finite path sample")
-        if space.is_torus:
-            steps = np.linalg.norm(space.displacement(pts[:-1], pts[1:]), axis=1)
-            if np.any(steps > 0.45 * min(space.periods)):
-                raise CompositionError(
-                    "path steps exceed the minimal-image patch; refine the sampling"
-                )
-            pts = space.points(pts)
-        else:
-            outside = np.any((pts < space.lower) | (pts > space.upper), axis=1)
-            if np.any(outside):
-                p = pts[int(np.argmax(outside))]
-                raise DomainError(f"path sample {p.tolist()} leaves the box domain")
-        times = times.copy()
-        times[0], times[-1] = 0.0, 1.0
         self.space = space
-        self.times = times
-        self.points = pts
+        pts = np.asarray(points, dtype=float)[None]
+        self.times, (self.points,) = _path_samples(space, times, pts)
 
     @classmethod
     def from_map(cls, space, fn: Callable[[float], Iterable], samples: int = DEFAULT_PATH_SAMPLES):
@@ -666,9 +683,46 @@ class Path:
 
     def segments(self):
         """``(P, d)`` arrays of the midpoints and displacement vectors of the
-        P linear segments."""
-        steps = self.space.displacement(self.points[:-1], self.points[1:])
-        return self.space.points(self.points[:-1] + 0.5 * steps), steps
+        P linear segments: the K=1 case of :meth:`PathStack.segments`."""
+        mids, steps = PathStack.of(self).segments()
+        return mids[0], steps[0]
+
+
+class PathStack:
+    """K piecewise-linear paths over shared times: ``(S,)`` times and
+    ``(K, S, d)`` samples. Construction runs every :class:`Path` check on the
+    whole stack; a single path is the K=1 stack (:meth:`of`).
+    """
+
+    def __init__(self, space: ParameterSpace, times, points):
+        self.space = space
+        self.times, self.points = _path_samples(space, times, points)
+        self._segments = None
+
+    @classmethod
+    def of(cls, path: Path) -> "PathStack":
+        """A checked path as the K=1 stack, without checking it again."""
+        stack = cls.__new__(cls)
+        stack.space, stack.times, stack.points = path.space, path.times, path.points[None]
+        stack._segments = None
+        return stack
+
+    @property
+    def starts(self) -> np.ndarray:
+        return self.points[:, 0]
+
+    @property
+    def ends(self) -> np.ndarray:
+        return self.points[:, -1]
+
+    def segments(self):
+        """``(K, P, d)`` midpoints and displacement vectors of the P linear
+        segments of each path, computed once per stack."""
+        if self._segments is None:
+            steps = self.space.displacement(self.points[:, :-1], self.points[:, 1:])
+            mids = self.space.points(self.points[:, :-1] + 0.5 * steps).reshape(steps.shape)
+            self._segments = mids, steps
+        return self._segments
 
 
 def conjugate_path(zeta: Path, gamma: Path, apply_point: Callable) -> Path:
@@ -687,14 +741,37 @@ def conjugate_path(zeta: Path, gamma: Path, apply_point: Callable) -> Path:
 # Quadrature along paths
 
 
+# Most segment rows times dimension that one evaluation over a path stack
+# may see. The temporaries behind a stacked form (basis matrices, jets)
+# grow with its rows, so stacks of class paths are cut into chunks of whole
+# paths below this. At 8192 a chart chunk holds 8 paths of 512 samples and
+# a lattice chunk one path of 192 samples in 32 sites; two lattice paths
+# per chunk doubled those temporaries, to about 1 MB per holonomy check.
+STACK_FLOATS = 8192
+
+
+def segment_sums(values: Callable, stack: PathStack) -> np.ndarray:
+    """Per path of a stack, the sum over its segments of ``values(midpoints,
+    steps)``: one call on the ``(K * P, d)`` segment rows, ``(K,)`` or
+    ``(K, F)`` totals. Each path's terms are added in path order as np.cumsum
+    adds them, so a midpoint integral is the last node of the cumulative one
+    bit for bit. This is the one midpoint quadrature; :func:`segment_sum` and
+    :func:`line_integral` are its K=1 case."""
+    mids, steps = stack.segments()
+    k, p, d = mids.shape
+    terms = np.asarray(values(mids.reshape(k * p, d), steps.reshape(k * p, d)))
+    totals = np.cumsum(terms.reshape(k, p, *terms.shape[1:]), axis=1)[:, -1]
+    finite = np.isfinite(totals)
+    if not finite.all():
+        first = np.argmin(finite.reshape(k, -1).all(axis=1))
+        raise EvaluationError("non-finite line integral", point=stack.starts[first])
+    return totals
+
+
 def segment_sum(values: Callable, path: Path) -> np.ndarray:
-    """Sum over the segments of a PL path of ``values(midpoints, steps)``,
-    ``(P,)`` or ``(P, K)`` terms, added in path order as np.cumsum adds them,
-    so a midpoint integral is the last node of the cumulative one bit for bit."""
-    total = np.cumsum(values(*path.segments()), axis=0)[-1]
-    if not np.all(np.isfinite(total)):
-        raise EvaluationError("non-finite line integral", point=path.start)
-    return total
+    """:func:`segment_sums` over one path: ``(P,)`` or ``(P, F)`` terms give
+    a total or ``(F,)`` totals."""
+    return segment_sums(values, PathStack.of(path))[0]
 
 
 def line_integral(form: OneForm, path: Path) -> float:

@@ -33,12 +33,16 @@ from .errors import (
     PreconditionError,
 )
 from .geometry import (
+    STACK_FLOATS,
     CircleValue,
     GroupAction,
     OneForm,
     ParameterSpace,
     Path,
+    PathStack,
     Word,
+    circle_gaps,
+    circle_values,
     conjugate_path,
     cumulative_line_integral,
     exterior_derivative,
@@ -46,6 +50,7 @@ from .geometry import (
     line_integral,
     max_abs,
     rk4_line_integral,
+    segment_sums,
 )
 from .probes import direction_draws, probe_points, rng_for
 
@@ -96,13 +101,54 @@ class HolonomyResult:
     path_id: str = ""
 
 
-def require_path_class(bundle: EquivariantBundle, word: Word, path: Path):
-    gap = bundle.space.distance(path.end, bundle.action.apply(word, path.start))
+def require_path_class(bundle: EquivariantBundle, word: Word, starts, ends):
+    """Raise unless each row of the ``(N, d)`` ends is the image of the same
+    row of the starts under the word; the message names the largest gap."""
+    gap = bundle.space.max_distance(ends, bundle.action.apply(word, starts))
     if gap > ENDPOINT_TOL:
         raise PathClassError(
             f"path endpoint misses the image of its start under {format_word(word)!r} "
             f"by {gap:.3e}"
         )
+
+
+def _word_rows(words: Sequence[Word]) -> dict:
+    """The rows of each distinct word, in order of first appearance: a list
+    of indices, or every row (a slice) when all words are one."""
+    rows: Dict[Word, list] = {}
+    for k, word in enumerate(words):
+        rows.setdefault(word, []).append(k)
+    return {words[0]: slice(None)} if len(rows) == 1 else rows
+
+
+def _start_cocycles(
+    bundle: EquivariantBundle, section: Section, words: Sequence[Word], stack: PathStack
+) -> np.ndarray:
+    """Section cocycle of ``words[k]`` at the start of path k, as ``(K,)``
+    representatives, after checking that every path of the word ends at the
+    image of its start: one class check and one cocycle call per word."""
+    alpha = np.empty(len(words))
+    for word, rows in _word_rows(words).items():
+        starts = stack.starts[rows]
+        require_path_class(bundle, word, starts, stack.ends[rows])
+        alpha[rows] = section_cocycle(bundle, section, word)(starts)
+    return alpha
+
+
+def class_holonomies(
+    bundle: EquivariantBundle,
+    connection: Connection,
+    section: Section,
+    words: Sequence[Word],
+    stack: PathStack,
+) -> np.ndarray:
+    """Formula holonomies of the paths of a stack, path k in the class of
+    ``words[k]``: the midpoint integral of rho minus the section cocycle at
+    the start, each as :func:`equivariant_holonomy` gives it with
+    ``method="formula"``."""
+    alpha = _start_cocycles(bundle, section, words, stack)
+    integrals = circle_values(segment_sums(connection.rho(section).many, stack), stack.starts)
+    return circle_values(integrals - alpha, stack.starts)
 
 
 def equivariant_holonomy(
@@ -121,8 +167,7 @@ def equivariant_holonomy(
     word. ``both`` computes the two and raises on disagreement; the
     reported value is always the formula one when available.
     """
-    require_path_class(bundle, word, path)
-    alpha = section_cocycle(bundle, section, word)(path.start)
+    alpha = CircleValue(_start_cocycles(bundle, section, [word], PathStack.of(path))[0])
     rho = connection.rho(section)
     formula_value = lift_value = None
     if method in ("both", "formula"):
@@ -250,6 +295,51 @@ class Character:
                 )
 
 
+def _class_points(space, action, words, basepoints, rngs, ts, amplitude) -> np.ndarray:
+    """``(K, S, d)`` samples at the times ``ts`` of smooth random paths,
+    path k from ``basepoints[k]`` to its image under ``words[k]``.
+
+    Each path is the straight chord plus sine bumps vanishing at both ends,
+    so the class membership is exact by construction. Path k draws its
+    three bump waves from ``rngs[k]``, in path order, so a shared generator
+    is read as one call per path would read it.
+    """
+    x0 = space.points(basepoints)
+    x1 = np.empty_like(x0)
+    for word, rows in _word_rows(words).items():
+        x1[rows] = action.apply(word, x0[rows])
+    chord = space.displacement(x0, x1)
+    normals = np.array([rng.normal(size=(3, space.dimension)) for rng in rngs])
+    waves = [(amplitude / k) * normals[:, k - 1, None, :] for k in (1, 2, 3)]
+    bump = sum(np.sin(np.pi * k * ts)[:, None] * w for k, w in zip((1, 2, 3), waves))
+    points = space.points(x0[:, None] + ts[:, None] * chord[:, None] + bump)
+    return points.reshape(len(x0), len(ts), space.dimension)
+
+
+def class_path_stacks(
+    space: ParameterSpace,
+    action: GroupAction,
+    words: Sequence[Word],
+    basepoints,
+    rngs: Sequence,
+    samples: int,
+    amplitude: float = CLASS_PATH_AMPLITUDE,
+):
+    """The random class paths of :func:`random_class_path`, path k from
+    ``basepoints[k]`` to its image under ``words[k]`` with bumps drawn from
+    ``rngs[k]``, as consecutive stacks: yields ``(words, stack)``. A stack
+    holds as many whole paths as keep its segment rows times dimension
+    within ``STACK_FLOATS``, and at least one."""
+    per = max(1, STACK_FLOATS // max(1, (samples - 1) * space.dimension))
+    ts = np.linspace(0.0, 1.0, samples)
+    for lo in range(0, len(words), per):
+        part = slice(lo, lo + per)
+        points = _class_points(
+            space, action, words[part], basepoints[part], rngs[part], ts, amplitude
+        )
+        yield words[part], PathStack(space, ts, points)
+
+
 def random_class_path(
     space: ParameterSpace,
     action: GroupAction,
@@ -259,20 +349,11 @@ def random_class_path(
     samples: int = 256,
     amplitude: float = CLASS_PATH_AMPLITUDE,
 ) -> Path:
-    """A smooth random path from the basepoint to its image under the word.
-
-    Straight chord plus sine bumps vanishing at both ends, so the class
-    membership is exact by construction.
-    """
-    x0 = space.point(basepoint)
-    x1 = action.apply(word, x0)
-    chord = space.displacement(x0, x1)
-    waves = []
-    for k in (1, 2, 3):
-        waves.append((amplitude / k) * rng.normal(size=space.dimension))
+    """A smooth random path from the basepoint to its image under the word:
+    the one-path case of :func:`class_path_stacks`."""
     ts = np.linspace(0.0, 1.0, samples)
-    bump = sum(np.sin(np.pi * k * ts)[:, None] * w for k, w in zip((1, 2, 3), waves))
-    return Path(space, ts, space.points(x0 + ts[:, None] * chord + bump))
+    (points,) = _class_points(space, action, [word], [basepoint], [rng], ts, amplitude)
+    return Path(space, ts, points)
 
 
 def holonomy_form_gap(
@@ -288,16 +369,20 @@ def holonomy_form_gap(
     """Worst circle distance between holonomy and the integral of ``form``.
 
     For each (word, basepoint) draw a fresh random class path is sampled
-    from ``rng``; the formula holonomy along it must equal the line
-    integral of the form modulo one when the form certifies cancellation.
+    from ``rng``, in draw order; the formula holonomy along it must equal
+    the line integral of the form modulo one when the form certifies
+    cancellation. The paths are sampled and integrated as stacks.
     """
+    words = [word for word, _ in draws]
+    stacks = class_path_stacks(
+        bundle.space, bundle.action, words, [x0 for _, x0 in draws], [rng] * len(draws),
+        samples, amplitude,
+    )
     worst = 0.0
-    for word, x0 in draws:
-        path = random_class_path(
-            bundle.space, bundle.action, word, x0, rng, samples=samples, amplitude=amplitude
-        )
-        hol = equivariant_holonomy(bundle, connection, section, word, path, method="formula")
-        worst = max(worst, hol.value.distance(CircleValue(line_integral(form, path))))
+    for part, stack in stacks:
+        hol = class_holonomies(bundle, connection, section, part, stack)
+        integrals = circle_values(segment_sums(form.many, stack), stack.starts)
+        worst = max(worst, max_abs(circle_gaps(hol, integrals)))
     return worst
 
 
@@ -339,28 +424,26 @@ def flat_character(
             f"equivariant curvature residual {curv_res:.3e} exceeds {FLAT_TOL:g}"
         )
     base_candidates = probe_points(space, n_basepoints, seed, tag="flat-basepoints")
+    per_base = max(1, n_paths // n_basepoints)
+    pairs = [(i, j) for i in range(len(base_candidates)) for j in range(per_base)]
+    bases = base_candidates[[i for i, _ in pairs]]
     values: Dict[str, CircleValue] = {}
     spreads: Dict[str, float] = {}
     identity_res = 0.0
     for label, g in bundle.action.generators.items():
-        word = ((label, 1),)
-        samples_found: List[CircleValue] = []
-        for i, x0 in enumerate(base_candidates):
-            for j in range(max(1, n_paths // n_basepoints)):
-                path_rng = rng_for(seed, f"flat-path-{label}-{i}-{j}")
-                path = random_class_path(space, bundle.action, word, x0, path_rng, samples=samples)
-                res = equivariant_holonomy(
-                    bundle, connection, section, word, path, method="formula"
-                )
-                samples_found.append(-res.value)
-        spread = max(
-            samples_found[0].distance(other) for other in samples_found
-        )
+        words = [((label, 1),)] * len(pairs)
+        rngs = [rng_for(seed, f"flat-path-{label}-{i}-{j}") for i, j in pairs]
+        stacks = class_path_stacks(space, bundle.action, words, bases, rngs, samples)
+        found = np.concatenate([
+            circle_values(-class_holonomies(bundle, connection, section, part, stack), stack.starts)
+            for part, stack in stacks
+        ])
+        spread = max_abs(circle_gaps(found[0], found))
         if spread > SPREAD_TOL:
             raise ConsistencyError(
                 f"flat holonomy for generator {label!r} varies by {spread:.3e} across paths"
             )
-        value = samples_found[0]
+        value = CircleValue(found[0])
         if g.in_identity_component:
             identity_res = max(identity_res, value.distance(CircleValue(0.0)))
             if identity_res > 1e-5:
@@ -423,28 +506,22 @@ def invariant_form_character(
         raise PreconditionError(
             f"form is not closed-invariant-basic to tolerance (defect {defect:.3e})"
         )
-    require_path_class(bundle, word, path)
-    if bundle.action.word_in_identity_component(word):
-        value = CircleValue(0.0)
-    else:
-        value = CircleValue(line_integral(beta, path))
-    spread = 0.0
+    require_path_class(bundle, word, path.points[[0]], path.points[[-1]])
+    reference = CircleValue(line_integral(beta, path))
+    value = CircleValue(0.0) if bundle.action.word_in_identity_component(word) else reference
     base_candidates = probe_points(
         bundle.space, max(1, PERIOD_ALTERNATES // 2), seed, tag="kbeta-base"
     )
-    count = 0
-    reference = CircleValue(line_integral(beta, path))
-    for i, x0 in enumerate(base_candidates):
-        for j in range(2):
-            if count >= PERIOD_ALTERNATES:
-                break
-            rng = rng_for(seed, f"kbeta-{i}-{j}")
-            alt = random_class_path(bundle.space, bundle.action, word, x0, rng, samples=samples)
-            spread = max(
-                spread, reference.distance(CircleValue(line_integral(beta, alt)))
-            )
-            count += 1
-    return value, IndependenceReport(value, spread, count, defect)
+    pairs = [(i, j) for i in range(len(base_candidates)) for j in range(2)][:PERIOD_ALTERNATES]
+    stacks = class_path_stacks(
+        bundle.space, bundle.action, [word] * len(pairs), base_candidates[[i for i, _ in pairs]],
+        [rng_for(seed, f"kbeta-{i}-{j}") for i, j in pairs], samples,
+    )
+    alternates = np.concatenate([
+        circle_values(segment_sums(beta.many, stack), stack.starts) for _, stack in stacks
+    ])
+    spread = max_abs(circle_gaps(reference.value, alternates))
+    return value, IndependenceReport(value, spread, len(pairs), defect)
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,8 @@ from typing import List
 import numpy as np
 
 from .bundle import Section, check_cocycle, connection_report, infinitesimal_anomaly
-from .geometry import segment_sum
-from .holonomy import equivariant_holonomy, holonomy_form_gap, random_class_path
+from .geometry import segment_sums
+from .holonomy import class_holonomies, class_path_stacks, holonomy_form_gap
 from .lattice import (
     DensityBasis,
     LocalFunctional,
@@ -110,20 +110,17 @@ def solve_local_global_form(model, section: Section, cfg: SolverConfig, slots=No
     rng = rng_for(cfg.seed, "local-global-paths")
     base_fields = random_fields(model.lattice, 4, rng_for(cfg.seed, "local-global-bases"))
     # One row per fit path: the holonomy target and every member's line
-    # integral, one segment sum of the basis matrix.
-    blocks, targets, circle_groups = [], [], []
-    for wi, word in enumerate(fit_words):
-        for s0 in base_fields:
-            path = random_class_path(
-                space, bundle.action, word, s0, rng, samples=cfg.path_samples,
-                amplitude=LOCAL_PATH_AMPLITUDE,
-            )
-            hol = equivariant_holonomy(
-                bundle, model.connection, section, word, path, method="formula"
-            )
-            blocks.append(segment_sum(forms, path)[None])
-            targets.append(hol.value.value)
-            circle_groups.append(wi)
+    # integral, one segment sum of the basis matrix per stack of paths.
+    words = [word for word in fit_words for _ in base_fields]
+    stacks = class_path_stacks(
+        space, bundle.action, words, [s0 for _ in fit_words for s0 in base_fields],
+        [rng] * len(words), cfg.path_samples, LOCAL_PATH_AMPLITUDE,
+    )
+    blocks, targets = [], []
+    for part, stack in stacks:
+        targets.extend(class_holonomies(bundle, model.connection, section, part, stack))
+        blocks.append(segment_sums(forms, stack))
+    circle_groups = [wi for wi in range(len(fit_words)) for _ in base_fields]
     circle_mask = [True] * len(targets)
     inv_fields = random_fields(model.lattice, 4, rng_for(cfg.seed, "local-global-inv"))
     inv_vars = random_fields(model.lattice, 3, rng_for(cfg.seed, "local-global-vars"))

@@ -52,6 +52,7 @@ from .geometry import (
     linear_combination,
     monomial_exponents,
     monomial_name,
+    segment_sum,
 )
 from .holonomy import (
     Character,
@@ -161,10 +162,18 @@ class FormBasis:
         return (s[:, None, :] * vs[:, :, None]).reshape(len(s), s.shape[1] * vs.shape[1])
 
     def combine(self, space, coefficients) -> OneForm:
+        """The form ``sum_k c_k member_k``, added in member order from zero.
+        Each column of :meth:`matrix` is formed only when its term is added,
+        so an evaluation holds the scalar matrix, not the form matrix."""
         coefficients = tuple(coefficients)
-        return OneForm(
-            space, lambda xs, vs: linear_combination(coefficients, self.matrix(xs, vs).T), "fit"
-        )
+
+        def many(xs, vs):
+            s = self.scalars.matrix(xs)
+            m = s.shape[1]
+            columns = (s[:, k % m] * vs[:, k // m] for k in range(m * vs.shape[1]))
+            return linear_combination(coefficients, columns)
+
+        return OneForm(space, many, "fit")
 
 
 def _monomial(e):
@@ -741,15 +750,18 @@ def character_membership(
     basepoint = probe_points(space, 1, cfg.seed, tag="membership-base")[0]
     period_table: Dict[str, dict] = {}
     K = np.zeros((len(gens), len(forms)))
+
+    def periods(xs, vs):  # every candidate on the segment rows, one column each
+        return np.stack([f.many(xs, vs) for f in forms], axis=1)
+
     for gi, label in enumerate(gens):
         word = ((label, 1),)
         path = Path.line(
             space, basepoint, bundle.action.apply(word, basepoint), samples=cfg.path_samples
         )
-        period_table[label] = {}
-        for fi, f in enumerate(forms):
-            K[gi, fi] = line_integral(f, path)
-            period_table[label][names[fi]] = float(K[gi, fi])
+        if forms:
+            K[gi] = segment_sum(periods, path)
+        period_table[label] = {name: float(v) for name, v in zip(names, K[gi])}
     kappa = np.array([target.values[label].value for label in gens])
 
     def combination(lam):

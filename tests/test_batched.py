@@ -24,6 +24,7 @@ from equihol import calibration
 from equihol.bundle import (
     FLOW_STEP,
     Cocycle,
+    Connection,
     EquivariantBundle,
     Section,
     check_cocycle,
@@ -35,14 +36,22 @@ from equihol.bundle import (
     section_cocycle,
 )
 from equihol.conventions import ANOMALY_MOMENT_SIGN
-from equihol.errors import EvaluationError, ResolutionError
+from equihol.errors import (
+    CompositionError,
+    DomainError,
+    EvaluationError,
+    PathClassError,
+    ResolutionError,
+)
 from equihol.expressions import compile_expr, parse as parse_expr
 from equihol.geometry import (
+    STACK_FLOATS,
     CircleValue,
     GroupAction,
     OneForm,
     ParameterSpace,
     Path,
+    PathStack,
     ScalarField,
     VectorField,
     circle_differential,
@@ -57,8 +66,17 @@ from equihol.geometry import (
     monomial_exponents,
     rk4_line_integral,
     segment_sum,
+    segment_sums,
 )
-from equihol.holonomy import random_class_path
+from equihol.holonomy import (
+    Character,
+    class_holonomies,
+    class_path_stacks,
+    equivariant_holonomy,
+    flat_character,
+    holonomy_form_gap,
+    random_class_path,
+)
 from equihol.lattice import (
     DensityBasis,
     LatticeBase,
@@ -79,7 +97,7 @@ from equihol.scenario import (
     load_scenario,
     parse_scenario,
 )
-from equihol.solvers import one_form_basis
+from equihol.solvers import SolverConfig, character_membership, one_form_basis
 
 LAT = LatticeBase(16, 1.0)
 
@@ -847,3 +865,235 @@ def test_closedness_draws_match_point_loops_in_three_and_more_dimensions(lattice
         if bundle is model.bundle:
             # Stencil noise, so the draws are seen in the value.
             assert got["d_omega"] > 0.0 and got["moment"] > 0.0
+
+
+# ---------------------------------------------------------------------------
+# Class paths sampled, checked and integrated as stacks
+
+
+def ref_class_path(space, action, word, basepoint, rng, samples, amplitude=0.35):
+    """One random class path, in the arithmetic of the one-path sampler."""
+    x0 = space.point(basepoint)
+    chord = space.displacement(x0, action.apply(word, x0))
+    waves = [(amplitude / k) * rng.normal(size=space.dimension) for k in (1, 2, 3)]
+    ts = np.linspace(0.0, 1.0, samples)
+    bump = sum(np.sin(np.pi * k * ts)[:, None] * w for k, w in zip((1, 2, 3), waves))
+    return Path(space, ts, space.points(x0 + ts[:, None] * chord + bump))
+
+
+def ref_form_gap(bundle, connection, section, form, draws, rng, samples, amplitude=0.35):
+    """Holonomy against the form's integral, one path at a time; also the
+    per-path holonomies and integrals."""
+    worst, hols, integrals = 0.0, [], []
+    for word, x0 in draws:
+        path = ref_class_path(bundle.space, bundle.action, word, x0, rng, samples, amplitude)
+        hol = equivariant_holonomy(bundle, connection, section, word, path, method="formula")
+        # The midpoint terms added in path order, one after another.
+        assert line_integral(form, path) == np.cumsum(form.many(*path.segments()))[-1]
+        integral = CircleValue(line_integral(form, path))
+        worst = max(worst, hol.value.distance(integral))
+        hols.append(hol.value.value)
+        integrals.append(integral.value)
+    return worst, hols, integrals
+
+
+def ref_flat_character(bundle, connection, section, n_paths, n_basepoints, seed, samples):
+    """Per generator, the first flat-character sample and the spread, one
+    path at a time."""
+    space = bundle.space
+    bases = probe_points(space, n_basepoints, seed, tag="flat-basepoints")
+    out = {}
+    for label in bundle.action.labels:
+        word = ((label, 1),)
+        found = []
+        for i, x0 in enumerate(bases):
+            for j in range(max(1, n_paths // n_basepoints)):
+                rng = rng_for(seed, f"flat-path-{label}-{i}-{j}")
+                path = ref_class_path(space, bundle.action, word, x0, rng, samples)
+                res = equivariant_holonomy(
+                    bundle, connection, section, word, path, method="formula"
+                )
+                found.append(-res.value)
+        out[label] = (found[0].value, max(found[0].distance(other) for other in found))
+    return out
+
+
+def _stack_model(name, models, lattice_models):
+    """Bundle, connection, section, a form that certifies nothing, and the
+    scenario's path samples."""
+    if name in lattice_models:
+        model = lattice_models[name]
+        basis = DensityBasis(model.lattice, model.jet_order, model.density_degree)
+        slots = list(range(model.jet_order + 1))
+        coef = rng_for(2, "stack-form").normal(size=len(basis.form_names(slots)))
+        form = basis.combine(0.01 * coef, slots).as_form(model.space)
+    else:
+        model = models[name]
+        texts = ["0.3*sin(2*x1)"] if model.space.dimension == 1 else ["0.3*sin(x2)", "0.2*x1"]
+        form = OneForm.from_expressions(model.space, texts, name="probe")
+    samples = model.scenario.solver_config().path_samples
+    return model.bundle, model.connection, model.reference_section, form, samples
+
+
+def _per_stack(samples, dimension):
+    return max(1, STACK_FLOATS // ((samples - 1) * dimension))
+
+
+@pytest.mark.parametrize("name", ["torus_shift", "rotation", "lattice_fiber_shift"])
+def test_class_path_stacks_match_one_path_loops(name, models, lattice_models):
+    bundle, connection, section, form, samples = _stack_model(name, models, lattice_models)
+    space, action = bundle.space, bundle.action
+    per = _per_stack(samples, space.dimension)
+    count = 2 * per + 1  # two full stacks and one more path
+    bases = probe_points(space, 3, 4, tag="stack-bases")
+    words = list(action.words_up_to(2))
+    draws = [(words[i % len(words)], bases[i % len(bases)]) for i in range(count)]
+    gap = holonomy_form_gap(bundle, connection, section, form, draws, rng_for(4, "gap"), samples)
+    ref_gap, ref_hols, ref_integrals = ref_form_gap(
+        bundle, connection, section, form, draws, rng_for(4, "gap"), samples
+    )
+    assert gap == ref_gap > 0.0
+    # Every path, not only the worst one.
+    stacks = list(class_path_stacks(
+        space, action, [w for w, _ in draws], [x for _, x in draws],
+        [rng_for(4, "gap")] * count, samples,
+    ))
+    assert [len(part) for part, _ in stacks] == [per, per, 1]
+    hols = np.concatenate([class_holonomies(bundle, connection, section, p, s) for p, s in stacks])
+    integrals = np.concatenate([segment_sums(form.many, s) for _, s in stacks]) % 1.0
+    assert hols.tolist() == ref_hols and integrals.tolist() == ref_integrals
+
+
+@pytest.mark.parametrize("name", ["torus_shift", "rotation", "lattice_fiber_shift"])
+def test_flat_character_matches_one_path_loop(name, models, lattice_models):
+    bundle, connection, section, _, samples = _stack_model(name, models, lattice_models)
+    space = bundle.space
+    if name == "rotation":  # d(0.05 |x|^2) is flat and rotation-invariant
+        connection = Connection(OneForm.from_expressions(space, ["0.1*x1", "0.1*x2"]))
+    per = _per_stack(samples, space.dimension)
+    n_basepoints = 3
+    n_paths = n_basepoints * (per // n_basepoints + 1)  # more than one stack per generator
+    kappa, report = flat_character(
+        bundle, connection, section, n_paths=n_paths, n_basepoints=n_basepoints, seed=5,
+        samples=samples,
+    )
+    expected = ref_flat_character(bundle, connection, section, n_paths, n_basepoints, 5, samples)
+    for label, (value, spread) in expected.items():
+        if not bundle.action.generators[label].in_identity_component:
+            assert kappa.values[label].value == value
+        assert report.spreads[label] == spread
+
+
+def test_path_stack_checks_name_the_first_faulty_path(models):
+    """A fault in a later path of a stack raises what the one-path route
+    raises for that path, type and message."""
+    def same_error(stacked, single):
+        with pytest.raises(Exception) as got:
+            stacked()
+        with pytest.raises(Exception) as want:
+            single()
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+        return got.value
+
+    model = models["rotation"]
+    bundle, space, section = model.bundle, model.space, model.reference_section
+    word = (("r", 1),)
+    rngs = [rng_for(6, f"fault-{k}") for k in range(4)]
+    ((_, clean),) = class_path_stacks(
+        space, bundle.action, [word] * 4, probe_points(space, 4, 6), rngs, 64
+    )
+    ts = clean.times
+
+    # Samples outside the box [-6, 6]^2 on the last two paths.
+    pts = clean.points.copy()
+    pts[2, 30] = (6.5, 0.0)
+    pts[3, 10] = (0.0, -7.0)
+    err = same_error(lambda: PathStack(space, ts, pts), lambda: Path(space, ts, pts[2]))
+    assert isinstance(err, DomainError)
+    # The same fault through holonomy_form_gap, in the second stack.
+    per = _per_stack(64, 2)
+    draws = [(word, np.array([0.5, 0.5]))] * (per + 1) + [(word, np.array([5.99, 0.0]))]
+    gap = lambda ref: (ref_form_gap if ref else holonomy_form_gap)(
+        bundle, model.connection, section, model.connection.rho_ref, draws,
+        rng_for(6, "fault-gap"), 64, amplitude=0.35,
+    )
+    assert isinstance(same_error(lambda: gap(False), lambda: gap(True)), DomainError)
+
+    # A step longer than the minimal-image patch on the circle.
+    torus = models["torus_shift"].space
+    line = np.linspace(0.0, 0.2, 8)[:, None]
+    tpts = np.stack([line, line + 0.1, line, line])
+    tpts[1, 4:] += 0.5
+    err = same_error(
+        lambda: PathStack(torus, np.linspace(0.0, 1.0, 8), tpts),
+        lambda: Path(torus, np.linspace(0.0, 1.0, 8), tpts[1]),
+    )
+    assert isinstance(err, CompositionError)
+
+    # A form value that is non-finite on the third path only.
+    moved = clean.points.copy()
+    moved[2, :, 0] += 5.0 - moved[2, :, 0].max()
+    stack = PathStack(space, ts, moved)
+    assert np.all(moved[:2, :, 0] < 3.0)
+    form = OneForm.from_expressions(space, ["exp(400*(x1 - 3))", "0"], name="steep")
+    err = same_error(
+        lambda: segment_sums(form.many, stack),
+        lambda: line_integral(form, Path(space, ts, moved[2])),
+    )
+    assert isinstance(err, EvaluationError)
+
+    # An endpoint off the image of the start under the word.
+    off = clean.points.copy()
+    off[3, -1] += 0.01
+    stack = PathStack(space, ts, off)
+    err = same_error(
+        lambda: class_holonomies(bundle, model.connection, section, [word] * 4, stack),
+        lambda: equivariant_holonomy(
+            bundle, model.connection, section, word, Path(space, ts, off[3]), method="formula"
+        ),
+    )
+    assert isinstance(err, PathClassError)
+
+
+def test_class_path_stacks_keep_each_form_call_under_the_cap(lattice_models):
+    """No form evaluation of a lattice holonomy gap sees more segment rows
+    times dimension than STACK_FLOATS: all paths at once raised the peak
+    memory of lattice verdicts through the basis matrices."""
+    model = lattice_models["lattice_fiber_shift"]
+    _, connection, section, form, samples = _stack_model(model.scenario.name, {}, lattice_models)
+    rho = connection.rho_ref
+    seen = []
+
+    def watch(one_form):
+        inner = one_form.many
+
+        def many(xs, vs):
+            seen.append(np.size(xs))
+            return inner(xs, vs)
+
+        one_form.many = many
+
+    watch(form)
+    watch(rho)
+    try:
+        bases = random_fields(model.lattice, 2, rng_for(1, "cap-bases"))
+        draws = [((("g", 1),), bases[i % 2]) for i in range(8)]
+        holonomy_form_gap(
+            model.bundle, connection, section, form, draws, rng_for(1, "cap"), samples
+        )
+    finally:
+        del rho.many
+    assert len(seen) >= 8 and 0 < max(seen) <= STACK_FLOATS
+
+
+def test_membership_periods_are_one_path_integral_per_candidate(models):
+    model = models["paper_example_Z_on_R"]
+    space, action = model.space, model.bundle.action
+    texts = {"half": "0.5", "wave": "0.3*sin(2*pi*x1) + 0.2", "third": "1/3"}
+    candidates = [(name, OneForm.from_expressions(space, [t])) for name, t in texts.items()]
+    cfg = SolverConfig(seed=4)
+    res = character_membership(Character({"g": CircleValue(0.5)}), candidates, model.bundle, cfg)
+    base = probe_points(space, 1, cfg.seed, tag="membership-base")[0]
+    path = Path.line(space, base, action.apply((("g", 1),), base), samples=cfg.path_samples)
+    assert res.period_table == {"g": {name: line_integral(f, path) for name, f in candidates}}

@@ -15,7 +15,12 @@ from equihol.bundle import (
     lie_cocycle_residual,
     section_cocycle,
 )
-from equihol.errors import ConsistencyError, PreconditionError, ResolutionError
+from equihol.errors import (
+    ConsistencyError,
+    EvaluationError,
+    PreconditionError,
+    ResolutionError,
+)
 from equihol.geometry import (
     CircleValue,
     GroupAction,
@@ -103,6 +108,28 @@ def test_section_cocycle_quadratic_shift(models):
         for x in (-0.7, 0.0, 1.3):
             expected = CircleValue(n / 2 + x**2 - (x + n) ** 2)
             assert shifted(np.array([x])).distance(expected) < 1e-9, (n, x)
+
+
+def test_word_context_is_formatted_only_for_a_non_finite_value(models, monkeypatch):
+    import equihol.bundle
+
+    calls = []
+    real = equihol.bundle.format_word
+    monkeypatch.setattr(equihol.bundle, "format_word", lambda w: calls.append(w) or real(w))
+    model = models["paper_example_Z_on_R"]  # a family and a law extension
+    quad = Section(ScalarField.batched(model.space, lambda xs: xs[:, 0] ** 2), name="quad")
+    xs = probe_points(model.space, 8, 0)
+    check_cocycle(model.bundle, word_length=3, probes=8)
+    section_cocycle(model.bundle, quad, parse_word("g^2"))(xs)
+    assert calls == []
+    cocycle = Cocycle.batched(
+        {"g": lambda xs: 0.5}, family=lambda e, xs: np.where(xs[:, 0] > 0, np.inf, 0.0)
+    )
+    bundle = EquivariantBundle(model.space, model.bundle.action, cocycle, check=False)
+    with pytest.raises(EvaluationError, match=r" on word 'g\^2' at probe point \[1.0\]"):
+        alpha = section_cocycle(bundle, model.reference_section, parse_word("g^2"))
+        alpha(np.array([[-1.0], [1.0]]))
+    assert calls == [parse_word("g^2")]
 
 
 def test_anomaly_zero_for_equivariant_scenario(models):
