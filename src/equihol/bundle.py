@@ -94,14 +94,10 @@ class Cocycle:
         cocycle.flow_values = dict(flow_values or {})
         return cocycle
 
-    def extend(self, action: GroupAction, word: Word, xs: np.ndarray) -> np.ndarray:
-        """Word value by the cocycle law alone, ignoring any family: the
-        one-word case of the :class:`_WordTree` fold."""
-        return _WordTree(action, self, xs).law(word)
-
     def on_word(self, action: GroupAction, word: Word, xs: np.ndarray) -> np.ndarray:
+        """The family value, or else the one-word :class:`_WordTree` fold."""
         if self.family is None:
-            return self.extend(action, word, xs)
+            return _WordTree(action, self, xs).law(word)
         values = self.family(action.exponent_vector(word), xs)
         return _circle_rows(values, xs, lambda: f" on word {format_word(word)!r}")
 

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import reports
-from .bundle import check_cocycle, connection_report, infinitesimal_anomaly
+from .bundle import CHECK_TOL, check_cocycle, connection_report, infinitesimal_anomaly
 from .errors import ToolkitError
 from .geometry import Path, parse_word
 from .holonomy import equivariant_holonomy, random_class_path
@@ -72,6 +72,13 @@ def build_parser() -> argparse.ArgumentParser:
 PARSER = build_parser()
 
 
+# The solver settings every scenario report echoes, in report order.
+CONFIG_ECHO = (
+    "seed", "probes", "holdout", "fit_tol", "holdout_tol", "degree", "max_word_len",
+    "path_samples", "candidates_complete",
+)
+
+
 def _config(scenario, args):
     overrides = {}
     if args.seed is not None:
@@ -119,165 +126,154 @@ def _cli_path(model, scenario, word, spec, cfg):
     raise ToolkitError(f"unknown path spec {spec!r}; use unit or wiggle:<k>")
 
 
+def _check_cocycle(args, scenario, model, cfg):
+    rep = check_cocycle(model.bundle, word_length=cfg.max_word_len, probes=cfg.probes, seed=cfg.seed)
+    passed = rep.max_residual <= CHECK_TOL
+    result = {
+        "max_residual": rep.max_residual,
+        "witness_words": rep.witness_words,
+        "witness_point": rep.witness_point,
+        "checks": rep.checks,
+        "pass": passed,
+    }
+    summary = (
+        f"cocycle residual {rep.max_residual:.3e} over {rep.checks} checks: "
+        + ("pass\n" if passed else f"FAIL at {rep.witness_words} {rep.witness_point}\n")
+    )
+    return result, summary, 0 if passed else 1
+
+
+def _anomaly(args, scenario, model, cfg):
+    if not model.bundle.lie_generators:
+        result = {"applicable": False, "note": "discrete action: no one-parameter generators"}
+        return result, "anomaly report: no one-parameter generators\n", 0
+    pts = probe_points(model.space, 8, cfg.seed, tag="cli-anomaly")
+    entries = {}
+    for label in model.bundle.lie_generators:
+        field = infinitesimal_anomaly(model.bundle, model.reference_section, label)
+        entries[label] = {"values": field.many(pts).tolist()}
+    summary = ", ".join(f"{k}: sample {v['values'][0]:.6g}" for k, v in entries.items())
+    return {"applicable": True, "generators": entries}, f"anomaly report: {summary}\n", 0
+
+
+def _holonomy(args, scenario, model, cfg):
+    word = parse_word(args.word)
+    generators = model.bundle.action.generators
+    for name, _ in word:
+        if name not in generators:
+            raise ToolkitError(
+                f"word {args.word!r} uses unknown generator {name!r}; "
+                f"generators: {', '.join(generators)}"
+            )
+    path = _cli_path(model, scenario, word, args.path, cfg)
+    res = equivariant_holonomy(
+        model.bundle, model.connection, model.reference_section, word, path, method="both"
+    )
+    result = {
+        "word": res.word,
+        "path": args.path,
+        "value": res.value.value,
+        "formula_value": res.value.value,
+        "lift_value": res.lift_value.value,
+        "cross_check": res.cross_check,
+    }
+    return result, f"holonomy({res.word}; {args.path}) = {res.value.value:.9f}\n", 0
+
+
+def _curvature(args, scenario, model, cfg):
+    rep = connection_report(
+        model.bundle, model.connection, model.reference_section,
+        declared_moment=getattr(model, "declared_moment", None), seed=cfg.seed,
+    )
+    pts = probe_points(model.space, 4, cfg.seed, tag="cli-curv")
+    samples = [{"point": x} for x in pts.tolist()]
+    if model.space.dimension >= 2:
+        e1, e2 = (np.tile(model.space.basis_vector(i), (len(pts), 1)) for i in (0, 1))
+        for row, value in zip(samples, rep.curvature.many(pts, e1, e2).tolist()):
+            row["curvature_12"] = value
+    moments = {label: mu.many(pts).tolist() for label, mu in rep.moment.items()}
+    for i, row in enumerate(samples):
+        row["moment"] = {label: values[i] for label, values in moments.items()}
+    result = {"residuals": rep.residuals, "samples": samples}
+    return result, f"curvature report: residuals {rep.residuals}\n", 0
+
+
+def _verdict(args, scenario, model, cfg):
+    if args.local or scenario.kind == "lattice":
+        if scenario.kind != "lattice":
+            raise ToolkitError("--local needs a lattice scenario")
+        verdict = local_verdict(model, cfg)
+    else:
+        verdict = verdict_pipeline(
+            model.bundle,
+            model.connection,
+            model.reference_section,
+            cfg,
+            candidates=model.candidates,
+            declared_moment=model.declared_moment,
+            fixed_points=model.fixed_points,
+        )
+    result = {
+        "outcome": verdict.outcome,
+        "stages": [
+            {"name": s.name, "status": s.status, "data": s.data} for s in verdict.stages
+        ],
+        "obstructed_stage": verdict.obstructed_stage,
+        "witness": verdict.witness,
+        "certificate": verdict.certificate,
+        "kappa": verdict.kappa,
+        "ansatz": verdict.ansatz_description,
+    }
+    lines = [f"verdict: {verdict.outcome}"] + [f"  {s.name}: {s.status}" for s in verdict.stages]
+    for label, value in (
+        ("character", verdict.kappa), ("certificate", verdict.certificate),
+        ("witness", verdict.witness),
+    ):
+        if value:
+            lines.append(f"  {label}: {value}")
+    code = {"CANCELS": 0, "OBSTRUCTED": 2, "INCONCLUSIVE": 3}[verdict.outcome]
+    return result, "\n".join(lines) + "\n", code
+
+
+# Each scenario command: (args, scenario, model, config) -> (result,
+# text summary, exit code); ``_run`` wraps the result in the envelope.
+COMMANDS = {
+    "check-cocycle": _check_cocycle,
+    "anomaly": _anomaly,
+    "holonomy": _holonomy,
+    "curvature": _curvature,
+    "verdict": _verdict,
+}
+
+
+def _selftest(args) -> int:
+    seed = args.seed if args.seed is not None else 7
+    result = run_selftest(seed=seed)
+    report = reports.envelope("selftest", "all-bundled", {"seed": seed}, {}, result)
+    lines = [f"selftest over {len(result['scenarios'])} scenarios, seed {seed}"]
+    for name, entry in result["scenarios"].items():
+        failed = any(isinstance(suite, dict) and suite.get("ok") is False
+                     for suite in entry.values())
+        lines.append(f"  {name}: {'FAIL' if failed else 'pass'}")
+    lines.append("ok" if result["ok"] else "FAILED")
+    _emit(args, report, "\n".join(lines) + "\n")
+    return 0 if result["ok"] else 1
+
+
 def _run(args) -> int:
     if args.command == "selftest":
-        seed = args.seed if args.seed is not None else 7
-        result = run_selftest(seed=seed)
-        report = reports.envelope("selftest", "all-bundled", {"seed": seed}, {}, result)
-        lines = [f"selftest over {len(result['scenarios'])} scenarios, seed {seed}"]
-        for name, entry in result["scenarios"].items():
-            status = "pass"
-            for suite in entry.values():
-                if isinstance(suite, dict) and suite.get("ok") is False:
-                    status = "FAIL"
-            lines.append(f"  {name}: {status}")
-        lines.append("ok" if result["ok"] else "FAILED")
-        _emit(args, report, "\n".join(lines) + "\n")
-        return 0 if result["ok"] else 1
-
+        return _selftest(args)
     scenario = load_scenario(args.scenario)
     cfg = _config(scenario, args)
-    config_echo = {
-        "seed": cfg.seed,
-        "probes": cfg.probes,
-        "holdout": cfg.holdout,
-        "fit_tol": cfg.fit_tol,
-        "holdout_tol": cfg.holdout_tol,
-        "degree": cfg.degree,
-        "max_word_len": cfg.max_word_len,
-        "path_samples": cfg.path_samples,
-        "candidates_complete": cfg.candidates_complete,
-    }
-
-    if scenario.kind == "lattice":
-        model = scenario.build_lattice_model()
-    else:
-        model = scenario.build_model()
-
-    if args.command == "check-cocycle":
-        rep = check_cocycle(model.bundle, word_length=cfg.max_word_len, probes=cfg.probes, seed=cfg.seed)
-        result = {
-            "max_residual": rep.max_residual,
-            "witness_words": rep.witness_words,
-            "witness_point": rep.witness_point,
-            "checks": rep.checks,
-            "pass": rep.max_residual <= 1e-6,
-        }
-        report = reports.envelope(
-            "check-cocycle", scenario.name, config_echo, scenario.assumptions, result
-        )
-        summary = (
-            f"cocycle residual {rep.max_residual:.3e} over {rep.checks} checks: "
-            + ("pass\n" if result["pass"] else f"FAIL at {rep.witness_words} {rep.witness_point}\n")
-        )
-        _emit(args, report, summary)
-        return 0 if result["pass"] else 1
-
-    if args.command == "anomaly":
-        section = model.reference_section
-        entries = {}
-        if not model.bundle.lie_generators:
-            result = {"applicable": False, "note": "discrete action: no one-parameter generators"}
-        else:
-            pts = probe_points(model.space, 8, cfg.seed, tag="cli-anomaly")
-            for label in model.bundle.lie_generators:
-                field = infinitesimal_anomaly(model.bundle, section, label)
-                entries[label] = {"values": field.many(pts).tolist()}
-            result = {"applicable": True, "generators": entries}
-        report = reports.envelope("anomaly", scenario.name, config_echo, scenario.assumptions, result)
-        summary = "anomaly report: " + (
-            "no one-parameter generators\n"
-            if not entries
-            else ", ".join(f"{k}: sample {v['values'][0]:.6g}" for k, v in entries.items()) + "\n"
-        )
-        _emit(args, report, summary)
-        return 0
-
-    if args.command == "holonomy":
-        word = parse_word(args.word)
-        generators = model.bundle.action.generators
-        for name, _ in word:
-            if name not in generators:
-                raise ToolkitError(
-                    f"word {args.word!r} uses unknown generator {name!r}; "
-                    f"generators: {', '.join(generators)}"
-                )
-        path = _cli_path(model, scenario, word, args.path, cfg)
-        res = equivariant_holonomy(
-            model.bundle, model.connection, model.reference_section, word, path,
-            method="both", path_id=args.path,
-        )
-        result = {
-            "word": res.word,
-            "path": args.path,
-            "value": res.value.value,
-            "formula_value": res.formula_value.value,
-            "lift_value": res.lift_value.value,
-            "cross_check": res.cross_check,
-        }
-        report = reports.envelope("holonomy", scenario.name, config_echo, scenario.assumptions, result)
-        _emit(args, report, f"holonomy({res.word}; {args.path}) = {res.value.value:.9f}\n")
-        return 0
-
-    if args.command == "curvature":
-        rep = connection_report(
-            model.bundle, model.connection, model.reference_section,
-            declared_moment=getattr(model, "declared_moment", None), seed=cfg.seed,
-        )
-        pts = probe_points(model.space, 4, cfg.seed, tag="cli-curv")
-        samples = [{"point": x} for x in pts.tolist()]
-        if model.space.dimension >= 2:
-            e1, e2 = (np.tile(model.space.basis_vector(i), (len(pts), 1)) for i in (0, 1))
-            for row, value in zip(samples, rep.curvature.many(pts, e1, e2).tolist()):
-                row["curvature_12"] = value
-        moments = {label: mu.many(pts).tolist() for label, mu in rep.moment.items()}
-        for i, row in enumerate(samples):
-            row["moment"] = {label: values[i] for label, values in moments.items()}
-        result = {"residuals": rep.residuals, "samples": samples}
-        report = reports.envelope("curvature", scenario.name, config_echo, scenario.assumptions, result)
-        _emit(args, report, f"curvature report: residuals {rep.residuals}\n")
-        return 0
-
-    if args.command == "verdict":
-        if args.local or scenario.kind == "lattice":
-            if scenario.kind != "lattice":
-                raise ToolkitError("--local needs a lattice scenario")
-            verdict = local_verdict(model, cfg)
-        else:
-            verdict = verdict_pipeline(
-                model.bundle,
-                model.connection,
-                model.reference_section,
-                cfg,
-                candidates=model.candidates,
-                declared_moment=model.declared_moment,
-                fixed_points=model.fixed_points,
-            )
-        result = {
-            "outcome": verdict.outcome,
-            "stages": [
-                {"name": s.name, "status": s.status, "data": s.data} for s in verdict.stages
-            ],
-            "obstructed_stage": verdict.obstructed_stage,
-            "witness": verdict.witness,
-            "certificate": verdict.certificate,
-            "kappa": verdict.kappa,
-            "ansatz": verdict.ansatz_description,
-        }
-        report = reports.envelope("verdict", scenario.name, config_echo, scenario.assumptions, result)
-        lines = [f"verdict: {verdict.outcome}"]
-        for s in verdict.stages:
-            lines.append(f"  {s.name}: {s.status}")
-        if verdict.kappa:
-            lines.append(f"  character: {verdict.kappa}")
-        if verdict.certificate:
-            lines.append(f"  certificate: {verdict.certificate}")
-        if verdict.witness:
-            lines.append(f"  witness: {verdict.witness}")
-        _emit(args, report, "\n".join(lines) + "\n")
-        return {"CANCELS": 0, "OBSTRUCTED": 2, "INCONCLUSIVE": 3}[verdict.outcome]
-
-    raise AssertionError(args.command)
+    lattice = scenario.kind == "lattice"
+    model = scenario.build_lattice_model() if lattice else scenario.build_model()
+    result, summary, code = COMMANDS[args.command](args, scenario, model, cfg)
+    config_echo = {key: getattr(cfg, key) for key in CONFIG_ECHO}
+    report = reports.envelope(
+        args.command, scenario.name, config_echo, scenario.assumptions, result
+    )
+    _emit(args, report, summary)
+    return code
 
 
 def main(argv=None) -> int:

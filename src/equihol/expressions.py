@@ -330,10 +330,6 @@ def _compile(node: Expr) -> Callable[[dict], float]:
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def evaluate(node: Expr, env: dict) -> float:
-    return compile_expr(node)(env)
-
-
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 

@@ -78,10 +78,6 @@ class CircleValue:
         return self.value + k
 
 
-def circle_distance(a, b) -> float:
-    return CircleValue.of(a).distance(CircleValue.of(b))
-
-
 def circle_values(values, points, context="") -> np.ndarray:
     """Representatives in [0, 1) of an ``(N,)`` array of reals, one per row
     of the ``(N, d)`` points, reduced as :class:`CircleValue` reduces one

@@ -2,9 +2,12 @@
 
 For a word w and a path from x to w(x), the holonomy is the fiber phase
 defect between the lift endpoint and the translated start fiber. The
-authoritative value is the closed formula (path integral of rho minus the
-cocycle at the basepoint); a cumulative lift solved against the fiber
-action is computed alongside as a mandatory cross-check.
+reported value is the closed formula: the midpoint quadrature of rho along
+the path minus the cocycle at the start. ``equivariant_holonomy`` with
+``method="both"`` also integrates the same rho along the same path by RK4
+and compares the two. That check shares every input with the formula, so
+it catches quadrature error only; it runs in the CLI ``holonomy`` command
+and the holonomy suite, never in a verdict.
 
 Only the facts needed by the cancellation criteria are implemented here;
 no further structure of the holonomy map is assumed.
@@ -93,12 +96,9 @@ def horizontal_lift(
 @dataclass(frozen=True)
 class HolonomyResult:
     value: CircleValue
-    method: str
-    formula_value: Optional[CircleValue]
     lift_value: Optional[CircleValue]
     cross_check: Optional[float]
     word: str
-    path_id: str = ""
 
 
 def require_path_class(bundle: EquivariantBundle, word: Word, starts, ends):
@@ -158,41 +158,28 @@ def equivariant_holonomy(
     word: Word,
     path: Path,
     method: str = "both",
-    path_id: str = "",
 ) -> HolonomyResult:
-    """Holonomy of a path joining x to word(x).
+    """Holonomy of a path joining x to word(x): the midpoint quadrature of
+    rho along the path minus the cocycle at its start.
 
-    ``formula``: midpoint quadrature of rho minus the cocycle at the start.
-    ``lift``: RK4 phase transport solved against the fiber action of the
-    word. ``both`` computes the two and raises on disagreement; the
-    reported value is always the formula one when available.
+    ``method="both"`` also integrates rho along the same path by RK4 and
+    raises when the two values disagree; ``"formula"`` skips that check.
     """
+    if method not in ("both", "formula"):
+        raise ValueError(f"unknown holonomy method {method!r}; use 'both' or 'formula'")
     alpha = CircleValue(_start_cocycles(bundle, section, [word], PathStack.of(path))[0])
     rho = connection.rho(section)
-    formula_value = lift_value = None
-    if method in ("both", "formula"):
-        formula_value = CircleValue(line_integral(rho, path)) - alpha
-    if method in ("both", "lift"):
-        transported = CircleValue(rk4_line_integral(rho, path))
-        # The fiber action sends phase 0 over the start to alpha over the
-        # image; the holonomy closes the lift endpoint against it.
-        lift_value = transported - alpha
-    cross = None
-    if formula_value is not None and lift_value is not None:
-        cross = formula_value.distance(lift_value)
+    value = CircleValue(line_integral(rho, path)) - alpha
+    lift_value = cross = None
+    if method == "both":
+        lift_value = CircleValue(rk4_line_integral(rho, path)) - alpha
+        cross = value.distance(lift_value)
         if cross > CROSS_CHECK_TOL:
             raise ConsistencyError(
                 f"holonomy methods disagree by {cross:.3e} on word {format_word(word)!r}"
             )
-    value = formula_value if formula_value is not None else lift_value
     return HolonomyResult(
-        value=value,
-        method=method,
-        formula_value=formula_value,
-        lift_value=lift_value,
-        cross_check=cross,
-        word=format_word(word),
-        path_id=path_id,
+        value=value, lift_value=lift_value, cross_check=cross, word=format_word(word)
     )
 
 

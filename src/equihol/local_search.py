@@ -14,7 +14,7 @@ from typing import List
 
 import numpy as np
 
-from .bundle import Section, check_cocycle, connection_report, infinitesimal_anomaly
+from .bundle import CHECK_TOL, Section, check_cocycle, connection_report, infinitesimal_anomaly
 from .geometry import segment_sums
 from .holonomy import class_holonomies, class_path_stacks, holonomy_form_gap
 from .lattice import (
@@ -180,14 +180,14 @@ def local_verdict(model, cfg: SolverConfig) -> Verdict:
     bundle = model.bundle
     section = model.reference_section
     stages: List[StageRecord] = []
-    slots = model.scenario.slot_restriction if model.scenario is not None else None
+    slots = model.scenario.slot_restriction
     ansatz_desc = f"jet densities to degree {model.density_degree} at jet order {model.jet_order}"
 
     def stop(outcome, stage=None, **found):
         return Verdict(outcome, stages, stage, ansatz_description=ansatz_desc, **found)
 
     coc = check_cocycle(bundle, word_length=min(cfg.max_word_len, 3), probes=16, seed=cfg.seed)
-    healthy = coc.max_residual <= 1e-6
+    healthy = coc.max_residual <= CHECK_TOL
     stages.append(StageRecord(
         "cocycle", "pass" if healthy else "fail",
         {"max_residual": coc.max_residual, "checks": coc.checks},

@@ -372,13 +372,8 @@ class Scenario:
     # ------------------------------------------------------------------
     def solver_config(self, **overrides) -> SolverConfig:
         mapping = {"paths": "n_paths", "basepoints": "n_basepoints"}
-        kwargs = {}
-        for key, value in self.solver.items():
-            if key == "slots":
-                continue
-            kwargs[mapping.get(key, key)] = value
-        kwargs.update(overrides)
-        return SolverConfig(**kwargs)
+        kwargs = {mapping.get(k, k): v for k, v in self.solver.items() if k != "slots"}
+        return SolverConfig(**{**kwargs, **overrides})
 
     @property
     def slot_restriction(self):
@@ -397,6 +392,24 @@ class Scenario:
         point = self.sections.get("space", {}).get("basepoint")
         return space.point(np.zeros(space.dimension) if point is None else point)
 
+    def _assemble_bundle(
+        self, space, gens, values, lie_entries, lie_elements, family, env, relations=()
+    ) -> EquivariantBundle:
+        """The group action of ``gens``, the cocycle of the generator value
+        expressions ``values`` by label, of the ``alpha`` of each Lie entry
+        and of the ``family`` expression (if any), all over ``env``, and
+        the bundle with its construction checks."""
+        labels = [g.label for g in gens]
+        flows = {k: e["alpha"] for k, e in lie_entries.items() if "alpha" in e}
+        cocycle = Cocycle.batched(
+            {label: _circle_field(values[label], env) for label in labels},
+            family=None if family is None else _family_map(labels, family, env),
+            flow_values={label: _flow_circle(expr, env) for label, expr in flows.items()},
+        )
+        action = GroupAction(space, gens, relations=relations)
+        seed = int(self.solver.get("seed", 0))
+        return EquivariantBundle(space, action, cocycle, lie_elements, seed=seed)
+
     def build_model(self) -> "ScenarioModel":
         if self.kind != "chart":
             raise ScenarioError(f"scenario {self.name!r} is a lattice scenario")
@@ -407,28 +420,18 @@ class Scenario:
                          space, e.get("identity_component", False))
             for label, e in self.labelled("group.").items()
         ]
-        action = GroupAction(space, gens, relations=list(sections.get("relations", {}).values()))
-        labels = [g.label for g in gens]
-        gen_values = {
-            label: _circle_field(sections["cocycle"][label], _chart_env) for label in labels
-        }
-        family = None
-        if "cocycle_family" in sections:
-            family = _family_map(labels, sections["cocycle_family"]["family"], _chart_env)
-        flow_values = {}
         lie_elements = []
         fixed_points = {}
         for label, e in self.labelled("lie.").items():
             fieldv = VectorField.from_expressions(space, e["field"], name=label)
             flow = _flow_map(e["flow"]) if "flow" in e else None
             lie_elements.append(LieElement(label, fieldv, flow=flow))
-            if "alpha" in e:
-                flow_values[label] = _flow_circle(e["alpha"], _chart_env)
             if "fixed_point" in e:
                 fixed_points[label] = e["fixed_point"]
-        cocycle = Cocycle.batched(gen_values, family=family, flow_values=flow_values)
-        bundle = EquivariantBundle(
-            space, action, cocycle, lie_elements, seed=int(self.solver.get("seed", 0))
+        bundle = self._assemble_bundle(
+            space, gens, sections["cocycle"], self.labelled("lie."), lie_elements,
+            sections.get("cocycle_family", {}).get("family"), _chart_env,
+            relations=list(sections.get("relations", {}).values()),
         )
         rho = (
             OneForm.from_expressions(space, sections["connection"]["rho"], name="rho")
@@ -471,7 +474,6 @@ class Scenario:
         jet_order = cfg.get("jet_order", 2)
         zmode_env = _zmode_env(lattice)
         gens = []
-        gen_values = {}
         for label, e in self.labelled("fieldgroup.").items():
             identity = e.get("identity_component", False)
             if e["kind"] == "site_shift":
@@ -483,26 +485,17 @@ class Scenario:
                         in_identity_component=identity,
                     )
             gens.append(g)
-            gen_values[label] = _circle_field(e["alpha"], zmode_env)
-        action = GroupAction(space, gens)
-        family = None
-        if "fieldcocycle_family" in self.sections:
-            family = _family_map(
-                [g.label for g in gens], self.sections["fieldcocycle_family"]["family"], zmode_env
-            )
         lie_elements = []
-        flow_values = {}
         for label, e in self.labelled("fieldlie.").items():
             if e["kind"] == "fiber_translation":
                 with _section_values(f"fieldlie.{label}", "chi", e.get("chi")):
                     lie_elements.append(fiber_translation_lie(lattice, space, label, e.get("chi")))
             else:
                 lie_elements.append(shift_lie(lattice, space, label))
-            if "alpha" in e:
-                flow_values[label] = _flow_circle(e["alpha"], zmode_env)
-        cocycle = Cocycle.batched(gen_values, family=family, flow_values=flow_values)
-        bundle = EquivariantBundle(
-            space, action, cocycle, lie_elements, seed=int(self.solver.get("seed", 0))
+        values = {label: e["alpha"] for label, e in self.labelled("fieldgroup.").items()}
+        bundle = self._assemble_bundle(
+            space, gens, values, self.labelled("fieldlie."), lie_elements,
+            self.sections.get("fieldcocycle_family", {}).get("family"), zmode_env,
         )
         declared = self.sections.get("fieldconnection", {})
         declared_rho = None

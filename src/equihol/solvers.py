@@ -24,6 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .bundle import (
+    CHECK_TOL,
     Connection,
     EquivariantBundle,
     Section,
@@ -102,7 +103,6 @@ class SolverConfig:
     n_paths: int = 8
     n_basepoints: int = 3
     path_samples: int = 512
-    lift_rounds: int = 8
     max_condition: float = 1e9
 
     def __post_init__(self):
@@ -249,6 +249,8 @@ class NoCertificate:
 # they carry no fit information and are excluded from the minimum-norm
 # solution and from the condition estimate alike.
 RANK_CUTOFF = 1e-10
+# Solve-and-snap rounds of one integer-lift search.
+LIFT_ROUNDS = 8
 
 
 def _effective_condition(singular_values) -> float:
@@ -259,7 +261,7 @@ def _effective_condition(singular_values) -> float:
     return float(sv[0] / kept[-1]) if len(kept) else float("inf")
 
 
-def _lift_fit(A, reps, circle_mask, lifts, rounds: int):
+def _lift_fit(A, reps, circle_mask, lifts):
     """One lift search from the given integer lifts.
 
     Solves, snaps the circle-row lifts to the nearest integers of the
@@ -268,7 +270,7 @@ def _lift_fit(A, reps, circle_mask, lifts, rounds: int):
     and the final lifts.
     """
     coef = np.zeros(A.shape[1])
-    for _ in range(rounds):
+    for _ in range(LIFT_ROUNDS):
         coef, *_ = np.linalg.lstsq(A, reps + lifts, rcond=RANK_CUTOFF)
         if not np.any(circle_mask):
             break
@@ -336,7 +338,7 @@ def _lstsq_with_lifts(A, targets, circle_mask, cfg: SolverConfig, circle_groups=
                 seeds.append(lifts)
     best = None
     for seed in seeds:
-        coef, fit_residual, lifts = _lift_fit(A, reps, circle_mask, seed, cfg.lift_rounds)
+        coef, fit_residual, lifts = _lift_fit(A, reps, circle_mask, seed)
         if best is None or fit_residual < best[1] - 1e-15:
             best = (coef, fit_residual, lifts)
         if best[1] <= 1e-12:
@@ -352,9 +354,7 @@ def _lstsq_with_lifts(A, targets, circle_mask, cfg: SolverConfig, circle_groups=
         if 0 < np.count_nonzero(support) < len(coef):
             # Inherit the winning integer branch; a fresh start could fall
             # back into the knife-edge basin on half-integer targets.
-            sub, sparse_residual, _ = _lift_fit(
-                A[:, support], reps, circle_mask, best_lifts.copy(), cfg.lift_rounds
-            )
+            sub, sparse_residual, _ = _lift_fit(A[:, support], reps, circle_mask, best_lifts.copy())
             budget = max(fit_residual, polish_budget if polish_budget is not None else 0.0)
             if sparse_residual <= max(budget, fit_residual + 1e-12):
                 coef = np.zeros(len(coef))
@@ -883,7 +883,7 @@ def verdict_pipeline(
     stages.append(
         StageRecord(
             "cocycle",
-            "pass" if coc.max_residual <= 1e-6 else "fail",
+            "pass" if coc.max_residual <= CHECK_TOL else "fail",
             {
                 "max_residual": coc.max_residual,
                 "witness_words": coc.witness_words,
@@ -892,7 +892,7 @@ def verdict_pipeline(
             },
         )
     )
-    if coc.max_residual > 1e-6:
+    if coc.max_residual > CHECK_TOL:
         return stop(
             "OBSTRUCTED",
             "cocycle",

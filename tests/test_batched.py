@@ -27,6 +27,7 @@ from equihol.bundle import (
     Connection,
     EquivariantBundle,
     Section,
+    _WordTree,
     check_cocycle,
     connection_report,
     descent_residual,
@@ -463,7 +464,7 @@ def assert_words_match_point_loops(bundle, word_length, probes=12, seed=3):
     for word in action.words_up_to(word_length):
         images = action.apply(word, pts)
         values = cocycle.on_word(action, word, pts)
-        extended = cocycle.extend(action, word, pts)
+        extended = _WordTree(action, cocycle, pts).law(word)
         for row, x in enumerate(pts):
             assert np.array_equal(images[row], ref_apply(action, word, x)), word
             assert values[row] == ref_on_word(action, cocycle, word, x).value, word

@@ -10,7 +10,7 @@ VARS = ("x1", "x2", "t")
 
 
 def ev(text, **env):
-    return ex.evaluate(ex.parse(text, VARS), env)
+    return ex.compile_expr(ex.parse(text, VARS))(env)
 
 
 def test_arithmetic_and_precedence():

@@ -22,7 +22,6 @@ from equihol.geometry import (
     VectorField,
     central_difference,
     circle_differential,
-    circle_distance,
     conjugate_path,
     exterior_derivative,
     format_word,
@@ -66,9 +65,9 @@ def test_circle_value_negation_inverse(a):
 @settings(max_examples=100, deadline=None)
 @given(finite_reals, finite_reals)
 def test_circle_distance_symmetric_bounded(a, b):
-    d = circle_distance(a, b)
+    d = CircleValue.of(a).distance(CircleValue.of(b))
     assert 0.0 <= d <= 0.5
-    assert d == pytest.approx(circle_distance(b, a))
+    assert d == pytest.approx(CircleValue.of(b).distance(CircleValue.of(a)))
 
 
 def test_circle_value_edge_representatives():

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import contextlib
 import io
 import subprocess
@@ -444,3 +445,97 @@ def test_cli_entry_point_installed():
         text=True,
     )
     assert proc.returncode == 0
+
+
+# ---------------------------------------------------------------------------
+# Text summaries and exit codes of each command
+
+
+def _summary(argv):
+    code, out, err = _printed(cli_main, argv)
+    assert err == ""
+    return code, out.splitlines()
+
+
+def test_cli_verdict_summary_cancels():
+    code, lines = _summary(["verdict", "paper_example_Z_on_R"])
+    assert code == 0
+    assert lines[:10] == [
+        "verdict: CANCELS",
+        "  cocycle: pass",
+        "  equivariant_curvature: pass",
+        "  equivariant_primitive: certificate",
+        "  invariance_obstruction: skipped",
+        "  flatten: pass",
+        "  flat_character: pass",
+        "  character_membership: certificate",
+        "  revalidation: pass",
+        "  character: {'g': 0.5}",
+    ]
+    assert len(lines) == 11 and lines[10].startswith("  certificate: ")
+    # The residuals are rounding noise; the rest of the certificate is exact.
+    certificate = ast.literal_eval(lines[10][len("  certificate: "):])
+    assert certificate.pop("holonomy_residual") < 1e-12
+    assert certificate.pop("curvature_residual") < 1e-12
+    assert certificate == {"primitive_coefficients": {}, "candidate_lambdas": {"dt": 0.5}}
+
+
+def test_cli_verdict_summary_obstructed():
+    code, lines = _summary(["verdict", "rotation_anomalous"])
+    assert code == 2
+    assert lines[:4] == [
+        "verdict: OBSTRUCTED",
+        "  cocycle: pass",
+        "  equivariant_curvature: pass",
+        "  equivariant_primitive: obstructed",
+    ]
+    assert len(lines) == 5 and lines[4].startswith("  witness: ")
+    witness = ast.literal_eval(lines[4][len("  witness: "):])
+    assert witness.pop("anomaly") == pytest.approx(0.25, abs=1e-9)
+    assert witness == {"kind": "fixed-point", "generator": "X", "point": [0.0, 0.0]}
+
+
+def test_cli_anomaly_summary_names_generators():
+    assert _summary(["anomaly", "rotation"]) == (0, ["anomaly report: X: sample 0"])
+
+
+def test_cli_curvature_summary():
+    code, lines = _summary(["curvature", "rotation"])
+    assert code == 0 and len(lines) == 1
+    prefix = "curvature report: residuals "
+    assert lines[0].startswith(prefix)
+    residuals = ast.literal_eval(lines[0][len(prefix):])
+    assert list(residuals) == ["d_omega", "moment"]
+    assert residuals["d_omega"] == 0.0 and residuals["moment"] < 1e-10
+
+
+def test_cli_check_cocycle_pass_line():
+    assert _summary(["check-cocycle", "trivial"]) == (
+        0, ["cocycle residual 0.000e+00 over 1728 checks: pass"]
+    )
+
+
+def test_cli_selftest_summary_lines():
+    code, lines = _summary(["selftest"])
+    assert code == 0
+    assert lines == (
+        ["selftest over 10 scenarios, seed 7"]
+        + [f"  {name}: pass" for name in bundled_names()]
+        + ["ok"]
+    )
+
+
+def test_cli_config_echo_key_order(monkeypatch):
+    # The canonical JSON sorts keys; the echo itself keeps the order in
+    # which the settings were always listed.
+    seen = []
+    envelope = cli.reports.envelope
+    monkeypatch.setattr(
+        cli.reports, "envelope", lambda *a: seen.append(a[2]) or envelope(*a)
+    )
+    assert _printed(cli_main, ["check-cocycle", "trivial", "--seed", "3"])[0] == 0
+    assert list(seen[0].items()) == [
+        ("seed", 3), ("probes", 96), ("holdout", 96), ("fit_tol", 1e-06),
+        ("holdout_tol", 1e-05), ("degree", 2), ("max_word_len", 3),
+        ("path_samples", 384), ("candidates_complete", False),
+    ]

@@ -1,0 +1,135 @@
+"""Capture the exit code, stdout and stderr of a fixed list of CLI calls.
+
+Usage, from the root of a checkout:
+
+    python3 tools/capture_reports.py <src-dir> <out.json>
+
+``<src-dir>`` is the directory that holds the ``equihol`` package (``src``
+of a checkout). Every call runs in this one interpreter through
+``equihol.cli.main``; the file written lists, per argument vector, its exit
+code and both streams, plus the file written by the one ``--out`` case.
+Capturing two checkouts and comparing the files with ``cmp`` shows whether
+a change kept every report byte-identical:
+
+    python3 tools/capture_reports.py ../parent/src /tmp/parent.json
+    python3 tools/capture_reports.py src /tmp/change.json
+    cmp /tmp/parent.json /tmp/change.json
+
+The argument vectors cover ``verdict`` at seeds 0 and 3 on every bundled
+scenario (``--local`` on the lattice ones), ``check-cocycle``, ``anomaly``
+and ``curvature`` in both formats, ``holonomy`` of ``g`` and ``g^2`` for
+every generator ``g`` along the ``unit`` and ``wiggle:3`` paths,
+``selftest``, the typed-error cases, four edited copies of bundled
+scenarios and one ``--out`` report.
+"""
+
+import contextlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+FORMATS = ("text", "json-like")
+
+ERROR_CASES = [
+    ["verdict", "paper_example_Z_on_R", "--probes", "0"],
+    ["verdict", "trivial", "--tol", "nan"],
+    ["verdict", "trivial", "--tol", "inf"],
+    ["verdict", "trivial", "--local"],
+    ["check-cocycle", "trivial", "--tol", "-0.5"],
+    ["check-cocycle", "trivial", "--tol", "-1e-5"],
+    ["check-cocycle", "trivial", "--max-word-len", "7"],
+    ["check-cocycle", "no_such_scenario"],
+    ["holonomy", "trivial", "--word", "q"],
+    ["holonomy", "trivial", "--word", "g", "--path", "wiggle:x"],
+    ["holonomy", "trivial", "--word", "g", "--path", "spiral"],
+    ["holonomy", "trivial", "--word", "g^"],
+    ["anomaly", "trivial", "--probes", "x"],
+]
+
+# Edited copies of a bundled scenario: (file name, bundled scenario, text
+# replaced, replacement, command).
+EDITED_CASES = [
+    ("corrupted.scn", "paper_example_Z_on_R", "family = 0.5*n1", "family = 0.5*n1 + 0.1*x1",
+     "check-cocycle"),
+    ("non_finite.scn", "paper_example_Z_on_R", "g = 0.5\n", "g = 1/0\n", "check-cocycle"),
+    ("bad_name.scn", "rotation", "[cocycle]\n", "[cocycle]\nh = 0.5\n", "verdict"),
+    ("bad_slots.scn", "lattice_fiber_shift", "[solver]", "[solver]\nslots = [1, x]", "verdict"),
+]
+
+
+def argvs(scenarios):
+    """The fixed argument vectors; ``scenarios`` maps each bundled name to
+    its kind and generator labels."""
+    out = []
+    for name, (kind, _) in scenarios.items():
+        local = ["--local"] if kind == "lattice" else []
+        for seed in ("0", "3"):
+            out.append(["verdict", name, "--seed", seed, "--format", "json-like"] + local)
+        out.append(["verdict", name] + local)
+    for command in ("check-cocycle", "anomaly", "curvature"):
+        for name in scenarios:
+            for fmt in FORMATS:
+                out.append([command, name, "--format", fmt])
+    for name, (_, labels) in scenarios.items():
+        for label in labels:
+            for word in (label, f"{label}^2"):
+                for path in ("unit", "wiggle:3"):
+                    for fmt in FORMATS:
+                        out.append(
+                            ["holonomy", name, "--word", word, "--path", path, "--format", fmt]
+                        )
+    for fmt in FORMATS:
+        out.append(["selftest", "--format", fmt])
+    return out + ERROR_CASES
+
+
+def run(main, argv):
+    """Exit code, stdout and stderr of one CLI call; usage errors exit."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return {"argv": argv, "code": code, "stdout": stdout.getvalue(), "stderr": stderr.getvalue()}
+
+
+def main(src_dir, out_path):
+    sys.path.insert(0, os.path.abspath(src_dir))
+    from equihol.cli import main as cli_main
+    from equihol.scenario import bundled_dir, bundled_names, load_scenario
+
+    scenarios = {}
+    for name in bundled_names():
+        scenario = load_scenario(name)
+        prefix = "fieldgroup." if scenario.kind == "lattice" else "group."
+        scenarios[name] = (scenario.kind, list(scenario.labelled(prefix)))
+    records = [run(cli_main, argv) for argv in argvs(scenarios)]
+    with tempfile.TemporaryDirectory() as tmp:
+        for file_name, name, old, new, command in EDITED_CASES:
+            path = os.path.join(tmp, file_name)
+            text = (bundled_dir() / f"{name}.scn").read_text()
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text.replace(old, new, 1))
+            record = run(cli_main, [command, path])
+            record["argv"][-1] = file_name
+            record["stderr"] = record["stderr"].replace(tmp, "<tmp>")
+            records.append(record)
+        report = os.path.join(tmp, "report.json")
+        record = run(cli_main, ["curvature", "rotation", "--out", report])
+        record["argv"][-1] = "<out>"
+        with open(report, encoding="utf-8") as fh:
+            record["out_file"] = fh.read()
+        records.append(record)
+    with open(out_path, "w", encoding="utf-8") as fh:
+        json.dump(records, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    print(f"{len(records)} calls captured to {out_path}")
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 3:
+        sys.exit(__doc__)
+    main(sys.argv[1], sys.argv[2])
