@@ -278,20 +278,45 @@ def _checked(values, points, shape, what: str) -> np.ndarray:
     return out
 
 
-class ScalarField:
-    """A real field, evaluated on ``(N, d)`` stacks by :meth:`many`; a
-    single-point call is the N=1 row.
+class _Evaluator:
+    """A stacked evaluator over a space: ``many`` maps an ``(N, d)`` point
+    stack, and as many ``(N, d)`` vector stacks as the kind takes, to one
+    value per point; a single-point call is the N=1 row."""
+
+    kind = "evaluator"
+
+    def __init__(self, space: ParameterSpace, many: Callable[..., np.ndarray], name=""):
+        self.space = space
+        self._many = many
+        self.name = name
+
+    def _shape(self, xs) -> tuple:
+        return (len(xs),)
+
+    def __call__(self, x, *vectors) -> float:
+        return float(self.many(x, *vectors)[0])
+
+    def many(self, points, *vectors) -> np.ndarray:
+        """Values at the rows of ``(N, d)`` stacks, one row per point (a
+        constant broadcasts); a non-finite value raises an
+        :class:`EvaluationError` at its point."""
+        xs, *vs = _rows(self.space, points, *vectors)
+        return _checked(self._many(xs, *vs), xs, self._shape(xs), f"{self.kind} {self.name!r}")
+
+
+class ScalarField(_Evaluator):
+    """A real field: ``many`` maps ``(N, d)`` points to ``(N,)`` values.
 
     :meth:`batched` and :meth:`from_expression` take or build the stacked
     evaluator. The constructor takes a caller's single-point function
     ``fn(x)`` and calls it once per row (see :func:`pointwise`).
     """
 
+    kind = "scalar field"
+
     def __init__(self, space: ParameterSpace, fn: Callable[[np.ndarray], float], name=""):
-        self.space = space
+        super().__init__(space, pointwise(fn), name)
         self.fn = fn
-        self.name = name
-        self._many = pointwise(fn)
 
     @classmethod
     def batched(cls, space, many: Callable[[np.ndarray], np.ndarray], name=""):
@@ -307,25 +332,18 @@ class ScalarField:
         ev = expressions.compile_expr(ast)
         return cls.batched(space, lambda xs: ev(_env(xs.T)), name or expressions.to_source(ast))
 
-    def __call__(self, x) -> float:
-        return float(self.many(x)[0])
 
-    def many(self, points) -> np.ndarray:
-        """Values at the rows of an ``(N, d)`` stack, shape ``(N,)``; a
-        non-finite value raises an :class:`EvaluationError` at its point."""
-        (xs,) = _rows(self.space, points)
-        return _checked(self._many(xs), xs, (len(xs),), f"scalar field {self.name!r}")
-
-
-class VectorField:
+class VectorField(_Evaluator):
     """A tangent vector per point: ``many`` maps ``(N, d)`` points to
-    ``(N, d)`` vectors (a constant vector broadcasts); a single-point call
-    is the N=1 row."""
+    ``(N, d)`` vectors."""
 
-    def __init__(self, space: ParameterSpace, many: Callable[[np.ndarray], np.ndarray], name=""):
-        self.space = space
-        self._many = many
-        self.name = name
+    kind = "vector field"
+
+    def _shape(self, xs) -> tuple:
+        return xs.shape
+
+    def __call__(self, x) -> np.ndarray:
+        return self.many(x)[0]
 
     @classmethod
     def from_expressions(cls, space, components, name=""):
@@ -340,25 +358,12 @@ class VectorField:
 
         return cls(space, many, name)
 
-    def __call__(self, x) -> np.ndarray:
-        return self.many(x)[0]
 
-    def many(self, points) -> np.ndarray:
-        (xs,) = _rows(self.space, points)
-        return _checked(self._many(xs), xs, xs.shape, f"vector field {self.name!r}")
+class OneForm(_Evaluator):
+    """Evaluator (point, tangent vector) -> real, linear in the vector:
+    ``many`` maps ``(N, d)`` points and vectors to ``(N,)`` values."""
 
-
-class OneForm:
-    """Evaluator (point, tangent vector) -> real, linear in the vector.
-
-    ``many`` maps ``(N, d)`` points and vectors to ``(N,)`` values (a
-    constant broadcasts); a single-point call is the N=1 row.
-    """
-
-    def __init__(self, space: ParameterSpace, many: Callable[..., np.ndarray], name=""):
-        self.space = space
-        self._many = many
-        self.name = name
+    kind = "one-form"
 
     @classmethod
     def from_expressions(cls, space, texts, name=""):
@@ -378,17 +383,6 @@ class OneForm:
     def zero(cls, space):
         return cls(space, lambda xs, vs: np.zeros(len(xs)), name="0")
 
-    def __call__(self, x, v) -> float:
-        return float(self.many(x, v)[0])
-
-    def many(self, points, vectors) -> np.ndarray:
-        """Values at the rows of ``(N, d)`` point and vector arrays, shape ``(N,)``.
-
-        A non-finite value raises an :class:`EvaluationError` at its point.
-        """
-        xs, vs = _rows(self.space, points, vectors)
-        return _checked(self._many(xs, vs), xs, (len(xs),), f"one-form {self.name!r}")
-
     def __add__(self, other):
         return OneForm(self.space, lambda xs, vs: self.many(xs, vs) + other.many(xs, vs))
 
@@ -399,22 +393,11 @@ class OneForm:
         return ScalarField.batched(self.space, lambda xs: self.many(xs, vf.many(xs)))
 
 
-class TwoForm:
+class TwoForm(_Evaluator):
     """Evaluator (point, u, v) -> real, antisymmetric bilinear: ``many``
-    maps three ``(N, d)`` stacks to ``(N,)`` values; a single-point call is
-    the N=1 row."""
+    maps three ``(N, d)`` stacks to ``(N,)`` values."""
 
-    def __init__(self, space: ParameterSpace, many, name=""):
-        self.space = space
-        self._many = many
-        self.name = name
-
-    def __call__(self, x, u, v) -> float:
-        return float(self.many(x, u, v)[0])
-
-    def many(self, points, us, vs) -> np.ndarray:
-        xs, us, vs = _rows(self.space, points, us, vs)
-        return _checked(self._many(xs, us, vs), xs, (len(xs),), f"two-form {self.name!r}")
+    kind = "two-form"
 
 
 def monomial_exponents(count: int, degree: int):
@@ -582,25 +565,26 @@ def circle_differential(space: ParameterSpace, alpha: Callable) -> OneForm:
 
 
 def _path_samples(space: ParameterSpace, times, points):
-    """Checked ``(S,)`` times and ``(K, S, d)`` samples of K paths.
+    """Checked ``(S,)`` times and the samples of one path, ``(S, d)``, or of
+    K paths over those times, ``(K, S, d)``.
 
-    Every check of :class:`Path` runs on the whole stack. The first faulty
-    path raises its first fault, as :class:`Path` raises it for that path
-    alone. Returns the times pinned to 0 and 1 and the samples, wrapped on
-    the torus.
+    Every check runs on the whole stack, and the first faulty path raises
+    the fault it raises alone. Returns the times pinned to 0 and 1 and the
+    samples in the shape given, wrapped on the torus.
     """
     times = np.asarray(times, dtype=float)
     pts = np.asarray(points, dtype=float)
     if times.ndim != 1 or len(times) < 2:
         raise CompositionError("a path needs at least two samples")
-    if pts.shape[1:] != (len(times), space.dimension):
+    if pts.ndim not in (2, 3) or pts.shape[-2:] != (len(times), space.dimension):
         raise CompositionError("sample array shape does not match times")
     if abs(times[0]) > 1e-12 or abs(times[-1] - 1.0) > 1e-12:
         raise CompositionError("path parameter must run from 0 to 1")
     if np.any(np.diff(times) <= 0):
         raise CompositionError("path times must be strictly increasing")
-    finite = np.isfinite(pts)
-    head = pts if finite.all() else pts[: int(np.argmin(finite.all(axis=(1, 2))))]
+    stack = pts.reshape(-1, len(times), space.dimension)
+    finite = np.isfinite(stack)
+    head = stack if finite.all() else stack[: int(np.argmin(finite.all(axis=(1, 2))))]
     if space.is_torus:
         steps = np.linalg.norm(space.displacement(head[:, :-1], head[:, 1:]), axis=-1)
         if np.any(steps > 0.45 * min(space.periods)):
@@ -611,7 +595,7 @@ def _path_samples(space: ParameterSpace, times, points):
             k = int(np.argmax(outside.any(axis=1)))
             p = head[k, int(np.argmax(outside[k]))]
             raise DomainError(f"path sample {p.tolist()} leaves the box domain")
-    if len(head) < len(pts):
+    if len(head) < len(stack):
         raise EvaluationError("non-finite path sample")
     if space.is_torus:
         pts = space.points(pts).reshape(pts.shape)
@@ -621,17 +605,19 @@ def _path_samples(space: ParameterSpace, times, points):
 
 
 class Path:
-    """Piecewise-linear path: strictly increasing times in [0, 1] and samples.
+    """Piecewise-linear path: strictly increasing ``(S,)`` times in [0, 1]
+    and ``(S, d)`` samples; or K paths over shared times, ``(K, S, d)``.
 
     Consecutive samples must sit in one chart patch; on the torus this means
     each step is shorter than a quarter period so the minimal image is
-    unambiguous.
+    unambiguous. Endpoints, segments and :func:`segment_sum` keep the
+    leading path axis of a stack; the other methods take one path.
     """
 
     def __init__(self, space: ParameterSpace, times, points):
         self.space = space
-        pts = np.asarray(points, dtype=float)[None]
-        self.times, (self.points,) = _path_samples(space, times, pts)
+        self.times, self.points = _path_samples(space, times, points)
+        self._segments = None
 
     @classmethod
     def from_map(cls, space, fn: Callable[[float], Iterable], samples: int = DEFAULT_PATH_SAMPLES):
@@ -647,11 +633,11 @@ class Path:
 
     @property
     def start(self) -> np.ndarray:
-        return self.points[0]
+        return self.points[..., 0, :]
 
     @property
     def end(self) -> np.ndarray:
-        return self.points[-1]
+        return self.points[..., -1, :]
 
     def resample(self, samples: int) -> "Path":
         """The path through ``samples`` equally spaced times, interpolating
@@ -678,45 +664,11 @@ class Path:
         return Path(self.space, self.times, apply_point(self.points))
 
     def segments(self):
-        """``(P, d)`` arrays of the midpoints and displacement vectors of the
-        P linear segments: the K=1 case of :meth:`PathStack.segments`."""
-        mids, steps = PathStack.of(self).segments()
-        return mids[0], steps[0]
-
-
-class PathStack:
-    """K piecewise-linear paths over shared times: ``(S,)`` times and
-    ``(K, S, d)`` samples. Construction runs every :class:`Path` check on the
-    whole stack; a single path is the K=1 stack (:meth:`of`).
-    """
-
-    def __init__(self, space: ParameterSpace, times, points):
-        self.space = space
-        self.times, self.points = _path_samples(space, times, points)
-        self._segments = None
-
-    @classmethod
-    def of(cls, path: Path) -> "PathStack":
-        """A checked path as the K=1 stack, without checking it again."""
-        stack = cls.__new__(cls)
-        stack.space, stack.times, stack.points = path.space, path.times, path.points[None]
-        stack._segments = None
-        return stack
-
-    @property
-    def starts(self) -> np.ndarray:
-        return self.points[:, 0]
-
-    @property
-    def ends(self) -> np.ndarray:
-        return self.points[:, -1]
-
-    def segments(self):
-        """``(K, P, d)`` midpoints and displacement vectors of the P linear
-        segments of each path, computed once per stack."""
+        """Midpoints and displacement vectors of the P linear segments,
+        ``(P, d)`` for one path and ``(K, P, d)`` for a stack, computed once."""
         if self._segments is None:
-            steps = self.space.displacement(self.points[:, :-1], self.points[:, 1:])
-            mids = self.space.points(self.points[:, :-1] + 0.5 * steps).reshape(steps.shape)
+            steps = self.space.displacement(self.points[..., :-1, :], self.points[..., 1:, :])
+            mids = self.space.points(self.points[..., :-1, :] + 0.5 * steps).reshape(steps.shape)
             self._segments = mids, steps
         return self._segments
 
@@ -746,28 +698,24 @@ def conjugate_path(zeta: Path, gamma: Path, apply_point: Callable) -> Path:
 STACK_FLOATS = 8192
 
 
-def segment_sums(values: Callable, stack: PathStack) -> np.ndarray:
-    """Per path of a stack, the sum over its segments of ``values(midpoints,
-    steps)``: one call on the ``(K * P, d)`` segment rows, ``(K,)`` or
-    ``(K, F)`` totals. Each path's terms are added in path order as np.cumsum
-    adds them, so a midpoint integral is the last node of the cumulative one
-    bit for bit. This is the one midpoint quadrature; :func:`segment_sum` and
-    :func:`line_integral` are its K=1 case."""
-    mids, steps = stack.segments()
-    k, p, d = mids.shape
-    terms = np.asarray(values(mids.reshape(k * p, d), steps.reshape(k * p, d)))
-    totals = np.cumsum(terms.reshape(k, p, *terms.shape[1:]), axis=1)[:, -1]
-    finite = np.isfinite(totals)
-    if not finite.all():
-        first = np.argmin(finite.reshape(k, -1).all(axis=1))
-        raise EvaluationError("non-finite line integral", point=stack.starts[first])
-    return totals
-
-
 def segment_sum(values: Callable, path: Path) -> np.ndarray:
-    """:func:`segment_sums` over one path: ``(P,)`` or ``(P, F)`` terms give
-    a total or ``(F,)`` totals."""
-    return segment_sums(values, PathStack.of(path))[0]
+    """Per path, the sum over its segments of ``values(midpoints, steps)``:
+    one call on every segment row, ``(P, d)`` or ``(K * P, d)``. Terms of
+    shape ``(P,)`` or ``(P, F)`` per path give a total or ``(F,)`` totals,
+    with the leading path axis of a stack in front. Each path's terms are
+    added in path order as np.cumsum adds them, so a midpoint integral is
+    the last node of the cumulative one bit for bit. This is the one
+    midpoint quadrature; :func:`line_integral` is its one-form case."""
+    mids, steps = path.segments()
+    axis, d = mids.ndim - 2, mids.shape[-1]
+    terms = np.asarray(values(mids.reshape(-1, d), steps.reshape(-1, d)))
+    terms = terms.reshape(*mids.shape[:-1], *terms.shape[1:])
+    totals = np.cumsum(terms, axis=axis).take(-1, axis=axis)
+    starts = path.start.reshape(-1, d)
+    finite = np.isfinite(totals).reshape(len(starts), -1).all(axis=1)
+    if not finite.all():
+        raise EvaluationError("non-finite line integral", point=starts[np.argmin(finite)])
+    return totals
 
 
 def line_integral(form: OneForm, path: Path) -> float:
@@ -867,10 +815,13 @@ class GroupElement:
 
 
 Word = tuple  # tuple of (label, +1 | -1)
+# Most letters a parsed word may expand to; it is checked before expanding.
+MAX_WORD_LETTERS = 10_000
 
 
 def parse_word(text: str) -> Word:
-    """Parse words like ``g``, ``g^2 h^-1`` or ``g*h`` into letter tuples."""
+    """Parse words like ``g``, ``g^2 h^-1`` or ``g*h`` into letter tuples,
+    of at most ``MAX_WORD_LETTERS`` letters."""
     letters = []
     for chunk in text.replace("*", " ").split():
         if "^" in chunk:
@@ -883,6 +834,8 @@ def parse_word(text: str) -> Word:
             name, k = chunk, 1
         if not name:
             raise CompositionError(f"bad word chunk {chunk!r}")
+        if len(letters) + abs(k) > MAX_WORD_LETTERS:
+            raise CompositionError(f"word {text!r} has more than {MAX_WORD_LETTERS} letters")
         sign = 1 if k >= 0 else -1
         letters.extend([(name, sign)] * abs(k))
     return tuple(letters)

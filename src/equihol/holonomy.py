@@ -42,7 +42,6 @@ from .geometry import (
     OneForm,
     ParameterSpace,
     Path,
-    PathStack,
     Word,
     circle_gaps,
     circle_values,
@@ -53,7 +52,7 @@ from .geometry import (
     line_integral,
     max_abs,
     rk4_line_integral,
-    segment_sums,
+    segment_sum,
 )
 from .probes import direction_draws, probe_points, rng_for
 
@@ -121,34 +120,25 @@ def _word_rows(words: Sequence[Word]) -> dict:
     return {words[0]: slice(None)} if len(rows) == 1 else rows
 
 
-def _start_cocycles(
-    bundle: EquivariantBundle, section: Section, words: Sequence[Word], stack: PathStack
-) -> np.ndarray:
-    """Section cocycle of ``words[k]`` at the start of path k, as ``(K,)``
-    representatives, after checking that every path of the word ends at the
-    image of its start: one class check and one cocycle call per word."""
-    alpha = np.empty(len(words))
-    for word, rows in _word_rows(words).items():
-        starts = stack.starts[rows]
-        require_path_class(bundle, word, starts, stack.ends[rows])
-        alpha[rows] = section_cocycle(bundle, section, word)(starts)
-    return alpha
-
-
 def class_holonomies(
     bundle: EquivariantBundle,
     connection: Connection,
     section: Section,
     words: Sequence[Word],
-    stack: PathStack,
+    stack: Path,
 ) -> np.ndarray:
-    """Formula holonomies of the paths of a stack, path k in the class of
-    ``words[k]``: the midpoint integral of rho minus the section cocycle at
-    the start, each as :func:`equivariant_holonomy` gives it with
-    ``method="formula"``."""
-    alpha = _start_cocycles(bundle, section, words, stack)
-    integrals = circle_values(segment_sums(connection.rho(section).many, stack), stack.starts)
-    return circle_values(integrals - alpha, stack.starts)
+    """Formula holonomies of the paths of a ``(K, S, d)`` stack, path k in
+    the class of ``words[k]``: the midpoint integral of rho minus the
+    section cocycle at the start, each as :func:`equivariant_holonomy`
+    gives it with ``method="formula"``. Every path of a word must end at the
+    image of its start: one class check and one cocycle call per word."""
+    alpha = np.empty(len(words))
+    for word, rows in _word_rows(words).items():
+        starts = stack.start[rows]
+        require_path_class(bundle, word, starts, stack.end[rows])
+        alpha[rows] = section_cocycle(bundle, section, word)(starts)
+    integrals = circle_values(segment_sum(connection.rho(section).many, stack), stack.start)
+    return circle_values(integrals - alpha, stack.start)
 
 
 def equivariant_holonomy(
@@ -167,7 +157,8 @@ def equivariant_holonomy(
     """
     if method not in ("both", "formula"):
         raise ValueError(f"unknown holonomy method {method!r}; use 'both' or 'formula'")
-    alpha = CircleValue(_start_cocycles(bundle, section, [word], PathStack.of(path))[0])
+    require_path_class(bundle, word, path.points[[0]], path.points[[-1]])
+    alpha = section_cocycle(bundle, section, word)(path.start)
     rho = connection.rho(section)
     value = CircleValue(line_integral(rho, path)) - alpha
     lift_value = cross = None
@@ -324,7 +315,7 @@ def class_path_stacks(
         points = _class_points(
             space, action, words[part], basepoints[part], rngs[part], ts, amplitude
         )
-        yield words[part], PathStack(space, ts, points)
+        yield words[part], Path(space, ts, points)
 
 
 def random_class_path(
@@ -368,7 +359,7 @@ def holonomy_form_gap(
     worst = 0.0
     for part, stack in stacks:
         hol = class_holonomies(bundle, connection, section, part, stack)
-        integrals = circle_values(segment_sums(form.many, stack), stack.starts)
+        integrals = circle_values(segment_sum(form.many, stack), stack.start)
         worst = max(worst, max_abs(circle_gaps(hol, integrals)))
     return worst
 
@@ -422,7 +413,7 @@ def flat_character(
         rngs = [rng_for(seed, f"flat-path-{label}-{i}-{j}") for i, j in pairs]
         stacks = class_path_stacks(space, bundle.action, words, bases, rngs, samples)
         found = np.concatenate([
-            circle_values(-class_holonomies(bundle, connection, section, part, stack), stack.starts)
+            circle_values(-class_holonomies(bundle, connection, section, part, stack), stack.start)
             for part, stack in stacks
         ])
         spread = max_abs(circle_gaps(found[0], found))
@@ -505,7 +496,7 @@ def invariant_form_character(
         [rng_for(seed, f"kbeta-{i}-{j}") for i, j in pairs], samples,
     )
     alternates = np.concatenate([
-        circle_values(segment_sums(beta.many, stack), stack.starts) for _, stack in stacks
+        circle_values(segment_sum(beta.many, stack), stack.start) for _, stack in stacks
     ])
     spread = max_abs(circle_gaps(reference.value, alternates))
     return value, IndependenceReport(value, spread, len(pairs), defect)

@@ -15,7 +15,7 @@ from typing import List
 import numpy as np
 
 from .bundle import CHECK_TOL, Section, check_cocycle, connection_report, infinitesimal_anomaly
-from .geometry import segment_sums
+from .geometry import segment_sum
 from .holonomy import class_holonomies, class_path_stacks, holonomy_form_gap
 from .lattice import (
     DensityBasis,
@@ -119,7 +119,7 @@ def solve_local_global_form(model, section: Section, cfg: SolverConfig, slots=No
     blocks, targets = [], []
     for part, stack in stacks:
         targets.extend(class_holonomies(bundle, model.connection, section, part, stack))
-        blocks.append(segment_sums(forms, stack))
+        blocks.append(segment_sum(forms, stack))
     circle_groups = [wi for wi in range(len(fit_words)) for _ in base_fields]
     circle_mask = [True] * len(targets)
     inv_fields = random_fields(model.lattice, 4, rng_for(cfg.seed, "local-global-inv"))

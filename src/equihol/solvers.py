@@ -83,6 +83,8 @@ COUNT_FLOORS = {
 MAX_WORD_LEN = 6
 # Tolerances, which must be finite and positive, and the inputs that set them.
 TOLERANCES = {"fit_tol": "[solver] fit_tol", "holdout_tol": "[solver] holdout_tol or --tol"}
+# Largest condition number of a column-equilibrated least-squares system.
+MAX_CONDITION = 1e9
 
 
 @dataclass(frozen=True)
@@ -103,7 +105,6 @@ class SolverConfig:
     n_paths: int = 8
     n_basepoints: int = 3
     path_samples: int = 512
-    max_condition: float = 1e9
 
     def __post_init__(self):
         for key, (least, source) in COUNT_FLOORS.items():
@@ -315,9 +316,9 @@ def _lstsq_with_lifts(A, targets, circle_mask, cfg: SolverConfig, circle_groups=
     As = np.where(keep, A / scale, 0.0)
     sv = np.linalg.svd(As, compute_uv=False) if As.size else np.array([1.0])
     cond = _effective_condition(sv)
-    if cond > cfg.max_condition:
+    if cond > MAX_CONDITION:
         raise ConditioningError(
-            f"least-squares system condition {cond:.3e} exceeds {cfg.max_condition:g}; "
+            f"least-squares system condition {cond:.3e} exceeds {MAX_CONDITION:g}; "
             "shrink the ansatz"
         )
 

@@ -52,7 +52,6 @@ from equihol.geometry import (
     OneForm,
     ParameterSpace,
     Path,
-    PathStack,
     ScalarField,
     VectorField,
     circle_differential,
@@ -67,7 +66,6 @@ from equihol.geometry import (
     monomial_exponents,
     rk4_line_integral,
     segment_sum,
-    segment_sums,
 )
 from equihol.holonomy import (
     Character,
@@ -936,6 +934,20 @@ def _stack_model(name, models, lattice_models):
     return model.bundle, model.connection, model.reference_section, form, samples
 
 
+def assert_rows_match_one_path(stack: Path, values):
+    """Endpoints, segments and segment sums of a ``(K, S, d)`` Path equal
+    those of the one-path Path of each row, bit for bit."""
+    mids, steps = stack.segments()
+    totals = segment_sum(values, stack)
+    for k, points in enumerate(stack.points):
+        path = Path(stack.space, stack.times, points)
+        one_mids, one_steps = path.segments()
+        assert np.array_equal(stack.start[k], path.start)
+        assert np.array_equal(stack.end[k], path.end)
+        assert np.array_equal(mids[k], one_mids) and np.array_equal(steps[k], one_steps)
+        assert np.array_equal(totals[k], segment_sum(values, path))
+
+
 def _per_stack(samples, dimension):
     return max(1, STACK_FLOATS // ((samples - 1) * dimension))
 
@@ -961,8 +973,15 @@ def test_class_path_stacks_match_one_path_loops(name, models, lattice_models):
     ))
     assert [len(part) for part, _ in stacks] == [per, per, 1]
     hols = np.concatenate([class_holonomies(bundle, connection, section, p, s) for p, s in stacks])
-    integrals = np.concatenate([segment_sums(form.many, s) for _, s in stacks]) % 1.0
+    integrals = np.concatenate([segment_sum(form.many, s) for _, s in stacks]) % 1.0
     assert hols.tolist() == ref_hols and integrals.tolist() == ref_integrals
+    # A (K, S, d) Path is its K one-path rows, bit for bit, for total and
+    # (F,) terms alike.
+    for _, stack in stacks:
+        assert_rows_match_one_path(stack, form.many)
+        assert_rows_match_one_path(
+            stack, lambda mids, steps: np.column_stack([form.many(mids, steps), mids[:, 0]])
+        )
 
 
 @pytest.mark.parametrize("name", ["torus_shift", "rotation", "lattice_fiber_shift"])
@@ -1010,7 +1029,7 @@ def test_path_stack_checks_name_the_first_faulty_path(models):
     pts = clean.points.copy()
     pts[2, 30] = (6.5, 0.0)
     pts[3, 10] = (0.0, -7.0)
-    err = same_error(lambda: PathStack(space, ts, pts), lambda: Path(space, ts, pts[2]))
+    err = same_error(lambda: Path(space, ts, pts), lambda: Path(space, ts, pts[2]))
     assert isinstance(err, DomainError)
     # The same fault through holonomy_form_gap, in the second stack.
     per = _per_stack(64, 2)
@@ -1027,7 +1046,7 @@ def test_path_stack_checks_name_the_first_faulty_path(models):
     tpts = np.stack([line, line + 0.1, line, line])
     tpts[1, 4:] += 0.5
     err = same_error(
-        lambda: PathStack(torus, np.linspace(0.0, 1.0, 8), tpts),
+        lambda: Path(torus, np.linspace(0.0, 1.0, 8), tpts),
         lambda: Path(torus, np.linspace(0.0, 1.0, 8), tpts[1]),
     )
     assert isinstance(err, CompositionError)
@@ -1035,11 +1054,11 @@ def test_path_stack_checks_name_the_first_faulty_path(models):
     # A form value that is non-finite on the third path only.
     moved = clean.points.copy()
     moved[2, :, 0] += 5.0 - moved[2, :, 0].max()
-    stack = PathStack(space, ts, moved)
+    stack = Path(space, ts, moved)
     assert np.all(moved[:2, :, 0] < 3.0)
     form = OneForm.from_expressions(space, ["exp(400*(x1 - 3))", "0"], name="steep")
     err = same_error(
-        lambda: segment_sums(form.many, stack),
+        lambda: segment_sum(form.many, stack),
         lambda: line_integral(form, Path(space, ts, moved[2])),
     )
     assert isinstance(err, EvaluationError)
@@ -1047,7 +1066,7 @@ def test_path_stack_checks_name_the_first_faulty_path(models):
     # An endpoint off the image of the start under the word.
     off = clean.points.copy()
     off[3, -1] += 0.01
-    stack = PathStack(space, ts, off)
+    stack = Path(space, ts, off)
     err = same_error(
         lambda: class_holonomies(bundle, model.connection, section, [word] * 4, stack),
         lambda: equivariant_holonomy(

@@ -355,3 +355,25 @@ def test_flat_suite_skips_only_curved_scenarios(models, monkeypatch):
     assert result["scenarios"]["trivial"]["flat"] == failed
     assert result["scenarios"]["rotation"]["flat"] == failed
     assert not result["ok"]
+
+
+def test_traced_holonomy_counts_one_path_of_the_scenario_samples():
+    # One holonomy along the unit path samples path_samples points and
+    # integrates over path_samples - 1 segments, by midpoint and by RK4.
+    from test_trace_boundaries import load_spans
+
+    from equihol.cli import main as cli_main
+    from equihol.scenario import load_scenario
+
+    samples = load_scenario("trivial").solver_config().path_samples
+    tracer = load_spans().Tracer()
+    try:
+        tracer.install()
+        with tracer.operation(0):
+            assert cli_main(["holonomy", "trivial", "--word", "g"]) == 0
+    finally:
+        tracer.uninstall()
+    totals = tracer.layer_totals()
+    assert totals["geometry.path_sampling"]["points"] == samples
+    assert totals["geometry.line_integral"]["segments"] == samples - 1
+    assert totals["geometry.rk4_line_integral"]["segments"] == samples - 1

@@ -225,6 +225,9 @@ def test_cli_check_cocycle_witness_exit(tmp_path, capsys):
         (["check-cocycle", "trivial", "--tol", "-0.5"], "--tol must be finite and positive"),
         (["check-cocycle", "trivial", "--tol", "-1e-5"], "--tol must be finite and positive"),
         (["check-cocycle", "trivial", "--max-word-len", "7"], "--max-word-len must be at most 6"),
+        # The letter count is checked before the word is expanded.
+        (["holonomy", "trivial", "--word", "g^99999999999"],
+         "word 'g^99999999999' has more than 10000 letters"),
     ],
 )
 def test_cli_bad_input_is_typed_error(argv, message, capsys):
@@ -329,16 +332,19 @@ def test_cli_non_finite_scenario_value_is_typed_error(line, edited, message, tmp
         ("rotation", "forward = [cos(0.7)*x1 - sin(0.7)*x2, sin(0.7)*x1 + cos(0.7)*x2]",
          "forward = [cos(0.7)*x1 - sin(0.7)*x2]",
          "expected 2 expressions (one per axis), found 1 (line 16, column 11)"),
+        ("trivial", "[cocycle]", "[relations]\nr = g^99999999999\n\n[cocycle]",
+         "word 'g^99999999999' has more than 10000 letters"),
     ],
     ids=["sites", "period", "infinite_period", "halfwidth", "upper", "infinite_upper",
          "infinite_halfwidth", "jet_order", "jet_order_negative",
          "slot_above_jet_order", "no_slots", "repeated_slot",
-         "short_field", "long_field", "short_flow", "short_forward"],
+         "short_field", "long_field", "short_flow", "short_forward", "huge_relation"],
 )
 def test_cli_rejected_model_value_is_typed_error(name, line, edited, message, tmp_path, capsys):
     # Values the lattice and parameter-space constructors reject, jet orders
-    # and slots out of range, repeated slots and expression lists without
-    # one entry per axis end in one typed error line.
+    # and slots out of range, repeated slots, expression lists without one
+    # entry per axis and relator words too long to expand end in one typed
+    # error line.
     text = (bundled_dir() / f"{name}.scn").read_text()
     assert text.count(line + "\n") == 1
     scenario = tmp_path / "rejected.scn"

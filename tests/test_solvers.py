@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from equihol import solvers
 from equihol.bundle import (
     Cocycle,
     EquivariantBundle,
@@ -305,13 +306,14 @@ def test_membership_rejects_non_basic_candidate(models):
 # Conditioning
 
 
-def test_conditioning_error_fires_on_tiny_budget(models):
+def test_conditioning_error_fires_on_tiny_budget(models, monkeypatch):
+    monkeypatch.setattr(solvers, "MAX_CONDITION", 2.0)
     model = models["rotation"]
     rep = connection_report(
         model.bundle, model.connection, model.reference_section,
         declared_moment=model.declared_moment,
     )
-    tight = SolverConfig(seed=7, probes=48, holdout=48, degree=2, max_condition=2.0)
+    tight = SolverConfig(seed=7, probes=48, holdout=48, degree=2)
     basis = one_form_basis(model.space, 2)
     with pytest.raises(ConditioningError):
         solve_equivariant_primitive(model.bundle, rep.equivariant_curvature, basis, tight)

@@ -19,7 +19,7 @@ The argument vectors cover ``verdict`` at seeds 0 and 3 on every bundled
 scenario (``--local`` on the lattice ones), ``check-cocycle``, ``anomaly``
 and ``curvature`` in both formats, ``holonomy`` of ``g`` and ``g^2`` for
 every generator ``g`` along the ``unit`` and ``wiggle:3`` paths,
-``selftest``, the typed-error cases, four edited copies of bundled
+``selftest``, the typed-error cases, eight edited copies of bundled
 scenarios and one ``--out`` report.
 """
 
@@ -49,13 +49,20 @@ ERROR_CASES = [
 ]
 
 # Edited copies of a bundled scenario: (file name, bundled scenario, text
-# replaced, replacement, command).
+# replaced, replacement, command and flags).
 EDITED_CASES = [
     ("corrupted.scn", "paper_example_Z_on_R", "family = 0.5*n1", "family = 0.5*n1 + 0.1*x1",
      "check-cocycle"),
     ("non_finite.scn", "paper_example_Z_on_R", "g = 0.5\n", "g = 1/0\n", "check-cocycle"),
     ("bad_name.scn", "rotation", "[cocycle]\n", "[cocycle]\nh = 0.5\n", "verdict"),
     ("bad_slots.scn", "lattice_fiber_shift", "[solver]", "[solver]\nslots = [1, x]", "verdict"),
+    ("small_box.scn", "rotation", "lower = [-6, -6]\nupper = [6, 6]",
+     "lower = [-1.9, -1.9]\nupper = [1.9, 1.9]", "verdict"),
+    ("coarse_torus.scn", "torus_shift", "path_samples = 384", "path_samples = 3", "verdict"),
+    ("coarse_lattice.scn", "lattice_fiber_shift", "path_samples = 192", "path_samples = 3",
+     "verdict --local"),
+    ("coarse_line.scn", "paper_example_Z_on_R", "path_samples = 512", "path_samples = 2",
+     "verdict"),
 ]
 
 
@@ -113,8 +120,9 @@ def main(src_dir, out_path):
             text = (bundled_dir() / f"{name}.scn").read_text()
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text.replace(old, new, 1))
-            record = run(cli_main, [command, path])
-            record["argv"][-1] = file_name
+            command, *flags = command.split()
+            record = run(cli_main, [command, path, *flags])
+            record["argv"][1] = file_name
             record["stderr"] = record["stderr"].replace(tmp, "<tmp>")
             records.append(record)
         report = os.path.join(tmp, "report.json")
