@@ -24,6 +24,7 @@ from .errors import (
     CompositionError,
     DomainError,
     EvaluationError,
+    PreconditionError,
     ResolutionError,
 )
 
@@ -611,7 +612,7 @@ class Path:
     Consecutive samples must sit in one chart patch; on the torus this means
     each step is shorter than a quarter period so the minimal image is
     unambiguous. Endpoints, segments and :func:`segment_sum` keep the
-    leading path axis of a stack; the other methods take one path.
+    leading path axis of a stack; the other methods reject a stack.
     """
 
     def __init__(self, space: ParameterSpace, times, points):
@@ -639,6 +640,13 @@ class Path:
     def end(self) -> np.ndarray:
         return self.points[..., -1, :]
 
+    @property
+    def _samples(self) -> np.ndarray:
+        """The ``(S, d)`` samples of one path; a stack raises."""
+        if self.points.ndim != 2:
+            raise PreconditionError("this Path method takes one path only, not a stack")
+        return self.points
+
     def resample(self, samples: int) -> "Path":
         """The path through ``samples`` equally spaced times, interpolating
         linearly between the current samples."""
@@ -646,22 +654,22 @@ class Path:
         i = np.clip(np.searchsorted(self.times, ts, side="right") - 1, 0, len(self.times) - 2)
         t0, t1 = self.times[i], self.times[i + 1]
         w = (ts - t0) / (t1 - t0)
-        step = self.space.displacement(self.points[i], self.points[i + 1])
-        return Path(self.space, ts, self.space.points(self.points[i] + w[:, None] * step))
+        step = self.space.displacement(self._samples[i], self._samples[i + 1])
+        return Path(self.space, ts, self.space.points(self._samples[i] + w[:, None] * step))
 
     def reverse(self) -> "Path":
-        return Path(self.space, 1.0 - self.times[::-1], self.points[::-1])
+        return Path(self.space, 1.0 - self.times[::-1], self._samples[::-1])
 
     def concat(self, other: "Path") -> "Path":
+        pts = np.concatenate([self._samples, other._samples[1:]], axis=0)
         if self.space.distance(self.end, other.start) > JOIN_TOL:
             raise CompositionError("concat endpoints differ beyond tolerance")
         times = np.concatenate([self.times / 2.0, 0.5 + other.times[1:] / 2.0])
-        pts = np.concatenate([self.points, other.points[1:]], axis=0)
         return Path(self.space, times, pts)
 
     def transform(self, apply_point: Callable[[np.ndarray], np.ndarray]) -> "Path":
         """The image path under a point map of ``(N, d)`` stacks."""
-        return Path(self.space, self.times, apply_point(self.points))
+        return Path(self.space, self.times, apply_point(self._samples))
 
     def segments(self):
         """Midpoints and displacement vectors of the P linear segments,

@@ -14,6 +14,7 @@ linearity in the variation structural.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
@@ -93,8 +94,12 @@ def as_field(lattice: LatticeBase, values) -> np.ndarray:
 
 
 def centered_difference(lattice: LatticeBase, values: np.ndarray) -> np.ndarray:
-    """Centered difference along the last (site) axis."""
-    return (np.roll(values, -1, axis=-1) - np.roll(values, 1, axis=-1)) / (2.0 * lattice.spacing)
+    """Centered difference along the last (site) axis, on a circle of sites."""
+    out = np.empty(np.shape(values))
+    out[..., 1:-1] = values[..., 2:] - values[..., :-2]
+    out[..., 0] = values[..., 1] - values[..., -1]
+    out[..., -1] = values[..., 0] - values[..., -2]
+    return out / (2.0 * lattice.spacing)
 
 
 def jets(lattice: LatticeBase, values: np.ndarray, order: int) -> Dict[str, np.ndarray]:
@@ -459,22 +464,27 @@ class DensityBasis:
         """Column names of :meth:`forms`, as ``"u*u1 du2"``."""
         return [f"{name} d{JET_NAMES[k]}" for name in self.names for k in slots]
 
-    def member(self, env: Dict[str, np.ndarray], j: int):
-        """Member j on jets from :func:`jets`; the constant member is 1.0."""
-        acc = 1.0
-        for sym, k in zip(self.symbols, self.exponents[j]):
-            if k:
-                acc = acc * np.asarray(env[sym]) ** k
-        return acc
+    def powers(self, env: Dict[str, np.ndarray], members: Sequence[int]) -> dict:
+        """Each jet power ``env[sym] ** k`` the members use, keyed ``(sym, k)``."""
+        used = {(sym, k) for j in members for sym, k in zip(self.symbols, self.exponents[j]) if k}
+        return {(sym, k): np.asarray(env[sym]) ** k for sym, k in used}
+
+    def member(self, env: Dict[str, np.ndarray], j: int, powers=None):
+        """Member j on jets from :func:`jets`, or off a :meth:`powers` table."""
+        powers = self.powers(env, [j]) if powers is None else powers
+        factors = (powers[sym, k] for sym, k in zip(self.symbols, self.exponents[j]) if k)
+        return math.prod(factors, start=1.0)
 
     def _columns(self, fields, reduce) -> np.ndarray:
         """``reduce`` of every member's ``(N, m)`` values on a field stack,
         stacked member-major; a non-finite member names its (row, site)."""
         env = jets(self.lattice, np.reshape(fields, (-1, self.lattice.sites)), self.jet_order)
+        with np.errstate(over="ignore", invalid="ignore"):
+            powers = self.powers(env, range(len(self.names)))
         columns = []
         for j, name in enumerate(self.names):
             with np.errstate(over="ignore", invalid="ignore"):
-                values = np.broadcast_to(self.member(env, j), env["u"].shape)
+                values = np.broadcast_to(self.member(env, j, powers), env["u"].shape)
             _require_finite(values, name)
             columns.append(reduce(values))
         return np.stack(columns, axis=1)
@@ -487,12 +497,10 @@ class DensityBasis:
         """``(N, M * S)`` values of the one-forms ``member du<k>`` at stacked
         fields and variations: column ``j * S + q`` is member j on the
         variation jet ``slots[q]``."""
-        dv = [as_field(self.lattice, np.reshape(variations, (-1, self.lattice.sites)))]
-        for _ in range(max(slots)):
-            dv.append(centered_difference(self.lattice, dv[-1]))
+        dv = jets(self.lattice, np.reshape(variations, (-1, self.lattice.sites)), max(slots))
 
         def on_slots(values):
-            return np.stack([np.sum(values * dv[k], axis=-1) for k in slots], axis=1)
+            return np.stack([np.sum(values * dv[JET_NAMES[k]], axis=-1) for k in slots], axis=1)
 
         columns = self._columns(fields, on_slots)
         return columns.reshape(len(columns), -1) * self.lattice.spacing
@@ -514,7 +522,8 @@ class DensityBasis:
 
     def _density(self, coefficients, members, name) -> LocalDensity:
         def fn(env):
-            return linear_combination(coefficients, (self.member(env, j) for j in members))
+            powers = self.powers(env, members)
+            return linear_combination(coefficients, (self.member(env, j, powers) for j in members))
 
         return LocalDensity(self.lattice, fn, self.jet_order, name=name)
 

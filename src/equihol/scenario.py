@@ -29,7 +29,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from .bundle import Cocycle, Connection, EquivariantBundle, Section
-from .errors import EvaluationError, ScenarioError
+from .errors import CompositionError, EvaluationError, ScenarioError
 from .expressions import compile_expr, parse as parse_expr, to_source
 from .geometry import (
     GroupAction,
@@ -252,6 +252,9 @@ _LATTICE = frozenset(
     {"lattice", "fieldgroup.*", "fieldcocycle_family", "fieldlie.*", "fieldconnection"}
 )
 _COMMON = frozenset({"assumptions", "solver"})
+# Scalar kinds read by one call on the entry's text: the parser, and what a
+# rejected entry should have been (a word's own message says that).
+_SCALARS = {"int": (int, "an integer"), "float": (float, "a number"), "word": (parse_word, None)}
 
 
 def _pattern(section: str) -> str:
@@ -268,16 +271,13 @@ def _typed(value: RawValue, spec: Tuple[str, ...], idents: Optional[dict] = None
     """``value`` as the schema kind ``spec``; ``idents`` maps identifier
     groups to their names."""
     kind = spec[0]
-    if kind == "int":
+    if kind in _SCALARS:
+        parse, expected = _SCALARS[kind]
         try:
-            return int(value.text)
-        except ValueError:
-            raise ScenarioError(f"expected an integer, found {value.text!r}", value.line, value.column)
-    if kind == "float":
-        try:
-            return float(value.text)
-        except ValueError:
-            raise ScenarioError(f"expected a number, found {value.text!r}", value.line, value.column)
+            return parse(value.text)
+        except (ValueError, CompositionError) as exc:
+            message = f"expected {expected}, found {value.text!r}" if expected else str(exc)
+            raise ScenarioError(message, value.line, value.column) from None
     if kind == "bool":
         if value.text in ("true", "false"):
             return value.text == "true"
@@ -296,8 +296,6 @@ def _typed(value: RawValue, spec: Tuple[str, ...], idents: Optional[dict] = None
             raise ScenarioError("expected a bracketed list of integers", value.line, value.column)
         return tuple(_typed(RawValue("scalar", item, None, value.line, value.column), ("int",))
                      for item in value.items)
-    if kind == "word":
-        return parse_word(value.text)
     if kind == "enum":
         if value.text not in spec[1:]:
             raise ScenarioError(

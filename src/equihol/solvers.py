@@ -178,9 +178,19 @@ class FormBasis:
 
 
 def _monomial(e):
-    # A full-shape exponent keeps numpy on its general power loop; a
-    # broadcast exponent of 2 takes the x*x shortcut, which rounds differently.
-    return lambda x: np.prod(x ** np.full(np.shape(x), e), axis=-1)
+    # The axes with a nonzero exponent, multiplied in axis order. A power keeps
+    # numpy's general loop (a full-shape exponent on a one-wide column, also
+    # for one point): the x*x shortcut of a broadcast 2 rounds differently.
+    axes = [(i, k) for i, k in enumerate(e) if k]
+
+    def member(x):
+        out = np.ones(np.shape(x)[:-1])
+        for i, k in axes:
+            col = x[..., i:i + 1]
+            out = out * (col if k == 1 else col ** np.full(np.shape(col), k))[..., 0]
+        return out
+
+    return member
 
 
 def _wave(fn, i: int, w: float):

@@ -63,6 +63,7 @@ from equihol.geometry import (
     format_word,
     lie_bracket,
     line_integral,
+    linear_combination,
     monomial_exponents,
     rk4_line_integral,
     segment_sum,
@@ -82,8 +83,10 @@ from equihol.lattice import (
     LocalDensity,
     LocalFunctional,
     LocalOneForm,
+    centered_difference,
     fiber_translation_lie,
     flow_slope,
+    jets,
     lie_derivative_local,
     random_fields,
     shift_lie,
@@ -96,7 +99,7 @@ from equihol.scenario import (
     load_scenario,
     parse_scenario,
 )
-from equihol.solvers import SolverConfig, character_membership, one_form_basis
+from equihol.solvers import SolverConfig, character_membership, one_form_basis, scalar_basis
 
 LAT = LatticeBase(16, 1.0)
 
@@ -190,6 +193,24 @@ def test_local_one_form_integrals_match_site_loop(slots):
             assert batched(x, d) == batched.many(s, v)[row]
 
 
+def rolled_difference(lattice, values):
+    """The centered difference as two rolls of the site axis."""
+    return (np.roll(values, -1, -1) - np.roll(values, 1, -1)) / (2.0 * lattice.spacing)
+
+
+def test_centered_difference_is_the_rolled_difference():
+    # Slices of one array give the rolled difference bit for bit, on one
+    # field and on a stack, and so do the jets built from it.
+    rng = rng_for(7, "stencil-fields")
+    for lattice, shape in ((LatticeBase(8, 0.7), (8,)), (LAT, (5, 16))):
+        v = rng.normal(size=shape)
+        assert np.array_equal(centered_difference(lattice, v), rolled_difference(lattice, v))
+        env = jets(lattice, v, 3)
+        for k in (1, 2, 3):
+            previous = env["u" if k == 1 else f"u{k - 1}"]
+            assert np.array_equal(env[f"u{k}"], rolled_difference(lattice, previous))
+
+
 def _member(basis, j):
     """Member j of a density basis as a density of its own."""
     return LocalDensity(
@@ -249,6 +270,42 @@ def test_basis_combine_is_the_coefficient_sum_of_columns():
         values = basis.combine(c, slots).as_form(space).many(fields, variations)
         tol = 1e-12 * np.sum(np.abs(columns * c))
         assert values == pytest.approx(columns @ c, rel=0, abs=tol)
+
+
+def test_basis_matrices_match_per_member_powers():
+    # Functionals, forms, members and fitted densities equal, bit for bit,
+    # products of env[sym] ** k formed anew for every member, on jets of
+    # rolled differences; degree 3 puts cubes in the power table too.
+    basis = DensityBasis(LAT, 2, 3)
+    fields = random_fields(LAT, 4, rng_for(8, "power-fields"))
+    variations = random_fields(LAT, 4, rng_for(8, "power-variations"))
+    env = {"x": LAT.coordinates, "u": fields}
+    dv = [variations]
+    for k in (1, 2):
+        env[f"u{k}"] = rolled_difference(LAT, env["u" if k == 1 else "u1"])
+        dv.append(rolled_difference(LAT, dv[-1]))
+    members = []
+    for expo in basis.exponents:
+        acc = 1.0
+        for sym, k in zip(basis.symbols, expo):
+            if k:
+                acc = acc * env[sym] ** k
+        members.append(np.broadcast_to(acc, fields.shape))
+    h = LAT.spacing
+    functionals = np.stack([np.sum(m, axis=-1) for m in members], axis=1) * h
+    assert np.array_equal(basis.functionals(fields), functionals)
+    slots = [2, 0]
+    forms = np.stack([np.sum(m * dv[k], axis=-1) for m in members for k in slots], axis=1) * h
+    assert np.array_equal(basis.forms(fields, variations, slots), forms)
+    for j, m in enumerate(members):
+        assert np.array_equal(np.broadcast_to(basis.member(env, j), fields.shape), m)
+    c = rng_for(8, "power-coefficients").normal(size=len(members) * len(slots))
+    fit = basis.combine(c, slots)
+    for q, k in enumerate(slots):
+        expected = linear_combination(c[q::len(slots)], members)
+        assert np.array_equal(fit.slot_densities[k].on_jets(env), expected)
+    assert np.array_equal(basis.combine(c[: len(members)]).on_jets(env),
+                          linear_combination(c[: len(members)], members))
 
 
 def test_random_fields_rows_match_draw_loop():
@@ -341,6 +398,24 @@ def test_one_form_basis_matches_per_point_products():
     s = path.points[:6]
     for f in basis.scalars.fields:
         assert np.array_equal([f(x) for x in s], f(s))
+
+
+def test_scalar_monomials_take_the_general_power_loop():
+    # Each monomial member is the full-shape power product bit for bit, on a
+    # stack and on each point. pow(x, 2) and x*x round apart on some draws,
+    # so a square shortcut in the member would show here.
+    for d in (1, 2, 3):
+        space = ParameterSpace(d, "euclidean-box", lower=(-5.0,) * d, upper=(5.0,) * d)
+        basis = scalar_basis(space, 4, trig=True)
+        exponents = monomial_exponents(d, 4)
+        assert len(basis.fields) == len(exponents) + 2 * d
+        xs = rng_for(d, "monomial-draws").uniform(-5.0, 5.0, size=(64, d))
+        assert np.any(xs ** np.full(xs.shape, 2) != xs * xs)
+        for f, expo in zip(basis.fields, exponents):
+            reference = lambda x, e=np.array(expo): np.prod(x ** np.full(np.shape(x), e), axis=-1)
+            assert np.array_equal(f(xs), reference(xs))
+            for x in xs:
+                assert f(x) == reference(x)
 
 
 def test_stacked_stencil_rows_are_single_point_calls():

@@ -8,6 +8,7 @@ from equihol.errors import (
     CompositionError,
     DomainError,
     EvaluationError,
+    PreconditionError,
     ResolutionError,
 )
 from equihol.geometry import (
@@ -327,6 +328,27 @@ def test_act_on_path():
     path = Path.line(space, [0.0], [1.0], samples=9)
     moved = path.transform(lambda p: p + 3.0)
     assert np.allclose(moved.points, path.points + 3.0)
+
+
+@pytest.mark.parametrize(
+    "method",
+    [
+        lambda a, b: a.resample(5),
+        lambda a, b: a.reverse(),
+        lambda a, b: a.concat(b),
+        lambda a, b: b.concat(a),
+        lambda a, b: a.transform(lambda p: p + 3.0),
+    ],
+    ids=["resample", "reverse", "concat", "concat_onto_stack", "transform"],
+)
+def test_one_path_methods_reject_a_stack(method):
+    # A (K, S, d) stack has its paths on the first axis, where these
+    # methods would read samples; they take one path only.
+    space = line_space()
+    one = Path.line(space, [0.0], [1.0], samples=9)
+    stack = Path(space, one.times, np.stack([one.points, one.points + 0.5]))
+    with pytest.raises(PreconditionError, match="one path only"):
+        method(stack, one)
 
 
 # ---------------------------------------------------------------------------

@@ -333,18 +333,21 @@ def test_cli_non_finite_scenario_value_is_typed_error(line, edited, message, tmp
          "forward = [cos(0.7)*x1 - sin(0.7)*x2]",
          "expected 2 expressions (one per axis), found 1 (line 16, column 11)"),
         ("trivial", "[cocycle]", "[relations]\nr = g^99999999999\n\n[cocycle]",
-         "word 'g^99999999999' has more than 10000 letters"),
+         "word 'g^99999999999' has more than 10000 letters (line 19, column 5)"),
+        ("trivial", "[cocycle]", "[relations]\nr = g^x\n\n[cocycle]",
+         "bad exponent in word chunk 'g^x' (line 19, column 5)"),
     ],
     ids=["sites", "period", "infinite_period", "halfwidth", "upper", "infinite_upper",
          "infinite_halfwidth", "jet_order", "jet_order_negative",
          "slot_above_jet_order", "no_slots", "repeated_slot",
-         "short_field", "long_field", "short_flow", "short_forward", "huge_relation"],
+         "short_field", "long_field", "short_flow", "short_forward", "huge_relation",
+         "bad_relation_exponent"],
 )
 def test_cli_rejected_model_value_is_typed_error(name, line, edited, message, tmp_path, capsys):
     # Values the lattice and parameter-space constructors reject, jet orders
     # and slots out of range, repeated slots, expression lists without one
-    # entry per axis and relator words too long to expand end in one typed
-    # error line.
+    # entry per axis and relator words too long to expand or with a bad
+    # exponent end in one typed error line; a word names its position.
     text = (bundled_dir() / f"{name}.scn").read_text()
     assert text.count(line + "\n") == 1
     scenario = tmp_path / "rejected.scn"

@@ -8,12 +8,16 @@ Usage, from the root of a checkout:
 of a checkout). Every call runs in this one interpreter through
 ``equihol.cli.main``; the file written lists, per argument vector, its exit
 code and both streams, plus the file written by the one ``--out`` case.
-Capturing two checkouts and comparing the files with ``cmp`` shows whether
-a change kept every report byte-identical:
+Capturing two checkouts and comparing the files shows whether a change
+kept every report byte-identical:
 
     python3 tools/capture_reports.py ../parent/src /tmp/parent.json
     python3 tools/capture_reports.py src /tmp/change.json
-    cmp /tmp/parent.json /tmp/change.json
+    python3 tools/capture_reports.py --compare /tmp/parent.json /tmp/change.json
+
+``--compare`` prints the argument vector of every record that differs,
+with the fields that differ, and exits 1; when every record is equal it
+prints the record count and exits 0.
 
 The argument vectors cover ``verdict`` at seeds 0 and 3 on every bundled
 scenario (``--local`` on the lattice ones), ``check-cocycle``, ``anomaly``
@@ -25,6 +29,7 @@ scenarios and one ``--out`` report.
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import sys
@@ -137,7 +142,32 @@ def main(src_dir, out_path):
     print(f"{len(records)} calls captured to {out_path}")
 
 
+def compare(parent_path, change_path):
+    """Print each differing record's argument vector and fields; the exit code."""
+    records = []
+    for path in (parent_path, change_path):
+        with open(path, encoding="utf-8") as fh:
+            records.append(json.load(fh))
+    differing = 0
+    for old, new in itertools.zip_longest(*records):
+        if old is None or new is None:
+            what = "only in " + (parent_path if new is None else change_path)
+        else:
+            what = ", ".join(sorted(k for k in old.keys() | new.keys() if old.get(k) != new.get(k)))
+        if what:
+            differing += 1
+            print(" ".join((old or new)["argv"]) + ": " + what)
+    total = max(map(len, records))
+    if differing:
+        print(f"{differing} of {total} records differ")
+        return 1
+    print(f"{total} records equal")
+    return 0
+
+
 if __name__ == "__main__":
+    if len(sys.argv) == 4 and sys.argv[1] == "--compare":
+        sys.exit(compare(sys.argv[2], sys.argv[3]))
     if len(sys.argv) != 3:
         sys.exit(__doc__)
     main(sys.argv[1], sys.argv[2])
