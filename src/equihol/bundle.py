@@ -39,7 +39,6 @@ from .geometry import (
     max_abs,
     pointwise,
     richardson_slope,
-    two_form_derivative,
 )
 from .probes import direction_draws, probe_points, rng_for
 
@@ -467,7 +466,7 @@ class EquivariantCurvature:
         d_omega = 0.0
         if space.dimension >= 3:
             u, v, w = _unit_rows(direction_draws(rng, len(pts), 3, space.dimension))
-            d_omega = max_abs(two_form_derivative(self.omega)(pts, u, v, w))
+            d_omega = max_abs(central_difference(space, self.omega.many, pts, u, v, w))
         moment_defect = 0.0
         for label, mu in self.moment.items():
             Xf = bundle.lie(label).generator_field

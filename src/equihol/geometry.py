@@ -437,16 +437,33 @@ def _as_ast(space, text_or_ast):
 # Exterior calculus by central differences
 
 
-def central_difference(space: ParameterSpace, values: Callable, points, directions) -> np.ndarray:
-    """``(f(x + h v) - f(x - h v)) / 2h`` per row of ``(N, d)`` points and
-    directions, for ``values`` mapping points to ``(N,)`` or ``(N, K)`` arrays;
-    h is the space's ``fd_step`` and every stencil must stay in the domain."""
+def central_difference(space: ParameterSpace, many: Callable, points, *vectors) -> np.ndarray:
+    """The exterior derivative of a k-form by central differences, k = 0, 1, 2.
+
+    ``many(points, *k vectors)`` is a stacked k-form evaluator; for k = 0 it
+    maps ``(N, d)`` points to ``(N,)`` or ``(N, K)`` arrays. Per row of the
+    points and the k + 1 vector stacks, the result is the sum over i of
+    ``(-1)^i (w(x + h v_i) - w(x - h v_i)) / 2h``, with ``w`` the form on
+    the vectors other than v_i and h the space's ``fd_step``. Every stencil
+    must stay in the domain. All 2(k + 1) stencils go to one ``many`` call
+    in term order (``+h v_0``, ``-h v_0``, ``+h v_1``, ...) and the terms are
+    added left to right.
+    """
     h = space.fd_step
     xs = np.asarray(points, dtype=float).reshape(-1, space.dimension)
-    vs = np.asarray(directions, dtype=float).reshape(-1, space.dimension)
-    space.require_stencil(xs, h * np.linalg.norm(vs, axis=1))
-    plus = values(space.points(xs + h * vs))
-    return (plus - values(space.points(xs - h * vs))) / (2 * h)
+    vs = [np.asarray(v, dtype=float).reshape(-1, space.dimension) for v in vectors]
+    stencils = []
+    for v in vs:
+        space.require_stencil(xs, h * np.linalg.norm(v, axis=1))
+        stencils += [space.points(xs + h * v), space.points(xs - h * v)]
+    rest = [vs[:i] + vs[i + 1:] for i in range(len(vs)) for _ in "+-"]
+    q = np.asarray(many(np.concatenate(stencils), *map(np.concatenate, zip(*rest))))
+    q = q.reshape((len(stencils), len(xs)) + q.shape[1:])
+    out = (q[0] - q[1]) / (2 * h)
+    for i in range(1, len(vs)):
+        term = (q[2 * i] - q[2 * i + 1]) / (2 * h)
+        out = out + term if i % 2 == 0 else out - term
+    return out
 
 
 def directional_derivative(space: ParameterSpace, fn: Callable, x, v) -> float:
@@ -455,57 +472,29 @@ def directional_derivative(space: ParameterSpace, fn: Callable, x, v) -> float:
     zero vector."""
     if float(np.linalg.norm(v)) == 0.0:
         return 0.0
-    return float(central_difference(space, lambda xs: np.array([float(fn(xs[0]))]), x, v)[0])
-
-
-def exterior_rows(space: ParameterSpace, many: Callable, points, u, v) -> np.ndarray:
-    """``d beta(x; u, v)`` per row of ``(N, d)`` stacks, for a stacked one-form
-    evaluator ``many(points, vectors)``: the central difference along u of
-    beta(v) minus the one along v of beta(u)."""
-
-    def along(a, b):
-        return central_difference(space, lambda xs: many(xs, b), points, a)
-
-    return along(u, v) - along(v, u)
+    return float(central_difference(space, pointwise(fn), x, v)[0])
 
 
 def exterior_derivative(form):
-    """d on scalar fields and one-forms, via central differences on stacks."""
-    space = form.space
-    if isinstance(form, ScalarField):
-        return OneForm(
-            space, lambda xs, vs: central_difference(space, form.many, xs, vs), f"d({form.name})"
-        )
-    if isinstance(form, OneForm):
-        return TwoForm(
-            space, lambda xs, us, vs: exterior_rows(space, form.many, xs, us, vs), f"d({form.name})"
-        )
-    raise TypeError("exterior_derivative expects a ScalarField or OneForm")
+    """d on scalar fields and one-forms, via :func:`central_difference` on stacks."""
+    if not isinstance(form, (ScalarField, OneForm)):
+        raise TypeError("exterior_derivative expects a ScalarField or OneForm")
+    kind = OneForm if isinstance(form, ScalarField) else TwoForm
+    return kind(
+        form.space, lambda xs, *vs: central_difference(form.space, form.many, xs, *vs),
+        f"d({form.name})",
+    )
 
 
 def richardson_slope(difference: Callable[[float], float], h: float) -> float:
-    """Richardson extrapolation ``(4 D(h/2) - D(h)) / 3`` of a central difference.
+    """Richardson extrapolation ``(4 D(h/2) - D(h)) / 3`` of an estimate D.
 
-    ``difference(h)`` is a central difference quotient with step h, a real
-    or an array of them; its error is even in h, so the extrapolation
-    cancels the h^2 term.
+    ``difference(h)`` is any estimate with step h whose error is even in h,
+    such as a central difference quotient or a midpoint sum, a real or an
+    array of them; the extrapolation cancels the h^2 term.
     """
     d1, d2 = difference(h), difference(h / 2)
     return (4.0 * d2 - d1) / 3.0
-
-
-def two_form_derivative(omega: TwoForm):
-    """d of a two-form as a trilinear evaluator of four ``(N, d)`` stacks,
-    used only for validation."""
-    space = omega.space
-
-    def fn(xs, us, vs, ws):
-        def along(a, b, c):
-            return central_difference(space, lambda ys: omega.many(ys, b, c), xs, a)
-
-        return along(us, vs, ws) - along(vs, us, ws) + along(ws, us, vs)
-
-    return fn
 
 
 def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
@@ -727,13 +716,14 @@ def segment_sum(values: Callable, path: Path) -> np.ndarray:
 
 
 def line_integral(form: OneForm, path: Path) -> float:
-    """Composite midpoint quadrature of a one-form along a PL path."""
+    """Composite midpoint quadrature of a one-form along one PL path."""
+    path._samples  # a stack raises; segment_sum takes stacks
     return float(segment_sum(form.many, path))
 
 
 def cumulative_line_integral(form: OneForm, path: Path) -> np.ndarray:
     """Partial sums of the midpoint quadrature at every path node."""
-    out = np.zeros(len(path.points))
+    out = np.zeros(len(path._samples))
     np.cumsum(form.many(*path.segments()), out=out[1:])
     if not np.all(np.isfinite(out)):
         raise EvaluationError("non-finite cumulative integral", point=path.start)
@@ -747,10 +737,11 @@ def rk4_line_integral(form: OneForm, path: Path) -> float:
     rule; it is an independent route to the same integral and is used as a
     cross-check on the midpoint quadrature.
     """
+    nodes = path._samples
 
     def simpson(mids, steps):
-        k1, kmid = form.many(path.points[:-1], steps), form.many(mids, steps)
-        return (k1 + 4.0 * kmid + form.many(path.points[1:], steps)) / 6.0
+        k1, kmid = form.many(nodes[:-1], steps), form.many(mids, steps)
+        return (k1 + 4.0 * kmid + form.many(nodes[1:], steps)) / 6.0
 
     return float(segment_sum(simpson, path))
 

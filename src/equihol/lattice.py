@@ -230,12 +230,10 @@ class LocalOneForm:
     def values(self, field_values, variations):
         """The form at a field and variation, or ``(N,)`` values on stacks."""
         env = jets(self.lattice, field_values, self._jet_order)
-        current = as_field(self.lattice, variations)
+        dv = jets(self.lattice, variations, len(self.slot_densities) - 1)
         total = 0.0
         for k, dens in enumerate(self.slot_densities):
-            if k > 0:
-                current = centered_difference(self.lattice, current)
-            total = total + np.sum(dens.on_jets(env) * current, axis=-1)
+            total = total + np.sum(dens.on_jets(env) * dv[JET_NAMES[k]], axis=-1)
         return total * self.lattice.spacing
 
     def as_form(self, field_space: ParameterSpace) -> OneForm:
@@ -420,25 +418,10 @@ def lie_derivative_local(
 # Curl stencils
 
 
-def curl(many: Callable, s, v1, v2, h: float) -> np.ndarray:
-    """d(form)(v1, v2) at each row of the ``(N, m)`` field stack s, by
-    central differences of step h; v1 and v2 are stacks like s.
-
-    ``many`` is a stacked form evaluator giving ``(N,)`` values, or an
-    ``(N, K)`` matrix of K forms; the four stencil points of every row go
-    to one call, and the result has the same shape.
-    """
-    q = many(
-        np.concatenate([s + h * v1, s - h * v1, s + h * v2, s - h * v2]),
-        np.concatenate([v2, v2, v1, v1]),
-    )
-    q = q.reshape((4, len(s)) + q.shape[1:])
-    return (q[0] - q[1]) / (2 * h) - (q[2] - q[3]) / (2 * h)
-
-
 def curl_stencils(fields, variations, pairs: int):
-    """Stacks ``(s, v1, v2)`` for :func:`curl`: every field with each of the
-    first ``pairs`` pairs of consecutive variations, field-major."""
+    """Stacks ``(s, v1, v2)`` of the curl rows ``central_difference(space, many,
+    s, v1, v2)``: every field with each of the first ``pairs`` pairs of
+    consecutive variations, field-major."""
     fields, variations = np.asarray(fields, dtype=float), np.asarray(variations, dtype=float)
     tile = lambda vs: np.tile(vs, (len(fields), 1))
     return np.repeat(fields, pairs, axis=0), tile(variations[:pairs]), tile(variations[1:pairs + 1])

@@ -15,12 +15,11 @@ from typing import List
 import numpy as np
 
 from .bundle import CHECK_TOL, Section, check_cocycle, connection_report, infinitesimal_anomaly
-from .geometry import segment_sum
+from .geometry import central_difference, segment_sum
 from .holonomy import class_holonomies, class_path_stacks, holonomy_form_gap
 from .lattice import (
     DensityBasis,
     LocalFunctional,
-    curl,
     curl_stencils,
     flow_slope,
     random_fields,
@@ -66,7 +65,7 @@ def solve_local_lie_coboundary(model, section: Section, cfg: SolverConfig):
     rows = np.vstack([flow_slope(basis.functionals, X, fit_fields) for X in generators.values()])
     targets = np.concatenate([anomalies[label].many(fit_fields) for label in generators])
     coef, fit_res, cond = _lstsq_with_lifts(
-        rows, targets, [False] * len(targets), cfg, polish_budget=max(cfg.fit_tol, 1e-9)
+        rows, targets, [False] * len(targets), max(cfg.fit_tol, 1e-9)
     )
     combined = LocalFunctional(basis.combine(coef), name="fit")
     hold_rng = rng_for(cfg.seed, "local-lie-holdout")
@@ -133,17 +132,15 @@ def solve_local_global_form(model, section: Section, cfg: SolverConfig, slots=No
     pushed = np.concatenate([g.differential(fields, variations) for g in gens])
     blocks.append(forms(moved, pushed) - np.tile(forms(fields, variations), (len(gens), 1)))
     targets.extend(np.zeros(len(moved)))
-    h = space.fd_step
     s, v1, v2 = curl_stencils(inv_fields[:2], inv_vars, len(inv_vars) - 1)
-    blocks.append(curl(forms, s, v1, v2, h))
-    targets.extend(curl(rho.many, s, v1, v2, h))
+    blocks.append(central_difference(space, forms, s, v1, v2))
+    targets.extend(central_difference(space, rho.many, s, v1, v2))
     real_rows = len(targets) - len(circle_mask)
     circle_mask.extend([False] * real_rows)
     circle_groups.extend([-1] * real_rows)
 
     coef, fit_res, cond = _lstsq_with_lifts(
-        np.vstack(blocks), targets, circle_mask, cfg, circle_groups,
-        polish_budget=max(cfg.fit_tol, 1e-8) * 10,
+        np.vstack(blocks), targets, circle_mask, max(cfg.fit_tol, 1e-8) * 10, circle_groups
     )
     beta_local = basis.combine(coef, fit_slots)
     beta_form = beta_local.as_form(space)

@@ -706,6 +706,11 @@ def _identifiers(raw: RawScenario, head: str, values: dict) -> Dict[str, tuple]:
             f"[lattice] jet_order must lie in 0..{MAX_JET_ORDER}",
             raw.sections["lattice"]["jet_order"].line,
         )
+    if values.get("density_degree", 4) < 0:
+        raise ScenarioError(
+            "[lattice] density_degree must be at least 0",
+            raw.sections["lattice"]["density_degree"].line,
+        )
     idents.update(jets=JET_NAMES[: jet_order + 1], site=("x",), zmode=("zmode",))
     return idents
 

@@ -48,11 +48,11 @@ from .geometry import (
     circle_gaps,
     circle_values,
     exterior_derivative,
-    exterior_rows,
     line_integral,
     linear_combination,
     monomial_exponents,
     monomial_name,
+    richardson_slope,
     segment_sum,
 )
 from .holonomy import (
@@ -77,6 +77,8 @@ COUNT_FLOORS = {
     "n_paths": (1, "[solver] paths"),
     "n_basepoints": (1, "[solver] basepoints"),
     "slack_bound": (0, "[solver] slack_bound"),
+    "degree": (0, "[solver] degree"),
+    "max_word_len": (2, "[solver] max_word_len or --max-word-len"),
 }
 # Longest word the cocycle check takes: the word pairs it compares grow
 # geometrically with the length once two generators act.
@@ -299,8 +301,8 @@ def _lift_fit(A, reps, circle_mask, lifts):
     return coef, (float(np.max(resid)) if len(resid) else 0.0), lifts
 
 
-def _lstsq_with_lifts(A, targets, circle_mask, cfg: SolverConfig, circle_groups=None,
-                      polish_budget=None, initial_lifts=None):
+def _lstsq_with_lifts(A, targets, circle_mask, polish_budget, circle_groups=None,
+                      initial_lifts=None):
     """Min-norm least squares with per-row integer lifts on circle rows.
 
     Circle targets start from their representative nearest zero; after each
@@ -366,8 +368,7 @@ def _lstsq_with_lifts(A, targets, circle_mask, cfg: SolverConfig, circle_groups=
             # Inherit the winning integer branch; a fresh start could fall
             # back into the knife-edge basin on half-integer targets.
             sub, sparse_residual, _ = _lift_fit(A[:, support], reps, circle_mask, best_lifts.copy())
-            budget = max(fit_residual, polish_budget if polish_budget is not None else 0.0)
-            if sparse_residual <= max(budget, fit_residual + 1e-12):
+            if sparse_residual <= max(polish_budget, fit_residual + 1e-12):
                 coef = np.zeros(len(coef))
                 coef[support] = sub
                 fit_residual = sparse_residual
@@ -440,7 +441,7 @@ def solve_group_coboundary(
         targets.extend(values.tolist())
     circle_mask = [True] * len(targets)
     coef, fit_res, cond = _lstsq_with_lifts(
-        np.concatenate(blocks), targets, circle_mask, cfg, polish_budget=cfg.fit_tol,
+        np.concatenate(blocks), targets, circle_mask, cfg.fit_tol,
         initial_lifts=np.concatenate(initial) if initial else None,
     )
     theta = basis.combine(space, coef)
@@ -484,7 +485,7 @@ def solve_lie_coboundary(
         blocks.append(central_difference(space, basis.matrix, fit_pts, directions))
         targets += anomalies[label].many(fit_pts).tolist()
     coef, fit_res, cond = _lstsq_with_lifts(
-        np.concatenate(blocks), targets, [False] * len(targets), cfg, polish_budget=cfg.fit_tol
+        np.concatenate(blocks), targets, [False] * len(targets), cfg.fit_tol
     )
     lam = basis.combine(space, coef)
     hold_pts = probe_points(space, cfg.holdout, cfg.seed, tag="lie-coboundary-holdout")
@@ -546,7 +547,7 @@ def solve_equivariant_primitive(
         invariance_labels = bundle.action.labels
     fit_pts = probe_points(space, cfg.probes, cfg.seed, tag="primitive-fit")
     at, ea, eb = _planes(fit_pts, space.dimension)
-    blocks = [exterior_rows(space, form_basis.matrix, at, ea, eb)]
+    blocks = [central_difference(space, form_basis.matrix, at, ea, eb)]
     targets = eq_curvature.omega.many(at, ea, eb).tolist()
     for label, mu in eq_curvature.moment.items():
         blocks.append(form_basis.matrix(fit_pts, bundle.lie(label).generator_field.many(fit_pts)))
@@ -556,8 +557,7 @@ def solve_equivariant_primitive(
         blocks.append(form_basis.matrix(gx, pushed) - form_basis.matrix(x, e))
         targets += [0.0] * len(x)
     coef, fit_res, cond = _lstsq_with_lifts(
-        np.concatenate(blocks), targets, [False] * len(targets), cfg,
-        polish_budget=max(cfg.fit_tol, 1e-7) * 10,
+        np.concatenate(blocks), targets, [False] * len(targets), max(cfg.fit_tol, 1e-7) * 10
     )
     beta = form_basis.combine(space, coef)
     hold_pts = probe_points(space, min(cfg.holdout, 64), cfg.seed, tag="primitive-holdout")
@@ -593,7 +593,7 @@ def primitive_residual(bundle, eq_curvature, beta: OneForm, points) -> float:
     beta(X) = -moment(X) for every one-parameter generator X.
     """
     at, ea, eb = _planes(points, bundle.space.dimension)
-    d_beta = exterior_rows(bundle.space, beta.many, at, ea, eb)
+    d_beta = central_difference(bundle.space, beta.many, at, ea, eb)
     gaps = [d_beta - eq_curvature.omega.many(at, ea, eb)]
     for label, mu in eq_curvature.moment.items():
         Xf = bundle.lie(label).generator_field
@@ -666,12 +666,11 @@ def invariance_obstruction(
             )
 
     def sigma_value(label, x):
-        # Richardson-extrapolated midpoint: kills the quadratic error term.
-        coarse = line_integral(defects[label], Path.line(space, x0, x, samples=SIGMA_SAMPLES + 1))
-        fine = line_integral(
-            defects[label], Path.line(space, x0, x, samples=2 * SIGMA_SAMPLES + 1)
-        )
-        return fine + (fine - coarse) / 3.0
+        # The Richardson extrapolation of midpoint sums over 1/h segments.
+        def midpoint(h):
+            return line_integral(defects[label], Path.line(space, x0, x, samples=round(1 / h) + 1))
+
+        return richardson_slope(midpoint, 1 / SIGMA_SAMPLES)
 
     # Path-independence spot check through a bent detour.
     spread = 0.0
@@ -698,8 +697,8 @@ def invariance_obstruction(
     consts = np.repeat(np.eye(len(labels)), len(fit_pts), axis=0)
     targets = [sigma_value(label, x) for label in labels for x in fit_pts]
     coef, fit_res, cond = _lstsq_with_lifts(
-        np.hstack([np.concatenate(shifts), consts]), targets, [False] * len(targets), cfg,
-        polish_budget=max(cfg.fit_tol, 1e-7) * 10,
+        np.hstack([np.concatenate(shifts), consts]), targets, [False] * len(targets),
+        max(cfg.fit_tol, 1e-7) * 10
     )
     tau = basis.combine(space, coef[:n_basis])
     improved = beta0 - exterior_derivative(tau)

@@ -14,6 +14,7 @@ which must agree bit for bit, witnesses included.
 """
 
 import dataclasses
+import functools
 import math
 from collections import Counter
 
@@ -59,7 +60,6 @@ from equihol.geometry import (
     cumulative_line_integral,
     directional_derivative,
     exterior_derivative,
-    exterior_rows,
     format_word,
     lie_bracket,
     line_integral,
@@ -84,6 +84,7 @@ from equihol.lattice import (
     LocalFunctional,
     LocalOneForm,
     centered_difference,
+    curl_stencils,
     fiber_translation_lie,
     flow_slope,
     jets,
@@ -431,7 +432,7 @@ def test_stacked_stencil_rows_are_single_point_calls():
             assert slopes[row, j] == directional_derivative(space, f, x, u)
     # x2^2 dx1 + x1 x2 dx2, so d beta(u, v) = -x2 (u1 v2 - u2 v1).
     beta = OneForm.from_expressions(space, ["x2*x2", "x1*x2"])
-    rows = exterior_rows(space, beta.many, xs, us, vs)
+    rows = central_difference(space, beta.many, xs, us, vs)
     d_beta = exterior_derivative(beta)
     for row, (x, u, v) in enumerate(zip(xs, us, vs)):
         assert rows[row] == d_beta(x, u, v)
@@ -452,6 +453,111 @@ def test_stacked_stencil_rows_are_single_point_calls():
         values = [_monomial(x, e) for e in exponents] + waves
         expected = sum(c * f for c, f in zip(coefficients, values))
         assert theta(x) == pytest.approx(expected, rel=0, abs=1e-12 * max(1.0, np.abs(values).sum()))
+
+
+# ---------------------------------------------------------------------------
+# The one central-difference exterior derivative
+
+BOX3 = ParameterSpace(3, "euclidean-box", lower=(-4.0,) * 3, upper=(4.0,) * 3)
+
+
+def _k_forms():
+    """Polynomial k-form evaluators on BOX3 by k: an ``(N, K)`` matrix of
+    scalar fields, a one-form and a two-form. Products only: a power of a
+    one-row stack may round differently from the same row in a longer one."""
+    beta = OneForm.from_expressions(BOX3, ["x2*x3", "x1*x1*x3", "x1 - x2*x2"])
+
+    def scalars(xs):
+        x1, x2, x3 = xs.T
+        return np.stack([x1 * x2, x3 * x3 * x1, x2 - x3, np.ones(len(xs))], axis=1)
+
+    def omega(xs, us, vs):
+        x1, x2, x3 = xs.T
+        return (x2 * x3 * (us[:, 1] * vs[:, 2] - us[:, 2] * vs[:, 1])
+                + x1 * x1 * (us[:, 2] * vs[:, 0] - us[:, 0] * vs[:, 2])
+                + (x1 - x3) * (us[:, 0] * vs[:, 1] - us[:, 1] * vs[:, 0]))
+
+    return {0: scalars, 1: beta.many, 2: omega}
+
+
+def ref_exterior(space, many, x, vectors):
+    """d of a k-form at one point: each term of one-row calls, signed and
+    added left to right."""
+    h, terms = space.fd_step, []
+    for i, v in enumerate(vectors):
+        rest = [w[None] for w in vectors[:i] + vectors[i + 1:]]
+        value = lambda y: many(space.point(y)[None], *rest)[0]
+        terms.append((value(x + h * v) - value(x - h * v)) / (2 * h))
+    if len(terms) == 1:
+        return terms[0]
+    if len(terms) == 2:
+        return terms[0] - terms[1]
+    return terms[0] - terms[1] + terms[2]
+
+
+def test_central_difference_is_the_signed_sum_of_single_point_terms():
+    # k = 0, 1, 2 in three dimensions: every row of the stacked derivative
+    # is, bit for bit, the alternating sum of its per-term differences.
+    rng = rng_for(14, "exterior")
+    xs, vectors = rng.uniform(-2.0, 2.0, size=(6, 3)), list(rng.normal(size=(3, 6, 3)))
+    for k, many in _k_forms().items():
+        rows = central_difference(BOX3, many, xs, *vectors[:k + 1])
+        assert rows.shape[0] == len(xs)
+        for row, x in enumerate(xs):
+            expected = ref_exterior(BOX3, many, x, [v[row] for v in vectors[:k + 1]])
+            assert np.all(rows[row] == expected)
+
+
+def test_central_difference_makes_one_call_in_term_order():
+    # All 2(k + 1) stencils of N rows go to one call: +h v_0, -h v_0,
+    # +h v_1, ..., each with the other vectors in their order.
+    rng = rng_for(15, "exterior-calls")
+    xs, vectors = rng.uniform(-2.0, 2.0, size=(5, 3)), list(rng.normal(size=(3, 5, 3)))
+    h = BOX3.fd_step
+    for k, many in _k_forms().items():
+        calls = []
+
+        def recorded(points, *vs):
+            calls.append((points, vs))
+            return many(points, *vs)
+
+        central_difference(BOX3, recorded, xs, *vectors[:k + 1])
+        assert len(calls) == 1
+        points, vs = calls[0]
+        assert points.shape == (2 * (k + 1) * len(xs), 3) and len(vs) == k
+        stencils = [p for v in vectors[:k + 1] for p in (xs + h * v, xs - h * v)]
+        assert np.array_equal(points, np.concatenate(stencils))
+        others = [np.delete(np.arange(k + 1), i) for i in range(k + 1)]
+        for j in range(k):
+            expected = np.concatenate([vectors[o[j]] for o in others for _ in "+-"])
+            assert np.array_equal(vs[j], expected)
+
+
+def ref_curl(many, s, v1, v2, h):
+    """d(form)(v1, v2) on field stacks: the four stencils of every row in
+    one call, the v1 difference minus the v2 difference."""
+    q = many(
+        np.concatenate([s + h * v1, s - h * v1, s + h * v2, s - h * v2]),
+        np.concatenate([v2, v2, v1, v1]),
+    )
+    q = q.reshape((4, len(s)) + q.shape[1:])
+    return (q[0] - q[1]) / (2 * h) - (q[2] - q[3]) / (2 * h)
+
+
+def test_lattice_curl_rows_are_the_curl_formula(lattice_models):
+    # The curl rows of the local global-form search: the basis forms and
+    # the connection of every lattice scenario, bit for bit.
+    for model in lattice_models.values():
+        basis = DensityBasis(model.lattice, model.jet_order, model.density_degree)
+        forms = functools.partial(basis.forms, slots=list(range(model.jet_order + 1)))
+        rho = model.connection.rho(Section())
+        fields = random_fields(model.lattice, 2, rng_for(5, "curl-fields"))
+        variations = random_fields(model.lattice, 3, rng_for(5, "curl-vars"))
+        s, v1, v2 = curl_stencils(fields, variations, 2)
+        h = model.space.fd_step
+        for many in (forms, rho.many):
+            rows = central_difference(model.space, many, s, v1, v2)
+            assert np.array_equal(rows, ref_curl(many, s, v1, v2, h))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from equihol.bundle import Connection, Section
 from equihol.errors import (
     CompositionError,
     DomainError,
@@ -24,13 +25,16 @@ from equihol.geometry import (
     central_difference,
     circle_differential,
     conjugate_path,
+    cumulative_line_integral,
     exterior_derivative,
     format_word,
     lie_bracket,
     line_integral,
     parse_word,
+    rk4_line_integral,
     word_inverse,
 )
+from equihol.holonomy import horizontal_lift
 
 
 def line_space(extent=16.0):
@@ -330,6 +334,10 @@ def test_act_on_path():
     assert np.allclose(moved.points, path.points + 3.0)
 
 
+def ramp(space):
+    return OneForm.from_expressions(space, ["x1"])
+
+
 @pytest.mark.parametrize(
     "method",
     [
@@ -338,12 +346,21 @@ def test_act_on_path():
         lambda a, b: a.concat(b),
         lambda a, b: b.concat(a),
         lambda a, b: a.transform(lambda p: p + 3.0),
+        lambda a, b: line_integral(ramp(a.space), a),
+        lambda a, b: rk4_line_integral(ramp(a.space), a),
+        lambda a, b: cumulative_line_integral(ramp(a.space), a),
+        lambda a, b: cumulative_line_integral(ramp(a.space), Path(a.space, a.times, a.points[:1])),
+        lambda a, b: horizontal_lift(Connection(ramp(a.space)), Section(), a),
     ],
-    ids=["resample", "reverse", "concat", "concat_onto_stack", "transform"],
+    ids=["resample", "reverse", "concat", "concat_onto_stack", "transform", "line_integral",
+         "rk4_line_integral", "cumulative_line_integral", "cumulative_one_path_stack",
+         "horizontal_lift"],
 )
 def test_one_path_methods_reject_a_stack(method):
     # A (K, S, d) stack has its paths on the first axis, where these
-    # methods would read samples; they take one path only.
+    # methods would read samples; they take one path only. The quadratures
+    # and the lift of one path reject a stack too, even a stack of one;
+    # segment_sum is their stacked counterpart.
     space = line_space()
     one = Path.line(space, [0.0], [1.0], samples=9)
     stack = Path(space, one.times, np.stack([one.points, one.points + 0.5]))

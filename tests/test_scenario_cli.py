@@ -228,6 +228,10 @@ def test_cli_check_cocycle_witness_exit(tmp_path, capsys):
         # The letter count is checked before the word is expanded.
         (["holonomy", "trivial", "--word", "g^99999999999"],
          "word 'g^99999999999' has more than 10000 letters"),
+        (["check-cocycle", "trivial", "--max-word-len", "1"], "--max-word-len must be at least 2"),
+        (["verdict", "trivial", "--max-word-len", "1"], "--max-word-len must be at least 2"),
+        (["holonomy", "trivial", "--word", "g", "--max-word-len", "1"],
+         "--max-word-len must be at least 2"),
     ],
 )
 def test_cli_bad_input_is_typed_error(argv, message, capsys):
@@ -250,6 +254,8 @@ def test_cli_bad_input_is_typed_error(argv, message, capsys):
         ("fit_tol = 0", "[solver] fit_tol"),
         ("fit_tol = inf", "[solver] fit_tol"),
         ("max_word_len = 7", "[solver] max_word_len"),
+        ("max_word_len = 1", "[solver] max_word_len"),
+        ("degree = -1", "[solver] degree must be at least 0"),
     ],
 )
 def test_cli_bad_solver_value_is_typed_error(line, message, tmp_path, capsys):
@@ -316,6 +322,8 @@ def test_cli_non_finite_scenario_value_is_typed_error(line, edited, message, tmp
          "[lattice] jet_order must lie in 0..6 (line 10)"),
         ("lattice_planted_local", "jet_order = 2", "jet_order = -1",
          "[lattice] jet_order must lie in 0..6 (line 9)"),
+        ("lattice_fiber_shift", "density_degree = 2", "density_degree = -1",
+         "[lattice] density_degree must be at least 0 (line 11)"),
         ("lattice_fiber_shift", "path_samples = 192", "path_samples = 192\nslots = [3]",
          "[solver] slots must be variation slots in 0..2 (line 34)"),
         ("lattice_fiber_shift", "path_samples = 192", "path_samples = 192\nslots = []",
@@ -338,14 +346,14 @@ def test_cli_non_finite_scenario_value_is_typed_error(line, edited, message, tmp
          "bad exponent in word chunk 'g^x' (line 19, column 5)"),
     ],
     ids=["sites", "period", "infinite_period", "halfwidth", "upper", "infinite_upper",
-         "infinite_halfwidth", "jet_order", "jet_order_negative",
+         "infinite_halfwidth", "jet_order", "jet_order_negative", "density_degree_negative",
          "slot_above_jet_order", "no_slots", "repeated_slot",
          "short_field", "long_field", "short_flow", "short_forward", "huge_relation",
          "bad_relation_exponent"],
 )
 def test_cli_rejected_model_value_is_typed_error(name, line, edited, message, tmp_path, capsys):
-    # Values the lattice and parameter-space constructors reject, jet orders
-    # and slots out of range, repeated slots, expression lists without one
+    # Values the lattice and parameter-space constructors reject, jet orders,
+    # density degrees and slots out of range, repeated slots, expression lists without one
     # entry per axis and relator words too long to expand or with a bad
     # exponent end in one typed error line; a word names its position.
     text = (bundled_dir() / f"{name}.scn").read_text()
