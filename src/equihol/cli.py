@@ -62,7 +62,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("curvature", help="connection, curvature and moment report"))
     verdict = sub.add_parser("verdict", help="staged cancellation decision")
     common(verdict)
-    verdict.add_argument("--local", action="store_true", help="run the lattice-local pipeline")
+    verdict.add_argument(
+        "--local", action="store_true",
+        help="require a lattice scenario (lattice scenarios always run the local pipeline)",
+    )
     self_p = sub.add_parser("selftest", help="run all bundled invariant suites")
     common(self_p, scenario=False)
     return parser

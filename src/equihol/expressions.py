@@ -16,7 +16,8 @@ integer literals, so every expression is polynomial in its variables apart
 from the four reserved functions.
 
 Compiled expressions evaluate against a plain ``dict`` environment and are
-numpy-transparent: feeding arrays evaluates elementwise.
+numpy-transparent: feeding arrays evaluates elementwise. :func:`compile_map`
+turns one expression, or one per axis, into a map over an ``(N, d)`` stack.
 """
 
 from __future__ import annotations
@@ -294,6 +295,30 @@ def compile_expr(node: Expr) -> Callable[[dict], float]:
             return inner(env)
 
     return ev
+
+
+def compile_map(nodes, env_of: Callable[[np.ndarray], dict]) -> Callable[..., np.ndarray]:
+    """Compile one AST, or a list of ``k`` of them, into a map over a stack.
+
+    The map ``fn(stack, **symbols)`` evaluates on ``env_of(stack)`` plus the
+    symbols of this call (flow time ``t``, word exponents ``n1..n9``) and
+    returns ``(N,)`` values for one AST or ``(N, k)`` columns for a list; a
+    constant broadcasts down its column, and one point ``(d,)`` is a stack
+    without its first axis. Each AST is compiled once, and evaluation
+    follows :func:`compile_expr`.
+    """
+    single = not isinstance(nodes, (list, tuple))
+    evs = [_compile(node) for node in ([nodes] if single else nodes)]
+
+    def fn(stack, **symbols):
+        env = {**env_of(stack), **symbols}
+        out = np.empty(np.shape(stack)[:-1] + (len(evs),))
+        with np.errstate(all="ignore"):
+            for i, ev in enumerate(evs):
+                out[..., i] = ev(env)
+        return out[..., 0] if single else out
+
+    return fn
 
 
 def _compile(node: Expr) -> Callable[[dict], float]:

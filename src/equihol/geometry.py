@@ -254,8 +254,10 @@ class ParameterSpace:
 # Fields and forms
 
 
-def _env(x: np.ndarray) -> dict:
-    return {f"x{i + 1}": x[i] for i in range(len(x))}
+def _env(xs) -> dict:
+    """Coordinates ``x1..xd`` of a point ``(d,)`` or coordinate columns of a
+    stack ``(N, d)``: the environment of every chart expression."""
+    return {f"x{i + 1}": column for i, column in enumerate(np.asarray(xs).T)}
 
 
 def _rows(space: ParameterSpace, *arrays):
@@ -330,8 +332,8 @@ class ScalarField(_Evaluator):
     def from_expression(cls, space, text_or_ast, name=""):
         """The field of one compiled expression, on the coordinate columns."""
         ast = _as_ast(space, text_or_ast)
-        ev = expressions.compile_expr(ast)
-        return cls.batched(space, lambda xs: ev(_env(xs.T)), name or expressions.to_source(ast))
+        many = expressions.compile_map(ast, _env)
+        return cls.batched(space, many, name or expressions.to_source(ast))
 
 
 class VectorField(_Evaluator):
@@ -349,15 +351,7 @@ class VectorField(_Evaluator):
     @classmethod
     def from_expressions(cls, space, components, name=""):
         """The field of one compiled expression per axis, on the coordinate columns."""
-        evs = [expressions.compile_expr(_as_ast(space, c)) for c in components]
-
-        def many(xs):
-            env, out = _env(xs.T), np.empty(xs.shape)
-            for i, ev in enumerate(evs):
-                out[:, i] = ev(env)  # a constant component broadcasts
-            return out
-
-        return cls(space, many, name)
+        return cls(space, _axis_map(space, components), name)
 
 
 class OneForm(_Evaluator):
@@ -369,16 +363,8 @@ class OneForm(_Evaluator):
     @classmethod
     def from_expressions(cls, space, texts, name=""):
         """The form ``sum_i c_i(x) dx_i`` of one compiled expression per axis."""
-        evs = [expressions.compile_expr(_as_ast(space, t)) for t in texts]
-
-        def many(xs, vs):
-            env = _env(xs.T)
-            out = np.zeros(len(xs))
-            for i, ev in enumerate(evs):
-                out = out + ev(env) * vs[:, i]
-            return out
-
-        return cls(space, many, name)
+        coefficients = _axis_map(space, texts)
+        return cls(space, lambda xs, vs: linear_combination(coefficients(xs).T, vs.T), name)
 
     @classmethod
     def zero(cls, space):
@@ -431,6 +417,13 @@ def _as_ast(space, text_or_ast):
         names = [f"x{i + 1}" for i in range(space.dimension)]
         return expressions.parse(text_or_ast, names)
     return text_or_ast
+
+
+def _axis_map(space, exprs):
+    """Map of one expression per axis to ``(N, d)`` columns."""
+    if len(exprs) != space.dimension:
+        raise ValueError(f"need one expression per axis: {space.dimension}, not {len(exprs)}")
+    return expressions.compile_map([_as_ast(space, e) for e in exprs], _env)
 
 
 # ---------------------------------------------------------------------------

@@ -64,9 +64,8 @@ def solve_local_lie_coboundary(model, section: Section, cfg: SolverConfig):
     anomalies = {label: infinitesimal_anomaly(bundle, section, label) for label in generators}
     rows = np.vstack([flow_slope(basis.functionals, X, fit_fields) for X in generators.values()])
     targets = np.concatenate([anomalies[label].many(fit_fields) for label in generators])
-    coef, fit_res, cond = _lstsq_with_lifts(
-        rows, targets, [False] * len(targets), max(cfg.fit_tol, 1e-9)
-    )
+    fit_bound = max(cfg.fit_tol, 1e-9)
+    coef, fit_res, cond = _lstsq_with_lifts(rows, targets, [False] * len(targets), fit_bound)
     combined = LocalFunctional(basis.combine(coef), name="fit")
     hold_rng = rng_for(cfg.seed, "local-lie-holdout")
     hold_fields = random_fields(model.lattice, max(12, len(names)), hold_rng)
@@ -78,7 +77,7 @@ def solve_local_lie_coboundary(model, section: Section, cfg: SolverConfig):
     )
     coefficients = dict(zip(names, (float(c) for c in coef)))
     description = f"local jet densities: {len(names)} members, degree <= {model.density_degree}"
-    if fit_res <= max(cfg.fit_tol, 1e-9) and holdout <= max(cfg.holdout_tol, 1e-8):
+    if fit_res <= fit_bound and holdout <= max(cfg.holdout_tol, 1e-8):
         return Certificate(coefficients, fit_res, holdout, description, cond), combined
     return NoCertificate(fit_res, holdout, description), None
 
@@ -139,8 +138,9 @@ def solve_local_global_form(model, section: Section, cfg: SolverConfig, slots=No
     circle_mask.extend([False] * real_rows)
     circle_groups.extend([-1] * real_rows)
 
+    fit_bound = max(cfg.fit_tol, 1e-8) * 10
     coef, fit_res, cond = _lstsq_with_lifts(
-        np.vstack(blocks), targets, circle_mask, max(cfg.fit_tol, 1e-8) * 10, circle_groups
+        np.vstack(blocks), targets, circle_mask, fit_bound, circle_groups
     )
     beta_local = basis.combine(coef, fit_slots)
     beta_form = beta_local.as_form(space)
@@ -157,7 +157,7 @@ def solve_local_global_form(model, section: Section, cfg: SolverConfig, slots=No
         f"local one-form densities: {len(names)} members, degree <= {model.density_degree}"
         + (f", slots {list(slots)}" if slots is not None else "")
     )
-    if fit_res <= max(cfg.fit_tol, 1e-8) * 10 and holdout <= max(cfg.holdout_tol, 1e-7) * 10:
+    if fit_res <= fit_bound and holdout <= max(cfg.holdout_tol, 1e-7) * 10:
         return Certificate(coefficients, fit_res, holdout, description, cond), beta_local
     return NoCertificate(fit_res, holdout, description), None
 

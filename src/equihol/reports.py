@@ -17,14 +17,15 @@ SCHEMA = "equihol-report/1"
 
 
 def _plain(value: Any):
+    # A CircleValue is a dataclass too, but is reported as its bare value.
+    if hasattr(value, "value") and type(value).__name__ == "CircleValue":
+        return value.value
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {f.name: _plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
     if isinstance(value, dict):
         return {str(k): _plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
-    if hasattr(value, "value") and type(value).__name__ == "CircleValue":
-        return value.value
     if isinstance(value, (bool, int, str)) or value is None:
         return value
     if isinstance(value, float):

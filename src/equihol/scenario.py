@@ -30,7 +30,7 @@ import numpy as np
 
 from .bundle import Cocycle, Connection, EquivariantBundle, Section
 from .errors import CompositionError, EvaluationError, ScenarioError
-from .expressions import compile_expr, parse as parse_expr, to_source
+from .expressions import compile_map, parse as parse_expr, to_source
 from .geometry import (
     GroupAction,
     GroupElement,
@@ -39,6 +39,7 @@ from .geometry import (
     ParameterSpace,
     ScalarField,
     VectorField,
+    _axis_map,
     _env,
     format_word,
     parse_word,
@@ -400,9 +401,9 @@ class Scenario:
         labels = [g.label for g in gens]
         flows = {k: e["alpha"] for k, e in lie_entries.items() if "alpha" in e}
         cocycle = Cocycle.batched(
-            {label: _circle_field(values[label], env) for label in labels},
+            {label: compile_map(values[label], env) for label in labels},
             family=None if family is None else _family_map(labels, family, env),
-            flow_values={label: _flow_circle(expr, env) for label, expr in flows.items()},
+            flow_values={label: _timed(compile_map(expr, env)) for label, expr in flows.items()},
         )
         action = GroupAction(space, gens, relations=relations)
         seed = int(self.solver.get("seed", 0))
@@ -414,7 +415,7 @@ class Scenario:
         space = self.build_space()
         sections = self.sections
         gens = [
-            GroupElement(label, _vector_map(space, e["forward"]), _vector_map(space, e["inverse"]),
+            GroupElement(label, _axis_map(space, e["forward"]), _axis_map(space, e["inverse"]),
                          space, e.get("identity_component", False))
             for label, e in self.labelled("group.").items()
         ]
@@ -422,13 +423,13 @@ class Scenario:
         fixed_points = {}
         for label, e in self.labelled("lie.").items():
             fieldv = VectorField.from_expressions(space, e["field"], name=label)
-            flow = _flow_map(e["flow"]) if "flow" in e else None
+            flow = _timed(compile_map(e["flow"], _env)) if "flow" in e else None
             lie_elements.append(LieElement(label, fieldv, flow=flow))
             if "fixed_point" in e:
                 fixed_points[label] = e["fixed_point"]
         bundle = self._assemble_bundle(
             space, gens, sections["cocycle"], self.labelled("lie."), lie_elements,
-            sections.get("cocycle_family", {}).get("family"), _chart_env,
+            sections.get("cocycle_family", {}).get("family"), _env,
             relations=list(sections.get("relations", {}).values()),
         )
         rho = (
@@ -504,12 +505,10 @@ class Scenario:
             declared_rho = LocalOneForm(lattice, slot_densities, name="rho")
             connection = Connection(declared_rho.as_form(space))
         elif "rho_zmode" in declared:
-            ev = compile_expr(declared["rho_zmode"])
-
-            def rho_many(fields, variations):
-                return ev({"zmode": lattice.zero_mode(fields)}) * lattice.zero_mode(variations)
-
-            connection = Connection(OneForm(space, rho_many, name="rho_zmode"))
+            coefficient = compile_map(declared["rho_zmode"], zmode_env)
+            connection = Connection(OneForm(
+                space, lambda fs, vs: coefficient(fs) * lattice.zero_mode(vs), name="rho_zmode"
+            ))
         else:
             connection = Connection(OneForm.zero(space))
         return LatticeModel(
@@ -573,70 +572,22 @@ class LatticeModel:
 # Expression wiring
 
 
-def _vector_map(space, exprs):
-    """Point map of one expression per axis, on an ``(N, d)`` stack."""
-    if len(exprs) != space.dimension:
-        raise ScenarioError("map needs one component per dimension")
-    flow = _flow_map(exprs)
-    return lambda xs: flow(None, xs)
-
-
-def _flow_map(exprs):
-    """Map of one expression per axis at time ``t``, on an ``(N, d)`` stack."""
-    evs = [compile_expr(e) for e in exprs]
-
-    def fn(t, xs):
-        env, out = _chart_env(xs), np.empty(np.shape(xs))
-        if t is not None:
-            env["t"] = float(t)
-        for i, ev in enumerate(evs):
-            out[:, i] = ev(env)  # a constant component broadcasts
-        return out
-
-    return fn
-
-
-def _chart_env(x):
-    """Coordinates ``x1..xd`` of a point ``(d,)`` or coordinate columns of a
-    stack ``(N, d)``."""
-    return _env(np.asarray(x).T)
-
-
 def _zmode_env(lattice):
-    """Lattice counterpart of :func:`_chart_env`: the zero mode of a field
-    ``(m,)`` or of each row of a stack ``(N, m)``."""
+    """Lattice counterpart of :func:`~equihol.geometry._env`: the zero mode
+    of a field ``(m,)`` or of each row of a stack ``(N, m)``."""
     return lambda s: {"zmode": lattice.zero_mode(np.asarray(s, dtype=float))}
 
 
-def _circle_field(expr, env):
-    """Circle value of ``expr`` per row of a stack, as ``(N,)`` reals."""
-    ev = compile_expr(expr)
-    return lambda xs: ev(env(xs))
-
-
-def _flow_circle(expr, env):
-    """Circle value of ``expr`` at flow time ``t`` per row of a stack."""
-    ev = compile_expr(expr)
-
-    def fn(t, xs):
-        values = env(xs)
-        values["t"] = float(t)
-        return ev(values)
-
-    return fn
+def _timed(fn):
+    """``fn``, which takes the flow time as the symbol ``t``, as the
+    ``(t, stack)`` map that a flow and a flow value take."""
+    return lambda t, xs: fn(xs, t=float(t))
 
 
 def _family_map(labels, expr, env):
-    """Family value of ``expr`` at the exponents, per row of a stack."""
-    ev = compile_expr(expr)
-
-    def fn(exponents, xs):
-        values = env(xs)
-        for i, label in enumerate(labels):
-            values[f"n{i + 1}"] = float(exponents.get(label, 0))
-        return ev(values)
-
-    return fn
+    """Family value of ``expr`` at the exponents ``n1..nk`` of ``labels``."""
+    fn, names = compile_map(expr, env), [f"n{i + 1}" for i in range(len(labels))]
+    return lambda exps, xs: fn(xs, **{n: float(exps.get(g, 0)) for n, g in zip(names, labels)})
 
 
 # ---------------------------------------------------------------------------

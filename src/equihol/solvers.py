@@ -556,8 +556,9 @@ def solve_equivariant_primitive(
         gx, pushed, x, e = _pullback(bundle.action.generators[label], fit_pts, space.dimension)
         blocks.append(form_basis.matrix(gx, pushed) - form_basis.matrix(x, e))
         targets += [0.0] * len(x)
+    fit_bound = max(cfg.fit_tol, 1e-7) * 10
     coef, fit_res, cond = _lstsq_with_lifts(
-        np.concatenate(blocks), targets, [False] * len(targets), max(cfg.fit_tol, 1e-7) * 10
+        np.concatenate(blocks), targets, [False] * len(targets), fit_bound
     )
     beta = form_basis.combine(space, coef)
     hold_pts = probe_points(space, min(cfg.holdout, 64), cfg.seed, tag="primitive-holdout")
@@ -568,7 +569,7 @@ def solve_equivariant_primitive(
     # Finite differences in the d rows leave stencil-scale noise, so the
     # acceptance thresholds sit an order above the configured fit tolerance.
     coefficients = dict(zip(form_basis.names, (float(c) for c in coef)))
-    if fit_res <= max(cfg.fit_tol, 1e-7) * 10 and holdout <= max(cfg.holdout_tol, 1e-6) * 10:
+    if fit_res <= fit_bound and holdout <= max(cfg.holdout_tol, 1e-6) * 10:
         return Certificate(coefficients, fit_res, holdout, form_basis.description, cond), beta
     return NoCertificate(fit_res, holdout, form_basis.description), None
 
@@ -696,9 +697,9 @@ def invariance_obstruction(
     # One free constant per generator: the potentials are defined modulo constants.
     consts = np.repeat(np.eye(len(labels)), len(fit_pts), axis=0)
     targets = [sigma_value(label, x) for label in labels for x in fit_pts]
+    fit_bound = max(cfg.fit_tol, 1e-7) * 10
     coef, fit_res, cond = _lstsq_with_lifts(
-        np.hstack([np.concatenate(shifts), consts]), targets, [False] * len(targets),
-        max(cfg.fit_tol, 1e-7) * 10
+        np.hstack([np.concatenate(shifts), consts]), targets, [False] * len(targets), fit_bound
     )
     tau = basis.combine(space, coef[:n_basis])
     improved = beta0 - exterior_derivative(tau)
@@ -706,7 +707,7 @@ def invariance_obstruction(
     holdout = invariance_residual(bundle, improved, labels, hold_pts)
     coefficients = dict(zip(basis.names, (float(c) for c in coef[:n_basis])))
     potentials = {label: functools.partial(sigma_value, label) for label in labels}
-    if fit_res <= max(cfg.fit_tol, 1e-7) * 10 and holdout <= max(cfg.holdout_tol, 1e-6) * 10:
+    if fit_res <= fit_bound and holdout <= max(cfg.holdout_tol, 1e-6) * 10:
         cert = Certificate(coefficients, fit_res, holdout, basis.description, cond)
         return SigmaResult(potentials, cert, improved, spread)
     return SigmaResult(

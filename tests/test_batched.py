@@ -55,6 +55,7 @@ from equihol.geometry import (
     Path,
     ScalarField,
     VectorField,
+    _axis_map,
     circle_differential,
     central_difference,
     cumulative_line_integral,
@@ -94,7 +95,6 @@ from equihol.lattice import (
 )
 from equihol.probes import probe_points, rng_for
 from equihol.scenario import (
-    _vector_map,
     bundled_dir,
     bundled_names,
     load_scenario,
@@ -990,7 +990,7 @@ def test_power_rule_is_one_for_forms_fields_and_maps():
     field = ScalarField.from_expression(space, text).many(xs)
     form = OneForm.from_expressions(space, [text, "0"]).many(xs, e1)
     vector = VectorField.from_expressions(space, [text, "x2"]).many(xs)[:, 0]
-    group_map = _vector_map(space, [parse_expr(text, ("x1", "x2")), parse_expr("x2", ("x1", "x2"))])
+    group_map = _axis_map(space, [parse_expr(text, ("x1", "x2")), parse_expr("x2", ("x1", "x2"))])
     density = LocalDensity.from_expression(LAT, "u^3 - 0.7*u1^5 + (u + u1)^2", 1)
     jets = {"x": 0.0, "u": xs[:, 0], "u1": xs[:, 1]}
     expected = [

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,6 +12,35 @@ VARS = ("x1", "x2", "t")
 
 def ev(text, **env):
     return ex.compile_expr(ex.parse(text, VARS))(env)
+
+
+def _coords(xs):
+    return {"x1": xs[:, 0], "x2": xs[:, 1]}
+
+
+def test_compile_map_one_expression_gives_one_value_per_row():
+    xs = np.array([[1.0, 2.0], [3.0, -1.0], [0.5, 0.0]])
+    values = ex.compile_map(ex.parse("x1*x2 + 1", VARS), _coords)(xs)
+    assert values.shape == (3,)
+    assert values.tolist() == [3.0, -2.0, 1.0]
+    assert ex.compile_map(ex.parse("2.5", VARS), _coords)(xs).tolist() == [2.5] * 3
+
+
+def test_compile_map_list_gives_columns_and_broadcasts_constants():
+    xs = np.array([[1.0, 2.0], [3.0, -1.0]])
+    nodes = [ex.parse(text, VARS) for text in ("x2", "7", "x1^2")]
+    columns = ex.compile_map(nodes, _coords)(xs)
+    assert columns.shape == (2, 3)
+    assert columns.tolist() == [[2.0, 7.0, 1.0], [-1.0, 7.0, 9.0]]
+
+
+def test_compile_map_symbols_reach_one_call_only():
+    xs = np.array([[1.0, 2.0], [3.0, -1.0]])
+    fn = ex.compile_map(ex.parse("x1 + t*n1", VARS + ("n1",)), _coords)
+    assert fn(xs, t=2.0, n1=3.0).tolist() == [7.0, 9.0]
+    assert fn(xs, t=0.5, n1=-2.0).tolist() == [0.0, 2.0]
+    with pytest.raises(KeyError):
+        fn(xs)  # the symbols of an earlier call are not kept
 
 
 def test_arithmetic_and_precedence():

@@ -35,6 +35,7 @@ from equihol.geometry import (
     word_inverse,
 )
 from equihol.holonomy import horizontal_lift
+from equihol.reports import _plain
 
 
 def line_space(extent=16.0):
@@ -84,6 +85,21 @@ def test_circle_value_edge_representatives():
 
 # ---------------------------------------------------------------------------
 # Spaces and paths
+
+
+def test_report_values_print_circle_values_bare():
+    assert _plain(CircleValue(0.25)) == 0.25
+    assert _plain({"a": CircleValue(0.5), "b": [CircleValue(0.75), 1]}) == {"a": 0.5, "b": [0.75, 1]}
+
+
+def test_axis_expressions_need_one_per_axis():
+    space = ParameterSpace(2, "euclidean-box", lower=(-1.0, -1.0), upper=(1.0, 1.0))
+    for texts in (["x1"], ["1"], ["x1", "x2", "1"]):
+        with pytest.raises(ValueError, match="one expression per axis"):
+            VectorField.from_expressions(space, texts)
+        with pytest.raises(ValueError, match="one expression per axis"):
+            OneForm.from_expressions(space, texts)
+    assert VectorField.from_expressions(space, ["x2", "1"])([0.5, -0.25]).tolist() == [-0.25, 1.0]
 
 
 def test_space_invariants_enforced():

@@ -23,7 +23,7 @@ The argument vectors cover ``verdict`` at seeds 0 and 3 on every bundled
 scenario (``--local`` on the lattice ones), ``check-cocycle``, ``anomaly``
 and ``curvature`` in both formats, ``holonomy`` of ``g`` and ``g^2`` for
 every generator ``g`` along the ``unit`` and ``wiggle:3`` paths,
-``selftest``, the typed-error cases, eight edited copies of bundled
+``selftest``, the typed-error cases, eleven edited copies of bundled
 scenarios and one ``--out`` report.
 """
 
@@ -68,6 +68,11 @@ EDITED_CASES = [
      "verdict --local"),
     ("coarse_line.scn", "paper_example_Z_on_R", "path_samples = 512", "path_samples = 2",
      "verdict"),
+    ("family_div0.scn", "translation_shear", "family = n1*x2", "family = n1*x2/0",
+     "check-cocycle"),
+    ("flow_div0.scn", "rotation_anomalous", "alpha = 0.25*t", "alpha = 0.25*t/0", "anomaly"),
+    ("zmode_div0.scn", "lattice_zero_mode", "rho_zmode = zmode^2", "rho_zmode = zmode^2/0",
+     "verdict --local"),
 ]
 
 
