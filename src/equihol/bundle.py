@@ -45,6 +45,8 @@ from .probes import direction_draws, probe_points, rng_for
 # Probe count and cocycle tolerance of the construction checks.
 CHECK_PROBES = 24
 CHECK_TOL = 1e-6
+# Word images closer than this at every probe count as one point.
+COINCIDENCE_TOL = 1e-8
 # Flow step of the cocycle's flow derivative.
 FLOW_STEP = 1e-4
 # Probes and tolerance of the bracket expansion in declared generators.
@@ -110,53 +112,35 @@ class Cocycle:
 
 
 class _WordTree:
-    """Images, generator terms and law values of words over one probe stack.
-
-    A node is a letter tuple read as a word acting on the stack ``xs``. Its
-    image is its first letter acting on the image of the rest, and its term
-    is the cocycle value of that letter there: at the image of the rest for
-    a positive letter, at the node's own image for an inverse one. Each is
-    computed once, so the words of a check share every common suffix.
-    """
+    """Images and law values of words over one probe stack ``xs``, each
+    computed once per node, a letter tuple, so words share every common
+    suffix. A node's image is its first letter acting on the image of the
+    rest; its law value adds that letter's cocycle value to the rest's, at
+    the image of the rest for a positive letter and at its own image for an
+    inverse one."""
 
     def __init__(self, action: GroupAction, cocycle: Cocycle, xs: np.ndarray):
         self.action, self.cocycle = action, cocycle
-        self.images, self.terms, self.laws, self.families = {(): xs}, {}, {}, {}
+        self.images, self.laws = {(): xs}, {(): np.zeros(len(xs))}
 
     def image(self, node: Word) -> np.ndarray:
         if node not in self.images:
             self.images[node] = self.action.apply_letter(node[0], self.image(node[1:]))
         return self.images[node]
 
-    def law(self, word: Word, base: Word = ()) -> np.ndarray:
-        """Value of ``word`` by the cocycle law at the image of ``base``: the
-        letters fold last first, reduced to the circle after each one."""
-        xs = self.image(base)
-        total = self.laws.setdefault(((), base), np.zeros(len(xs)))
+    def law(self, word: Word) -> np.ndarray:
+        """Value of ``word`` by the cocycle law: the letters fold last first,
+        reduced to the circle after each one."""
+        xs = self.images[()]
         for k in range(len(word) - 1, -1, -1):
-            key, node = (word[k:], base), word[k:] + base
-            if key not in self.laws:
-                if node not in self.terms:
-                    name, sign = node[0]
-                    ys = self.image(node[1:] if sign > 0 else node)
-                    values = self.cocycle.generator_values[name](ys)
-                    self.terms[node] = _circle_rows(
-                        values, xs, lambda: f" on word {format_word(word)!r}"
-                    )
-                self.laws[key] = circle_values(total + word[k][1] * self.terms[node], xs)
-            total = self.laws[key]
-        self.image(word + base)  # the fold ends on the word's image
-        return total
-
-    def value(self, word: Word, base: Word = ()) -> np.ndarray:
-        """:meth:`Cocycle.on_word` at the image of ``base``; a family value is
-        computed once per exponent vector and base."""
-        if self.cocycle.family is None:
-            return self.law(word, base)
-        key = (tuple(self.action.exponent_vector(word).values()), base)
-        if key not in self.families:
-            self.families[key] = self.cocycle.on_word(self.action, word, self.image(base))
-        return self.families[key]
+            node = word[k:]
+            if node not in self.laws:
+                name, sign = node[0]
+                ys = self.image(node[1:] if sign > 0 else node)
+                values = self.cocycle.generator_values[name](ys)
+                term = _circle_rows(values, xs, lambda: f" on word {format_word(word)!r}")
+                self.laws[node] = circle_values(self.laws[node[1:]] + sign * term, xs)
+        return self.laws[word]
 
 
 def _circle_rows(values, probes: np.ndarray, context) -> np.ndarray:
@@ -271,46 +255,51 @@ def check_cocycle(
     probes: int = 32,
     seed: int = 0,
 ) -> CocycleReport:
-    """Residual of the cocycle law over word splits, relations and families.
-
-    For every pair of words with combined length up to ``word_length`` the
-    law value at a probe is compared against the sum route; declared
-    relations must carry value zero; when a family is present it is checked
-    against the law extension letter by letter. The values are those of
-    :meth:`Cocycle.on_word`, read off one :class:`_WordTree` over the probe
-    stack. Each check stacks its residuals over word pairs and probes; the
-    witness is the first largest residual in (word pair, probe) order.
+    """Residuals of three facts on the words up to ``word_length``, the
+    identity among them, read off one :class:`_WordTree` over the probes:
+    words whose images coincide (their quotient is a relator of length up
+    to 2 ``word_length``) have equal law values; a family matches the law;
+    declared relators have :meth:`Cocycle.on_word` value zero. The witness
+    is the first largest residual in (fact, comparison, probe) order.
     """
     if word_length < 2:
         raise PreconditionError("word_length must be at least 2")
     action, cocycle = bundle.action, bundle.cocycle
     pts = probe_points(bundle.space, probes, seed, tag="cocycle-check")
     tree = _WordTree(action, cocycle, pts)
-    worst, witness_words, witness_point = 0.0, None, None
-    checks = 0
-
-    def note(rows, labels):  # one row of residuals per word pair
-        nonlocal worst, witness_words, witness_point, checks
-        residuals = np.reshape(rows, (len(labels), len(pts)))
-        checks += residuals.size
-        if not residuals.size:
-            return
-        k, i = divmod(int(np.argmax(residuals)), len(pts))
-        if residuals[k, i] > worst:
-            worst = float(residuals[k, i])
-            witness_words = tuple(format_word(w) for w in labels[k])
-            witness_point = [float(v) for v in pts[i]]
-
-    words = list(action.words_up_to(word_length - 1))
-    pairs = [(u, v) for u in words for v in words if len(u) + len(v) <= word_length]
-    values = np.array([(tree.value(u + v), tree.value(v), tree.value(u, base=v)) for u, v in pairs])
-    note(circle_gaps(values[:, 0], circle_values(values[:, 1] + values[:, 2], pts)), pairs)
-    rels = action.relations
-    note([circle_gaps(tree.value(rel), 0.0) for rel in rels], [(rel, ()) for rel in rels])
+    words = [()] + list(action.words_up_to(word_length))
+    laws = [tree.law(w) for w in words]
+    pairs = _coincident_pairs(bundle.space, np.array([tree.image(w) for w in words]))
+    rows = [(words[i], words[j], laws[i], laws[j]) for i, j in pairs]
     if cocycle.family is not None:
-        family = list(action.words_up_to(min(word_length, 3)))
-        note([circle_gaps(tree.value(w), tree.law(w)) for w in family], [(w, w) for w in family])
-    return CocycleReport(worst, witness_words, witness_point, checks)
+        rows += [(w, w, cocycle.on_word(action, w, pts), law) for w, law in zip(words[1:], laws[1:])]
+    rows += [(rel, (), cocycle.on_word(action, rel, pts), 0.0) for rel in action.relations]
+    residuals = np.reshape([circle_gaps(a, b) for *_, a, b in rows], (len(rows), len(pts)))
+    if not residuals.any():
+        return CocycleReport(0.0, None, None, residuals.size)
+    k, i = divmod(int(np.argmax(residuals)), len(pts))
+    witness = tuple(format_word(w) for w in rows[k][:2])
+    return CocycleReport(float(residuals[k, i]), witness, [float(v) for v in pts[i]], residuals.size)
+
+
+def _coincident_pairs(space: ParameterSpace, images: np.ndarray) -> list:
+    """Index pairs ``(i, j)``, i < j in lexicographic order, of the
+    ``(W, N, d)`` word images that agree at every probe within
+    ``COINCIDENCE_TOL``. The candidates are neighbours on the coordinate of
+    the first probe that spreads most; on the torus a value near 0 also
+    meets those near the period."""
+    axis = int(np.argmax(np.ptp(images[:, 0], axis=0)))
+    key, index = images[:, 0, axis], np.arange(len(images))
+    if space.is_torus:
+        wrap = np.flatnonzero(key <= COINCIDENCE_TOL)
+        key, index = np.append(key, key[wrap] + space.periods[axis]), np.append(index, wrap)
+    order = np.argsort(key, kind="stable")
+    key, index = key[order], index[order]
+    ends = np.searchsorted(key, key + COINCIDENCE_TOL, side="right")
+    near = {tuple(sorted((int(index[a]), int(index[b])))) for a in range(len(key))
+            for b in range(a + 1, ends[a])}
+    return [(i, j) for i, j in sorted(near)
+            if space.max_distance(images[i], images[j]) <= COINCIDENCE_TOL]
 
 
 def section_cocycle(bundle: EquivariantBundle, section: Section, word: Word):

@@ -268,7 +268,7 @@ def _rows(space: ParameterSpace, *arrays):
 def _checked(values, points, shape, what: str) -> np.ndarray:
     """``values`` as a float array of ``shape``, whose first axis runs over the
     points; a constant (one value, or one vector) broadcasts. A non-finite
-    entry raises an :class:`EvaluationError` at its row's point."""
+    entry raises an :class:`EvaluationError` naming its row's point."""
     out = np.asarray(values, dtype=float)
     if out.shape != shape:
         if out.ndim >= len(shape):
@@ -276,8 +276,8 @@ def _checked(values, points, shape, what: str) -> np.ndarray:
         out = np.broadcast_to(out, shape).copy()
     bad = ~np.isfinite(out)
     if bad.any():
-        row = np.unravel_index(int(np.argmax(bad)), shape)[0]
-        raise EvaluationError(f"{what} non-finite", point=points[row])
+        point = np.asarray(points[np.unravel_index(int(np.argmax(bad)), shape)[0]], dtype=float)
+        raise EvaluationError(f"{what} non-finite at point {point.tolist()}", point=point)
     return out
 
 

@@ -667,8 +667,9 @@ def _identifiers(raw: RawScenario, head: str, values: dict) -> Dict[str, tuple]:
 
 
 def _check_entries(raw: RawScenario, scenario: Scenario) -> None:
-    """Rules across entries: declared generators, one lattice connection,
-    and distinct variation slots in range."""
+    """Rules across entries: declared generators, no trivial first
+    cohomology asserted on a torus, one lattice connection, and distinct
+    variation slots in range."""
     sections, lattice = scenario.sections, scenario.kind == "lattice"
     prefix = "fieldgroup." if lattice else "group."
     labels = scenario.labelled(prefix)
@@ -691,6 +692,11 @@ def _check_entries(raw: RawScenario, scenario: Scenario) -> None:
         for label in labels:
             if label not in sections.get("cocycle", {}):
                 raise ScenarioError(f"missing cocycle entry for generator {label!r}")
+        if sections["space"].get("topology") == "torus" and sections.get("assumptions", {}).get("a1"):
+            raise ScenarioError(
+                "[assumptions] a1 = true asserts a trivial first cohomology, "
+                "which a torus does not have", raw.sections["assumptions"]["a1"].line,
+            )
     if "fieldconnection" in sections and len(sections["fieldconnection"]) != 1:
         raise ScenarioError("[fieldconnection] takes exactly one of rho and rho_zmode")
     slots = scenario.slot_restriction

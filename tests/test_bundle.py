@@ -8,6 +8,7 @@ from equihol.bundle import (
     Connection,
     EquivariantBundle,
     Section,
+    _coincident_pairs,
     check_cocycle,
     connection_report,
     descent_residual,
@@ -70,6 +71,18 @@ def test_check_cocycle_perturbed_has_witness():
     assert report.max_residual > 0.05
     assert report.witness_words is not None
     assert report.witness_point is not None
+
+
+def test_coincident_pairs_agree_at_every_probe_and_meet_across_the_seam():
+    # Three words at two probes: 0 and 2 agree at both, 0 and 1 at the first only.
+    images = np.array([[[0.1], [0.3]], [[0.1], [0.7]], [[0.1 + 1e-12], [0.3]]])
+    box = ParameterSpace(1, "euclidean-box", lower=(-2.0,), upper=(2.0,))
+    assert _coincident_pairs(box, images) == [(0, 2)]
+    # On the torus images on both sides of 0 are one point.
+    seam = np.array([[[1 - 1e-12]], [[0.5]], [[1e-12]], [[0.5 + 1e-6]]])
+    torus = ParameterSpace(1, "torus", periods=(1.0,))
+    assert _coincident_pairs(torus, seam) == [(0, 2)]
+    assert _coincident_pairs(box, seam) == []
 
 
 def test_constant_cocycle_violating_relations_rejected():

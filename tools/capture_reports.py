@@ -23,7 +23,7 @@ The argument vectors cover ``verdict`` at seeds 0 and 3 on every bundled
 scenario (``--local`` on the lattice ones), ``check-cocycle``, ``anomaly``
 and ``curvature`` in both formats, ``holonomy`` of ``g`` and ``g^2`` for
 every generator ``g`` along the ``unit`` and ``wiggle:3`` paths,
-``selftest``, the typed-error cases, eleven edited copies of bundled
+``selftest``, the typed-error cases, twelve edited copies of bundled
 scenarios and one ``--out`` report.
 """
 
@@ -73,6 +73,8 @@ EDITED_CASES = [
     ("flow_div0.scn", "rotation_anomalous", "alpha = 0.25*t", "alpha = 0.25*t/0", "anomaly"),
     ("zmode_div0.scn", "lattice_zero_mode", "rho_zmode = zmode^2", "rho_zmode = zmode^2/0",
      "verdict --local"),
+    ("planted_cocycle.scn", "affine_line", "t1 = 0.3*(x1 + 1)^2 - 0.3*x1^2", "t1 = 0.1*x1^3",
+     "check-cocycle --max-word-len 4"),
 ]
 
 
