@@ -259,8 +259,10 @@ def check_cocycle(
     identity among them, read off one :class:`_WordTree` over the probes:
     words whose images coincide (their quotient is a relator of length up
     to 2 ``word_length``) have equal law values; a family matches the law;
-    declared relators have :meth:`Cocycle.on_word` value zero. The witness
-    is the first largest residual in (fact, comparison, probe) order.
+    declared relators have value zero, by the family when one is declared
+    and off the same tree otherwise, as :meth:`Cocycle.on_word` values
+    them. The witness is the first largest residual in (fact, comparison,
+    probe) order.
     """
     if word_length < 2:
         raise PreconditionError("word_length must be at least 2")
@@ -273,7 +275,8 @@ def check_cocycle(
     rows = [(words[i], words[j], laws[i], laws[j]) for i, j in pairs]
     if cocycle.family is not None:
         rows += [(w, w, cocycle.on_word(action, w, pts), law) for w, law in zip(words[1:], laws[1:])]
-    rows += [(rel, (), cocycle.on_word(action, rel, pts), 0.0) for rel in action.relations]
+    value = tree.law if cocycle.family is None else lambda w: cocycle.on_word(action, w, pts)
+    rows += [(rel, (), value(rel), 0.0) for rel in action.relations]
     residuals = np.reshape([circle_gaps(a, b) for *_, a, b in rows], (len(rows), len(pts)))
     if not residuals.any():
         return CocycleReport(0.0, None, None, residuals.size)

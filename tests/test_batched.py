@@ -718,7 +718,10 @@ def test_word_tree_check_matches_point_loop_at_length_4(models, name):
     assert (
         report.max_residual, report.witness_words, report.witness_point, report.checks
     ) == ref_check_cocycle(bundle, 4, 5, 3)
-    assert (report.max_residual > 0.1) == (name == "planted_affine_line")
+    if name == "planted_affine_line":
+        assert report.max_residual > 0.1
+    else:
+        assert report.max_residual < 1e-8
 
 
 def test_cocycle_check_evaluates_each_tree_edge_once(models):
