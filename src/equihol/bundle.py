@@ -12,6 +12,7 @@ cocycle to moments and descent residuals.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Sequence
 
@@ -61,7 +62,7 @@ class Cocycle:
     """Circle-valued cocycle data for a group action.
 
     ``generator_values`` gives the field for each generator. Words extend
-    by the cocycle law, one fold over a :class:`_WordTree`; when ``family``
+    by the cocycle law, the one-word fill of a :class:`_WordTree`; when ``family``
     is supplied (a closed form over the exponent vector, abelian
     presentations only) it is used instead and the two routes are
     cross-checked by :func:`check_cocycle`. ``flow_values`` carries the
@@ -96,7 +97,7 @@ class Cocycle:
         return cocycle
 
     def on_word(self, action: GroupAction, word: Word, xs: np.ndarray) -> np.ndarray:
-        """The family value, or else the one-word :class:`_WordTree` fold."""
+        """The family value, or else the one-word :class:`_WordTree` fill."""
         if self.family is None:
             return _WordTree(action, self, xs).law(word)
         values = self.family(action.exponent_vector(word), xs)
@@ -112,35 +113,54 @@ class Cocycle:
 
 
 class _WordTree:
-    """Images and law values of words over one probe stack ``xs``, each
-    computed once per node, a letter tuple, so words share every common
-    suffix. A node's image is its first letter acting on the image of the
-    rest; its law value adds that letter's cocycle value to the rest's, at
-    the image of the rest for a positive letter and at its own image for an
-    inverse one."""
+    """Images ``(W, N, d)`` and law values ``(W, N)`` on a probe stack ``xs``
+    of the identity, row 0, and of ``words``, length-ordered and holding each
+    word's rest (all but its first letter). An image is the first letter
+    acting on the rest's; a law value adds the letter's cocycle value to the
+    rest's, reduced to the circle. Each word length makes one map call per
+    letter and one value call per generator. A non-finite value names the
+    level's first such word, or ``named``, and the first offending probe."""
 
-    def __init__(self, action: GroupAction, cocycle: Cocycle, xs: np.ndarray):
-        self.action, self.cocycle = action, cocycle
-        self.images, self.laws = {(): xs}, {(): np.zeros(len(xs))}
-
-    def image(self, node: Word) -> np.ndarray:
-        if node not in self.images:
-            self.images[node] = self.action.apply_letter(node[0], self.image(node[1:]))
-        return self.images[node]
+    def __init__(self, action: GroupAction, cocycle: Cocycle, xs: np.ndarray, words=(),
+                 named: Optional[Word] = None):
+        self.action, self.cocycle, self.xs = action, cocycle, xs
+        self.words = [()] + list(words)
+        row = {w: i for i, w in enumerate(self.words)}
+        rests = np.array([0] + [row[w[1:]] for w in self.words[1:]])
+        signs = np.array([0] + [w[0][1] for w in self.words[1:]])
+        sites = _value_rows(np.arange(len(self.words)), rests, signs)
+        (n, d), size = xs.shape, len(self.words)
+        self.images, self.laws = np.empty((size, n, d)), np.zeros((size, n))
+        terms = np.empty_like(self.laws)
+        self.images[0] = xs
+        for _, level in itertools.groupby(range(1, size), lambda i: len(self.words[i])):
+            level = list(level)
+            rows, letters, names = slice(level[0], level[-1] + 1), {}, {}
+            for i in level:
+                letters.setdefault(self.words[i][0], []).append(i)
+                names.setdefault(self.words[i][0][0], []).append(i)
+            for letter, at in letters.items():
+                ys = self.images[rests[at]].reshape(-1, d)
+                self.images[at] = action.apply_letter(letter, ys).reshape(-1, n, d)
+            for name, at in names.items():
+                values = cocycle.generator_values[name](self.images[sites[at]].reshape(-1, d))
+                terms[at] = np.reshape(values, (-1, n)) if np.size(values) > 1 else values
+            finite = np.isfinite(terms[rows]).all(axis=1)
+            if not finite.all():
+                k = level[int(np.argmin(finite))]
+                circle_values(terms[k], xs, f" on word {format_word(named or self.words[k])!r}")
+            steps = signs[rows, None] * circle_values(terms[rows], xs)
+            self.laws[rows] = circle_values(self.laws[rests[rows]] + steps, xs)
 
     def law(self, word: Word) -> np.ndarray:
-        """Value of ``word`` by the cocycle law: the letters fold last first,
-        reduced to the circle after each one."""
-        xs = self.images[()]
-        for k in range(len(word) - 1, -1, -1):
-            node = word[k:]
-            if node not in self.laws:
-                name, sign = node[0]
-                ys = self.image(node[1:] if sign > 0 else node)
-                values = self.cocycle.generator_values[name](ys)
-                term = _circle_rows(values, xs, lambda: f" on word {format_word(word)!r}")
-                self.laws[node] = circle_values(self.laws[node[1:]] + sign * term, xs)
-        return self.laws[word]
+        """Law value of one word over the same probes: the fill of its suffixes."""
+        suffixes = [word[k:] for k in range(len(word) - 1, -1, -1)]
+        return _WordTree(self.action, self.cocycle, self.xs, suffixes, named=word).laws[-1]
+
+
+def _value_rows(rows: np.ndarray, rests: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """Rows at whose images first letters' values are taken: the rest, or the word if inverse."""
+    return np.where(signs > 0, rests, rows)
 
 
 def _circle_rows(values, probes: np.ndarray, context) -> np.ndarray:
@@ -259,24 +279,22 @@ def check_cocycle(
     identity among them, read off one :class:`_WordTree` over the probes:
     words whose images coincide (their quotient is a relator of length up
     to 2 ``word_length``) have equal law values; a family matches the law;
-    declared relators have value zero, by the family when one is declared
-    and off the same tree otherwise, as :meth:`Cocycle.on_word` values
-    them. The witness is the first largest residual in (fact, comparison,
+    declared relators have value zero as :meth:`Cocycle.on_word` values
+    them, by the family when one is declared and by the law otherwise. The
+    witness is the first largest residual in (fact, comparison,
     probe) order.
     """
     if word_length < 2:
         raise PreconditionError("word_length must be at least 2")
     action, cocycle = bundle.action, bundle.cocycle
     pts = probe_points(bundle.space, probes, seed, tag="cocycle-check")
-    tree = _WordTree(action, cocycle, pts)
-    words = [()] + list(action.words_up_to(word_length))
-    laws = [tree.law(w) for w in words]
-    pairs = _coincident_pairs(bundle.space, np.array([tree.image(w) for w in words]))
+    tree = _WordTree(action, cocycle, pts, action.words_up_to(word_length))
+    words, laws = tree.words, tree.laws
+    pairs = _coincident_pairs(bundle.space, tree.images)
     rows = [(words[i], words[j], laws[i], laws[j]) for i, j in pairs]
     if cocycle.family is not None:
         rows += [(w, w, cocycle.on_word(action, w, pts), law) for w, law in zip(words[1:], laws[1:])]
-    value = tree.law if cocycle.family is None else lambda w: cocycle.on_word(action, w, pts)
-    rows += [(rel, (), value(rel), 0.0) for rel in action.relations]
+    rows += [(rel, (), cocycle.on_word(action, rel, pts), 0.0) for rel in action.relations]
     residuals = np.reshape([circle_gaps(a, b) for *_, a, b in rows], (len(rows), len(pts)))
     if not residuals.any():
         return CocycleReport(0.0, None, None, residuals.size)

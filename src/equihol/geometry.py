@@ -723,20 +723,24 @@ def cumulative_line_integral(form: OneForm, path: Path) -> np.ndarray:
     return out
 
 
+def simpson_terms(form: OneForm, path: Path) -> Callable:
+    """The per-segment RK4 terms of a one-form along a path or a stack as
+    :func:`segment_sum` values: Simpson's rule, the velocity being constant."""
+    d = path.space.dimension
+    starts = path.points[..., :-1, :].reshape(-1, d)
+    ends = path.points[..., 1:, :].reshape(-1, d)
+
+    def terms(mids, steps):
+        k1, kmid = form.many(starts, steps), form.many(mids, steps)
+        return (k1 + 4.0 * kmid + form.many(ends, steps)) / 6.0
+
+    return terms
+
+
 def rk4_line_integral(form: OneForm, path: Path) -> float:
-    """Integrate the phase equation with per-segment RK4.
-
-    Velocity is constant on each segment, so this reduces to a Simpson-type
-    rule; it is an independent route to the same integral and is used as a
-    cross-check on the midpoint quadrature.
-    """
-    nodes = path._samples
-
-    def simpson(mids, steps):
-        k1, kmid = form.many(nodes[:-1], steps), form.many(mids, steps)
-        return (k1 + 4.0 * kmid + form.many(nodes[1:], steps)) / 6.0
-
-    return float(segment_sum(simpson, path))
+    """Per-segment RK4 along one path, the cross-check of the midpoint rule."""
+    path._samples  # a stack raises
+    return float(segment_sum(simpson_terms(form, path), path))
 
 
 # ---------------------------------------------------------------------------
@@ -778,7 +782,7 @@ class GroupElement:
         if self.forward is None or self.inverse is None:
             raise ValueError(f"generator {self.label!r} needs forward and inverse maps")
 
-    def _map(self, fn, x) -> np.ndarray:
+    def _map(self, fn, x, what: str) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         xs = x.reshape(-1, self.space.dimension)
         images = np.asarray(fn(xs), dtype=float)
@@ -787,14 +791,19 @@ class GroupElement:
                 f"generator {self.label!r} must map {xs.shape} to one row per point, "
                 f"not {images.shape}"
             )
-        images = self.space.points(images)
+        try:
+            images = self.space.points(images)
+        except EvaluationError:
+            x = xs[int(np.argmin(np.isfinite(images).all(axis=1)))]
+            message = f"{what} of generator {self.label!r} is non-finite at {x.tolist()}"
+            raise EvaluationError(message, point=x) from None
         return images if x.ndim == 2 else images[0]
 
     def __call__(self, x) -> np.ndarray:
-        return self._map(self.forward, x)
+        return self._map(self.forward, x, "image")
 
     def inv(self, x) -> np.ndarray:
-        return self._map(self.inverse, x)
+        return self._map(self.inverse, x, "inverse image")
 
     def differential(self, x, v) -> np.ndarray:
         """Pushforward of tangent vectors by central differences: the

@@ -5,9 +5,9 @@ defect between the lift endpoint and the translated start fiber. The
 reported value is the closed formula: the midpoint quadrature of rho along
 the path minus the cocycle at the start. ``equivariant_holonomy`` with
 ``method="both"`` also integrates the same rho along the same path by RK4
-and compares the two. That check shares every input with the formula, so
-it catches quadrature error only; it runs in the CLI ``holonomy`` command
-and the holonomy suite, never in a verdict.
+and compares the two, as ``class_holonomies`` does along a stack. That
+check shares every input with the formula, so it catches quadrature error
+only; it runs in the CLI ``holonomy`` command and the holonomy suite.
 
 Only the facts needed by the cancellation criteria are implemented here;
 no further structure of the holonomy map is assumed.
@@ -53,6 +53,7 @@ from .geometry import (
     max_abs,
     rk4_line_integral,
     segment_sum,
+    simpson_terms,
 )
 from .probes import direction_draws, probe_points, rng_for
 
@@ -126,19 +127,38 @@ def class_holonomies(
     section: Section,
     words: Sequence[Word],
     stack: Path,
-) -> np.ndarray:
+    method: str = "formula",
+):
     """Formula holonomies of the paths of a ``(K, S, d)`` stack, path k in
     the class of ``words[k]``: the midpoint integral of rho minus the
     section cocycle at the start, each as :func:`equivariant_holonomy`
     gives it with ``method="formula"``. Every path of a word must end at the
-    image of its start: one class check and one cocycle call per word."""
+    image of its start: one class check and one cocycle call per word.
+    ``method="both"`` also returns the gaps to RK4, raising as one path does."""
     alpha = np.empty(len(words))
     for word, rows in _word_rows(words).items():
         starts = stack.start[rows]
         require_path_class(bundle, word, starts, stack.end[rows])
         alpha[rows] = section_cocycle(bundle, section, word)(starts)
-    integrals = circle_values(segment_sum(connection.rho(section).many, stack), stack.start)
-    return circle_values(integrals - alpha, stack.start)
+    rho = connection.rho(section)
+
+    def holonomies(terms):
+        integrals = circle_values(segment_sum(terms, stack), stack.start)
+        return circle_values(integrals - alpha, stack.start)
+    values = holonomies(rho.many)
+    if method == "formula":
+        return values
+    gaps = circle_gaps(values, holonomies(simpson_terms(rho, stack)))
+    _require_agreement(gaps, words)
+    return values, gaps
+
+
+def _require_agreement(gaps, words: Sequence[Word]) -> None:
+    """Raise at the first path whose two holonomy routes differ beyond ``CROSS_CHECK_TOL``."""
+    for gap, word in zip(gaps, words):
+        if gap > CROSS_CHECK_TOL:
+            word = format_word(word)
+            raise ConsistencyError(f"holonomy methods disagree by {gap:.3e} on word {word!r}")
 
 
 def equivariant_holonomy(
@@ -165,10 +185,7 @@ def equivariant_holonomy(
     if method == "both":
         lift_value = CircleValue(rk4_line_integral(rho, path)) - alpha
         cross = value.distance(lift_value)
-        if cross > CROSS_CHECK_TOL:
-            raise ConsistencyError(
-                f"holonomy methods disagree by {cross:.3e} on word {format_word(word)!r}"
-            )
+        _require_agreement([cross], [word])
     return HolonomyResult(
         value=value, lift_value=lift_value, cross_check=cross, word=format_word(word)
     )

@@ -16,17 +16,6 @@ _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 HALTON_SKIP = 20
 
 
-def _radical_inverse(indices: np.ndarray, base: int) -> np.ndarray:
-    out = np.zeros(len(indices), dtype=float)
-    denom = np.ones(len(indices), dtype=float)
-    idx = indices.copy()
-    while np.any(idx > 0):
-        denom *= base
-        out += (idx % base) / denom
-        idx //= base
-    return out
-
-
 def stream_seed(seed: int, tag: str) -> np.random.SeedSequence:
     """Deterministic child seed for a named stream."""
     return np.random.SeedSequence([int(seed) & 0x7FFFFFFF, zlib.crc32(tag.encode())])
@@ -44,8 +33,14 @@ def halton(n: int, dim: int, seed: int = 0, tag: str = "halton") -> np.ndarray:
     """
     if dim > len(_PRIMES):
         return rng_for(seed, tag).random((n, dim))
-    idx = np.arange(HALTON_SKIP, HALTON_SKIP + n)
-    pts = np.stack([_radical_inverse(idx, _PRIMES[d]) for d in range(dim)], axis=1)
+    # Radical inverses: digit k in base b over b^(k+1), lowest first, as many
+    # digits as base 2 needs; a place beyond the index (clipped) gives 0.
+    top = HALTON_SKIP + int(n)
+    bases = np.array(_PRIMES[:dim])
+    places = np.cumprod(np.vstack([np.ones(dim), np.tile(bases, (top.bit_length(), 1))]), axis=0)
+    idx = np.arange(HALTON_SKIP, top)[:, None, None]
+    digits = idx // np.minimum(places[:-1], top).astype(np.int64) % bases
+    pts = np.cumsum(digits / places[1:], axis=1)[:, -1]
     shift = rng_for(seed, tag).random(dim)
     return np.mod(pts + shift, 1.0)
 

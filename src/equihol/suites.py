@@ -35,6 +35,8 @@ from .geometry import (
     max_abs,
 )
 from .holonomy import (
+    class_holonomies,
+    class_path_stacks,
     equivariant_holonomy,
     flat_character,
     holonomy_invariance_report,
@@ -161,14 +163,13 @@ def holonomy_suite(model, seed: int) -> dict:
     words = list(bundle.action.words_up_to(2))
     bases = probe_points(space, 3, seed, tag="hol-bases")
     rng = rng_for(seed, "hol-paths")
-    dual = 0.0
-    for i in range(HOLONOMY_DRAWS):
-        word = words[i % len(words)]
-        x0 = bases[i % len(bases)]
-        path = random_class_path(space, bundle.action, word, x0, rng, samples=512)
-        res = equivariant_holonomy(bundle, model.connection, section, word, path, method="both")
-        dual = max(dual, res.cross_check)
-    out["dual_method"] = dual
+    draws = range(HOLONOMY_DRAWS)
+    stacks = class_path_stacks(space, bundle.action, [words[i % len(words)] for i in draws],
+                               bases[[i % len(bases) for i in draws]], [rng] * len(draws), 512)
+    out["dual_method"] = dual = max(
+        max_abs(class_holonomies(bundle, model.connection, section, part, stack, "both")[1])
+        for part, stack in stacks
+    )
     word = ((bundle.action.labels[0], 1),)
     gamma = random_class_path(space, bundle.action, word, bases[0], rng, samples=512)
     zeta = Path.line(space, bases[1], bases[0], samples=256)

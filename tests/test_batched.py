@@ -21,7 +21,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from equihol import calibration
+from equihol import calibration, probes
 from equihol.bundle import (
     FLOW_STEP,
     Cocycle,
@@ -785,6 +785,19 @@ def test_corrupted_cocycle_witness_matches_point_loop(models, lattice_models, st
         assert report.max_residual > 1e-3, "lattice_planted_local"
 
 
+def test_one_word_law_matches_the_level_fill_at_length_4(models):
+    """A single word's law, the fill of its suffixes alone, is its row of
+    the fill of every word up to length 4, bit for bit; so is its image."""
+    bundle = models["affine_line"].bundle
+    action = bundle.action
+    pts = probe_points(bundle.space, 5, 3, tag="cocycle-check")
+    tree = _WordTree(action, bundle.cocycle, pts, action.words_up_to(4))
+    assert len(tree.words) == 1 + len(list(action.words_up_to(4)))
+    for word, image, law in zip(tree.words, tree.images, tree.laws):
+        assert np.array_equal(tree.law(word), law), word
+        assert np.array_equal(action.apply(word, pts), image), word
+
+
 # ---------------------------------------------------------------------------
 # The Cartan-model layer against per-point loops
 #
@@ -1142,7 +1155,7 @@ def _per_stack(samples, dimension):
     return max(1, STACK_FLOATS // ((samples - 1) * dimension))
 
 
-@pytest.mark.parametrize("name", ["torus_shift", "rotation", "lattice_fiber_shift"])
+@pytest.mark.parametrize("name", CHART + ("lattice_fiber_shift",))
 def test_class_path_stacks_match_one_path_loops(name, models, lattice_models):
     bundle, connection, section, form, samples = _stack_model(name, models, lattice_models)
     space, action = bundle.space, bundle.action
@@ -1165,6 +1178,14 @@ def test_class_path_stacks_match_one_path_loops(name, models, lattice_models):
     hols = np.concatenate([class_holonomies(bundle, connection, section, p, s) for p, s in stacks])
     integrals = np.concatenate([segment_sum(form.many, s) for _, s in stacks]) % 1.0
     assert hols.tolist() == ref_hols and integrals.tolist() == ref_integrals
+    # The stacked RK4 cross-check gives each path's holonomy and gap as the
+    # one-path route does.
+    for part, stack in stacks:
+        values, gaps = class_holonomies(bundle, connection, section, part, stack, method="both")
+        for k, word in enumerate(part):
+            path = Path(space, stack.times, stack.points[k])
+            one = equivariant_holonomy(bundle, connection, section, word, path, method="both")
+            assert (values[k], gaps[k]) == (one.value.value, one.cross_check), (name, k)
     # A (K, S, d) Path is its K one-path rows, bit for bit, for total and
     # (F,) terms alike.
     for _, stack in stacks:
@@ -1307,3 +1328,33 @@ def test_membership_periods_are_one_path_integral_per_candidate(models):
     base = probe_points(space, 1, cfg.seed, tag="membership-base")[0]
     path = Path.line(space, base, action.apply((("g", 1),), base), samples=cfg.path_samples)
     assert res.period_table == {"g": {name: line_integral(f, path) for name, f in candidates}}
+
+
+# ---------------------------------------------------------------------------
+# Halton points against the per-axis digit loop
+
+
+def ref_radical_inverse(indices, base):
+    """The radical inverse one digit at a time, lowest first, for every index."""
+    out = np.zeros(len(indices), dtype=float)
+    denom = np.ones(len(indices), dtype=float)
+    idx = indices.copy()
+    while np.any(idx > 0):
+        denom *= base
+        out += (idx % base) / denom
+        idx //= base
+    return out
+
+
+def test_halton_matches_the_digit_loop():
+    """Every digit of every axis in one pass gives the loop's bits, for the
+    point counts and every dimension the Halton route serves."""
+    for n in list(range(70)) + [96, 128, 192, 256, 500, 1000, 4096]:
+        idx = np.arange(probes.HALTON_SKIP, probes.HALTON_SKIP + n)
+        axes = [ref_radical_inverse(idx, b) for b in probes._PRIMES]
+        for dim in range(1, len(probes._PRIMES) + 1):
+            unshifted = np.stack(axes[:dim], axis=1).reshape(n, dim)
+            for seed in (0, 3, 7):
+                shift = rng_for(seed, "halton").random(dim)
+                expected = np.mod(unshifted + shift, 1.0)
+                assert probes.halton(n, dim, seed).tobytes() == expected.tobytes(), (n, dim, seed)

@@ -13,12 +13,19 @@ shows as a coincident pair, which comes first; the quarter-turn row shows
 this, and the declared-relator row declares a relator beyond that reach.
 The bundle's construction check runs at length 2, so a relator of up to 4
 letters stops every command when the model is built, declared or not.
+
+A row may instead, or also, replace one ``src`` function by a faulty copy
+for the test's duration, in its module and in every ``equihol`` module that
+imported it. A row with no scenario runs its command as it stands.
 """
 
 import contextlib
+import importlib
 import io
 import re
+import sys
 from dataclasses import dataclass
+from typing import Optional
 
 import pytest
 
@@ -29,11 +36,12 @@ from equihol.scenario import format_scenario, load_scenario, parse_scenario
 @dataclass(frozen=True)
 class Fault:
     check: str
-    scenario: str
+    scenario: Optional[str]  # None: the command takes no scenario
     edits: dict  # {(section, key): value}; a missing key or section is added
     argv: tuple  # the command and its flags; the scenario path goes second
     code: int
     output: str  # a pattern the printed line must match from its start
+    patch: tuple = ()  # (module, function name, faulty copy)
 
 
 def edited_text(name: str, edits: dict) -> str:
@@ -70,6 +78,19 @@ def _turn(step: str, value: str, relator: str = "") -> dict:
     return edits
 
 
+def _heavy_simpson(form, path):
+    """``geometry.simpson_terms`` with the midpoint weight 4.1 in place of 4."""
+    d = path.space.dimension
+    starts = path.points[..., :-1, :].reshape(-1, d)
+    ends = path.points[..., 1:, :].reshape(-1, d)
+
+    def terms(mids, steps):
+        k1, kmid = form.many(starts, steps), form.many(mids, steps)
+        return (k1 + 4.1 * kmid + form.many(ends, steps)) / 6.0
+
+    return terms
+
+
 FAULTS = {
     # s1^-1 t1 s1 commutes with t1, so their commutator, a relator of 8
     # letters, is first seen at word length 4; a cubic t1 value gives it a
@@ -103,6 +124,29 @@ FAULTS = {
         ("check-cocycle", "--max-word-len", "3"), 1,
         r"error: cocycle residual 2\.000e-01 exceeds 1e-06 at word pair \('g\^8', '1'\), ",
     ),
+    # The RK4 route of one holonomy and of the selftest's stacked draws
+    # share the Simpson terms; a wrong weight moves it off the midpoint
+    # route.
+    "heavy_simpson_holonomy": Fault(
+        "holonomy methods agree", "rotation", {}, ("holonomy", "--word", "r"), 1,
+        r"error: holonomy methods disagree by 1\.074e-03 on word 'r'\n",
+        ("equihol.geometry", "simpson_terms", _heavy_simpson),
+    ),
+    "heavy_simpson_selftest": Fault(
+        "holonomy methods agree", None, {}, ("selftest",), 1,
+        r"error: holonomy methods disagree by 5\.600e-03 on word 't1'\n",
+        ("equihol.geometry", "simpson_terms", _heavy_simpson),
+    ),
+    # An inverse letter's value taken at the image of the rest and not at
+    # its own image. The law values of t1^-1 and s1^-1 then go wrong where
+    # the generator values vary along the orbits, and the commutator
+    # relator of the affine group shows it.
+    "inverse_value_at_rest": Fault(
+        "coincident images", "affine_line", {}, ("check-cocycle", "--max-word-len", "4"), 1,
+        r"cocycle residual 4\.987e-01 over 768 checks: "
+        r"FAIL at \('t1\^-1 s1\^-1 t1\^-1 s1', 's1\^-1 t1\^-1 s1 t1\^-1'\) \[",
+        ("equihol.bundle", "_value_rows", lambda rows, rests, signs: rests),
+    ),
 }
 
 
@@ -113,28 +157,50 @@ def _run(argv):
     return code, out.getvalue() + err.getvalue()
 
 
-@pytest.mark.parametrize("name", FAULTS)
-def test_planted_fault_is_caught(name, tmp_path):
-    fault = FAULTS[name]
-    parsed = parse_scenario(edited_text(fault.scenario, fault.edits), name)
-    for section, key in fault.edits:
-        assert key in parsed.sections[section], (section, key)
-    text = format_scenario(parsed)
-    assert format_scenario(parse_scenario(text, name)) == text
-    path = tmp_path / f"{name}.scn"
+def _argv(fault, text, tmp_path):
+    """The row's command line, on ``text`` written to a file when the row
+    has a scenario."""
+    if fault.scenario is None:
+        return list(fault.argv)
+    path = tmp_path / f"{fault.scenario}.scn"
     path.write_text(text)
     command, *flags = fault.argv
-    code, printed = _run([command, str(path), *flags])
+    return [command, str(path), *flags]
+
+
+def _patch(monkeypatch, module, name, faulty):
+    """Replace the function in its module and wherever an equihol module
+    imported it."""
+    original = getattr(importlib.import_module(module), name)
+    holders = [m for key, m in sys.modules.items()
+               if key.startswith("equihol") and getattr(m, name, None) is original]
+    assert holders, (module, name)
+    for holder in holders:
+        monkeypatch.setattr(holder, name, faulty)
+
+
+@pytest.mark.parametrize("name", FAULTS)
+def test_planted_fault_is_caught(name, tmp_path, monkeypatch):
+    fault = FAULTS[name]
+    text = None
+    if fault.scenario is not None:
+        parsed = parse_scenario(edited_text(fault.scenario, fault.edits), name)
+        for section, key in fault.edits:
+            assert key in parsed.sections[section], (section, key)
+        text = format_scenario(parsed)
+        assert format_scenario(parse_scenario(text, name)) == text
+    if fault.patch:
+        _patch(monkeypatch, *fault.patch)
+    code, printed = _run(_argv(fault, text, tmp_path))
     assert code == fault.code, printed
     assert printed.count("\n") == 1 and re.match(fault.output, printed), printed
 
 
 def test_unedited_scenarios_pass_the_fault_commands(tmp_path):
     for fault in FAULTS.values():
-        path = tmp_path / f"{fault.scenario}.scn"
-        path.write_text(edited_text(fault.scenario, {}))
-        command, *flags = fault.argv
-        code, printed = _run([command, str(path), *flags])
-        assert code == 0 and not printed.startswith("error:"), (fault.scenario, printed)
-        if command == "check-cocycle":
-            assert printed.endswith(": pass\n"), (fault.scenario, printed)
+        text = None if fault.scenario is None else edited_text(fault.scenario, {})
+        argv = _argv(fault, text, tmp_path)
+        code, printed = _run(argv)
+        assert code == 0 and not printed.startswith("error:"), (argv, printed)
+        if argv[0] == "check-cocycle":
+            assert printed.endswith(": pass\n"), (argv, printed)

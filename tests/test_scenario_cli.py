@@ -276,7 +276,8 @@ def test_cli_bad_solver_value_is_typed_error(line, message, tmp_path, capsys):
     [
         ("g = 0.5\n", "g = 0.5 + 1/(x1 - x1)\n", "non-finite circle value inf on word 'g' at "),
         ("g = 0.5\n", "g = 1/0\n", "non-finite circle value inf on word 'g' at "),
-        ("forward = [x1 + 1]", "forward = [x1 + exp(1000*x1)]", "non-finite point coordinates"),
+        ("forward = [x1 + 1]", "forward = [x1 + exp(1000*x1)]",
+         "image of generator 'g' is non-finite at ["),
     ],
     ids=["cocycle", "constant", "map"],
 )
