@@ -22,8 +22,10 @@ turns one expression, or one per axis, into a map over an ``(N, d)`` stack.
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -37,8 +39,7 @@ FUNCTIONS = {
 }
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
     line: int
     column: int
 
@@ -86,68 +87,51 @@ class Pow:
 Expr = object
 
 
-class _Tokenizer:
-    _NUM_START = set("0123456789.")
+# One token per match after its blanks (spaces and tabs), in this order: a
+# number (its exponent only when a digit follows), a word, an operator, or
+# any other character; trailing blanks match nothing. A word is a name only
+# if it starts with a letter or "_", since "\w" also matches digits.
+_TOKEN = re.compile(
+    r"[ \t]*(?:(?P<number>(?:[0-9]+\.?|\.)[0-9]*(?:[eE][+-]?[0-9]+)?)"
+    r"|(?P<ident>\w+)"
+    r"|(?P<op>[-+*/^(),])"
+    r"|(?P<other>[^ \t]))"
+)
 
-    def __init__(self, text: str, line: int = 1, column: int = 1):
-        self.text = text
-        self.line = line
-        self.col0 = column
-        self.i = 0
-        self.tokens = []
-        self._scan()
+
+def _tokens(text: str, line: int, column: int) -> list:
+    """The ``(kind, value, span)`` tokens of ``text``, ending with ``end``."""
+    tokens = []
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        lit, span = m[kind], Span(line, column + m.start(kind))
+        if kind == "number":
+            try:
+                value = float(lit)
+            except ValueError:
+                raise ExpressionSyntaxError(f"malformed number {lit!r}", line, span.column)
+            if not math.isfinite(value):
+                raise ExpressionSyntaxError(f"number {lit!r} is not finite", line, span.column)
+            tokens.append((kind, value, span))
+        elif kind == "op":
+            tokens.append((lit, lit, span))
+        elif kind == "ident" and (lit[0].isalpha() or lit[0] == "_"):
+            tokens.append((kind, lit, span))
+        else:
+            raise ExpressionSyntaxError(f"unexpected character {lit[0]!r}", line, span.column)
+    tokens.append(("end", None, Span(line, column + len(text))))
+    return tokens
+
+
+class _Parser:
+    """Recursive descent over the tokens; names are checked as their nodes
+    are built, and the first fault in reading order is kept for the end."""
+
+    def __init__(self, text: str, variables: Iterable[str], line: int, column: int):
+        self.tokens = _tokens(text, line, column)
         self.pos = 0
-
-    def _span(self, i):
-        return Span(self.line, self.col0 + i)
-
-    def _scan(self):
-        text, i, n = self.text, 0, len(self.text)
-        while i < n:
-            c = text[i]
-            if c in " \t":
-                i += 1
-                continue
-            if c in "+-*/^(),":
-                self.tokens.append((c, c, self._span(i)))
-                i += 1
-                continue
-            if c in self._NUM_START:
-                j = i
-                while j < n and text[j] in "0123456789":
-                    j += 1
-                if j < n and text[j] == ".":
-                    j += 1
-                    while j < n and text[j] in "0123456789":
-                        j += 1
-                if j < n and text[j] in "eE":
-                    k = j + 1
-                    if k < n and text[k] in "+-":
-                        k += 1
-                    if k < n and text[k] in "0123456789":
-                        k += 1
-                        while k < n and text[k] in "0123456789":
-                            k += 1
-                        j = k
-                lit = text[i:j]
-                try:
-                    value = float(lit)
-                except ValueError:
-                    raise ExpressionSyntaxError(
-                        f"malformed number {lit!r}", self.line, self.col0 + i
-                    )
-                self.tokens.append(("number", value, self._span(i)))
-                i = j
-                continue
-            if c.isalpha() or c == "_":
-                j = i
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                self.tokens.append(("ident", text[i:j], self._span(i)))
-                i = j
-                continue
-            raise ExpressionSyntaxError(f"unexpected character {c!r}", self.line, self.col0 + i)
-        self.tokens.append(("end", None, self._span(n)))
+        self.allowed = {"pi", *variables}
+        self.fault = None
 
     def peek(self):
         return self.tokens[self.pos]
@@ -157,79 +141,73 @@ class _Tokenizer:
         self.pos += 1
         return tok
 
-
-class _Parser:
-    def __init__(self, tok: _Tokenizer):
-        self.tok = tok
-
-    def parse(self) -> Expr:
-        node = self.expr()
-        kind, _, span = self.tok.peek()
-        if kind != "end":
-            raise ExpressionSyntaxError(f"unexpected {kind!r}", span.line, span.column)
-        return node
-
     def expr(self) -> Expr:
         node = self.term()
-        while self.tok.peek()[0] in ("+", "-"):
-            op, _, span = self.tok.next()
+        while self.peek()[0] in ("+", "-"):
+            op, _, span = self.next()
             node = BinOp(op, node, self.term(), span)
         return node
 
     def term(self) -> Expr:
         node = self.factor()
-        while self.tok.peek()[0] in ("*", "/"):
-            op, _, span = self.tok.next()
+        while self.peek()[0] in ("*", "/"):
+            op, _, span = self.next()
             node = BinOp(op, node, self.factor(), span)
         return node
 
     def factor(self) -> Expr:
         node = self.base()
-        if self.tok.peek()[0] == "^":
-            _, _, span = self.tok.next()
-            kind, value, vspan = self.tok.peek()
+        if self.peek()[0] == "^":
+            _, _, span = self.next()
+            kind, value, vspan = self.peek()
             if kind != "number" or value != int(value) or value < 0:
                 raise ExpressionSyntaxError(
                     "exponent must be an unsigned integer", vspan.line, vspan.column
                 )
-            self.tok.next()
+            self.next()
             node = Pow(node, int(value), span)
         return node
 
     def base(self) -> Expr:
-        kind, value, span = self.tok.peek()
+        kind, value, span = self.next()
         if kind == "number":
-            self.tok.next()
-            return Num(float(value), span)
+            return Num(value, span)
         if kind == "-":
-            self.tok.next()
             return Neg(self.base(), span)
         if kind == "(":
-            self.tok.next()
             node = self.expr()
             self._expect(")", span)
             return node
         if kind == "ident":
-            self.tok.next()
-            if self.tok.peek()[0] == "(":
-                _, _, opos = self.tok.next()
-                args = [self.expr()]
-                while self.tok.peek()[0] == ",":
-                    self.tok.next()
-                    args.append(self.expr())
-                self._expect(")", opos)
-                return Call(value, tuple(args), span)
-            return Var(value, span)
+            if self.peek()[0] != "(":
+                if value not in self.allowed:
+                    self._name_fault(f"unknown name {value!r}", span)
+                return Var(value, span)
+            _, _, opos = self.next()
+            args = [self.expr()]
+            while self.peek()[0] == ",":
+                self.next()
+                args.append(self.expr())
+            self._expect(")", opos)
+            if value not in FUNCTIONS:
+                self._name_fault(f"unknown function {value!r}", span)
+            elif len(args) != 1:
+                self._name_fault(f"{value} takes one argument", span)
+            return Call(value, tuple(args), span)
         raise ExpressionSyntaxError(f"expected a value, found {kind!r}", span.line, span.column)
 
     def _expect(self, kind, open_span):
-        got, _, span = self.tok.peek()
-        if got != kind:
+        if self.peek()[0] != kind:
             # Report the unmatched opener, not the point where input ran out.
             raise ExpressionSyntaxError(
                 f"missing {kind!r}", open_span.line, open_span.column
             )
-        self.tok.next()
+        self.next()
+
+    def _name_fault(self, message, span):
+        # A call is checked after its arguments but stands before them.
+        if self.fault is None or span.column < self.fault.column:
+            self.fault = ExpressionNameError(message, span.line, span.column)
 
 
 def parse(text: str, variables: Iterable[str], line: int = 1, column: int = 1) -> Expr:
@@ -237,46 +215,17 @@ def parse(text: str, variables: Iterable[str], line: int = 1, column: int = 1) -
 
     Raises :class:`ExpressionSyntaxError` on grammar violations and
     :class:`ExpressionNameError` on unknown identifiers or bad arity,
-    both with source positions.
+    both with source positions. A syntax error anywhere wins; among name
+    faults the first in reading order is raised.
     """
-    node = _Parser(_Tokenizer(text, line, column)).parse()
-    allowed = set(variables)
-    _check_names(node, allowed)
+    parser = _Parser(text, variables, line, column)
+    node = parser.expr()
+    kind, _, span = parser.peek()
+    if kind != "end":
+        raise ExpressionSyntaxError(f"unexpected {kind!r}", span.line, span.column)
+    if parser.fault is not None:
+        raise parser.fault
     return node
-
-
-def _check_names(node: Expr, allowed: set) -> None:
-    if isinstance(node, Num):
-        return
-    if isinstance(node, Var):
-        if node.name == "pi" or node.name in allowed:
-            return
-        raise ExpressionNameError(
-            f"unknown name {node.name!r}", node.pos.line, node.pos.column
-        )
-    if isinstance(node, Call):
-        if node.func not in FUNCTIONS:
-            raise ExpressionNameError(
-                f"unknown function {node.func!r}", node.pos.line, node.pos.column
-            )
-        if len(node.args) != 1:
-            raise ExpressionNameError(
-                f"{node.func} takes one argument", node.pos.line, node.pos.column
-            )
-        for arg in node.args:
-            _check_names(arg, allowed)
-        return
-    if isinstance(node, Neg):
-        _check_names(node.operand, allowed)
-        return
-    if isinstance(node, BinOp):
-        _check_names(node.left, allowed)
-        _check_names(node.right, allowed)
-        return
-    if isinstance(node, Pow):
-        _check_names(node.base, allowed)
-        return
-    raise TypeError(f"not an expression node: {node!r}")
 
 
 def compile_expr(node: Expr) -> Callable[[dict], float]:

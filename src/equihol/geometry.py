@@ -857,10 +857,6 @@ def format_word(word: Word) -> str:
     )
 
 
-def word_inverse(word: Word) -> Word:
-    return tuple((name, -sign) for name, sign in reversed(word))
-
-
 class GroupAction:
     """A finitely presented action: generators plus optional relator words."""
 

@@ -245,12 +245,6 @@ def integrate_local(density: LocalDensity, field_values) -> float:
     return LocalFunctional(density)(field_values)
 
 
-def constant_functional_density(lattice: LatticeBase, c: float, order: int = 0) -> LocalDensity:
-    """Density whose lattice integral is the constant c for every field."""
-    value = float(c) / lattice.period
-    return LocalDensity(lattice, lambda env: value, order, name=f"{c}/volume")
-
-
 # ---------------------------------------------------------------------------
 # Projectable actions on the lattice bundle
 

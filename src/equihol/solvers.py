@@ -68,21 +68,20 @@ from .probes import direction_draws, probe_points, rng_for
 # Configuration and ansatz bases
 
 
-# Least value of each solver count, and the inputs that set it: the
-# scenario's [solver] keys and the --probes flag.
-COUNT_FLOORS = {
-    "probes": (1, "[solver] probes or --probes"),
-    "holdout": (1, "[solver] holdout or --probes"),
-    "path_samples": (2, "[solver] path_samples"),
-    "n_paths": (1, "[solver] paths"),
-    "n_basepoints": (1, "[solver] basepoints"),
-    "slack_bound": (0, "[solver] slack_bound"),
-    "degree": (0, "[solver] degree"),
-    "max_word_len": (2, "[solver] max_word_len or --max-word-len"),
+# Least and largest value of each solver count, and the inputs that set it:
+# the scenario's [solver] keys and the --probes flag. The ceilings are
+# checked before anything is allocated; the cocycle check compares word
+# pairs that grow geometrically with the word length.
+COUNT_RANGES = {
+    "probes": (1, 4096, "[solver] probes or --probes"),
+    "holdout": (1, 4096, "[solver] holdout or --probes"),
+    "path_samples": (2, 8192, "[solver] path_samples"),
+    "n_paths": (1, 256, "[solver] paths"),
+    "n_basepoints": (1, 64, "[solver] basepoints"),
+    "slack_bound": (0, 64, "[solver] slack_bound"),
+    "degree": (0, 8, "[solver] degree"),
+    "max_word_len": (2, 6, "[solver] max_word_len or --max-word-len"),
 }
-# Longest word the cocycle check takes: the word pairs it compares grow
-# geometrically with the length once two generators act.
-MAX_WORD_LEN = 6
 # Tolerances, which must be finite and positive, and the inputs that set them.
 TOLERANCES = {"fit_tol": "[solver] fit_tol", "holdout_tol": "[solver] holdout_tol or --tol"}
 # Largest condition number of a column-equilibrated least-squares system.
@@ -91,8 +90,8 @@ MAX_CONDITION = 1e9
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Solver settings; counts below their floor and tolerances that are not
-    finite and positive raise a :class:`ToolkitError`."""
+    """Solver settings; counts outside their range and tolerances that are
+    not finite and positive raise a :class:`ToolkitError`."""
 
     seed: int = 0
     probes: int = 256
@@ -109,15 +108,12 @@ class SolverConfig:
     path_samples: int = 512
 
     def __post_init__(self):
-        for key, (least, source) in COUNT_FLOORS.items():
+        for key, (least, most, source) in COUNT_RANGES.items():
             value = getattr(self, key)
             if value < least:
                 raise ToolkitError(f"{source} must be at least {least}, got {value}")
-        if self.max_word_len > MAX_WORD_LEN:
-            raise ToolkitError(
-                f"[solver] max_word_len or --max-word-len must be at most {MAX_WORD_LEN}, "
-                f"got {self.max_word_len}"
-            )
+            if value > most:
+                raise ToolkitError(f"{source} must be at most {most}, got {value}")
         for key, source in TOLERANCES.items():
             value = getattr(self, key)
             if not (math.isfinite(value) and value > 0):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -84,6 +85,68 @@ def test_unmatched_paren_reports_opening_column():
     with pytest.raises(ExpressionSyntaxError) as err:
         ex.parse("sin(x1", VARS)
     assert err.value.column == 4  # the opening parenthesis
+
+
+# Token and name edge cases: text, error class, message, line and column.
+# A syntax error anywhere wins over a name fault; name faults come in
+# reading order, a call's own fault before those of its arguments.
+EDGE_CASES = [
+    ("2e", ExpressionSyntaxError, "unexpected 'ident'", 1, 2),  # the number 2, the name e
+    ("2e+", ExpressionSyntaxError, "unexpected 'ident'", 1, 2),
+    (".", ExpressionSyntaxError, "malformed number '.'", 1, 1),
+    (".e5", ExpressionSyntaxError, "malformed number '.e5'", 1, 1),
+    ("1.2.3", ExpressionSyntaxError, "unexpected 'number'", 1, 4),
+    ("x1 $", ExpressionSyntaxError, "unexpected character '$'", 1, 4),
+    ("x1 +\n x2", ExpressionSyntaxError, "unexpected character '\\n'", 1, 5),
+    ("é", ExpressionNameError, "unknown name 'é'", 1, 1),
+    ("x1²", ExpressionNameError, "unknown name 'x1²'", 1, 1),
+    ("²", ExpressionSyntaxError, "unexpected character '²'", 1, 1),
+    ("x1 + ½", ExpressionSyntaxError, "unexpected character '½'", 1, 6),
+    ("x1 +\tbogus", ExpressionNameError, "unknown name 'bogus'", 1, 6),
+    ("y + )", ExpressionSyntaxError, "expected a value, found ')'", 1, 5),
+    ("y + x1 $", ExpressionSyntaxError, "unexpected character '$'", 1, 8),
+    ("log(y)", ExpressionNameError, "unknown function 'log'", 1, 1),
+    ("sin(y, x1)", ExpressionNameError, "sin takes one argument", 1, 1),
+    ("y + sin(x1, x2)", ExpressionNameError, "unknown name 'y'", 1, 1),
+    ("x1 + y + z", ExpressionNameError, "unknown name 'y'", 1, 6),
+]
+
+
+@pytest.mark.parametrize("text, error, message, line, column", EDGE_CASES)
+def test_edge_case_errors(text, error, message, line, column):
+    with pytest.raises(error) as err:
+        ex.parse(text, VARS)
+    assert type(err.value) is error
+    assert str(err.value) == f"{message} (line {line}, column {column})"
+    assert (err.value.line, err.value.column) == (line, column)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1e999", "number '1e999' is not finite (line 1, column 1)"),
+        ("0.5 + 0*1e309", "number '1e309' is not finite (line 1, column 9)"),
+        ("x1 + 0*x1^1e999", "number '1e999' is not finite (line 1, column 11)"),
+        ("$ + 1e999", "unexpected character '$' (line 1, column 1)"),  # text order holds
+    ],
+)
+def test_non_finite_literal_is_a_syntax_error(text, message):
+    with pytest.raises(ExpressionSyntaxError, match=re.escape(message)):
+        ex.parse(text, VARS)
+
+
+def test_largest_finite_literal_parses():
+    assert ex.parse("1e308", VARS) == ex.Num(1e308)
+
+
+def test_offsets_shift_every_span():
+    with pytest.raises(ExpressionNameError) as err:
+        ex.parse("x1 + y", VARS, line=4, column=9)
+    assert (err.value.line, err.value.column) == (4, 14)
+    node = ex.parse("2e1 + x1", VARS, line=4, column=9)
+    assert node == ex.BinOp("+", ex.Num(20.0), ex.Var("x1"))
+    spans = (node.pos, node.left.pos, node.right.pos)
+    assert spans == (ex.Span(4, 13), ex.Span(4, 9), ex.Span(4, 15))
 
 
 def test_fractional_exponent_rejected():

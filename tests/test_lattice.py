@@ -8,7 +8,6 @@ from equihol.lattice import (
     LocalDensity,
     LocalFunctional,
     LocalOneForm,
-    constant_functional_density,
     fiber_affine_element,
     fiber_translation_lie,
     integrate_local,
@@ -41,7 +40,7 @@ def test_integrate_value_density_unit_field():
 
 
 def test_constant_functional_is_field_independent(rng):
-    dens = constant_functional_density(LAT, 0.7)
+    dens = LocalDensity(LAT, lambda env: 0.7 / LAT.period, 0)
     for _ in range(5):
         s = rng.normal(size=32)
         assert integrate_local(dens, s) == pytest.approx(0.7, abs=1e-12)
@@ -155,7 +154,7 @@ def test_functional_differential_is_local_one_form(rng):
 
 def test_lie_derivative_constant_functional_vanishes():
     space = LAT.field_space()
-    F = LocalFunctional(constant_functional_density(LAT, 3.0))
+    F = LocalFunctional(LocalDensity(LAT, lambda env: 3.0 / LAT.period, 0))
     for X, kind, chi in (
         (fiber_translation_lie(LAT, space, "T", 1.0), "fiber_translation", 1.0),
         (shift_lie(LAT, space, "S"), "shift", None),

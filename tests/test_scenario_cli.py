@@ -233,6 +233,8 @@ def test_cli_check_cocycle_witness_exit(tmp_path, capsys):
         (["verdict", "trivial", "--max-word-len", "1"], "--max-word-len must be at least 2"),
         (["holonomy", "trivial", "--word", "g", "--max-word-len", "1"],
          "--max-word-len must be at least 2"),
+        # The ceiling is checked before any probe stack is allocated.
+        (["verdict", "trivial", "--probes", "100000000"], "--probes must be at most 4096"),
     ],
 )
 def test_cli_bad_input_is_typed_error(argv, message, capsys):
@@ -257,6 +259,13 @@ def test_cli_bad_input_is_typed_error(argv, message, capsys):
         ("max_word_len = 7", "[solver] max_word_len"),
         ("max_word_len = 1", "[solver] max_word_len"),
         ("degree = -1", "[solver] degree must be at least 0"),
+        ("probes = 4097", "[solver] probes or --probes must be at most 4096"),
+        ("holdout = 4097", "[solver] holdout or --probes must be at most 4096"),
+        ("path_samples = 8193", "[solver] path_samples must be at most 8192"),
+        ("paths = 257", "[solver] paths must be at most 256"),
+        ("basepoints = 65", "[solver] basepoints must be at most 64"),
+        ("slack_bound = 65", "[solver] slack_bound must be at most 64"),
+        ("degree = 9", "[solver] degree must be at most 8"),
     ],
 )
 def test_cli_bad_solver_value_is_typed_error(line, message, tmp_path, capsys):
@@ -278,8 +287,12 @@ def test_cli_bad_solver_value_is_typed_error(line, message, tmp_path, capsys):
         ("g = 0.5\n", "g = 1/0\n", "non-finite circle value inf on word 'g' at "),
         ("forward = [x1 + 1]", "forward = [x1 + exp(1000*x1)]",
          "image of generator 'g' is non-finite at ["),
+        # A literal that overflows is rejected where it stands.
+        ("forward = [x1 + 1]", "forward = [x1 + 0*x1^1e999 + 1]",
+         "number '1e999' is not finite (line 16, "),
+        ("g = 0.5\n", "g = 0.5 + 0*1e999\n", "number '1e999' is not finite (line 21, column 13)"),
     ],
-    ids=["cocycle", "constant", "map"],
+    ids=["cocycle", "constant", "map", "exponent_literal", "literal"],
 )
 def test_cli_non_finite_scenario_value_is_typed_error(line, edited, message, tmp_path, capsys):
     # The construction checks evaluate cocycle values and group maps on

@@ -26,7 +26,7 @@ The argument vectors cover ``verdict`` at seeds 0 and 3 on every bundled
 scenario (``--local`` on the lattice ones), ``check-cocycle``, ``anomaly``
 and ``curvature`` in both formats, ``holonomy`` of ``g`` and ``g^2`` for
 every generator ``g`` along the ``unit`` and ``wiggle:3`` paths,
-``selftest``, the typed-error cases, thirteen edited copies of bundled
+``selftest``, the typed-error cases, sixteen edited copies of bundled
 scenarios and one ``--out`` report.
 """
 
@@ -81,6 +81,11 @@ EDITED_CASES = [
      "verdict --local"),
     ("planted_cocycle.scn", "affine_line", "t1 = 0.3*(x1 + 1)^2 - 0.3*x1^2", "t1 = 0.1*x1^3",
      "check-cocycle --max-word-len 4"),
+    ("expr_syntax.scn", "paper_example_Z_on_R", "family = 0.5*n1", "family = 0.5*(n1 + 1",
+     "check-cocycle"),
+    ("expr_name.scn", "translation_shear", "family = n1*x2", "family = n1*x3", "verdict"),
+    ("expr_number.scn", "paper_example_Z_on_R", "forward = [x1 + 1]", "forward = [x1 + .]",
+     "holonomy --word g"),
 ]
 
 
