@@ -182,7 +182,7 @@ class Section:
 
     def shifted(self, extra: ScalarField, name: str = "") -> "Section":
         """The section multiplied by exp(2 pi i extra), e.g. by a recovered
-        potential; solver certificates induce their sections this way."""
+        potential."""
         name = name or f"{self.name}+{extra.name}"
         if self.is_reference:
             return Section(extra, name)

@@ -9,6 +9,9 @@ and compares the two, as ``class_holonomies`` does along a stack. That
 check shares every input with the formula, so it catches quadrature error
 only; it runs in the CLI ``holonomy`` command and the holonomy suite.
 
+Every reading off fresh random class paths goes through one route,
+:func:`class_path_rows`; :func:`random_class_path` is its one-path case.
+
 Only the facts needed by the cancellation criteria are implemented here;
 no further structure of the holonomy map is assumed.
 """
@@ -311,28 +314,32 @@ def _class_points(space, action, words, basepoints, rngs, ts, amplitude) -> np.n
     return points.reshape(len(x0), len(ts), space.dimension)
 
 
-def class_path_stacks(
-    space: ParameterSpace,
-    action: GroupAction,
+def class_path_rows(
+    bundle: EquivariantBundle,
     words: Sequence[Word],
     basepoints,
     rngs: Sequence,
     samples: int,
+    measure,
     amplitude: float = CLASS_PATH_AMPLITUDE,
-):
-    """The random class paths of :func:`random_class_path`, path k from
-    ``basepoints[k]`` to its image under ``words[k]`` with bumps drawn from
-    ``rngs[k]``, as consecutive stacks: yields ``(words, stack)``. A stack
-    holds as many whole paths as keep its segment rows times dimension
+) -> np.ndarray:
+    """The rows ``measure(words, stack)`` gives on the random class paths of
+    :func:`random_class_path`, path k from ``basepoints[k]`` to its image
+    under ``words[k]`` with bumps drawn from ``rngs[k]``, one row per path in
+    path order. The paths are sampled and measured as consecutive stacks,
+    each of as many whole paths as keep its segment rows times dimension
     within ``STACK_FLOATS``, and at least one."""
+    space = bundle.space
     per = max(1, STACK_FLOATS // max(1, (samples - 1) * space.dimension))
     ts = np.linspace(0.0, 1.0, samples)
+    rows = []
     for lo in range(0, len(words), per):
         part = slice(lo, lo + per)
         points = _class_points(
-            space, action, words[part], basepoints[part], rngs[part], ts, amplitude
+            space, bundle.action, words[part], basepoints[part], rngs[part], ts, amplitude
         )
-        yield words[part], Path(space, ts, points)
+        rows.append(measure(words[part], Path(space, ts, points)))
+    return np.concatenate(rows)
 
 
 def random_class_path(
@@ -345,7 +352,7 @@ def random_class_path(
     amplitude: float = CLASS_PATH_AMPLITUDE,
 ) -> Path:
     """A smooth random path from the basepoint to its image under the word:
-    the one-path case of :func:`class_path_stacks`."""
+    the one-path case of :func:`class_path_rows`."""
     ts = np.linspace(0.0, 1.0, samples)
     (points,) = _class_points(space, action, [word], [basepoint], [rng], ts, amplitude)
     return Path(space, ts, points)
@@ -368,17 +375,14 @@ def holonomy_form_gap(
     the line integral of the form modulo one when the form certifies
     cancellation. The paths are sampled and integrated as stacks.
     """
-    words = [word for word, _ in draws]
-    stacks = class_path_stacks(
-        bundle.space, bundle.action, words, [x0 for _, x0 in draws], [rng] * len(draws),
-        samples, amplitude,
-    )
-    worst = 0.0
-    for part, stack in stacks:
-        hol = class_holonomies(bundle, connection, section, part, stack)
-        integrals = circle_values(segment_sum(form.many, stack), stack.start)
-        worst = max(worst, max_abs(circle_gaps(hol, integrals)))
-    return worst
+    def gaps(words, stack):
+        hol = class_holonomies(bundle, connection, section, words, stack)
+        return circle_gaps(hol, circle_values(segment_sum(form.many, stack), stack.start))
+
+    return max_abs(class_path_rows(
+        bundle, [word for word, _ in draws], [x0 for _, x0 in draws], [rng] * len(draws),
+        samples, gaps, amplitude,
+    ))
 
 
 @dataclass(frozen=True)
@@ -428,11 +432,9 @@ def flat_character(
     for label, g in bundle.action.generators.items():
         words = [((label, 1),)] * len(pairs)
         rngs = [rng_for(seed, f"flat-path-{label}-{i}-{j}") for i, j in pairs]
-        stacks = class_path_stacks(space, bundle.action, words, bases, rngs, samples)
-        found = np.concatenate([
+        found = class_path_rows(bundle, words, bases, rngs, samples, lambda part, stack: (
             circle_values(-class_holonomies(bundle, connection, section, part, stack), stack.start)
-            for part, stack in stacks
-        ])
+        ))
         spread = max_abs(circle_gaps(found[0], found))
         if spread > SPREAD_TOL:
             raise ConsistencyError(
@@ -508,13 +510,11 @@ def invariant_form_character(
         bundle.space, max(1, PERIOD_ALTERNATES // 2), seed, tag="kbeta-base"
     )
     pairs = [(i, j) for i in range(len(base_candidates)) for j in range(2)][:PERIOD_ALTERNATES]
-    stacks = class_path_stacks(
-        bundle.space, bundle.action, [word] * len(pairs), base_candidates[[i for i, _ in pairs]],
+    alternates = class_path_rows(
+        bundle, [word] * len(pairs), base_candidates[[i for i, _ in pairs]],
         [rng_for(seed, f"kbeta-{i}-{j}") for i, j in pairs], samples,
+        lambda _, stack: circle_values(segment_sum(beta.many, stack), stack.start),
     )
-    alternates = np.concatenate([
-        circle_values(segment_sum(beta.many, stack), stack.start) for _, stack in stacks
-    ])
     spread = max_abs(circle_gaps(reference.value, alternates))
     return value, IndependenceReport(value, spread, len(pairs), defect)
 

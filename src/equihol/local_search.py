@@ -16,7 +16,7 @@ import numpy as np
 
 from .bundle import CHECK_TOL, Section, check_cocycle, connection_report, infinitesimal_anomaly
 from .geometry import central_difference, segment_sum
-from .holonomy import class_holonomies, class_path_stacks, holonomy_form_gap
+from .holonomy import class_holonomies, class_path_rows, holonomy_form_gap
 from .lattice import (
     DensityBasis,
     LocalFunctional,
@@ -110,14 +110,14 @@ def solve_local_global_form(model, section: Section, cfg: SolverConfig, slots=No
     # One row per fit path: the holonomy target and every member's line
     # integral, one segment sum of the basis matrix per stack of paths.
     words = [word for word in fit_words for _ in base_fields]
-    stacks = class_path_stacks(
-        space, bundle.action, words, [s0 for _ in fit_words for s0 in base_fields],
-        [rng] * len(words), cfg.path_samples, LOCAL_PATH_AMPLITUDE,
+    paths = class_path_rows(
+        bundle, words, [s0 for _ in fit_words for s0 in base_fields], [rng] * len(words),
+        cfg.path_samples, lambda part, stack: np.column_stack([
+            class_holonomies(bundle, model.connection, section, part, stack),
+            segment_sum(forms, stack),
+        ]), LOCAL_PATH_AMPLITUDE,
     )
-    blocks, targets = [], []
-    for part, stack in stacks:
-        targets.extend(class_holonomies(bundle, model.connection, section, part, stack))
-        blocks.append(segment_sum(forms, stack))
+    targets, blocks = list(paths[:, 0]), [paths[:, 1:]]
     circle_groups = [wi for wi in range(len(fit_words)) for _ in base_fields]
     circle_mask = [True] * len(targets)
     inv_fields = random_fields(model.lattice, 4, rng_for(cfg.seed, "local-global-inv"))

@@ -66,7 +66,7 @@ _NUMBER_RE = re.compile(r"^-?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 class RawValue:
     kind: str  # "scalar" | "list" | "raw"
     text: str
-    items: Optional[Tuple[str, ...]]
+    items: Optional[Tuple[Tuple[str, int], ...]]  # a list's items and their columns
     line: int
     column: int
 
@@ -121,8 +121,8 @@ def _split_sections(text: str) -> RawScenario:
         if value_text.startswith("["):
             if not value_text.endswith("]"):
                 raise ScenarioError("unterminated list value", lineno, column)
-            inner = value_text[1:-1].strip()
-            items = tuple(p.strip() for p in _split_top_level(inner, lineno, column)) if inner else ()
+            inner = value_text[1:-1]
+            items = tuple(_split_top_level(inner, lineno, column + 1)) if inner.strip() else ()
             sections[current][key] = RawValue("list", value_text, items, lineno, column)
         else:
             sections[current][key] = RawValue("scalar", value_text, None, lineno, column)
@@ -133,8 +133,10 @@ def _split_sections(text: str) -> RawScenario:
     return RawScenario(version, sections, headers)
 
 
-def _split_top_level(text: str, lineno: int, column: int) -> List[str]:
-    parts, depth, start = [], 0, 0
+def _split_top_level(text: str, lineno: int, column: int) -> List[Tuple[str, int]]:
+    """The items between top-level commas of ``text``, which starts at
+    ``column``: each stripped, with the column of its first character."""
+    cuts, depth = [-1], 0
     for i, c in enumerate(text):
         if c == "(":
             depth += 1
@@ -143,10 +145,9 @@ def _split_top_level(text: str, lineno: int, column: int) -> List[str]:
             if depth < 0:
                 raise ScenarioError("unbalanced parentheses in list", lineno, column + i)
         elif c == "," and depth == 0:
-            parts.append(text[start:i])
-            start = i + 1
-    parts.append(text[start:])
-    return parts
+            cuts.append(i)
+    parts = [text[a + 1:b] for a, b in zip(cuts, cuts[1:] + [len(text)])]
+    return [(p.strip(), column + a + 1 + len(p) - len(p.lstrip())) for a, p in zip(cuts, parts)]
 
 
 # ---------------------------------------------------------------------------
@@ -287,16 +288,16 @@ def _typed(value: RawValue, spec: Tuple[str, ...], idents: Optional[dict] = None
         if value.kind != "list":
             raise ScenarioError("expected a bracketed list of numbers", value.line, value.column)
         out = []
-        for item in value.items:
+        for item, column in value.items:
             if not _NUMBER_RE.match(item):
-                raise ScenarioError(f"expected a number, found {item!r}", value.line, value.column)
+                raise ScenarioError(f"expected a number, found {item!r}", value.line, column)
             out.append(float(item))
         return tuple(out)
     if kind == "ints":
         if value.kind != "list":
             raise ScenarioError("expected a bracketed list of integers", value.line, value.column)
-        return tuple(_typed(RawValue("scalar", item, None, value.line, value.column), ("int",))
-                     for item in value.items)
+        return tuple(_typed(RawValue("scalar", item, None, value.line, column), ("int",))
+                     for item, column in value.items)
     if kind == "enum":
         if value.text not in spec[1:]:
             raise ScenarioError(
@@ -309,7 +310,7 @@ def _typed(value: RawValue, spec: Tuple[str, ...], idents: Optional[dict] = None
     if value.kind != "list":
         raise ScenarioError("expected a bracketed expression list", value.line, value.column)
     out = tuple(
-        parse_expr(item, variables, line=value.line, column=value.column) for item in value.items
+        parse_expr(item, variables, line=value.line, column=column) for item, column in value.items
     )
     if len(out) != len(idents[spec[1]]):
         per = "axis" if spec[1] == "coords" else "variation jet"

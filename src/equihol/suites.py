@@ -36,7 +36,7 @@ from .geometry import (
 )
 from .holonomy import (
     class_holonomies,
-    class_path_stacks,
+    class_path_rows,
     equivariant_holonomy,
     flat_character,
     holonomy_invariance_report,
@@ -158,29 +158,24 @@ def bundle_suite(model, seed: int) -> dict:
 def holonomy_suite(model, seed: int) -> dict:
     out: Dict[str, float] = {}
     bundle = model.bundle
-    section = model.reference_section
+    section, connection = model.reference_section, model.connection
     space = model.space
     words = list(bundle.action.words_up_to(2))
     bases = probe_points(space, 3, seed, tag="hol-bases")
     rng = rng_for(seed, "hol-paths")
     draws = range(HOLONOMY_DRAWS)
-    stacks = class_path_stacks(space, bundle.action, [words[i % len(words)] for i in draws],
-                               bases[[i % len(bases) for i in draws]], [rng] * len(draws), 512)
-    out["dual_method"] = dual = max(
-        max_abs(class_holonomies(bundle, model.connection, section, part, stack, "both")[1])
-        for part, stack in stacks
-    )
+    out["dual_method"] = dual = max_abs(class_path_rows(
+        bundle, [words[i % len(words)] for i in draws], bases[[i % len(bases) for i in draws]],
+        [rng] * len(draws), 512,
+        lambda part, stack: class_holonomies(bundle, connection, section, part, stack, "both")[1],
+    ))
     word = ((bundle.action.labels[0], 1),)
     gamma = random_class_path(space, bundle.action, word, bases[0], rng, samples=512)
     zeta = Path.line(space, bases[1], bases[0], samples=256)
-    inv = holonomy_invariance_report(
-        bundle, model.connection, section, word, word, gamma, zeta
-    )
+    inv = holonomy_invariance_report(bundle, connection, section, word, word, gamma, zeta)
     out["translated_invariance"] = inv.translated_residual
     out["conjugated_invariance"] = inv.conjugated_residual
-    transported = transport_cocycle(
-        bundle, model.connection, section, word, bases[0], bases[1], zeta
-    )
+    transported = transport_cocycle(bundle, connection, section, word, bases[0], bases[1], zeta)
     direct = section_cocycle(bundle, section, word)(bases[0])
     out["transport"] = transported.distance(direct)
     # Holonomy does not depend on the trivializing section. The comparison
@@ -196,11 +191,9 @@ def holonomy_suite(model, seed: int) -> dict:
         space, bundle.action, word, bases[0], rng_for(seed, "hol-secind"), samples=2048
     )
     alt = equivariant_holonomy(
-        bundle, model.connection, Section(lam, name="alt"), word, fine_gamma, method="formula"
+        bundle, connection, Section(lam, name="alt"), word, fine_gamma, method="formula"
     )
-    base_val = equivariant_holonomy(
-        bundle, model.connection, section, word, fine_gamma, method="formula"
-    )
+    base_val = equivariant_holonomy(bundle, connection, section, word, fine_gamma, method="formula")
     out["section_independence"] = alt.value.distance(base_val.value)
     out["ok"] = bool(
         dual < 1e-5
@@ -215,11 +208,10 @@ def holonomy_suite(model, seed: int) -> dict:
 def flat_suite(model, seed: int) -> Optional[dict]:
     """Character facts for scenarios that are flat as declared; None when the
     curvature does not vanish, and a failed suite on any other error."""
-    bundle = model.bundle
+    bundle, connection, section = model.bundle, model.connection, model.reference_section
     try:
         kappa, rep = flat_character(
-            bundle, model.connection, model.reference_section,
-            declared_moment=model.declared_moment, seed=seed,
+            bundle, connection, section, declared_moment=model.declared_moment, seed=seed
         )
     except NotFlatError:
         return None
@@ -230,14 +222,17 @@ def flat_suite(model, seed: int) -> Optional[dict]:
         "kappa": {k: v.value for k, v in kappa.values.items()},
         "identity_component_residual": rep.identity_component_residual,
     }
-    # Character additivity over two-letter words.
-    worst = 0.0
-    for word in bundle.action.words_up_to(2):
-        total = CircleValue(0.0)
-        for name, sign in word:
-            total = total + (kappa.values[name] if sign > 0 else -kappa.values[name])
-        worst = max(worst, kappa.on_word(word).distance(total))
-    out["additivity"] = worst
+    # The character on words up to two letters is minus the formula
+    # holonomy along one fresh class path per word.
+    words = list(bundle.action.words_up_to(2))
+    holonomies = class_path_rows(
+        bundle, words, probe_points(model.space, len(words), seed, tag="flat-additivity"),
+        [rng_for(seed, f"flat-additivity-{k}") for k in range(len(words))], 512,
+        lambda part, stack: class_holonomies(bundle, connection, section, part, stack),
+    )
+    out["additivity"] = worst = max(
+        kappa.on_word(w).distance(CircleValue(-h)) for w, h in zip(words, holonomies)
+    )
     out["ok"] = bool(out["spread"] < 1e-6 and worst < 1e-8)
     return out
 

@@ -72,7 +72,7 @@ from equihol.geometry import (
 from equihol.holonomy import (
     Character,
     class_holonomies,
-    class_path_stacks,
+    class_path_rows,
     equivariant_holonomy,
     flat_character,
     holonomy_form_gap,
@@ -1156,7 +1156,7 @@ def _per_stack(samples, dimension):
 
 
 @pytest.mark.parametrize("name", CHART + ("lattice_fiber_shift",))
-def test_class_path_stacks_match_one_path_loops(name, models, lattice_models):
+def test_class_path_rows_match_one_path_loops(name, models, lattice_models):
     bundle, connection, section, form, samples = _stack_model(name, models, lattice_models)
     space, action = bundle.space, bundle.action
     per = _per_stack(samples, space.dimension)
@@ -1169,15 +1169,20 @@ def test_class_path_stacks_match_one_path_loops(name, models, lattice_models):
         bundle, connection, section, form, draws, rng_for(4, "gap"), samples
     )
     assert gap == ref_gap > 0.0
-    # Every path, not only the worst one.
-    stacks = list(class_path_stacks(
-        space, action, [w for w, _ in draws], [x for _, x in draws],
-        [rng_for(4, "gap")] * count, samples,
-    ))
+    # Every path, not only the worst one, with the stacks the route measures.
+    stacks = []
+
+    def measure(part, stack):
+        stacks.append((part, stack))
+        hols = class_holonomies(bundle, connection, section, part, stack)
+        return np.column_stack([hols, segment_sum(form.many, stack) % 1.0])
+
+    rows = class_path_rows(
+        bundle, [w for w, _ in draws], [x for _, x in draws], [rng_for(4, "gap")] * count,
+        samples, measure,
+    )
     assert [len(part) for part, _ in stacks] == [per, per, 1]
-    hols = np.concatenate([class_holonomies(bundle, connection, section, p, s) for p, s in stacks])
-    integrals = np.concatenate([segment_sum(form.many, s) for _, s in stacks]) % 1.0
-    assert hols.tolist() == ref_hols and integrals.tolist() == ref_integrals
+    assert rows[:, 0].tolist() == ref_hols and rows[:, 1].tolist() == ref_integrals
     # The stacked RK4 cross-check gives each path's holonomy and gap as the
     # one-path route does.
     for part, stack in stacks:
@@ -1231,10 +1236,10 @@ def test_path_stack_checks_name_the_first_faulty_path(models):
     bundle, space, section = model.bundle, model.space, model.reference_section
     word = (("r", 1),)
     rngs = [rng_for(6, f"fault-{k}") for k in range(4)]
-    ((_, clean),) = class_path_stacks(
-        space, bundle.action, [word] * 4, probe_points(space, 4, 6), rngs, 64
-    )
-    ts = clean.times
+    ts = np.linspace(0.0, 1.0, 64)
+    clean = Path(space, ts, class_path_rows(
+        bundle, [word] * 4, probe_points(space, 4, 6), rngs, 64, lambda _, stack: stack.points
+    ))
 
     # Samples outside the box [-6, 6]^2 on the last two paths.
     pts = clean.points.copy()
@@ -1287,10 +1292,11 @@ def test_path_stack_checks_name_the_first_faulty_path(models):
     assert isinstance(err, PathClassError)
 
 
-def test_class_path_stacks_keep_each_form_call_under_the_cap(lattice_models):
-    """No form evaluation of a lattice holonomy gap sees more segment rows
-    times dimension than STACK_FLOATS: all paths at once raised the peak
-    memory of lattice verdicts through the basis matrices."""
+def test_class_path_rows_keep_each_form_call_under_the_cap(lattice_models):
+    """No form evaluation of a lattice holonomy gap, nor of a measure of
+    holonomy and form rows on the route, sees more segment rows times
+    dimension than STACK_FLOATS: all paths at once raised the peak memory
+    of lattice verdicts through the basis matrices."""
     model = lattice_models["lattice_fiber_shift"]
     _, connection, section, form, samples = _stack_model(model.scenario.name, {}, lattice_models)
     rho = connection.rho_ref
@@ -1313,9 +1319,44 @@ def test_class_path_stacks_keep_each_form_call_under_the_cap(lattice_models):
         holonomy_form_gap(
             model.bundle, connection, section, form, draws, rng_for(1, "cap"), samples
         )
+        assert len(seen) >= 8 and 0 < max(seen) <= STACK_FLOATS
+        seen.clear()
+        class_path_rows(
+            model.bundle, [w for w, _ in draws], [x for _, x in draws], [rng_for(1, "cap")] * 8,
+            samples, lambda part, stack: np.column_stack([
+                class_holonomies(model.bundle, connection, section, part, stack),
+                segment_sum(form.many, stack),
+            ]),
+        )
     finally:
         del rho.many
     assert len(seen) >= 8 and 0 < max(seen) <= STACK_FLOATS
+
+
+def test_class_path_rows_join_wide_rows_in_path_order(models):
+    """A measure of ``(K, F)`` rows over three stacks gives one ``(N, F)``
+    array: row k is the start and form integral of the one-path route's
+    path k."""
+    model = models["rotation"]
+    bundle, space = model.bundle, model.space
+    samples = 64
+    per = _per_stack(samples, space.dimension)
+    count = 2 * per + 1
+    words = [(("r", (-1) ** k),) for k in range(count)]
+    bases = probe_points(space, count, 8, tag="wide-bases")
+    form = OneForm.from_expressions(space, ["0.3*sin(x2)", "0.2*x1"], name="probe")
+    sizes = []
+
+    def measure(part, stack):
+        sizes.append(len(part))
+        return np.column_stack([stack.start, segment_sum(form.many, stack)])
+
+    rngs = [rng_for(8, f"wide-{k}") for k in range(count)]
+    rows = class_path_rows(bundle, words, bases, rngs, samples, measure)
+    assert sizes == [per, per, 1] and rows.shape == (count, space.dimension + 1)
+    for k, (word, x0) in enumerate(zip(words, bases)):
+        path = random_class_path(space, bundle.action, word, x0, rng_for(8, f"wide-{k}"), samples)
+        assert rows[k].tolist() == [*path.start, line_integral(form, path)]
 
 
 def test_membership_periods_are_one_path_integral_per_candidate(models):

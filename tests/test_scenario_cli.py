@@ -392,12 +392,22 @@ def test_cli_trivial_first_cohomology_on_a_torus_is_rejected_at_its_line(tmp_pat
          "word 'g^99999999999' has more than 10000 letters (line 19, column 5)"),
         ("trivial", "[cocycle]", "[relations]\nr = g^x\n\n[cocycle]",
          "bad exponent in word chunk 'g^x' (line 19, column 5)"),
+        # An item of a list reports its own column, not the list's.
+        ("rotation", "rho = [-0.1*x2, 0.1*x1]", "rho = [-0.1*x2, 0.1*bogus]",
+         "unknown name 'bogus' (line 32, column 21)"),
+        ("paper_example_Z_on_R", "forward = [x1 + 1]", "forward = [x1 + .]",
+         "malformed number '.' (line 16, column 17)"),
+        ("rotation", "upper = [6, 6]", "upper = [6, 6x]",
+         "expected a number, found '6x' (line 10, column 13)"),
+        ("lattice_fiber_shift", "path_samples = 192", "path_samples = 192\nslots = [1, x]",
+         "expected an integer, found 'x' (line 34, column 13)"),
     ],
     ids=["sites", "period", "infinite_period", "halfwidth", "upper", "infinite_upper",
          "infinite_halfwidth", "jet_order", "jet_order_negative", "density_degree_negative",
          "slot_above_jet_order", "no_slots", "repeated_slot",
          "short_field", "long_field", "short_flow", "short_forward", "huge_relation",
-         "bad_relation_exponent"],
+         "bad_relation_exponent", "expr_item_name", "expr_item_number", "float_item",
+         "int_item"],
 )
 def test_cli_rejected_model_value_is_typed_error(name, line, edited, message, tmp_path, capsys):
     # Values the lattice and parameter-space constructors reject, jet orders,

@@ -26,7 +26,7 @@ The argument vectors cover ``verdict`` at seeds 0 and 3 on every bundled
 scenario (``--local`` on the lattice ones), ``check-cocycle``, ``anomaly``
 and ``curvature`` in both formats, ``holonomy`` of ``g`` and ``g^2`` for
 every generator ``g`` along the ``unit`` and ``wiggle:3`` paths,
-``selftest``, the typed-error cases, sixteen edited copies of bundled
+``selftest``, the typed-error cases, eighteen edited copies of bundled
 scenarios and one ``--out`` report.
 """
 
@@ -86,6 +86,9 @@ EDITED_CASES = [
     ("expr_name.scn", "translation_shear", "family = n1*x2", "family = n1*x3", "verdict"),
     ("expr_number.scn", "paper_example_Z_on_R", "forward = [x1 + 1]", "forward = [x1 + .]",
      "holonomy --word g"),
+    ("expr_item_name.scn", "rotation", "rho = [-0.1*x2, 0.1*x1]", "rho = [-0.1*x2, 0.1*bogus]",
+     "curvature"),
+    ("float_item.scn", "rotation", "upper = [6, 6]", "upper = [6, 6x]", "verdict"),
 ]
 
 
