@@ -404,6 +404,16 @@ def monomial_name(symbols, expo) -> str:
     return "*".join(parts) or "1"
 
 
+def monomial_power(x, k: int):
+    """``x`` to the positive integer power k as k - 1 products, left to right
+    (``x * x * x`` for 3). Each product rounds once per element, so a point
+    gets the bits it gets as a row of any stack."""
+    out = x
+    for _ in range(k - 1):
+        out = out * x
+    return out
+
+
 def linear_combination(coefficients, columns):
     """``sum_k c_k columns[k]``, adding the terms in member order from zero."""
     out = 0.0

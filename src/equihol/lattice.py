@@ -35,6 +35,7 @@ from .geometry import (
     linear_combination,
     monomial_exponents,
     monomial_name,
+    monomial_power,
     richardson_slope,
 )
 
@@ -442,9 +443,10 @@ class DensityBasis:
         return [f"{name} d{JET_NAMES[k]}" for name in self.names for k in slots]
 
     def powers(self, env: Dict[str, np.ndarray], members: Sequence[int]) -> dict:
-        """Each jet power ``env[sym] ** k`` the members use, keyed ``(sym, k)``."""
+        """Each jet power ``monomial_power(env[sym], k)`` the members use,
+        keyed ``(sym, k)``."""
         used = {(sym, k) for j in members for sym, k in zip(self.symbols, self.exponents[j]) if k}
-        return {(sym, k): np.asarray(env[sym]) ** k for sym, k in used}
+        return {(sym, k): monomial_power(np.asarray(env[sym]), k) for sym, k in used}
 
     def member(self, env: Dict[str, np.ndarray], j: int, powers=None):
         """Member j on jets from :func:`jets`, or off a :meth:`powers` table."""

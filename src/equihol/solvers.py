@@ -52,6 +52,7 @@ from .geometry import (
     linear_combination,
     monomial_exponents,
     monomial_name,
+    monomial_power,
     richardson_slope,
     segment_sum,
 )
@@ -176,16 +177,14 @@ class FormBasis:
 
 
 def _monomial(e):
-    # The axes with a nonzero exponent, multiplied in axis order. A power keeps
-    # numpy's general loop (a full-shape exponent on a one-wide column, also
-    # for one point): the x*x shortcut of a broadcast 2 rounds differently.
+    # The axes with a nonzero exponent, multiplied in axis order from ones,
+    # each power by monomial_power: a point gets the bits of its stack row.
     axes = [(i, k) for i, k in enumerate(e) if k]
 
     def member(x):
         out = np.ones(np.shape(x)[:-1])
         for i, k in axes:
-            col = x[..., i:i + 1]
-            out = out * (col if k == 1 else col ** np.full(np.shape(col), k))[..., 0]
+            out = out * monomial_power(x[..., i], k)
         return out
 
     return member

@@ -273,10 +273,19 @@ def test_basis_combine_is_the_coefficient_sum_of_columns():
         assert values == pytest.approx(columns @ c, rel=0, abs=tol)
 
 
+def _power(x, k):
+    """``x`` to the power k by hand: k - 1 products, left to right."""
+    out = x
+    for _ in range(k - 1):
+        out = out * x
+    return out
+
+
 def test_basis_matrices_match_per_member_powers():
     # Functionals, forms, members and fitted densities equal, bit for bit,
-    # products of env[sym] ** k formed anew for every member, on jets of
-    # rolled differences; degree 3 puts cubes in the power table too.
+    # products of repeated-product powers env[sym] * ... * env[sym] formed
+    # anew for every member, on jets of rolled differences; degree 3 puts
+    # cubes in the power table too.
     basis = DensityBasis(LAT, 2, 3)
     fields = random_fields(LAT, 4, rng_for(8, "power-fields"))
     variations = random_fields(LAT, 4, rng_for(8, "power-variations"))
@@ -290,7 +299,7 @@ def test_basis_matrices_match_per_member_powers():
         acc = 1.0
         for sym, k in zip(basis.symbols, expo):
             if k:
-                acc = acc * env[sym] ** k
+                acc = acc * _power(env[sym], k)
         members.append(np.broadcast_to(acc, fields.shape))
     h = LAT.spacing
     functionals = np.stack([np.sum(m, axis=-1) for m in members], axis=1) * h
@@ -401,22 +410,35 @@ def test_one_form_basis_matches_per_point_products():
         assert np.array_equal([f(x) for x in s], f(s))
 
 
-def test_scalar_monomials_take_the_general_power_loop():
-    # Each monomial member is the full-shape power product bit for bit, on a
-    # stack and on each point. pow(x, 2) and x*x round apart on some draws,
-    # so a square shortcut in the member would show here.
+def test_scalar_monomials_are_repeated_products_on_any_stack():
+    # Each monomial member is, bit for bit, the product in axis order from
+    # ones of hand-written repeated products x_i * x_i * ..., on a stack and
+    # on each point. pow(x, 3) and x*x*x round apart on some draws, so a
+    # general power in the member would show here. Every sub-stack of 1, 2
+    # and 7 rows gets the bits of the same rows of the full call.
     for d in (1, 2, 3):
         space = ParameterSpace(d, "euclidean-box", lower=(-5.0,) * d, upper=(5.0,) * d)
         basis = scalar_basis(space, 4, trig=True)
         exponents = monomial_exponents(d, 4)
         assert len(basis.fields) == len(exponents) + 2 * d
         xs = rng_for(d, "monomial-draws").uniform(-5.0, 5.0, size=(64, d))
-        assert np.any(xs ** np.full(xs.shape, 2) != xs * xs)
+        assert np.any(xs ** np.full(xs.shape, 3) != xs * xs * xs)
+
+        def reference(x, expo):
+            out = np.ones(np.shape(x)[:-1])
+            for i, k in enumerate(expo):
+                if k:
+                    out = out * _power(x[..., i], k)
+            return out
+
         for f, expo in zip(basis.fields, exponents):
-            reference = lambda x, e=np.array(expo): np.prod(x ** np.full(np.shape(x), e), axis=-1)
-            assert np.array_equal(f(xs), reference(xs))
+            full = f(xs)
+            assert np.array_equal(full, reference(xs, expo))
             for x in xs:
-                assert f(x) == reference(x)
+                assert f(x) == reference(x, expo)
+            for n in (1, 2, 7):
+                for start in range(len(xs) - n + 1):
+                    assert np.array_equal(f(xs[start:start + n]), full[start:start + n])
 
 
 def test_stacked_stencil_rows_are_single_point_calls():

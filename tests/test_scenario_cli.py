@@ -570,6 +570,33 @@ def test_cli_verdict_summary_obstructed():
     assert witness == {"kind": "fixed-point", "generator": "X", "point": [0.0, 0.0]}
 
 
+def test_cli_verdict_without_a_candidate_is_a_global_anomaly(tmp_path):
+    # The paper's example with its candidate dt removed: the flat character
+    # kappa(g) = 1/2 is the period of no candidate form, so the verdict stops
+    # at character membership with kappa as its witness.
+    text = (bundled_dir() / "paper_example_Z_on_R.scn").read_text()
+    edited = text.replace("[candidate.dt]\nform = [1]\n", "", 1)
+    assert edited != text
+    scenario = tmp_path / "no_candidate.scn"
+    scenario.write_text(edited)
+    code, lines = _summary(["verdict", str(scenario)])
+    assert code == 2
+    assert lines[:9] == [
+        "verdict: OBSTRUCTED",
+        "  cocycle: pass",
+        "  equivariant_curvature: pass",
+        "  equivariant_primitive: certificate",
+        "  invariance_obstruction: skipped",
+        "  flatten: pass",
+        "  flat_character: pass",
+        "  character_membership: no_certificate",
+        "  character: {'g': 0.5}",
+    ]
+    assert len(lines) == 10 and lines[9].startswith("  witness: ")
+    witness = ast.literal_eval(lines[9][len("  witness: "):])
+    assert witness == {"kappa": {"g": 0.5}, "periods": {"g": {}}}
+
+
 def test_cli_anomaly_summary_names_generators():
     assert _summary(["anomaly", "rotation"]) == (0, ["anomaly report: X: sample 0"])
 

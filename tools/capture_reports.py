@@ -16,8 +16,10 @@ kept every report byte-identical:
     python3 tools/capture_reports.py --compare /tmp/parent.json /tmp/change.json
 
 ``--compare`` prints the argument vector of every record that differs,
-with the fields that differ, and exits 1; when every record is equal it
-prints the record count and exits 0.
+with the fields that differ, and under it, for each differing stream
+(``stdout``, ``stderr``, ``out_file``), the first line that differs on
+each side, marked ``-`` for the parent and ``+`` for the change; it then
+exits 1. When every record is equal it prints the record count and exits 0.
 
 ``tests/test_captured_reports.py`` pins a digest of every record in
 ``tests/data/reports.sha256.json`` and re-captures them in the test run.
@@ -26,7 +28,7 @@ The argument vectors cover ``verdict`` at seeds 0 and 3 on every bundled
 scenario (``--local`` on the lattice ones), ``check-cocycle``, ``anomaly``
 and ``curvature`` in both formats, ``holonomy`` of ``g`` and ``g^2`` for
 every generator ``g`` along the ``unit`` and ``wiggle:3`` paths,
-``selftest``, the typed-error cases, eighteen edited copies of bundled
+``selftest``, the typed-error cases, nineteen edited copies of bundled
 scenarios and one ``--out`` report.
 """
 
@@ -40,6 +42,7 @@ import sys
 import tempfile
 
 FORMATS = ("text", "json-like")
+STREAMS = ("stdout", "stderr", "out_file")
 
 ERROR_CASES = [
     ["verdict", "paper_example_Z_on_R", "--probes", "0"],
@@ -89,6 +92,7 @@ EDITED_CASES = [
     ("expr_item_name.scn", "rotation", "rho = [-0.1*x2, 0.1*x1]", "rho = [-0.1*x2, 0.1*bogus]",
      "curvature"),
     ("float_item.scn", "rotation", "upper = [6, 6]", "upper = [6, 6x]", "verdict"),
+    ("no_candidate.scn", "paper_example_Z_on_R", "[candidate.dt]\nform = [1]\n", "", "verdict"),
 ]
 
 
@@ -179,22 +183,37 @@ def main(src_dir, out_path):
     print(f"{len(records)} calls captured to {out_path}")
 
 
+def first_difference(old, new):
+    """The first line that differs between two unequal texts, from each
+    side; a side that has run out of lines, or is ``None``, gives ``None``."""
+    lines = [[] if text is None else text.split("\n") for text in (old, new)]
+    return next((a, b) for a, b in itertools.zip_longest(*lines) if a != b)
+
+
 def compare(parent_path, change_path):
-    """Print each differing record's argument vector and fields; the exit code."""
+    """Print each differing record's argument vector, fields and first
+    differing stream lines; the exit code."""
     records = []
     for path in (parent_path, change_path):
         with open(path, encoding="utf-8") as fh:
-            records.append(json.load(fh))
+            records.append({" ".join(r["argv"]): r for r in json.load(fh)})
+    parent, change = records
+    keys = list(parent) + [k for k in change if k not in parent]
     differing = 0
-    for old, new in itertools.zip_longest(*records):
+    for key in keys:
+        old, new = parent.get(key), change.get(key)
         if old is None or new is None:
             what = "only in " + (parent_path if new is None else change_path)
         else:
             what = ", ".join(sorted(k for k in old.keys() | new.keys() if old.get(k) != new.get(k)))
         if what:
             differing += 1
-            print(" ".join((old or new)["argv"]) + ": " + what)
-    total = max(map(len, records))
+            print(key + ": " + what)
+            for stream in STREAMS if old and new else ():
+                if old.get(stream) != new.get(stream):
+                    a, b = first_difference(old.get(stream), new.get(stream))
+                    print(f"  {stream} -: {a}\n  {stream} +: {b}")
+    total = len(keys)
     if differing:
         print(f"{differing} of {total} records differ")
         return 1
