@@ -10,11 +10,10 @@ restricts the search space, never the checks.
 from __future__ import annotations
 
 import functools
-from typing import List
 
 import numpy as np
 
-from .bundle import CHECK_TOL, Section, check_cocycle, connection_report, infinitesimal_anomaly
+from .bundle import Section, infinitesimal_anomaly
 from .geometry import central_difference, segment_sum
 from .holonomy import class_holonomies, class_path_rows, holonomy_form_gap
 from .lattice import (
@@ -26,13 +25,13 @@ from .lattice import (
 )
 from .probes import rng_for
 from .solvers import (
+    HOLONOMY_GAP_TOL,
     Certificate,
     NoCertificate,
     SolverConfig,
-    StageRecord,
     Verdict,
+    VerdictScaffold,
     _lstsq_with_lifts,
-    _result_data,
     _significant,
 )
 
@@ -169,52 +168,36 @@ def solve_local_global_form(model, section: Section, cfg: SolverConfig, slots=No
 def local_verdict(model, cfg: SolverConfig) -> Verdict:
     """Staged local cancellation decision over a lattice field space.
 
-    Stages: cocycle health, declared-connection consistency, the local
-    counterterm search along one-parameter generators, the invariant local
-    one-form matching all holonomies, and generic revalidation of the
-    certificate on fresh paths.
+    Between the scaffold's opening stages (the cocycle check on 16 probes,
+    the equivariant curvature with whether the connection was declared
+    locally) and its revalidation on fresh paths: the local counterterm
+    search along one-parameter generators, and the invariant local
+    one-form matching all holonomies.
     """
     bundle = model.bundle
     section = model.reference_section
-    stages: List[StageRecord] = []
-    slots = model.scenario.slot_restriction
-    ansatz_desc = f"jet densities to degree {model.density_degree} at jet order {model.jet_order}"
-
-    def stop(outcome, stage=None, **found):
-        return Verdict(outcome, stages, stage, ansatz_description=ansatz_desc, **found)
-
-    coc = check_cocycle(bundle, word_length=min(cfg.max_word_len, 3), probes=16, seed=cfg.seed)
-    healthy = coc.max_residual <= CHECK_TOL
-    stages.append(StageRecord(
-        "cocycle", "pass" if healthy else "fail",
-        {"max_residual": coc.max_residual, "checks": coc.checks},
-    ))
-    if not healthy:
-        witness = {"words": coc.witness_words, "point": coc.witness_point}
-        return stop("OBSTRUCTED", "cocycle", witness=witness)
-
-    report = connection_report(bundle, model.connection, section, seed=cfg.seed)
-    declared = model.declared_rho is not None
-    stages.append(StageRecord(
-        "equivariant_curvature", "pass", dict(report.residuals, local_connection_declared=declared)
-    ))
+    run = VerdictScaffold(
+        f"jet densities to degree {model.density_degree} at jet order {model.jet_order}"
+    )
+    _, stopped = run.opening(
+        bundle, model.connection, section, cfg, probes=16,
+        local_connection_declared=model.declared_rho is not None,
+    )
+    if stopped:
+        return stopped
 
     if bundle.lie_generators:
-        lie_result, counterterm = solve_local_lie_coboundary(model, section, cfg)
-        status = "certificate" if lie_result.found else "no_certificate"
-        stages.append(StageRecord("local_counterterm", status, _result_data(lie_result)))
-        if not lie_result.found:
-            return stop("INCONCLUSIVE", "local_counterterm")
+        lie_result, _ = solve_local_lie_coboundary(model, section, cfg)
+        if not run.search("local_counterterm", lie_result):
+            return run.stop("INCONCLUSIVE", "local_counterterm")
     else:
-        stages.append(
-            StageRecord("local_counterterm", "skipped", {"reason": "no one-parameter generators"})
-        )
+        run.record("local_counterterm", "skipped", {"reason": "no one-parameter generators"})
 
-    global_result, beta_local = solve_local_global_form(model, section, cfg, slots=slots)
-    status = "certificate" if global_result.found else "no_certificate"
-    stages.append(StageRecord("local_global_form", status, _result_data(global_result)))
-    if not global_result.found:
-        return stop("INCONCLUSIVE", "local_global_form")
+    global_result, beta_local = solve_local_global_form(
+        model, section, cfg, slots=model.scenario.slot_restriction
+    )
+    if not run.search("local_global_form", global_result):
+        return run.stop("INCONCLUSIVE", "local_global_form")
 
     rng = rng_for(cfg.seed, "local-reval")
     bases = random_fields(model.lattice, 2, rng_for(cfg.seed, "local-reval-bases"))
@@ -225,15 +208,11 @@ def local_verdict(model, cfg: SolverConfig) -> Verdict:
         bundle, model.connection, section, beta_local.as_form(model.space), draws, rng,
         cfg.path_samples, amplitude=LOCAL_PATH_AMPLITUDE,
     )
-    ok = hol_res <= 1e-5
-    stages.append(StageRecord(
-        "revalidation", "pass" if ok else "fail",
-        {"holonomy_residual": hol_res, "paths": REVALIDATION_PATHS},
-    ))
-    if not ok:
-        return stop("INCONCLUSIVE", "revalidation")
     certificate = {
         "local_form_coefficients": _significant(global_result.coefficients),
         "holonomy_residual": hol_res,
     }
-    return stop("CANCELS", certificate=certificate)
+    return run.revalidation(
+        {"holonomy_residual": hol_res, "paths": REVALIDATION_PATHS},
+        hol_res <= HOLONOMY_GAP_TOL, certificate,
+    )

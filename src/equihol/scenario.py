@@ -222,10 +222,7 @@ _SCHEMA: Dict[str, Dict[str, Tuple[str, ...]]] = {
         "max_word_len": "int",
         "fit_tol": "float",
         "holdout_tol": "float",
-        "slack_bound": "int",
         "candidates_complete": "bool",
-        "paths": "int",
-        "basepoints": "int",
         "path_samples": "int",
         "slots": "ints",
     },
@@ -371,8 +368,7 @@ class Scenario:
 
     # ------------------------------------------------------------------
     def solver_config(self, **overrides) -> SolverConfig:
-        mapping = {"paths": "n_paths", "basepoints": "n_basepoints"}
-        kwargs = {mapping.get(k, k): v for k, v in self.solver.items() if k != "slots"}
+        kwargs = {k: v for k, v in self.solver.items() if k != "slots"}
         return SolverConfig(**{**kwargs, **overrides})
 
     @property

@@ -7,10 +7,11 @@ returned as a certificate (coefficients, fit and held-out residuals); a
 failed one as an explicit non-certificate that names the ansatz searched
 and never claims nonexistence.
 
-The verdict pipeline sequences the stages: an invariant primitive of the
-equivariant curvature, the invariance obstruction when only a partial
-primitive exists, flattening, the flat character, and finally membership
-of the character among the scenario's candidate periods.
+The chart verdict sequences the stages on the verdict scaffold that the
+lattice verdict shares: an invariant primitive of the equivariant
+curvature, the invariance obstruction when only a partial primitive
+exists, flattening, the flat character, and finally membership of the
+character among the scenario's candidate periods.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -77,9 +78,6 @@ COUNT_RANGES = {
     "probes": (1, 4096, "[solver] probes or --probes"),
     "holdout": (1, 4096, "[solver] holdout or --probes"),
     "path_samples": (2, 8192, "[solver] path_samples"),
-    "n_paths": (1, 256, "[solver] paths"),
-    "n_basepoints": (1, 64, "[solver] basepoints"),
-    "slack_bound": (0, 64, "[solver] slack_bound"),
     "degree": (0, 8, "[solver] degree"),
     "max_word_len": (2, 6, "[solver] max_word_len or --max-word-len"),
 }
@@ -102,10 +100,7 @@ class SolverConfig:
     degree: int = 4
     trig: Optional[bool] = None
     max_word_len: int = 4
-    slack_bound: int = 16
     candidates_complete: bool = False
-    n_paths: int = 8
-    n_basepoints: int = 3
     path_samples: int = 512
 
     def __post_init__(self):
@@ -714,6 +709,11 @@ def invariance_obstruction(
 # Character membership
 
 
+# Largest integer slack per generator of a membership search over at most
+# two generators; with more, the slack is at most 2.
+MEMBERSHIP_SLACK = 16
+
+
 @dataclass(frozen=True)
 class MembershipResult:
     decision: str  # "member" | "non-member-within-candidates"
@@ -778,7 +778,7 @@ def character_membership(
     if not gens:
         combo = combination(np.zeros(len(forms)))
         return MembershipResult("member", {}, {}, 0.0, period_table, combo, cfg.candidates_complete)
-    bound = cfg.slack_bound if len(gens) <= 2 else min(cfg.slack_bound, 2)
+    bound = MEMBERSHIP_SLACK if len(gens) <= 2 else 2
     best = None
     slack_values = sorted(range(-bound, bound + 1), key=lambda m: (abs(m), -m))
     for slack in itertools.product(slack_values, repeat=len(gens)):
@@ -813,7 +813,7 @@ def character_membership(
 class StageRecord:
     name: str
     status: str
-    data: dict = dc_field(default_factory=dict)
+    data: dict
 
 
 @dataclass
@@ -854,8 +854,72 @@ def _result_data(result) -> dict:
     return data
 
 
-# Fresh (word, basepoint) pairs on which a certificate is revalidated.
+# Largest circle distance between a holonomy and the line integral of a
+# certificate's form along the same fresh path, at revalidation.
+HOLONOMY_GAP_TOL = 1e-5
+# Fresh (word, basepoint) pairs on which a chart certificate is revalidated.
 REVALIDATION_PAIRS = 20
+
+
+class VerdictScaffold:
+    """The one verdict scaffold of the chart and the lattice pipelines.
+
+    It keeps the stage records of one verdict and assembles the
+    :class:`Verdict` each stopping path returns. It runs the stages every
+    verdict opens with and records the revalidation every certificate ends
+    with; a pipeline records its own stages in between. The checks it calls
+    are looked up in this module at call time, where a tracer finds them.
+    """
+
+    def __init__(self, ansatz: str):
+        self.stages: List[StageRecord] = []
+        self.ansatz = ansatz
+
+    def record(self, name: str, status: str, data: dict) -> None:
+        self.stages.append(StageRecord(name, status, data))
+
+    def search(self, name: str, result) -> bool:
+        """Record the stage of a certificate search; whether it found one."""
+        status = "certificate" if result.found else "no_certificate"
+        self.record(name, status, _result_data(result))
+        return result.found
+
+    def stop(self, outcome: str, stage: Optional[str] = None, **found) -> Verdict:
+        """The verdict; ``found`` holds its witness, certificate or character."""
+        return Verdict(outcome, self.stages, stage, ansatz_description=self.ansatz, **found)
+
+    def opening(self, bundle, connection, section, cfg, probes, witness_data=False,
+                declared_moment=None, **curvature_data):
+        """Run the cocycle stage, then the equivariant curvature stage.
+
+        The cocycle check runs at word length ``min(max_word_len, 3)`` on
+        ``probes`` probes; a failure obstructs the verdict, with the word
+        pair and point as witness, which ``witness_data`` also puts in the
+        stage data. ``curvature_data`` joins the curvature residuals.
+        Returns ``(connection report, None)``, or ``(None, verdict)``.
+        """
+        coc = check_cocycle(
+            bundle, word_length=min(cfg.max_word_len, 3), probes=probes, seed=cfg.seed
+        )
+        healthy = coc.max_residual <= CHECK_TOL
+        data = {"max_residual": coc.max_residual, "checks": coc.checks}
+        if witness_data:
+            data.update(witness_words=coc.witness_words, witness_point=coc.witness_point)
+        self.record("cocycle", "pass" if healthy else "fail", data)
+        if not healthy:
+            witness = {"words": coc.witness_words, "point": coc.witness_point}
+            return None, self.stop("OBSTRUCTED", "cocycle", witness=witness)
+        report = connection_report(bundle, connection, section, declared_moment, cfg.seed)
+        self.record("equivariant_curvature", "pass", dict(report.residuals, **curvature_data))
+        return report, None
+
+    def revalidation(self, data: dict, passed: bool, certificate: dict, **found) -> Verdict:
+        """Record the revalidation stage and end the verdict: CANCELS with
+        the certificate if it passed, else INCONCLUSIVE."""
+        self.record("revalidation", "pass" if passed else "fail", data)
+        if not passed:
+            return self.stop("INCONCLUSIVE", "revalidation", **found)
+        return self.stop("CANCELS", certificate=certificate, **found)
 
 
 def verdict_pipeline(
@@ -867,63 +931,39 @@ def verdict_pipeline(
     declared_moment: Optional[Dict[str, ScalarField]] = None,
     fixed_points: Optional[Dict[str, Sequence[float]]] = None,
 ) -> Verdict:
-    """Run the staged cancellation decision.
+    """Run the staged cancellation decision on a chart.
 
-    Stages, in order: cocycle health, an invariant primitive of the
-    equivariant curvature (full invariance first, identity-component
-    invariance plus the invariance obstruction if needed), flattening by
-    the primitive, the flat character, membership of the character among
-    the candidate periods, and revalidation of the assembled certificate
-    on fresh words and paths.
+    Between the scaffold's opening stages (the cocycle check on 32 probes,
+    the equivariant curvature) and its revalidation on fresh words and
+    paths: an invariant primitive of the equivariant curvature (full
+    invariance first, identity-component invariance plus the invariance
+    obstruction if needed), flattening by the primitive, the flat
+    character, and membership of the character among the candidate
+    periods.
     """
     space = bundle.space
     form_basis = one_form_basis(space, cfg.degree, cfg.trig)
     potential_basis = scalar_basis(space, cfg.degree, cfg.trig)
-    stages: List[StageRecord] = []
-    ansatz_desc = f"{form_basis.description}; {potential_basis.description}"
-
-    def stop(outcome, stage=None, **found):
-        return Verdict(outcome, stages, stage, ansatz_description=ansatz_desc, **found)
-
-    coc = check_cocycle(bundle, word_length=min(cfg.max_word_len, 3), probes=32, seed=cfg.seed)
-    stages.append(
-        StageRecord(
-            "cocycle",
-            "pass" if coc.max_residual <= CHECK_TOL else "fail",
-            {
-                "max_residual": coc.max_residual,
-                "witness_words": coc.witness_words,
-                "witness_point": coc.witness_point,
-                "checks": coc.checks,
-            },
-        )
+    run = VerdictScaffold(f"{form_basis.description}; {potential_basis.description}")
+    report, stopped = run.opening(
+        bundle, connection, section, cfg, probes=32, witness_data=True,
+        declared_moment=declared_moment,
     )
-    if coc.max_residual > CHECK_TOL:
-        return stop(
-            "OBSTRUCTED",
-            "cocycle",
-            witness={"words": coc.witness_words, "point": coc.witness_point},
-        )
-
-    report = connection_report(
-        bundle, connection, section, declared_moment=declared_moment, seed=cfg.seed
-    )
+    if stopped:
+        return stopped
     eq = report.equivariant_curvature
-    stages.append(StageRecord("equivariant_curvature", "pass", dict(report.residuals)))
 
     # A declared fixed point with a nonvanishing anomaly obstructs any
     # primitive: the contraction row at that point reads 0 = anomaly.
     witness = fixed_point_witness(bundle, section, fixed_points, 1e-4)
     if witness is not None:
-        stages.append(StageRecord("equivariant_primitive", "obstructed", {"witness": witness}))
-        return stop("OBSTRUCTED", "equivariant_primitive", witness=witness)
+        run.record("equivariant_primitive", "obstructed", {"witness": witness})
+        return run.stop("OBSTRUCTED", "equivariant_primitive", witness=witness)
 
     full_result, beta_full = solve_equivariant_primitive(bundle, eq, form_basis, cfg)
-    beta_flatten = None
-    flatten_coeffs = None
     if beta_full is not None:
-        stages.append(StageRecord("equivariant_primitive", "certificate", _result_data(full_result)))
-        stages.append(StageRecord("invariance_obstruction", "skipped", {"reason": "primitive already invariant"}))
+        run.record("equivariant_primitive", "certificate", _result_data(full_result))
+        run.record("invariance_obstruction", "skipped", {"reason": "primitive already invariant"})
         beta_flatten = beta_full
         flatten_coeffs = full_result.coefficients
     else:
@@ -936,42 +976,28 @@ def verdict_pipeline(
             bundle, eq, form_basis, cfg, invariance_labels=identity_labels
         )
         status = "no_certificate" if beta0 is None else "partial_certificate"
-        stages.append(StageRecord("equivariant_primitive", status, _result_data(partial_result)))
+        run.record("equivariant_primitive", status, _result_data(partial_result))
         if beta0 is None:
-            return stop("INCONCLUSIVE", "equivariant_primitive")
+            return run.stop("INCONCLUSIVE", "equivariant_primitive")
         basepoint = probe_points(space, 1, cfg.seed, tag="sigma-base")[0]
         sigma = invariance_obstruction(bundle, beta0, basepoint, potential_basis, cfg)
-        status = "no_certificate" if sigma.improved_beta is None else "certificate"
-        stages.append(StageRecord("invariance_obstruction", status, _result_data(sigma.exactness)))
-        if sigma.improved_beta is None:
-            return stop("INCONCLUSIVE", "invariance_obstruction")
+        if not run.search("invariance_obstruction", sigma.exactness):
+            return run.stop("INCONCLUSIVE", "invariance_obstruction")
         beta_flatten = sigma.improved_beta
         flatten_coeffs = partial_result.coefficients
 
     flattened = Connection(connection.rho_ref - beta_flatten)
-    stages.append(StageRecord("flatten", "pass", {"primitive": _significant(flatten_coeffs)}))
+    run.record("flatten", "pass", {"primitive": _significant(flatten_coeffs)})
 
     kappa, flat_rep = flat_character(
-        bundle,
-        flattened,
-        section,
-        n_paths=cfg.n_paths,
-        n_basepoints=cfg.n_basepoints,
-        seed=cfg.seed,
-        samples=cfg.path_samples,
+        bundle, flattened, section, seed=cfg.seed, samples=cfg.path_samples
     )
     kappa_values = {label: v.value for label, v in kappa.values.items()}
-    stages.append(
-        StageRecord(
-            "flat_character",
-            "pass",
-            {
-                "kappa": kappa_values,
-                "spreads": flat_rep.spreads,
-                "curvature_residual": flat_rep.curvature_residual,
-            },
-        )
-    )
+    run.record("flat_character", "pass", {
+        "kappa": kappa_values,
+        "spreads": flat_rep.spreads,
+        "curvature_residual": flat_rep.curvature_residual,
+    })
 
     # Membership targets the holonomy side of the character so that the
     # assembled certificate matches holonomies directly.
@@ -986,26 +1012,24 @@ def verdict_pipeline(
         "candidates_complete": cfg.candidates_complete,
     }
     if membership.decision != "member":
-        stages.append(StageRecord("character_membership", "no_certificate", mem_data))
+        run.record("character_membership", "no_certificate", mem_data)
         if cfg.candidates_complete:
             witness = {"kappa": kappa_values, "periods": membership.period_table}
-            return stop("OBSTRUCTED", "character_membership", witness=witness, kappa=kappa_values)
-        return stop("INCONCLUSIVE", "character_membership", kappa=kappa_values)
-    stages.append(StageRecord("character_membership", "certificate", mem_data))
+            return run.stop(
+                "OBSTRUCTED", "character_membership", witness=witness, kappa=kappa_values
+            )
+        return run.stop("INCONCLUSIVE", "character_membership", kappa=kappa_values)
+    run.record("character_membership", "certificate", mem_data)
 
     beta_total = beta_flatten + membership.combination
     reval = _revalidate(bundle, connection, section, eq, beta_total, cfg, REVALIDATION_PAIRS)
-    status = "pass" if reval["ok"] else "fail"
-    stages.append(StageRecord("revalidation", status, reval))
-    if not reval["ok"]:
-        return stop("INCONCLUSIVE", "revalidation", kappa=kappa_values)
     certificate = {
         "primitive_coefficients": _significant(flatten_coeffs),
         "candidate_lambdas": membership.lambdas,
         "holonomy_residual": reval["holonomy_residual"],
         "curvature_residual": reval["curvature_residual"],
     }
-    return stop("CANCELS", certificate=certificate, kappa=kappa_values)
+    return run.revalidation(reval, reval["ok"], certificate, kappa=kappa_values)
 
 
 def _revalidate(bundle, connection, section, eq, beta_total, cfg, pairs: int) -> dict:
@@ -1026,7 +1050,7 @@ def _revalidate(bundle, connection, section, eq, beta_total, cfg, pairs: int) ->
         bundle, connection, section, beta_total, draws, rng, cfg.path_samples
     )
     return {
-        "ok": bool(curv_res <= 1e-4 and hol_res <= 1e-5),
+        "ok": bool(curv_res <= 1e-4 and hol_res <= HOLONOMY_GAP_TOL),
         "curvature_residual": curv_res,
         "holonomy_residual": hol_res,
         "pairs": pairs,

@@ -2,6 +2,7 @@ import argparse
 import ast
 import contextlib
 import io
+import json
 import re
 import subprocess
 import sys
@@ -250,9 +251,9 @@ def test_cli_bad_input_is_typed_error(argv, message, capsys):
         ("probes = 0", "[solver] probes"),
         ("holdout = 0", "[solver] holdout"),
         ("path_samples = 1", "[solver] path_samples"),
-        ("paths = 0", "[solver] paths"),
-        ("basepoints = 0", "[solver] basepoints"),
-        ("slack_bound = -1", "[solver] slack_bound"),
+        ("paths = 8", "unknown key 'paths' in [solver]"),
+        ("basepoints = 3", "unknown key 'basepoints' in [solver]"),
+        ("slack_bound = 16", "unknown key 'slack_bound' in [solver]"),
         ("holdout_tol = nan", "[solver] holdout_tol"),
         ("fit_tol = 0", "[solver] fit_tol"),
         ("fit_tol = inf", "[solver] fit_tol"),
@@ -262,9 +263,6 @@ def test_cli_bad_input_is_typed_error(argv, message, capsys):
         ("probes = 4097", "[solver] probes or --probes must be at most 4096"),
         ("holdout = 4097", "[solver] holdout or --probes must be at most 4096"),
         ("path_samples = 8193", "[solver] path_samples must be at most 8192"),
-        ("paths = 257", "[solver] paths must be at most 256"),
-        ("basepoints = 65", "[solver] basepoints must be at most 64"),
-        ("slack_bound = 65", "[solver] slack_bound must be at most 64"),
         ("degree = 9", "[solver] degree must be at most 8"),
     ],
 )
@@ -595,6 +593,55 @@ def test_cli_verdict_without_a_candidate_is_a_global_anomaly(tmp_path):
     assert len(lines) == 10 and lines[9].startswith("  witness: ")
     witness = ast.literal_eval(lines[9][len("  witness: "):])
     assert witness == {"kappa": {"g": 0.5}, "periods": {"g": {}}}
+
+
+CAPTURE_TOOL = Path(__file__).resolve().parents[1] / "tools" / "capture_reports.py"
+
+
+def edited_cases():
+    """The edited scenarios of ``tools/capture_reports.py`` by file name,
+    read from its source without writing a bytecode cache."""
+    tool = {}
+    exec(compile(CAPTURE_TOOL.read_text(encoding="utf-8"), str(CAPTURE_TOOL), "exec"), tool)
+    return {case[0]: case[1:] for case in tool["EDITED_CASES"]}
+
+
+# Stopping paths of the verdict scaffold, each reached by one edited
+# scenario whose report the digests pin: (file name, outcome, stopping
+# stage, exit code, entries of the stopping stage's data).
+@pytest.mark.parametrize(
+    "file_name, outcome, stage, code, data",
+    [
+        # The chart cocycle stage names its witness in the stage data too.
+        ("torus_order5.scn", "OBSTRUCTED", "cocycle", 2,
+         {"max_residual": 0.25, "checks": 256, "witness_words": ["g^2", "g^-3"]}),
+        # The lattice cocycle stage does not.
+        ("lattice_order5.scn", "OBSTRUCTED", "cocycle", 2, {"max_residual": 0.5, "checks": 128}),
+        ("no_candidate.scn", "OBSTRUCTED", "character_membership", 2,
+         {"decision": "non-member-within-candidates"}),
+        # At --tol 0.6 the empty candidate list is a member, with residual
+        # 0.5, and the certificate misses every holonomy by 0.5.
+        ("no_candidate_tol.scn", "INCONCLUSIVE", "revalidation", 3,
+         {"ok": False, "holonomy_residual": 0.5}),
+    ],
+)
+def test_cli_verdict_stopping_paths(file_name, outcome, stage, code, data, tmp_path):
+    name, old, new, command = edited_cases()[file_name]
+    text = (bundled_dir() / f"{name}.scn").read_text()
+    assert old in text
+    scenario = tmp_path / file_name
+    scenario.write_text(text.replace(old, new, 1))
+    command, *flags = command.split()
+    got, out, err = _printed(cli_main, [command, str(scenario), *flags, "--format", "json-like"])
+    assert (got, err) == (code, "")
+    result = json.loads(out)["result"]
+    assert (result["outcome"], result["obstructed_stage"]) == (outcome, stage)
+    stopped = result["stages"][-1]
+    assert stopped["name"] == stage
+    assert {key: stopped["data"].get(key) for key in data} == pytest.approx(data)
+    if stage == "cocycle":
+        assert result["witness"]["words"] == ["g^2", "g^-3"]
+        assert ("witness_words" in stopped["data"]) == (name == "torus_shift")
 
 
 def test_cli_anomaly_summary_names_generators():

@@ -28,7 +28,7 @@ The argument vectors cover ``verdict`` at seeds 0 and 3 on every bundled
 scenario (``--local`` on the lattice ones), ``check-cocycle``, ``anomaly``
 and ``curvature`` in both formats, ``holonomy`` of ``g`` and ``g^2`` for
 every generator ``g`` along the ``unit`` and ``wiggle:3`` paths,
-``selftest``, the typed-error cases, nineteen edited copies of bundled
+``selftest``, the typed-error cases, twenty-two edited copies of bundled
 scenarios and one ``--out`` report.
 """
 
@@ -93,6 +93,20 @@ EDITED_CASES = [
      "curvature"),
     ("float_item.scn", "rotation", "upper = [6, 6]", "upper = [6, 6x]", "verdict"),
     ("no_candidate.scn", "paper_example_Z_on_R", "[candidate.dt]\nform = [1]\n", "", "verdict"),
+    # Stopping paths of the verdict scaffold that no bundled scenario reaches:
+    # a shift of order 5 on the circle and on the lattice, whose cocycle on
+    # the fifth power (1.25, 2.5) is not an integer, and a holdout tolerance
+    # loose enough that the empty candidate list matches the character 0.5,
+    # whose certificate then fails revalidation.
+    ("torus_order5.scn", "torus_shift", "forward = [x1 + 0.3]\ninverse = [x1 - 0.3]",
+     "forward = [x1 + 0.2]\ninverse = [x1 - 0.2]", "verdict"),
+    ("lattice_order5.scn", "lattice_fiber_shift",
+     "sites = 32\nperiod = 1.0\njet_order = 2\ndensity_degree = 2\n\n"
+     "[fieldgroup.g]\nkind = fiber_affine\nscale = 1\nchi = 1",
+     "sites = 30\nperiod = 1.0\njet_order = 2\ndensity_degree = 2\n\n"
+     "[fieldgroup.g]\nkind = site_shift\nsteps = 6", "verdict --local"),
+    ("no_candidate_tol.scn", "paper_example_Z_on_R", "[candidate.dt]\nform = [1]\n", "",
+     "verdict --tol 0.6"),
 ]
 
 
