@@ -66,10 +66,6 @@ class InvalidCharacterError(ToolkitError):
     """A circle-valued character violates the group presentation."""
 
 
-class AssumptionViolation(ToolkitError):
-    """Numerical evidence contradicts a scenario-asserted assumption."""
-
-
 class LocalityDeclarationError(ToolkitError):
     """A declared local density does not reproduce the generic evaluator."""
 

@@ -9,14 +9,16 @@ and never claims nonexistence.
 
 The chart verdict sequences the stages on the verdict scaffold that the
 lattice verdict shares: an invariant primitive of the equivariant
-curvature, the invariance obstruction when only a partial primitive
-exists, flattening, the flat character, and finally membership of the
-character among the scenario's candidate periods.
+curvature, flattening, the flat character, and finally membership of the
+character among the scenario's candidate periods. When no primitive in
+the ansatz is invariant under the full group, the verdict searches one
+invariant under the identity component, checks that its invariance
+defects are closed, and stops inconclusive: a correction by d of a
+scalar of the ansatz stays in the span already searched.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -35,7 +37,6 @@ from .bundle import (
     section_cocycle,
 )
 from .errors import (
-    AssumptionViolation,
     ConditioningError,
     EvaluationError,
     PreconditionError,
@@ -49,12 +50,10 @@ from .geometry import (
     circle_gaps,
     circle_values,
     exterior_derivative,
-    line_integral,
     linear_combination,
     monomial_exponents,
     monomial_name,
     monomial_power,
-    richardson_slope,
     segment_sum,
 )
 from .holonomy import (
@@ -229,10 +228,7 @@ class Certificate:
     holdout_residual: float
     basis_description: str
     condition: float
-
-    @property
-    def found(self) -> bool:
-        return True
+    found = True
 
 
 @dataclass(frozen=True)
@@ -242,10 +238,7 @@ class NoCertificate:
     basis_description: str
     note: str = "no certificate found within this ansatz; not a proof of nonexistence"
     witness: Optional[dict] = None
-
-    @property
-    def found(self) -> bool:
-        return False
+    found = False
 
 
 # Directions below this relative singular-value cutoff are treated as null:
@@ -285,9 +278,7 @@ def _lift_fit(A, reps, circle_mask, lifts):
         lifts = new_lifts
     pred = A @ coef if A.size else np.zeros(len(reps))
     resid = np.abs(pred - (reps + lifts))
-    if np.any(circle_mask):
-        wrapped = np.abs(np.mod(pred[circle_mask] - reps[circle_mask] + 0.5, 1.0) - 0.5)
-        resid[circle_mask] = wrapped
+    resid[circle_mask] = np.abs(np.mod(pred[circle_mask] - reps[circle_mask] + 0.5, 1.0) - 0.5)
     return coef, (float(np.max(resid)) if len(resid) else 0.0), lifts
 
 
@@ -304,10 +295,9 @@ def _lstsq_with_lifts(A, targets, circle_mask, polish_budget, circle_groups=None
     converged fit wins.
     """
     A = np.asarray(A, dtype=float)
-    t = np.asarray(targets, dtype=float).copy()
     circle_mask = np.asarray(circle_mask, dtype=bool)
-    reps = t.copy()
-    reps[circle_mask] = np.mod(t[circle_mask] + 0.5, 1.0) - 0.5
+    reps = np.array(targets, dtype=float)
+    reps[circle_mask] = np.mod(reps[circle_mask] + 0.5, 1.0) - 0.5
     # The condition estimate uses column-equilibrated data so it measures
     # linear dependence among ansatz members rather than their units; the
     # solve itself stays in raw coordinates so the minimum-norm solution
@@ -327,7 +317,7 @@ def _lstsq_with_lifts(A, targets, circle_mask, polish_budget, circle_groups=None
     seeds = []
     if initial_lifts is not None:
         seeds.append(np.asarray(initial_lifts, dtype=float))
-    seeds.append(np.zeros(len(t)))
+    seeds.append(np.zeros(len(reps)))
     if circle_groups is not None and np.any(circle_mask):
         groups = sorted({g for g in circle_groups if g is not None and g >= 0})
         if 0 < len(groups) <= 3:
@@ -335,7 +325,7 @@ def _lstsq_with_lifts(A, targets, circle_mask, polish_budget, circle_groups=None
             for pattern in itertools.product((0, 1, -1), repeat=len(groups)):
                 if not any(pattern):
                     continue
-                lifts = np.zeros(len(t))
+                lifts = np.zeros(len(reps))
                 for gid, delta in zip(groups, pattern):
                     lifts[ids == gid] = delta
                 seeds.append(lifts)
@@ -380,12 +370,9 @@ def _continuation_lifts(points, reps):
     if n == 0:
         return np.zeros(0)
     pts = np.asarray(points, dtype=float)
-    visited = np.zeros(n, dtype=bool)
-    order = [0]
-    visited[0] = True
+    order, visited = [0], np.arange(n) == 0
     for _ in range(n - 1):
-        last = pts[order[-1]]
-        dists = np.linalg.norm(pts - last, axis=1)
+        dists = np.linalg.norm(pts - pts[order[-1]], axis=1)
         dists[visited] = np.inf
         nxt = int(np.argmin(dists))
         order.append(nxt)
@@ -397,11 +384,6 @@ def _continuation_lifts(points, reps):
         lifts[idx] = lifted - reps[idx]
         prev = lifted
     return lifts
-
-
-def _shift_rows(basis: ScalarBasis, g, points) -> np.ndarray:
-    """Rows ``f(g x) - f(x)`` of every scalar member at the points."""
-    return basis.matrix(g(points)) - basis.matrix(points)
 
 
 def solve_group_coboundary(
@@ -419,15 +401,14 @@ def solve_group_coboundary(
     """
     space = bundle.space
     fit_pts = probe_points(space, cfg.probes, cfg.seed, tag="coboundary-fit")
-    blocks, targets = [], []
+    blocks, targets, initial = [], [], []
     labels = bundle.action.labels
-    initial = []
     for label in labels:
         g = bundle.action.generators[label]
         values = section_cocycle(bundle, section, ((label, 1),))(fit_pts)
         reps = np.mod(values + 0.5, 1.0) - 0.5
         initial.append(_continuation_lifts(fit_pts, reps))
-        blocks.append(_shift_rows(basis, g, fit_pts))
+        blocks.append(basis.matrix(g(fit_pts)) - basis.matrix(fit_pts))
         targets.extend(values.tolist())
     circle_mask = [True] * len(targets)
     coef, fit_res, cond = _lstsq_with_lifts(
@@ -603,106 +584,50 @@ def invariance_residual(bundle, beta: OneForm, labels, points) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Invariance obstruction of a partial primitive
-
-
-# Fit probes of the defect potentials and path samples of their integrals.
-SIGMA_PROBES = 64
-SIGMA_SAMPLES = 192
-
-
-@dataclass(frozen=True)
-class SigmaResult:
-    potentials: dict
-    exactness: object
-    improved_beta: Optional[OneForm]
-    path_spread: float
+# Identity-component primitive, when no invariant one exists
 
 
 def invariance_obstruction(
     bundle: EquivariantBundle,
-    beta0: OneForm,
-    basepoint,
-    basis: ScalarBasis,
+    eq_curvature,
+    form_basis: FormBasis,
     cfg: SolverConfig,
 ):
-    """Potentials of the invariance defect of beta0, and their exactness.
+    """The search for a primitive beta0 invariant under the identity
+    component only: ``(result, beta0_or_None, closedness)``.
 
-    For each generator the defect ``pullback(beta0) - beta0`` is closed, so
-    it integrates from the basepoint to a potential, defined modulo a
-    constant. Path independence is spot-checked (it encodes the vanishing
-    first cohomology assertion). Exactness of the potential cocycle modulo
-    constants is solved over the scalar ansatz; on success the corrected
-    form ``beta0 - d tau`` is invariant under the full group.
+    Each defect ``g* beta0 - beta0`` must be closed, as the curvature is
+    invariant; ``closedness`` is the worst scaled ``d`` of the defects, and
+    one above its bound raises :class:`PreconditionError`. No ``beta0 - d
+    tau`` with tau in the scalar basis is invariant, since ``d tau`` lies in
+    the form basis that the fully invariant search has already covered.
     """
-    space = bundle.space
-    x0 = space.point(basepoint)
-
-    def pulled_back(g):
-        return lambda xs, vs: beta0.many(g(xs), g.differential(xs, vs)) - beta0.many(xs, vs)
-
-    defects = {
-        label: OneForm(space, pulled_back(g), name=f"defect({label})")
-        for label, g in bundle.action.generators.items()
-    }
+    gens = bundle.action.generators
+    identity_labels = [label for label, g in gens.items() if g.in_identity_component]
+    result, beta0 = solve_equivariant_primitive(
+        bundle, eq_curvature, form_basis, cfg, invariance_labels=identity_labels
+    )
+    if beta0 is None:
+        return result, None, None
+    space, closedness = bundle.space, 0.0
     d_checks = probe_points(space, 8, cfg.seed, tag="sigma-closed")
     rng = rng_for(cfg.seed, "sigma-dirs")
-    for label, defect in defects.items():
+    for label, g in gens.items():
+        defect = OneForm(
+            space,
+            lambda xs, vs, g=g: beta0.many(g(xs), g.differential(xs, vs)) - beta0.many(xs, vs),
+            name=f"defect({label})",
+        )
         u, v = direction_draws(rng, len(d_checks), 2, space.dimension)
         scale = np.maximum(1.0, np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1))
-        if np.any(np.abs(exterior_derivative(defect).many(d_checks, u, v)) > 1e-3 * scale):
+        d_defect = np.abs(exterior_derivative(defect).many(d_checks, u, v))
+        if np.any(d_defect > 1e-3 * scale):
             raise PreconditionError(
                 f"invariance defect of {label!r} is not closed; "
                 "the curvature is not invariant under the full group"
             )
-
-    def sigma_value(label, x):
-        # The Richardson extrapolation of midpoint sums over 1/h segments.
-        def midpoint(h):
-            return line_integral(defects[label], Path.line(space, x0, x, samples=round(1 / h) + 1))
-
-        return richardson_slope(midpoint, 1 / SIGMA_SAMPLES)
-
-    # Path-independence spot check through a bent detour.
-    spread = 0.0
-    detour_rng = rng_for(cfg.seed, "sigma-detour")
-    for label in bundle.action.labels:
-        for x in d_checks[:4]:
-            direct = sigma_value(label, x)
-            mid = space.point((x0 + x) / 2.0 + 0.3 * detour_rng.normal(size=space.dimension))
-            bent = line_integral(
-                defects[label], Path.line(space, x0, mid, samples=SIGMA_SAMPLES)
-            ) + line_integral(defects[label], Path.line(space, mid, x, samples=SIGMA_SAMPLES))
-            spread = max(spread, abs(direct - bent))
-    if spread > 1e-4:
-        raise AssumptionViolation(
-            f"potentials of the invariance defect are path-dependent (spread {spread:.3e}); "
-            "the trivial-first-cohomology assertion fails for this scenario"
-        )
-
-    fit_pts = probe_points(space, SIGMA_PROBES, cfg.seed, tag="sigma-fit")
-    labels = bundle.action.labels
-    n_basis = len(basis.fields)
-    shifts = [_shift_rows(basis, bundle.action.generators[label], fit_pts) for label in labels]
-    # One free constant per generator: the potentials are defined modulo constants.
-    consts = np.repeat(np.eye(len(labels)), len(fit_pts), axis=0)
-    targets = [sigma_value(label, x) for label in labels for x in fit_pts]
-    fit_bound = max(cfg.fit_tol, 1e-7) * 10
-    coef, fit_res, cond = _lstsq_with_lifts(
-        np.hstack([np.concatenate(shifts), consts]), targets, [False] * len(targets), fit_bound
-    )
-    tau = basis.combine(space, coef[:n_basis])
-    improved = beta0 - exterior_derivative(tau)
-    hold_pts = probe_points(space, 24, cfg.seed, tag="sigma-holdout")
-    holdout = invariance_residual(bundle, improved, labels, hold_pts)
-    coefficients = dict(zip(basis.names, (float(c) for c in coef[:n_basis])))
-    potentials = {label: functools.partial(sigma_value, label) for label in labels}
-    if fit_res <= fit_bound and holdout <= max(cfg.holdout_tol, 1e-6) * 10:
-        cert = Certificate(coefficients, fit_res, holdout, basis.description, cond)
-        return SigmaResult(potentials, cert, improved, spread)
-    return SigmaResult(
-        potentials, NoCertificate(fit_res, holdout, basis.description), None, spread
-    )
+        closedness = max(closedness, float(np.max(d_defect / scale)))
+    return result, beta0, closedness
 
 
 # ---------------------------------------------------------------------------
@@ -748,11 +673,7 @@ def character_membership(
             raise PreconditionError(
                 f"candidate {name!r} is not closed-invariant-basic (defect {defect:.3e})"
             )
-    gens = [
-        label
-        for label in bundle.action.labels
-        if not bundle.action.generators[label].in_identity_component
-    ]
+    gens = [label for label, g in bundle.action.generators.items() if not g.in_identity_component]
     basepoint = probe_points(space, 1, cfg.seed, tag="membership-base")[0]
     period_table: Dict[str, dict] = {}
     K = np.zeros((len(gens), len(forms)))
@@ -935,16 +856,15 @@ def verdict_pipeline(
 
     Between the scaffold's opening stages (the cocycle check on 32 probes,
     the equivariant curvature) and its revalidation on fresh words and
-    paths: an invariant primitive of the equivariant curvature (full
-    invariance first, identity-component invariance plus the invariance
-    obstruction if needed), flattening by the primitive, the flat
-    character, and membership of the character among the candidate
-    periods.
+    paths: an invariant primitive of the equivariant curvature, flattening
+    by the primitive, the flat character, and membership of the character
+    among the candidate periods. Without an invariant primitive the verdict
+    ends at ``equivariant_primitive`` or, when the identity-component
+    primitive exists, at ``invariance_obstruction``.
     """
     space = bundle.space
     form_basis = one_form_basis(space, cfg.degree, cfg.trig)
-    potential_basis = scalar_basis(space, cfg.degree, cfg.trig)
-    run = VerdictScaffold(f"{form_basis.description}; {potential_basis.description}")
+    run = VerdictScaffold(f"{form_basis.description}; {form_basis.scalars.description}")
     report, stopped = run.opening(
         bundle, connection, section, cfg, probes=32, witness_data=True,
         declared_moment=declared_moment,
@@ -960,34 +880,23 @@ def verdict_pipeline(
         run.record("equivariant_primitive", "obstructed", {"witness": witness})
         return run.stop("OBSTRUCTED", "equivariant_primitive", witness=witness)
 
-    full_result, beta_full = solve_equivariant_primitive(bundle, eq, form_basis, cfg)
-    if beta_full is not None:
-        run.record("equivariant_primitive", "certificate", _result_data(full_result))
-        run.record("invariance_obstruction", "skipped", {"reason": "primitive already invariant"})
-        beta_flatten = beta_full
-        flatten_coeffs = full_result.coefficients
-    else:
-        identity_labels = [
-            label
-            for label in bundle.action.labels
-            if bundle.action.generators[label].in_identity_component
-        ]
-        partial_result, beta0 = solve_equivariant_primitive(
-            bundle, eq, form_basis, cfg, invariance_labels=identity_labels
-        )
+    full_result, beta = solve_equivariant_primitive(bundle, eq, form_basis, cfg)
+    if beta is None:
+        partial_result, beta0, closedness = invariance_obstruction(bundle, eq, form_basis, cfg)
         status = "no_certificate" if beta0 is None else "partial_certificate"
         run.record("equivariant_primitive", status, _result_data(partial_result))
         if beta0 is None:
             return run.stop("INCONCLUSIVE", "equivariant_primitive")
-        basepoint = probe_points(space, 1, cfg.seed, tag="sigma-base")[0]
-        sigma = invariance_obstruction(bundle, beta0, basepoint, potential_basis, cfg)
-        if not run.search("invariance_obstruction", sigma.exactness):
-            return run.stop("INCONCLUSIVE", "invariance_obstruction")
-        beta_flatten = sigma.improved_beta
-        flatten_coeffs = partial_result.coefficients
-
-    flattened = Connection(connection.rho_ref - beta_flatten)
-    run.record("flatten", "pass", {"primitive": _significant(flatten_coeffs)})
+        run.record("invariance_obstruction", "no_certificate", {
+            "closedness_residual": closedness,
+            "note": "the invariance defects of the identity-component primitive are closed; "
+                    "no invariant primitive lies in this ansatz",
+        })
+        return run.stop("INCONCLUSIVE", "invariance_obstruction")
+    run.record("equivariant_primitive", "certificate", _result_data(full_result))
+    run.record("invariance_obstruction", "skipped", {"reason": "primitive already invariant"})
+    flattened = Connection(connection.rho_ref - beta)
+    run.record("flatten", "pass", {"primitive": _significant(full_result.coefficients)})
 
     kappa, flat_rep = flat_character(
         bundle, flattened, section, seed=cfg.seed, samples=cfg.path_samples
@@ -1021,10 +930,10 @@ def verdict_pipeline(
         return run.stop("INCONCLUSIVE", "character_membership", kappa=kappa_values)
     run.record("character_membership", "certificate", mem_data)
 
-    beta_total = beta_flatten + membership.combination
+    beta_total = beta + membership.combination
     reval = _revalidate(bundle, connection, section, eq, beta_total, cfg, REVALIDATION_PAIRS)
     certificate = {
-        "primitive_coefficients": _significant(flatten_coeffs),
+        "primitive_coefficients": _significant(full_result.coefficients),
         "candidate_lambdas": membership.lambdas,
         "holonomy_residual": reval["holonomy_residual"],
         "curvature_residual": reval["curvature_residual"],

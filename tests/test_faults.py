@@ -41,7 +41,7 @@ from equihol.scenario import format_scenario, load_scenario, parse_scenario
 class Fault:
     check: str
     scenario: Optional[str]  # None: the command takes no scenario
-    edits: dict  # {(section, key): value}; a missing key or section is added
+    edits: dict  # {(section, key): value}; a missing key or section is added, None deletes
     argv: tuple  # the command and its flags; the scenario path goes second
     code: int
     output: str  # a pattern the printed line must match from its start
@@ -51,7 +51,8 @@ class Fault:
 def edited_text(name: str, edits: dict) -> str:
     """The canonical text of a bundled scenario with ``edits`` applied:
     an entry replaces its key's line, or is added at the end of its section,
-    and a missing section is added at the end of the file."""
+    and a missing section is added at the end of the file. An entry with
+    the key and value ``None`` deletes its section."""
     lines = format_scenario(load_scenario(name)).splitlines() + [""]
     for (section, key), value in edits.items():
         if f"[{section}]" not in lines:
@@ -60,7 +61,9 @@ def edited_text(name: str, edits: dict) -> str:
         end = lines.index("", start)
         keys = [line.split(" = ", 1)[0] for line in lines[start:end]]
         entry = f"{key} = {value}"
-        if key in keys:
+        if key is None:
+            del lines[start - 1:end + 1]
+        elif key in keys:
             lines[start + keys.index(key)] = entry
         else:
             lines.insert(end, entry)
@@ -159,6 +162,16 @@ FAULTS = {
         r"spread .*, additivity 0\.494\d*, ok False\n",
         ("equihol.bundle", "_value_rows", lambda rows, rests, signs: rests),
     ),
+    # A curvature the shift does not keep, with no one-parameter generator:
+    # the primitive invariant under the identity component, x1^2 dx2 up to
+    # a gauge, has a defect under g whose d is the curvature's change.
+    "noninvariant_rho": Fault(
+        "invariance defects closed", "trivial",
+        {("lie.T", None): None, ("moment", None): None, ("connection", "rho"): "[0, x1^2]"},
+        ("verdict",), 1,
+        r"error: invariance defect of 'g' is not closed; "
+        r"the curvature is not invariant under the full group\n",
+    ),
 }
 
 
@@ -205,8 +218,11 @@ def test_planted_fault_is_caught(name, tmp_path, monkeypatch):
     text = None
     if fault.scenario is not None:
         parsed = parse_scenario(edited_text(fault.scenario, fault.edits), name)
-        for section, key in fault.edits:
-            assert key in parsed.sections[section], (section, key)
+        for (section, key), value in fault.edits.items():
+            if key is None:
+                assert section not in parsed.sections, section
+            else:
+                assert key in parsed.sections[section], (section, key)
         text = format_scenario(parsed)
         assert format_scenario(parse_scenario(text, name)) == text
     if fault.patch:

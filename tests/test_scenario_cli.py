@@ -608,7 +608,9 @@ def edited_cases():
 
 # Stopping paths of the verdict scaffold, each reached by one edited
 # scenario whose report the digests pin: (file name, outcome, stopping
-# stage, exit code, entries of the stopping stage's data).
+# stage, exit code, entries of the stopping stage's data). A verdict that
+# ends in a typed error has outcome "error" and its printed line as the
+# data's "stderr".
 @pytest.mark.parametrize(
     "file_name, outcome, stage, code, data",
     [
@@ -623,6 +625,15 @@ def edited_cases():
         # 0.5, and the certificate misses every holonomy by 0.5.
         ("no_candidate_tol.scn", "INCONCLUSIVE", "revalidation", 3,
          {"ok": False, "holonomy_residual": 0.5}),
+        # Neither the fully invariant search nor the identity-component one
+        # finds a constant primitive of the shear curvature.
+        ("primitive_deg0.scn", "INCONCLUSIVE", "equivariant_primitive", 3,
+         {"found": False, "best_residual": 1.9915980795610426}),
+        # The identity-component primitive has a defect under g that is not
+        # closed: the verdict ends in the typed error it prints.
+        ("noninvariant_rho.scn", "error", None, 1,
+         {"stderr": "error: invariance defect of 'g' is not closed; "
+                    "the curvature is not invariant under the full group\n"}),
     ],
 )
 def test_cli_verdict_stopping_paths(file_name, outcome, stage, code, data, tmp_path):
@@ -633,6 +644,9 @@ def test_cli_verdict_stopping_paths(file_name, outcome, stage, code, data, tmp_p
     scenario.write_text(text.replace(old, new, 1))
     command, *flags = command.split()
     got, out, err = _printed(cli_main, [command, str(scenario), *flags, "--format", "json-like"])
+    if outcome == "error":
+        assert (got, out, err) == (code, "", data["stderr"])
+        return
     assert (got, err) == (code, "")
     result = json.loads(out)["result"]
     assert (result["outcome"], result["obstructed_stage"]) == (outcome, stage)

@@ -7,6 +7,7 @@ from equihol import solvers
 from equihol.bundle import (
     Cocycle,
     EquivariantBundle,
+    EquivariantCurvature,
     Section,
     connection_report,
     infinitesimal_anomaly,
@@ -20,16 +21,17 @@ from equihol.geometry import (
     OneForm,
     ParameterSpace,
     ScalarField,
+    exterior_derivative,
     parse_word,
 )
 from equihol.holonomy import Character
 from equihol.probes import probe_points
+from equihol.scenario import parse_scenario
 from equihol.solvers import (
     NoCertificate,
     ScalarBasis,
     SolverConfig,
     character_membership,
-    invariance_obstruction,
     one_form_basis,
     scalar_basis,
     solve_equivariant_primitive,
@@ -218,49 +220,105 @@ def test_primitive_recovers_rotation_connection(models):
 
 
 # ---------------------------------------------------------------------------
-# Invariance obstruction
+# Identity-component primitive
 
 
-def test_sigma_invariant_input_is_exact(models):
-    model = models["paper_example_Z_on_R"]
-    beta0 = OneForm.from_expressions(model.space, ["0.5"])
-    basis = scalar_basis(model.space, 2)
-    sigma = invariance_obstruction(model.bundle, beta0, np.array([0.0]), basis, CFG)
-    assert sigma.exactness.found
-    assert sigma.improved_beta is not None
-    for x in probe_points(model.space, 4, 8):
-        assert sigma.potentials["g"](x) == pytest.approx(0.0, abs=1e-9)
+# Unit shifts of the plane along both axes, neither in the identity
+# component, with the connection x1 dx2. Its curvature dx1 ^ dx2 is
+# invariant, but no primitive of it is: magnetic translations.
+MAGNETIC = """schema_version = 1
+
+[space]
+dimension = 2
+topology = euclidean-box
+lower = [-12, -12]
+upper = [12, 12]
+probe_lower = [-2, -2]
+probe_upper = [2, 2]
+basepoint = [0, 0]
+
+[group.s]
+forward = [x1 + 1, x2]
+inverse = [x1 - 1, x2]
+identity_component = false
+
+[group.t]
+forward = [x1, x2 + 1]
+inverse = [x1, x2 - 1]
+identity_component = false
+
+[cocycle]
+s = x2
+t = 0
+
+[connection]
+rho = [0, x1]
+
+[solver]
+seed = 7
+probes = 96
+holdout = 96
+degree = 2
+max_word_len = 3
+path_samples = 384
+"""
 
 
-def test_sigma_planted_defect_recovered(models):
-    model = models["paper_example_Z_on_R"]
-    tau = lambda x: 0.2 * math.sin(x[0])
-    beta0 = OneForm.from_expressions(
-        model.space, ["0.5 + 0.2*cos(x1)"], name="half dt + d tau"
+def test_closed_defects_stop_the_verdict_at_invariance_obstruction():
+    scenario = parse_scenario(MAGNETIC, "magnetic")
+    verdict = run_verdict(scenario.build_model(), scenario)
+    assert (verdict.outcome, verdict.obstructed_stage) == ("INCONCLUSIVE", "invariance_obstruction")
+    stages = {stage.name: stage for stage in verdict.stages}
+    assert list(stages)[-2:] == ["equivariant_primitive", "invariance_obstruction"]
+    partial = stages["equivariant_primitive"]
+    assert partial.status == "partial_certificate"
+    # The symmetric gauge, which neither shift keeps: its defects are the
+    # closed forms 0.5 dx2 under s and -0.5 dx1 under t.
+    assert partial.data["coefficients"] == pytest.approx({"x1 dx2": 0.5, "x2 dx1": -0.5})
+    stopped = stages["invariance_obstruction"]
+    assert stopped.status == "no_certificate"
+    assert stopped.data["closedness_residual"] < 1e-9
+    assert verdict.certificate is None
+
+
+def test_invariance_obstruction_rejects_a_defect_that_is_not_closed():
+    # The curvature 2 x1 dx1 ^ dx2 is not invariant under the shift, and the
+    # primitive x1^2 dx2 has the defect (2 x1 + 1) dx2 under it.
+    space = ParameterSpace(
+        2, "euclidean-box", lower=(-12.0, -4.0), upper=(12.0, 4.0),
+        probe_lower=(-2.0, -2.0), probe_upper=(2.0, 2.0),
     )
-    basis = scalar_basis(model.space, 3, trig=True)
-    sigma = invariance_obstruction(model.bundle, beta0, np.array([0.0]), basis, CFG)
-    assert sigma.exactness.found
-    assert sigma.exactness.holdout_residual < 1e-6
-    improved = sigma.improved_beta
-    g = model.bundle.action.generators["g"]
-    for x in probe_points(model.space, 8, 9):
-        v = np.array([1.0])
-        assert abs(improved(g(x), g.differential(x, v)) - improved(x, v)) < 1e-6
+    step = np.array([1.0, 0.0])
+    g = GroupElement("g", lambda x: x + step, lambda x: x - step, space)
+    bundle = EquivariantBundle(space, GroupAction(space, [g]), Cocycle({"g": lambda x: 0.0}))
+    rho = OneForm.from_expressions(space, ["0", "x1^2"])
+    eq = EquivariantCurvature(exterior_derivative(rho))
+    basis = one_form_basis(space, 2)
+    with pytest.raises(PreconditionError, match="invariance defect of 'g' is not closed"):
+        solvers.invariance_obstruction(bundle, eq, basis, CFG)
+    # The shift is outside the identity component: the search it guards
+    # finds a primitive, invariant under no generator.
+    result, beta = solve_equivariant_primitive(bundle, eq, basis, CFG, invariance_labels=[])
+    assert result.found and beta is not None
 
 
-def test_sigma_linear_defect_not_exact_over_constants(models):
-    # The potential of the defect of x dx grows linearly, which constants
-    # cannot produce: the two-constraint system is inconsistent.
-    model = models["paper_example_Z_on_R"]
-    beta0 = OneForm.from_expressions(model.space, ["x1"], name="x dx")
-    consts = ScalarBasis((lambda x: 1.0,), ("1",), "constants only")
-    sigma = invariance_obstruction(model.bundle, beta0, np.array([0.0]), consts, CFG)
-    assert isinstance(sigma.exactness, NoCertificate)
-    assert sigma.improved_beta is None
-    # sigma for the unit shift is x + 1/2 up to the basepoint constant
-    val = sigma.potentials["g"](np.array([2.0])) - sigma.potentials["g"](np.array([0.0]))
-    assert val == pytest.approx(2.0, abs=1e-6)
+@pytest.mark.parametrize("trig", [False, True])
+def test_d_of_every_scalar_member_lies_in_the_form_basis(models, trig):
+    # The reason no correction beta0 - d tau with tau in the scalar basis
+    # needs a search of its own: d tau is already a combination of the form
+    # basis of the same degree, which the invariant search spans.
+    space = models["rotation"].space
+    scalars = scalar_basis(space, 3, trig)
+    forms = one_form_basis(space, 3, trig)
+    pts = probe_points(space, 40, 5)
+    rows = np.repeat(pts, 2, axis=0)
+    axes = np.tile(np.eye(2), (len(pts), 1))
+    design = forms.matrix(rows, axes)
+    for j, name in enumerate(scalars.names):
+        member = ScalarField.batched(space, lambda xs, j=j: scalars.matrix(xs)[:, j])
+        target = exterior_derivative(member).many(rows, axes)
+        coef, *_ = np.linalg.lstsq(design, target, rcond=None)
+        assert np.max(np.abs(design @ coef - target)) < 1e-6, name
 
 
 # ---------------------------------------------------------------------------

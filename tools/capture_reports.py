@@ -28,7 +28,7 @@ The argument vectors cover ``verdict`` at seeds 0 and 3 on every bundled
 scenario (``--local`` on the lattice ones), ``check-cocycle``, ``anomaly``
 and ``curvature`` in both formats, ``holonomy`` of ``g`` and ``g^2`` for
 every generator ``g`` along the ``unit`` and ``wiggle:3`` paths,
-``selftest``, the typed-error cases, twenty-two edited copies of bundled
+``selftest``, the typed-error cases, twenty-four edited copies of bundled
 scenarios and one ``--out`` report.
 """
 
@@ -107,6 +107,14 @@ EDITED_CASES = [
      "[fieldgroup.g]\nkind = site_shift\nsteps = 6", "verdict --local"),
     ("no_candidate_tol.scn", "paper_example_Z_on_R", "[candidate.dt]\nform = [1]\n", "",
      "verdict --tol 0.6"),
+    # The two stops after the fully invariant primitive search fails: no
+    # identity-component primitive of degree 0, and an identity-component
+    # primitive x1^2 dx2 whose defect under g, (2*x1 + 1) dx2, is not closed.
+    ("primitive_deg0.scn", "translation_shear", "degree = 2", "degree = 0", "verdict"),
+    ("noninvariant_rho.scn", "trivial",
+     "[lie.T]\nfield = [1, 0]\nflow = [x1 + t, x2]\nalpha = 0\n\n"
+     "[connection]\nrho = [0, 0]\n\n[moment]\nT = 0\n",
+     "[connection]\nrho = [0, x1^2]\n", "verdict"),
 ]
 
 
@@ -147,17 +155,25 @@ def run(main, argv):
     return {"argv": argv, "code": code, "stdout": stdout.getvalue(), "stderr": stderr.getvalue()}
 
 
-def capture():
-    """The record of every call, through the ``equihol`` package on the path."""
-    from equihol.cli import main as cli_main
-    from equihol.scenario import bundled_dir, bundled_names, load_scenario
+def bundled_scenarios():
+    """Each bundled scenario's kind and generator labels, by name, as
+    :func:`argvs` takes them."""
+    from equihol.scenario import bundled_names, load_scenario
 
     scenarios = {}
     for name in bundled_names():
         scenario = load_scenario(name)
         prefix = "fieldgroup." if scenario.kind == "lattice" else "group."
         scenarios[name] = (scenario.kind, list(scenario.labelled(prefix)))
-    records = [run(cli_main, argv) for argv in argvs(scenarios)]
+    return scenarios
+
+
+def capture():
+    """The record of every call, through the ``equihol`` package on the path."""
+    from equihol.cli import main as cli_main
+    from equihol.scenario import bundled_dir
+
+    records = [run(cli_main, argv) for argv in argvs(bundled_scenarios())]
     with tempfile.TemporaryDirectory() as tmp:
         for file_name, name, old, new, command in EDITED_CASES:
             path = os.path.join(tmp, file_name)
