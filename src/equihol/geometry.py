@@ -690,11 +690,13 @@ def conjugate_path(zeta: Path, gamma: Path, apply_point: Callable) -> Path:
 
 
 # Most segment rows times dimension that one evaluation over a path stack
-# may see. The temporaries behind a stacked form (basis matrices, jets)
-# grow with its rows, so stacks of class paths are cut into chunks of whole
-# paths below this. At 8192 a chart chunk holds 8 paths of 512 samples and
-# a lattice chunk one path of 192 samples in 32 sites; two lattice paths
-# per chunk doubled those temporaries, to about 1 MB per holonomy check.
+# may see. The temporaries behind a stacked form (basis matrices, jets and
+# the lattice member tensor, one float per member, row and site) grow with
+# its rows, so stacks of class paths are cut into chunks of whole paths
+# below this. At 8192 a chart chunk holds 8 paths of 512 samples and a
+# lattice chunk one path of 192 samples in 32 sites, whose member tensor
+# of 10 members takes about 0.5 MB; two lattice paths per chunk would
+# double these temporaries.
 STACK_FLOATS = 8192
 
 

@@ -429,8 +429,8 @@ def curl_stencils(fields, variations, pairs: int):
 class DensityBasis:
     """Monomials in the jet slots up to a total degree: the lattice ansatz,
     counterpart of ``solvers.ScalarBasis`` and ``FormBasis``. Its matrices
-    read every member on a whole ``(N, m)`` field stack, on jets computed
-    once, summing over sites along the last axis."""
+    read one ``(M, N, m)`` member tensor of a whole field stack, on jets
+    computed once, and reduce it over sites, the last axis."""
 
     def __init__(self, lattice: LatticeBase, jet_order: int, degree: int):
         self.lattice, self.jet_order = lattice, jet_order
@@ -454,57 +454,68 @@ class DensityBasis:
         factors = (powers[sym, k] for sym, k in zip(self.symbols, self.exponents[j]) if k)
         return math.prod(factors, start=1.0)
 
-    def _columns(self, fields, reduce) -> np.ndarray:
-        """``reduce`` of every member's ``(N, m)`` values on a field stack,
-        stacked member-major; a non-finite member names its (row, site)."""
+    def members(self, fields) -> np.ndarray:
+        """The ``(M, N, m)`` tensor of every member on the jets of a field
+        stack, off one power table; a non-finite member names its (row, site)."""
         env = jets(self.lattice, np.reshape(fields, (-1, self.lattice.sites)), self.jet_order)
+        tensor = np.empty((len(self.names),) + env["u"].shape)
         with np.errstate(over="ignore", invalid="ignore"):
             powers = self.powers(env, range(len(self.names)))
-        columns = []
-        for j, name in enumerate(self.names):
-            with np.errstate(over="ignore", invalid="ignore"):
-                values = np.broadcast_to(self.member(env, j, powers), env["u"].shape)
-            _require_finite(values, name)
-            columns.append(reduce(values))
-        return np.stack(columns, axis=1)
+            for j in range(len(self.names)):
+                tensor[j] = self.member(env, j, powers)
+        finite = np.isfinite(tensor).reshape(len(tensor), -1).all(axis=1)
+        if not finite.all():
+            j = int(np.argmin(finite))
+            _require_finite(tensor[j], self.names[j])
+        return tensor
 
     def functionals(self, fields) -> np.ndarray:
         """``(N, M)`` lattice integrals of the members."""
-        return self._columns(fields, lambda values: np.sum(values, axis=-1)) * self.lattice.spacing
+        sums = np.ascontiguousarray(np.sum(self.members(fields), axis=-1).T)
+        return sums * self.lattice.spacing
 
     def forms(self, fields, variations, slots: Sequence[int]) -> np.ndarray:
         """``(N, M * S)`` values of the one-forms ``member du<k>`` at stacked
         fields and variations: column ``j * S + q`` is member j on the
-        variation jet ``slots[q]``."""
+        variation jet ``slots[q]``. One batched matmul over the site axis,
+        ``(N, M, m) @ (N, m, S)``, contracts every row on its own."""
         dv = jets(self.lattice, np.reshape(variations, (-1, self.lattice.sites)), max(slots))
-
-        def on_slots(values):
-            return np.stack([np.sum(values * dv[JET_NAMES[k]], axis=-1) for k in slots], axis=1)
-
-        columns = self._columns(fields, on_slots)
-        return columns.reshape(len(columns), -1) * self.lattice.spacing
+        on_slots = np.stack([dv[JET_NAMES[k]] for k in slots], axis=-1)
+        values = np.matmul(self.members(fields).transpose(1, 0, 2), on_slots)
+        return values.reshape(len(values), -1) * self.lattice.spacing
 
     def combine(self, coefficients, slots: Optional[Sequence[int]] = None):
-        """The fitted density ``sum_j c_j member_j``; with slots, the fitted
-        :class:`LocalOneForm` over the columns of :meth:`forms`. Terms are
-        added in column order from zero."""
+        """The fitted density ``sum_j c_j member_j``, adding its terms in
+        member order from zero; with slots, the fitted one-form whose values
+        are ``forms(fields, variations, slots) @ c``."""
         if slots is None:
-            return self._density(list(coefficients), range(len(self.names)), "fit")
-        slots = list(slots)
-        on_slot = [[q for q in range(len(coefficients)) if slots[q % len(slots)] == k]
-                   for k in range(self.jet_order + 1)]
-        densities = [
-            self._density([coefficients[q] for q in qs], [q // len(slots) for q in qs], f"slot{k}")
-            for k, qs in enumerate(on_slot)
-        ]
-        return LocalOneForm(self.lattice, densities, name="fit")
+            members = range(len(self.names))
 
-    def _density(self, coefficients, members, name) -> LocalDensity:
-        def fn(env):
-            powers = self.powers(env, members)
-            return linear_combination(coefficients, (self.member(env, j, powers) for j in members))
+            def fn(env):
+                powers = self.powers(env, members)
+                return linear_combination(coefficients, (self.member(env, j, powers) for j in members))
 
-        return LocalDensity(self.lattice, fn, self.jet_order, name=name)
+            return LocalDensity(self.lattice, fn, self.jet_order, name="fit")
+        return FittedOneForm(self, coefficients, slots)
+
+
+class FittedOneForm:
+    """``sum_q c_q`` times column q of :meth:`DensityBasis.forms`: the local
+    one-form a search fits over the basis."""
+
+    def __init__(self, basis: DensityBasis, coefficients, slots: Sequence[int]):
+        self.basis, self.slots = basis, list(slots)
+        self.coefficients = np.asarray(coefficients, dtype=float)
+
+    def values(self, field_values, variations) -> np.ndarray:
+        """``(N,)`` values on stacked fields and variations, one dot product
+        per row: a matrix-vector product of the whole stack would round a
+        row by its place in the stack."""
+        rows = self.basis.forms(field_values, variations, self.slots)
+        return np.matmul(rows[:, None, :], self.coefficients)[:, 0]
+
+    def as_form(self, field_space: ParameterSpace) -> OneForm:
+        return OneForm(field_space, self.values, name="fit")
 
 
 def random_fields(lattice: LatticeBase, n: int, rng) -> np.ndarray:

@@ -255,7 +255,23 @@ def test_basis_functionals_and_flow_slopes_match_members():
                 assert rows[i, j] == lie_derivative_local(functional, X, s)[0]
 
 
+def _fitted_reference(basis, c, slots):
+    """The fitted one-form of ``basis.combine(c, slots)`` as a LocalOneForm
+    of one expression per slot, ``sum_j c[j * S + q] * (member j)``."""
+    texts = ["0"] * (basis.jet_order + 1)
+    for q, k in enumerate(slots):
+        texts[k] = " + ".join(
+            f"({float(c[j * len(slots) + q])!r})*({name})" for j, name in enumerate(basis.names)
+        )
+    return LocalOneForm(basis.lattice, [
+        LocalDensity.from_expression(basis.lattice, text, basis.jet_order) for text in texts
+    ])
+
+
 def test_basis_combine_is_the_coefficient_sum_of_columns():
+    # The fitted density is the coefficient sum of the functional columns;
+    # the fitted one-form, whose values are the form columns times the
+    # coefficients, matches the site loop over the members' expressions.
     space = LAT.field_space()
     basis = DensityBasis(LAT, 2, 2)
     fields = random_fields(LAT, 4, rng_for(5, "combine-fields"))
@@ -267,10 +283,11 @@ def test_basis_combine_is_the_coefficient_sum_of_columns():
     assert values == pytest.approx(columns @ c, rel=0, abs=1e-12 * np.sum(np.abs(columns * c)))
     for slots in ([0, 1, 2], [2, 0]):
         c = rng.normal(size=len(basis.names) * len(slots))
-        columns = basis.forms(fields, variations, slots)
         values = basis.combine(c, slots).as_form(space).many(fields, variations)
-        tol = 1e-12 * np.sum(np.abs(columns * c))
-        assert values == pytest.approx(columns @ c, rel=0, abs=tol)
+        reference = _fitted_reference(basis, c, slots)
+        for value, s, v in zip(values, fields, variations):
+            expected, size = local_reference(reference, s, v)
+            assert value == pytest.approx(expected, rel=0, abs=1e-12 * max(1.0, size))
 
 
 def _power(x, k):
@@ -282,10 +299,13 @@ def _power(x, k):
 
 
 def test_basis_matrices_match_per_member_powers():
-    # Functionals, forms, members and fitted densities equal, bit for bit,
-    # products of repeated-product powers env[sym] * ... * env[sym] formed
-    # anew for every member, on jets of rolled differences; degree 3 puts
-    # cubes in the power table too.
+    # The member tensor, functionals, forms, members and fitted densities
+    # and forms equal, bit for bit, products of repeated-product powers
+    # env[sym] * ... * env[sym] formed anew for every member, on jets of
+    # rolled differences, summed over sites (functionals) or contracted
+    # with the variation jets by a batched matmul over sites (forms, one
+    # dot product per row for the fitted form); degree 3 puts cubes in the
+    # power table too.
     basis = DensityBasis(LAT, 2, 3)
     fields = random_fields(LAT, 4, rng_for(8, "power-fields"))
     variations = random_fields(LAT, 4, rng_for(8, "power-variations"))
@@ -301,21 +321,44 @@ def test_basis_matrices_match_per_member_powers():
             if k:
                 acc = acc * _power(env[sym], k)
         members.append(np.broadcast_to(acc, fields.shape))
+    assert np.array_equal(basis.members(fields), np.stack(members))
     h = LAT.spacing
     functionals = np.stack([np.sum(m, axis=-1) for m in members], axis=1) * h
     assert np.array_equal(basis.functionals(fields), functionals)
     slots = [2, 0]
-    forms = np.stack([np.sum(m * dv[k], axis=-1) for m in members for k in slots], axis=1) * h
+    per_row = np.matmul(np.stack(members, axis=1), np.stack([dv[k] for k in slots], axis=-1))
+    forms = per_row.reshape(len(fields), -1) * h
     assert np.array_equal(basis.forms(fields, variations, slots), forms)
     for j, m in enumerate(members):
         assert np.array_equal(np.broadcast_to(basis.member(env, j), fields.shape), m)
     c = rng_for(8, "power-coefficients").normal(size=len(members) * len(slots))
     fit = basis.combine(c, slots)
-    for q, k in enumerate(slots):
-        expected = linear_combination(c[q::len(slots)], members)
-        assert np.array_equal(fit.slot_densities[k].on_jets(env), expected)
+    expected = np.array([np.matmul(row, c) for row in forms])
+    assert np.array_equal(fit.as_form(LAT.field_space()).many(fields, variations), expected)
     assert np.array_equal(basis.combine(c[: len(members)]).on_jets(env),
                           linear_combination(c[: len(members)], members))
+
+
+def test_basis_form_rows_are_the_rows_of_any_stack():
+    # The lattice twin of the scalar-monomial test: every sub-stack of 1, 2
+    # and 7 rows of a 64-row stack gets, bit for bit, the same rows of the
+    # form matrix and of the fitted one-form as the full call, so a segment
+    # row does not depend on the chunk of paths it is evaluated in.
+    space = LAT.field_space()
+    basis = DensityBasis(LAT, 2, 2)
+    fields = random_fields(LAT, 64, rng_for(9, "stack-fields"))
+    variations = random_fields(LAT, 64, rng_for(9, "stack-vars"))
+    for slots in ([0, 1, 2], [2, 0], [1]):
+        c = rng_for(9, "stack-coefficients").normal(size=len(basis.form_names(slots)))
+        fit = basis.combine(c, slots).as_form(space)
+        forms, values = basis.forms(fields, variations, slots), fit.many(fields, variations)
+        for n in (1, 2, 7):
+            for start in range(len(fields) - n + 1):
+                rows = slice(start, start + n)
+                assert np.array_equal(basis.forms(fields[rows], variations[rows], slots), forms[rows])
+                assert np.array_equal(fit.many(fields[rows], variations[rows]), values[rows])
+        for row, (s, v) in enumerate(zip(fields, variations)):
+            assert fit(s, v) == values[row]
 
 
 def test_random_fields_rows_match_draw_loop():
@@ -333,12 +376,21 @@ def test_random_fields_rows_match_draw_loop():
 
 
 def test_basis_non_finite_member_names_row_and_site():
-    basis = DensityBasis(LAT, 0, 2)
+    # u^2 and u^3 overflow at one site; the first of them is named, by the
+    # functionals, the forms and the fitted one-form alike.
+    basis = DensityBasis(LAT, 0, 3)
     fields = np.ones((3, LAT.sites))
     fields[2, 7] = 1e200
-    with pytest.raises(EvaluationError, match="density 'u\\^2' non-finite at row 2, site 7") as err:
-        basis.functionals(fields)
-    assert err.value.point == (2, 7)
+    variations = np.ones((3, LAT.sites))
+    fit = basis.combine([1.0, 0.0, 0.0, 0.0], [0]).as_form(LAT.field_space())
+    for matrix in (
+        basis.functionals,
+        lambda fields: basis.forms(fields, variations, [0]),
+        lambda fields: fit.many(fields, variations),
+    ):
+        with pytest.raises(EvaluationError, match="density 'u\\^2' non-finite at row 2, site 7") as err:
+            matrix(fields)
+        assert err.value.point == (2, 7)
 
 
 def test_zero_mode_connection_matches_site_loop(lattice_models):

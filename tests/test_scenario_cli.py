@@ -634,6 +634,20 @@ def edited_cases():
         ("noninvariant_rho.scn", "error", None, 1,
          {"stderr": "error: invariance defect of 'g' is not closed; "
                     "the curvature is not invariant under the full group\n"}),
+        # The symmetric gauge, the identity-component primitive of the
+        # magnetic translations, has closed defects under both shifts.
+        ("magnetic.scn", "INCONCLUSIVE", "invariance_obstruction", 3,
+         {"note": "the invariance defects of the identity-component primitive are closed; "
+                  "no invariant primitive lies in this ansatz"}),
+        # Without the value slot du, which carries the bundled certificate,
+        # no local one-form of the ansatz matches the holonomies.
+        # The design is rank-deficient (the constant densities on du1 and
+        # du2 sum to zero over the circle), and float noise of the form
+        # columns reaches the seventh digit of the residuals, so seven
+        # digits are pinned.
+        ("lattice_slots.scn", "INCONCLUSIVE", "local_global_form", 3,
+         {"found": False, "best_residual": 0.0523424, "holdout_residual": 0.4899904,
+          "basis": "local one-form densities: 20 members, degree <= 2, slots [1, 2]"}),
     ],
 )
 def test_cli_verdict_stopping_paths(file_name, outcome, stage, code, data, tmp_path):

@@ -28,7 +28,7 @@ The argument vectors cover ``verdict`` at seeds 0 and 3 on every bundled
 scenario (``--local`` on the lattice ones), ``check-cocycle``, ``anomaly``
 and ``curvature`` in both formats, ``holonomy`` of ``g`` and ``g^2`` for
 every generator ``g`` along the ``unit`` and ``wiggle:3`` paths,
-``selftest``, the typed-error cases, twenty-four edited copies of bundled
+``selftest``, the typed-error cases, twenty-six edited copies of bundled
 scenarios and one ``--out`` report.
 """
 
@@ -115,6 +115,26 @@ EDITED_CASES = [
      "[lie.T]\nfield = [1, 0]\nflow = [x1 + t, x2]\nalpha = 0\n\n"
      "[connection]\nrho = [0, 0]\n\n[moment]\nT = 0\n",
      "[connection]\nrho = [0, x1^2]\n", "verdict"),
+    # The plane's magnetic translations: unit shifts along both axes, neither
+    # in the identity component, with cocycle s = x2 and connection x1 dx2.
+    # The identity-component primitive, the symmetric gauge, has closed
+    # defects, and no fully invariant primitive exists.
+    ("magnetic.scn", "trivial",
+     "lower = [-12, -4]\nupper = [12, 4]\nprobe_lower = [-2, -2]\nprobe_upper = [2, 2]\n"
+     "basepoint = [0, 0]\n\n[group.g]\nforward = [x1 + 1, x2]\ninverse = [x1 - 1, x2]\n"
+     "identity_component = false\n\n[cocycle]\ng = 0\n\n[cocycle_family]\nfamily = 0\n\n"
+     "[lie.T]\nfield = [1, 0]\nflow = [x1 + t, x2]\nalpha = 0\n\n"
+     "[connection]\nrho = [0, 0]\n\n[moment]\nT = 0\n",
+     "lower = [-12, -12]\nupper = [12, 12]\nprobe_lower = [-2, -2]\nprobe_upper = [2, 2]\n"
+     "basepoint = [0, 0]\n\n[group.s]\nforward = [x1 + 1, x2]\ninverse = [x1 - 1, x2]\n"
+     "identity_component = false\n\n[group.t]\nforward = [x1, x2 + 1]\n"
+     "inverse = [x1, x2 - 1]\nidentity_component = false\n\n[cocycle]\ns = x2\nt = 0\n\n"
+     "[connection]\nrho = [0, x1]\n", "verdict"),
+    # The fiber shift's certificate, -0.5 du, lies on the value slot; no
+    # local one-form of the ansatz on the slots du1 and du2 alone matches
+    # the holonomies.
+    ("lattice_slots.scn", "lattice_fiber_shift", "[solver]", "[solver]\nslots = [1, 2]",
+     "verdict --local --seed 0"),
 ]
 
 
