@@ -12,6 +12,7 @@ cocycle to moments and descent residuals.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Sequence
@@ -62,19 +63,22 @@ class Cocycle:
     """Circle-valued cocycle data for a group action.
 
     ``generator_values`` gives the field for each generator. Words extend
-    by the cocycle law, the one-word fill of a :class:`_WordTree`; when ``family``
-    is supplied (a closed form over the exponent vector, abelian
-    presentations only) it is used instead and the two routes are
-    cross-checked by :func:`check_cocycle`. ``flow_values`` carries the
-    cocycle along each declared one-parameter subgroup.
+    by the cocycle law, a :class:`_WordTree` fill; when ``family`` is
+    supplied (a closed form over the exponent vector, abelian presentations
+    only) it is used instead and the two routes are cross-checked by
+    :func:`check_cocycle`. ``flow_values`` carries the cocycle along each
+    declared one-parameter subgroup.
 
     The values are stacked: a generator value maps an ``(N, d)`` stack to
-    ``(N,)`` reals (a constant broadcasts), the family maps
-    ``(exponents, stack)`` and a flow value ``(t, stack)`` the same way.
-    :meth:`batched` takes such maps; the constructor takes single-point
-    functions returning reals or circle values (see
-    :func:`~equihol.geometry.pointwise`). Word and flow values are ``(N,)``
-    arrays of representatives in [0, 1).
+    ``(N,)`` reals (a constant broadcasts), and a flow value ``(t, stack)``
+    the same way. The family maps ``(exponents, stack)``: ``exponents``
+    holds, per generator label, the ``(N,)`` integer column of each row's
+    exponent sum, so that one call values every row of a stack on its own
+    word; a plain integer broadcasts down the stack. :meth:`batched` takes
+    such maps; the constructor takes single-point functions returning reals
+    or circle values (see :func:`~equihol.geometry.pointwise`), the family
+    one taking a dict of integer exponents, called with each row's own.
+    Word and flow values are ``(N,)`` arrays of representatives in [0, 1).
     """
 
     def __init__(
@@ -84,7 +88,7 @@ class Cocycle:
         flow_values: Optional[Dict[str, Callable[[float, np.ndarray], CircleValue]]] = None,
     ):
         self.generator_values = {k: pointwise(f) for k, f in generator_values.items()}
-        self.family = None if family is None else pointwise(family)
+        self.family = None if family is None else _pointwise_family(family)
         self.flow_values = {k: pointwise(f) for k, f in (flow_values or {}).items()}
 
     @classmethod
@@ -97,11 +101,27 @@ class Cocycle:
         return cocycle
 
     def on_word(self, action: GroupAction, word: Word, xs: np.ndarray) -> np.ndarray:
-        """The family value, or else the one-word :class:`_WordTree` fill."""
+        """The value of every row on one word: the one-word :meth:`on_rows`."""
+        return self.on_rows(action, (word,), xs)
+
+    def on_rows(self, action: GroupAction, words: Sequence[Word], xs: np.ndarray,
+                images: bool = False):
+        """Value of row k of an ``(N, d)`` stack on ``words[k]``; a single
+        word values every row. With ``images``, also the rows' images, as
+        ``(images, values)``.
+
+        With a family, one family call on the exponent columns of the rows
+        (and, for ``images``, :meth:`GroupAction.apply_rows`). Without one,
+        one :class:`_WordTree` fill over the words' suffixes, each read at
+        the rows whose word ends in it; it gives the images on the way. A
+        non-finite value names the word of the first offending row."""
         if self.family is None:
-            return _WordTree(action, self, xs).law(word)
-        values = self.family(action.exponent_vector(word), xs)
-        return _circle_rows(values, xs, lambda: f" on word {format_word(word)!r}")
+            out = _law_rows(action, self, words, xs)
+            return out if images else out[1]
+        ys = action.apply_rows(words, xs) if images else None
+        values = _circle_rows(self.family(_exponent_columns(action, words), xs), xs,
+                              lambda i: _on_word(words, i))
+        return (ys, values) if images else values
 
     def on_flow(self, lie_label: str, t: float, xs: np.ndarray) -> np.ndarray:
         if lie_label not in self.flow_values:
@@ -112,17 +132,73 @@ class Cocycle:
         return _circle_rows(values, xs, f" along the flow of {lie_label!r}")
 
 
+def _pointwise_family(family: Callable) -> Callable:
+    """The stacked family of a family of one point and one dict of integer
+    exponents: row k is called with row k of each exponent column."""
+    one = pointwise(family)
+
+    def many(exponents, xs):
+        columns = {g: np.broadcast_to(k, (len(xs),)) for g, k in exponents.items()}
+        return np.array([one({g: int(k[i]) for g, k in columns.items()}, xs[i:i + 1])[0]
+                         for i in range(len(xs))])
+
+    return many
+
+
+def _exponent_columns(action: GroupAction, words: Sequence[Word]) -> dict:
+    """Per generator label, the ``(N,)`` column of each row's exponent sum
+    (:meth:`GroupAction.exponent_vector`); one distinct word gives its plain
+    integers, which broadcast."""
+    vectors = {w: action.exponent_vector(w) for w in dict.fromkeys(words)}
+    if len(vectors) == 1:
+        return vectors[words[0]]
+    return {label: np.array([vectors[w][label] for w in words]) for label in action.labels}
+
+
+def _on_word(words: Sequence[Word], i: int) -> str:
+    """The error context of row i of a stack read at ``words``: its word,
+    or the single word every row reads."""
+    return f" on word {format_word(words[i if len(words) > 1 else 0])!r}"
+
+
+def _law_rows(action: GroupAction, cocycle: Cocycle, words: Sequence[Word], xs: np.ndarray):
+    """Images and law values of row k of ``xs`` on ``words[k]`` (a single
+    word reads every row): one :class:`_WordTree` fill over the nonempty
+    suffixes of the words, length-ordered, each filled only at the rows
+    whose word ends in it."""
+    distinct = dict.fromkeys(words)
+    suffixes = sorted(dict.fromkeys(w[k:] for w in distinct for k in range(len(w))), key=len)
+    node = {w: i for i, w in enumerate([()] + suffixes)}
+    need = None
+    if len(distinct) > 1:
+        need = np.zeros((len(node), len(xs)), dtype=bool)
+        need[0] = True
+        for k, word in enumerate(words):
+            need[[node[word[j:]] for j in range(len(word))], k] = True
+    tree = _WordTree(action, cocycle, xs, suffixes, named=words, need=need)
+    if need is None:
+        at = node[words[0]]
+        return tree.images[at], tree.laws[at]
+    at, rows = [node[w] for w in words], np.arange(len(xs))
+    return tree.images[at, rows], tree.laws[at, rows]
+
+
 class _WordTree:
     """Images ``(W, N, d)`` and law values ``(W, N)`` on a probe stack ``xs``
     of the identity, row 0, and of ``words``, length-ordered and holding each
     word's rest (all but its first letter). An image is the first letter
     acting on the rest's; a law value adds the letter's cocycle value to the
     rest's, reduced to the circle. Each word length makes one map call per
-    letter and one value call per generator. A non-finite value names the
-    level's first such word, or ``named``, and the first offending probe."""
+    letter and one value call per generator.
+
+    ``need``, a ``(W, N)`` mask that holds each needed word's rest at the
+    same probe, fills each word only at the probes it marks (the others
+    hold 0); without it every word is filled at every probe. A non-finite
+    value names the level's first such word, or the probe's word in
+    ``named`` (one word names every probe), and the first offending probe."""
 
     def __init__(self, action: GroupAction, cocycle: Cocycle, xs: np.ndarray, words=(),
-                 named: Optional[Word] = None):
+                 named: Sequence[Word] = (), need: Optional[np.ndarray] = None):
         self.action, self.cocycle, self.xs = action, cocycle, xs
         self.words = [()] + list(words)
         row = {w: i for i, w in enumerate(self.words)}
@@ -140,22 +216,36 @@ class _WordTree:
                 letters.setdefault(self.words[i][0], []).append(i)
                 names.setdefault(self.words[i][0][0], []).append(i)
             for letter, at in letters.items():
-                ys = self.images[rests[at]].reshape(-1, d)
-                self.images[at] = action.apply_letter(letter, ys).reshape(-1, n, d)
+                mapped = functools.partial(action.apply_letter, letter)
+                self.images[at] = _fill(mapped, self.images[rests[at]], need, at)
             for name, at in names.items():
-                values = cocycle.generator_values[name](self.images[sites[at]].reshape(-1, d))
-                terms[at] = np.reshape(values, (-1, n)) if np.size(values) > 1 else values
-            finite = np.isfinite(terms[rows]).all(axis=1)
-            if not finite.all():
-                k = level[int(np.argmin(finite))]
-                circle_values(terms[k], xs, f" on word {format_word(named or self.words[k])!r}")
+                terms[at] = _fill(cocycle.generator_values[name], self.images[sites[at]], need, at)
+            bad = ~np.isfinite(terms[rows])
+            if bad.any():
+                j, i = divmod(int(np.argmax(bad)), n)
+                context = _on_word(named or (self.words[level[j]],), i)
+                circle_values(terms[level[j], [i]], xs[[i]], context)
             steps = signs[rows, None] * circle_values(terms[rows], xs)
             self.laws[rows] = circle_values(self.laws[rests[rows]] + steps, xs)
 
     def law(self, word: Word) -> np.ndarray:
-        """Law value of one word over the same probes: the fill of its suffixes."""
-        suffixes = [word[k:] for k in range(len(word) - 1, -1, -1)]
-        return _WordTree(self.action, self.cocycle, self.xs, suffixes, named=word).laws[-1]
+        """Law value of one word over the same probes: the one-word case of
+        :meth:`Cocycle.on_rows` without a family, the fill of its suffixes."""
+        return _law_rows(self.action, self.cocycle, (word,), self.xs)[1]
+
+
+def _fill(fn, stack: np.ndarray, need: Optional[np.ndarray], at: list):
+    """``fn`` on the ``(M, d)`` rows of a ``(len(at), N, d)`` stack, shaped
+    back per word and probe: every row (a constant result broadcasts), or
+    the rows ``need[at]`` marks, with 0 elsewhere."""
+    if need is None:
+        out = fn(stack.reshape(-1, stack.shape[-1]))
+        return np.reshape(out, stack.shape[:2] + np.shape(out)[1:]) if np.size(out) > 1 else out
+    mask = need[at]
+    out = fn(stack[mask])
+    block = np.zeros(mask.shape + np.shape(out)[1:])
+    block[mask] = out
+    return block
 
 
 def _value_rows(rows: np.ndarray, rests: np.ndarray, signs: np.ndarray) -> np.ndarray:
@@ -164,7 +254,8 @@ def _value_rows(rows: np.ndarray, rests: np.ndarray, signs: np.ndarray) -> np.nd
 
 
 def _circle_rows(values, probes: np.ndarray, context) -> np.ndarray:
-    """Representatives of stacked values at the probes (a constant broadcasts)."""
+    """Representatives of stacked values at the probes (a constant
+    broadcasts); ``context`` as :func:`~equihol.geometry.circle_values` takes it."""
     values = np.broadcast_to(np.asarray(values, dtype=float), (len(probes),))
     return circle_values(values, probes, context)
 
@@ -289,17 +380,23 @@ def check_cocycle(
     action, cocycle = bundle.action, bundle.cocycle
     pts = probe_points(bundle.space, probes, seed, tag="cocycle-check")
     tree = _WordTree(action, cocycle, pts, action.words_up_to(word_length))
-    words, laws = tree.words, tree.laws
+    words, laws, n = tree.words, tree.laws, len(pts)
     pairs = _coincident_pairs(bundle.space, tree.images)
-    rows = [(words[i], words[j], laws[i], laws[j]) for i, j in pairs]
-    if cocycle.family is not None:
-        rows += [(w, w, cocycle.on_word(action, w, pts), law) for w, law in zip(words[1:], laws[1:])]
-    rows += [(rel, (), cocycle.on_word(action, rel, pts), 0.0) for rel in action.relations]
-    residuals = np.reshape([circle_gaps(a, b) for *_, a, b in rows], (len(rows), len(pts)))
+    named = [(words[i], words[j]) for i, j in pairs]
+    firsts, seconds = [laws[[i for i, _ in pairs]]], [laws[[j for _, j in pairs]]]
+    valued = words[1:] if cocycle.family is not None else []
+    stacked = valued + list(action.relations)
+    if stacked:
+        rows = [w for w in stacked for _ in range(n)]
+        values = cocycle.on_rows(action, rows, np.tile(pts, (len(stacked), 1))).reshape(-1, n)
+        named += [(w, w) for w in valued] + [(rel, ()) for rel in action.relations]
+        firsts.append(values)
+        seconds += [laws[1:len(valued) + 1], np.zeros((len(action.relations), n))]
+    residuals = circle_gaps(np.concatenate(firsts), np.concatenate(seconds))
     if not residuals.any():
         return CocycleReport(0.0, None, None, residuals.size)
-    k, i = divmod(int(np.argmax(residuals)), len(pts))
-    witness = tuple(format_word(w) for w in rows[k][:2])
+    k, i = divmod(int(np.argmax(residuals)), n)
+    witness = tuple(format_word(w) for w in named[k])
     return CocycleReport(float(residuals[k, i]), witness, [float(v) for v in pts[i]], residuals.size)
 
 
@@ -323,22 +420,33 @@ def _coincident_pairs(space: ParameterSpace, images: np.ndarray) -> list:
             if space.max_distance(images[i], images[j]) <= COINCIDENCE_TOL]
 
 
+def section_rows(bundle: EquivariantBundle, section: Section, words: Sequence[Word],
+                 xs: np.ndarray, images: bool = False):
+    """Cocycle of the section ``S0 exp(2 pi i Lambda)`` on row k of an
+    ``(N, d)`` stack at ``words[k]`` (a single word reads every row):
+    :meth:`Cocycle.on_rows` plus ``Lambda - Lambda o phi``, the shift read
+    at the rows' images. With ``images``, also those images, as ``(images,
+    values)``; the stack reads each word once for both."""
+    if section.is_reference and not images:
+        return bundle.cocycle.on_rows(bundle.action, words, xs)
+    ys, values = bundle.cocycle.on_rows(bundle.action, words, xs, images=True)
+    if not section.is_reference:
+        lam = section.lambda_field.many
+        shift = _circle_rows(lam(xs) - lam(ys), xs, lambda i: _on_word(words, i))
+        values = circle_values(values + shift, xs)
+    return (ys, values) if images else values
+
+
 def section_cocycle(bundle: EquivariantBundle, section: Section, word: Word):
-    """Cocycle of the section ``S0 exp(2 pi i Lambda)``: adds Lambda - Lambda o phi.
+    """The one-word :func:`section_rows`, as a function of points.
 
     The value is an ``(N,)`` array of representatives on a stack ``(N, d)``
     and a :class:`CircleValue` at a point ``(d,)``, the N=1 row.
     """
-    action, context = bundle.action, lambda: f" on word {format_word(word)!r}"
 
     def value(x):
         x = np.asarray(x, dtype=float)
-        xs = x.reshape(-1, bundle.space.dimension)
-        out = bundle.cocycle.on_word(action, word, xs)
-        if not section.is_reference:
-            lam = section.lambda_field.many
-            shift = lam(xs) - lam(action.apply(word, xs))
-            out = circle_values(out + _circle_rows(shift, xs, context), xs)
+        out = section_rows(bundle, section, (word,), x.reshape(-1, bundle.space.dimension))
         return out if x.ndim == 2 else CircleValue(out[0])
 
     return value

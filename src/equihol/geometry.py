@@ -83,14 +83,14 @@ def circle_values(values, points, context="") -> np.ndarray:
     """Representatives in [0, 1) of an ``(N,)`` array of reals, one per row
     of the ``(N, d)`` points, reduced as :class:`CircleValue` reduces one
     value. A non-finite value raises an :class:`EvaluationError` naming
-    ``context`` (a string, or a callable giving it, called only then) and
-    the first offending point."""
+    ``context`` (a string, or a callable of the offending row giving it,
+    called only then) and the first offending point."""
     v = np.asarray(values, dtype=float)
     bad = ~np.isfinite(v)
     if bad.any():
         i = int(np.argmax(bad))
         point = np.asarray(points[i], dtype=float)
-        context = context() if callable(context) else context
+        context = context(i) if callable(context) else context
         raise EvaluationError(
             f"non-finite circle value {float(v[i])!r}{context} at probe point {point.tolist()}",
             point=point,
@@ -834,7 +834,8 @@ MAX_WORD_LETTERS = 10_000
 
 def parse_word(text: str) -> Word:
     """Parse words like ``g``, ``g^2 h^-1`` or ``g*h`` into letter tuples,
-    of at most ``MAX_WORD_LETTERS`` letters."""
+    of at most ``MAX_WORD_LETTERS`` letters. The chunk ``1`` is the
+    identity, as :func:`format_word` prints the empty word."""
     letters = []
     for chunk in text.replace("*", " ").split():
         if "^" in chunk:
@@ -847,6 +848,8 @@ def parse_word(text: str) -> Word:
             name, k = chunk, 1
         if not name:
             raise CompositionError(f"bad word chunk {chunk!r}")
+        if name == "1":
+            continue
         if len(letters) + abs(k) > MAX_WORD_LETTERS:
             raise CompositionError(f"word {text!r} has more than {MAX_WORD_LETTERS} letters")
         sign = 1 if k >= 0 else -1
@@ -867,6 +870,24 @@ def format_word(word: Word) -> str:
         name if (count == 1 and sign > 0) else f"{name}^{sign * count}"
         for name, count, sign in parts
     )
+
+
+def _letter_rows(words: Sequence[Word]) -> list:
+    """The reading of a stack of words, row k reading ``words[k]``: per
+    position from the end, each letter read there with its rows, letters in
+    order of first appearance. Words act in reading order as function
+    composition, so the last letter is read first. A single word, or a
+    stack of one word, reads every row (a full slice); otherwise the rows
+    are ascending index arrays."""
+    if all(word == words[0] for word in words):
+        return [{letter: slice(None)} for letter in reversed(words[0])]
+    reading: list = []
+    for k, word in enumerate(words):
+        for p, letter in enumerate(reversed(word)):
+            if p == len(reading):
+                reading.append({})
+            reading[p].setdefault(letter, []).append(k)
+    return [{letter: np.array(ks) for letter, ks in at.items()} for at in reading]
 
 
 class GroupAction:
@@ -895,14 +916,22 @@ class GroupAction:
         return g(x) if sign > 0 else g.inv(x)
 
     def apply(self, word: Word, x):
-        """Image of a point ``(d,)`` or of every row of a stack ``(N, d)``."""
+        """Image of a point ``(d,)`` or of every row of a stack ``(N, d)``:
+        the one-word case of :meth:`apply_rows`."""
         x = np.asarray(x, dtype=float)
-        y = self.space.points(x)
-        # Words act in reading order as function composition: the last
-        # letter is applied first, matching the product convention.
-        for letter in reversed(word):
-            y = self.apply_letter(letter, y)
+        y = self.apply_rows((word,), x)
         return y if x.ndim == 2 else y[0]
+
+    def apply_rows(self, words: Sequence[Word], xs) -> np.ndarray:
+        """Image of row k of an ``(N, d)`` stack under ``words[k]``; a single
+        word maps every row. One generator-map call per (letter, position
+        from the end), on the rows that read that letter there."""
+        y = self.space.points(xs)
+        for at in _letter_rows(words):
+            y = y.copy()
+            for letter, rows in at.items():
+                y[rows] = self.apply_letter(letter, y[rows])
+        return y
 
     def word_differential(self, word: Word, x, v):
         """Pushforward of a tangent vector, or of each row of ``(N, d)``

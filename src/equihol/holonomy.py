@@ -30,6 +30,7 @@ from .bundle import (
     Section,
     connection_report,
     section_cocycle,
+    section_rows,
 )
 from .errors import (
     ConsistencyError,
@@ -104,24 +105,22 @@ class HolonomyResult:
     word: str
 
 
-def require_path_class(bundle: EquivariantBundle, word: Word, starts, ends):
-    """Raise unless each row of the ``(N, d)`` ends is the image of the same
-    row of the starts under the word; the message names the largest gap."""
-    gap = bundle.space.max_distance(ends, bundle.action.apply(word, starts))
-    if gap > ENDPOINT_TOL:
-        raise PathClassError(
-            f"path endpoint misses the image of its start under {format_word(word)!r} "
-            f"by {gap:.3e}"
-        )
-
-
-def _word_rows(words: Sequence[Word]) -> dict:
-    """The rows of each distinct word, in order of first appearance: a list
-    of indices, or every row (a slice) when all words are one."""
-    rows: Dict[Word, list] = {}
-    for k, word in enumerate(words):
-        rows.setdefault(word, []).append(k)
-    return {words[0]: slice(None)} if len(rows) == 1 else rows
+def require_path_class(bundle: EquivariantBundle, words: Sequence[Word], ends, images):
+    """Raise unless each row of the ``(N, d)`` ends is the same row of the
+    images of the starts, row k under ``words[k]`` (a single word maps
+    every row). The message names the first word, in order of first
+    appearance, whose rows miss, with its largest gap."""
+    space = bundle.space
+    if space.max_distance(ends, images) <= ENDPOINT_TOL:
+        return
+    for word in dict.fromkeys(words):
+        rows = [k for k, w in enumerate(words) if w == word] if len(words) > 1 else slice(None)
+        gap = space.max_distance(ends[rows], images[rows])
+        if gap > ENDPOINT_TOL:
+            raise PathClassError(
+                f"path endpoint misses the image of its start under {format_word(word)!r} "
+                f"by {gap:.3e}"
+            )
 
 
 def class_holonomies(
@@ -135,14 +134,12 @@ def class_holonomies(
     """Formula holonomies of the paths of a ``(K, S, d)`` stack, path k in
     the class of ``words[k]``: the midpoint integral of rho minus the
     section cocycle at the start, each as :func:`equivariant_holonomy`
-    gives it with ``method="formula"``. Every path of a word must end at the
-    image of its start: one class check and one cocycle call per word.
+    gives it with ``method="formula"``. Every path must end at the image of
+    its start: one stacked read of the words at the starts gives the images
+    of the class check and the section cocycle (:func:`section_rows`).
     ``method="both"`` also returns the gaps to RK4, raising as one path does."""
-    alpha = np.empty(len(words))
-    for word, rows in _word_rows(words).items():
-        starts = stack.start[rows]
-        require_path_class(bundle, word, starts, stack.end[rows])
-        alpha[rows] = section_cocycle(bundle, section, word)(starts)
+    images, alpha = section_rows(bundle, section, words, stack.start, images=True)
+    require_path_class(bundle, words, stack.end, images)
     rho = connection.rho(section)
 
     def holonomies(terms):
@@ -180,8 +177,9 @@ def equivariant_holonomy(
     """
     if method not in ("both", "formula"):
         raise ValueError(f"unknown holonomy method {method!r}; use 'both' or 'formula'")
-    require_path_class(bundle, word, path.points[[0]], path.points[[-1]])
-    alpha = section_cocycle(bundle, section, word)(path.start)
+    images, (alpha,) = section_rows(bundle, section, (word,), path.points[[0]], images=True)
+    require_path_class(bundle, (word,), path.points[[-1]], images)
+    alpha = CircleValue(alpha)
     rho = connection.rho(section)
     value = CircleValue(line_integral(rho, path)) - alpha
     lift_value = cross = None
@@ -300,14 +298,15 @@ def _class_points(space, action, words, basepoints, rngs, ts, amplitude) -> np.n
     Each path is the straight chord plus sine bumps vanishing at both ends,
     so the class membership is exact by construction. Path k draws its
     three bump waves from ``rngs[k]``, in path order, so a shared generator
-    is read as one call per path would read it.
+    is read as one call per path would read it: when every path shares one,
+    a single draw of all the waves reads the same stream.
     """
     x0 = space.points(basepoints)
-    x1 = np.empty_like(x0)
-    for word, rows in _word_rows(words).items():
-        x1[rows] = action.apply(word, x0[rows])
-    chord = space.displacement(x0, x1)
-    normals = np.array([rng.normal(size=(3, space.dimension)) for rng in rngs])
+    chord = space.displacement(x0, action.apply_rows(words, x0))
+    if all(rng is rngs[0] for rng in rngs):
+        normals = rngs[0].normal(size=(len(rngs), 3, space.dimension))
+    else:
+        normals = np.array([rng.normal(size=(3, space.dimension)) for rng in rngs])
     waves = [(amplitude / k) * normals[:, k - 1, None, :] for k in (1, 2, 3)]
     bump = sum(np.sin(np.pi * k * ts)[:, None] * w for k, w in zip((1, 2, 3), waves))
     points = space.points(x0[:, None] + ts[:, None] * chord[:, None] + bump)
@@ -503,7 +502,8 @@ def invariant_form_character(
         raise PreconditionError(
             f"form is not closed-invariant-basic to tolerance (defect {defect:.3e})"
         )
-    require_path_class(bundle, word, path.points[[0]], path.points[[-1]])
+    start, end = path.points[[0]], path.points[[-1]]
+    require_path_class(bundle, (word,), end, bundle.action.apply(word, start))
     reference = CircleValue(line_integral(beta, path))
     value = CircleValue(0.0) if bundle.action.word_in_identity_component(word) else reference
     base_candidates = probe_points(
@@ -540,11 +540,14 @@ def build_flat_from_character(
         label: (lambda v: lambda xs: v)(character.values[label].value) for label in action.labels
     }
 
-    def family(exponents: Dict[str, int], xs) -> float:
-        total = CircleValue(0.0)
+    def family(exponents, xs):
+        """The character on each row's exponent column, summed as
+        :meth:`Character.on_word` sums it over ``CircleValue.times``."""
+        total = 0.0
         for label, k in exponents.items():
-            total = total + character.values[label].times(k)
-        return total.value
+            step = circle_values(character.values[label].value * np.asarray(k), xs)
+            total = circle_values(total + step, xs)
+        return total
 
     cocycle = Cocycle.batched(values, family=family)
     bundle = EquivariantBundle(space, action, cocycle, lie_generators=())

@@ -60,6 +60,9 @@ from .solvers import SolverConfig
 SCHEMA_VERSION = 1
 
 _NUMBER_RE = re.compile(r"^-?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+# A generator label: a letter or "_", then letters, digits or "_", as an
+# expression name; words name generators by their labels.
+_LABEL_RE = re.compile(r"[^\W\d]\w*")
 
 
 @dataclass(frozen=True)
@@ -582,9 +585,13 @@ def _timed(fn):
 
 
 def _family_map(labels, expr, env):
-    """Family value of ``expr`` at the exponents ``n1..nk`` of ``labels``."""
+    """Family value of ``expr`` at the exponents ``n1..nk`` of ``labels``:
+    per label an ``(N,)`` column, row k's exponent, or one integer for
+    every row (see :class:`~equihol.bundle.Cocycle`)."""
     fn, names = compile_map(expr, env), [f"n{i + 1}" for i in range(len(labels))]
-    return lambda exps, xs: fn(xs, **{n: float(exps.get(g, 0)) for n, g in zip(names, labels)})
+    return lambda exps, xs: fn(
+        xs, **{n: np.asarray(exps.get(g, 0), dtype=float) for n, g in zip(names, labels)}
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -607,6 +614,12 @@ def parse_scenario(text: str, name: str = "<scenario>") -> Scenario:
     sections = {}
     for section, line in raw.headers.items():
         pattern = _pattern(section)
+        label = section.split(".", 1)[-1]
+        if pattern in ("group.*", "fieldgroup.*") and not _LABEL_RE.fullmatch(label):
+            raise ScenarioError(
+                f"[{section}] label {label!r} must be an identifier: a letter or '_', "
+                "then letters, digits or '_'", line,
+            )
         if section == head:
             sections[head] = head_values
         elif pattern in _COMMON or (pattern in _LATTICE) == is_lattice:

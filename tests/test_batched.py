@@ -798,17 +798,13 @@ def test_word_tree_check_matches_point_loop_at_length_4(models, name):
         assert report.max_residual < 1e-8
 
 
-def test_cocycle_check_evaluates_each_tree_edge_once(models):
-    """Each generator map and cocycle value runs once per distinct edge of
-    the word tree (a nonempty word of the check, whose first letter acts
-    last), not once per comparison."""
-    bundle = models["affine_line"].bundle
-    calls = Counter()
-
+def _counting(bundle, calls: Counter):
+    """The bundle with each call counted in ``calls``: a generator map by its
+    letter, a cocycle value by its generator, the family as ``"family"``."""
     def counted(key, fn):
-        def wrapped(xs):
+        def wrapped(*args):
             calls[key] += 1
-            return fn(xs)
+            return fn(*args)
         return wrapped
 
     gens = [
@@ -817,9 +813,20 @@ def test_cocycle_check_evaluates_each_tree_edge_once(models):
         for g in bundle.action.generators.values()
     ]
     values = {k: counted(k, fn) for k, fn in bundle.cocycle.generator_values.items()}
-    counting = EquivariantBundle(
-        bundle.space, GroupAction(bundle.space, gens), Cocycle.batched(values), check=False
+    family = bundle.cocycle.family and counted("family", bundle.cocycle.family)
+    return EquivariantBundle(
+        bundle.space, GroupAction(bundle.space, gens, bundle.action.relations),
+        Cocycle.batched(values, family=family), check=False,
     )
+
+
+def test_cocycle_check_evaluates_each_tree_edge_once(models):
+    """Each generator map and cocycle value runs once per distinct edge of
+    the word tree (a nonempty word of the check, whose first letter acts
+    last), not once per comparison."""
+    bundle = models["affine_line"].bundle
+    calls = Counter()
+    counting = _counting(bundle, calls)
     report = check_cocycle(counting, word_length=3, probes=8, seed=3)
     assert report == check_cocycle(bundle, word_length=3, probes=8, seed=3)
     edges = Counter(word[0] for word in bundle.action.words_up_to(3))
@@ -828,6 +835,38 @@ def test_cocycle_check_evaluates_each_tree_edge_once(models):
         assert 0 < calls[(label, sign)] <= n, (label, sign)
     for label in bundle.action.labels:
         assert 0 < calls[label] <= edges[(label, 1)] + edges[(label, -1)], label
+
+
+@pytest.mark.parametrize("name", ["affine_line", "translation_shear"])
+def test_class_holonomies_read_each_letter_position_once(name, models):
+    """One stack of paths over every word up to length 2 reads its words in
+    one pass: at most one map call per (letter, position from the end), one
+    family call, and without a family one value call per (generator, word
+    length); the class check and the section cocycle share the images."""
+    model = models[name]
+    bundle, connection, section = model.bundle, model.connection, model.reference_section
+    calls, stacks = Counter(), []
+    counting = _counting(bundle, calls)
+    words = list(bundle.action.words_up_to(2))
+
+    def measure(part, stack):
+        stacks.append(part)
+        counted = class_holonomies(counting, connection, section, part, stack)
+        assert np.array_equal(counted, class_holonomies(bundle, connection, section, part, stack))
+        return counted
+
+    class_path_rows(
+        bundle, words, probe_points(bundle.space, len(words), 3, tag="count-bases"),
+        [rng_for(3, f"count-{k}") for k in range(len(words))], 16, measure,
+    )
+    assert stacks == [words]
+    read = {(word[-1 - p], p) for word in words for p in range(len(word))}
+    for letter in {letter for letter, _ in read}:
+        assert 0 < calls[letter] <= sum(1 for at, _ in read if at == letter), letter
+    has_family = bundle.cocycle.family is not None
+    assert calls["family"] == int(has_family)
+    for label in bundle.action.labels:
+        assert calls[label] == (0 if has_family else 2), label
 
 
 def _corrupted(bundle, stacked_values: bool):
@@ -1196,7 +1235,10 @@ def ref_flat_character(bundle, connection, section, n_paths, n_basepoints, seed,
 
 def _stack_model(name, models, lattice_models):
     """Bundle, connection, section, a form that certifies nothing, and the
-    scenario's path samples."""
+    scenario's path samples. ``<scenario>:<section>`` names a section of
+    the scenario, or ``seeded``, a potential with seeded coefficients; the
+    reference section otherwise."""
+    name, _, section_name = name.partition(":")
     if name in lattice_models:
         model = lattice_models[name]
         basis = DensityBasis(model.lattice, model.jet_order, model.density_degree)
@@ -1208,7 +1250,14 @@ def _stack_model(name, models, lattice_models):
         texts = ["0.3*sin(2*x1)"] if model.space.dimension == 1 else ["0.3*sin(x2)", "0.2*x1"]
         form = OneForm.from_expressions(model.space, texts, name="probe")
     samples = model.scenario.solver_config().path_samples
-    return model.bundle, model.connection, model.reference_section, form, samples
+    section = model.reference_section
+    if section_name == "seeded":
+        a, b = 0.05 * rng_for(5, "stack-section").normal(size=2)
+        lam = ScalarField.batched(model.space, lambda xs: a * np.sin(xs[:, 0]) + b * xs[:, -1] ** 2)
+        section = Section(lam, name="seeded")
+    elif section_name:
+        section = model.sections[section_name]
+    return model.bundle, model.connection, section, form, samples
 
 
 def assert_rows_match_one_path(stack: Path, values):
@@ -1229,7 +1278,11 @@ def _per_stack(samples, dimension):
     return max(1, STACK_FLOATS // ((samples - 1) * dimension))
 
 
-@pytest.mark.parametrize("name", CHART + ("lattice_fiber_shift",))
+# The stacked section shift Lambda - Lambda o phi: the planted potential of
+# affine_line, which has no family, and a seeded one next to a family.
+@pytest.mark.parametrize(
+    "name", CHART + ("lattice_fiber_shift", "affine_line:planted", "translation_shear:seeded")
+)
 def test_class_path_rows_match_one_path_loops(name, models, lattice_models):
     bundle, connection, section, form, samples = _stack_model(name, models, lattice_models)
     space, action = bundle.space, bundle.action

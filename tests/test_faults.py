@@ -32,7 +32,7 @@ from typing import Optional
 
 import pytest
 
-from equihol import suites
+from equihol import geometry, suites
 from equihol.cli import main
 from equihol.scenario import format_scenario, load_scenario, parse_scenario
 
@@ -98,6 +98,11 @@ def _heavy_simpson(form, path):
     return terms
 
 
+def _first_to_last(words, reading=geometry._letter_rows):
+    """``geometry._letter_rows`` reading each row's letters first to last."""
+    return reading([word[::-1] for word in words])
+
+
 FAULTS = {
     # s1^-1 t1 s1 commutes with t1, so their commutator, a relator of 8
     # letters, is first seen at word length 4; a cubic t1 value gives it a
@@ -161,6 +166,25 @@ FAULTS = {
         "flat suite", "affine_line", {}, ("flat_suite", "0"), 1,
         r"spread .*, additivity 0\.494\d*, ok False\n",
         ("equihol.bundle", "_value_rows", lambda rows, rests, signs: rests),
+    ),
+    # The stacked read of the group maps taking each row's letters first to
+    # last. The path ends at the image of the reversed word, while the
+    # cocycle of affine_line, which has no family, reads its images off its
+    # own law fill: the class check of the path sees the two apart.
+    "letters_first_to_last": Fault(
+        "path class", "affine_line", {}, ("holonomy", "--word", "t1 s1^-1"), 1,
+        r"error: path endpoint misses the image of its start under 't1 s1\^-1' by 3\.935e-01\n",
+        ("equihol.geometry", "_letter_rows", _first_to_last),
+    ),
+    # Every row of a stacked family call valued at the exponents of the
+    # stack's first word: the family rows of the cocycle check hold every
+    # word of the check, so the family leaves the law from the second word on.
+    "first_word_exponents": Fault(
+        "family against law", "translation_shear", {}, ("check-cocycle",), 1,
+        r"error: cocycle residual 4\.927e-01 exceeds 1e-06 at word pair \('s\^2', 's\^2'\), "
+        r"point \[",
+        ("equihol.bundle", "_exponent_columns",
+         lambda action, words: action.exponent_vector(words[0])),
     ),
     # A curvature the shift does not keep, with no one-parameter generator:
     # the primitive invariant under the identity component, x1^2 dx2 up to

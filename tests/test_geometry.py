@@ -418,6 +418,15 @@ def test_word_parsing_and_inverse():
     assert parse_word("g*h") == (("g", 1), ("h", 1))
 
 
+def test_word_text_round_trips_on_every_bundled_action(models, lattice_models):
+    # format_word prints the identity as 1, and parse_word reads it back.
+    assert parse_word("1") == () and format_word(()) == "1"
+    for name, model in {**models, **lattice_models}.items():
+        action = model.bundle.action
+        for word in [()] + list(action.words_up_to(3)):
+            assert parse_word(format_word(word)) == word, (name, word)
+
+
 def test_action_word_application_order():
     space = line_space()
     double = GroupElement("d", lambda x: 2.0 * x, lambda x: 0.5 * x, space)

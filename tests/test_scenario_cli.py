@@ -191,6 +191,12 @@ def test_cli_holonomy_worked_example(capsys):
     assert "0.500000000" in out
 
 
+def test_cli_holonomy_reads_the_identity_as_it_prints_it(capsys):
+    # The report names the empty word 1, and --word 1 reads it back.
+    assert run_cli(["holonomy", "trivial", "--word", "1"]) == 0
+    assert capsys.readouterr().out == "holonomy(1; unit) = 0.000000000\n"
+
+
 def test_cli_verdict_exit_codes(capsys, tmp_path):
     assert run_cli(["verdict", "paper_example_Z_on_R"]) == 0
     assert run_cli(["verdict", "rotation_anomalous"]) == 2
@@ -390,6 +396,14 @@ def test_cli_trivial_first_cohomology_on_a_torus_is_rejected_at_its_line(tmp_pat
          "word 'g^99999999999' has more than 10000 letters (line 19, column 5)"),
         ("trivial", "[cocycle]", "[relations]\nr = g^x\n\n[cocycle]",
          "bad exponent in word chunk 'g^x' (line 19, column 5)"),
+        # A generator label is read back from word text, where a^b is a
+        # power and 1 is the identity.
+        ("trivial", "[group.g]", "[group.a^b]",
+         "[group.a^b] label 'a^b' must be an identifier: a letter or '_', "
+         "then letters, digits or '_' (line 13)"),
+        ("lattice_fiber_shift", "[fieldgroup.g]", "[fieldgroup.1]",
+         "[fieldgroup.1] label '1' must be an identifier: a letter or '_', "
+         "then letters, digits or '_' (line 13)"),
         # An item of a list reports its own column, not the list's.
         ("rotation", "rho = [-0.1*x2, 0.1*x1]", "rho = [-0.1*x2, 0.1*bogus]",
          "unknown name 'bogus' (line 32, column 21)"),
@@ -404,7 +418,8 @@ def test_cli_trivial_first_cohomology_on_a_torus_is_rejected_at_its_line(tmp_pat
          "infinite_halfwidth", "jet_order", "jet_order_negative", "density_degree_negative",
          "slot_above_jet_order", "no_slots", "repeated_slot",
          "short_field", "long_field", "short_flow", "short_forward", "huge_relation",
-         "bad_relation_exponent", "expr_item_name", "expr_item_number", "float_item",
+         "bad_relation_exponent", "power_label", "identity_label", "expr_item_name",
+         "expr_item_number", "float_item",
          "int_item"],
 )
 def test_cli_rejected_model_value_is_typed_error(name, line, edited, message, tmp_path, capsys):

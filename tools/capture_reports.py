@@ -27,9 +27,11 @@ exits 1. When every record is equal it prints the record count and exits 0.
 The argument vectors cover ``verdict`` at seeds 0 and 3 on every bundled
 scenario (``--local`` on the lattice ones), ``check-cocycle``, ``anomaly``
 and ``curvature`` in both formats, ``holonomy`` of ``g`` and ``g^2`` for
-every generator ``g`` along the ``unit`` and ``wiggle:3`` paths,
-``selftest``, the typed-error cases, twenty-six edited copies of bundled
-scenarios and one ``--out`` report.
+every generator ``g`` along the ``unit`` and ``wiggle:3`` paths, the
+two-generator word ``t1 s1^-1`` of ``affine_line`` (the one bundled
+cocycle without a family) along ``wiggle:3``, ``selftest``, the
+typed-error cases, twenty-six edited copies of bundled scenarios and one
+``--out`` report.
 """
 
 import contextlib
@@ -58,6 +60,11 @@ ERROR_CASES = [
     ["holonomy", "trivial", "--word", "g", "--path", "spiral"],
     ["holonomy", "trivial", "--word", "g^"],
     ["anomaly", "trivial", "--probes", "x"],
+]
+
+# Holonomy reads of words with more than one generator, in both formats.
+WORD_CASES = [
+    ["holonomy", "affine_line", "--word", "t1 s1^-1", "--path", "wiggle:3"],
 ]
 
 # Edited copies of a bundled scenario: (file name, bundled scenario, text
@@ -159,6 +166,9 @@ def argvs(scenarios):
                         out.append(
                             ["holonomy", name, "--word", word, "--path", path, "--format", fmt]
                         )
+    for argv in WORD_CASES:
+        for fmt in FORMATS:
+            out.append(argv + ["--format", fmt])
     for fmt in FORMATS:
         out.append(["selftest", "--format", fmt])
     return out + ERROR_CASES
