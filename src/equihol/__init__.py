@@ -41,12 +41,9 @@ from .bundle import (
 from .holonomy import (
     Character,
     HolonomyResult,
-    build_flat_from_character,
     equivariant_holonomy,
     flat_character,
     holonomy_invariance_report,
-    horizontal_lift,
-    invariant_form_character,
     transport_cocycle,
 )
 

@@ -100,10 +100,6 @@ class Cocycle:
         cocycle.flow_values = dict(flow_values or {})
         return cocycle
 
-    def on_word(self, action: GroupAction, word: Word, xs: np.ndarray) -> np.ndarray:
-        """The value of every row on one word: the one-word :meth:`on_rows`."""
-        return self.on_rows(action, (word,), xs)
-
     def on_rows(self, action: GroupAction, words: Sequence[Word], xs: np.ndarray,
                 images: bool = False):
         """Value of row k of an ``(N, d)`` stack on ``words[k]``; a single
@@ -199,7 +195,6 @@ class _WordTree:
 
     def __init__(self, action: GroupAction, cocycle: Cocycle, xs: np.ndarray, words=(),
                  named: Sequence[Word] = (), need: Optional[np.ndarray] = None):
-        self.action, self.cocycle, self.xs = action, cocycle, xs
         self.words = [()] + list(words)
         row = {w: i for i, w in enumerate(self.words)}
         rests = np.array([0] + [row[w[1:]] for w in self.words[1:]])
@@ -227,11 +222,6 @@ class _WordTree:
                 circle_values(terms[level[j], [i]], xs[[i]], context)
             steps = signs[rows, None] * circle_values(terms[rows], xs)
             self.laws[rows] = circle_values(self.laws[rests[rows]] + steps, xs)
-
-    def law(self, word: Word) -> np.ndarray:
-        """Law value of one word over the same probes: the one-word case of
-        :meth:`Cocycle.on_rows` without a family, the fill of its suffixes."""
-        return _law_rows(self.action, self.cocycle, (word,), self.xs)[1]
 
 
 def _fill(fn, stack: np.ndarray, need: Optional[np.ndarray], at: list):
@@ -370,7 +360,7 @@ def check_cocycle(
     identity among them, read off one :class:`_WordTree` over the probes:
     words whose images coincide (their quotient is a relator of length up
     to 2 ``word_length``) have equal law values; a family matches the law;
-    declared relators have value zero as :meth:`Cocycle.on_word` values
+    declared relators have value zero as :meth:`Cocycle.on_rows` values
     them, by the family when one is declared and by the law otherwise. The
     witness is the first largest residual in (fact, comparison,
     probe) order.
@@ -474,7 +464,7 @@ def _flow_cocycle_derivative(bundle, section, lie_label: str, xs, dt: float) -> 
             raise ResolutionError(
                 "cocycle moves by 0.25 or more over the flow step; shrink the step"
             )
-        # Each value lifted next to 0, as CircleValue.lift_near(0.0) lifts one.
+        # Each value v lifted next to 0, to v + round(-v).
         return (plus + np.round(-plus) - (minus + np.round(-minus))) / (2 * h)
 
     return richardson_slope(slope, dt)

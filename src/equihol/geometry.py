@@ -66,17 +66,9 @@ class CircleValue:
     def __neg__(self) -> "CircleValue":
         return CircleValue(-self.value)
 
-    def times(self, n: int) -> "CircleValue":
-        return CircleValue(self.value * int(n))
-
     def distance(self, other) -> float:
         d = abs(self.value - CircleValue.of(other).value)
         return min(d, 1.0 - d)
-
-    def lift_near(self, anchor: float) -> float:
-        """Real representative within 1/2 of ``anchor``."""
-        k = round(anchor - self.value)
-        return self.value + k
 
 
 def circle_values(values, points, context="") -> np.ndarray:
@@ -526,8 +518,8 @@ def circle_differential(space: ParameterSpace, alpha: Callable) -> OneForm:
     """Differential of a circle-valued map via a locally unwrapped lift.
 
     ``alpha`` maps an ``(N, d)`` stack to ``(N,)`` reals, read modulo 1.
-    Per row, the stencil values are lifted next to the center value, as
-    :meth:`CircleValue.lift_near` lifts one. They must stay within circle
+    Per row, each stencil value v is lifted next to the center value c, to
+    ``v + round(c - v)``. They must stay within circle
     distance 0.25 of it; otherwise the representative choice is ambiguous
     and a :class:`ResolutionError` names the first such point and asks for
     a smaller ``fd_step``. The zero vector gives 0.
@@ -705,8 +697,8 @@ def segment_sum(values: Callable, path: Path) -> np.ndarray:
     one call on every segment row, ``(P, d)`` or ``(K * P, d)``. Terms of
     shape ``(P,)`` or ``(P, F)`` per path give a total or ``(F,)`` totals,
     with the leading path axis of a stack in front. Each path's terms are
-    added in path order as np.cumsum adds them, so a midpoint integral is
-    the last node of the cumulative one bit for bit. This is the one
+    added in path order as np.cumsum adds them, so each path of a stack
+    keeps the bits of its total alone. This is the one
     midpoint quadrature; :func:`line_integral` is its one-form case."""
     mids, steps = path.segments()
     axis, d = mids.ndim - 2, mids.shape[-1]
@@ -724,15 +716,6 @@ def line_integral(form: OneForm, path: Path) -> float:
     """Composite midpoint quadrature of a one-form along one PL path."""
     path._samples  # a stack raises; segment_sum takes stacks
     return float(segment_sum(form.many, path))
-
-
-def cumulative_line_integral(form: OneForm, path: Path) -> np.ndarray:
-    """Partial sums of the midpoint quadrature at every path node."""
-    out = np.zeros(len(path._samples))
-    np.cumsum(form.many(*path.segments()), out=out[1:])
-    if not np.all(np.isfinite(out)):
-        raise EvaluationError("non-finite cumulative integral", point=path.start)
-    return out
 
 
 def simpson_terms(form: OneForm, path: Path) -> Callable:
@@ -937,10 +920,6 @@ class GroupAction:
         """Pushforward of a tangent vector, or of each row of ``(N, d)``
         vectors at ``(N, d)`` points, by the word."""
         return pushforward(self.space, lambda ys: self.apply(word, ys), x, v)
-
-    def word_in_identity_component(self, word: Word) -> bool:
-        """Declared-flag criterion: every letter sits in the identity component."""
-        return all(self.generators[name].in_identity_component for name, _ in word)
 
     def exponent_vector(self, word: Word) -> dict:
         out = {label: 0 for label in self.generators}

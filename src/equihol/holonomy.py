@@ -1,4 +1,5 @@
-"""Equivariant holonomy: lifts, closed formula, characters and flat bundles.
+"""Equivariant holonomy: closed formula, invariance facts, flat characters
+and the basic-form defect of candidate periods.
 
 For a word w and a path from x to w(x), the holonomy is the fiber phase
 defect between the lift endpoint and the translated start fiber. The
@@ -19,13 +20,12 @@ no further structure of the holonomy map is assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .bundle import (
     Connection,
-    Cocycle,
     EquivariantBundle,
     Section,
     connection_report,
@@ -37,7 +37,6 @@ from .errors import (
     InvalidCharacterError,
     NotFlatError,
     PathClassError,
-    PreconditionError,
 )
 from .geometry import (
     STACK_FLOATS,
@@ -50,7 +49,6 @@ from .geometry import (
     circle_gaps,
     circle_values,
     conjugate_path,
-    cumulative_line_integral,
     exterior_derivative,
     format_word,
     line_integral,
@@ -68,33 +66,13 @@ CLASS_PATH_AMPLITUDE = 0.35
 # Flatness and path-spread tolerances of the flat character.
 FLAT_TOL = 1e-6
 SPREAD_TOL = 1e-6
-# Alternate class paths of a form period, and the probes and tolerance of
-# its basic-form defect.
-PERIOD_ALTERNATES = 4
+# Probes and tolerance of the basic-form defect of a candidate period.
 BASIC_PROBES = 16
 BASIC_TOL = 1e-4
 
 
 # ---------------------------------------------------------------------------
-# Lifts and holonomy
-
-
-def horizontal_lift(
-    connection: Connection,
-    section: Section,
-    path: Path,
-    start_phase: CircleValue = CircleValue(0.0),
-) -> Tuple[CircleValue, List[Tuple[float, float]]]:
-    """Endpoint phase and per-node history of the lift of a path.
-
-    The lift accumulates the connection one-form along the path; the
-    history carries real phase lifts at every path node.
-    """
-    rho = connection.rho(section)
-    partial = cumulative_line_integral(rho, path)
-    start = CircleValue.of(start_phase).value
-    history = [(float(t), start + float(p)) for t, p in zip(path.times, partial)]
-    return CircleValue(history[-1][1]), history
+# Holonomy
 
 
 @dataclass(frozen=True)
@@ -455,15 +433,7 @@ def flat_character(
 
 
 # ---------------------------------------------------------------------------
-# Periods of invariant basic forms
-
-
-@dataclass(frozen=True)
-class IndependenceReport:
-    value: CircleValue
-    spread: float
-    alternates: int
-    basic_defect: float
+# Basic forms
 
 
 def basic_form_defect(
@@ -481,74 +451,3 @@ def basic_form_defect(
     for X in bundle.lie_generators.values():
         defects.append(beta.many(pts, X.generator_field.many(pts)))
     return max_abs(np.concatenate(defects))
-
-
-def invariant_form_character(
-    beta: OneForm,
-    bundle: EquivariantBundle,
-    word: Word,
-    path: Path,
-    seed: int = 0,
-    samples: int = 512,
-) -> Tuple[CircleValue, IndependenceReport]:
-    """Period of a closed invariant basic one-form over a class path.
-
-    The period only depends on the word; alternates over random paths and
-    basepoints report the observed spread. Words inside the identity
-    component carry period zero by the declared-flag criterion.
-    """
-    defect = basic_form_defect(beta, bundle, seed=seed)
-    if defect > BASIC_TOL:
-        raise PreconditionError(
-            f"form is not closed-invariant-basic to tolerance (defect {defect:.3e})"
-        )
-    start, end = path.points[[0]], path.points[[-1]]
-    require_path_class(bundle, (word,), end, bundle.action.apply(word, start))
-    reference = CircleValue(line_integral(beta, path))
-    value = CircleValue(0.0) if bundle.action.word_in_identity_component(word) else reference
-    base_candidates = probe_points(
-        bundle.space, max(1, PERIOD_ALTERNATES // 2), seed, tag="kbeta-base"
-    )
-    pairs = [(i, j) for i in range(len(base_candidates)) for j in range(2)][:PERIOD_ALTERNATES]
-    alternates = class_path_rows(
-        bundle, [word] * len(pairs), base_candidates[[i for i, _ in pairs]],
-        [rng_for(seed, f"kbeta-{i}-{j}") for i, j in pairs], samples,
-        lambda _, stack: circle_values(segment_sum(beta.many, stack), stack.start),
-    )
-    spread = max_abs(circle_gaps(reference.value, alternates))
-    return value, IndependenceReport(value, spread, len(pairs), defect)
-
-
-# ---------------------------------------------------------------------------
-# Flat bundles from characters
-
-
-def build_flat_from_character(
-    space: ParameterSpace, action: GroupAction, character: Character
-) -> Tuple[EquivariantBundle, Connection]:
-    """Flat bundle with the given character: constant cocycle, zero rho.
-
-    Constant cocycles are exactly group homomorphisms, so the presentation
-    relations must hold modulo one; violations are rejected.
-    """
-    for label in action.labels:
-        if label not in character.values:
-            raise InvalidCharacterError(f"character missing generator {label!r}")
-    character.validate(action)
-
-    values = {
-        label: (lambda v: lambda xs: v)(character.values[label].value) for label in action.labels
-    }
-
-    def family(exponents, xs):
-        """The character on each row's exponent column, summed as
-        :meth:`Character.on_word` sums it over ``CircleValue.times``."""
-        total = 0.0
-        for label, k in exponents.items():
-            step = circle_values(character.values[label].value * np.asarray(k), xs)
-            total = circle_values(total + step, xs)
-        return total
-
-    cocycle = Cocycle.batched(values, family=family)
-    bundle = EquivariantBundle(space, action, cocycle, lie_generators=())
-    return bundle, Connection(OneForm.zero(space))

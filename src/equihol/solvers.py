@@ -57,6 +57,7 @@ from .geometry import (
     segment_sum,
 )
 from .holonomy import (
+    BASIC_TOL,
     Character,
     basic_form_defect,
     flat_character,
@@ -669,7 +670,7 @@ def character_membership(
     forms = [f for _, f in candidates]
     for name, f in candidates:
         defect = basic_form_defect(f, bundle, seed=cfg.seed)
-        if defect > 1e-4:
+        if defect > BASIC_TOL:
             raise PreconditionError(
                 f"candidate {name!r} is not closed-invariant-basic (defect {defect:.3e})"
             )

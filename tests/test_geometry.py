@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from equihol.bundle import Connection, Section
 from equihol.errors import (
     CompositionError,
     DomainError,
@@ -25,7 +24,6 @@ from equihol.geometry import (
     central_difference,
     circle_differential,
     conjugate_path,
-    cumulative_line_integral,
     exterior_derivative,
     format_word,
     lie_bracket,
@@ -33,7 +31,6 @@ from equihol.geometry import (
     parse_word,
     rk4_line_integral,
 )
-from equihol.holonomy import horizontal_lift
 from equihol.reports import _plain
 
 
@@ -79,7 +76,6 @@ def test_circle_value_edge_representatives():
     assert CircleValue(1.0).value == 0.0
     assert CircleValue(-1e-18).value == 0.0
     assert CircleValue(-0.5).value == 0.5
-    assert CircleValue(0.5).times(3).value == 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -363,19 +359,16 @@ def ramp(space):
         lambda a, b: a.transform(lambda p: p + 3.0),
         lambda a, b: line_integral(ramp(a.space), a),
         lambda a, b: rk4_line_integral(ramp(a.space), a),
-        lambda a, b: cumulative_line_integral(ramp(a.space), a),
-        lambda a, b: cumulative_line_integral(ramp(a.space), Path(a.space, a.times, a.points[:1])),
-        lambda a, b: horizontal_lift(Connection(ramp(a.space)), Section(), a),
+        lambda a, b: line_integral(ramp(a.space), Path(a.space, a.times, a.points[:1])),
     ],
     ids=["resample", "reverse", "concat", "concat_onto_stack", "transform", "line_integral",
-         "rk4_line_integral", "cumulative_line_integral", "cumulative_one_path_stack",
-         "horizontal_lift"],
+         "rk4_line_integral", "line_integral_one_path_stack"],
 )
 def test_one_path_methods_reject_a_stack(method):
     # A (K, S, d) stack has its paths on the first axis, where these
     # methods would read samples; they take one path only. The quadratures
-    # and the lift of one path reject a stack too, even a stack of one;
-    # segment_sum is their stacked counterpart.
+    # reject a stack too, even a stack of one; segment_sum is their stacked
+    # counterpart.
     space = line_space()
     one = Path.line(space, [0.0], [1.0], samples=9)
     stack = Path(space, one.times, np.stack([one.points, one.points + 0.5]))

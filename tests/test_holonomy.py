@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from equihol.bundle import Connection, Section
+from equihol.bundle import Cocycle, Connection, EquivariantBundle, Section
 from equihol.errors import (
     ConsistencyError,
     InvalidCharacterError,
     NotFlatError,
     PathClassError,
-    PreconditionError,
 )
 from equihol.geometry import (
     CircleValue,
@@ -19,47 +18,27 @@ from equihol.geometry import (
     ParameterSpace,
     Path,
     ScalarField,
+    line_integral,
     parse_word,
+    rk4_line_integral,
 )
 from equihol.holonomy import (
+    BASIC_TOL,
     Character,
-    build_flat_from_character,
+    basic_form_defect,
     equivariant_holonomy,
     flat_character,
     holonomy_invariance_report,
-    horizontal_lift,
-    invariant_form_character,
     random_class_path,
     transport_cocycle,
 )
 from equihol.probes import rng_for
 
 
-def test_horizontal_lift_flat_keeps_phase(models):
-    model = models["paper_example_Z_on_R"]
-    path = Path.line(model.space, [0.0], [1.0])
-    end, history = horizontal_lift(
-        model.connection, model.reference_section, path, CircleValue(0.25)
-    )
-    assert end.distance(CircleValue(0.25)) < 1e-12
-    assert history[0][1] == pytest.approx(0.25)
-    assert history[-1][1] == pytest.approx(0.25)
-
-
-def test_horizontal_lift_half_dt_shift():
-    space = ParameterSpace(1, "euclidean-box", lower=(-16.0,), upper=(16.0,))
-    conn = Connection(OneForm.from_expressions(space, ["0.5"]))
-    path = Path.line(space, [0.0], [1.0])
-    end, history = horizontal_lift(conn, Section(), path)
-    assert end.distance(CircleValue(0.5)) < 1e-12
-    # history grows linearly along the line
-    mid = history[len(history) // 2]
-    assert mid[1] == pytest.approx(0.25, abs=1e-3)
-
-
-def test_horizontal_lift_circle_rk4_cross_check():
-    # The lift along a circle under the radial form, validated against the
-    # RK4 transport built into the holonomy cross-check machinery.
+def test_circle_line_integral_rk4_cross_check():
+    # The midpoint integral of the radial form around the unit circle,
+    # validated against the RK4 route of the holonomy cross-check and
+    # against the closed form 2*pi*c.
     space = ParameterSpace(2, "euclidean-box", lower=(-8.0, -8.0), upper=(8.0, 8.0))
     c = 0.12
     conn = Connection(
@@ -68,11 +47,9 @@ def test_horizontal_lift_circle_rk4_cross_check():
     loop = Path.from_map(
         space, lambda t: (math.cos(2 * math.pi * t), math.sin(2 * math.pi * t)), samples=4096
     )
-    end, _ = horizontal_lift(conn, Section(), loop)
-    from equihol.geometry import rk4_line_integral
-
-    rk4 = rk4_line_integral(conn.rho(Section()), loop)
-    assert end.distance(CircleValue(rk4)) < 1e-6
+    rho = conn.rho(Section())
+    end = CircleValue(line_integral(rho, loop))
+    assert end.distance(CircleValue(rk4_line_integral(rho, loop))) < 1e-6
     assert end.distance(CircleValue(2 * c * math.pi)) < 1e-5
 
 
@@ -189,11 +166,19 @@ def test_flat_character_requires_flatness(models):
         )
 
 
+def constant_cocycle_bundle(space, action, values):
+    """The flat bundle of a constant cocycle, one value per generator, and
+    the zero connection."""
+    cocycle = Cocycle.batched({label: (lambda v: lambda xs: v)(v) for label, v in values.items()})
+    bundle = EquivariantBundle(space, action, cocycle, lie_generators=())
+    return bundle, Connection(OneForm.zero(space))
+
+
 def test_character_round_trip_single_generator():
     space = ParameterSpace(1, "euclidean-box", lower=(-16.0,), upper=(16.0,))
     g = GroupElement("g", lambda x: x + 1.0, lambda x: x - 1.0, space)
     action = GroupAction(space, [g])
-    bundle, conn = build_flat_from_character(space, action, Character({"g": CircleValue(1 / 3)}))
+    bundle, conn = constant_cocycle_bundle(space, action, {"g": 1 / 3})
     kappa, _ = flat_character(bundle, conn, Section(), seed=5)
     assert kappa.values["g"].distance(CircleValue(1 / 3)) < 1e-8
 
@@ -206,8 +191,7 @@ def test_character_round_trip_two_generators():
     a = GroupElement("a", lambda x: x + np.array([1.0, 0.0]), lambda x: x - np.array([1.0, 0.0]), space)
     b = GroupElement("b", lambda x: x + np.array([0.0, 1.0]), lambda x: x - np.array([0.0, 1.0]), space)
     action = GroupAction(space, [a, b], relations=[parse_word("a b a^-1 b^-1")])
-    target = Character({"a": CircleValue(1 / 3), "b": CircleValue(1 / 4)})
-    bundle, conn = build_flat_from_character(space, action, target)
+    bundle, conn = constant_cocycle_bundle(space, action, {"a": 1 / 3, "b": 1 / 4})
     kappa, _ = flat_character(bundle, conn, Section(), seed=6)
     assert kappa.values["a"].distance(CircleValue(1 / 3)) < 1e-8
     assert kappa.values["b"].distance(CircleValue(1 / 4)) < 1e-8
@@ -224,10 +208,9 @@ def test_character_must_respect_relations():
     g = GroupElement("g", rot(theta), rot(-theta), space)
     action = GroupAction(space, [g], relations=[parse_word("g^3")])
     with pytest.raises(InvalidCharacterError):
-        build_flat_from_character(space, action, Character({"g": CircleValue(0.5)}))
+        Character({"g": CircleValue(0.5)}).validate(action)
     # 1/3 satisfies g^3 = identity
-    bundle, conn = build_flat_from_character(space, action, Character({"g": CircleValue(1 / 3)}))
-    assert bundle is not None
+    Character({"g": CircleValue(1 / 3)}).validate(action)
 
 
 def test_character_zero_on_identity_component():
@@ -237,70 +220,18 @@ def test_character_zero_on_identity_component():
     )
     action = GroupAction(space, [g])
     with pytest.raises(InvalidCharacterError):
-        build_flat_from_character(space, action, Character({"g": CircleValue(0.25)}))
+        Character({"g": CircleValue(0.25)}).validate(action)
 
 
-def test_invariant_form_character_worked_example(models):
-    model = models["paper_example_Z_on_R"]
-    beta = OneForm.from_expressions(model.space, ["0.5"], name="half dt")
-    for n in (1, 2, 3):
-        path = Path.line(model.space, [0.0], [float(n)])
-        value, report = invariant_form_character(
-            beta, model.bundle, parse_word(f"g^{n}"), path
-        )
-        assert value.distance(CircleValue(n / 2)) < 1e-9
-        assert report.spread < 1e-9
-
-
-def test_invariant_form_character_exact_invariant_potential(models):
-    # The differential of an invariant potential has vanishing periods.
-    model = models["paper_example_Z_on_R"]
-    beta = OneForm.from_expressions(model.space, ["2*pi*0.2*cos(2*pi*x1)"])
-    path = Path.line(model.space, [0.0], [1.0], samples=4096)
-    value, _ = invariant_form_character(beta, model.bundle, parse_word("g"), path)
-    assert value.distance(CircleValue(0.0)) < 1e-6
-
-
-def test_invariant_form_character_shifted_potential(models):
-    # d of a non-invariant potential whose defect is constant: the period
-    # equals that constant, evaluated as potential(g x) - potential(x).
-    model = models["paper_example_Z_on_R"]
-    beta = OneForm.from_expressions(model.space, ["0.2"], name="d(0.2 x)")
-    path = Path.line(model.space, [0.3], [1.3])
-    value, _ = invariant_form_character(beta, model.bundle, parse_word("g"), path)
-    assert value.distance(CircleValue(0.2)) < 1e-9
-
-
-def test_invariant_form_character_rejects_non_basic(models):
-    model = models["rotation"]  # has the rotation generator field
-    beta = OneForm.from_expressions(model.space, ["1", "0"])
-    path = random_class_path(
-        model.space, model.bundle.action, parse_word("r"), np.array([1.0, 0.0]),
-        rng_for(2, "nonbasic"),
-    )
-    with pytest.raises(PreconditionError):
-        invariant_form_character(beta, model.bundle, parse_word("r"), path)
-
-
-def test_invariant_form_character_path_translation_invariance(models):
-    # Replacing the path by a group translate or a conjugate leaves the
-    # period unchanged.
-    model = models["paper_example_Z_on_R"]
-    beta = OneForm.from_expressions(model.space, ["0.5"])
-    word = parse_word("g")
-    gamma = random_class_path(
-        model.space, model.bundle.action, word, np.array([0.0]), rng_for(3, "kpaths")
-    )
-    value, _ = invariant_form_character(beta, model.bundle, word, gamma)
-    from equihol.geometry import conjugate_path
-
-    moved = gamma.transform(lambda p: model.bundle.action.apply(parse_word("g^2"), p))
-    v_moved, _ = invariant_form_character(beta, model.bundle, word, moved)
-    zeta = Path.line(model.space, [1.5], [0.0], samples=512)
-    conj = conjugate_path(zeta, gamma, lambda p: model.bundle.action.apply(word, p))
-    v_conj, _ = invariant_form_character(beta, model.bundle, word, conj)
-    assert value.distance(v_moved) < 1e-9
-    assert value.distance(v_conj) < 1e-9
+def test_basic_form_defect_flags_non_basic(models):
+    # dx1 does not kill the rotation generator field; 0.5 dt on the line is
+    # closed, shift-invariant and has no generator field to kill.
+    rotation = models["rotation"]
+    beta = OneForm.from_expressions(rotation.space, ["1", "0"])
+    assert basic_form_defect(beta, rotation.bundle) > BASIC_TOL
+    line = models["paper_example_Z_on_R"]
+    half_dt = OneForm.from_expressions(line.space, ["0.5"])
+    assert basic_form_defect(half_dt, line.bundle) <= BASIC_TOL
 
 
 def test_dual_method_agreement_across_scenarios(models):
