@@ -95,12 +95,19 @@ def as_field(lattice: LatticeBase, values) -> np.ndarray:
 
 
 def centered_difference(lattice: LatticeBase, values: np.ndarray) -> np.ndarray:
-    """Centered difference along the last (site) axis, on a circle of sites."""
-    out = np.empty(np.shape(values))
-    out[..., 1:-1] = values[..., 2:] - values[..., :-2]
-    out[..., 0] = values[..., 1] - values[..., -1]
-    out[..., -1] = values[..., 0] - values[..., -2]
-    return out / (2.0 * lattice.spacing)
+    """Centered difference along the last (site) axis, on a circle of sites.
+
+    One subtraction runs over the whole flattened stack, so every interior
+    site reads its two neighbours; at the first and last site of a row it
+    reads across the row boundary, and those two columns are then rewritten
+    from their neighbours on the circle."""
+    values = np.ascontiguousarray(values, dtype=float)
+    out = np.empty(values.shape)
+    flat, into = values.reshape(-1), out.reshape(-1)
+    np.subtract(flat[2:], flat[:-2], out=into[1:-1])
+    np.subtract(values[..., 1], values[..., -1], out=out[..., 0])
+    np.subtract(values[..., 0], values[..., -2], out=out[..., -1])
+    return np.divide(out, 2.0 * lattice.spacing, out=out)
 
 
 def jets(lattice: LatticeBase, values: np.ndarray, order: int) -> Dict[str, np.ndarray]:
@@ -448,11 +455,15 @@ class DensityBasis:
         used = {(sym, k) for j in members for sym, k in zip(self.symbols, self.exponents[j]) if k}
         return {(sym, k): monomial_power(np.asarray(env[sym]), k) for sym, k in used}
 
+    def _factors(self, j: int, powers: dict) -> list:
+        """Member j's jet powers off a :meth:`powers` table, in slot order."""
+        return [powers[sym, k] for sym, k in zip(self.symbols, self.exponents[j]) if k]
+
     def member(self, env: Dict[str, np.ndarray], j: int, powers=None):
-        """Member j on jets from :func:`jets`, or off a :meth:`powers` table."""
+        """Member j on jets from :func:`jets`, or off a :meth:`powers` table:
+        the product of its factors in slot order, from 1.0."""
         powers = self.powers(env, [j]) if powers is None else powers
-        factors = (powers[sym, k] for sym, k in zip(self.symbols, self.exponents[j]) if k)
-        return math.prod(factors, start=1.0)
+        return math.prod(self._factors(j, powers), start=1.0)
 
     def members(self, fields) -> np.ndarray:
         """The ``(M, N, m)`` tensor of every member on the jets of a field
@@ -461,8 +472,14 @@ class DensityBasis:
         tensor = np.empty((len(self.names),) + env["u"].shape)
         with np.errstate(over="ignore", invalid="ignore"):
             powers = self.powers(env, range(len(self.names)))
-            for j in range(len(self.names)):
-                tensor[j] = self.member(env, j, powers)
+            # The product rule of member(), written into the tensor's rows:
+            # 1.0 * x == x exactly, so starting from the first factor keeps
+            # every bit.
+            for j, row in enumerate(tensor):
+                first, *rest = self._factors(j, powers) or [1.0]
+                row[...] = first
+                for factor in rest:
+                    np.multiply(row, factor, out=row)
         finite = np.isfinite(tensor).reshape(len(tensor), -1).all(axis=1)
         if not finite.all():
             j = int(np.argmin(finite))

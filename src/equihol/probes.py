@@ -10,6 +10,12 @@ import zlib
 
 import numpy as np
 
+from .errors import ToolkitError
+
+# Largest seed. A stream reads a seed in 0..MAX_SEED as itself; any other
+# seed is rejected rather than folded onto one of those, as keeping its low
+# 31 bits would fold 2**31 + 3 onto 3.
+MAX_SEED = 2**31 - 1
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 # Leading Halton indices skipped: index 0 is the origin and the first
 # points correlate across axes.
@@ -18,7 +24,9 @@ HALTON_SKIP = 20
 
 def stream_seed(seed: int, tag: str) -> np.random.SeedSequence:
     """Deterministic child seed for a named stream."""
-    return np.random.SeedSequence([int(seed) & 0x7FFFFFFF, zlib.crc32(tag.encode())])
+    if not 0 <= seed <= MAX_SEED:
+        raise ToolkitError(f"seed must lie in 0..{MAX_SEED}, got {seed}")
+    return np.random.SeedSequence([int(seed), zlib.crc32(tag.encode())])
 
 
 def rng_for(seed: int, tag: str) -> np.random.Generator:

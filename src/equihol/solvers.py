@@ -63,18 +63,19 @@ from .holonomy import (
     flat_character,
     holonomy_form_gap,
 )
-from .probes import direction_draws, probe_points, rng_for
+from .probes import MAX_SEED, direction_draws, probe_points, rng_for
 
 
 # ---------------------------------------------------------------------------
 # Configuration and ansatz bases
 
 
-# Least and largest value of each solver count, and the inputs that set it:
-# the scenario's [solver] keys and the --probes flag. The ceilings are
-# checked before anything is allocated; the cocycle check compares word
-# pairs that grow geometrically with the word length.
+# Least and largest value of the seed and of each solver count, and the
+# inputs that set it: the scenario's [solver] keys and the flags. The
+# ceilings are checked before anything is allocated; the cocycle check
+# compares word pairs that grow geometrically with the word length.
 COUNT_RANGES = {
+    "seed": (0, MAX_SEED, "[solver] seed or --seed"),
     "probes": (1, 4096, "[solver] probes or --probes"),
     "holdout": (1, 4096, "[solver] holdout or --probes"),
     "path_samples": (2, 8192, "[solver] path_samples"),

@@ -43,7 +43,7 @@ from .holonomy import (
     random_class_path,
     transport_cocycle,
 )
-from .lattice import LatticeBase, LocalDensity, integrate_local, jets
+from .lattice import LatticeBase, LocalDensity, integrate_local, jets, random_fields
 from .probes import direction_draws, probe_points, rng_for
 from .scenario import bundled_names, load_scenario
 
@@ -265,7 +265,19 @@ def lattice_suite(model, seed: int) -> dict:
         if out["integral_u1sq_error_fine"]
         else float("inf")
     )
-    out["ok"] = bool(out["jet_ratio"] >= 3.5 and out["integral_ratio"] >= 3.5)
+    # Each row of a field stack has the jets of that field alone: a stencil
+    # that reads across a row boundary shows here, not on one field.
+    stack = random_fields(lattice, 3, rng_for(seed, "lattice-stack"))
+    stacked = jets(lattice, stack, 2)
+    gaps = [
+        np.abs(stacked[f"u{k}"][i] - alone[f"u{k}"])
+        for i, alone in enumerate(jets(lattice, row, 2) for row in stack)
+        for k in (1, 2)
+    ]
+    out["stack_row_gap"] = float(np.max(gaps))
+    out["ok"] = bool(
+        out["jet_ratio"] >= 3.5 and out["integral_ratio"] >= 3.5 and out["stack_row_gap"] == 0.0
+    )
     return out
 
 

@@ -199,8 +199,9 @@ def rolled_difference(lattice, values):
 
 
 def test_centered_difference_is_the_rolled_difference():
-    # Slices of one array give the rolled difference bit for bit, on one
-    # field and on a stack, and so do the jets built from it.
+    # The flat pass over a whole stack, with its wrap columns rewritten,
+    # gives the rolled difference bit for bit, on one field and on a stack,
+    # and so do the jets built from it.
     rng = rng_for(7, "stencil-fields")
     for lattice, shape in ((LatticeBase(8, 0.7), (8,)), (LAT, (5, 16))):
         v = rng.normal(size=shape)
@@ -209,6 +210,19 @@ def test_centered_difference_is_the_rolled_difference():
         for k in (1, 2, 3):
             previous = env["u" if k == 1 else f"u{k - 1}"]
             assert np.array_equal(env[f"u{k}"], rolled_difference(lattice, previous))
+    # So do a deeper stack, a one-row stack and views that are not
+    # contiguous; each row of a stack is its own one-field call, so no site
+    # reads across a row boundary.
+    for v in (
+        rng.normal(size=(3, 4, 16)),
+        rng.normal(size=(1, 16)),
+        rng.normal(size=(16, 5)).T,
+        rng.normal(size=(9, 16))[::2],
+    ):
+        out = centered_difference(LAT, v)
+        assert np.array_equal(out, rolled_difference(LAT, v))
+        for row in np.ndindex(v.shape[:-1]):
+            assert np.array_equal(out[row], centered_difference(LAT, v[row]))
 
 
 def _member(basis, j):

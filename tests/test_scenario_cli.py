@@ -242,6 +242,12 @@ def test_cli_check_cocycle_witness_exit(tmp_path, capsys):
          "--max-word-len must be at least 2"),
         # The ceiling is checked before any probe stack is allocated.
         (["verdict", "trivial", "--probes", "100000000"], "--probes must be at most 4096"),
+        # A seed outside 0..2**31 - 1 is rejected, not folded onto one inside.
+        (["verdict", "trivial", "--seed", "2147483651"], "--seed must be at most 2147483647"),
+        (["verdict", "trivial", "--seed", "-5"], "--seed must be at least 0, got -5"),
+        (["holonomy", "trivial", "--word", "g", "--seed", "-1"], "--seed must be at least 0"),
+        (["selftest", "--seed", "-5"], "seed must lie in 0..2147483647, got -5"),
+        (["selftest", "--seed", "2147483648"], "seed must lie in 0..2147483647, got 2147483648"),
     ],
 )
 def test_cli_bad_input_is_typed_error(argv, message, capsys):
@@ -270,6 +276,8 @@ def test_cli_bad_input_is_typed_error(argv, message, capsys):
         ("holdout = 4097", "[solver] holdout or --probes must be at most 4096"),
         ("path_samples = 8193", "[solver] path_samples must be at most 8192"),
         ("degree = 9", "[solver] degree must be at most 8"),
+        ("seed = -1", "[solver] seed or --seed must be at least 0, got -1"),
+        ("seed = 2147483648", "[solver] seed or --seed must be at most 2147483647"),
     ],
 )
 def test_cli_bad_solver_value_is_typed_error(line, message, tmp_path, capsys):

@@ -1,0 +1,141 @@
+"""Run the benchmark in alternating parent/change pairs and summarise them.
+
+Usage, from the root of a checkout:
+
+    python3 tools/bench_pairs.py --parent <dir> --change <dir> \\
+        --workloads lattice_verdicts selftest --seeds 101-110 --seconds 12 \\
+        --out BENCH_name.json
+
+``<dir>`` is the root of a checkout; each side runs its own
+``perfbench/run.py`` on its own ``src/``. For every workload and every seed
+of the inclusive range, one pair runs
+
+    python3 perfbench/run.py --workload <w> --seed <s> --seconds <S> --trace 0
+
+in both checkouts, one after the other, with the same seed. The side that
+runs first alternates from pair to pair (the parent first in pair 0), so a
+drift of the machine's speed over the pairs does not favour either side.
+
+The file written holds, per workload, the seeds, which side ran first,
+and for each side every pair's end-to-end metrics, their median and
+quartiles, and ``failed``/``attempted``; for each metric, the change's
+median over the parent's and the number of pairs the change won, in the
+direction ``BENCHMARK.json`` declares better. It also records the
+environment line of the benchmark. Medians and quartiles are
+``statistics.quantiles(..., method="inclusive")``, numpy's linear
+percentiles.
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SIDES = ("parent", "change")
+
+
+def seed_range(text: str) -> list:
+    """``"A-B"`` as the seeds A..B inclusive, ``"A"`` as one seed."""
+    first, _, last = text.partition("-")
+    seeds = list(range(int(first), int(last or first) + 1))
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"empty seed range {text!r}")
+    return seeds
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One ``--trace 0`` run in a checkout: its JSON result, with the
+    environment line under ``"env"``."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", "0"]
+    done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    lines = done.stdout.splitlines()
+    if done.returncode != 0 or not lines:
+        raise SystemExit(f"{workload} seed {seed} in {checkout} exited {done.returncode}:\n"
+                         + done.stderr[-2000:])
+    result = json.loads(lines[-1])
+    env = [line for line in lines if line.startswith("env: ")]
+    result["env"] = json.loads(env[-1][len("env: "):]) if env else {}
+    return result
+
+
+def quartiles(runs: list) -> dict:
+    q1, median, q3 = statistics.quantiles(runs, n=4, method="inclusive")
+    return {"median": round(median, 6), "q1": round(q1, 6), "q3": round(q3, 6),
+            "runs": [round(r, 6) for r in runs]}
+
+
+def summarise(pairs: list, better: dict) -> dict:
+    """The per-workload record of a list of pairs, each
+    ``{"seed", "first", "parent": result, "change": result}`` with results
+    as ``perfbench/run.py`` prints them; ``better`` maps each end-to-end
+    metric to ``"higher"`` or ``"lower"``."""
+    out = {"seeds": [p["seed"] for p in pairs], "first": [p["first"] for p in pairs]}
+    for side in SIDES:
+        results = [p[side] for p in pairs]
+        out[side] = {
+            "failed": [r["failed"] for r in results],
+            "attempted": [r["attempted"] for r in results],
+            "correct": all(r["correct"] for r in results),
+            "metrics": {
+                name: quartiles([r["metrics"][name]["value"] for r in results])
+                for name in better
+            },
+        }
+    out["summary"] = {}
+    for name, direction in better.items():
+        parent, change = (out[side]["metrics"][name] for side in SIDES)
+        sign = 1 if direction == "higher" else -1
+        wins = sum(sign * (c - p) > 0 for p, c in zip(parent["runs"], change["runs"]))
+        out["summary"][name] = {
+            "parent_median": parent["median"],
+            "parent_iqr": round(parent["q3"] - parent["q1"], 6),
+            "change_median": change["median"],
+            "ratio": round(change["median"] / parent["median"], 4) if parent["median"] else None,
+            "change_wins_of_pairs": wins,
+        }
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, type=Path)
+    parser.add_argument("--change", required=True, type=Path)
+    parser.add_argument("--workloads", required=True, nargs="+")
+    parser.add_argument("--seeds", required=True, type=seed_range)
+    parser.add_argument("--seconds", required=True, type=float)
+    parser.add_argument("--out", required=True, type=Path)
+    args = parser.parse_args(argv)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    record = {
+        "command": f"python3 perfbench/run.py --workload <w> --seed <s> "
+                   f"--seconds {args.seconds:g} --trace 0",
+        "pairs": "alternating parent/change pairs, the same seed on both sides; "
+                 "the parent runs first in even-numbered pairs (from 0)",
+        "workloads": {},
+    }
+    for workload in args.workloads:
+        pairs = []
+        for i, seed in enumerate(args.seeds):
+            order = SIDES if i % 2 == 0 else SIDES[::-1]
+            pair = {"seed": seed, "first": order[0]}
+            for side in order:
+                pair[side] = run_once(checkouts[side], workload, seed, args.seconds)
+            record.setdefault("environment", pair["change"]["env"])
+            pairs.append(pair)
+            ratio = [pair[s]["metrics"]["ops_per_s"]["value"] for s in SIDES]
+            print(f"{workload} seed {seed}: ops_per_s parent {ratio[0]:.2f} change {ratio[1]:.2f}",
+                  flush=True)
+        record["workloads"][workload] = summarise(pairs, better)
+        args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    print(f"pairs written to {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -60,6 +60,9 @@ ERROR_CASES = [
     ["holonomy", "trivial", "--word", "g", "--path", "spiral"],
     ["holonomy", "trivial", "--word", "g^"],
     ["anomaly", "trivial", "--probes", "x"],
+    ["verdict", "trivial", "--seed", "2147483651"],
+    ["verdict", "trivial", "--seed", "-5"],
+    ["selftest", "--seed", "-5"],
 ]
 
 # Holonomy reads of words with more than one generator, in both formats.
