@@ -687,10 +687,12 @@ def conjugate_path(zeta: Path, gamma: Path, apply_point: Callable) -> Path:
 # its rows, so stacks of class paths are cut into chunks of whole paths
 # below this. At 8192 a chart chunk holds 8 paths of 512 samples and a
 # lattice chunk one path of 192 samples in 32 sites, whose member tensor
-# of 10 members takes about 0.5 MB. One lattice path per chunk is both
-# the leaner and the faster choice on a 2-vCPU Xeon: at 16384 (two paths)
-# the lattice benchmark ran 19% slower with 3.8% more peak memory, and at
-# 65536 13-16% slower with 22% more.
+# of 10 members takes about 0.5 MB. The cap is on the stacks only: a stage
+# of class paths reads its chords, waves and section values once for all
+# its paths, then samples and integrates them stack by stack. One lattice
+# path per chunk is both the leaner and the faster choice on a 2-vCPU
+# Xeon: at 16384 (two paths) the lattice benchmark ran 19% slower with
+# 3.8% more peak memory, and at 65536 13-16% slower with 22% more.
 STACK_FLOATS = 8192
 
 

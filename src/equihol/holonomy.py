@@ -6,12 +6,14 @@ defect between the lift endpoint and the translated start fiber. The
 reported value is the closed formula: the midpoint quadrature of rho along
 the path minus the cocycle at the start. ``equivariant_holonomy`` with
 ``method="both"`` also integrates the same rho along the same path by RK4
-and compares the two, as ``class_holonomies`` does along a stack. That
+and compares the two, as ``class_path_rows`` does along a stack. That
 check shares every input with the formula, so it catches quadrature error
 only; it runs in the CLI ``holonomy`` command and the holonomy suite.
 
 Every reading off fresh random class paths goes through one route,
-:func:`class_path_rows`; :func:`random_class_path` is its one-path case.
+:func:`class_path_rows`. A stage of paths reads its chords, bump waves and
+section values once, then samples, checks and integrates its paths stack by
+stack under ``STACK_FLOATS``. :func:`random_class_path` is its one-path case.
 
 Only the facts needed by the cancellation criteria are implemented here;
 no further structure of the holonomy map is assumed.
@@ -99,36 +101,6 @@ def require_path_class(bundle: EquivariantBundle, words: Sequence[Word], ends, i
                 f"path endpoint misses the image of its start under {format_word(word)!r} "
                 f"by {gap:.3e}"
             )
-
-
-def class_holonomies(
-    bundle: EquivariantBundle,
-    connection: Connection,
-    section: Section,
-    words: Sequence[Word],
-    stack: Path,
-    method: str = "formula",
-):
-    """Formula holonomies of the paths of a ``(K, S, d)`` stack, path k in
-    the class of ``words[k]``: the midpoint integral of rho minus the
-    section cocycle at the start, each as :func:`equivariant_holonomy`
-    gives it with ``method="formula"``. Every path must end at the image of
-    its start: one stacked read of the words at the starts gives the images
-    of the class check and the section cocycle (:func:`section_rows`).
-    ``method="both"`` also returns the gaps to RK4, raising as one path does."""
-    images, alpha = section_rows(bundle, section, words, stack.start, images=True)
-    require_path_class(bundle, words, stack.end, images)
-    rho = connection.rho(section)
-
-    def holonomies(terms):
-        integrals = circle_values(segment_sum(terms, stack), stack.start)
-        return circle_values(integrals - alpha, stack.start)
-    values = holonomies(rho.many)
-    if method == "formula":
-        return values
-    gaps = circle_gaps(values, holonomies(simpson_terms(rho, stack)))
-    _require_agreement(gaps, words)
-    return values, gaps
 
 
 def _require_agreement(gaps, words: Sequence[Word]) -> None:
@@ -269,15 +241,19 @@ class Character:
                 )
 
 
-def _class_points(space, action, words, basepoints, rngs, ts, amplitude) -> np.ndarray:
-    """``(K, S, d)`` samples at the times ``ts`` of smooth random paths,
-    path k from ``basepoints[k]`` to its image under ``words[k]``.
+def _class_sampler(space, action, words, basepoints, rngs, ts, amplitude):
+    """Samples of smooth random paths, path k from ``basepoints[k]`` to its
+    image under ``words[k]``: ``points(rows, times)`` is the ``(K, T, d)``
+    array of the rows' paths at the times ``ts[times]``.
 
     Each path is the straight chord plus sine bumps vanishing at both ends,
-    so the class membership is exact by construction. Path k draws its
-    three bump waves from ``rngs[k]``, in path order, so a shared generator
-    is read as one call per path would read it: when every path shares one,
-    a single draw of all the waves reads the same stream.
+    so the class membership is exact by construction. The chords, waves and
+    sine rows are read once here, and every slice of paths and times takes
+    the same elementwise formula, so a start sample has the bits of its
+    path's. Path k draws its three bump waves from ``rngs[k]``, in path
+    order, so a shared generator is read as one call per path would read it:
+    when every path shares one, a single draw of all the waves reads the same
+    stream.
     """
     x0 = space.points(basepoints)
     chord = space.displacement(x0, action.apply_rows(words, x0))
@@ -286,36 +262,64 @@ def _class_points(space, action, words, basepoints, rngs, ts, amplitude) -> np.n
     else:
         normals = np.array([rng.normal(size=(3, space.dimension)) for rng in rngs])
     waves = [(amplitude / k) * normals[:, k - 1, None, :] for k in (1, 2, 3)]
-    bump = sum(np.sin(np.pi * k * ts)[:, None] * w for k, w in zip((1, 2, 3), waves))
-    points = space.points(x0[:, None] + ts[:, None] * chord[:, None] + bump)
-    return points.reshape(len(x0), len(ts), space.dimension)
+    sines = [np.sin(np.pi * k * ts)[:, None] for k in (1, 2, 3)]
+
+    def points(rows, times):
+        bump = sum(s[times] * w[rows] for s, w in zip(sines, waves))
+        pts = space.points(x0[rows, None] + ts[times, None] * chord[rows, None] + bump)
+        return pts.reshape(len(bump), -1, space.dimension)
+
+    return points
 
 
 def class_path_rows(
     bundle: EquivariantBundle,
+    connection: Connection,
+    section: Section,
     words: Sequence[Word],
     basepoints,
     rngs: Sequence,
     samples: int,
-    measure,
+    measure=None,
     amplitude: float = CLASS_PATH_AMPLITUDE,
+    method: str = "formula",
 ) -> np.ndarray:
-    """The rows ``measure(words, stack)`` gives on the random class paths of
-    :func:`random_class_path`, path k from ``basepoints[k]`` to its image
-    under ``words[k]`` with bumps drawn from ``rngs[k]``, one row per path in
-    path order. The paths are sampled and measured as consecutive stacks,
-    each of as many whole paths as keep its segment rows times dimension
-    within ``STACK_FLOATS``, and at least one."""
+    """One row per random class path of :func:`random_class_path`, in path
+    order: path k from ``basepoints[k]`` to its image under ``words[k]``,
+    with bumps drawn from ``rngs[k]``.
+
+    A row opens with the path's formula holonomy as
+    :func:`equivariant_holonomy` gives it, then, for ``method="both"``, its
+    gap to RK4, raising as one path does; the columns ``measure(stack)``
+    gives follow. The stage reads once all that does not depend on the
+    stack: the chords, waves and sine rows, and one :func:`section_rows` at
+    the start samples for the images of the class check and the section
+    cocycle. The paths are then sampled, checked and integrated as
+    consecutive stacks, each of as many whole paths as keep its segment
+    rows times dimension within ``STACK_FLOATS``, and at least one."""
     space = bundle.space
     per = max(1, STACK_FLOATS // max(1, (samples - 1) * space.dimension))
     ts = np.linspace(0.0, 1.0, samples)
+    points = _class_sampler(space, bundle.action, words, basepoints, rngs, ts, amplitude)
+    rho = connection.rho(section)
+    starts = points(slice(None), slice(0, 1))[:, 0]
+    images, alpha = section_rows(bundle, section, words, starts, images=True)
     rows = []
     for lo in range(0, len(words), per):
         part = slice(lo, lo + per)
-        points = _class_points(
-            space, bundle.action, words[part], basepoints[part], rngs[part], ts, amplitude
-        )
-        rows.append(measure(words[part], Path(space, ts, points)))
+        stack = Path(space, ts, points(part, slice(None)))
+        require_path_class(bundle, words[part], stack.end, images[part])
+
+        def holonomies(terms):
+            integrals = circle_values(segment_sum(terms, stack), stack.start)
+            return circle_values(integrals - alpha[part], stack.start)
+        columns = [holonomies(rho.many)]
+        if method == "both":
+            columns.append(circle_gaps(columns[0], holonomies(simpson_terms(rho, stack))))
+            _require_agreement(columns[1], words[part])
+        if measure is not None:
+            columns.append(measure(stack))
+        rows.append(np.column_stack(columns))
     return np.concatenate(rows)
 
 
@@ -331,8 +335,8 @@ def random_class_path(
     """A smooth random path from the basepoint to its image under the word:
     the one-path case of :func:`class_path_rows`."""
     ts = np.linspace(0.0, 1.0, samples)
-    (points,) = _class_points(space, action, [word], [basepoint], [rng], ts, amplitude)
-    return Path(space, ts, points)
+    points = _class_sampler(space, action, [word], [basepoint], [rng], ts, amplitude)
+    return Path(space, ts, points(slice(0, 1), slice(None))[0])
 
 
 def holonomy_form_gap(
@@ -352,14 +356,12 @@ def holonomy_form_gap(
     the line integral of the form modulo one when the form certifies
     cancellation. The paths are sampled and integrated as stacks.
     """
-    def gaps(words, stack):
-        hol = class_holonomies(bundle, connection, section, words, stack)
-        return circle_gaps(hol, circle_values(segment_sum(form.many, stack), stack.start))
-
-    return max_abs(class_path_rows(
-        bundle, [word for word, _ in draws], [x0 for _, x0 in draws], [rng] * len(draws),
-        samples, gaps, amplitude,
-    ))
+    rows = class_path_rows(
+        bundle, connection, section, [word for word, _ in draws], [x0 for _, x0 in draws],
+        [rng] * len(draws), samples,
+        lambda stack: circle_values(segment_sum(form.many, stack), stack.start), amplitude,
+    )
+    return max_abs(circle_gaps(rows[:, 0], rows[:, 1]))
 
 
 @dataclass(frozen=True)
@@ -409,9 +411,8 @@ def flat_character(
     for label, g in bundle.action.generators.items():
         words = [((label, 1),)] * len(pairs)
         rngs = [rng_for(seed, f"flat-path-{label}-{i}-{j}") for i, j in pairs]
-        found = class_path_rows(bundle, words, bases, rngs, samples, lambda part, stack: (
-            circle_values(-class_holonomies(bundle, connection, section, part, stack), stack.start)
-        ))
+        holonomies = class_path_rows(bundle, connection, section, words, bases, rngs, samples)
+        found = circle_values(-holonomies[:, 0], bases)
         spread = max_abs(circle_gaps(found[0], found))
         if spread > SPREAD_TOL:
             raise ConsistencyError(

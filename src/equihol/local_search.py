@@ -15,7 +15,7 @@ import numpy as np
 
 from .bundle import Section, infinitesimal_anomaly
 from .geometry import central_difference, segment_sum
-from .holonomy import class_holonomies, class_path_rows, holonomy_form_gap
+from .holonomy import class_path_rows, holonomy_form_gap
 from .lattice import (
     DensityBasis,
     LocalFunctional,
@@ -110,11 +110,9 @@ def solve_local_global_form(model, section: Section, cfg: SolverConfig, slots=No
     # integral, one segment sum of the basis matrix per stack of paths.
     words = [word for word in fit_words for _ in base_fields]
     paths = class_path_rows(
-        bundle, words, [s0 for _ in fit_words for s0 in base_fields], [rng] * len(words),
-        cfg.path_samples, lambda part, stack: np.column_stack([
-            class_holonomies(bundle, model.connection, section, part, stack),
-            segment_sum(forms, stack),
-        ]), LOCAL_PATH_AMPLITUDE,
+        bundle, model.connection, section, words,
+        [s0 for _ in fit_words for s0 in base_fields], [rng] * len(words), cfg.path_samples,
+        functools.partial(segment_sum, forms), LOCAL_PATH_AMPLITUDE,
     )
     targets, blocks = list(paths[:, 0]), [paths[:, 1:]]
     circle_groups = [wi for wi in range(len(fit_words)) for _ in base_fields]

@@ -35,7 +35,6 @@ from .geometry import (
     max_abs,
 )
 from .holonomy import (
-    class_holonomies,
     class_path_rows,
     equivariant_holonomy,
     flat_character,
@@ -165,10 +164,9 @@ def holonomy_suite(model, seed: int) -> dict:
     rng = rng_for(seed, "hol-paths")
     draws = range(HOLONOMY_DRAWS)
     out["dual_method"] = dual = max_abs(class_path_rows(
-        bundle, [words[i % len(words)] for i in draws], bases[[i % len(bases) for i in draws]],
-        [rng] * len(draws), 512,
-        lambda part, stack: class_holonomies(bundle, connection, section, part, stack, "both")[1],
-    ))
+        bundle, connection, section, [words[i % len(words)] for i in draws],
+        bases[[i % len(bases) for i in draws]], [rng] * len(draws), 512, method="both",
+    )[:, 1])
     word = ((bundle.action.labels[0], 1),)
     gamma = random_class_path(space, bundle.action, word, bases[0], rng, samples=512)
     zeta = Path.line(space, bases[1], bases[0], samples=256)
@@ -226,12 +224,12 @@ def flat_suite(model, seed: int) -> Optional[dict]:
     # holonomy along one fresh class path per word.
     words = list(bundle.action.words_up_to(2))
     holonomies = class_path_rows(
-        bundle, words, probe_points(model.space, len(words), seed, tag="flat-additivity"),
+        bundle, connection, section, words,
+        probe_points(model.space, len(words), seed, tag="flat-additivity"),
         [rng_for(seed, f"flat-additivity-{k}") for k in range(len(words))], 512,
-        lambda part, stack: class_holonomies(bundle, connection, section, part, stack),
     )
     out["additivity"] = worst = max(
-        kappa.on_word(w).distance(CircleValue(-h)) for w, h in zip(words, holonomies)
+        kappa.on_word(w).distance(CircleValue(-h)) for w, h in zip(words, holonomies[:, 0])
     )
     out["ok"] = bool(out["spread"] < 1e-6 and worst < 1e-8)
     return out

@@ -21,7 +21,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from equihol import calibration, probes
+from equihol import calibration, holonomy, probes
 from equihol.bundle import (
     FLOW_STEP,
     Cocycle,
@@ -71,7 +71,6 @@ from equihol.geometry import (
 )
 from equihol.holonomy import (
     Character,
-    class_holonomies,
     class_path_rows,
     equivariant_holonomy,
     flat_character,
@@ -850,36 +849,95 @@ def test_cocycle_check_evaluates_each_tree_edge_once(models):
         assert 0 < calls[label] <= edges[(label, 1)] + edges[(label, -1)], label
 
 
+class _CountingRng:
+    """A generator whose ``normal`` draws are counted in ``draws``."""
+
+    def __init__(self, rng, draws: Counter):
+        self.rng, self.draws = rng, draws
+
+    def normal(self, *args, **kwargs):
+        self.draws["normal"] += 1
+        return self.rng.normal(*args, **kwargs)
+
+
 @pytest.mark.parametrize("name", ["affine_line", "translation_shear"])
-def test_class_holonomies_read_each_letter_position_once(name, models):
-    """One stack of paths over every word up to length 2 reads its words in
-    one pass: at most one map call per (letter, position from the end), one
-    family call, and without a family one value call per (generator, word
-    length); the class check and the section cocycle share the images."""
+def test_class_path_rows_read_each_stage_once(name, models, monkeypatch):
+    """A stage of paths over every word up to length 2, in three stacks,
+    reads what no stack owns once: one wave draw from the shared generator,
+    one read of the words for the chords and one section read at the starts,
+    each with at most one map call per (letter, position from the end); the
+    section read makes one family call, or without a family one value call
+    per (generator, word length). The class check and the section cocycle
+    share the section read's images."""
     model = models[name]
     bundle, connection, section = model.bundle, model.connection, model.reference_section
-    calls, stacks = Counter(), []
+    calls, draws, reads, sizes = Counter(), Counter(), [], []
     counting = _counting(bundle, calls)
-    words = list(bundle.action.words_up_to(2))
+    samples = 512
+    per = _per_stack(samples, bundle.space.dimension)
+    every = list(bundle.action.words_up_to(2))
+    words = [every[i % len(every)] for i in range(2 * per + 1)]
+    bases = probe_points(bundle.space, len(words), 3, tag="count-bases")
+    section_rows = holonomy.section_rows
 
-    def measure(part, stack):
-        stacks.append(part)
-        counted = class_holonomies(counting, connection, section, part, stack)
-        assert np.array_equal(counted, class_holonomies(bundle, connection, section, part, stack))
-        return counted
+    def counted_read(*args, **kwargs):
+        before = Counter(calls)
+        out = section_rows(*args, **kwargs)
+        reads.append(calls - before)
+        return out
 
-    class_path_rows(
-        bundle, words, probe_points(bundle.space, len(words), 3, tag="count-bases"),
-        [rng_for(3, f"count-{k}") for k in range(len(words))], 16, measure,
+    def measure(stack):
+        sizes.append(len(stack.points))
+        return segment_sum(connection.rho_ref.many, stack)
+
+    monkeypatch.setattr(holonomy, "section_rows", counted_read)
+    rng = _CountingRng(rng_for(3, "count"), draws)
+    rows = class_path_rows(
+        counting, connection, section, words, bases, [rng] * len(words), samples, measure
     )
-    assert stacks == [words]
+    assert sizes == [per, per, 1] and draws["normal"] == 1 and len(reads) == 1
+    monkeypatch.undo()
+    assert np.array_equal(rows, class_path_rows(
+        bundle, connection, section, words, bases, [rng_for(3, "count")] * len(words), samples,
+        measure,
+    ))
     read = {(word[-1 - p], p) for word in words for p in range(len(word))}
-    for letter in {letter for letter, _ in read}:
-        assert 0 < calls[letter] <= sum(1 for at, _ in read if at == letter), letter
+    for counted in (reads[0], calls - reads[0]):  # the section read, the chords
+        for letter in {letter for letter, _ in read}:
+            assert 0 < counted[letter] <= sum(1 for at, _ in read if at == letter), letter
     has_family = bundle.cocycle.family is not None
-    assert calls["family"] == int(has_family)
+    assert reads[0]["family"] == calls["family"] == int(has_family)
     for label in bundle.action.labels:
-        assert calls[label] == (0 if has_family else 2), label
+        assert reads[0][label] == calls[label] == (0 if has_family else 2), label
+
+
+@pytest.mark.parametrize("name, bases", [
+    # -0.0 + 0 * (negative chord) stays -0.0, and the bump at t = 0 adds +0.0.
+    ("translation_shear", [[-0.0, -0.0], [-0.0, 1.5], [0.5, -0.0]]),
+    # -1e-17 wraps to 1.0 on the circle, and its start to 0.0.
+    ("torus_shift", [[-1e-17], [-0.0], [0.999999999999]]),
+])
+def test_stage_reads_its_section_at_the_stack_starts_bit_for_bit(name, bases, models, monkeypatch):
+    """The stage's one section read takes its points with the bits of the
+    stacks' start samples, signed zeros and wrapping included, not the
+    basepoints."""
+    model = models[name]
+    bundle, connection, section = model.bundle, model.connection, model.reference_section
+    read, section_rows = [], holonomy.section_rows
+
+    def recorded(bundle_, section_, words, xs, images=False):
+        read.append(xs)
+        return section_rows(bundle_, section_, words, xs, images)
+
+    monkeypatch.setattr(holonomy, "section_rows", recorded)
+    word = ((bundle.action.labels[0], -1),)
+    rows = class_path_rows(
+        bundle, connection, section, [word] * len(bases), np.array(bases),
+        [rng_for(2, "starts")] * len(bases), 8, lambda stack: stack.start,
+    )
+    (xs,) = read
+    assert xs.tobytes() == np.ascontiguousarray(rows[:, 1:]).tobytes()
+    assert xs.tobytes() != bundle.space.points(np.array(bases)).tobytes()
 
 
 def _corrupted(bundle, stacked_values: bool):
@@ -1314,28 +1372,25 @@ def test_class_path_rows_match_one_path_loops(name, models, lattice_models):
     # Every path, not only the worst one, with the stacks the route measures.
     stacks = []
 
-    def measure(part, stack):
-        stacks.append((part, stack))
-        hols = class_holonomies(bundle, connection, section, part, stack)
-        return np.column_stack([hols, segment_sum(form.many, stack) % 1.0])
+    def measure(stack):
+        stacks.append(stack)
+        return segment_sum(form.many, stack) % 1.0
 
-    rows = class_path_rows(
-        bundle, [w for w, _ in draws], [x for _, x in draws], [rng_for(4, "gap")] * count,
-        samples, measure,
-    )
-    assert [len(part) for part, _ in stacks] == [per, per, 1]
+    stage = (bundle, connection, section, [w for w, _ in draws], [x for _, x in draws])
+    rows = class_path_rows(*stage, [rng_for(4, "gap")] * count, samples, measure)
+    assert [len(stack.points) for stack in stacks] == [per, per, 1]
     assert rows[:, 0].tolist() == ref_hols and rows[:, 1].tolist() == ref_integrals
     # The stacked RK4 cross-check gives each path's holonomy and gap as the
     # one-path route does.
-    for part, stack in stacks:
-        values, gaps = class_holonomies(bundle, connection, section, part, stack, method="both")
-        for k, word in enumerate(part):
-            path = Path(space, stack.times, stack.points[k])
-            one = equivariant_holonomy(bundle, connection, section, word, path, method="both")
-            assert (values[k], gaps[k]) == (one.value.value, one.cross_check), (name, k)
+    both = class_path_rows(*stage, [rng_for(4, "gap")] * count, samples, method="both")
+    paths = np.concatenate([stack.points for stack in stacks])
+    for k, ((word, _), (value, gap)) in enumerate(zip(draws, both)):
+        path = Path(space, stacks[0].times, paths[k])
+        one = equivariant_holonomy(bundle, connection, section, word, path, method="both")
+        assert (value, gap) == (one.value.value, one.cross_check), (name, k)
     # A (K, S, d) Path is its K one-path rows, bit for bit, for total and
     # (F,) terms alike.
-    for _, stack in stacks:
+    for stack in stacks:
         assert_rows_match_one_path(stack, form.many)
         assert_rows_match_one_path(
             stack, lambda mids, steps: np.column_stack([form.many(mids, steps), mids[:, 0]])
@@ -1362,7 +1417,7 @@ def test_flat_character_matches_one_path_loop(name, models, lattice_models):
         assert report.spreads[label] == spread
 
 
-def test_path_stack_checks_name_the_first_faulty_path(models):
+def test_path_stack_checks_name_the_first_faulty_path(models, monkeypatch):
     """A fault in a later path of a stack raises what the one-path route
     raises for that path, type and message."""
     def same_error(stacked, single):
@@ -1379,9 +1434,10 @@ def test_path_stack_checks_name_the_first_faulty_path(models):
     word = (("r", 1),)
     rngs = [rng_for(6, f"fault-{k}") for k in range(4)]
     ts = np.linspace(0.0, 1.0, 64)
-    clean = Path(space, ts, class_path_rows(
-        bundle, [word] * 4, probe_points(space, 4, 6), rngs, 64, lambda _, stack: stack.points
-    ))
+    clean = Path(space, ts, np.stack([
+        random_class_path(space, bundle.action, word, x0, rng, 64).points
+        for x0, rng in zip(probe_points(space, 4, 6), rngs)
+    ]))
 
     # Samples outside the box [-6, 6]^2 on the last two paths.
     pts = clean.points.copy()
@@ -1421,12 +1477,29 @@ def test_path_stack_checks_name_the_first_faulty_path(models):
     )
     assert isinstance(err, EvaluationError)
 
-    # An endpoint off the image of the start under the word.
+    # An endpoint off the image of the start under the word, on the route's
+    # fourth path: the stage read its images at the clean starts.
     off = clean.points.copy()
     off[3, -1] += 0.01
-    stack = Path(space, ts, off)
+    sampler = holonomy._class_sampler
+
+    def off_end(*args):
+        points = sampler(*args)
+
+        def moved(rows, times):
+            pts = points(rows, times)
+            if pts.shape[1] == len(ts):  # a stack, not the start samples
+                pts[3, -1] += 0.01
+            return pts
+
+        return moved
+
+    monkeypatch.setattr(holonomy, "_class_sampler", off_end)
     err = same_error(
-        lambda: class_holonomies(bundle, model.connection, section, [word] * 4, stack),
+        lambda: class_path_rows(
+            bundle, model.connection, section, [word] * 4, probe_points(space, 4, 6),
+            [rng_for(6, f"fault-{k}") for k in range(4)], 64,
+        ),
         lambda: equivariant_holonomy(
             bundle, model.connection, section, word, Path(space, ts, off[3]), method="formula"
         ),
@@ -1464,11 +1537,8 @@ def test_class_path_rows_keep_each_form_call_under_the_cap(lattice_models):
         assert len(seen) >= 8 and 0 < max(seen) <= STACK_FLOATS
         seen.clear()
         class_path_rows(
-            model.bundle, [w for w, _ in draws], [x for _, x in draws], [rng_for(1, "cap")] * 8,
-            samples, lambda part, stack: np.column_stack([
-                class_holonomies(model.bundle, connection, section, part, stack),
-                segment_sum(form.many, stack),
-            ]),
+            model.bundle, connection, section, [w for w, _ in draws], [x for _, x in draws],
+            [rng_for(1, "cap")] * 8, samples, lambda stack: segment_sum(form.many, stack),
         )
     finally:
         del rho.many
@@ -1476,11 +1546,12 @@ def test_class_path_rows_keep_each_form_call_under_the_cap(lattice_models):
 
 
 def test_class_path_rows_join_wide_rows_in_path_order(models):
-    """A measure of ``(K, F)`` rows over three stacks gives one ``(N, F)``
-    array: row k is the start and form integral of the one-path route's
-    path k."""
+    """A measure of ``(K, F)`` rows over three stacks gives one ``(N, 1 + F)``
+    array: row k is the holonomy, start and form integral of the one-path
+    route's path k."""
     model = models["rotation"]
     bundle, space = model.bundle, model.space
+    connection, section = model.connection, model.reference_section
     samples = 64
     per = _per_stack(samples, space.dimension)
     count = 2 * per + 1
@@ -1489,16 +1560,17 @@ def test_class_path_rows_join_wide_rows_in_path_order(models):
     form = OneForm.from_expressions(space, ["0.3*sin(x2)", "0.2*x1"], name="probe")
     sizes = []
 
-    def measure(part, stack):
-        sizes.append(len(part))
+    def measure(stack):
+        sizes.append(len(stack.points))
         return np.column_stack([stack.start, segment_sum(form.many, stack)])
 
     rngs = [rng_for(8, f"wide-{k}") for k in range(count)]
-    rows = class_path_rows(bundle, words, bases, rngs, samples, measure)
-    assert sizes == [per, per, 1] and rows.shape == (count, space.dimension + 1)
+    rows = class_path_rows(bundle, connection, section, words, bases, rngs, samples, measure)
+    assert sizes == [per, per, 1] and rows.shape == (count, space.dimension + 2)
     for k, (word, x0) in enumerate(zip(words, bases)):
         path = random_class_path(space, bundle.action, word, x0, rng_for(8, f"wide-{k}"), samples)
-        assert rows[k].tolist() == [*path.start, line_integral(form, path)]
+        one = equivariant_holonomy(bundle, connection, section, word, path, method="formula")
+        assert rows[k].tolist() == [one.value.value, *path.start, line_integral(form, path)]
 
 
 def test_membership_periods_are_one_path_integral_per_candidate(models):

@@ -5,6 +5,7 @@ No benchmark runs here: each pair is a hand-written result of the shape
 """
 
 import argparse
+import json
 import types
 from pathlib import Path
 
@@ -67,3 +68,50 @@ def test_seed_range():
     assert tool.seed_range("9") == [9]
     with pytest.raises(argparse.ArgumentTypeError):
         tool.seed_range("6-3")
+
+
+def traced(global_self_s, verdict_self_s, untraced_ops):
+    """A canned ``--trace 1`` result: per-layer metrics only."""
+    values = {"local_search.global_form.self_s": (global_self_s, "s"),
+              "local_search.local_verdict.self_s": (verdict_self_s, "s"),
+              "trace.untraced_ops_per_s": (untraced_ops, "1/s")}
+    metrics = {name: {"value": v, "unit": unit} for name, (v, unit) in values.items()}
+    return {"correct": True, "attempted": 20, "failed": 0, "metrics": metrics}
+
+
+def test_traced_pairs_summarise_the_per_layer_metrics():
+    tool = load_tool()
+    spec = {"end_to_end": [{"name": "ops_per_s", "better": "higher"}],
+            "per_layer": [{"name": "local_search.global_form.self_s", "better": "lower"},
+                          {"name": "local_search.local_verdict.self_s", "better": "lower"},
+                          {"name": "trace.untraced_ops_per_s", "better": "higher"}]}
+    assert tool.directions(spec, 0) == {"ops_per_s": "higher"}
+    better = tool.directions(spec, 1)
+    assert list(better) == [m["name"] for m in spec["per_layer"]]
+    # (parent, change) per pair of each metric, in the order of traced().
+    canned = [((0.30, 0.25), (0.10, 0.09), (60.0, 66.0)),
+              ((0.28, 0.26), (0.11, 0.12), (61.0, 65.0)),
+              ((0.32, 0.27), (0.10, 0.08), (59.0, 59.0))]
+    pairs = [{"seed": 21 + i, "first": "parent" if i % 2 == 0 else "change",
+              "parent": traced(*(p for p, _ in row)), "change": traced(*(c for _, c in row))}
+             for i, row in enumerate(canned)]
+    out = tool.summarise(pairs, better)
+    global_form = out["summary"]["local_search.global_form.self_s"]
+    assert global_form == {"parent_median": 0.30, "parent_iqr": round(0.31 - 0.29, 6),
+                           "change_median": 0.26, "ratio": round(0.26 / 0.30, 4),
+                           "change_wins_of_pairs": 3}
+    assert out["parent"]["metrics"]["local_search.global_form.self_s"]["runs"] == [0.3, 0.28, 0.32]
+    # Lower self time wins; one pair lost.
+    assert out["summary"]["local_search.local_verdict.self_s"]["change_wins_of_pairs"] == 2
+    # Higher throughput wins; a tie is no win.
+    assert out["summary"]["trace.untraced_ops_per_s"]["change_wins_of_pairs"] == 2
+    assert out["change"]["metrics"]["trace.untraced_ops_per_s"]["median"] == 65.0
+
+
+def test_every_benchmark_metric_has_a_direction():
+    tool = load_tool()
+    spec = json.loads((TOOL.parents[1] / "BENCHMARK.json").read_text(encoding="utf-8"))
+    for trace, key in ((0, "end_to_end"), (1, "per_layer")):
+        better = tool.directions(spec, trace)
+        assert len(better) == len(spec[key]) and set(better.values()) <= {"higher", "lower"}
+    assert tool.directions(spec, 1)["local_search.global_form.self_s"] == "lower"

@@ -19,20 +19,27 @@ for the test's duration, in its module and in every ``equihol`` module that
 imported it. A row with no scenario runs its command as it stands. A
 command named ``<name>_suite`` runs that selftest suite of
 ``equihol.suites`` on the one scenario at the given seed and prints its
-entries on one line, exiting 1 when the suite fails.
+entries on one line, exiting 1 when the suite fails. Two more commands
+print one line: ``verdict_stop`` prints a verdict's outcome and its last
+stage with that stage's data, exiting as ``verdict`` does, and ``replay``
+rebuilds the certificate a CANCELS chart verdict prints and revalidates it
+as ``test_certificate_replay`` does, exiting 1 when that fails.
 """
 
 import contextlib
 import importlib
 import io
+import json
 import re
 import sys
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
 import pytest
+from test_certificate_replay import chart_revalidations
 
-from equihol import geometry, suites
+from equihol import bundle, geometry, solvers, suites
 from equihol.cli import main
 from equihol.scenario import format_scenario, load_scenario, parse_scenario
 
@@ -101,6 +108,40 @@ def _heavy_simpson(form, path):
 def _first_to_last(words, reading=geometry._letter_rows):
     """``geometry._letter_rows`` reading each row's letters first to last."""
     return reading([word[::-1] for word in words])
+
+
+def _first_stack_values(per: int):
+    """``bundle.section_rows`` where a read with images, the one section
+    read of a class-path stage, gives every stack of ``per`` paths the
+    values of the first stack's paths."""
+    def read(bundle_, section, words, xs, images=False, section_rows=bundle.section_rows):
+        out = section_rows(bundle_, section, words, xs, images)
+        if not images:
+            return out
+        ys, values = out
+        return ys, values[np.arange(len(values)) % per]
+
+    return read
+
+
+def _cut_at_1e_2(coefficients):
+    """``solvers._significant`` keeping only coefficients above 1e-2."""
+    return {k: v for k, v in (coefficients or {}).items() if abs(v) > 1e-2}
+
+
+def _swapped_keys(coefficients, significant=solvers._significant):
+    """``solvers._significant`` printing the coefficients under their keys
+    in reverse order."""
+    kept = significant(coefficients)
+    return dict(zip(reversed(list(kept)), kept.values()))
+
+
+# translation_shear scaled by 0.005, certified by the primitive -0.005 x2 dx1.
+WEAK_SHEAR = {
+    ("cocycle", "s"): "0.005 * x2", ("cocycle_family", "family"): "0.005 * n1 * x2",
+    ("lie.T", "alpha"): "0.005 * t * x2", ("connection", "rho"): "[0.0, 0.005 * x1]",
+    ("moment", "T"): "0.005 * x2",
+}
 
 
 FAULTS = {
@@ -196,14 +237,80 @@ FAULTS = {
         r"error: invariance defect of 'g' is not closed; "
         r"the curvature is not invariant under the full group\n",
     ),
+    # Every stack of a class-path stage reading the first stack's section
+    # values. The chart revalidation of translation_shear takes 20 paths of
+    # 384 samples, two stacks of 10, and the cocycle x2 of its shift varies
+    # along the orbits: path 10, s^2 from the base of path 0, reads the
+    # value of s there. The flat character's 6 paths per generator fit in
+    # one stack and miss it, and trivial, whose cocycle vanishes, cannot
+    # show it.
+    "misaligned_stage_values": Fault(
+        "revalidation holonomy gap", "translation_shear", {}, ("verdict_stop",), 3,
+        r"INCONCLUSIVE at revalidation: fail; curvature_residual \S+, "
+        r"holonomy_residual 0\.4423\d+, ok False, pairs 20\n",
+        ("equihol.bundle", "section_rows",
+         _first_stack_values(geometry.STACK_FLOATS // (383 * 2))),
+    ),
+    # Reports leaving out a coefficient below 1e-2: the verdict stands, but
+    # the certificate it prints no longer holds.
+    "significant_cut_at_1e_2": Fault(
+        "certificate replay", "translation_shear", WEAK_SHEAR, ("replay",), 1,
+        r"replay of CANCELS: holonomy residual 2\.2\d\de-02, curvature residual \S+, ok False\n",
+        ("equihol.solvers", "_significant", _cut_at_1e_2),
+    ),
+    "swapped_coefficient_keys": Fault(
+        "certificate replay", "rotation", {}, ("replay",), 1,
+        r"replay of CANCELS: holonomy residual 4\.234e-01, curvature residual \S+, ok False\n",
+        ("equihol.solvers", "_significant", _swapped_keys),
+    ),
 }
 
 
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = _suite(*argv) if argv[0].endswith("_suite") else main(argv)
+        if argv[0].endswith("_suite"):
+            code = _suite(*argv)
+        else:
+            code = COMMANDS.get(argv[0], main)(argv)
     return code, out.getvalue() + err.getvalue()
+
+
+def _verdict_report(path):
+    """Exit code and report of ``verdict`` on the scenario at ``path``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["verdict", path, "--format", "json-like"])
+    return code, json.loads(out.getvalue())
+
+
+def _verdict_stop(argv):
+    code, report = _verdict_report(argv[1])
+    result = report["result"]
+    last = result["stages"][-1]
+    data = ", ".join(f"{key} {value}" for key, value in last["data"].items())
+    print(f"{result['outcome']} at {last['name']}: {last['status']}; {data}")
+    return code
+
+
+def _replay(argv):
+    code, report = _verdict_report(argv[1])
+    if code != 0:
+        print(f"no certificate: verdict {report['result']['outcome']}")
+        return 1
+    scenario = load_scenario(argv[1])
+    revals = chart_revalidations(
+        scenario, scenario.solver_config(**report["config"]), report["result"]["certificate"],
+        report["result"]["ansatz"],
+    )
+    ok = all(reval["ok"] for reval in revals)
+    print(f"replay of CANCELS: "
+          f"holonomy residual {max(r['holonomy_residual'] for r in revals):.3e}, "
+          f"curvature residual {max(r['curvature_residual'] for r in revals):.3e}, ok {ok}")
+    return 0 if ok else 1
+
+
+COMMANDS = {"verdict_stop": _verdict_stop, "replay": _replay}
 
 
 def _suite(name, path, seed):

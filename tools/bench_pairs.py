@@ -24,6 +24,12 @@ direction ``BENCHMARK.json`` declares better. It also records the
 environment line of the benchmark. Medians and quartiles are
 ``statistics.quantiles(..., method="inclusive")``, numpy's linear
 percentiles.
+
+``--trace 1`` runs the pairs with ``--trace 1`` in place of ``--trace 0``
+and summarises, the same way, every ``per_layer`` metric of
+``BENCHMARK.json``: calls, self time and work counts per layer, and the
+per-scenario wall times, from one untraced and one traced cycle per run
+(``--seconds`` is passed on but the cycles are not timed).
 """
 
 import argparse
@@ -46,11 +52,11 @@ def seed_range(text: str) -> list:
     return seeds
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``--trace 0`` run in a checkout: its JSON result, with the
-    environment line under ``"env"``."""
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """One run in a checkout: its JSON result, with the environment line
+    under ``"env"``."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0"]
+            "--seconds", str(seconds), "--trace", str(trace)]
     done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     lines = done.stdout.splitlines()
     if done.returncode != 0 or not lines:
@@ -68,11 +74,17 @@ def quartiles(runs: list) -> dict:
             "runs": [round(r, 6) for r in runs]}
 
 
+def directions(spec: dict, trace: int) -> dict:
+    """Each metric a pair summarises, end-to-end or, traced, per-layer, to
+    ``"higher"`` or ``"lower"`` as ``BENCHMARK.json`` declares it better."""
+    return {m["name"]: m["better"] for m in spec["per_layer" if trace else "end_to_end"]}
+
+
 def summarise(pairs: list, better: dict) -> dict:
     """The per-workload record of a list of pairs, each
     ``{"seed", "first", "parent": result, "change": result}`` with results
-    as ``perfbench/run.py`` prints them; ``better`` maps each end-to-end
-    metric to ``"higher"`` or ``"lower"``."""
+    as ``perfbench/run.py`` prints them; ``better`` maps each metric to
+    ``"higher"`` or ``"lower"``."""
     out = {"seeds": [p["seed"] for p in pairs], "first": [p["first"] for p in pairs]}
     for side in SIDES:
         results = [p[side] for p in pairs]
@@ -108,13 +120,15 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", required=True, type=seed_range)
     parser.add_argument("--seconds", required=True, type=float)
     parser.add_argument("--out", required=True, type=Path)
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    better = directions(spec, args.trace)
+    headline = "trace.untraced_ops_per_s" if args.trace else "ops_per_s"
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     record = {
         "command": f"python3 perfbench/run.py --workload <w> --seed <s> "
-                   f"--seconds {args.seconds:g} --trace 0",
+                   f"--seconds {args.seconds:g} --trace {args.trace}",
         "pairs": "alternating parent/change pairs, the same seed on both sides; "
                  "the parent runs first in even-numbered pairs (from 0)",
         "workloads": {},
@@ -125,12 +139,12 @@ def main(argv=None) -> int:
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             pair = {"seed": seed, "first": order[0]}
             for side in order:
-                pair[side] = run_once(checkouts[side], workload, seed, args.seconds)
+                pair[side] = run_once(checkouts[side], workload, seed, args.seconds, args.trace)
             record.setdefault("environment", pair["change"]["env"])
             pairs.append(pair)
-            ratio = [pair[s]["metrics"]["ops_per_s"]["value"] for s in SIDES]
-            print(f"{workload} seed {seed}: ops_per_s parent {ratio[0]:.2f} change {ratio[1]:.2f}",
-                  flush=True)
+            ratio = [pair[s]["metrics"][headline]["value"] for s in SIDES]
+            print(f"{workload} seed {seed}: {headline} parent {ratio[0]:.2f} "
+                  f"change {ratio[1]:.2f}", flush=True)
         record["workloads"][workload] = summarise(pairs, better)
         args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(f"pairs written to {args.out}")
