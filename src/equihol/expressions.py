@@ -304,6 +304,14 @@ def _compile(node: Expr) -> Callable[[dict], float]:
     raise TypeError(f"not an expression node: {node!r}")
 
 
+def names(node: Expr) -> set:
+    """The identifiers an AST reads."""
+    if isinstance(node, Var):
+        return {node.name}
+    children = node.args if isinstance(node, Call) else vars(node).values()
+    return set().union(*(names(c) for c in children if not isinstance(c, (str, float, int, Span))))
+
+
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 

@@ -10,6 +10,10 @@ difference derivatives); local functionals sum a density over sites times
 the spacing, realizing integration of jet-level data. Local one-forms
 carry one coefficient density per variation-jet slot, which makes their
 linearity in the variation structural.
+
+Jets are computed only as far as a density reads them, and a constant-0
+slot reads none. The density basis checks finiteness once per contraction,
+on its small result, and scans its member tensor only when that fails.
 """
 
 from __future__ import annotations
@@ -132,14 +136,16 @@ class LocalDensity:
 
     Built from the expression language over the jet symbols; the evaluator
     receives a single site's jet (or the stacked arrays), which enforces
-    locality structurally.
+    locality structurally. Of the jets up to ``order`` it reads those up to
+    ``reads`` (lower for an expression); ``zero`` marks the expression 0.
     """
 
     def __init__(self, lattice: LatticeBase, fn: Callable[[dict], np.ndarray], order: int, name=""):
         self.lattice = lattice
         self.fn = fn
-        self.order = order
+        self.order = self.reads = order
         self.name = name
+        self.zero = False
 
     @classmethod
     def from_expression(cls, lattice: LatticeBase, text_or_ast, order: int, name=""):
@@ -150,14 +156,17 @@ class LocalDensity:
             else text_or_ast
         )
         ev = expressions.compile_expr(ast)
-        return cls(lattice, ev, order, name or expressions.to_source(ast))
+        dens = cls(lattice, ev, order, name or expressions.to_source(ast))
+        dens.reads = max(map(JET_NAMES.index, expressions.names(ast) & set(JET_NAMES)), default=0)
+        dens.zero = ast == expressions.Num(0.0)
+        return dens
 
     def values(self, field_values) -> np.ndarray:
-        return self.on_jets(jets(self.lattice, field_values, self.order))
+        return self.on_jets(jets(self.lattice, field_values, self.reads))
 
     def on_jets(self, env: Dict[str, np.ndarray]) -> np.ndarray:
-        """The density at every site of jets from :func:`jets`, of this
-        density's order or higher; the shape is that of ``env["u"]``."""
+        """The density at every site of jets from :func:`jets`, up to the
+        order it reads or higher; the shape is that of ``env["u"]``."""
         out = np.broadcast_to(np.asarray(self.fn(env), dtype=float), np.shape(env["u"]))
         _require_finite(out, self.name)
         return out
@@ -220,8 +229,9 @@ class LocalOneForm:
 
     Evaluates as the lattice sum of ``coeff_k(jet of s) * D^k(ds)`` over
     sites, times the spacing. Linearity in the variation is structural.
-    The jets of s are computed once per call, up to the highest slot
-    density order, and every argument may be an ``(N, m)`` stack.
+    A constant-0 slot adds no term (it would add exactly +-0.0). The jets
+    of s and ds are computed once per call, up to the highest order the
+    terms read, and every argument may be an ``(N, m)`` stack.
     """
 
     def __init__(self, lattice: LatticeBase, slot_densities: Sequence[LocalDensity], name=""):
@@ -230,17 +240,17 @@ class LocalOneForm:
         self.lattice = lattice
         self.slot_densities = list(slot_densities)
         self.name = name
-        self._jet_order = max(dens.order for dens in self.slot_densities)
+        self._terms = [(k, dens) for k, dens in enumerate(self.slot_densities) if not dens.zero]
 
     def __call__(self, field_values, variation) -> float:
         return float(self.values(field_values, variation))
 
     def values(self, field_values, variations):
         """The form at a field and variation, or ``(N,)`` values on stacks."""
-        env = jets(self.lattice, field_values, self._jet_order)
-        dv = jets(self.lattice, variations, len(self.slot_densities) - 1)
-        total = 0.0
-        for k, dens in enumerate(self.slot_densities):
+        env = jets(self.lattice, field_values, max((d.reads for _, d in self._terms), default=0))
+        dv = jets(self.lattice, variations, max((k for k, _ in self._terms), default=0))
+        total = np.zeros(np.broadcast_shapes(env["u"].shape, dv["u"].shape)[:-1])
+        for k, dens in self._terms:
             total = total + np.sum(dens.on_jets(env) * dv[JET_NAMES[k]], axis=-1)
         return total * self.lattice.spacing
 
@@ -437,7 +447,8 @@ class DensityBasis:
     """Monomials in the jet slots up to a total degree: the lattice ansatz,
     counterpart of ``solvers.ScalarBasis`` and ``FormBasis``. Its matrices
     read one ``(M, N, m)`` member tensor of a whole field stack, on jets
-    computed once, and reduce it over sites, the last axis."""
+    computed once, and reduce it over sites, the last axis; a non-finite
+    member makes every reduced value it enters non-finite (inf * 0 is nan)."""
 
     def __init__(self, lattice: LatticeBase, jet_order: int, degree: int):
         self.lattice, self.jet_order = lattice, jet_order
@@ -467,29 +478,36 @@ class DensityBasis:
 
     def members(self, fields) -> np.ndarray:
         """The ``(M, N, m)`` tensor of every member on the jets of a field
-        stack, off one power table; a non-finite member names its (row, site)."""
+        stack, off one power table, unchecked: see :meth:`_reduced`."""
         env = jets(self.lattice, np.reshape(fields, (-1, self.lattice.sites)), self.jet_order)
         tensor = np.empty((len(self.names),) + env["u"].shape)
         with np.errstate(over="ignore", invalid="ignore"):
             powers = self.powers(env, range(len(self.names)))
             # The product rule of member(), written into the tensor's rows:
-            # 1.0 * x == x exactly, so starting from the first factor keeps
-            # every bit.
+            # 1.0 * x == x * 1.0 == x exactly, so starting from the product
+            # of the first two factors keeps every bit.
             for j, row in enumerate(tensor):
                 first, *rest = self._factors(j, powers) or [1.0]
-                row[...] = first
+                np.multiply(first, rest.pop(0) if rest else 1.0, out=row)
                 for factor in rest:
                     np.multiply(row, factor, out=row)
-        finite = np.isfinite(tensor).reshape(len(tensor), -1).all(axis=1)
-        if not finite.all():
-            j = int(np.argmin(finite))
-            _require_finite(tensor[j], self.names[j])
         return tensor
+
+    def _reduced(self, fields, reduce: Callable) -> np.ndarray:
+        """``reduce`` of the member tensor, checked for finiteness once; only a
+        non-finite value scans the tensor for its first non-finite member."""
+        tensor = self.members(fields)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = reduce(tensor)
+        if not np.isfinite(values).all():
+            for name, member in zip(self.names, tensor):
+                _require_finite(member, name)
+        return values
 
     def functionals(self, fields) -> np.ndarray:
         """``(N, M)`` lattice integrals of the members."""
-        sums = np.ascontiguousarray(np.sum(self.members(fields), axis=-1).T)
-        return sums * self.lattice.spacing
+        sums = self._reduced(fields, lambda t: np.sum(t, axis=-1).T)
+        return np.ascontiguousarray(sums) * self.lattice.spacing
 
     def forms(self, fields, variations, slots: Sequence[int]) -> np.ndarray:
         """``(N, M * S)`` values of the one-forms ``member du<k>`` at stacked
@@ -498,7 +516,7 @@ class DensityBasis:
         ``(N, M, m) @ (N, m, S)``, contracts every row on its own."""
         dv = jets(self.lattice, np.reshape(variations, (-1, self.lattice.sites)), max(slots))
         on_slots = np.stack([dv[JET_NAMES[k]] for k in slots], axis=-1)
-        values = np.matmul(self.members(fields).transpose(1, 0, 2), on_slots)
+        values = self._reduced(fields, lambda t: np.matmul(t.transpose(1, 0, 2), on_slots))
         return values.reshape(len(values), -1) * self.lattice.spacing
 
     def combine(self, coefficients, slots: Optional[Sequence[int]] = None):

@@ -639,6 +639,9 @@ def invariance_obstruction(
 # Largest integer slack per generator of a membership search over at most
 # two generators; with more, the slack is at most 2.
 MEMBERSHIP_SLACK = 16
+# Largest circle residual of a member, which --tol does not move: a
+# residual near 0.5, the largest distance on the circle, is never a match.
+MEMBERSHIP_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -720,7 +723,7 @@ def character_membership(
     slack_map = dict(zip(gens, (int(m) for m in slack)))
     combo = None
     decision = "non-member-within-candidates"
-    if resid <= cfg.holdout_tol:
+    if resid <= MEMBERSHIP_TOL:
         decision = "member"
         combo = combination(lam)
     return MembershipResult(

@@ -144,6 +144,22 @@ WEAK_SHEAR = {
 }
 
 
+# affine_line turned into the translation t1 and the doubling s1, with the
+# relator s1 t1 s1^-1 = t1^2 and the cocycle family 0.5*n2: the
+# doubling_family.scn case of tools/capture_reports.py.
+DOUBLING_FAMILY = {
+    ("group.t1", "identity_component"): "false",
+    ("group.s1", "forward"): "[2*x1]", ("group.s1", "inverse"): "[0.5*x1]",
+    ("group.s1", "identity_component"): "false",
+    ("relations", "r"): "s1 t1 s1^-1 t1^-2",
+    ("cocycle", "t1"): "0", ("cocycle", "s1"): "0.5",
+    ("cocycle_family", "family"): "0.5*n2",
+    ("connection", "rho"): "[0]",
+    ("lie.T", None): None, ("lie.S", None): None, ("moment", None): None,
+    ("section.planted", None): None,
+}
+
+
 FAULTS = {
     # s1^-1 t1 s1 commutes with t1, so their commutator, a relator of 8
     # letters, is first seen at word length 4; a cubic t1 value gives it a
@@ -215,6 +231,19 @@ FAULTS = {
     "letters_first_to_last": Fault(
         "path class", "affine_line", {}, ("holonomy", "--word", "t1 s1^-1"), 1,
         r"error: path endpoint misses the image of its start under 't1 s1\^-1' by 3\.935e-01\n",
+        ("equihol.geometry", "_letter_rows", _first_to_last),
+    ),
+    # The same reading on a cocycle family over two generators. A family
+    # reads only exponent sums and every image comes from the stacked
+    # read, so paths, class checks and cocycle checks agree under the
+    # fault, as they would on any family scenario; the character, being
+    # abelian, takes one value on a word and on its reversal. The declared
+    # relator read first letter first, x -> 2x -> 2x + 1 -> x + 0.5 ->
+    # x - 1.5, is no relator, and the action's relation check at model
+    # build sees it.
+    "letters_first_to_last_relator": Fault(
+        "action relations", "affine_line", DOUBLING_FAMILY, ("holonomy", "--word", "t1 s1^-1"), 1,
+        r"error: action relation defect 1\.500e\+00 exceeds 1e-08\n",
         ("equihol.geometry", "_letter_rows", _first_to_last),
     ),
     # Every row of a stacked family call valued at the exponents of the

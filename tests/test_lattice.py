@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from equihol import lattice
 from equihol.errors import EvaluationError, PreconditionError
 from equihol.lattice import (
+    DensityBasis,
     LatticeBase,
     LocalDensity,
     LocalFunctional,
@@ -146,6 +148,53 @@ def test_functional_differential_is_local_one_form(rng):
     eps = 1e-6
     fd = (F(s + eps * v) - F(s - eps * v)) / (2 * eps)
     assert dF(s, v) == pytest.approx(fd, abs=1e-7)
+
+
+def test_local_one_form_computes_only_the_jets_it_reads(monkeypatch):
+    # The connection of lattice_planted_local, [0.6*u, 0, 0]: its one term
+    # reads the field and the variation themselves, so no centered
+    # difference runs, and its values equal, bit for bit, the sum over
+    # every slot with the zero slots' terms written out.
+    calls = []
+    difference = lattice.centered_difference
+    monkeypatch.setattr(lattice, "centered_difference",
+                        lambda lat, values: calls.append(values) or difference(lat, values))
+    form = LocalOneForm(LAT, [LocalDensity.from_expression(LAT, t, 2) for t in ("0.6*u", "0", "0")])
+    fields = random_fields(LAT, 5, rng_for(4, "read-fields"))
+    variations = random_fields(LAT, 5, rng_for(4, "read-variations"))
+    values = form.values(fields, variations)
+    assert calls == []
+    d1 = difference(LAT, variations)
+    d2 = difference(LAT, d1)
+    expected = (0.0 + np.sum(0.6 * fields * variations, axis=-1) + np.sum(0.0 * d1, axis=-1)
+                + np.sum(0.0 * d2, axis=-1)) * LAT.spacing
+    assert values.shape == (5,) and np.array_equal(values, expected)
+    # With every slot zero the form still gives one value per row.
+    zero = LocalOneForm(LAT, [LocalDensity.from_expression(LAT, "0", 2)] * 2)
+    assert np.array_equal(zero.values(fields, variations), np.zeros(5))
+    assert calls == []
+
+
+@pytest.mark.parametrize("jet_order, variation_zero, named", [
+    # The first member in basis order to overflow is named, at its first
+    # non-finite site: u2^2 at site 7, two sites before the large value.
+    (2, False, "density 'u2\\^2' non-finite at row 1, site 7"),
+    # u^2 overflows at site 9 alone, where the variation and its jets are
+    # 0: the contraction sees inf * 0, which must be nan.
+    (0, True, "density 'u\\^2' non-finite at row 1, site 9"),
+])
+def test_basis_overflow_is_named_through_the_contraction(jet_order, variation_zero, named):
+    basis = DensityBasis(LAT, jet_order, 2)
+    fields = random_fields(LAT, 3, rng_for(5, "overflow-fields"))
+    fields[1, 9] = 1e160
+    variations = random_fields(LAT, 3, rng_for(5, "overflow-variations"))
+    if variation_zero:
+        variations[1, 7:12] = 0.0
+        dv = jets(LAT, variations, 2)
+        assert all(dv[k][1, 9] == 0.0 for k in ("u", "u1", "u2"))
+    for matrix in (basis.functionals, lambda fields: basis.forms(fields, variations, [0, 1, 2])):
+        with pytest.raises(EvaluationError, match=named):
+            matrix(fields)
 
 
 # ---------------------------------------------------------------------------

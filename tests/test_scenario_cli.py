@@ -644,10 +644,10 @@ def edited_cases():
         ("lattice_order5.scn", "OBSTRUCTED", "cocycle", 2, {"max_residual": 0.5, "checks": 128}),
         ("no_candidate.scn", "OBSTRUCTED", "character_membership", 2,
          {"decision": "non-member-within-candidates"}),
-        # At --tol 0.6 the empty candidate list is a member, with residual
-        # 0.5, and the certificate misses every holonomy by 0.5.
-        ("no_candidate_tol.scn", "INCONCLUSIVE", "revalidation", 3,
-         {"ok": False, "holonomy_residual": 0.5}),
+        # --tol 0.6 does not move the membership bound: the empty candidate
+        # list, 0.5 away from the character on the circle, is no member.
+        ("no_candidate_tol.scn", "OBSTRUCTED", "character_membership", 2,
+         {"decision": "non-member-within-candidates", "residual": 0.5}),
         # Neither the fully invariant search nor the identity-component one
         # finds a constant primitive of the shear curvature.
         ("primitive_deg0.scn", "INCONCLUSIVE", "equivariant_primitive", 3,

@@ -30,7 +30,7 @@ and ``curvature`` in both formats, ``holonomy`` of ``g`` and ``g^2`` for
 every generator ``g`` along the ``unit`` and ``wiggle:3`` paths, the
 two-generator word ``t1 s1^-1`` of ``affine_line`` (the one bundled
 cocycle without a family) along ``wiggle:3``, ``selftest``, the
-typed-error cases, twenty-six edited copies of bundled scenarios and one
+typed-error cases, twenty-seven edited copies of bundled scenarios and one
 ``--out`` report.
 """
 
@@ -106,8 +106,8 @@ EDITED_CASES = [
     # Stopping paths of the verdict scaffold that no bundled scenario reaches:
     # a shift of order 5 on the circle and on the lattice, whose cocycle on
     # the fifth power (1.25, 2.5) is not an integer, and a holdout tolerance
-    # loose enough that the empty candidate list matches the character 0.5,
-    # whose certificate then fails revalidation.
+    # of 0.6, which leaves the membership bound where it is: the empty
+    # candidate list, 0.5 from the character, is no member.
     ("torus_order5.scn", "torus_shift", "forward = [x1 + 0.3]\ninverse = [x1 - 0.3]",
      "forward = [x1 + 0.2]\ninverse = [x1 - 0.2]", "verdict"),
     ("lattice_order5.scn", "lattice_fiber_shift",
@@ -145,6 +145,23 @@ EDITED_CASES = [
     # the holonomies.
     ("lattice_slots.scn", "lattice_fiber_shift", "[solver]", "[solver]\nslots = [1, 2]",
      "verdict --local --seed 0"),
+    # A cocycle family on two generators that do not commute: affine_line
+    # turned into the translation t1 and the doubling s1, with the relator
+    # s1 t1 s1^-1 = t1^2 and the character 0.5 on s1 alone. Its only
+    # invariant connection is 0; no candidate is declared.
+    ("doubling_family.scn", "affine_line",
+     "[group.t1]\nforward = [x1 + 1]\ninverse = [x1 - 1]\nidentity_component = true\n\n"
+     "[group.s1]\nforward = [exp(0.5)*x1]\ninverse = [exp(-0.5)*x1]\nidentity_component = true\n\n"
+     "[cocycle]\nt1 = 0.3*(x1 + 1)^2 - 0.3*x1^2\ns1 = 0.3*x1^2*(exp(1) - 1)\n\n"
+     "[lie.T]\nfield = [1]\nflow = [x1 + t]\nalpha = 0.3*(x1 + t)^2 - 0.3*x1^2\n\n"
+     "[lie.S]\nfield = [x1]\nflow = [exp(t)*x1]\nalpha = 0.3*x1^2*(exp(2*t) - 1)\n\n"
+     "[connection]\nrho = [0.6*x1]\n\n[moment]\nT = 0\nS = 0\n\n"
+     "[section.planted]\nlambda = 0.3*x1^2\n",
+     "[group.t1]\nforward = [x1 + 1]\ninverse = [x1 - 1]\n\n"
+     "[group.s1]\nforward = [2*x1]\ninverse = [0.5*x1]\n\n"
+     "[relations]\nr = s1 t1 s1^-1 t1^-2\n\n"
+     "[cocycle]\nt1 = 0\ns1 = 0.5\n\n[cocycle_family]\nfamily = 0.5*n2\n\n"
+     "[connection]\nrho = [0]\n", "verdict"),
 ]
 
 
