@@ -64,7 +64,7 @@ def solve_local_lie_coboundary(model, section: Section, cfg: SolverConfig):
     rows = np.vstack([flow_slope(basis.functionals, X, fit_fields) for X in generators.values()])
     targets = np.concatenate([anomalies[label].many(fit_fields) for label in generators])
     fit_bound = max(cfg.fit_tol, 1e-9)
-    coef, fit_res, cond = _lstsq_with_lifts(rows, targets, [False] * len(targets), fit_bound)
+    coef, fit_res, cond = _lstsq_with_lifts(rows, targets, fit_bound)
     combined = LocalFunctional(basis.combine(coef), name="fit")
     hold_rng = rng_for(cfg.seed, "local-lie-holdout")
     hold_fields = random_fields(model.lattice, max(12, len(names)), hold_rng)
@@ -115,8 +115,7 @@ def solve_local_global_form(model, section: Section, cfg: SolverConfig, slots=No
         functools.partial(segment_sum, forms), LOCAL_PATH_AMPLITUDE,
     )
     targets, blocks = list(paths[:, 0]), [paths[:, 1:]]
-    circle_groups = [wi for wi in range(len(fit_words)) for _ in base_fields]
-    circle_mask = [True] * len(targets)
+    groups = [wi for wi in range(len(fit_words)) for _ in base_fields]
     inv_fields = random_fields(model.lattice, 4, rng_for(cfg.seed, "local-global-inv"))
     inv_vars = random_fields(model.lattice, 3, rng_for(cfg.seed, "local-global-vars"))
     # Invariance rows over every generator and (field, variation) pair, in
@@ -131,14 +130,10 @@ def solve_local_global_form(model, section: Section, cfg: SolverConfig, slots=No
     s, v1, v2 = curl_stencils(inv_fields[:2], inv_vars, len(inv_vars) - 1)
     blocks.append(central_difference(space, forms, s, v1, v2))
     targets.extend(central_difference(space, rho.many, s, v1, v2))
-    real_rows = len(targets) - len(circle_mask)
-    circle_mask.extend([False] * real_rows)
-    circle_groups.extend([-1] * real_rows)
+    groups.extend([-1] * (len(targets) - len(groups)))
 
     fit_bound = max(cfg.fit_tol, 1e-8) * 10
-    coef, fit_res, cond = _lstsq_with_lifts(
-        np.vstack(blocks), targets, circle_mask, fit_bound, circle_groups
-    )
+    coef, fit_res, cond = _lstsq_with_lifts(np.vstack(blocks), targets, fit_bound, groups)
     beta_local = basis.combine(coef, fit_slots)
     beta_form = beta_local.as_form(space)
 

@@ -2,7 +2,9 @@
 
 Every search is a linear least-squares fit over a finite ansatz basis.
 Circle-valued constraints are handled by per-constraint integer lifts,
-chosen greedily and refined by a bounded search. A successful fit is
+which one search chooses for every circle fit and for membership: each
+row group is unwrapped along a spanning tree of its points, and a bounded
+integer offset per group is snapped to the fit. A successful fit is
 returned as a certificate (coefficients, fit and held-out residuals); a
 failed one as an explicit non-certificate that names the ansatz searched
 and never claims nonexistence.
@@ -260,7 +262,7 @@ def _effective_condition(singular_values) -> float:
 
 
 def _lift_fit(A, reps, circle_mask, lifts):
-    """One lift search from the given integer lifts.
+    """One snapping run from the given integer lifts.
 
     Solves, snaps the circle-row lifts to the nearest integers of the
     prediction gap, and repeats until they stabilize or the rounds run out.
@@ -269,7 +271,8 @@ def _lift_fit(A, reps, circle_mask, lifts):
     """
     coef = np.zeros(A.shape[1])
     for _ in range(LIFT_ROUNDS):
-        coef, *_ = np.linalg.lstsq(A, reps + lifts, rcond=RANK_CUTOFF)
+        if A.shape[1]:  # with no columns there is nothing to solve
+            coef, *_ = np.linalg.lstsq(A, reps + lifts, rcond=RANK_CUTOFF)
         if not np.any(circle_mask):
             break
         pred = A @ coef
@@ -284,20 +287,70 @@ def _lift_fit(A, reps, circle_mask, lifts):
     return coef, (float(np.max(resid)) if len(resid) else 0.0), lifts
 
 
-def _lstsq_with_lifts(A, targets, circle_mask, polish_budget, circle_groups=None,
-                      initial_lifts=None):
-    """Min-norm least squares with per-row integer lifts on circle rows.
+def _unwrap(points, reps):
+    """Integer lifts that unwrap circle values along a minimum spanning tree
+    of their points (Prim, from the first row): each row is lifted to the
+    value nearest its parent's lifted value."""
+    n = len(reps)
+    lifts, parent = np.zeros(n), np.zeros(n, dtype=int)
+    dist, free = np.full(n, np.inf), np.ones(n, dtype=bool)
+    i = 0
+    for _ in range(n - 1):
+        free[i] = False
+        step = np.linalg.norm(points - points[i], axis=1)
+        closer = free & (step < dist)
+        dist[closer], parent[closer] = step[closer], i
+        i = int(np.argmin(np.where(free, dist, np.inf)))
+        lifts[i] = lifts[parent[i]] + np.round(reps[parent[i]] - reps[i])
+    return lifts
 
-    Circle targets start from their representative nearest zero; after each
-    solve the lifts snap to the closest integers of the prediction gap and
-    the fit repeats until the lifts stabilize. Half-integer targets make
-    the integer branch genuinely ambiguous, so when circle rows carry group
-    ids (rows sharing a group want a common branch, e.g. one group per
-    word) a bounded set of per-group branch seeds is explored and the best
-    converged fit wins.
+
+def _lift_search(A, reps, groups, bound, points=None):
+    """The one integer-lift search: ``(coefficients, residual, lifts)``.
+
+    Rows with a group id of -1 are real; the others are circle rows, whose
+    values ``reps`` are kept up to an integer. Each group is unwrapped along
+    a minimum spanning tree of its rows' points, when the caller gives
+    points. One integer offset per group, at most ``bound`` in size, is
+    then tried in order of total size, each snapped by :func:`_lift_fit`.
+    The first fit within 1e-12 wins; otherwise the smallest residual does.
+    """
+    circle = groups >= 0
+    # A set, not np.unique, which imports numpy.ma: about 1 MB of peak memory.
+    ids = sorted(set(groups[circle].tolist()))
+    base = np.zeros(len(reps))
+    if points is not None:
+        for gid in ids:
+            rows = groups == gid
+            base[rows] = _unwrap(points[rows], reps[rows])
+    slot = np.where(circle, np.searchsorted(ids, groups), len(ids))
+    values = sorted(range(-bound, bound + 1), key=lambda m: (abs(m), -m))
+    offsets = sorted(itertools.product(values, repeat=len(ids)), key=lambda o: sum(map(abs, o)))
+    best = None
+    for offset in offsets:
+        lifts = base + np.append(np.asarray(offset, dtype=float), 0.0)[slot]
+        coef, residual, lifts = _lift_fit(A, reps, circle, lifts)
+        if best is None or residual < best[1] - 1e-15:
+            best = (coef, residual, lifts)
+        if best[1] <= 1e-12:
+            break
+    return best
+
+
+def _lstsq_with_lifts(A, targets, polish_budget, groups=None, points=None):
+    """Min-norm least squares, with integer lifts on circle rows.
+
+    ``groups`` holds one id per row: -1 (the default) for a real row, and
+    otherwise the group of a circle row, whose target counts modulo one
+    (rows sharing a group want a common branch, e.g. one group per word).
+    Circle targets start from their representative nearest zero, and
+    :func:`_lift_search` chooses the lifts, trying an offset of up to one
+    per group when there are at most three groups. ``points`` are the
+    rows' points, along which each group is unwrapped.
     """
     A = np.asarray(A, dtype=float)
-    circle_mask = np.asarray(circle_mask, dtype=bool)
+    groups = np.full(len(targets), -1) if groups is None else np.asarray(groups)
+    circle_mask = groups >= 0
     reps = np.array(targets, dtype=float)
     reps[circle_mask] = np.mod(reps[circle_mask] + 0.5, 1.0) - 0.5
     # The condition estimate uses column-equilibrated data so it measures
@@ -316,29 +369,8 @@ def _lstsq_with_lifts(A, targets, circle_mask, polish_budget, circle_groups=None
             "shrink the ansatz"
         )
 
-    seeds = []
-    if initial_lifts is not None:
-        seeds.append(np.asarray(initial_lifts, dtype=float))
-    seeds.append(np.zeros(len(reps)))
-    if circle_groups is not None and np.any(circle_mask):
-        groups = sorted({g for g in circle_groups if g is not None and g >= 0})
-        if 0 < len(groups) <= 3:
-            ids = np.asarray([(-1 if g is None else g) for g in circle_groups])
-            for pattern in itertools.product((0, 1, -1), repeat=len(groups)):
-                if not any(pattern):
-                    continue
-                lifts = np.zeros(len(reps))
-                for gid, delta in zip(groups, pattern):
-                    lifts[ids == gid] = delta
-                seeds.append(lifts)
-    best = None
-    for seed in seeds:
-        coef, fit_residual, lifts = _lift_fit(A, reps, circle_mask, seed)
-        if best is None or fit_residual < best[1] - 1e-15:
-            best = (coef, fit_residual, lifts)
-        if best[1] <= 1e-12:
-            break
-    coef, fit_residual, best_lifts = best
+    bound = 1 if len(set(groups[circle_mask].tolist())) <= 3 else 0
+    coef, fit_residual, best_lifts = _lift_search(A, reps, groups, bound, points)
 
     # Two-stage polish: refit on the dominant support to strip minimum-norm
     # dust from members the data does not actually require. The sparser
@@ -361,33 +393,6 @@ def _lstsq_with_lifts(A, targets, circle_mask, polish_budget, circle_groups=None
 # Coboundary searches
 
 
-def _continuation_lifts(points, reps):
-    """Initial integer lifts by nearest-neighbor continuation.
-
-    Orders the probes along a greedy nearest-neighbor chain and unwraps the
-    circle representatives so consecutive values move by less than one
-    half, the right greedy start for cocycles of smooth potentials.
-    """
-    n = len(points)
-    if n == 0:
-        return np.zeros(0)
-    pts = np.asarray(points, dtype=float)
-    order, visited = [0], np.arange(n) == 0
-    for _ in range(n - 1):
-        dists = np.linalg.norm(pts - pts[order[-1]], axis=1)
-        dists[visited] = np.inf
-        nxt = int(np.argmin(dists))
-        order.append(nxt)
-        visited[nxt] = True
-    lifts = np.zeros(n)
-    prev = reps[order[0]]
-    for idx in order[1:]:
-        lifted = reps[idx] + round(prev - reps[idx])
-        lifts[idx] = lifted - reps[idx]
-        prev = lifted
-    return lifts
-
-
 def solve_group_coboundary(
     bundle: EquivariantBundle,
     section: Section,
@@ -403,19 +408,16 @@ def solve_group_coboundary(
     """
     space = bundle.space
     fit_pts = probe_points(space, cfg.probes, cfg.seed, tag="coboundary-fit")
-    blocks, targets, initial = [], [], []
+    blocks, targets = [], []
     labels = bundle.action.labels
     for label in labels:
         g = bundle.action.generators[label]
-        values = section_cocycle(bundle, section, ((label, 1),))(fit_pts)
-        reps = np.mod(values + 0.5, 1.0) - 0.5
-        initial.append(_continuation_lifts(fit_pts, reps))
         blocks.append(basis.matrix(g(fit_pts)) - basis.matrix(fit_pts))
-        targets.extend(values.tolist())
-    circle_mask = [True] * len(targets)
+        targets.extend(section_cocycle(bundle, section, ((label, 1),))(fit_pts).tolist())
     coef, fit_res, cond = _lstsq_with_lifts(
-        np.concatenate(blocks), targets, circle_mask, cfg.fit_tol,
-        initial_lifts=np.concatenate(initial) if initial else None,
+        np.concatenate(blocks), targets, cfg.fit_tol,
+        groups=np.repeat(np.arange(len(labels)), len(fit_pts)),
+        points=np.tile(fit_pts, (len(labels), 1)),
     )
     theta = basis.combine(space, coef)
     hold_pts = probe_points(space, cfg.holdout, cfg.seed, tag="coboundary-holdout")
@@ -457,9 +459,7 @@ def solve_lie_coboundary(
         directions = X.generator_field.many(fit_pts)
         blocks.append(central_difference(space, basis.matrix, fit_pts, directions))
         targets += anomalies[label].many(fit_pts).tolist()
-    coef, fit_res, cond = _lstsq_with_lifts(
-        np.concatenate(blocks), targets, [False] * len(targets), cfg.fit_tol
-    )
+    coef, fit_res, cond = _lstsq_with_lifts(np.concatenate(blocks), targets, cfg.fit_tol)
     lam = basis.combine(space, coef)
     hold_pts = probe_points(space, cfg.holdout, cfg.seed, tag="lie-coboundary-holdout")
     holdout = 0.0
@@ -530,9 +530,7 @@ def solve_equivariant_primitive(
         blocks.append(form_basis.matrix(gx, pushed) - form_basis.matrix(x, e))
         targets += [0.0] * len(x)
     fit_bound = max(cfg.fit_tol, 1e-7) * 10
-    coef, fit_res, cond = _lstsq_with_lifts(
-        np.concatenate(blocks), targets, [False] * len(targets), fit_bound
-    )
+    coef, fit_res, cond = _lstsq_with_lifts(np.concatenate(blocks), targets, fit_bound)
     beta = form_basis.combine(space, coef)
     hold_pts = probe_points(space, min(cfg.holdout, 64), cfg.seed, tag="primitive-holdout")
     holdout = max(
@@ -636,8 +634,8 @@ def invariance_obstruction(
 # Character membership
 
 
-# Largest integer slack per generator of a membership search over at most
-# two generators; with more, the slack is at most 2.
+# Largest integer offset per generator that a membership search tries over
+# at most two generators; with more, it tries offsets of at most 2.
 MEMBERSHIP_SLACK = 16
 # Largest circle residual of a member, which --tol does not move: a
 # residual near 0.5, the largest distance on the circle, is never a match.
@@ -666,8 +664,10 @@ def character_membership(
     Every candidate must be closed, invariant and kill the one-parameter
     generators. Solves ``sum(lambda_i * period_i) = target + slack`` per
     generator outside the identity component, over real coefficients with
-    a bounded integer slack per generator. A non-member decision is always
-    relative to the candidate list.
+    an integer slack per generator: :func:`_lift_search` with one row per
+    group, from the character's values as given, and offsets of at most
+    ``MEMBERSHIP_SLACK`` per generator (2 beyond two generators). A
+    non-member decision is always relative to the candidate list.
     """
     space = bundle.space
     names = [name for name, _ in candidates]
@@ -705,20 +705,7 @@ def character_membership(
         combo = combination(np.zeros(len(forms)))
         return MembershipResult("member", {}, {}, 0.0, period_table, combo, cfg.candidates_complete)
     bound = MEMBERSHIP_SLACK if len(gens) <= 2 else 2
-    best = None
-    slack_values = sorted(range(-bound, bound + 1), key=lambda m: (abs(m), -m))
-    for slack in itertools.product(slack_values, repeat=len(gens)):
-        rhs = kappa + np.array(slack, dtype=float)
-        if len(forms):
-            lam, *_ = np.linalg.lstsq(K, rhs, rcond=RANK_CUTOFF)
-            resid = float(np.max(np.abs(K @ lam - rhs)))
-        else:
-            lam = np.zeros(0)
-            resid = float(np.max(np.abs(rhs)))
-        key = (round(resid / 1e-12), sum(abs(m) for m in slack), float(lam @ lam))
-        if best is None or key < best[0]:
-            best = (key, lam, slack, resid)
-    _, lam, slack, resid = best
+    lam, resid, slack = _lift_search(K, kappa, np.arange(len(gens)), bound)
     lambdas = dict(zip(names, (float(v) for v in lam)))
     slack_map = dict(zip(gens, (int(m) for m in slack)))
     combo = None

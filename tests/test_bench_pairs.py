@@ -41,7 +41,9 @@ def canned_pairs():
 
 
 def test_summary_of_canned_pairs():
-    out = load_tool().summarise(canned_pairs(), BETTER)
+    tool = load_tool()
+    bounds = {"ops_per_s": 0.05, "op_p50_ms": 0.06}
+    out = tool.summarise(canned_pairs(), BETTER, bounds)
     assert out["seeds"] == [11, 12, 13, 14, 15]
     assert out["first"] == ["parent", "change", "parent", "change", "parent"]
     assert out["parent"]["failed"] == [0, 1, 0, 1, 0]
@@ -56,10 +58,23 @@ def test_summary_of_canned_pairs():
     assert summary["ops_per_s"] == {
         "parent_median": 51.0, "parent_iqr": 2.0, "change_median": 54.0,
         "ratio": round(54.0 / 51.0, 4), "change_wins_of_pairs": 3,
+        "worse_than_bound": False,
     }
     # Lower is better for latency: 3 wins, one loss, one tie.
     assert summary["op_p50_ms"]["change_wins_of_pairs"] == 3
     assert summary["op_p50_ms"]["change_median"] == 18.5
+    assert not summary["op_p50_ms"]["worse_than_bound"]
+    # Swapped sides: ops_per_s falls 54 -> 51, by 5.6% of the parent's
+    # median, beyond its 5% bound; op_p50_ms rises 18.5 -> 19.5, by 5.4%,
+    # inside its 6% bound.
+    swapped = [dict(p, parent=p["change"], change=p["parent"]) for p in canned_pairs()]
+    summary = tool.summarise(swapped, BETTER, bounds)["summary"]
+    assert summary["ops_per_s"]["worse_than_bound"]
+    assert not summary["op_p50_ms"]["worse_than_bound"]
+    # A metric without a bound carries no flag.
+    summary = tool.summarise(swapped, BETTER, {"op_p50_ms": 0.01})["summary"]
+    assert "worse_than_bound" not in summary["ops_per_s"]
+    assert summary["op_p50_ms"]["worse_than_bound"]
 
 
 def test_seed_range():

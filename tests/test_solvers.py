@@ -118,6 +118,31 @@ def test_group_coboundary_monotone_in_ansatz():
     assert residuals[-1] < 1e-9
 
 
+# The chart scenarios whose reference-section cocycle is the coboundary of a
+# potential in the degree-3 trig basis (affine_line: 0.3*x1^2 up to integer
+# gaps; translation_shear: x1*x2), and the two whose cocycle is not.
+COBOUNDARY_IN_BASIS = {
+    "trivial": True,
+    "rotation": True,
+    "paper_example_Z_on_R": True,
+    "affine_line": True,
+    "translation_shear": True,
+    "rotation_anomalous": False,
+    "torus_shift": False,
+}
+
+
+@pytest.mark.parametrize("name", sorted(COBOUNDARY_IN_BASIS))
+def test_group_coboundary_of_each_chart_scenario(models, scenarios, name):
+    model, cfg = models[name], scenarios[name].solver_config()
+    basis = scalar_basis(model.space, 3, trig=True)
+    result, _ = solve_group_coboundary(model.bundle, model.reference_section, basis, cfg)
+    assert result.found == COBOUNDARY_IN_BASIS[name]
+    if result.found:
+        assert result.fit_residual <= cfg.fit_tol
+        assert result.holdout_residual <= cfg.holdout_tol
+
+
 # ---------------------------------------------------------------------------
 # Lie coboundary
 

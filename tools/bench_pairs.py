@@ -20,7 +20,10 @@ The file written holds, per workload, the seeds, which side ran first,
 and for each side every pair's end-to-end metrics, their median and
 quartiles, and ``failed``/``attempted``; for each metric, the change's
 median over the parent's and the number of pairs the change won, in the
-direction ``BENCHMARK.json`` declares better. It also records the
+direction ``BENCHMARK.json`` declares better, and, for each metric with a
+``bound`` there, ``worse_than_bound``: whether the change's median is worse
+than the parent's by more than that fraction of it. The metrics so flagged
+are printed after each workload. It also records the
 environment line of the benchmark. Medians and quartiles are
 ``statistics.quantiles(..., method="inclusive")``, numpy's linear
 percentiles.
@@ -80,11 +83,12 @@ def directions(spec: dict, trace: int) -> dict:
     return {m["name"]: m["better"] for m in spec["per_layer" if trace else "end_to_end"]}
 
 
-def summarise(pairs: list, better: dict) -> dict:
+def summarise(pairs: list, better: dict, bounds: dict = None) -> dict:
     """The per-workload record of a list of pairs, each
     ``{"seed", "first", "parent": result, "change": result}`` with results
     as ``perfbench/run.py`` prints them; ``better`` maps each metric to
-    ``"higher"`` or ``"lower"``."""
+    ``"higher"`` or ``"lower"``, and ``bounds`` some of them to the largest
+    fraction by which the change's median may be worse than the parent's."""
     out = {"seeds": [p["seed"] for p in pairs], "first": [p["first"] for p in pairs]}
     for side in SIDES:
         results = [p[side] for p in pairs]
@@ -109,6 +113,9 @@ def summarise(pairs: list, better: dict) -> dict:
             "ratio": round(change["median"] / parent["median"], 4) if parent["median"] else None,
             "change_wins_of_pairs": wins,
         }
+        if name in (bounds or {}):
+            worse = sign * (parent["median"] - change["median"])
+            out["summary"][name]["worse_than_bound"] = worse > bounds[name] * abs(parent["median"])
     return out
 
 
@@ -124,6 +131,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = directions(spec, args.trace)
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"] if "bound" in m}
     headline = "trace.untraced_ops_per_s" if args.trace else "ops_per_s"
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     record = {
@@ -145,7 +153,10 @@ def main(argv=None) -> int:
             ratio = [pair[s]["metrics"][headline]["value"] for s in SIDES]
             print(f"{workload} seed {seed}: {headline} parent {ratio[0]:.2f} "
                   f"change {ratio[1]:.2f}", flush=True)
-        record["workloads"][workload] = summarise(pairs, better)
+        record["workloads"][workload] = summarise(pairs, better, bounds)
+        flagged = [name for name, s in record["workloads"][workload]["summary"].items()
+                   if s.get("worse_than_bound")]
+        print(f"{workload}: worse than its bound: {', '.join(flagged) or 'none'}", flush=True)
         args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(f"pairs written to {args.out}")
     return 0
