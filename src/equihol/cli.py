@@ -132,18 +132,11 @@ def _cli_path(model, scenario, word, spec, cfg):
 def _check_cocycle(args, scenario, model, cfg):
     rep = check_cocycle(model.bundle, word_length=cfg.max_word_len, probes=cfg.probes, seed=cfg.seed)
     passed = rep.max_residual <= CHECK_TOL
-    result = {
-        "max_residual": rep.max_residual,
-        "witness_words": rep.witness_words,
-        "witness_point": rep.witness_point,
-        "checks": rep.checks,
-        "pass": passed,
-    }
     summary = (
         f"cocycle residual {rep.max_residual:.3e} over {rep.checks} checks: "
         + ("pass\n" if passed else f"FAIL at {rep.witness_words} {rep.witness_point}\n")
     )
-    return result, summary, 0 if passed else 1
+    return {**vars(rep), "pass": passed}, summary, 0 if passed else 1
 
 
 def _anomaly(args, scenario, model, cfg):
@@ -172,14 +165,7 @@ def _holonomy(args, scenario, model, cfg):
     res = equivariant_holonomy(
         model.bundle, model.connection, model.reference_section, word, path, method="both"
     )
-    result = {
-        "word": res.word,
-        "path": args.path,
-        "value": res.value.value,
-        "formula_value": res.value.value,
-        "lift_value": res.lift_value.value,
-        "cross_check": res.cross_check,
-    }
+    result = {**vars(res), "path": args.path, "formula_value": res.value}
     return result, f"holonomy({res.word}; {args.path}) = {res.value.value:.9f}\n", 0
 
 
@@ -216,17 +202,6 @@ def _verdict(args, scenario, model, cfg):
             declared_moment=model.declared_moment,
             fixed_points=model.fixed_points,
         )
-    result = {
-        "outcome": verdict.outcome,
-        "stages": [
-            {"name": s.name, "status": s.status, "data": s.data} for s in verdict.stages
-        ],
-        "obstructed_stage": verdict.obstructed_stage,
-        "witness": verdict.witness,
-        "certificate": verdict.certificate,
-        "kappa": verdict.kappa,
-        "ansatz": verdict.ansatz_description,
-    }
     lines = [f"verdict: {verdict.outcome}"] + [f"  {s.name}: {s.status}" for s in verdict.stages]
     for label, value in (
         ("character", verdict.kappa), ("certificate", verdict.certificate),
@@ -235,7 +210,7 @@ def _verdict(args, scenario, model, cfg):
         if value:
             lines.append(f"  {label}: {value}")
     code = {"CANCELS": 0, "OBSTRUCTED": 2, "INCONCLUSIVE": 3}[verdict.outcome]
-    return result, "\n".join(lines) + "\n", code
+    return verdict, "\n".join(lines) + "\n", code
 
 
 # Each scenario command: (args, scenario, model, config) -> (result,

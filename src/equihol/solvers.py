@@ -253,14 +253,6 @@ RANK_CUTOFF = 1e-10
 LIFT_ROUNDS = 8
 
 
-def _effective_condition(singular_values) -> float:
-    sv = np.asarray(singular_values)
-    if len(sv) == 0 or sv[0] == 0.0:
-        return 1.0
-    kept = sv[sv > sv[0] * RANK_CUTOFF]
-    return float(sv[0] / kept[-1]) if len(kept) else float("inf")
-
-
 def _lift_fit(A, reps, circle_mask, lifts):
     """One snapping run from the given integer lifts.
 
@@ -362,7 +354,7 @@ def _lstsq_with_lifts(A, targets, polish_budget, groups=None, points=None):
     scale = np.where(keep, scale, 1.0)
     As = np.where(keep, A / scale, 0.0)
     sv = np.linalg.svd(As, compute_uv=False) if As.size else np.array([1.0])
-    cond = _effective_condition(sv)
+    cond = float(sv[0] / sv[sv > sv[0] * RANK_CUTOFF][-1]) if sv[0] else 1.0
     if cond > MAX_CONDITION:
         raise ConditioningError(
             f"least-squares system condition {cond:.3e} exceeds {MAX_CONDITION:g}; "
@@ -737,7 +729,7 @@ class Verdict:
     witness: Optional[dict] = None
     certificate: Optional[dict] = None
     kappa: Optional[Dict[str, float]] = None
-    ansatz_description: str = ""
+    ansatz: str = ""
 
 
 def _significant(coefficients) -> dict:
@@ -799,7 +791,7 @@ class VerdictScaffold:
 
     def stop(self, outcome: str, stage: Optional[str] = None, **found) -> Verdict:
         """The verdict; ``found`` holds its witness, certificate or character."""
-        return Verdict(outcome, self.stages, stage, ansatz_description=self.ansatz, **found)
+        return Verdict(outcome, self.stages, stage, ansatz=self.ansatz, **found)
 
     def opening(self, bundle, connection, section, cfg, probes, witness_data=False,
                 declared_moment=None, **curvature_data):

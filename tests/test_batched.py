@@ -21,7 +21,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from equihol import calibration, holonomy, probes
+from equihol import holonomy, probes
 from equihol.bundle import (
     FLOW_STEP,
     Cocycle,
@@ -995,17 +995,6 @@ CHART = (
     "paper_example_Z_on_R", "trivial", "rotation", "rotation_anomalous",
     "translation_shear", "affine_line", "torus_shift",
 )
-CALIBRATION = {"calibration_rotation": calibration._rotation_pieces,
-               "calibration_shear": calibration._shear_pieces}
-
-
-def _cartan_model(name, models):
-    """(bundle, connection, declared moment) of a chart scenario or a calibration model."""
-    if name in CALIBRATION:
-        bundle, connection, moment, label = CALIBRATION[name]()
-        return bundle, connection, {label: moment}
-    model = models[name]
-    return model.bundle, model.connection, model.declared_moment
 
 
 def ref_d(space, f, x, v):
@@ -1090,9 +1079,10 @@ def _sections(space):
     return (Section(), Section(shift, name="shifted"))
 
 
-@pytest.mark.parametrize("name", CHART + tuple(CALIBRATION))
+@pytest.mark.parametrize("name", CHART)
 def test_cartan_layer_matches_point_loops(name, models):
-    bundle, connection, declared = _cartan_model(name, models)
+    model = models[name]
+    bundle, connection, declared = model.bundle, model.connection, model.declared_moment
     space, d = bundle.space, bundle.space.dimension
     pts = np.array(probe_points(space, 10, 4, tag="cartan"))
     vs = rng_for(4, f"cartan-{name}").normal(size=(len(pts), d))
@@ -1151,9 +1141,9 @@ def test_cartan_layer_matches_point_loops(name, models):
                 assert value == lead
 
 
-@pytest.mark.parametrize("name", CHART + tuple(CALIBRATION))
+@pytest.mark.parametrize("name", CHART)
 def test_circle_differential_and_transform_match_point_loops(name, models):
-    bundle, _, _ = _cartan_model(name, models)
+    bundle = models[name].bundle
     space, action = bundle.space, bundle.action
     pts = np.array(probe_points(space, 10, 5, tag="circle-delta"))
     vs = rng_for(5, f"circle-delta-{name}").normal(size=pts.shape)

@@ -1,6 +1,7 @@
 import argparse
 import ast
 import contextlib
+import dataclasses
 import io
 import json
 import re
@@ -12,8 +13,10 @@ from pathlib import Path
 import pytest
 
 from equihol import cli
+from equihol.bundle import CocycleReport
 from equihol.cli import main as cli_main
 from equihol.errors import ExpressionNameError, ExpressionSyntaxError, ScenarioError
+from equihol.holonomy import HolonomyResult
 from equihol.scenario import (
     _SCHEMA,
     _pattern,
@@ -23,6 +26,7 @@ from equihol.scenario import (
     load_scenario,
     parse_scenario,
 )
+from equihol.solvers import Verdict
 
 MINIMAL = """
 schema_version = 1
@@ -532,6 +536,69 @@ def test_cli_report_schema_fields(tmp_path):
     stage_names = [s["name"] for s in report["result"]["stages"]]
     assert "character_membership" in stage_names
     assert report["result"]["ansatz"]
+
+
+@pytest.mark.parametrize(
+    "argv, cls, extra",
+    [
+        (["verdict", "paper_example_Z_on_R"], Verdict, []),
+        (["verdict", "lattice_zero_mode", "--local"], Verdict, []),
+        (["check-cocycle", "trivial"], CocycleReport, ["pass"]),
+        (["holonomy", "paper_example_Z_on_R", "--word", "g"], HolonomyResult,
+         ["path", "formula_value"]),
+    ],
+    ids=["verdict", "local_verdict", "check_cocycle", "holonomy"],
+)
+def test_cli_result_keys_are_the_result_fields(argv, cls, extra, tmp_path):
+    # A command's result is its object's fields, plus what the command
+    # adds; a renamed field renames its report key.
+    out = tmp_path / "report.json"
+    run_cli(argv + ["--out", str(out)])
+    keys = json.loads(out.read_text())["result"]
+    assert sorted(keys) == sorted([f.name for f in dataclasses.fields(cls)] + extra)
+
+
+@pytest.mark.parametrize(
+    "name, old, new, message, line",
+    [
+        ("trivial", "[space]", "[space", "unterminated section header", 4),
+        ("trivial", "[space]", "[ ]", "empty section name", 4),
+        ("rotation_anomalous", "a2 = true", "a2 true", "expected 'key = value'", 40),
+        ("rotation_anomalous", "a2 = true", "= true", "missing key before '='", 40),
+        ("trivial", "schema_version = 1", "schema_version = one",
+         "schema_version must be an integer", 2),
+        ("rotation_anomalous", "lower = [-6, -6]", "lower = [-6, -6", "unterminated list value", 9),
+        ("rotation_anomalous", "field = [-x2, x1]", "field = [-x2), x1]",
+         "unbalanced parentheses in list", 27),
+        ("rotation_anomalous", "identity_component = true", "identity_component = yes",
+         "expected true or false", 18),
+        ("lattice_fiber_shift", "path_samples = 192", "path_samples = 192\nslots = 1",
+         "expected a bracketed list of integers", 34),
+        ("torus_shift", "periods = [1]", "", "torus space needs periods", None),
+        ("rotation_anomalous", "upper = [6, 6]", "", "box space needs lower and upper bounds",
+         None),
+        ("lattice_zero_mode", "[assumptions]", "[space]\n\n[assumptions]",
+         "a scenario declares either [space] or [lattice]", None),
+        ("lattice_zero_mode", "rho_zmode = zmode^2", "rho_zmode = zmode^2\nrho = [0, 0, 0]",
+         "[fieldconnection] takes exactly one of rho and rho_zmode", None),
+    ],
+    ids=["open_header", "empty_header", "no_equals", "no_key", "schema_version", "open_list",
+         "parentheses", "bool", "ints", "torus_periods", "box_bounds", "space_and_lattice",
+         "two_connections"],
+)
+def test_cli_scenario_parse_errors(name, old, new, message, line, tmp_path, capsys):
+    # One edit of a bundled scenario per parser message: the error names
+    # its line where it has one, and the CLI prints it as one error line.
+    text = (bundled_dir() / f"{name}.scn").read_text()
+    assert text.count(old + "\n") == 1
+    edited = text.replace(old + "\n", new + "\n" if new else "")
+    with pytest.raises(ScenarioError, match=re.escape(message)) as info:
+        parse_scenario(edited)
+    assert info.value.line == line
+    scenario = tmp_path / "edited.scn"
+    scenario.write_text(edited)
+    assert run_cli(["check-cocycle", str(scenario)]) == 1
+    assert capsys.readouterr().err == f"error: {info.value}\n"
 
 
 def test_cli_entry_point_installed():

@@ -446,7 +446,7 @@ def test_verdict_worked_example_without_candidates(models, scenarios):
     )
     assert verdict.outcome == "INCONCLUSIVE"
     assert verdict.obstructed_stage == "character_membership"
-    assert verdict.ansatz_description
+    assert verdict.ansatz
 
 
 def test_verdict_obstructed_fixed_point(models, scenarios):
@@ -476,4 +476,4 @@ def test_no_certificate_reports_carry_ansatz(models, scenarios):
     )
     membership = [s for s in verdict.stages if s.name == "character_membership"][0]
     assert membership.status == "no_certificate"
-    assert verdict.ansatz_description  # the report names what was searched
+    assert verdict.ansatz  # the report names what was searched
