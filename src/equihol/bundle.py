@@ -145,10 +145,15 @@ def _exponent_columns(action: GroupAction, words: Sequence[Word]) -> dict:
     """Per generator label, the ``(N,)`` column of each row's exponent sum
     (:meth:`GroupAction.exponent_vector`); one distinct word gives its plain
     integers, which broadcast."""
-    vectors = {w: action.exponent_vector(w) for w in dict.fromkeys(words)}
-    if len(vectors) == 1:
-        return vectors[words[0]]
-    return {label: np.array([vectors[w][label] for w in words]) for label in action.labels}
+    # Keyed by identity, to hash no word: a stack repeats one word object
+    # down its rows, and equal words keyed apart give equal columns.
+    distinct = dict(zip(map(id, words), words))
+    if len(distinct) == 1:
+        return action.exponent_vector(words[0])
+    index = np.array(list(map({key: k for k, key in enumerate(distinct)}.__getitem__,
+                              map(id, words))))
+    vectors = [action.exponent_vector(w) for w in distinct.values()]
+    return {label: np.array([v[label] for v in vectors])[index] for label in action.labels}
 
 
 def _on_word(words: Sequence[Word], i: int) -> str:
@@ -197,31 +202,36 @@ class _WordTree:
                  named: Sequence[Word] = (), need: Optional[np.ndarray] = None):
         self.words = [()] + list(words)
         row = {w: i for i, w in enumerate(self.words)}
-        rests = np.array([0] + [row[w[1:]] for w in self.words[1:]])
-        signs = np.array([0] + [w[0][1] for w in self.words[1:]])
-        sites = _value_rows(np.arange(len(self.words)), rests, signs)
+        rests = [0] + [row[w[1:]] for w in self.words[1:]]
+        signs = [0] + [w[0][1] for w in self.words[1:]]
+        sites = _value_rows(range(len(self.words)), rests, signs)
         (n, d), size = xs.shape, len(self.words)
-        self.images, self.laws = np.empty((size, n, d)), np.zeros((size, n))
-        terms = np.empty_like(self.laws)
+        self.images, terms = np.empty((size, n, d)), np.zeros((size, n))
         self.images[0] = xs
+        levels = []
         for _, level in itertools.groupby(range(1, size), lambda i: len(self.words[i])):
             level = list(level)
-            rows, letters, names = slice(level[0], level[-1] + 1), {}, {}
+            letters, names = {}, {}
             for i in level:
                 letters.setdefault(self.words[i][0], []).append(i)
                 names.setdefault(self.words[i][0][0], []).append(i)
             for letter, at in letters.items():
                 mapped = functools.partial(action.apply_letter, letter)
-                self.images[at] = _fill(mapped, self.images[rests[at]], need, at)
+                self.images[at] = _fill(mapped, self.images[[rests[i] for i in at]], need, at)
             for name, at in names.items():
-                terms[at] = _fill(cocycle.generator_values[name], self.images[sites[at]], need, at)
-            bad = ~np.isfinite(terms[rows])
-            if bad.any():
-                j, i = divmod(int(np.argmax(bad)), n)
+                values = cocycle.generator_values[name]
+                terms[at] = _fill(values, self.images[[sites[i] for i in at]], need, at)
+            rows = slice(level[0], level[-1] + 1)
+            if not np.isfinite(terms[rows]).all():
+                j, i = divmod(int(np.argmax(~np.isfinite(terms[rows]))), n)
                 context = _on_word(named or (self.words[level[j]],), i)
                 circle_values(terms[level[j], [i]], xs[[i]], context)
-            steps = signs[rows, None] * circle_values(terms[rows], xs)
-            self.laws[rows] = circle_values(self.laws[rests[rows]] + steps, xs)
+            levels.append(rows)
+        # Each law value adds its letter's step to its rest's, level by level.
+        steps = np.array(signs)[:, None] * circle_values(terms, xs)
+        self.laws = np.zeros((size, n))
+        for rows in levels:
+            self.laws[rows] = circle_values(self.laws[rests[rows]] + steps[rows], xs)
 
 
 def _fill(fn, stack: np.ndarray, need: Optional[np.ndarray], at: list):
@@ -229,8 +239,8 @@ def _fill(fn, stack: np.ndarray, need: Optional[np.ndarray], at: list):
     back per word and probe: every row (a constant result broadcasts), or
     the rows ``need[at]`` marks, with 0 elsewhere."""
     if need is None:
-        out = fn(stack.reshape(-1, stack.shape[-1]))
-        return np.reshape(out, stack.shape[:2] + np.shape(out)[1:]) if np.size(out) > 1 else out
+        out = np.asarray(fn(stack.reshape(-1, stack.shape[-1])))
+        return out.reshape(stack.shape[:2] + out.shape[1:]) if out.size > 1 else out
     mask = need[at]
     out = fn(stack[mask])
     block = np.zeros(mask.shape + np.shape(out)[1:])
@@ -238,9 +248,9 @@ def _fill(fn, stack: np.ndarray, need: Optional[np.ndarray], at: list):
     return block
 
 
-def _value_rows(rows: np.ndarray, rests: np.ndarray, signs: np.ndarray) -> np.ndarray:
+def _value_rows(rows: Sequence[int], rests: list, signs: list) -> list:
     """Rows at whose images first letters' values are taken: the rest, or the word if inverse."""
-    return np.where(signs > 0, rests, rows)
+    return [rest if sign > 0 else row for row, rest, sign in zip(rows, rests, signs)]
 
 
 def _circle_rows(values, probes: np.ndarray, context) -> np.ndarray:

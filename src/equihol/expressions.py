@@ -44,32 +44,35 @@ class Span(NamedTuple):
     column: int
 
 
-@dataclass(frozen=True)
+# AST nodes compare and hash by their fields, not their source position.
+# Nothing writes to a node once built; frozen, each would cost five times as
+# much to build.
+@dataclass(unsafe_hash=True)
 class Num:
     value: float
     pos: Span = field(compare=False, default=Span(0, 0))
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Var:
     name: str
     pos: Span = field(compare=False, default=Span(0, 0))
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Call:
     func: str
     args: tuple
     pos: Span = field(compare=False, default=Span(0, 0))
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Neg:
     operand: object
     pos: Span = field(compare=False, default=Span(0, 0))
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class BinOp:
     op: str
     left: object
@@ -77,7 +80,7 @@ class BinOp:
     pos: Span = field(compare=False, default=Span(0, 0))
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Pow:
     base: object
     exponent: int
@@ -87,40 +90,48 @@ class Pow:
 Expr = object
 
 
-# One token per match after its blanks (spaces and tabs), in this order: a
-# number (its exponent only when a digit follows), a word, an operator, or
-# any other character; trailing blanks match nothing. A word is a name only
-# if it starts with a letter or "_", since "\w" also matches digits.
+# One token per match after its blanks (spaces and tabs), in this order: an
+# operator, a word that does not start with a digit, a number (its exponent
+# only when a digit follows), any other word, or any other character;
+# trailing blanks match nothing. A word is a name only if it starts with a
+# letter or "_", since "\w" also matches digits and other numerals.
 _TOKEN = re.compile(
-    r"[ \t]*(?:(?P<number>(?:[0-9]+\.?|\.)[0-9]*(?:[eE][+-]?[0-9]+)?)"
-    r"|(?P<ident>\w+)"
-    r"|(?P<op>[-+*/^(),])"
-    r"|(?P<other>[^ \t]))"
+    r"[ \t]*(?:[-+*/^(),]"
+    r"|[^\W\d]\w*"
+    r"|(?:[0-9]+\.?|\.)[0-9]*(?:[eE][+-]?[0-9]+)?"
+    r"|\w+"
+    r"|[^ \t])"
 )
 
 
 def _tokens(text: str, line: int, column: int) -> list:
-    """The ``(kind, value, span)`` tokens of ``text``, ending with ``end``."""
-    tokens = []
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        lit, span = m[kind], Span(line, column + m.start(kind))
-        if kind == "number":
+    """The ``(kind, value, column)`` tokens of ``text``, ending with ``end``."""
+    tokens, end = [], column + len(text)
+    for match in _TOKEN.findall(text):
+        lit = match.lstrip(" \t")
+        column += len(match) - len(lit)
+        first = lit[0]
+        if first in "-+*/^(),":
+            tokens.append((lit, lit, column))
+        elif first.isalpha() or first == "_":
+            tokens.append(("ident", lit, column))
+        elif first in "0123456789.":
             try:
                 value = float(lit)
             except ValueError:
-                raise ExpressionSyntaxError(f"malformed number {lit!r}", line, span.column)
+                raise ExpressionSyntaxError(f"malformed number {lit!r}", line, column)
             if not math.isfinite(value):
-                raise ExpressionSyntaxError(f"number {lit!r} is not finite", line, span.column)
-            tokens.append((kind, value, span))
-        elif kind == "op":
-            tokens.append((lit, lit, span))
-        elif kind == "ident" and (lit[0].isalpha() or lit[0] == "_"):
-            tokens.append((kind, lit, span))
+                raise ExpressionSyntaxError(f"number {lit!r} is not finite", line, column)
+            tokens.append(("number", value, column))
         else:
-            raise ExpressionSyntaxError(f"unexpected character {lit[0]!r}", line, span.column)
-    tokens.append(("end", None, Span(line, column + len(text))))
+            raise ExpressionSyntaxError(f"unexpected character {first!r}", line, column)
+        column += len(lit)
+    tokens.append(("end", None, end))
     return tokens
+
+
+# How strongly each binary operator binds its operands.
+_BINDING = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 
 class _Parser:
@@ -130,41 +141,35 @@ class _Parser:
     def __init__(self, text: str, variables: Iterable[str], line: int, column: int):
         self.tokens = _tokens(text, line, column)
         self.pos = 0
+        self.line = line
         self.allowed = {"pi", *variables}
         self.fault = None
 
-    def peek(self):
-        return self.tokens[self.pos]
-
     def next(self):
-        tok = self.tokens[self.pos]
+        """The next token, with its column as a :class:`Span`."""
+        kind, value, column = self.tokens[self.pos]
         self.pos += 1
-        return tok
+        return kind, value, Span(self.line, column)
 
-    def expr(self) -> Expr:
-        node = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op, _, span = self.next()
-            node = BinOp(op, node, self.term(), span)
-        return node
-
-    def term(self) -> Expr:
+    def expr(self, strength: int = 1) -> Expr:
+        """Factors joined by the operators that bind at least ``strength``:
+        ``expr`` at 1 and ``term`` at 2, each left-associative."""
         node = self.factor()
-        while self.peek()[0] in ("*", "/"):
+        while _BINDING.get(self.tokens[self.pos][0], 0) >= strength:
             op, _, span = self.next()
-            node = BinOp(op, node, self.factor(), span)
+            node = BinOp(op, node, self.expr(_BINDING[op] + 1), span)
         return node
 
     def factor(self) -> Expr:
         node = self.base()
-        if self.peek()[0] == "^":
+        if self.tokens[self.pos][0] == "^":
             _, _, span = self.next()
-            kind, value, vspan = self.peek()
+            kind, value, column = self.tokens[self.pos]
             if kind != "number" or value != int(value) or value < 0:
                 raise ExpressionSyntaxError(
-                    "exponent must be an unsigned integer", vspan.line, vspan.column
+                    "exponent must be an unsigned integer", self.line, column
                 )
-            self.next()
+            self.pos += 1
             node = Pow(node, int(value), span)
         return node
 
@@ -179,14 +184,14 @@ class _Parser:
             self._expect(")", span)
             return node
         if kind == "ident":
-            if self.peek()[0] != "(":
+            if self.tokens[self.pos][0] != "(":
                 if value not in self.allowed:
                     self._name_fault(f"unknown name {value!r}", span)
                 return Var(value, span)
             _, _, opos = self.next()
             args = [self.expr()]
-            while self.peek()[0] == ",":
-                self.next()
+            while self.tokens[self.pos][0] == ",":
+                self.pos += 1
                 args.append(self.expr())
             self._expect(")", opos)
             if value not in FUNCTIONS:
@@ -197,12 +202,12 @@ class _Parser:
         raise ExpressionSyntaxError(f"expected a value, found {kind!r}", span.line, span.column)
 
     def _expect(self, kind, open_span):
-        if self.peek()[0] != kind:
+        if self.tokens[self.pos][0] != kind:
             # Report the unmatched opener, not the point where input ran out.
             raise ExpressionSyntaxError(
                 f"missing {kind!r}", open_span.line, open_span.column
             )
-        self.next()
+        self.pos += 1
 
     def _name_fault(self, message, span):
         # A call is checked after its arguments but stands before them.
@@ -220,7 +225,7 @@ def parse(text: str, variables: Iterable[str], line: int = 1, column: int = 1) -
     """
     parser = _Parser(text, variables, line, column)
     node = parser.expr()
-    kind, _, span = parser.peek()
+    kind, _, span = parser.next()
     if kind != "end":
         raise ExpressionSyntaxError(f"unexpected {kind!r}", span.line, span.column)
     if parser.fault is not None:

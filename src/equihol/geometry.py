@@ -219,9 +219,10 @@ class ParameterSpace:
         d = self.displacement(a, b)
         if len(d) == 1:
             return float(np.linalg.norm(d[0]))
-        norms = np.linalg.norm(d, axis=-1)
+        # np.linalg.norm's own sums: along the axis, and one vector's dot.
+        norms = np.sqrt(np.add.reduce(d * d, axis=-1))
         top = np.flatnonzero(norms > norms.max(initial=0.0) * (1 - 1e-12))
-        return max((float(np.linalg.norm(d[i])) for i in top), default=0.0)
+        return max((float(np.sqrt(d[i].dot(d[i]))) for i in top), default=0.0)
 
     def require_stencil(self, points, radii) -> None:
         """Raise if a stencil leaves the box, for ``(N, d)`` points and ``(N,)`` radii."""

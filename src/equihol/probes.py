@@ -42,12 +42,13 @@ def halton(n: int, dim: int, seed: int = 0, tag: str = "halton") -> np.ndarray:
     if dim > len(_PRIMES):
         return rng_for(seed, tag).random((n, dim))
     # Radical inverses: digit k in base b over b^(k+1), lowest first, as many
-    # digits as base 2 needs; a place beyond the index (clipped) gives 0.
+    # digits as base 2 needs; a place beyond the index gives 0. Every place a
+    # digit reads is an integer below 2^53, exact in floats, as are // and %.
     top = HALTON_SKIP + int(n)
     bases = np.array(_PRIMES[:dim])
-    places = np.cumprod(np.vstack([np.ones(dim), np.tile(bases, (top.bit_length(), 1))]), axis=0)
-    idx = np.arange(HALTON_SKIP, top)[:, None, None]
-    digits = idx // np.minimum(places[:-1], top).astype(np.int64) % bases
+    places = np.float_power(bases, np.arange(top.bit_length() + 1)[:, None])
+    idx = np.arange(float(HALTON_SKIP), top)[:, None, None]
+    digits = idx // places[:-1] % bases
     pts = np.cumsum(digits / places[1:], axis=1)[:, -1]
     shift = rng_for(seed, tag).random(dim)
     return np.mod(pts + shift, 1.0)

@@ -18,13 +18,12 @@ dimension as its chart.
 
 from __future__ import annotations
 
-import importlib.resources
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path as FilePath
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -63,10 +62,11 @@ _NUMBER_RE = re.compile(r"^-?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 # A generator label: a letter or "_", then letters, digits or "_", as an
 # expression name; words name generators by their labels.
 _LABEL_RE = re.compile(r"[^\W\d]\w*")
+# The characters that cut a list value or change its nesting depth.
+_LIST_MARKS = re.compile(r"[(),]")
 
 
-@dataclass(frozen=True)
-class RawValue:
+class RawValue(NamedTuple):
     kind: str  # "scalar" | "list" | "raw"
     text: str
     items: Optional[Tuple[Tuple[str, int], ...]]  # a list's items and their columns
@@ -87,12 +87,12 @@ def _split_sections(text: str) -> RawScenario:
     current: Optional[str] = None
     version: Optional[int] = None
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split("#", 1)[0].rstrip()
-        if not line.strip():
+        line = raw_line.partition("#")[0].rstrip()
+        stripped = line.lstrip()
+        if not stripped:
             continue
-        stripped = line.strip()
-        if stripped.startswith("["):
-            if not stripped.endswith("]"):
+        if stripped[0] == "[":
+            if stripped[-1] != "]":
                 raise ScenarioError("unterminated section header", lineno, line.index("[") + 1)
             name = stripped[1:-1].strip()
             if not name:
@@ -103,12 +103,12 @@ def _split_sections(text: str) -> RawScenario:
             headers[name] = lineno
             current = name
             continue
-        if "=" not in stripped:
+        key_part, eq, value_part = line.partition("=")
+        if not eq:
             raise ScenarioError("expected 'key = value'", lineno)
-        key_part, _, value_part = line.partition("=")
         key = key_part.strip()
-        value_text = value_part.strip()
-        column = len(key_part) + 2 + (len(value_part) - len(value_part.lstrip()))
+        value_text = value_part.lstrip()
+        column = len(key_part) + 2 + len(value_part) - len(value_text)
         if not key:
             raise ScenarioError("missing key before '='", lineno)
         if current is None:
@@ -119,16 +119,17 @@ def _split_sections(text: str) -> RawScenario:
             except ValueError:
                 raise ScenarioError("schema_version must be an integer", lineno, column)
             continue
-        if key in sections[current]:
+        entries = sections[current]
+        if key in entries:
             raise ScenarioError(f"duplicate key {key!r} in [{current}]", lineno)
-        if value_text.startswith("["):
-            if not value_text.endswith("]"):
+        if value_text[:1] == "[":
+            if value_text[-1] != "]":
                 raise ScenarioError("unterminated list value", lineno, column)
             inner = value_text[1:-1]
             items = tuple(_split_top_level(inner, lineno, column + 1)) if inner.strip() else ()
-            sections[current][key] = RawValue("list", value_text, items, lineno, column)
+            entries[key] = RawValue("list", value_text, items, lineno, column)
         else:
-            sections[current][key] = RawValue("scalar", value_text, None, lineno, column)
+            entries[key] = RawValue("scalar", value_text, None, lineno, column)
     if version is None:
         raise ScenarioError("missing schema_version")
     if version != SCHEMA_VERSION:
@@ -140,15 +141,16 @@ def _split_top_level(text: str, lineno: int, column: int) -> List[Tuple[str, int
     """The items between top-level commas of ``text``, which starts at
     ``column``: each stripped, with the column of its first character."""
     cuts, depth = [-1], 0
-    for i, c in enumerate(text):
+    for mark in _LIST_MARKS.finditer(text):
+        c = mark[0]
         if c == "(":
             depth += 1
         elif c == ")":
             depth -= 1
             if depth < 0:
-                raise ScenarioError("unbalanced parentheses in list", lineno, column + i)
-        elif c == "," and depth == 0:
-            cuts.append(i)
+                raise ScenarioError("unbalanced parentheses in list", lineno, column + mark.start())
+        elif depth == 0:
+            cuts.append(mark.start())
     parts = [text[a + 1:b] for a, b in zip(cuts, cuts[1:] + [len(text)])]
     return [(p.strip(), column + a + 1 + len(p) - len(p.lstrip())) for a, p in zip(cuts, parts)]
 
@@ -739,8 +741,11 @@ def format_scenario(scenario: Scenario) -> str:
 # Bundled scenarios
 
 
+BUNDLED_DIR = FilePath(__file__).with_name("scenarios")
+
+
 def bundled_dir() -> FilePath:
-    return FilePath(str(importlib.resources.files("equihol") / "scenarios"))
+    return BUNDLED_DIR
 
 
 def bundled_names() -> List[str]:
@@ -748,12 +753,18 @@ def bundled_names() -> List[str]:
 
 
 def load_scenario(path_or_name: str) -> Scenario:
-    """Load a scenario from a path, or by bundled name."""
-    p = FilePath(path_or_name)
-    if not p.exists():
-        candidate = bundled_dir() / f"{path_or_name}.scn"
-        if candidate.exists():
-            p = candidate
-        else:
-            raise ScenarioError(f"no scenario file or bundled scenario {path_or_name!r}")
-    return parse_scenario(p.read_text(encoding="utf-8"), name=p.stem)
+    """Load a scenario from a path, or by bundled name when no file is
+    there; a file that cannot be read as UTF-8 text is a ScenarioError."""
+    for p in (FilePath(path_or_name), BUNDLED_DIR / f"{path_or_name}.scn"):
+        try:
+            with open(p, encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ScenarioError(f"scenario {str(p)!r} is not UTF-8 text: {exc.reason} "
+                                f"at byte {exc.start}") from None
+        except (FileNotFoundError, NotADirectoryError, ValueError):
+            continue  # no such file; a ValueError is a path no file can have
+        except OSError as exc:
+            raise ScenarioError(f"cannot read scenario {str(p)!r}: {exc.strerror}") from None
+        return parse_scenario(text, name=p.stem)
+    raise ScenarioError(f"no scenario file or bundled scenario {path_or_name!r}")

@@ -49,6 +49,9 @@ def test_summary_of_canned_pairs():
     assert out["parent"]["failed"] == [0, 1, 0, 1, 0]
     assert out["parent"]["attempted"] == [100] * 5
     assert out["parent"]["correct"] and not out["change"]["correct"]
+    # The parent failed 2 of 500 operations, the change none.
+    assert out["failure_share"] == {"parent": 0.004, "change": 0.0}
+    assert out["more_failures"] is False
     ops = out["parent"]["metrics"]["ops_per_s"]
     # Sorted 49, 50, 51, 52, 53: inclusive quartiles at positions 1 and 3.
     assert (ops["q1"], ops["median"], ops["q3"]) == (50.0, 51.0, 52.0)
@@ -68,9 +71,15 @@ def test_summary_of_canned_pairs():
     # median, beyond its 5% bound; op_p50_ms rises 18.5 -> 19.5, by 5.4%,
     # inside its 6% bound.
     swapped = [dict(p, parent=p["change"], change=p["parent"]) for p in canned_pairs()]
-    summary = tool.summarise(swapped, BETTER, bounds)["summary"]
+    swapped_out = tool.summarise(swapped, BETTER, bounds)
+    assert swapped_out["more_failures"] is True
+    summary = swapped_out["summary"]
     assert summary["ops_per_s"]["worse_than_bound"]
     assert not summary["op_p50_ms"]["worse_than_bound"]
+    # Equal shares are not more failures, whatever the counts.
+    even = [dict(p, change=dict(p["parent"], failed=2 * p["parent"]["failed"], attempted=200))
+            for p in canned_pairs()]
+    assert tool.summarise(even, BETTER, bounds)["more_failures"] is False
     # A metric without a bound carries no flag.
     summary = tool.summarise(swapped, BETTER, {"op_p50_ms": 0.01})["summary"]
     assert "worse_than_bound" not in summary["ops_per_s"]

@@ -187,6 +187,19 @@ FAULTS = {
         "coincident images", "torus_shift", _turn("0.25", "0.3"), ("curvature",), 1,
         r"error: cocycle residual 2\.000e-01 exceeds 1e-06 at word pair \('g\^2', 'g\^-2'\), ",
     ),
+    # A holonomy query builds the same model, so it stops at the same check.
+    "quarter_turn_undeclared_holonomy": Fault(
+        "coincident images", "torus_shift", _turn("0.25", "0.3"), ("holonomy", "--word", "g"),
+        1, r"error: cocycle residual 2\.000e-01 exceeds 1e-06 at word pair \('g\^2', 'g\^-2'\), ",
+    ),
+    # An inverse map that misses the forward rotation by 0.1 rad in one
+    # term: the construction check of the inverses stops the query.
+    "inverse_off_forward": Fault(
+        "generator inverses", "rotation",
+        {("group.r", "inverse"): "[cos(0.7)*x1 + sin(0.7)*x2, cos(0.7)*x2 - sin(0.6)*x1]"},
+        ("holonomy", "--word", "r"), 1,
+        r"error: generator inverse defect 1\.424e-01 exceeds 1e-08\n",
+    ),
     # g^8 lies beyond the coincidences of words up to length 3.
     "eighth_turn_relator": Fault(
         "declared relators", "torus_shift", _turn("0.125", "0.1", "g^8"),

@@ -503,6 +503,25 @@ def test_cli_missing_scenario_is_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+def test_cli_unreadable_scenario_is_typed_error(kind, tmp_path, capsys):
+    """A path that exists but holds no readable scenario text: one error
+    line naming the path, exit 1, no traceback."""
+    if kind == "directory":
+        path, reason = tmp_path, "cannot read scenario {path!r}: Is a directory"
+    else:
+        path = tmp_path / "latin1.scn"
+        path.write_bytes(format_scenario(load_scenario("rotation")).encode() + b"# caf\xe9\n")
+        reason = "scenario {path!r} is not UTF-8 text: invalid continuation byte at byte"
+    with pytest.raises(ScenarioError, match=re.escape(reason.format(path=str(path)))):
+        load_scenario(str(path))
+    assert run_cli(["holonomy", str(path), "--word", "r"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"error: {reason.format(path=str(path))}")
+    assert out.err.count("\n") == 1
+
+
 def test_cli_anomaly_on_discrete_scenario(capsys):
     code = run_cli(["anomaly", "paper_example_Z_on_R"])
     out = capsys.readouterr().out

@@ -22,8 +22,11 @@ quartiles, and ``failed``/``attempted``; for each metric, the change's
 median over the parent's and the number of pairs the change won, in the
 direction ``BENCHMARK.json`` declares better, and, for each metric with a
 ``bound`` there, ``worse_than_bound``: whether the change's median is worse
-than the parent's by more than that fraction of it. The metrics so flagged
-are printed after each workload. It also records the
+than the parent's by more than that fraction of it. Per workload,
+``failure_share`` is each side's failed operations over its attempted ones,
+summed over the pairs, and ``more_failures`` whether the change's share
+exceeds the parent's. The metrics so flagged, and whether the change fails
+more, are printed after each workload. It also records the
 environment line of the benchmark. Medians and quartiles are
 ``statistics.quantiles(..., method="inclusive")``, numpy's linear
 percentiles.
@@ -101,6 +104,10 @@ def summarise(pairs: list, better: dict, bounds: dict = None) -> dict:
                 for name in better
             },
         }
+    share = {side: sum(out[side]["failed"]) / max(sum(out[side]["attempted"]), 1)
+             for side in SIDES}
+    out["failure_share"] = {side: round(share[side], 6) for side in SIDES}
+    out["more_failures"] = share["change"] > share["parent"]
     out["summary"] = {}
     for name, direction in better.items():
         parent, change = (out[side]["metrics"][name] for side in SIDES)
@@ -156,7 +163,9 @@ def main(argv=None) -> int:
         record["workloads"][workload] = summarise(pairs, better, bounds)
         flagged = [name for name, s in record["workloads"][workload]["summary"].items()
                    if s.get("worse_than_bound")]
-        print(f"{workload}: worse than its bound: {', '.join(flagged) or 'none'}", flush=True)
+        more = record["workloads"][workload]["more_failures"]
+        print(f"{workload}: worse than its bound: {', '.join(flagged) or 'none'}; "
+              f"more failures: {'yes' if more else 'no'}", flush=True)
         args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(f"pairs written to {args.out}")
     return 0
