@@ -317,9 +317,6 @@ def names(node: Expr) -> set:
     return set().union(*(names(c) for c in children if not isinstance(c, (str, float, int, Span))))
 
 
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
-
-
 def to_source(node: Expr) -> str:
     """Print an AST back to grammar-conformant text.
 
@@ -344,7 +341,7 @@ def _print(node: Expr, parent_prec: int) -> str:
         # "-x^2" would regroup as (-x)^2 under this grammar, so guard it.
         return f"({text})" if parent_prec >= 3 else text
     if isinstance(node, BinOp):
-        prec = _PREC[node.op]
+        prec = _BINDING[node.op]
         left = _print(node.left, prec - 1)
         # Right operand binds tighter: "-" and "/" are left-associative.
         right = _print(node.right, prec)

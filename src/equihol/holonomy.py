@@ -148,7 +148,6 @@ def equivariant_holonomy(
 
 @dataclass(frozen=True)
 class InvarianceReport:
-    base_value: CircleValue
     translated_residual: float
     conjugated_residual: float
 
@@ -174,7 +173,6 @@ def holonomy_invariance_report(
     conj = conjugate_path(zeta, path, lambda p: bundle.action.apply(word, p))
     conj_val = equivariant_holonomy(bundle, connection, section, word, conj, method="formula")
     return InvarianceReport(
-        base_value=base.value,
         translated_residual=base.value.distance(moved.value),
         conjugated_residual=base.value.distance(conj_val.value),
     )

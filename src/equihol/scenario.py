@@ -192,7 +192,6 @@ _SCHEMA: Dict[str, Dict[str, Tuple[str, ...]]] = {
     },
     "connection": {"rho": "exprs coords"},
     "moment": {"*": "expr coords"},
-    "section.*": {"lambda": "expr coords"},
     "candidate.*": {"form": "exprs coords"},
     "lattice": {
         "sites": "int",
@@ -241,7 +240,6 @@ _REQUIRED: Dict[str, Tuple[str, ...]] = {
     "cocycle_family": ("family",),
     "lie.*": ("field",),
     "connection": ("rho",),
-    "section.*": ("lambda",),
     "candidate.*": ("form",),
     "lattice": ("sites",),
     "fieldgroup.*": ("kind", "alpha"),
@@ -261,14 +259,15 @@ _COMMON = frozenset({"assumptions", "solver"})
 _SCALARS = {"int": (int, "an integer"), "float": (float, "a number"), "word": (parse_word, None)}
 
 
-def _pattern(section: str) -> str:
-    """The ``_SCHEMA`` entry of a section: its name, or ``<kind>.*``."""
+def _pattern(section: str, line: Optional[int] = None) -> str:
+    """The ``_SCHEMA`` entry of a section: its name, or ``<kind>.*``;
+    ``line`` is its header's line, for the error."""
     if section in _SCHEMA:
         return section
     head = section.split(".", 1)[0] + ".*"
     if "." in section and head in _SCHEMA:
         return head
-    raise ScenarioError(f"unknown section [{section}]")
+    raise ScenarioError(f"unknown section [{section}]", line)
 
 
 def _typed(value: RawValue, spec: Tuple[str, ...], idents: Optional[dict] = None):
@@ -440,10 +439,6 @@ class Scenario:
             else OneForm.zero(space)
         )
         connection = Connection(rho)
-        named = {"reference": Section()}
-        for name, e in self.labelled("section.").items():
-            lam = ScalarField.from_expression(space, e["lambda"], name=name)
-            named[name] = Section(lam, name=name)
         moment = {
             label: ScalarField.from_expression(space, expr, name=f"moment({label})")
             for label, expr in sections.get("moment", {}).items()
@@ -457,7 +452,6 @@ class Scenario:
             space=space,
             bundle=bundle,
             connection=connection,
-            sections=named,
             declared_moment=moment or None,
             candidates=candidates,
             fixed_points=fixed_points or None,
@@ -544,14 +538,13 @@ class ScenarioModel:
     space: ParameterSpace
     bundle: EquivariantBundle
     connection: Connection
-    sections: Dict[str, Section]
     declared_moment: Optional[Dict[str, ScalarField]]
     candidates: List[Tuple[str, OneForm]]
     fixed_points: Optional[Dict[str, tuple]]
 
     @property
     def reference_section(self) -> Section:
-        return self.sections["reference"]
+        return Section()
 
 
 @dataclass
@@ -615,7 +608,7 @@ def parse_scenario(text: str, name: str = "<scenario>") -> Scenario:
     idents = _identifiers(raw, head, head_values)
     sections = {}
     for section, line in raw.headers.items():
-        pattern = _pattern(section)
+        pattern = _pattern(section, line)
         label = section.split(".", 1)[-1]
         if pattern in ("group.*", "fieldgroup.*") and not _LABEL_RE.fullmatch(label):
             raise ScenarioError(

@@ -258,11 +258,10 @@ def _lift_fit(A, reps, circle_mask, lifts):
 
     Solves, snaps the circle-row lifts to the nearest integers of the
     prediction gap, and repeats until they stabilize or the rounds run out.
-    Returns the coefficients, the worst residual (wrapped on circle rows),
-    the final lifts and whether they stabilized: a round that changed
-    nothing, after which a run started from those lifts ends the same.
+    Returns the coefficients, the worst residual (wrapped on circle rows)
+    and the final lifts.
     """
-    coef, settled = np.zeros(A.shape[1]), False
+    coef = np.zeros(A.shape[1])
     for _ in range(LIFT_ROUNDS):
         if A.shape[1]:  # with no columns there is nothing to solve
             coef, *_ = np.linalg.lstsq(A, reps + lifts, rcond=RANK_CUTOFF)
@@ -272,13 +271,12 @@ def _lift_fit(A, reps, circle_mask, lifts):
         new_lifts = lifts.copy()
         new_lifts[circle_mask] = np.round(pred[circle_mask] - reps[circle_mask])
         if np.array_equal(new_lifts, lifts):
-            settled = True
             break
         lifts = new_lifts
     pred = A @ coef if A.size else np.zeros(len(reps))
     resid = np.abs(pred - (reps + lifts))
     resid[circle_mask] = np.abs(np.mod(pred[circle_mask] - reps[circle_mask] + 0.5, 1.0) - 0.5)
-    return coef, (float(np.max(resid)) if len(resid) else 0.0), lifts, settled
+    return coef, (float(np.max(resid)) if len(resid) else 0.0), lifts
 
 
 def _unwrap(points, reps):
@@ -308,8 +306,6 @@ def _lift_search(A, reps, groups, bound, points=None):
     points. One integer offset per group, at most ``bound`` in size, is
     then tried in order of total size, each snapped by :func:`_lift_fit`.
     The first fit within 1e-12 wins; otherwise the smallest residual does.
-    An offset whose start equals lifts at which an earlier fit settled is
-    skipped: its fit would repeat that one, which cannot beat the best.
     """
     circle = groups >= 0
     # A set, not np.unique, which imports numpy.ma: about 1 MB of peak memory.
@@ -322,14 +318,10 @@ def _lift_search(A, reps, groups, bound, points=None):
     slot = np.where(circle, np.searchsorted(ids, groups), len(ids))
     values = sorted(range(-bound, bound + 1), key=lambda m: (abs(m), -m))
     offsets = sorted(itertools.product(values, repeat=len(ids)), key=lambda o: sum(map(abs, o)))
-    best, settled_at = None, set()
+    best = None
     for offset in offsets:
         lifts = base + np.append(np.asarray(offset, dtype=float), 0.0)[slot]
-        if lifts.tobytes() in settled_at:
-            continue
-        coef, residual, lifts, settled = _lift_fit(A, reps, circle, lifts)
-        if settled:
-            settled_at.add(lifts.tobytes())
+        coef, residual, lifts = _lift_fit(A, reps, circle, lifts)
         if best is None or residual < best[1] - 1e-15:
             best = (coef, residual, lifts)
         if best[1] <= 1e-12:
@@ -650,7 +642,6 @@ class MembershipResult:
     residual: float
     period_table: dict
     combination: Optional[OneForm]
-    candidates_complete: bool
 
 
 def character_membership(
@@ -703,7 +694,7 @@ def character_membership(
 
     if not gens:
         combo = combination(np.zeros(len(forms)))
-        return MembershipResult("member", {}, {}, 0.0, period_table, combo, cfg.candidates_complete)
+        return MembershipResult("member", {}, {}, 0.0, period_table, combo)
     bound = MEMBERSHIP_SLACK if len(gens) <= 2 else 2
     lam, resid, slack = _lift_search(K, kappa, np.arange(len(gens)), bound)
     lambdas = dict(zip(names, (float(v) for v in lam)))
@@ -713,9 +704,7 @@ def character_membership(
     if resid <= MEMBERSHIP_TOL:
         decision = "member"
         combo = combination(lam)
-    return MembershipResult(
-        decision, lambdas, slack_map, resid, period_table, combo, cfg.candidates_complete
-    )
+    return MembershipResult(decision, lambdas, slack_map, resid, period_table, combo)
 
 
 # ---------------------------------------------------------------------------

@@ -1298,9 +1298,8 @@ def ref_flat_character(bundle, connection, section, n_paths, n_basepoints, seed,
 
 def _stack_model(name, models, lattice_models):
     """Bundle, connection, section, a form that certifies nothing, and the
-    scenario's path samples. ``<scenario>:<section>`` names a section of
-    the scenario, or ``seeded``, a potential with seeded coefficients; the
-    reference section otherwise."""
+    scenario's path samples. ``<scenario>:seeded`` takes a potential with
+    seeded coefficients as the section; the reference section otherwise."""
     name, _, section_name = name.partition(":")
     if name in lattice_models:
         model = lattice_models[name]
@@ -1318,8 +1317,6 @@ def _stack_model(name, models, lattice_models):
         a, b = 0.05 * rng_for(5, "stack-section").normal(size=2)
         lam = ScalarField.batched(model.space, lambda xs: a * np.sin(xs[:, 0]) + b * xs[:, -1] ** 2)
         section = Section(lam, name="seeded")
-    elif section_name:
-        section = model.sections[section_name]
     return model.bundle, model.connection, section, form, samples
 
 
@@ -1341,10 +1338,10 @@ def _per_stack(samples, dimension):
     return max(1, STACK_FLOATS // ((samples - 1) * dimension))
 
 
-# The stacked section shift Lambda - Lambda o phi: the planted potential of
-# affine_line, which has no family, and a seeded one next to a family.
+# The stacked section shift Lambda - Lambda o phi: a seeded potential on
+# affine_line, which has no family, and on translation_shear, next to a family.
 @pytest.mark.parametrize(
-    "name", CHART + ("lattice_fiber_shift", "affine_line:planted", "translation_shear:seeded")
+    "name", CHART + ("lattice_fiber_shift", "affine_line:seeded", "translation_shear:seeded")
 )
 def test_class_path_rows_match_one_path_loops(name, models, lattice_models):
     bundle, connection, section, form, samples = _stack_model(name, models, lattice_models)

@@ -156,7 +156,6 @@ DOUBLING_FAMILY = {
     ("cocycle_family", "family"): "0.5*n2",
     ("connection", "rho"): "[0]",
     ("lie.T", None): None, ("lie.S", None): None, ("moment", None): None,
-    ("section.planted", None): None,
 }
 
 

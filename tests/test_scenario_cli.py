@@ -600,10 +600,15 @@ def test_cli_result_keys_are_the_result_fields(argv, cls, extra, tmp_path):
          "a scenario declares either [space] or [lattice]", None),
         ("lattice_zero_mode", "rho_zmode = zmode^2", "rho_zmode = zmode^2\nrho = [0, 0, 0]",
          "[fieldconnection] takes exactly one of rho and rho_zmode", None),
+        ("trivial", "path_samples = 384", "path_samples = 384\n\n[bogus]",
+         "unknown section [bogus]", 51),
+        # The named section affine_line once declared: the format has none.
+        ("affine_line", "[assumptions]", "[section.planted]\nlambda = 0.3*x1^2\n\n[assumptions]",
+         "unknown section [section.planted]", 46),
     ],
     ids=["open_header", "empty_header", "no_equals", "no_key", "schema_version", "open_list",
          "parentheses", "bool", "ints", "torus_periods", "box_bounds", "space_and_lattice",
-         "two_connections"],
+         "two_connections", "unknown_section", "named_section"],
 )
 def test_cli_scenario_parse_errors(name, old, new, message, line, tmp_path, capsys):
     # One edit of a bundled scenario per parser message: the error names
@@ -757,6 +762,11 @@ def edited_cases():
         ("lattice_slots.scn", "INCONCLUSIVE", "local_global_form", 3,
          {"found": False, "best_residual": 0.0523424, "holdout_residual": 0.4899904,
           "basis": "local one-form densities: 20 members, degree <= 2, slots [1, 2]"}),
+        # Looser bounds on the same slots: the weak local form certifies
+        # within the bound of 1.0 that the tolerances give, and the fresh
+        # paths of revalidation reject it.
+        ("lattice_reval.scn", "INCONCLUSIVE", "revalidation", 3,
+         {"holonomy_residual": 0.4996974, "paths": 8}),
     ],
 )
 def test_cli_verdict_stopping_paths(file_name, outcome, stage, code, data, tmp_path):

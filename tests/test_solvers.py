@@ -480,24 +480,19 @@ def test_no_certificate_reports_carry_ansatz(models, scenarios):
     assert verdict.ansatz  # the report names what was searched
 
 
-def test_lift_search_skips_starts_at_settled_lifts(monkeypatch):
-    """A 2 x 1 period table with no member: every offset over both
-    generators ends near one of a few settled lift sets. Skipping the starts
-    that equal one gives the result of the full loop with fewer fits."""
+def test_lift_search_matches_the_full_loop():
+    """A 2 x 1 period table with no member: the search gives the best fit
+    of the loop over every offset of both generators."""
     K, kappa = np.array([[1.0], [1.0]]), np.array([0.25, 0.5])
     groups, bound = np.arange(2), solvers.MEMBERSHIP_SLACK
     reference = None
     values = sorted(range(-bound, bound + 1), key=lambda m: (abs(m), -m))
     offsets = sorted(itertools.product(values, repeat=2), key=lambda o: sum(map(abs, o)))
     for offset in offsets:
-        coef, residual, lifts, _ = solvers._lift_fit(K, kappa, groups >= 0, np.array(offset, float))
+        coef, residual, lifts = solvers._lift_fit(K, kappa, groups >= 0, np.array(offset, float))
         if reference is None or residual < reference[1] - 1e-15:
             reference = (coef, residual, lifts)
-    fits = []
-    fit = solvers._lift_fit
-    monkeypatch.setattr(solvers, "_lift_fit", lambda *args: fits.append(1) or fit(*args))
     coef, residual, slack = solvers._lift_search(K, kappa, groups, bound)
     assert coef.tolist() == reference[0].tolist() == pytest.approx([0.375])
     assert residual == reference[1] == pytest.approx(0.125)
     assert slack.tolist() == reference[2].tolist() == [0.0, 0.0]
-    assert 0 < len(fits) < len(offsets) == 33 * 33

@@ -30,7 +30,7 @@ and ``curvature`` in both formats, ``holonomy`` of ``g`` and ``g^2`` for
 every generator ``g`` along the ``unit`` and ``wiggle:3`` paths, the
 two-generator word ``t1 s1^-1`` of ``affine_line`` (the one bundled
 cocycle without a family) along ``wiggle:3``, ``selftest``, the
-typed-error cases, twenty-seven edited copies of bundled scenarios and one
+typed-error cases, twenty-eight edited copies of bundled scenarios and one
 ``--out`` report.
 """
 
@@ -145,6 +145,10 @@ EDITED_CASES = [
     # the holonomies.
     ("lattice_slots.scn", "lattice_fiber_shift", "[solver]", "[solver]\nslots = [1, 2]",
      "verdict --local --seed 0"),
+    # The same slots with fit and holdout bounds of 1.0: a weak local form
+    # passes both, and revalidation on fresh paths rejects it.
+    ("lattice_reval.scn", "lattice_fiber_shift", "[solver]",
+     "[solver]\nslots = [1, 2]\nfit_tol = 0.1", "verdict --local --tol 0.1"),
     # A cocycle family on two generators that do not commute: affine_line
     # turned into the translation t1 and the doubling s1, with the relator
     # s1 t1 s1^-1 = t1^2 and the character 0.5 on s1 alone. Its only
@@ -155,8 +159,7 @@ EDITED_CASES = [
      "[cocycle]\nt1 = 0.3*(x1 + 1)^2 - 0.3*x1^2\ns1 = 0.3*x1^2*(exp(1) - 1)\n\n"
      "[lie.T]\nfield = [1]\nflow = [x1 + t]\nalpha = 0.3*(x1 + t)^2 - 0.3*x1^2\n\n"
      "[lie.S]\nfield = [x1]\nflow = [exp(t)*x1]\nalpha = 0.3*x1^2*(exp(2*t) - 1)\n\n"
-     "[connection]\nrho = [0.6*x1]\n\n[moment]\nT = 0\nS = 0\n\n"
-     "[section.planted]\nlambda = 0.3*x1^2\n",
+     "[connection]\nrho = [0.6*x1]\n\n[moment]\nT = 0\nS = 0\n",
      "[group.t1]\nforward = [x1 + 1]\ninverse = [x1 - 1]\n\n"
      "[group.s1]\nforward = [2*x1]\ninverse = [0.5*x1]\n\n"
      "[relations]\nr = s1 t1 s1^-1 t1^-2\n\n"
