@@ -54,9 +54,10 @@ FLOW_STEP = 1e-4
 # Probes and tolerance of the bracket expansion in declared generators.
 EXPANSION_PROBES = 24
 EXPANSION_TOL = 1e-3
-# Probes and tolerance of the equivariant closedness check.
+# Probes, tolerance and default blame of the equivariant closedness check.
 CLOSEDNESS_PROBES = 16
 CLOSEDNESS_TOL = 1e-4
+SCENARIO_FAULT = "the scenario connection, cocycle and moment are inconsistent"
 
 
 class Cocycle:
@@ -217,10 +218,10 @@ class _WordTree:
                 names.setdefault(self.words[i][0][0], []).append(i)
             for letter, at in letters.items():
                 mapped = functools.partial(action.apply_letter, letter)
-                self.images[at] = _fill(mapped, self.images[[rests[i] for i in at]], need, at)
+                self.images[_row_index(at)] = _fill(mapped, self.images, [rests[i] for i in at], need, at)
             for name, at in names.items():
                 values = cocycle.generator_values[name]
-                terms[at] = _fill(values, self.images[[sites[i] for i in at]], need, at)
+                terms[_row_index(at)] = _fill(values, self.images, [sites[i] for i in at], need, at)
             rows = slice(level[0], level[-1] + 1)
             if not np.isfinite(terms[rows]).all():
                 j, i = divmod(int(np.argmax(~np.isfinite(terms[rows]))), n)
@@ -228,16 +229,22 @@ class _WordTree:
                 circle_values(terms[level[j], [i]], xs[[i]], context)
             levels.append(rows)
         # Each law value adds its letter's step to its rest's, level by level.
-        steps = np.array(signs)[:, None] * circle_values(terms, xs)
+        steps = np.array(signs)[:, None] * circle_values(terms)
         self.laws = np.zeros((size, n))
         for rows in levels:
-            self.laws[rows] = circle_values(self.laws[rests[rows]] + steps[rows], xs)
+            self.laws[rows] = circle_values(self.laws[_row_index(rests[rows])] + steps[rows])
 
 
-def _fill(fn, stack: np.ndarray, need: Optional[np.ndarray], at: list):
-    """``fn`` on the ``(M, d)`` rows of a ``(len(at), N, d)`` stack, shaped
-    back per word and probe: every row (a constant result broadcasts), or
-    the rows ``need[at]`` marks, with 0 elsewhere."""
+def _row_index(rows: list):
+    """Consecutive rows as a slice, read as a view and written in place; others as they are."""
+    return slice(rows[0], rows[-1] + 1) if rows == list(range(rows[0], rows[-1] + 1)) else rows
+
+
+def _fill(fn, source: np.ndarray, rows: list, need: Optional[np.ndarray], at: list):
+    """``fn`` on the ``(M, d)`` rows of the ``(len(at), N, d)`` stack
+    ``source[rows]``, shaped back per word and probe: every row (a constant
+    result broadcasts), or the rows ``need[at]`` marks, with 0 elsewhere."""
+    stack = source[_row_index(rows)]
     if need is None:
         out = np.asarray(fn(stack.reshape(-1, stack.shape[-1])))
         return out.reshape(stack.shape[:2] + out.shape[1:]) if out.size > 1 else out
@@ -617,12 +624,13 @@ def connection_report(
     section: Section,
     declared_moment: Optional[Dict[str, ScalarField]] = None,
     seed: int = 0,
+    fault: str = SCENARIO_FAULT,
 ) -> ConnectionReport:
     """Assemble rho for the section, the curvature and the moment.
 
     The moment defaults to anomaly(X) - rho(X); a declared moment is used
-    verbatim. Closedness defects above tolerance raise, since they signal
-    inconsistent scenario data rather than a numerical wobble.
+    verbatim. Closedness defects above tolerance raise naming ``fault``, the
+    inconsistent data, since they signal that rather than a numerical wobble.
     """
     rho = connection.rho(section)
     curv = exterior_derivative(rho)
@@ -645,8 +653,7 @@ def connection_report(
     worst = max(residuals.values())
     if worst > CLOSEDNESS_TOL:
         raise ConsistencyError(
-            f"equivariant closedness defect {worst:.3e} exceeds {CLOSEDNESS_TOL:g}; "
-            "the scenario connection, cocycle and moment are inconsistent"
+            f"equivariant closedness defect {worst:.3e} exceeds {CLOSEDNESS_TOL:g}; {fault}"
         )
     return ConnectionReport(rho, curv, moment, eq, residuals)
 

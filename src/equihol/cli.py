@@ -34,7 +34,8 @@ NEGATIVE_NUMBER = re.compile(
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The ``equihol`` parser, and each command's subparser by name."""
     parser = argparse.ArgumentParser(
         prog="equihol",
         description="Equivariant circle-bundle toolkit: holonomy, curvature and "
@@ -68,11 +69,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     self_p = sub.add_parser("selftest", help="run all bundled invariant suites")
     common(self_p, scenario=False)
-    return parser
+    return parser, dict(sub.choices)
 
 
-# Built once per process; every ``main`` call parses its own argv with it.
-PARSER = build_parser()
+# Built once per process; every ``main`` call parses its own argv with them.
+PARSER, COMMAND_PARSERS = build_parser()
 
 
 # The solver settings every scenario report echoes, in report order.
@@ -83,17 +84,9 @@ CONFIG_ECHO = (
 
 
 def _config(scenario, args):
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.tol is not None:
-        overrides["holdout_tol"] = args.tol
-    if args.probes is not None:
-        overrides["probes"] = args.probes
-        overrides["holdout"] = args.probes
-    if args.max_word_len is not None:
-        overrides["max_word_len"] = args.max_word_len
-    return scenario.solver_config(**overrides)
+    flags = {"seed": args.seed, "holdout_tol": args.tol, "probes": args.probes,
+             "holdout": args.probes, "max_word_len": args.max_word_len}
+    return scenario.solver_config(**{k: v for k, v in flags.items() if v is not None})
 
 
 def _emit(args, report: dict, summary: str) -> None:
@@ -255,7 +248,14 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = PARSER.parse_args(argv)
+    # PARSER hands all after a command to its subparser, which so parses it
+    # alone; PARSER parses again only to reject what the subparser left over.
+    argv = sys.argv[1:] if argv is None else argv
+    sub = COMMAND_PARSERS.get(argv[0]) if argv else None
+    if sub is not None:
+        args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if sub is None or extras:
+        args = PARSER.parse_args(argv)
     try:
         return _run(args)
     except ToolkitError as exc:

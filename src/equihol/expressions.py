@@ -146,10 +146,11 @@ class _Parser:
         self.fault = None
 
     def next(self):
-        """The next token, with its column as a :class:`Span`."""
+        """The next token, with its column as a :class:`Span`, built without
+        the Python frame that ``Span()`` runs."""
         kind, value, column = self.tokens[self.pos]
         self.pos += 1
-        return kind, value, Span(self.line, column)
+        return kind, value, tuple.__new__(Span, (self.line, column))
 
     def expr(self, strength: int = 1) -> Expr:
         """Factors joined by the operators that bind at least ``strength``:

@@ -27,6 +27,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .bundle import (
+    SCENARIO_FAULT,
     Connection,
     EquivariantBundle,
     Section,
@@ -378,6 +379,7 @@ def flat_character(
     n_basepoints: int = 3,
     seed: int = 0,
     samples: int = 512,
+    fault: str = SCENARIO_FAULT,
 ) -> Tuple[Character, FlatReport]:
     """Character of a flat connection from holonomies over sampled paths.
 
@@ -385,10 +387,10 @@ def flat_character(
     generator the holonomy is evaluated over several seeded random paths
     and basepoints; the spread must collapse, identity-component
     generators must give zero, and the character entry is the common
-    cocycle-side value (minus the holonomy).
+    cocycle-side value (minus the holonomy). ``fault`` as for ``connection_report``.
     """
     report = connection_report(
-        bundle, connection, section, declared_moment=declared_moment, seed=seed
+        bundle, connection, section, declared_moment=declared_moment, seed=seed, fault=fault
     )
     space = bundle.space
     pts = probe_points(space, 8, seed, tag="flatness")

@@ -17,6 +17,8 @@ from .errors import ToolkitError
 # 31 bits would fold 2**31 + 3 onto 3.
 MAX_SEED = 2**31 - 1
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+# Row k holds each prime to the power k: the places of any index below 2^63.
+_PLACES = np.float_power(np.array(_PRIMES), np.arange(64)[:, None])
 # Leading Halton indices skipped: index 0 is the origin and the first
 # points correlate across axes.
 HALTON_SKIP = 20
@@ -42,16 +44,16 @@ def halton(n: int, dim: int, seed: int = 0, tag: str = "halton") -> np.ndarray:
     if dim > len(_PRIMES):
         return rng_for(seed, tag).random((n, dim))
     # Radical inverses: digit k in base b over b^(k+1), lowest first, as many
-    # digits as base 2 needs; a place beyond the index gives 0. Every place a
-    # digit reads is an integer below 2^53, exact in floats, as are // and %.
+    # digits as base 2 needs; digit k is q_k - b q_(k+1), q_k = floor(idx / b^k),
+    # exact: each index and place below it is an integer under 2^53.
     top = HALTON_SKIP + int(n)
-    bases = np.array(_PRIMES[:dim])
-    places = np.float_power(bases, np.arange(top.bit_length() + 1)[:, None])
+    places = _PLACES[: top.bit_length() + 1, :dim]
     idx = np.arange(float(HALTON_SKIP), top)[:, None, None]
-    digits = idx // places[:-1] % bases
+    q = np.floor(idx / places)
+    digits = q[:, :-1] - places[1] * q[:, 1:]
     pts = np.cumsum(digits / places[1:], axis=1)[:, -1]
-    shift = rng_for(seed, tag).random(dim)
-    return np.mod(pts + shift, 1.0)
+    pts += rng_for(seed, tag).random(dim)
+    return pts - np.floor(pts)
 
 
 def probe_points(space, n: int, seed: int, tag: str = "probes"):

@@ -275,7 +275,8 @@ def _lift_fit(A, reps, circle_mask, lifts):
         lifts = new_lifts
     pred = A @ coef if A.size else np.zeros(len(reps))
     resid = np.abs(pred - (reps + lifts))
-    resid[circle_mask] = np.abs(np.mod(pred[circle_mask] - reps[circle_mask] + 0.5, 1.0) - 0.5)
+    gap = pred[circle_mask] - reps[circle_mask] + 0.5
+    resid[circle_mask] = np.abs(gap - np.floor(gap) - 0.5)
     return coef, (float(np.max(resid)) if len(resid) else 0.0), lifts
 
 
@@ -344,7 +345,8 @@ def _lstsq_with_lifts(A, targets, polish_budget, groups=None, points=None):
     groups = np.full(len(targets), -1) if groups is None else np.asarray(groups)
     circle_mask = groups >= 0
     reps = np.array(targets, dtype=float)
-    reps[circle_mask] = np.mod(reps[circle_mask] + 0.5, 1.0) - 0.5
+    half = reps[circle_mask] + 0.5
+    reps[circle_mask] = half - np.floor(half) - 0.5
     # The condition estimate uses column-equilibrated data so it measures
     # linear dependence among ansatz members rather than their units; the
     # solve itself stays in raw coordinates so the minimum-norm solution
@@ -880,7 +882,9 @@ def verdict_pipeline(
     run.record("flatten", "pass", {"primitive": _significant(full_result.coefficients)})
 
     kappa, flat_rep = flat_character(
-        bundle, flattened, section, seed=cfg.seed, samples=cfg.path_samples
+        bundle, flattened, section, seed=cfg.seed, samples=cfg.path_samples,
+        fault="the flattened connection, the scenario's rho minus the fitted primitive, "
+              "is not closed: the fit is at fault, not the scenario",
     )
     kappa_values = {label: v.value for label, v in kappa.values.items()}
     run.record("flat_character", "pass", {

@@ -23,6 +23,7 @@ from equihol.geometry import (
     VectorField,
     central_difference,
     circle_differential,
+    circle_values,
     conjugate_path,
     exterior_derivative,
     format_word,
@@ -70,6 +71,24 @@ def test_circle_distance_symmetric_bounded(a, b):
     d = CircleValue.of(a).distance(CircleValue.of(b))
     assert 0.0 <= d <= 0.5
     assert d == pytest.approx(CircleValue.of(b).distance(CircleValue.of(a)))
+
+
+def test_circle_values_reduce_as_np_mod_bit_for_bit():
+    # circle_values reduces by v - floor(v); before its fold of 1.0 to 0.0
+    # that is np.mod(v, 1.0) in every bit, on the edge values (signed zeros,
+    # values that round to 1, subnormals, halves at 2^52) and on random
+    # stacks at six scales.
+    edges = [0.0, -0.0, 1.0, -1.0, 0.5, -0.5, -1e-18, 1e-18, 5e-324, -5e-324,
+             2.0**52 + 0.5, -(2.0**52 + 0.5), 2.0**53, -(2.0**53), 1e300, -1e300,
+             np.nextafter(1.0, 0.0), -np.nextafter(1.0, 0.0)]
+    rng = np.random.default_rng(35)
+    stacks = [np.array(edges)] + [rng.standard_normal(10**4) * scale
+                                  for scale in (1e-12, 1e-3, 1.0, 1e3, 1e9, 2.0**52)]
+    for v in stacks:
+        expected = np.mod(v, 1.0)
+        expected = np.where(expected >= 1.0, 0.0, expected)
+        assert circle_values(v, np.zeros((len(v), 1))).tobytes() == expected.tobytes()
+        assert circle_values(v).tobytes() == expected.tobytes()  # unchecked, the same bits
 
 
 def test_circle_value_edge_representatives():

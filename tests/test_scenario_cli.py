@@ -176,7 +176,7 @@ def test_cli_reuses_one_parser_across_calls(monkeypatch):
     holonomy = ["holonomy", "paper_example_Z_on_R", "--word", "g^2", "--format", "json-like"]
     argvs = [holonomy, ["holonomy", "trivial", "--probes", "x"],
              ["verdict", "trivial", "--seed", "5"], holonomy]
-    first = [_printed(lambda a: cli._run(cli.build_parser().parse_args(a)), a) for a in argvs]
+    first = [_printed(lambda a: cli._run(cli.build_parser()[0].parse_args(a)), a) for a in argvs]
     assert [code for code, _, _ in first] == [0, 2, 0, 0]
     built = []
     init = argparse.ArgumentParser.__init__
@@ -789,6 +789,16 @@ def test_cli_verdict_stopping_paths(file_name, outcome, stage, code, data, tmp_p
     if stage == "cocycle":
         assert result["witness"]["words"] == ["g^2", "g^-3"]
         assert ("witness_words" in stopped["data"]) == (name == "torus_shift")
+
+
+def test_cli_verdict_blames_a_loose_fit_for_the_flattened_closedness():
+    # With --tol 1 a primitive fits from two probes too loosely to flatten
+    # the curvature, and the closedness check inside flat_character fails
+    # on the flattened connection; the scenario itself is consistent.
+    got = _printed(cli_main, ["verdict", "rotation", "--probes", "2", "--tol", "1"])
+    assert got == (1, "", "error: equivariant closedness defect 4.825e-02 exceeds 0.0001; "
+                          "the flattened connection, the scenario's rho minus the fitted "
+                          "primitive, is not closed: the fit is at fault, not the scenario\n")
 
 
 def test_cli_anomaly_summary_names_generators():

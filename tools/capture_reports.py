@@ -63,6 +63,12 @@ ERROR_CASES = [
     ["verdict", "trivial", "--seed", "2147483651"],
     ["verdict", "trivial", "--seed", "-5"],
     ["selftest", "--seed", "-5"],
+    # Usage errors and help, printed by argparse before any scenario loads.
+    ["holonomy", "trivial", "--word", "g", "--bogus"],
+    ["frobnicate", "trivial"],
+    ["holonomy", "trivial"],
+    ["holonomy", "trivial", "--wo", "g"],
+    ["holonomy", "-h"],
 ]
 
 # Holonomy reads of words with more than one generator, in both formats.
