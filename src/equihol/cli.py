@@ -34,17 +34,25 @@ NEGATIVE_NUMBER = re.compile(
 )
 
 
+def _fixed_width(prog):
+    """Help and usage wrapped at 78 columns, the width argparse takes in an
+    80-column terminal, whatever the terminal's width."""
+    return argparse.HelpFormatter(prog, width=78)
+
+
 def build_parser():
     """The ``equihol`` parser, and each command's subparser by name."""
     parser = argparse.ArgumentParser(
         prog="equihol",
         description="Equivariant circle-bundle toolkit: holonomy, curvature and "
         "anomaly-cancellation verdicts over scenario files.",
+        formatter_class=_fixed_width,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, scenario=True):
         p._negative_number_matcher = NEGATIVE_NUMBER
+        p.formatter_class = _fixed_width
         if scenario:
             p.add_argument("scenario", help="scenario file path or bundled name")
         p.add_argument("--seed", type=int, default=None, help="override scenario seed")

@@ -3,10 +3,12 @@
 Fundamental vector fields are flow derivatives: for a one-parameter family
 ``phi_t`` the field is ``X(x) = d/dt phi_t(x)`` at ``t = 0``. Left actions
 admit the opposite choice, which flips the moment and descent identities;
-the resolution is pinned numerically by :func:`equihol.calibration.run`
-on two bundled scenarios, ``rotation_anomalous.scn`` (a rotation with a
-radial connection) and ``translation_shear.scn`` (a shear translation),
-and recorded here. See ``docs/conventions.md``.
+the resolution is pinned numerically on two bundled scenarios,
+``rotation_anomalous.scn`` (a rotation with a radial connection) and
+``translation_shear.scn`` (a shear translation), through the library's own
+``infinitesimal_anomaly`` and ``descent_residual`` under each sign
+(``tests/test_conventions.py``), and recorded here. See
+``docs/conventions.md``.
 
 With ``ANOMALY_MOMENT_SIGN = +1`` the identities in force are::
 

@@ -697,17 +697,32 @@ def conjugate_path(zeta: Path, gamma: Path, apply_point: Callable) -> Path:
 STACK_FLOATS = 8192
 
 
-def segment_sum(values: Callable, path: Path) -> np.ndarray:
-    """Per path, the sum over its segments of ``values(midpoints, steps)``:
-    one call on every segment row, ``(P, d)`` or ``(K * P, d)``. Terms of
-    shape ``(P,)`` or ``(P, F)`` per path give a total or ``(F,)`` totals,
-    with the leading path axis of a stack in front. Each path's terms are
-    added in path order as np.cumsum adds them, so each path of a stack
-    keeps the bits of its total alone. This is the one
-    midpoint quadrature; :func:`line_integral` is its one-form case."""
+# Quadrature rules as (nodes, weights, divisor): each node a position along
+# a segment, 0 at its start sample, 0.5 at its midpoint and 1 at the next
+# sample. Simpson's rule is RK4 on a one-form, the velocity being constant.
+MIDPOINT = ((0.5,), (1.0,), 1.0)
+SIMPSON = ((0.0, 0.5, 1.0), (1.0, 4.0, 1.0), 6.0)
+
+
+def segment_sum(values: Callable, path: Path, rule=MIDPOINT) -> np.ndarray:
+    """Per path, the sum over its segments of the ``rule``'s weighted
+    ``values(nodes, steps)`` over its divisor: one call per node on every
+    segment row, ``(P, d)`` or ``(K * P, d)``. Terms of shape ``(P,)`` or
+    ``(P, F)`` per path give a total or ``(F,)`` totals, with the leading
+    path axis of a stack in front. Each path's terms are added in path
+    order as np.cumsum adds them, so each path of a stack keeps the bits of
+    its total alone. This is the one quadrature; :func:`line_integral` is
+    its one-form case."""
     mids, steps = path.segments()
     axis, d = mids.ndim - 2, mids.shape[-1]
-    terms = np.asarray(values(mids.reshape(-1, d), steps.reshape(-1, d)))
+    at = {0.0: path.points[..., :-1, :], 0.5: mids, 1.0: path.points[..., 1:, :]}
+    nodes, weights, divisor = rule
+    terms = None
+    for node, weight in zip(nodes, weights):
+        term = np.asarray(values(at[node].reshape(-1, d), steps.reshape(-1, d)))
+        term = term if weight == 1.0 else weight * term  # a 1 keeps the bits, copying nothing
+        terms = term if terms is None else terms + term
+    terms = terms if divisor == 1.0 else terms / divisor
     terms = terms.reshape(*mids.shape[:-1], *terms.shape[1:])
     totals = np.cumsum(terms, axis=axis).take(-1, axis=axis)
     starts = path.start.reshape(-1, d)
@@ -723,24 +738,10 @@ def line_integral(form: OneForm, path: Path) -> float:
     return float(segment_sum(form.many, path))
 
 
-def simpson_terms(form: OneForm, path: Path) -> Callable:
-    """The per-segment RK4 terms of a one-form along a path or a stack as
-    :func:`segment_sum` values: Simpson's rule, the velocity being constant."""
-    d = path.space.dimension
-    starts = path.points[..., :-1, :].reshape(-1, d)
-    ends = path.points[..., 1:, :].reshape(-1, d)
-
-    def terms(mids, steps):
-        k1, kmid = form.many(starts, steps), form.many(mids, steps)
-        return (k1 + 4.0 * kmid + form.many(ends, steps)) / 6.0
-
-    return terms
-
-
 def rk4_line_integral(form: OneForm, path: Path) -> float:
     """Per-segment RK4 along one path, the cross-check of the midpoint rule."""
     path._samples  # a stack raises
-    return float(segment_sum(simpson_terms(form, path), path))
+    return float(segment_sum(form.many, path, SIMPSON))
 
 
 # ---------------------------------------------------------------------------

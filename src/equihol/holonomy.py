@@ -42,6 +42,8 @@ from .errors import (
     PathClassError,
 )
 from .geometry import (
+    MIDPOINT,
+    SIMPSON,
     STACK_FLOATS,
     CircleValue,
     GroupAction,
@@ -58,7 +60,6 @@ from .geometry import (
     max_abs,
     rk4_line_integral,
     segment_sum,
-    simpson_terms,
 )
 from .probes import direction_draws, probe_points, rng_for
 
@@ -309,12 +310,12 @@ def class_path_rows(
         stack = Path(space, ts, points(part, slice(None)))
         require_path_class(bundle, words[part], stack.end, images[part])
 
-        def holonomies(terms):
-            integrals = circle_values(segment_sum(terms, stack), stack.start)
+        def holonomies(rule):
+            integrals = circle_values(segment_sum(rho.many, stack, rule), stack.start)
             return circle_values(integrals - alpha[part], stack.start)
-        columns = [holonomies(rho.many)]
+        columns = [holonomies(MIDPOINT)]
         if method == "both":
-            columns.append(circle_gaps(columns[0], holonomies(simpson_terms(rho, stack))))
+            columns.append(circle_gaps(columns[0], holonomies(SIMPSON)))
             _require_agreement(columns[1], words[part])
         if measure is not None:
             columns.append(measure(stack))

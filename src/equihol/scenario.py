@@ -746,9 +746,12 @@ def bundled_names() -> List[str]:
 
 
 def load_scenario(path_or_name: str) -> Scenario:
-    """Load a scenario from a path, or by bundled name when no file is
-    there; a file that cannot be read as UTF-8 text is a ScenarioError."""
-    for p in (FilePath(path_or_name), BUNDLED_DIR / f"{path_or_name}.scn"):
+    """Load a bundled scenario by its bare name (no directory part; a file
+    of that name here is ``./<name>``), and any other argument as the path
+    it gives; a file that cannot be read as UTF-8 text is a ScenarioError."""
+    path = FilePath(path_or_name)
+    bare = path.name == path_or_name
+    for p in (BUNDLED_DIR / f"{path_or_name}.scn", path) if bare else (path,):
         try:
             with open(p, encoding="utf-8") as fh:
                 text = fh.read()

@@ -48,6 +48,8 @@ from equihol.errors import (
 )
 from equihol.expressions import compile_expr, parse as parse_expr
 from equihol.geometry import (
+    MIDPOINT,
+    SIMPSON,
     STACK_FLOATS,
     CircleValue,
     GroupAction,
@@ -1320,18 +1322,19 @@ def _stack_model(name, models, lattice_models):
     return model.bundle, model.connection, section, form, samples
 
 
-def assert_rows_match_one_path(stack: Path, values):
-    """Endpoints, segments and segment sums of a ``(K, S, d)`` Path equal
-    those of the one-path Path of each row, bit for bit."""
+def assert_rows_match_one_path(stack: Path, values, rule):
+    """Endpoints, segments and segment sums under ``rule`` of a
+    ``(K, S, d)`` Path equal those of the one-path Path of each row, bit
+    for bit."""
     mids, steps = stack.segments()
-    totals = segment_sum(values, stack)
+    totals = segment_sum(values, stack, rule)
     for k, points in enumerate(stack.points):
         path = Path(stack.space, stack.times, points)
         one_mids, one_steps = path.segments()
         assert np.array_equal(stack.start[k], path.start)
         assert np.array_equal(stack.end[k], path.end)
         assert np.array_equal(mids[k], one_mids) and np.array_equal(steps[k], one_steps)
-        assert np.array_equal(totals[k], segment_sum(values, path))
+        assert np.array_equal(totals[k], segment_sum(values, path, rule))
 
 
 def _per_stack(samples, dimension):
@@ -1376,12 +1379,13 @@ def test_class_path_rows_match_one_path_loops(name, models, lattice_models):
         one = equivariant_holonomy(bundle, connection, section, word, path, method="both")
         assert (value, gap) == (one.value.value, one.cross_check), (name, k)
     # A (K, S, d) Path is its K one-path rows, bit for bit, for total and
-    # (F,) terms alike.
+    # (F,) terms alike and under either rule.
     for stack in stacks:
-        assert_rows_match_one_path(stack, form.many)
-        assert_rows_match_one_path(
-            stack, lambda mids, steps: np.column_stack([form.many(mids, steps), mids[:, 0]])
-        )
+        for rule in (MIDPOINT, SIMPSON):
+            assert_rows_match_one_path(stack, form.many, rule)
+            assert_rows_match_one_path(
+                stack, lambda xs, steps: np.column_stack([form.many(xs, steps), xs[:, 0]]), rule
+            )
 
 
 @pytest.mark.parametrize("name", ["torus_shift", "rotation", "lattice_fiber_shift"])

@@ -55,12 +55,21 @@ def json_dumps(value) -> str:
     return json.dumps(value, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def test_captured_reports_match_their_digests(captured):
+def test_captured_reports_match_their_digests(captured, monkeypatch):
+    """As captured, and again with ``COLUMNS`` at 40 and at 200: argparse
+    wraps usage at the width ``COLUMNS`` names unless the parser fixes its
+    own, and no record may depend on the terminal."""
     tool, records, _ = captured
     pinned = json.loads(DIGESTS.read_text(encoding="utf-8"))
-    current = tool.digests(records)
-    differing = sorted(k for k in pinned.keys() | current.keys() if pinned.get(k) != current.get(k))
-    assert not differing, "reports differ from their digests:\n" + "\n".join(differing)
+    for columns in (None, "40", "200"):
+        if columns is not None:
+            monkeypatch.setenv("COLUMNS", columns)
+            records = tool.capture()
+        current = tool.digests(records)
+        differing = sorted(k for k in pinned.keys() | current.keys() if pinned.get(k) != current.get(k))
+        assert not differing, (
+            f"reports differ from their digests (COLUMNS {columns}):\n" + "\n".join(differing)
+        )
 
 
 def test_to_json_writes_the_json_dumps_bytes_of_every_captured_report(captured):

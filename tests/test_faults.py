@@ -14,16 +14,17 @@ this, and the declared-relator row declares a relator beyond that reach.
 The bundle's construction check runs at length 2, so a relator of up to 4
 letters stops every command when the model is built, declared or not.
 
-A row may instead, or also, replace one ``src`` function by a faulty copy
-for the test's duration, in its module and in every ``equihol`` module that
-imported it. A row with no scenario runs its command as it stands. A
-command named ``<name>_suite`` runs that selftest suite of
-``equihol.suites`` on the one scenario at the given seed and prints its
-entries on one line, exiting 1 when the suite fails. Two more commands
-print one line: ``verdict_stop`` prints a verdict's outcome and its last
-stage with that stage's data, exiting as ``verdict`` does, and ``replay``
-rebuilds the certificate a CANCELS chart verdict prints and revalidates it
-as ``test_certificate_replay`` does, exiting 1 when that fails.
+A row may instead, or also, replace one ``src`` function or quadrature
+rule by a faulty copy for the test's duration, in its module and in every
+``equihol`` module that imported it. A row with no scenario runs its
+command as it stands. A command named ``<name>_suite`` runs that selftest
+suite of ``equihol.suites`` on the one scenario at the given seed and
+prints its entries on one line, exiting 1 when the suite fails. Two more
+commands print one line: ``verdict_stop`` prints a verdict's outcome and
+its last stage with that stage's data, exiting as ``verdict`` does, and
+``replay`` rebuilds the certificate a CANCELS chart verdict prints and
+revalidates it as ``test_certificate_replay`` does, exiting 1 when that
+fails.
 """
 
 import contextlib
@@ -52,7 +53,7 @@ class Fault:
     argv: tuple  # the command and its flags; the scenario path goes second
     code: int
     output: str  # a pattern the printed line must match from its start
-    patch: tuple = ()  # (module, function name, faulty copy)
+    patch: tuple = ()  # (module, function or rule name, faulty copy)
 
 
 def edited_text(name: str, edits: dict) -> str:
@@ -92,17 +93,8 @@ def _turn(step: str, value: str, relator: str = "") -> dict:
     return edits
 
 
-def _heavy_simpson(form, path):
-    """``geometry.simpson_terms`` with the midpoint weight 4.1 in place of 4."""
-    d = path.space.dimension
-    starts = path.points[..., :-1, :].reshape(-1, d)
-    ends = path.points[..., 1:, :].reshape(-1, d)
-
-    def terms(mids, steps):
-        k1, kmid = form.many(starts, steps), form.many(mids, steps)
-        return (k1 + 4.1 * kmid + form.many(ends, steps)) / 6.0
-
-    return terms
+# ``geometry.SIMPSON`` with the midpoint weight 4.1 in place of 4.
+HEAVY_SIMPSON = ((0.0, 0.5, 1.0), (1.0, 4.1, 1.0), 6.0)
 
 
 def _first_to_last(words, reading=geometry._letter_rows):
@@ -206,17 +198,17 @@ FAULTS = {
         r"error: cocycle residual 2\.000e-01 exceeds 1e-06 at word pair \('g\^8', '1'\), ",
     ),
     # The RK4 route of one holonomy and of the selftest's stacked draws
-    # share the Simpson terms; a wrong weight moves it off the midpoint
+    # share the Simpson rule; a wrong weight moves it off the midpoint
     # route.
     "heavy_simpson_holonomy": Fault(
         "holonomy methods agree", "rotation", {}, ("holonomy", "--word", "r"), 1,
         r"error: holonomy methods disagree by 1\.074e-03 on word 'r'\n",
-        ("equihol.geometry", "simpson_terms", _heavy_simpson),
+        ("equihol.geometry", "SIMPSON", HEAVY_SIMPSON),
     ),
     "heavy_simpson_selftest": Fault(
         "holonomy methods agree", None, {}, ("selftest",), 1,
         r"error: holonomy methods disagree by 5\.600e-03 on word 't1'\n",
-        ("equihol.geometry", "simpson_terms", _heavy_simpson),
+        ("equihol.geometry", "SIMPSON", HEAVY_SIMPSON),
     ),
     # An inverse letter's value taken at the image of the rest and not at
     # its own image. The law values of t1^-1 and s1^-1 then go wrong where
@@ -374,8 +366,8 @@ def _argv(fault, text, tmp_path):
 
 
 def _patch(monkeypatch, module, name, faulty):
-    """Replace the function in its module and wherever an equihol module
-    imported it."""
+    """Replace the function or rule in its module and wherever an equihol
+    module imported it."""
     original = getattr(importlib.import_module(module), name)
     holders = [m for key, m in sys.modules.items()
                if key.startswith("equihol") and getattr(m, name, None) is original]

@@ -503,6 +503,32 @@ def test_cli_missing_scenario_is_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_bare_bundled_name_ignores_a_file_of_that_name(tmp_path, monkeypatch):
+    """A bare bundled name reads the bundled file, whatever the working
+    directory holds; ``./<name>`` reads the file there."""
+    argv = ["holonomy", "trivial", "--word", "g", "--path", "wiggle:3"]
+    expected = _printed(cli_main, argv)
+    assert expected[0] == 0
+    (tmp_path / "trivial").write_text("junk\n")
+    monkeypatch.chdir(tmp_path)
+    assert _printed(cli_main, argv) == expected
+    assert _printed(cli_main, ["holonomy", "./trivial", "--word", "g"]) == (
+        1, "", "error: expected 'key = value' (line 1)\n"
+    )
+
+
+def test_cli_path_with_a_directory_part_is_opened_as_given(tmp_path, monkeypatch, capsys):
+    """An absolute or relative path is the one file read: no ``.scn`` is
+    added and the bundled directory is not searched."""
+    (tmp_path / "abs.scn").write_text(format_scenario(load_scenario("trivial")))
+    (tmp_path / "sub").mkdir()
+    monkeypatch.chdir(tmp_path)
+    for arg in (str(tmp_path / "abs"), "sub/trivial", "./trivial"):
+        assert run_cli(["holonomy", arg, "--word", "g"]) == 1
+        assert capsys.readouterr().err == f"error: no scenario file or bundled scenario {arg!r}\n"
+    assert load_scenario(str(tmp_path / "abs.scn")).name == "abs"
+
+
 @pytest.mark.parametrize("kind", ["directory", "not_utf8"])
 def test_cli_unreadable_scenario_is_typed_error(kind, tmp_path, capsys):
     """A path that exists but holds no readable scenario text: one error
