@@ -288,6 +288,15 @@ class Section:
         combined = ScalarField.batched(extra.space, lambda xs: lam.many(xs) + extra.many(xs))
         return Section(combined, name)
 
+    def shift(self, values, xs: np.ndarray, ys: np.ndarray, context) -> np.ndarray:
+        """Reference cocycle values at the ``(N, d)`` rows ``xs`` plus ``Lambda -
+        Lambda o phi`` read at their images ``ys``, or as they are for the
+        reference section; ``context`` as ``circle_values`` takes it."""
+        if self.is_reference:
+            return values
+        lam = self.lambda_field.many
+        return circle_values(values + _circle_rows(lam(xs) - lam(ys), xs, context), xs)
+
 
 @dataclass(frozen=True)
 class Connection:
@@ -431,16 +440,13 @@ def section_rows(bundle: EquivariantBundle, section: Section, words: Sequence[Wo
                  xs: np.ndarray, images: bool = False):
     """Cocycle of the section ``S0 exp(2 pi i Lambda)`` on row k of an
     ``(N, d)`` stack at ``words[k]`` (a single word reads every row):
-    :meth:`Cocycle.on_rows` plus ``Lambda - Lambda o phi``, the shift read
-    at the rows' images. With ``images``, also those images, as ``(images,
+    :meth:`Cocycle.on_rows` moved by :meth:`Section.shift` at the rows'
+    images. With ``images``, also those images, as ``(images,
     values)``; the stack reads each word once for both."""
     if section.is_reference and not images:
         return bundle.cocycle.on_rows(bundle.action, words, xs)
     ys, values = bundle.cocycle.on_rows(bundle.action, words, xs, images=True)
-    if not section.is_reference:
-        lam = section.lambda_field.many
-        shift = _circle_rows(lam(xs) - lam(ys), xs, lambda i: _on_word(words, i))
-        values = circle_values(values + shift, xs)
+    values = section.shift(values, xs, ys, lambda i: _on_word(words, i))
     return (ys, values) if images else values
 
 
@@ -470,10 +476,7 @@ def _flow_cocycle_derivative(bundle, section, lie_label: str, xs, dt: float) -> 
 
     def alpha_at(t: float) -> np.ndarray:
         base = bundle.cocycle.on_flow(lie_label, t, xs)
-        if section.is_reference:
-            return base
-        lam = section.lambda_field.many
-        return circle_values(base + circle_values(lam(xs) - lam(X.flow_at(t, xs)), xs), xs)
+        return base if section.is_reference else section.shift(base, xs, X.flow_at(t, xs), "")
 
     def slope(h: float) -> np.ndarray:
         plus, minus = alpha_at(h), alpha_at(-h)

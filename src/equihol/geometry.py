@@ -811,6 +811,14 @@ class GroupElement:
         one-letter case of :meth:`GroupAction.word_differential`."""
         return pushforward(self.space, self, x, v)
 
+    def pullback_defect(self, many, points, *vectors) -> np.ndarray:
+        """``g* w - w``: ``many`` of a form or a basis matrix, of one vector
+        stack or more, at the images and the pushed-forward vectors, less
+        ``many`` at the points and vectors."""
+        images = self(points)
+        pushed = [self.differential(points, v) for v in vectors]
+        return many(images, *pushed) - many(points, *vectors)
+
     def inverse_defect(self, points) -> float:
         xs = np.reshape(points, (-1, self.space.dimension))
         return self.space.max_distance(self.inv(self(xs)), xs)

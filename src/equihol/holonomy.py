@@ -4,11 +4,11 @@ and the basic-form defect of candidate periods.
 For a word w and a path from x to w(x), the holonomy is the fiber phase
 defect between the lift endpoint and the translated start fiber. The
 reported value is the closed formula: the midpoint quadrature of rho along
-the path minus the cocycle at the start. ``equivariant_holonomy`` with
-``method="both"`` also integrates the same rho along the same path by RK4
-and compares the two, as ``class_path_rows`` does along a stack. That
-check shares every input with the formula, so it catches quadrature error
-only; it runs in the CLI ``holonomy`` command and the holonomy suite.
+the path minus the cocycle at the start. :func:`_holonomies` is its one
+home, on a path or a stack; with ``method="both"`` it also integrates the
+same rho along the same paths by RK4 and compares the two. That check
+shares every input with the formula, so it catches quadrature error only;
+it runs in the CLI ``holonomy`` command and the holonomy suite.
 
 Every reading off fresh random class paths goes through one route,
 :func:`class_path_rows`. A stage of paths reads its chords, bump waves and
@@ -58,7 +58,6 @@ from .geometry import (
     format_word,
     line_integral,
     max_abs,
-    rk4_line_integral,
     segment_sum,
 )
 from .probes import direction_draws, probe_points, rng_for
@@ -105,12 +104,18 @@ def require_path_class(bundle: EquivariantBundle, words: Sequence[Word], ends, i
             )
 
 
-def _require_agreement(gaps, words: Sequence[Word]) -> None:
-    """Raise at the first path whose two holonomy routes differ beyond ``CROSS_CHECK_TOL``."""
-    for gap, word in zip(gaps, words):
+def _holonomies(rho: OneForm, stack: Path, alpha, words: Sequence[Word], method: str) -> list:
+    """Holonomy columns of a path, or a stack with path k at ``words[k]`` from
+    cocycle ``alpha[k]``: the midpoint rule of rho less the cocycle, then for
+    ``"both"`` RK4 (Simpson), raising where the two differ beyond ``CROSS_CHECK_TOL``."""
+    rules = (MIDPOINT, SIMPSON) if method == "both" else (MIDPOINT,)
+    columns = [circle_values(circle_values(segment_sum(rho.many, stack, rule)) - alpha)
+               for rule in rules]
+    for gap, word in zip(circle_gaps(*columns) if method == "both" else (), words):
         if gap > CROSS_CHECK_TOL:
             word = format_word(word)
             raise ConsistencyError(f"holonomy methods disagree by {gap:.3e} on word {word!r}")
+    return columns
 
 
 def equivariant_holonomy(
@@ -122,26 +127,23 @@ def equivariant_holonomy(
     method: str = "both",
 ) -> HolonomyResult:
     """Holonomy of a path joining x to word(x): the midpoint quadrature of
-    rho along the path minus the cocycle at its start.
+    rho along the path minus the cocycle at its start, the one-path case of
+    :func:`_holonomies`; a stack raises.
 
     ``method="both"`` also integrates rho along the same path by RK4 and
     raises when the two values disagree; ``"formula"`` skips that check.
     """
     if method not in ("both", "formula"):
         raise ValueError(f"unknown holonomy method {method!r}; use 'both' or 'formula'")
-    images, (alpha,) = section_rows(bundle, section, (word,), path.points[[0]], images=True)
+    images, alpha = section_rows(bundle, section, (word,), path._samples[[0]], images=True)
     require_path_class(bundle, (word,), path.points[[-1]], images)
-    alpha = CircleValue(alpha)
-    rho = connection.rho(section)
-    value = CircleValue(line_integral(rho, path)) - alpha
+    columns = _holonomies(connection.rho(section), path, alpha, (word,), method)
+    value = CircleValue(columns[0][0])
     lift_value = cross = None
     if method == "both":
-        lift_value = CircleValue(rk4_line_integral(rho, path)) - alpha
+        lift_value = CircleValue(columns[1][0])
         cross = value.distance(lift_value)
-        _require_agreement([cross], [word])
-    return HolonomyResult(
-        value=value, lift_value=lift_value, cross_check=cross, word=format_word(word)
-    )
+    return HolonomyResult(value, lift_value, cross, format_word(word))
 
 
 # ---------------------------------------------------------------------------
@@ -309,14 +311,9 @@ def class_path_rows(
         part = slice(lo, lo + per)
         stack = Path(space, ts, points(part, slice(None)))
         require_path_class(bundle, words[part], stack.end, images[part])
-
-        def holonomies(rule):
-            integrals = circle_values(segment_sum(rho.many, stack, rule), stack.start)
-            return circle_values(integrals - alpha[part], stack.start)
-        columns = [holonomies(MIDPOINT)]
+        columns = _holonomies(rho, stack, alpha[part], words[part], method)
         if method == "both":
-            columns.append(circle_gaps(columns[0], holonomies(SIMPSON)))
-            _require_agreement(columns[1], words[part])
+            columns[1] = circle_gaps(*columns)
         if measure is not None:
             columns.append(measure(stack))
         rows.append(np.column_stack(columns))
@@ -449,7 +446,7 @@ def basic_form_defect(
     u, v = direction_draws(rng_for(seed, "basic-dirs"), len(pts), 2, space.dimension)
     defects = [exterior_derivative(beta).many(pts, u, v)]
     for g in bundle.action.generators.values():
-        defects.append(beta.many(g(pts), g.differential(pts, v)) - beta.many(pts, v))
+        defects.append(g.pullback_defect(beta.many, pts, v))
     for X in bundle.lie_generators.values():
         defects.append(beta.many(pts, X.generator_field.many(pts)))
     return max_abs(np.concatenate(defects))

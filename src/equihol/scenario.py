@@ -763,4 +763,5 @@ def load_scenario(path_or_name: str) -> Scenario:
         except OSError as exc:
             raise ScenarioError(f"cannot read scenario {str(p)!r}: {exc.strerror}") from None
         return parse_scenario(text, name=p.stem)
-    raise ScenarioError(f"no scenario file or bundled scenario {path_or_name!r}")
+    where = "scenario file or bundled scenario" if bare else "scenario file"
+    raise ScenarioError(f"no {where} {path_or_name!r}")

@@ -53,6 +53,7 @@ from .geometry import (
     circle_values,
     exterior_derivative,
     linear_combination,
+    max_abs,
     monomial_exponents,
     monomial_name,
     monomial_power,
@@ -513,16 +514,16 @@ def solve_equivariant_primitive(
     if invariance_labels is None:
         invariance_labels = bundle.action.labels
     fit_pts = probe_points(space, cfg.probes, cfg.seed, tag="primitive-fit")
-    at, ea, eb = _planes(fit_pts, space.dimension)
+    at, ea, eb = _frames(fit_pts, space.dimension, 2)
     blocks = [central_difference(space, form_basis.matrix, at, ea, eb)]
     targets = eq_curvature.omega.many(at, ea, eb).tolist()
     for label, mu in eq_curvature.moment.items():
         blocks.append(form_basis.matrix(fit_pts, bundle.lie(label).generator_field.many(fit_pts)))
         targets += (-mu.many(fit_pts)).tolist()
+    axes = _frames(fit_pts, space.dimension, 1)
     for label in invariance_labels:
-        gx, pushed, x, e = _pullback(bundle.action.generators[label], fit_pts, space.dimension)
-        blocks.append(form_basis.matrix(gx, pushed) - form_basis.matrix(x, e))
-        targets += [0.0] * len(x)
+        blocks.append(bundle.action.generators[label].pullback_defect(form_basis.matrix, *axes))
+        targets += [0.0] * len(axes[0])
     fit_bound = max(cfg.fit_tol, 1e-7) * 10
     coef, fit_res, cond = _lstsq_with_lifts(np.concatenate(blocks), targets, fit_bound)
     beta = form_basis.combine(space, coef)
@@ -539,17 +540,12 @@ def solve_equivariant_primitive(
     return NoCertificate(fit_res, holdout, form_basis.description), None
 
 
-def _planes(points, d: int):
-    """Every (point, e_a, e_b) with a < b, probe-major, as three stacks."""
-    a, b = np.triu_indices(d, 1)
+def _frames(points, d: int, k: int):
+    """Every (point, e_a) for k = 1, or (point, e_a, e_b) with a < b for
+    k = 2, probe-major, as k + 1 stacks; on a line the k = 2 stacks are empty."""
+    axes = np.triu_indices(d, 1) if k == 2 else (np.arange(d),)
     eye, n = np.eye(d), len(points)
-    return np.repeat(points, len(a), axis=0), np.tile(eye[a], (n, 1)), np.tile(eye[b], (n, 1))
-
-
-def _pullback(g, points, d: int):
-    """Stacks ``(g x, g_* e_i)`` and ``(x, e_i)`` over the points and axes, probe-major."""
-    at_x, axes = np.repeat(points, d, axis=0), np.tile(np.eye(d), (len(points), 1))
-    return np.repeat(g(points), d, axis=0), g.differential(at_x, axes), at_x, axes
+    return (np.repeat(points, len(axes[0]), axis=0), *(np.tile(eye[a], (n, 1)) for a in axes))
 
 
 def primitive_residual(bundle, eq_curvature, beta: OneForm, points) -> float:
@@ -558,7 +554,7 @@ def primitive_residual(bundle, eq_curvature, beta: OneForm, points) -> float:
     The equation is d beta = omega on every coordinate plane and
     beta(X) = -moment(X) for every one-parameter generator X.
     """
-    at, ea, eb = _planes(points, bundle.space.dimension)
+    at, ea, eb = _frames(points, bundle.space.dimension, 2)
     d_beta = central_difference(bundle.space, beta.many, at, ea, eb)
     gaps = [d_beta - eq_curvature.omega.many(at, ea, eb)]
     for label, mu in eq_curvature.moment.items():
@@ -570,11 +566,8 @@ def primitive_residual(bundle, eq_curvature, beta: OneForm, points) -> float:
 def invariance_residual(bundle, beta: OneForm, labels, points) -> float:
     """Worst defect of g* beta = beta over the generators with the given
     labels, at the points along every coordinate direction."""
-    worst, d = 0.0, bundle.space.dimension
-    for label in labels:
-        gx, pushed, x, e = _pullback(bundle.action.generators[label], points, d)
-        worst = max(worst, float(np.max(np.abs(beta.many(gx, pushed) - beta.many(x, e)))))
-    return worst
+    axes, gens = _frames(points, bundle.space.dimension, 1), bundle.action.generators
+    return max([0.0] + [max_abs(gens[label].pullback_defect(beta.many, *axes)) for label in labels])
 
 
 # ---------------------------------------------------------------------------
@@ -607,11 +600,8 @@ def invariance_obstruction(
     d_checks = probe_points(space, 8, cfg.seed, tag="sigma-closed")
     rng = rng_for(cfg.seed, "sigma-dirs")
     for label, g in gens.items():
-        defect = OneForm(
-            space,
-            lambda xs, vs, g=g: beta0.many(g(xs), g.differential(xs, vs)) - beta0.many(xs, vs),
-            name=f"defect({label})",
-        )
+        defect = OneForm(space, lambda xs, vs, g=g: g.pullback_defect(beta0.many, xs, vs),
+                         f"defect({label})")
         u, v = direction_draws(rng, len(d_checks), 2, space.dimension)
         scale = np.maximum(1.0, np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1))
         d_defect = np.abs(exterior_derivative(defect).many(d_checks, u, v))

@@ -14,17 +14,17 @@ this, and the declared-relator row declares a relator beyond that reach.
 The bundle's construction check runs at length 2, so a relator of up to 4
 letters stops every command when the model is built, declared or not.
 
-A row may instead, or also, replace one ``src`` function or quadrature
-rule by a faulty copy for the test's duration, in its module and in every
-``equihol`` module that imported it. A row with no scenario runs its
-command as it stands. A command named ``<name>_suite`` runs that selftest
-suite of ``equihol.suites`` on the one scenario at the given seed and
-prints its entries on one line, exiting 1 when the suite fails. Two more
-commands print one line: ``verdict_stop`` prints a verdict's outcome and
-its last stage with that stage's data, exiting as ``verdict`` does, and
-``replay`` rebuilds the certificate a CANCELS chart verdict prints and
-revalidates it as ``test_certificate_replay`` does, exiting 1 when that
-fails.
+A row may instead, or also, replace one ``src`` function, method or
+quadrature rule by a faulty copy for the test's duration: a method on its
+class, any other in its module and in every ``equihol`` module that
+imported it. A row with no scenario runs its command as it stands. A
+command named ``<name>_suite`` runs that selftest suite of
+``equihol.suites`` on the one scenario at the given seed and prints its
+entries on one line, exiting 1 when the suite fails. Two more commands
+print one line: ``verdict_stop`` prints a verdict's outcome and its last
+stage with that stage's data, exiting as ``verdict`` does, and ``replay``
+rebuilds the certificate a CANCELS chart verdict prints and revalidates
+it as ``test_certificate_replay`` does, exiting 1 when that fails.
 """
 
 import contextlib
@@ -114,6 +114,12 @@ def _first_stack_values(per: int):
         return ys, values[np.arange(len(values)) % per]
 
     return read
+
+
+def _unpushed(g, many, points, *vectors):
+    """``GroupElement.pullback_defect`` reading the vectors at the images
+    as they are, not pushed forward by the generator."""
+    return many(g(points), *vectors) - many(points, *vectors)
 
 
 def _cut_at_1e_2(coefficients):
@@ -270,6 +276,17 @@ FAULTS = {
         r"error: invariance defect of 'g' is not closed; "
         r"the curvature is not invariant under the full group\n",
     ),
+    # Pullback defects of unpushed vectors. The rotation turns the vectors
+    # it moves, so the invariance rows of the primitive search no longer
+    # hold for the invariant primitive 0.1 (x1 dx2 - x2 dx1) of its
+    # curvature, and no form of the ansatz fits every row. The other chart
+    # verdicts keep their outcomes.
+    "pullback_without_pushforward": Fault(
+        "primitive fit and holdout bounds", "rotation", {}, ("verdict_stop",), 3,
+        r"INCONCLUSIVE at equivariant_primitive: no_certificate; basis .*, "
+        r"best_residual 0\.1134\d*, found False, holdout_residual 0\.1295\d*, note ",
+        ("equihol.geometry", "GroupElement.pullback_defect", _unpushed),
+    ),
     # Every stack of a class-path stage reading the first stack's section
     # values. The chart revalidation of translation_shear takes 20 paths of
     # 384 samples, two stacks of 10, and the cocycle x2 of its shift varies
@@ -367,7 +384,12 @@ def _argv(fault, text, tmp_path):
 
 def _patch(monkeypatch, module, name, faulty):
     """Replace the function or rule in its module and wherever an equihol
-    module imported it."""
+    module imported it; a ``Class.method`` name replaces the method on its
+    class."""
+    if "." in name:
+        owner, name = name.split(".")
+        monkeypatch.setattr(getattr(importlib.import_module(module), owner), name, faulty)
+        return
     original = getattr(importlib.import_module(module), name)
     holders = [m for key, m in sys.modules.items()
                if key.startswith("equihol") and getattr(m, name, None) is original]

@@ -423,6 +423,35 @@ def test_group_inverse_probes(rng):
         pointwise(pts[:3])
 
 
+def test_pullback_defect_is_g_star_w_minus_w_under_a_linear_map(rng):
+    # Under g(x) = A x + b the pushforward of v is A v, so g* w - w is
+    # w(A x + b; A v) - w(x; v), written out here for a one-form and a
+    # basis matrix of one vector and for a two-form of two. The central
+    # difference of an affine map is exact up to rounding.
+    space = plane()
+    A, b = np.array([[1.2, -0.5], [0.3, 0.9]]), np.array([0.4, -0.7])
+    Ainv = np.linalg.inv(A)
+    g = GroupElement("a", lambda xs: xs @ A.T + b, lambda xs: (xs - b) @ Ainv.T, space)
+    pts = rng.uniform(-2, 2, size=(12, 2))
+    u, v = rng.normal(size=(2, 12, 2))
+
+    def one_form(xs, vs):
+        return np.sin(xs[:, 0]) * vs[:, 0] + xs[:, 0] * xs[:, 1] * vs[:, 1]
+
+    def matrix(xs, vs):
+        return np.column_stack([vs[:, 0], xs[:, 1] ** 2 * vs[:, 1], np.cos(xs[:, 1]) * vs[:, 0]])
+
+    def two_form(xs, us, vs):
+        return np.exp(0.1 * xs[:, 0]) * (us[:, 0] * vs[:, 1] - us[:, 1] * vs[:, 0])
+
+    gx = pts @ A.T + b
+    for many, vectors in ((one_form, (v,)), (matrix, (v,)), (two_form, (u, v))):
+        by_hand = many(gx, *(w @ A.T for w in vectors)) - many(pts, *vectors)
+        defect = g.pullback_defect(many, pts, *vectors)
+        assert defect.shape == by_hand.shape
+        assert np.max(np.abs(defect - by_hand)) < 1e-9, many.__name__
+
+
 def test_word_parsing_and_inverse():
     w = parse_word("g^2 h^-1")
     assert w == (("g", 1), ("g", 1), ("h", -1))

@@ -9,6 +9,7 @@ from equihol.errors import (
     InvalidCharacterError,
     NotFlatError,
     PathClassError,
+    PreconditionError,
 )
 from equihol.geometry import (
     CircleValue,
@@ -100,6 +101,19 @@ def test_holonomy_path_class_error(models):
         equivariant_holonomy(
             model.bundle, model.connection, model.reference_section, parse_word("g"), path
         )
+
+
+def test_holonomy_takes_one_path_not_a_stack(models):
+    # A stack of class paths goes through class_path_rows; the one-path
+    # holonomy rejects it, even a stack of one, as the quadratures do.
+    model = models["paper_example_Z_on_R"]
+    one = Path.line(model.space, [0.0], [1.0], samples=9)
+    for points in (one.points[None], np.stack([one.points, one.points + 0.5])):
+        with pytest.raises(PreconditionError, match="one path only"):
+            equivariant_holonomy(
+                model.bundle, model.connection, model.reference_section, parse_word("g"),
+                Path(model.space, one.times, points),
+            )
 
 
 def test_holonomy_invariances(models):
@@ -289,8 +303,9 @@ def test_flat_suite_skips_only_curved_scenarios(models, monkeypatch):
 
 
 def test_traced_holonomy_counts_one_path_of_the_scenario_samples():
-    # One holonomy along the unit path samples path_samples points and
-    # integrates over path_samples - 1 segments, by midpoint and by RK4.
+    # One holonomy along the unit path samples path_samples points. Its
+    # midpoint and RK4 integrals are segment sums of the holonomy itself,
+    # so they count as its own time and enter neither line-integral layer.
     from test_trace_boundaries import load_spans
 
     from equihol.cli import main as cli_main
@@ -306,5 +321,6 @@ def test_traced_holonomy_counts_one_path_of_the_scenario_samples():
         tracer.uninstall()
     totals = tracer.layer_totals()
     assert totals["geometry.path_sampling"]["points"] == samples
-    assert totals["geometry.line_integral"]["segments"] == samples - 1
-    assert totals["geometry.rk4_line_integral"]["segments"] == samples - 1
+    assert totals["holonomy.equivariant_holonomy"]["calls"] == 1
+    for layer in ("geometry.line_integral", "geometry.rk4_line_integral"):
+        assert totals[layer]["calls"] == totals[layer]["segments"] == 0

@@ -499,8 +499,11 @@ def test_cli_unwritable_out_is_typed_error(tmp_path, capsys):
 
 
 def test_cli_missing_scenario_is_error(capsys):
+    """A bare name is looked up as a file and as a bundled scenario, and
+    the error says both."""
     assert run_cli(["verdict", "no_such_scenario"]) == 1
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err == "error: no scenario file or bundled scenario 'no_such_scenario'\n"
 
 
 def test_cli_bare_bundled_name_ignores_a_file_of_that_name(tmp_path, monkeypatch):
@@ -519,13 +522,14 @@ def test_cli_bare_bundled_name_ignores_a_file_of_that_name(tmp_path, monkeypatch
 
 def test_cli_path_with_a_directory_part_is_opened_as_given(tmp_path, monkeypatch, capsys):
     """An absolute or relative path is the one file read: no ``.scn`` is
-    added and the bundled directory is not searched."""
+    added, the bundled directory is not searched, and the error for a
+    missing file does not say it was."""
     (tmp_path / "abs.scn").write_text(format_scenario(load_scenario("trivial")))
     (tmp_path / "sub").mkdir()
     monkeypatch.chdir(tmp_path)
     for arg in (str(tmp_path / "abs"), "sub/trivial", "./trivial"):
         assert run_cli(["holonomy", arg, "--word", "g"]) == 1
-        assert capsys.readouterr().err == f"error: no scenario file or bundled scenario {arg!r}\n"
+        assert capsys.readouterr().err == f"error: no scenario file {arg!r}\n"
     assert load_scenario(str(tmp_path / "abs.scn")).name == "abs"
 
 

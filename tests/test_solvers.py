@@ -328,6 +328,24 @@ def test_invariance_obstruction_rejects_a_defect_that_is_not_closed():
     assert result.found and beta is not None
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_frames_are_the_plane_and_axis_stacks_bit_for_bit(d):
+    # The stacks written out point by point: every (x, e_a, e_b) with a < b
+    # on the planes, every (x, e_a) on the axes, probe-major. A line has
+    # no planes, so its plane stacks are empty (0, 1) arrays.
+    points = np.arange(5.0 * d).reshape(5, d) / 7.0
+    eye = np.eye(d)
+    planes = [(x, eye[a], eye[b]) for x in points for a, b in itertools.combinations(range(d), 2)]
+    axes = [(x, eye[a]) for x in points for a in range(d)]
+    for k, rows in ((2, planes), (1, axes)):
+        frames = solvers._frames(points, d, k)
+        assert len(frames) == k + 1
+        for j, stack in enumerate(frames):
+            expected = np.array([row[j] for row in rows], dtype=float).reshape(-1, d)
+            assert stack.dtype == expected.dtype and stack.shape == expected.shape, (k, j)
+            assert stack.tobytes() == expected.tobytes(), (k, j)
+
+
 @pytest.mark.parametrize("trig", [False, True])
 def test_d_of_every_scalar_member_lies_in_the_form_basis(models, trig):
     # The reason no correction beta0 - d tau with tau in the scalar basis

@@ -19,7 +19,8 @@ import pytest
 
 import equihol.geometry
 from equihol.cli import main as cli_main
-from equihol.scenario import bundled_dir
+from equihol.scenario import bundled_dir, load_scenario
+from equihol.suites import geometry_suite
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
@@ -34,21 +35,29 @@ def load_spans():
 
 
 def test_tracer_installs_and_uninstalls_every_boundary(capsys):
+    # A holonomy query integrates inside its own layer; the geometry
+    # suite's quadrature check calls line_integral through the name the
+    # suites module imported, which the tracer rebinds too.
     spans = load_spans()
     original = equihol.geometry.line_integral
+    model = load_scenario("trivial").build_model()
     tracer = spans.Tracer()
     try:
         tracer.install()
         assert equihol.geometry.line_integral is not original
         with tracer.operation(0):
             assert cli_main(["holonomy", "trivial", "--word", "g"]) == 0
+        assert tracer.layer_totals()["geometry.line_integral"]["calls"] == 0
+        with tracer.operation(1):
+            assert geometry_suite(model, 0)["ok"]
     finally:
         tracer.uninstall()
     assert equihol.geometry.line_integral is original
     totals = tracer.layer_totals()
     assert totals["scenario.load"]["calls"] == 1
     assert totals["holonomy.equivariant_holonomy"]["calls"] == 1
-    assert totals["geometry.line_integral"]["segments"] > 0
+    assert totals["geometry.line_integral"]["calls"] == 2
+    assert totals["geometry.line_integral"]["segments"] == (2048 - 1) + (4096 - 1)
 
 
 # Exit code and calls per boundary of each traced verdict; layers not
