@@ -12,8 +12,6 @@ cocycle to moments and descent residuals.
 
 from __future__ import annotations
 
-import functools
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Sequence
 
@@ -64,7 +62,8 @@ class Cocycle:
     """Circle-valued cocycle data for a group action.
 
     ``generator_values`` gives the field for each generator. Words extend
-    by the cocycle law, a :class:`_WordTree` fill; when ``family`` is
+    by the cocycle law alpha_gh(x) = alpha_g(h x) + alpha_h(x), one fold over
+    the letters of a stack of words (:func:`_law_rows`); when ``family`` is
     supplied (a closed form over the exponent vector, abelian presentations
     only) it is used instead and the two routes are cross-checked by
     :func:`check_cocycle`. ``flow_values`` carries the cocycle along each
@@ -109,8 +108,8 @@ class Cocycle:
 
         With a family, one family call on the exponent columns of the rows
         (and, for ``images``, :meth:`GroupAction.apply_rows`). Without one,
-        one :class:`_WordTree` fill over the words' suffixes, each read at
-        the rows whose word ends in it; it gives the images on the way. A
+        one fold of the law over the rows (:func:`_law_rows`), row k read
+        letter by letter on ``words[k]``; it gives the images on the way. A
         non-finite value names the word of the first offending row."""
         if self.family is None:
             out = _law_rows(action, self, words, xs)
@@ -164,100 +163,42 @@ def _on_word(words: Sequence[Word], i: int) -> str:
 
 
 def _law_rows(action: GroupAction, cocycle: Cocycle, words: Sequence[Word], xs: np.ndarray):
-    """Images and law values of row k of ``xs`` on ``words[k]`` (a single
-    word reads every row): one :class:`_WordTree` fill over the nonempty
-    suffixes of the words, length-ordered, each filled only at the rows
-    whose word ends in it."""
-    distinct = dict.fromkeys(words)
-    suffixes = sorted(dict.fromkeys(w[k:] for w in distinct for k in range(len(w))), key=len)
-    node = {w: i for i, w in enumerate([()] + suffixes)}
-    need = None
-    if len(distinct) > 1:
-        need = np.zeros((len(node), len(xs)), dtype=bool)
-        need[0] = True
+    """Images and law values of an ``(N, d)`` stack ``xs`` on ``words``,
+    word-major: each word reads N / len(words) consecutive rows, so a single
+    word reads every row and a word per row its own. The law is folded
+    letter by letter from the end of the words. At each position from the
+    end, one map call per letter on the rows whose word reads that letter
+    there, then one value call per generator at those rows' value sites
+    (:func:`_value_site`); each row's law adds its letter's signed value,
+    reduced to the circle. A non-finite value names the word of the first
+    offending row."""
+    per = len(xs) // max(len(words), 1)
+    block = np.arange(len(xs)).reshape(len(words), per)
+    images, laws = np.array(xs, dtype=float), np.zeros(len(xs))
+    for p in range(max(map(len, words), default=0)):
+        letters = {}
         for k, word in enumerate(words):
-            need[[node[word[j:]] for j in range(len(word))], k] = True
-    tree = _WordTree(action, cocycle, xs, suffixes, named=words, need=need)
-    if need is None:
-        at = node[words[0]]
-        return tree.images[at], tree.laws[at]
-    at, rows = [node[w] for w in words], np.arange(len(xs))
-    return tree.images[at, rows], tree.laws[at, rows]
+            if p < len(word):
+                letters.setdefault(word[-1 - p], []).append(k)
+        signs, terms, reads = np.zeros(len(xs)), np.zeros(len(xs)), {}
+        for (name, sign), ks in letters.items():
+            rows = block[ks].ravel()
+            before = images[rows]
+            images[rows] = after = action.apply_letter((name, sign), before)
+            signs[rows] = sign
+            reads.setdefault(name, []).append((rows, _value_site(sign, before, after)))
+        for name, read in reads.items():
+            rows, sites = (np.concatenate(parts) for parts in zip(*read))
+            terms[rows] = cocycle.generator_values[name](sites)
+        terms = circle_values(terms, xs, lambda i: _on_word(words, i // per))
+        laws = circle_values(laws + signs * terms)
+    return images, laws
 
 
-class _WordTree:
-    """Images ``(W, N, d)`` and law values ``(W, N)`` on a probe stack ``xs``
-    of the identity, row 0, and of ``words``, length-ordered and holding each
-    word's rest (all but its first letter). An image is the first letter
-    acting on the rest's; a law value adds the letter's cocycle value to the
-    rest's, reduced to the circle. Each word length makes one map call per
-    letter and one value call per generator.
-
-    ``need``, a ``(W, N)`` mask that holds each needed word's rest at the
-    same probe, fills each word only at the probes it marks (the others
-    hold 0); without it every word is filled at every probe. A non-finite
-    value names the level's first such word, or the probe's word in
-    ``named`` (one word names every probe), and the first offending probe."""
-
-    def __init__(self, action: GroupAction, cocycle: Cocycle, xs: np.ndarray, words=(),
-                 named: Sequence[Word] = (), need: Optional[np.ndarray] = None):
-        self.words = [()] + list(words)
-        row = {w: i for i, w in enumerate(self.words)}
-        rests = [0] + [row[w[1:]] for w in self.words[1:]]
-        signs = [0] + [w[0][1] for w in self.words[1:]]
-        sites = _value_rows(range(len(self.words)), rests, signs)
-        (n, d), size = xs.shape, len(self.words)
-        self.images, terms = np.empty((size, n, d)), np.zeros((size, n))
-        self.images[0] = xs
-        levels = []
-        for _, level in itertools.groupby(range(1, size), lambda i: len(self.words[i])):
-            level = list(level)
-            letters, names = {}, {}
-            for i in level:
-                letters.setdefault(self.words[i][0], []).append(i)
-                names.setdefault(self.words[i][0][0], []).append(i)
-            for letter, at in letters.items():
-                mapped = functools.partial(action.apply_letter, letter)
-                self.images[_row_index(at)] = _fill(mapped, self.images, [rests[i] for i in at], need, at)
-            for name, at in names.items():
-                values = cocycle.generator_values[name]
-                terms[_row_index(at)] = _fill(values, self.images, [sites[i] for i in at], need, at)
-            rows = slice(level[0], level[-1] + 1)
-            if not np.isfinite(terms[rows]).all():
-                j, i = divmod(int(np.argmax(~np.isfinite(terms[rows]))), n)
-                context = _on_word(named or (self.words[level[j]],), i)
-                circle_values(terms[level[j], [i]], xs[[i]], context)
-            levels.append(rows)
-        # Each law value adds its letter's step to its rest's, level by level.
-        steps = np.array(signs)[:, None] * circle_values(terms)
-        self.laws = np.zeros((size, n))
-        for rows in levels:
-            self.laws[rows] = circle_values(self.laws[_row_index(rests[rows])] + steps[rows])
-
-
-def _row_index(rows: list):
-    """Consecutive rows as a slice, read as a view and written in place; others as they are."""
-    return slice(rows[0], rows[-1] + 1) if rows == list(range(rows[0], rows[-1] + 1)) else rows
-
-
-def _fill(fn, source: np.ndarray, rows: list, need: Optional[np.ndarray], at: list):
-    """``fn`` on the ``(M, d)`` rows of the ``(len(at), N, d)`` stack
-    ``source[rows]``, shaped back per word and probe: every row (a constant
-    result broadcasts), or the rows ``need[at]`` marks, with 0 elsewhere."""
-    stack = source[_row_index(rows)]
-    if need is None:
-        out = np.asarray(fn(stack.reshape(-1, stack.shape[-1])))
-        return out.reshape(stack.shape[:2] + out.shape[1:]) if out.size > 1 else out
-    mask = need[at]
-    out = fn(stack[mask])
-    block = np.zeros(mask.shape + np.shape(out)[1:])
-    block[mask] = out
-    return block
-
-
-def _value_rows(rows: Sequence[int], rests: list, signs: list) -> list:
-    """Rows at whose images first letters' values are taken: the rest, or the word if inverse."""
-    return [rest if sign > 0 else row for row, rest, sign in zip(rows, rests, signs)]
+def _value_site(sign: int, before: np.ndarray, after: np.ndarray) -> np.ndarray:
+    """Where a letter's cocycle value is read: at the image before a
+    forward letter, at the image after an inverse one."""
+    return before if sign > 0 else after
 
 
 def _circle_rows(values, probes: np.ndarray, context) -> np.ndarray:
@@ -383,21 +324,23 @@ def check_cocycle(
     seed: int = 0,
 ) -> CocycleReport:
     """Residuals of three facts on the words up to ``word_length``, the
-    identity among them, read off one :class:`_WordTree` over the probes:
-    words whose images coincide (their quotient is a relator of length up
-    to 2 ``word_length``) have equal law values; a family matches the law;
+    identity among them, read off one fold of the law (:func:`_law_rows`)
+    over every word at every probe, word-major: words whose images
+    coincide (their quotient is a relator of length up to 2
+    ``word_length``) have equal law values; a family matches the law;
     declared relators have value zero as :meth:`Cocycle.on_rows` values
     them, by the family when one is declared and by the law otherwise. The
-    witness is the first largest residual in (fact, comparison,
-    probe) order.
+    witness is the first largest residual in (fact, comparison, probe)
+    order.
     """
     if word_length < 2:
         raise PreconditionError("word_length must be at least 2")
     action, cocycle = bundle.action, bundle.cocycle
     pts = probe_points(bundle.space, probes, seed, tag="cocycle-check")
-    tree = _WordTree(action, cocycle, pts, action.words_up_to(word_length))
-    words, laws, n = tree.words, tree.laws, len(pts)
-    pairs = _coincident_pairs(bundle.space, tree.images)
+    words, n = [()] + list(action.words_up_to(word_length)), len(pts)
+    images, laws = _law_rows(action, cocycle, words, np.tile(pts, (len(words), 1)))
+    images, laws = images.reshape(len(words), n, -1), laws.reshape(len(words), n)
+    pairs = _coincident_pairs(bundle.space, images)
     named = [(words[i], words[j]) for i, j in pairs]
     firsts, seconds = [laws[[i for i, _ in pairs]]], [laws[[j for _, j in pairs]]]
     valued = words[1:] if cocycle.family is not None else []

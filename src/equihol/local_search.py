@@ -118,15 +118,15 @@ def solve_local_global_form(model, section: Section, cfg: SolverConfig, slots=No
     groups = [wi for wi in range(len(fit_words)) for _ in base_fields]
     inv_fields = random_fields(model.lattice, 4, rng_for(cfg.seed, "local-global-inv"))
     inv_vars = random_fields(model.lattice, 3, rng_for(cfg.seed, "local-global-vars"))
-    # Invariance rows over every generator and (field, variation) pair, in
-    # one stacked block, then curl rows over the consecutive variation pairs.
+    # Invariance rows over every generator and (field, variation) pair, one
+    # pullback defect per generator, then curl rows over the consecutive
+    # variation pairs.
     fields = np.repeat(inv_fields, len(inv_vars), axis=0)
     variations = np.tile(inv_vars, (len(inv_fields), 1))
     gens = [bundle.action.generators[label] for label in labels]
-    moved = np.concatenate([g(fields) for g in gens])
-    pushed = np.concatenate([g.differential(fields, variations) for g in gens])
-    blocks.append(forms(moved, pushed) - np.tile(forms(fields, variations), (len(gens), 1)))
-    targets.extend(np.zeros(len(moved)))
+    invariance = np.concatenate([g.pullback_defect(forms, fields, variations) for g in gens])
+    blocks.append(invariance)
+    targets.extend(np.zeros(len(invariance)))
     s, v1, v2 = curl_stencils(inv_fields[:2], inv_vars, len(inv_vars) - 1)
     blocks.append(central_difference(space, forms, s, v1, v2))
     targets.extend(central_difference(space, rho.many, s, v1, v2))

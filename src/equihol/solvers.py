@@ -406,8 +406,7 @@ def solve_group_coboundary(
     blocks, targets = [], []
     labels = bundle.action.labels
     for label in labels:
-        g = bundle.action.generators[label]
-        blocks.append(basis.matrix(g(fit_pts)) - basis.matrix(fit_pts))
+        blocks.append(bundle.action.generators[label].pullback_defect(basis.matrix, fit_pts))
         targets.extend(section_cocycle(bundle, section, ((label, 1),))(fit_pts).tolist())
     coef, fit_res, cond = _lstsq_with_lifts(
         np.concatenate(blocks), targets, cfg.fit_tol,
@@ -418,8 +417,7 @@ def solve_group_coboundary(
     hold_pts = probe_points(space, cfg.holdout, cfg.seed, tag="coboundary-holdout")
     holdout = 0.0
     for label in labels:
-        g = bundle.action.generators[label]
-        model = theta.many(g(hold_pts)) - theta.many(hold_pts)
+        model = bundle.action.generators[label].pullback_defect(theta.many, hold_pts)
         alpha = section_cocycle(bundle, section, ((label, 1),))(hold_pts)
         holdout = max(holdout, float(np.max(circle_gaps(alpha, circle_values(model, hold_pts)))))
     coefficients = dict(zip(basis.names, (float(c) for c in coef)))

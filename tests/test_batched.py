@@ -28,7 +28,6 @@ from equihol.bundle import (
     Connection,
     EquivariantBundle,
     Section,
-    _WordTree,
     _law_rows,
     check_cocycle,
     connection_report,
@@ -68,6 +67,7 @@ from equihol.geometry import (
     line_integral,
     linear_combination,
     monomial_exponents,
+    parse_word,
     rk4_line_integral,
     segment_sum,
 )
@@ -835,9 +835,10 @@ def _counting(bundle, calls: Counter):
 
 
 def test_cocycle_check_evaluates_each_tree_edge_once(models):
-    """Each generator map and cocycle value runs once per distinct edge of
-    the word tree (a nonempty word of the check, whose first letter acts
-    last), not once per comparison."""
+    """The law fold calls each generator map once per letter and position
+    and each cocycle value once per generator and position, never more
+    often than the words of the check have that first letter (the one
+    acting last), and not once per comparison."""
     bundle = models["affine_line"].bundle
     calls = Counter()
     counting = _counting(bundle, calls)
@@ -971,17 +972,38 @@ def test_corrupted_cocycle_witness_matches_point_loop(models, lattice_models, st
         assert report.max_residual > 1e-3, "lattice_planted_local"
 
 
-def test_one_word_law_matches_the_level_fill_at_length_4(models):
-    """A single word's law, the fill of its suffixes alone, is its row of
-    the fill of every word up to length 4, bit for bit; so is its image."""
+def test_one_word_law_matches_the_all_words_fold_at_length_4(models):
+    """A single word's law, its fold alone, is its rows of the fold of every
+    word up to length 4 at every probe, word-major, bit for bit; so is its
+    image."""
     bundle = models["affine_line"].bundle
     action = bundle.action
     pts = probe_points(bundle.space, 5, 3, tag="cocycle-check")
-    tree = _WordTree(action, bundle.cocycle, pts, action.words_up_to(4))
-    assert len(tree.words) == 1 + len(list(action.words_up_to(4)))
-    for word, image, law in zip(tree.words, tree.images, tree.laws):
-        assert np.array_equal(_law_rows(action, bundle.cocycle, (word,), pts)[1], law), word
-        assert np.array_equal(action.apply(word, pts), image), word
+    words = [()] + list(action.words_up_to(4))
+    images, laws = _law_rows(action, bundle.cocycle, [w for w in words for _ in pts],
+                             np.tile(pts, (len(words), 1)))
+    for k, word in enumerate(words):
+        rows = slice(k * len(pts), (k + 1) * len(pts))
+        assert np.array_equal(_law_rows(action, bundle.cocycle, (word,), pts)[1], laws[rows]), word
+        assert np.array_equal(action.apply(word, pts), images[rows]), word
+
+
+def test_non_finite_law_value_names_the_first_offending_row(models):
+    """On a stack of distinct words, a non-finite value names the word of
+    the first row whose value at that position is non-finite: here 's1' on
+    row 1, though row 2's 't1' is the first word of the stack and fails at
+    the same position."""
+    bundle = models["affine_line"].bundle
+
+    def blow_up(xs):
+        return np.where(xs[:, 0] > 5.0, np.inf, 0.5)
+
+    cocycle = Cocycle.batched({"t1": blow_up, "s1": blow_up})
+    words = [parse_word("t1"), parse_word("s1"), parse_word("t1")]
+    xs = np.array([[0.0], [10.0], [10.0]])
+    with pytest.raises(EvaluationError,
+                       match=r"non-finite circle value inf on word 's1' at probe point \[10\.0\]"):
+        cocycle.on_rows(bundle.action, words, xs)
 
 
 # ---------------------------------------------------------------------------

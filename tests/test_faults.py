@@ -24,7 +24,9 @@ entries on one line, exiting 1 when the suite fails. Two more commands
 print one line: ``verdict_stop`` prints a verdict's outcome and its last
 stage with that stage's data, exiting as ``verdict`` does, and ``replay``
 rebuilds the certificate a CANCELS chart verdict prints and revalidates
-it as ``test_certificate_replay`` does, exiting 1 when that fails.
+it as ``test_certificate_replay`` does, exiting 1 when that fails. When the
+verdict itself ends in an ``error:`` line, both print that line and exit
+as the verdict does.
 """
 
 import contextlib
@@ -216,15 +218,15 @@ FAULTS = {
         r"error: holonomy methods disagree by 5\.600e-03 on word 't1'\n",
         ("equihol.geometry", "SIMPSON", HEAVY_SIMPSON),
     ),
-    # An inverse letter's value taken at the image of the rest and not at
-    # its own image. The law values of t1^-1 and s1^-1 then go wrong where
+    # An inverse letter's value read at the image before the letter, as a
+    # forward letter's is, and not at the image after it. The law values of t1^-1 and s1^-1 then go wrong where
     # the generator values vary along the orbits, and the commutator
     # relator of the affine group shows it.
     "inverse_value_at_rest": Fault(
         "coincident images", "affine_line", {}, ("check-cocycle", "--max-word-len", "4"), 1,
         r"cocycle residual 4\.987e-01 over 768 checks: "
         r"FAIL at \('t1\^-1 s1\^-1 t1\^-1 s1', 's1\^-1 t1\^-1 s1 t1\^-1'\) \[",
-        ("equihol.bundle", "_value_rows", lambda rows, rests, signs: rests),
+        ("equihol.bundle", "_value_site", lambda sign, before, after: before),
     ),
     # The same fault passes the cocycle check of the selftest at word
     # length 3; the character on a two-letter word against the holonomy
@@ -232,12 +234,12 @@ FAULTS = {
     "inverse_value_at_rest_flat": Fault(
         "flat suite", "affine_line", {}, ("flat_suite", "0"), 1,
         r"spread .*, additivity 0\.494\d*, ok False\n",
-        ("equihol.bundle", "_value_rows", lambda rows, rests, signs: rests),
+        ("equihol.bundle", "_value_site", lambda sign, before, after: before),
     ),
     # The stacked read of the group maps taking each row's letters first to
     # last. The path ends at the image of the reversed word, while the
     # cocycle of affine_line, which has no family, reads its images off its
-    # own law fill: the class check of the path sees the two apart.
+    # own law fold: the class check of the path sees the two apart.
     "letters_first_to_last": Fault(
         "path class", "affine_line", {}, ("holonomy", "--word", "t1 s1^-1"), 1,
         r"error: path endpoint misses the image of its start under 't1 s1\^-1' by 3\.935e-01\n",
@@ -327,15 +329,19 @@ def _run(argv):
 
 
 def _verdict_report(path):
-    """Exit code and report of ``verdict`` on the scenario at ``path``."""
+    """Exit code and report of ``verdict`` on the scenario at ``path``. A
+    verdict that ends in an ``error:`` line has printed that line, and has
+    no report (None)."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(["verdict", path, "--format", "json-like"])
-    return code, json.loads(out.getvalue())
+    return code, json.loads(out.getvalue()) if out.getvalue() else None
 
 
 def _verdict_stop(argv):
     code, report = _verdict_report(argv[1])
+    if report is None:
+        return code
     result = report["result"]
     last = result["stages"][-1]
     data = ", ".join(f"{key} {value}" for key, value in last["data"].items())
@@ -345,6 +351,8 @@ def _verdict_stop(argv):
 
 def _replay(argv):
     code, report = _verdict_report(argv[1])
+    if report is None:
+        return code
     if code != 0:
         print(f"no certificate: verdict {report['result']['outcome']}")
         return 1

@@ -1,17 +1,18 @@
 """Each equivariance formula is written once in ``src/equihol``.
 
-Three readings stand for three formulas:
+Four readings stand for four formulas:
 - ``SIMPSON``, the second rule of the holonomy cross-check: read in
   ``holonomy._holonomies``, the holonomy of a path stack, and in
   ``geometry.rk4_line_integral``;
 - a call of ``.differential(...)``, the pushforward behind the pullback
-  defect g*w - w: made in ``GroupElement.pullback_defect``; the batched
-  invariance rows of ``local_search.solve_local_global_form`` push one
-  lattice stack forward per generator against forms evaluated once for
-  all, and ``LocalFunctional.differential`` is another operation of the
-  same name, called in ``lattice.lie_derivative_local``;
+  defect g*w - w: made in ``GroupElement.pullback_defect``;
+  ``LocalFunctional.differential`` is another operation of the same name,
+  called in ``lattice.lie_derivative_local``;
 - ``lambda_field.many``, the section field behind the shift
-  Lambda - Lambda o phi: read in ``Section.shift``.
+  Lambda - Lambda o phi: read in ``Section.shift``;
+- ``generator_values[...]``, a generator's cocycle value behind the law
+  alpha_gh(x) = alpha_g(h x) + alpha_h(x): read in ``bundle._law_rows``,
+  the fold of the law over a stack of words.
 
 A reading anywhere else is a second copy of its formula, which a change
 of the formula would have to find and keep in step; this test names it.
@@ -27,10 +28,10 @@ HOMES = {
     "SIMPSON": {("holonomy", "_holonomies"), ("geometry", "rk4_line_integral")},
     ".differential(": {
         ("geometry", "GroupElement.pullback_defect"),
-        ("local_search", "solve_local_global_form"),
         ("lattice", "lie_derivative_local"),
     },
     "lambda_field.many": {("bundle", "Section.shift")},
+    "generator_values[...]": {("bundle", "_law_rows")},
 }
 
 
@@ -44,6 +45,9 @@ def _reading(node):
         if node.attr == "many" and isinstance(node.value, ast.Attribute):
             if node.value.attr == "lambda_field":
                 return "lambda_field.many"
+    if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute):
+        if node.value.attr == "generator_values":
+            return "generator_values[...]"
     if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
         if node.func.attr == "differential":
             return ".differential("
