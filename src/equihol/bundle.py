@@ -102,21 +102,23 @@ class Cocycle:
 
     def on_rows(self, action: GroupAction, words: Sequence[Word], xs: np.ndarray,
                 images: bool = False):
-        """Value of row k of an ``(N, d)`` stack on ``words[k]``; a single
-        word values every row. With ``images``, also the rows' images, as
-        ``(images, values)``.
+        """Values of the rows of an ``(N, d)`` stack on ``words``, word-major:
+        each word reads N / len(words) consecutive rows, so a single word
+        values every row and a word per row its own. With ``images``, also
+        the rows' images, as ``(images, values)``.
 
         With a family, one family call on the exponent columns of the rows
         (and, for ``images``, :meth:`GroupAction.apply_rows`). Without one,
-        one fold of the law over the rows (:func:`_law_rows`), row k read
-        letter by letter on ``words[k]``; it gives the images on the way. A
+        one fold of the law over the rows (:func:`_law_rows`), each row read
+        letter by letter on its word; it gives the images on the way. A
         non-finite value names the word of the first offending row."""
         if self.family is None:
             out = _law_rows(action, self, words, xs)
             return out if images else out[1]
+        per = len(xs) // len(words)
         ys = action.apply_rows(words, xs) if images else None
-        values = _circle_rows(self.family(_exponent_columns(action, words), xs), xs,
-                              lambda i: _on_word(words, i))
+        values = _circle_rows(self.family(_exponent_columns(action, words, per), xs), xs,
+                              lambda i: _on_word(words, i // per))
         return (ys, values) if images else values
 
     def on_flow(self, lie_label: str, t: float, xs: np.ndarray) -> np.ndarray:
@@ -141,17 +143,18 @@ def _pointwise_family(family: Callable) -> Callable:
     return many
 
 
-def _exponent_columns(action: GroupAction, words: Sequence[Word]) -> dict:
-    """Per generator label, the ``(N,)`` column of each row's exponent sum
-    (:meth:`GroupAction.exponent_vector`); one distinct word gives its plain
-    integers, which broadcast."""
-    # Keyed by identity, to hash no word: a stack repeats one word object
+def _exponent_columns(action: GroupAction, words: Sequence[Word], per: int) -> dict:
+    """Per generator label, the column of each row's exponent sum
+    (:meth:`GroupAction.exponent_vector`), each word's repeated down its
+    ``per`` word-major rows; one distinct word gives its plain integers,
+    which broadcast."""
+    # Keyed by identity, to hash no word: a stack may repeat one word object
     # down its rows, and equal words keyed apart give equal columns.
     distinct = dict(zip(map(id, words), words))
     if len(distinct) == 1:
         return action.exponent_vector(words[0])
     index = np.array(list(map({key: k for k, key in enumerate(distinct)}.__getitem__,
-                              map(id, words))))
+                              map(id, words)))).repeat(per)
     vectors = [action.exponent_vector(w) for w in distinct.values()]
     return {label: np.array([v[label] for v in vectors])[index] for label in action.labels}
 
@@ -346,8 +349,7 @@ def check_cocycle(
     valued = words[1:] if cocycle.family is not None else []
     stacked = valued + list(action.relations)
     if stacked:
-        rows = [w for w in stacked for _ in range(n)]
-        values = cocycle.on_rows(action, rows, np.tile(pts, (len(stacked), 1))).reshape(-1, n)
+        values = cocycle.on_rows(action, stacked, np.tile(pts, (len(stacked), 1))).reshape(-1, n)
         named += [(w, w) for w in valued] + [(rel, ()) for rel in action.relations]
         firsts.append(values)
         seconds += [laws[1:len(valued) + 1], np.zeros((len(action.relations), n))]

@@ -870,12 +870,12 @@ def format_word(word: Word) -> str:
 
 
 def _letter_rows(words: Sequence[Word]) -> list:
-    """The reading of a stack of words, row k reading ``words[k]``: per
-    position from the end, each letter read there with its rows, letters in
+    """The reading of a stack of words: per position from the end, each
+    letter read there with the indices of the words that read it, letters in
     order of first appearance. Words act in reading order as function
     composition, so the last letter is read first. A single word, or a
-    stack of one word, reads every row (a full slice); otherwise the rows
-    are ascending index arrays."""
+    stack of one word, reads every row (a full slice); otherwise the
+    indices are ascending arrays."""
     if all(word == words[0] for word in words):
         return [{letter: slice(None)} for letter in reversed(words[0])]
     reading: list = []
@@ -920,13 +920,17 @@ class GroupAction:
         return y if x.ndim == 2 else y[0]
 
     def apply_rows(self, words: Sequence[Word], xs) -> np.ndarray:
-        """Image of row k of an ``(N, d)`` stack under ``words[k]``; a single
-        word maps every row. One generator-map call per (letter, position
-        from the end), on the rows that read that letter there."""
+        """Images of the rows of an ``(N, d)`` stack under ``words``,
+        word-major: each word maps N / len(words) consecutive rows, so a
+        single word maps every row and a word per row its own. One
+        generator-map call per (letter, position from the end), on the rows
+        that read that letter there."""
         y = self.space.points(xs)
+        block = np.arange(len(y)).reshape(len(words), -1)
         for at in _letter_rows(words):
             y = y.copy()
-            for letter, rows in at.items():
+            for letter, ks in at.items():
+                rows = ks if isinstance(ks, slice) else block[ks].ravel()
                 y[rows] = self.apply_letter(letter, y[rows])
         return y
 

@@ -139,11 +139,26 @@ class ScalarBasis:
             raise EvaluationError(f"scalar basis {self.description!r} non-finite")
         return out
 
+    def subset(self, members) -> ScalarBasis:
+        """The members at the given indices, in that order, under this description."""
+        fields, names = (tuple(items[j] for j in members) for items in (self.fields, self.names))
+        return ScalarBasis(fields, names, self.description)
+
     def combine(self, space, coefficients) -> ScalarField:
-        coefficients = tuple(coefficients)
-        return ScalarField.batched(
-            space, lambda xs: linear_combination(coefficients, self.matrix(xs).T), name="fit"
-        )
+        """The field ``sum_j c_j member_j`` on its nonzero terms (:func:`_support`)."""
+        terms, cs = _support(coefficients)
+        sub = self.subset(terms)
+        many = lambda xs: linear_combination(cs, sub.matrix(xs).T)
+        return ScalarField.batched(space, many, "fit")
+
+
+def _support(coefficients) -> tuple:
+    """The indices and values of the nonzero coefficients. A fitted combination
+    adds only these terms, in member order from zero: the running sum starts at
+    +0.0 and never becomes -0.0, so a skipped ``0 * x = +-0`` on a finite x
+    would change no bit."""
+    terms = [k for k, c in enumerate(coefficients) if c != 0]
+    return terms, tuple(coefficients[k] for k in terms)
 
 
 @dataclass(frozen=True)
@@ -161,16 +176,16 @@ class FormBasis:
         return (s[:, None, :] * vs[:, :, None]).reshape(len(s), s.shape[1] * vs.shape[1])
 
     def combine(self, space, coefficients) -> OneForm:
-        """The form ``sum_k c_k member_k``, added in member order from zero.
-        Each column of :meth:`matrix` is formed only when its term is added,
-        so an evaluation holds the scalar matrix, not the form matrix."""
-        coefficients = tuple(coefficients)
+        """The form ``sum_k c_k member_k`` on its nonzero terms (:func:`_support`).
+        An evaluation computes only the scalar members those terms read, and
+        forms each column of :meth:`matrix` only when its term is added."""
+        m, (terms, cs) = len(self.scalars.fields), _support(coefficients)
+        reads = sorted({k % m for k in terms})
+        sub, columns = self.scalars.subset(reads), [(reads.index(k % m), k // m) for k in terms]
 
         def many(xs, vs):
-            s = self.scalars.matrix(xs)
-            m = s.shape[1]
-            columns = (s[:, k % m] * vs[:, k // m] for k in range(m * vs.shape[1]))
-            return linear_combination(coefficients, columns)
+            s = sub.matrix(xs)
+            return linear_combination(cs, (s[:, j] * vs[:, i] for j, i in columns))
 
         return OneForm(space, many, "fit")
 
@@ -677,10 +692,10 @@ def character_membership(
         period_table[label] = {name: float(v) for name, v in zip(names, K[gi])}
     kappa = np.array([target.values[label].value for label in gens])
 
-    def combination(lam):
-        return OneForm(
-            space, lambda xs, vs: linear_combination(lam, [f.many(xs, vs) for f in forms]), "fit"
-        )
+    def combination(lam):  # on its nonzero terms, as a fitted basis combination
+        terms, cs = _support(lam)
+        many = lambda xs, vs: linear_combination(cs, [forms[i].many(xs, vs) for i in terms])
+        return OneForm(space, many, "fit")
 
     if not gens:
         combo = combination(np.zeros(len(forms)))

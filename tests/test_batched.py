@@ -21,7 +21,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from equihol import holonomy, probes
+from equihol import holonomy, probes, solvers
 from equihol.bundle import (
     FLOW_STEP,
     Cocycle,
@@ -474,6 +474,88 @@ def test_one_form_basis_matches_per_point_products():
     s = path.points[:6]
     for f in basis.scalars.fields:
         assert np.array_equal([f(x) for x in s], f(s))
+
+
+def _interleaved(n: int) -> np.ndarray:
+    """Coefficients that alternate zero (one of them -0.0) with nonzero
+    entries, every other nonzero one negative."""
+    c = np.zeros(n)
+    c[1::2] = np.linspace(0.75, 2.5, len(c[1::2]))
+    c[1::4] *= -1.0
+    c[2] = -0.0
+    return c
+
+
+def test_fitted_combinations_keep_the_bits_of_the_full_sum(models, scenarios, monkeypatch):
+    """Each fitted form, field and candidate combination reads only its
+    nonzero terms, and gives, byte for byte (+0.0 and -0.0 apart), the sum of
+    every term of the full member matrix in member order from zero: the
+    fitted primitives of every chart verdict at seeds 0 and 3, each axis
+    block of them as a scalar combination, interleaved zero and negative
+    coefficients, and the verdicts' membership combinations."""
+    fits, memberships = [], []
+    combine = solvers.FormBasis.combine
+    membership = solvers.character_membership
+
+    def recorded_combine(basis, space, coefficients):
+        fits.append((basis, space, np.array(coefficients)))
+        return combine(basis, space, coefficients)
+
+    def recorded_membership(target, candidates, bundle, cfg):
+        result = membership(target, candidates, bundle, cfg)
+        memberships.append((bundle.space, candidates, result))
+        return result
+
+    monkeypatch.setattr(solvers.FormBasis, "combine", recorded_combine)
+    monkeypatch.setattr(solvers, "character_membership", recorded_membership)
+    for name, model in models.items():
+        for seed in (0, 3):
+            cfg = scenarios[name].solver_config(seed=seed)
+            solvers.verdict_pipeline(
+                model.bundle, model.connection, model.reference_section, cfg,
+                candidates=model.candidates, declared_moment=model.declared_moment,
+                fixed_points=model.fixed_points,
+            )
+        basis = one_form_basis(model.space, cfg.degree, cfg.trig)
+        fits.append((basis, model.space, _interleaved(len(basis.names))))
+    assert any(not c.any() for _, _, c in fits) and any(c.any() for _, _, c in fits)
+    for basis, space, c in fits:
+        xs = probe_points(space, 40, 5, tag="support-points")
+        vs = rng_for(5, "support-vectors").normal(size=xs.shape)
+        got = combine(basis, space, c).many(xs, vs)
+        assert got.tobytes() == linear_combination(c, basis.matrix(xs, vs).T).tobytes()
+        for block in (*c.reshape(space.dimension, -1), _interleaved(len(basis.scalars.names))):
+            got = basis.scalars.combine(space, block).many(xs)
+            assert got.tobytes() == linear_combination(block, basis.scalars.matrix(xs).T).tobytes()
+    combos = [(space, c, r) for space, c, r in memberships if r.combination is not None]
+    assert any(0.0 in r.lambdas.values() for *_, r in combos)
+    for space, candidates, result in combos:
+        xs = probe_points(space, 40, 5, tag="support-points")
+        vs = rng_for(5, "support-vectors").normal(size=xs.shape)
+        want = linear_combination(list(result.lambdas.values()),
+                                  [f.many(xs, vs) for _, f in candidates])
+        want = np.broadcast_to(want, (len(xs),))  # no candidates sum to the float 0.0
+        assert result.combination.many(xs, vs).tobytes() == want.tobytes()
+
+
+def test_non_finite_member_outside_the_support_is_not_read():
+    """A member that is non-finite on the points stops no evaluation of a
+    fitted combination whose coefficients on it are zero; a nonzero one on
+    it still raises."""
+    space = ParameterSpace(2, "euclidean-box", lower=(-4.0, -4.0), upper=(4.0, 4.0))
+    fields = (lambda xs: xs[..., 0], lambda xs: np.full(len(xs), np.inf), lambda xs: xs[..., 1])
+    scalars = solvers.ScalarBasis(fields, ("x1", "inf", "x2"), "with an infinite member")
+    basis = solvers.FormBasis(scalars, tuple(f"{n} dx{i}" for i in (1, 2) for n in scalars.names),
+                              "forms with an infinite member")
+    xs = probe_points(space, 8, 2, tag="support-points")
+    vs = rng_for(2, "support-vectors").normal(size=xs.shape)
+    c = np.array([1.5, 0.0, -2.0, 0.0, -0.0, 0.5])
+    assert np.isfinite(basis.combine(space, c).many(xs, vs)).all()
+    assert np.isfinite(scalars.combine(space, c[:3]).many(xs)).all()
+    with pytest.raises(EvaluationError, match="'with an infinite member' non-finite"):
+        basis.combine(space, c + np.eye(6)[4]).many(xs, vs)
+    with pytest.raises(EvaluationError, match="'with an infinite member' non-finite"):
+        scalars.combine(space, c[:3] + np.eye(3)[1]).many(xs)
 
 
 def test_scalar_monomials_are_repeated_products_on_any_stack():
@@ -1004,6 +1086,27 @@ def test_non_finite_law_value_names_the_first_offending_row(models):
     with pytest.raises(EvaluationError,
                        match=r"non-finite circle value inf on word 's1' at probe point \[10\.0\]"):
         cocycle.on_rows(bundle.action, words, xs)
+
+
+def test_word_major_rows_match_a_word_per_row(models):
+    """A word-major stack, each word on N / len(words) consecutive rows,
+    gives the images and cocycle values of the same stack with its word
+    written on every row, bit for bit, on the family route and the law
+    route alike; a non-finite family value names its row's word."""
+    for name, model in models.items():
+        action, cocycle = model.bundle.action, model.bundle.cocycle
+        pts = probe_points(model.space, 6, 3, tag="cocycle-check")
+        words = list(action.words_up_to(2))
+        xs, per_row = np.tile(pts, (len(words), 1)), [w for w in words for _ in pts]
+        ys, values = cocycle.on_rows(action, words, xs, images=True)
+        want_ys, want = cocycle.on_rows(action, per_row, xs, images=True)
+        assert np.array_equal(ys, want_ys) and values.tobytes() == want.tobytes(), name
+        assert np.array_equal(action.apply_rows(words, xs), want_ys), name
+    assert 0 < sum(m.bundle.cocycle.family is not None for m in models.values()) < len(models)
+    cocycle = Cocycle.batched({}, family=lambda exponents, xs: np.where(xs[:, 0] > 5, np.inf, 0.5))
+    words, xs = [parse_word("t1"), parse_word("s1")], np.array([[0.0]] * 3 + [[10.0]])
+    with pytest.raises(EvaluationError, match=r"on word 's1' at probe point \[10\.0\]"):
+        cocycle.on_rows(models["affine_line"].bundle.action, words, xs)
 
 
 # ---------------------------------------------------------------------------

@@ -61,7 +61,7 @@ def test_summary_of_canned_pairs():
     assert summary["ops_per_s"] == {
         "parent_median": 51.0, "parent_iqr": 2.0, "change_median": 54.0,
         "ratio": round(54.0 / 51.0, 4), "change_wins_of_pairs": 3,
-        "worse_than_bound": False,
+        "meets_gain_rule": False, "worse_than_bound": False,
     }
     # Lower is better for latency: 3 wins, one loss, one tie.
     assert summary["op_p50_ms"]["change_wins_of_pairs"] == 3
@@ -84,6 +84,29 @@ def test_summary_of_canned_pairs():
     summary = tool.summarise(swapped, BETTER, {"op_p50_ms": 0.01})["summary"]
     assert "worse_than_bound" not in summary["ops_per_s"]
     assert summary["op_p50_ms"]["worse_than_bound"]
+
+
+def gain_rule(parent_ops, change_ops):
+    """``meets_gain_rule`` of ``ops_per_s`` over pairs of the given runs."""
+    pairs = [{"seed": i, "first": "parent", "parent": result(p, 20.0), "change": result(c, 20.0)}
+             for i, (p, c) in enumerate(zip(parent_ops, change_ops))]
+    return load_tool().summarise(pairs, BETTER)["summary"]["ops_per_s"]["meets_gain_rule"]
+
+
+def test_gain_rule_needs_nine_tenths_of_the_pairs_and_a_gap_above_the_iqr():
+    # Parent runs 100..109: inclusive quartiles 102.25 and 106.75, IQR 4.5.
+    parent = [100.0 + i for i in range(10)]
+    ahead = [p + 10.0 for p in parent]
+    # 9 of 10 pairs won, the median gap 9.0 above the IQR.
+    assert gain_rule(parent, ahead[:9] + [parent[9] - 1.0])
+    # 8 of 10: one pair lost and one tied, which counts for neither side.
+    assert not gain_rule(parent, ahead[:8] + [parent[8] - 1.0, parent[9]])
+    # 10 of 10, but the median gap of 1.0 lies within the IQR.
+    assert not gain_rule(parent, [p + 1.0 for p in parent])
+    # Lower is better for latency: the same rule on op_p50_ms.
+    pairs = [{"seed": i, "first": "parent", "parent": result(50.0, 20.0 + i),
+              "change": result(50.0, 10.0 + i)} for i in range(10)]
+    assert load_tool().summarise(pairs, BETTER)["summary"]["op_p50_ms"]["meets_gain_rule"]
 
 
 def test_seed_range():
@@ -123,7 +146,7 @@ def test_traced_pairs_summarise_the_per_layer_metrics():
     global_form = out["summary"]["local_search.global_form.self_s"]
     assert global_form == {"parent_median": 0.30, "parent_iqr": round(0.31 - 0.29, 6),
                            "change_median": 0.26, "ratio": round(0.26 / 0.30, 4),
-                           "change_wins_of_pairs": 3}
+                           "change_wins_of_pairs": 3, "meets_gain_rule": True}
     assert out["parent"]["metrics"]["local_search.global_form.self_s"]["runs"] == [0.3, 0.28, 0.32]
     # Lower self time wins; one pair lost.
     assert out["summary"]["local_search.local_verdict.self_s"]["change_wins_of_pairs"] == 2

@@ -266,7 +266,7 @@ FAULTS = {
         r"error: cocycle residual 4\.927e-01 exceeds 1e-06 at word pair \('s\^2', 's\^2'\), "
         r"point \[",
         ("equihol.bundle", "_exponent_columns",
-         lambda action, words: action.exponent_vector(words[0])),
+         lambda action, words, per: action.exponent_vector(words[0])),
     ),
     # A curvature the shift does not keep, with no one-parameter generator:
     # the primitive invariant under the identity component, x1^2 dx2 up to

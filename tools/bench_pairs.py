@@ -22,11 +22,16 @@ quartiles, and ``failed``/``attempted``; for each metric, the change's
 median over the parent's and the number of pairs the change won, in the
 direction ``BENCHMARK.json`` declares better, and, for each metric with a
 ``bound`` there, ``worse_than_bound``: whether the change's median is worse
-than the parent's by more than that fraction of it. Per workload,
-``failure_share`` is each side's failed operations over its attempted ones,
-summed over the pairs, and ``more_failures`` whether the change's share
-exceeds the parent's. The metrics so flagged, and whether the change fails
-more, are printed after each workload. It also records the
+than the parent's by more than that fraction of it; and
+``meets_gain_rule``: whether the change won at least nine tenths of the
+pairs (a tie counts for neither side) and its median is better than the
+parent's by more than the parent's interquartile range, the rule a claimed
+gain must meet. Per workload, ``failure_share`` is each side's failed
+operations over its attempted ones, summed over the pairs, and
+``more_failures`` whether the change's share exceeds the parent's. The
+metrics flagged worse than their bound, whether the change fails more, and
+the metrics that meet the gain rule are printed after each workload. It
+also records the
 environment line of the benchmark. Medians and quartiles are
 ``statistics.quantiles(..., method="inclusive")``, numpy's linear
 percentiles.
@@ -113,12 +118,15 @@ def summarise(pairs: list, better: dict, bounds: dict = None) -> dict:
         parent, change = (out[side]["metrics"][name] for side in SIDES)
         sign = 1 if direction == "higher" else -1
         wins = sum(sign * (c - p) > 0 for p, c in zip(parent["runs"], change["runs"]))
+        iqr = round(parent["q3"] - parent["q1"], 6)
         out["summary"][name] = {
             "parent_median": parent["median"],
-            "parent_iqr": round(parent["q3"] - parent["q1"], 6),
+            "parent_iqr": iqr,
             "change_median": change["median"],
             "ratio": round(change["median"] / parent["median"], 4) if parent["median"] else None,
             "change_wins_of_pairs": wins,
+            "meets_gain_rule": 10 * wins >= 9 * len(pairs)
+                               and sign * (change["median"] - parent["median"]) > iqr,
         }
         if name in (bounds or {}):
             worse = sign * (parent["median"] - change["median"])
@@ -161,11 +169,13 @@ def main(argv=None) -> int:
             print(f"{workload} seed {seed}: {headline} parent {ratio[0]:.2f} "
                   f"change {ratio[1]:.2f}", flush=True)
         record["workloads"][workload] = summarise(pairs, better, bounds)
-        flagged = [name for name, s in record["workloads"][workload]["summary"].items()
-                   if s.get("worse_than_bound")]
+        summary = record["workloads"][workload]["summary"]
+        flagged = [name for name, s in summary.items() if s.get("worse_than_bound")]
+        gains = [name for name, s in summary.items() if s["meets_gain_rule"]]
         more = record["workloads"][workload]["more_failures"]
         print(f"{workload}: worse than its bound: {', '.join(flagged) or 'none'}; "
               f"more failures: {'yes' if more else 'no'}", flush=True)
+        print(f"{workload}: meets the gain rule: {', '.join(gains) or 'none'}", flush=True)
         args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(f"pairs written to {args.out}")
     return 0
