@@ -66,10 +66,6 @@ class InvalidCharacterError(ToolkitError):
     """A circle-valued character violates the group presentation."""
 
 
-class LocalityDeclarationError(ToolkitError):
-    """A declared local density does not reproduce the generic evaluator."""
-
-
 class ScenarioError(ToolkitError):
     """Problem with a scenario file; carries a source position when known."""
 

@@ -20,16 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
 from . import expressions
-from .errors import (
-    EvaluationError,
-    LocalityDeclarationError,
-    PreconditionError,
-)
+from .errors import EvaluationError, PreconditionError
 from .geometry import (
     GroupElement,
     LieElement,
@@ -143,7 +139,7 @@ class LocalDensity:
     def __init__(self, lattice: LatticeBase, fn: Callable[[dict], np.ndarray], order: int, name=""):
         self.lattice = lattice
         self.fn = fn
-        self.order = self.reads = order
+        self.reads = order
         self.name = name
         self.zero = False
 
@@ -184,46 +180,6 @@ def _require_finite(values: np.ndarray, name: str) -> None:
         )
 
 
-class LocalFunctional:
-    """A density summed over sites times the spacing."""
-
-    def __init__(self, density: LocalDensity, name=""):
-        self.density = density
-        self.lattice = density.lattice
-        self.name = name or density.name
-
-    def __call__(self, field_values) -> float:
-        return float(self.values(field_values))
-
-    def values(self, field_values):
-        """The functional at one field, or ``(N,)`` values on a stack."""
-        return np.sum(self.density.values(field_values), axis=-1) * self.lattice.spacing
-
-    def differential(self) -> "LocalOneForm":
-        """The variation as a local one-form, by slot-wise chain rule.
-
-        Coefficient densities are the partials of the density with respect
-        to each jet slot, taken by small central differences at the jet.
-        """
-        order = self.density.order
-        base = self.density
-
-        def partial(slot: str):
-            def fn(env):
-                vals = np.asarray(env[slot], dtype=float)
-                step = 1e-6 * np.maximum(1.0, np.abs(vals))
-                up = dict(env)
-                up[slot] = vals + step
-                down = dict(env)
-                down[slot] = vals - step
-                return (np.asarray(base.fn(up)) - np.asarray(base.fn(down))) / (2 * step)
-
-            return LocalDensity(self.lattice, fn, order, name=f"d{self.name}/d{slot}")
-
-        coeffs = [partial(JET_NAMES[k]) for k in range(order + 1)]
-        return LocalOneForm(self.lattice, coeffs, name=f"d({self.name})")
-
-
 class LocalOneForm:
     """One coefficient density per variation-jet slot.
 
@@ -258,9 +214,11 @@ class LocalOneForm:
         return OneForm(field_space, self.values, name=self.name)
 
 
-def integrate_local(density: LocalDensity, field_values) -> float:
-    """Lattice integral of the density over the field's jets."""
-    return LocalFunctional(density)(field_values)
+def integrate_local(density: LocalDensity, field_values):
+    """Lattice integral of the density over the field's jets: a float at
+    one field, ``(N,)`` values on a stack."""
+    total = np.sum(density.values(field_values), axis=-1) * density.lattice.spacing
+    return float(total) if np.ndim(total) == 0 else total
 
 
 # ---------------------------------------------------------------------------
@@ -367,63 +325,6 @@ def flow_slope(values: Callable, generator: LieElement, fields, step: float = 1e
         return (values(ahead) - values(behind)) / (2 * h)
 
     return richardson_slope(slope, step)
-
-
-def lie_derivative_local(
-    functional: LocalFunctional,
-    generator: LieElement,
-    field_values,
-    step: float = 1e-3,
-    kind: Optional[str] = None,
-    chi=None,
-) -> Tuple[float, Optional[LocalDensity]]:
-    """Directional derivative of the functional along the generator's flow.
-
-    Richardson-extrapolated central differences over the flow. For fiber
-    translations and base shifts an induced density is also assembled by
-    the jet chain rule and the two routes are asserted to agree; the shift
-    comparison tolerance scales with the spacing squared because the flow
-    is spectral while jets use centered differences.
-    """
-    s = as_field(functional.lattice, field_values)
-    value = float(flow_slope(functional.values, generator, s, step))
-
-    induced = None
-    if kind in ("fiber_translation", "shift"):
-        lattice = functional.lattice
-        order = functional.density.order
-        slots = functional.differential().slot_densities
-        if kind == "fiber_translation":
-            chi_env = jets(lattice, _chi_values(lattice, chi if chi is not None else 1.0), order)
-            variation_jet = lambda env, k: chi_env[JET_NAMES[k]]
-            induced_order = order
-        else:
-            if order + 1 > MAX_JET_ORDER:
-                raise PreconditionError(
-                    "shift chain rule needs one jet order above the density's"
-                )
-            # The variation jet of the shift is minus the next derivative,
-            # read off the incoming environment so the density stays local.
-            variation_jet = lambda env, k: -np.asarray(env[JET_NAMES[k + 1]])
-            induced_order = order + 1
-
-        def induced_fn(env):
-            return linear_combination([dens.fn(env) for dens in slots],
-                                      [variation_jet(env, k) for k in range(len(slots))])
-
-        induced = LocalDensity(
-            lattice, induced_fn, induced_order, name=f"L_{generator.label}({functional.name})"
-        )
-        chain_value = LocalFunctional(induced)(s)
-        scale = max(1.0, abs(value), abs(chain_value))
-        agreement_tol = 1e-7 * scale
-        if kind == "shift":
-            agreement_tol += 5.0 * lattice.spacing**2 * scale
-        if abs(value - chain_value) > agreement_tol:
-            raise LocalityDeclarationError(
-                f"flow and chain-rule derivatives disagree: {value!r} vs {chain_value!r}"
-            )
-    return value, induced
 
 
 # ---------------------------------------------------------------------------

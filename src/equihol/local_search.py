@@ -18,9 +18,9 @@ from .geometry import central_difference, segment_sum
 from .holonomy import class_path_rows, holonomy_form_gap
 from .lattice import (
     DensityBasis,
-    LocalFunctional,
     curl_stencils,
     flow_slope,
+    integrate_local,
     random_fields,
 )
 from .probes import rng_for
@@ -50,7 +50,9 @@ def solve_local_lie_coboundary(model, section: Section, cfg: SolverConfig):
     one block of rows, one Richardson flow slope of the basis functionals
     over the whole probe stack. The residual floor of a failed search is
     reported; it never proves nonexistence.
-    Returns ``(result, functional_or_None)``.
+    Returns ``(result, density_or_None)``: with a certificate, the fitted
+    counterterm density, whose lattice integral (:func:`integrate_local`)
+    is the local functional.
     """
     bundle = model.bundle
     bundle.require_lie()
@@ -65,19 +67,20 @@ def solve_local_lie_coboundary(model, section: Section, cfg: SolverConfig):
     targets = np.concatenate([anomalies[label].many(fit_fields) for label in generators])
     fit_bound = max(cfg.fit_tol, 1e-9)
     coef, fit_res, cond = _lstsq_with_lifts(rows, targets, fit_bound)
-    combined = LocalFunctional(basis.combine(coef), name="fit")
+    counterterm = basis.combine(coef)
+    functional = functools.partial(integrate_local, counterterm)
     hold_rng = rng_for(cfg.seed, "local-lie-holdout")
     hold_fields = random_fields(model.lattice, max(12, len(names)), hold_rng)
     holdout = max(
         float(np.max(np.abs(
-            anomalies[label].many(hold_fields) - flow_slope(combined.values, X, hold_fields)
+            anomalies[label].many(hold_fields) - flow_slope(functional, X, hold_fields)
         ), initial=0.0))
         for label, X in generators.items()
     )
     coefficients = dict(zip(names, (float(c) for c in coef)))
     description = f"local jet densities: {len(names)} members, degree <= {model.density_degree}"
     if fit_res <= fit_bound and holdout <= max(cfg.holdout_tol, 1e-8):
-        return Certificate(coefficients, fit_res, holdout, description, cond), combined
+        return Certificate(coefficients, fit_res, holdout, description, cond), counterterm
     return NoCertificate(fit_res, holdout, description), None
 
 

@@ -83,14 +83,13 @@ from equihol.lattice import (
     DensityBasis,
     LatticeBase,
     LocalDensity,
-    LocalFunctional,
     LocalOneForm,
     centered_difference,
     curl_stencils,
     fiber_translation_lie,
     flow_slope,
+    integrate_local,
     jets,
-    lie_derivative_local,
     random_fields,
     shift_lie,
 )
@@ -119,7 +118,7 @@ def _site_jets(lattice, values, order):
 def local_reference(form: LocalOneForm, s, ds):
     """Value and sum of |terms| of a local one-form, looping over sites."""
     lattice = form.lattice
-    order = max(dens.order for dens in form.slot_densities)
+    order = max(dens.reads for dens in form.slot_densities)
     field_jets = _site_jets(lattice, s, order)
     variation_jets = _site_jets(lattice, ds, len(form.slot_densities) - 1)
     value, size = 0.0, 0.0
@@ -251,9 +250,9 @@ def test_basis_members_match_site_loop():
 
 
 def test_basis_functionals_and_flow_slopes_match_members():
-    # Each functional column is the member's own LocalFunctional, and each
-    # row of a flow slope over the field stack is the N=1 derivative, bit
-    # for bit.
+    # Each functional column is the member's own lattice integral, and each
+    # row of a flow slope over the field stack is the slope of that
+    # integral at the row's field alone, bit for bit.
     space = LAT.field_space()
     basis = DensityBasis(LAT, 2, 2)
     fields = random_fields(LAT, 5, rng_for(4, "basis-fields"))
@@ -262,11 +261,11 @@ def test_basis_functionals_and_flow_slopes_match_members():
     slopes = [flow_slope(basis.functionals, X, fields) for X in generators]
     assert columns.shape == slopes[0].shape == (5, len(basis.names))
     for j in range(len(basis.names)):
-        functional = LocalFunctional(_member(basis, j))
+        functional = functools.partial(integrate_local, _member(basis, j))
         for i, s in enumerate(fields):
             assert columns[i, j] == functional(s)
             for X, rows in zip(generators, slopes):
-                assert rows[i, j] == lie_derivative_local(functional, X, s)[0]
+                assert rows[i, j] == flow_slope(functional, X, s)
 
 
 def _fitted_reference(basis, c, slots):
@@ -293,7 +292,7 @@ def test_basis_combine_is_the_coefficient_sum_of_columns():
     rng = rng_for(5, "combine-coefficients")
     c = rng.normal(size=len(basis.names))
     columns = basis.functionals(fields)
-    values = LocalFunctional(basis.combine(c)).values(fields)
+    values = integrate_local(basis.combine(c), fields)
     assert values == pytest.approx(columns @ c, rel=0, abs=1e-12 * np.sum(np.abs(columns * c)))
     for slots in ([0, 1, 2], [2, 0]):
         c = rng.normal(size=len(basis.names) * len(slots))

@@ -6,8 +6,6 @@ Four readings stand for four formulas:
   ``geometry.rk4_line_integral``;
 - a call of ``.differential(...)``, the pushforward behind the pullback
   defect g*w - w: made in ``GroupElement.pullback_defect``;
-  ``LocalFunctional.differential`` is another operation of the same name,
-  called in ``lattice.lie_derivative_local``;
 - ``lambda_field.many``, the section field behind the shift
   Lambda - Lambda o phi: read in ``Section.shift``;
 - ``generator_values[...]``, a generator's cocycle value behind the law
@@ -26,10 +24,7 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "equihol"
 # Reading -> the (module, qualified function) of every place allowed to read it.
 HOMES = {
     "SIMPSON": {("holonomy", "_holonomies"), ("geometry", "rk4_line_integral")},
-    ".differential(": {
-        ("geometry", "GroupElement.pullback_defect"),
-        ("lattice", "lie_derivative_local"),
-    },
+    ".differential(": {("geometry", "GroupElement.pullback_defect")},
     "lambda_field.many": {("bundle", "Section.shift")},
     "generator_values[...]": {("bundle", "_law_rows")},
 }

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,10 +10,10 @@ from equihol.lattice import (
     DensityBasis,
     LatticeBase,
     LocalDensity,
-    LocalFunctional,
     LocalOneForm,
     fiber_affine_element,
     fiber_translation_lie,
+    flow_slope,
     integrate_local,
     jets,
     random_fields,
@@ -61,6 +63,19 @@ def test_integral_linear_in_density(rng):
     assert integrate_local(combo, s) == pytest.approx(
         2.0 * integrate_local(a, s) - 3.0 * integrate_local(b, s), abs=1e-12
     )
+
+
+def test_integrate_local_gives_a_float_per_field_and_values_per_stack():
+    # One field gives a Python float, not a numpy scalar, whose repr would
+    # change the printed selftest report; a stack gives one value per row,
+    # each equal to its row's own integral.
+    dens = LocalDensity.from_expression(LAT, "u^2 + u*u1", 2)
+    fields = random_fields(LAT, 3, rng_for(6, "integrate-shapes"))
+    one = integrate_local(dens, fields[0])
+    assert type(one) is float
+    values = integrate_local(dens, fields)
+    assert values.shape == (3,)
+    assert values.tolist() == [integrate_local(dens, s) for s in fields]
 
 
 def test_non_finite_density_reports_site():
@@ -138,18 +153,6 @@ def test_local_one_form_linear_in_variation(seed, a, b):
     assert lhs == pytest.approx(rhs, abs=1e-9 * (1 + abs(lhs)))
 
 
-def test_functional_differential_is_local_one_form(rng):
-    # d of a local functional evaluates like its finite-difference variation.
-    F = LocalFunctional(LocalDensity.from_expression(LAT, "u^2 + 0.5*u1^2", 2))
-    dF = F.differential()
-    assert isinstance(dF, LocalOneForm)
-    s = rng.normal(size=32)
-    v = rng.normal(size=32)
-    eps = 1e-6
-    fd = (F(s + eps * v) - F(s - eps * v)) / (2 * eps)
-    assert dF(s, v) == pytest.approx(fd, abs=1e-7)
-
-
 def test_local_one_form_computes_only_the_jets_it_reads(monkeypatch):
     # The connection of lattice_planted_local, [0.6*u, 0, 0]: its one term
     # reads the field and the variation themselves, so no centered
@@ -203,39 +206,27 @@ def test_basis_overflow_is_named_through_the_contraction(jet_order, variation_ze
 
 def test_lie_derivative_constant_functional_vanishes():
     space = LAT.field_space()
-    F = LocalFunctional(LocalDensity(LAT, lambda env: 3.0 / LAT.period, 0))
-    for X, kind, chi in (
-        (fiber_translation_lie(LAT, space, "T", 1.0), "fiber_translation", 1.0),
-        (shift_lie(LAT, space, "S"), "shift", None),
-    ):
-        from equihol.lattice import lie_derivative_local
-
-        value, _ = lie_derivative_local(F, X, sin_field(), kind=kind, chi=chi)
-        assert abs(value) < 1e-9
+    F = functools.partial(integrate_local, LocalDensity(LAT, lambda env: 3.0 / LAT.period, 0))
+    for X in (fiber_translation_lie(LAT, space, "T", 1.0), shift_lie(LAT, space, "S")):
+        assert abs(flow_slope(F, X, sin_field())) < 1e-9
 
 
 def test_lie_derivative_translation_invariance():
-    from equihol.lattice import lie_derivative_local
-
+    # The spectral shift is unitary, so the lattice sum of u^2 is conserved
+    # along its flow.
     space = LAT.field_space()
-    F = LocalFunctional(LocalDensity.from_expression(LAT, "u^2", 2))
+    F = functools.partial(integrate_local, LocalDensity.from_expression(LAT, "u^2", 2))
     S = shift_lie(LAT, space, "S")
-    value, induced = lie_derivative_local(F, S, sin_field(), kind="shift")
-    assert abs(value) < 1e-9
-    assert induced is not None
+    assert abs(flow_slope(F, S, sin_field())) < 1e-9
 
 
 def test_lie_derivative_fiber_translation_chain_rule():
-    from equihol.lattice import lie_derivative_local
-
+    # d/dt of the integral of (u + t)^2 at t = 0 is the integral of 2u.
     space = LAT.field_space()
-    F = LocalFunctional(LocalDensity.from_expression(LAT, "u^2", 2))
+    F = functools.partial(integrate_local, LocalDensity.from_expression(LAT, "u^2", 2))
     T = fiber_translation_lie(LAT, space, "T", 1.0)
     s = sin_field() + 0.25
-    value, induced = lie_derivative_local(F, T, s, kind="fiber_translation", chi=1.0)
-    assert value == pytest.approx(2 * LAT.zero_mode(s), abs=1e-9)
-    # the induced density acts like 2u
-    assert integrate_local(induced, np.ones(32)) == pytest.approx(2.0, abs=1e-9)
+    assert flow_slope(F, T, s) == pytest.approx(2 * LAT.zero_mode(s), abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +351,8 @@ def test_local_section_cocycle_is_local_up_to_constants(lattice_models, scenario
     bundle = model.bundle
     word = (("g", 1),)
     base = np.zeros(32)
-    local_part = LocalFunctional(
-        LocalDensity.from_expression(model.lattice, "0.6*u", model.jet_order)
+    local_part = functools.partial(
+        integrate_local, LocalDensity.from_expression(model.lattice, "0.6*u", model.jet_order)
     )
     direct = section_cocycle(bundle, model.reference_section, word)
     # pin the constant on the base field, validate on held-out fields

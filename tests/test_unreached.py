@@ -41,15 +41,7 @@ HELD = {
     ("scenario", "format_scenario"): REFERENCE,
     ("geometry", "LieElement._rk4_flow"): "ROADMAP item 3",
     ("geometry", "LieElement.flow_defect"): "ROADMAP item 3",
-    ("lattice", "LocalFunctional.differential"): "ROADMAP item 11",
-    ("lattice", "LocalFunctional.differential.partial"): "ROADMAP item 11",
-    ("lattice", "LocalFunctional.differential.partial.fn"): "ROADMAP item 11",
-    ("lattice", "shift_lie"): "ROADMAP item 11",
-    ("lattice", "shift_lie.spectral"): "ROADMAP item 11",
-    ("lattice", "shift_lie.flow"): "ROADMAP item 11",
-    ("lattice", "lie_derivative_local"): "ROADMAP item 11",
-    ("lattice", "lie_derivative_local.induced_fn"): "ROADMAP item 11",
-    ("bundle", "Section.shifted"): "ROADMAP items 1 and 10",
+    ("bundle", "Section.shifted"): "ROADMAP items 19 and 10",
 }
 
 

@@ -30,7 +30,7 @@ and ``curvature`` in both formats, ``holonomy`` of ``g`` and ``g^2`` for
 every generator ``g`` along the ``unit`` and ``wiggle:3`` paths, the
 two-generator word ``t1 s1^-1`` of ``affine_line`` (the one bundled
 cocycle without a family) along ``wiggle:3``, ``selftest``, the
-typed-error cases, twenty-eight edited copies of bundled scenarios and one
+typed-error cases, twenty-nine edited copies of bundled scenarios and one
 ``--out`` report.
 """
 
@@ -155,6 +155,11 @@ EDITED_CASES = [
     # passes both, and revalidation on fresh paths rejects it.
     ("lattice_reval.scn", "lattice_fiber_shift", "[solver]",
      "[solver]\nslots = [1, 2]\nfit_tol = 0.1", "verdict --local --tol 0.1"),
+    # The fiber shift with the spectral base rotation as a Lie generator
+    # of anomaly 0: the local counterterm search takes its slopes along
+    # the shift's flow, and its certificate has no significant coefficient.
+    ("lattice_shift.scn", "lattice_fiber_shift", "[assumptions]",
+     "[fieldlie.S]\nkind = shift\nalpha = 0\n\n[assumptions]", "verdict --local"),
     # A cocycle family on two generators that do not commute: affine_line
     # turned into the translation t1 and the doubling s1, with the relator
     # s1 t1 s1^-1 = t1^2 and the character 0.5 on s1 alone. Its only
