@@ -660,10 +660,14 @@ class Path:
         """Midpoints and displacement vectors of the P linear segments,
         ``(P, d)`` for one path and ``(K, P, d)`` for a stack, computed once."""
         if self._segments is None:
-            steps = self.space.displacement(self.points[..., :-1, :], self.points[..., 1:, :])
-            mids = self.space.points(self.points[..., :-1, :] + 0.5 * steps).reshape(steps.shape)
-            self._segments = mids, steps
+            self._segments = _segments(self.space, self.points)
         return self._segments
+
+
+def _segments(space: ParameterSpace, points: np.ndarray):
+    """The midpoints and steps of ``(S, d)`` or ``(K, S, d)`` samples."""
+    steps = space.displacement(points[..., :-1, :], points[..., 1:, :])
+    return space.points(points[..., :-1, :] + 0.5 * steps).reshape(steps.shape), steps
 
 
 def conjugate_path(zeta: Path, gamma: Path, apply_point: Callable) -> Path:
@@ -682,18 +686,18 @@ def conjugate_path(zeta: Path, gamma: Path, apply_point: Callable) -> Path:
 # Quadrature along paths
 
 
-# Most segment rows times dimension that one evaluation over a path stack
-# may see. The temporaries behind a stacked form (basis matrices, jets and
-# the lattice member tensor, one float per member, row and site) grow with
-# its rows, so stacks of class paths are cut into chunks of whole paths
-# below this. At 8192 a chart chunk holds 8 paths of 512 samples and a
-# lattice chunk one path of 192 samples in 32 sites, whose member tensor
-# of 10 members takes about 0.5 MB. The cap is on the stacks only: a stage
-# of class paths reads its chords, waves and section values once for all
-# its paths, then samples and integrates them stack by stack. One lattice
-# path per chunk is both the leaner and the faster choice on a 2-vCPU
-# Xeon: at 16384 (two paths) the lattice benchmark ran 19% slower with
-# 3.8% more peak memory, and at 65536 13-16% slower with 22% more.
+# Most segment rows times dimension that one evaluation in segment_sum may
+# see. The temporaries behind a stacked form (basis matrices, jets and the
+# lattice member tensor, one float per member, row and site) grow with its
+# rows, so segment_sum cuts a stack into chunks of whole paths below this.
+# At 8192 a chart chunk holds 8 paths of 512 samples and a lattice chunk
+# one path of 192 samples in 32 sites, whose member tensor of 10 members
+# takes about 0.5 MB. A stage of K class paths of S samples is one stack of
+# K*S*d floats (0.4 MB for 8 lattice paths), which the sampler fills chunk
+# by chunk. One lattice path per chunk is both the leaner and the faster
+# choice on a 2-vCPU Xeon: at 16384 (two paths) the lattice benchmark ran
+# 19% slower with 3.8% more peak memory, and at 65536 13-16% slower with
+# 22% more.
 STACK_FLOATS = 8192
 
 
@@ -706,30 +710,36 @@ SIMPSON = ((0.0, 0.5, 1.0), (1.0, 4.0, 1.0), 6.0)
 
 def segment_sum(values: Callable, path: Path, rule=MIDPOINT) -> np.ndarray:
     """Per path, the sum over its segments of the ``rule``'s weighted
-    ``values(nodes, steps)`` over its divisor: one call per node on every
-    segment row, ``(P, d)`` or ``(K * P, d)``. Terms of shape ``(P,)`` or
-    ``(P, F)`` per path give a total or ``(F,)`` totals, with the leading
-    path axis of a stack in front. Each path's terms are added in path
-    order as np.cumsum adds them, so each path of a stack keeps the bits of
-    its total alone. This is the one quadrature; :func:`line_integral` is
-    its one-form case."""
-    mids, steps = path.segments()
-    axis, d = mids.ndim - 2, mids.shape[-1]
-    at = {0.0: path.points[..., :-1, :], 0.5: mids, 1.0: path.points[..., 1:, :]}
+    ``values(nodes, steps)`` over its divisor: one call per node on the
+    segment rows of each chunk of whole paths whose rows times dimension fit
+    in ``STACK_FLOATS`` (at least one path); a stack of one chunk reads the
+    path's cached segments. Terms ``(P,)`` or ``(P, F)`` per path give a
+    total or ``(F,)`` totals, a stack's with its path axis in front, each
+    path's added in path order as np.cumsum adds them, so each keeps the
+    bits of its total alone. A chunk's non-finite total raises at its path's
+    start before the next chunk is evaluated. This is the one quadrature;
+    :func:`line_integral` is its one-form case."""
+    samples, d = path.points.shape[-2:]
+    stack = path.points.reshape(-1, samples, d)
+    per = max(1, STACK_FLOATS // ((samples - 1) * d))
     nodes, weights, divisor = rule
-    terms = None
-    for node, weight in zip(nodes, weights):
-        term = np.asarray(values(at[node].reshape(-1, d), steps.reshape(-1, d)))
-        term = term if weight == 1.0 else weight * term  # a 1 keeps the bits, copying nothing
-        terms = term if terms is None else terms + term
-    terms = terms if divisor == 1.0 else terms / divisor
-    terms = terms.reshape(*mids.shape[:-1], *terms.shape[1:])
-    totals = np.cumsum(terms, axis=axis).take(-1, axis=axis)
-    starts = path.start.reshape(-1, d)
-    finite = np.isfinite(totals).reshape(len(starts), -1).all(axis=1)
-    if not finite.all():
-        raise EvaluationError("non-finite line integral", point=starts[np.argmin(finite)])
-    return totals
+    totals = []
+    for lo in range(0, len(stack), per):
+        chunk = stack[lo:lo + per]
+        mids, steps = path.segments() if per >= len(stack) else _segments(path.space, chunk)
+        at = {0.0: chunk[:, :-1], 0.5: mids, 1.0: chunk[:, 1:]}
+        terms = None
+        for node, weight in zip(nodes, weights):
+            term = np.asarray(values(at[node].reshape(-1, d), steps.reshape(-1, d)))
+            term = term if weight == 1.0 else weight * term  # a 1 keeps the bits, copying nothing
+            terms = term if terms is None else terms + term
+        terms = terms if divisor == 1.0 else terms / divisor
+        terms = terms.reshape(len(chunk), samples - 1, *terms.shape[1:])
+        totals.append(np.cumsum(terms, axis=1).take(-1, axis=1))
+        finite = np.isfinite(totals[-1]).reshape(len(chunk), -1).all(axis=1)
+        if not finite.all():
+            raise EvaluationError("non-finite line integral", point=chunk[np.argmin(finite), 0])
+    return np.concatenate(totals) if path.points.ndim == 3 else totals[0][0]
 
 
 def line_integral(form: OneForm, path: Path) -> float:

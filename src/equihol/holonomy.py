@@ -11,9 +11,10 @@ shares every input with the formula, so it catches quadrature error only;
 it runs in the CLI ``holonomy`` command and the holonomy suite.
 
 Every reading off fresh random class paths goes through one route,
-:func:`class_path_rows`. A stage of paths reads its chords, bump waves and
-section values once, then samples, checks and integrates its paths stack by
-stack under ``STACK_FLOATS``. :func:`random_class_path` is its one-path case.
+:func:`class_path_rows`. A stage of paths is sampled, checked and read at
+its starts as one stack, then integrated with a caller's form in one
+:func:`~equihol.geometry.segment_sum`, which cuts it into chunks under
+``STACK_FLOATS``. :func:`random_class_path` is its one-path case.
 
 Only the facts needed by the cancellation criteria are implemented here;
 no further structure of the holonomy map is assumed.
@@ -42,7 +43,6 @@ from .errors import (
     PathClassError,
 )
 from .geometry import (
-    MIDPOINT,
     SIMPSON,
     STACK_FLOATS,
     CircleValue,
@@ -104,18 +104,24 @@ def require_path_class(bundle: EquivariantBundle, words: Sequence[Word], ends, i
             )
 
 
-def _holonomies(rho: OneForm, stack: Path, alpha, words: Sequence[Word], method: str) -> list:
+def _holonomies(rho: OneForm, stack: Path, alpha, words: Sequence[Word], method: str,
+                form=None) -> list:
     """Holonomy columns of a path, or a stack with path k at ``words[k]`` from
     cocycle ``alpha[k]``: the midpoint rule of rho less the cocycle, then for
-    ``"both"`` RK4 (Simpson), raising where the two differ beyond ``CROSS_CHECK_TOL``."""
-    rules = (MIDPOINT, SIMPSON) if method == "both" else (MIDPOINT,)
-    columns = [circle_values(circle_values(segment_sum(rho.many, stack, rule)) - alpha)
-               for rule in rules]
+    ``"both"`` RK4 (Simpson), raising where the two differ beyond ``CROSS_CHECK_TOL``.
+    A ``form`` evaluator's midpoint totals follow, from the same pass as rho's."""
+    joint = rho.many if form is None else lambda xs, vs: np.column_stack(
+        [rho.many(xs, vs), form(xs, vs)])
+    midpoint = segment_sum(joint, stack)
+    totals = [midpoint if form is None else midpoint[..., 0]]
+    if method == "both":
+        totals.append(segment_sum(rho.many, stack, SIMPSON))
+    columns = [circle_values(circle_values(total) - alpha) for total in totals]
     for gap, word in zip(circle_gaps(*columns) if method == "both" else (), words):
         if gap > CROSS_CHECK_TOL:
             word = format_word(word)
             raise ConsistencyError(f"holonomy methods disagree by {gap:.3e} on word {word!r}")
-    return columns
+    return columns if form is None else columns + [midpoint[..., 1:]]
 
 
 def equivariant_holonomy(
@@ -244,18 +250,17 @@ class Character:
 
 
 def _class_sampler(space, action, words, basepoints, rngs, ts, amplitude):
-    """Samples of smooth random paths, path k from ``basepoints[k]`` to its
-    image under ``words[k]``: ``points(rows, times)`` is the ``(K, T, d)``
-    array of the rows' paths at the times ``ts[times]``.
+    """The ``(K, T, d)`` samples at the times ``ts`` of smooth random paths,
+    path k from ``basepoints[k]`` to its image under ``words[k]``.
 
     Each path is the straight chord plus sine bumps vanishing at both ends,
-    so the class membership is exact by construction. The chords, waves and
-    sine rows are read once here, and every slice of paths and times takes
-    the same elementwise formula, so a start sample has the bits of its
-    path's. Path k draws its three bump waves from ``rngs[k]``, in path
-    order, so a shared generator is read as one call per path would read it:
-    when every path shares one, a single draw of all the waves reads the same
-    stream.
+    so the class membership is exact by construction. The array is filled
+    in chunks of whole paths of at most ``STACK_FLOATS`` floats (at least
+    one path), whose bumps are summed in place from ``0 +`` the first, the
+    bits of ``sum`` (-0.0 turns +0.0). Path k draws its three bump waves from
+    ``rngs[k]``, in path order, so a shared generator is read as one call
+    per path would read it: when every path shares one, a single draw of
+    all the waves reads the same stream.
     """
     x0 = space.points(basepoints)
     chord = space.displacement(x0, action.apply_rows(words, x0))
@@ -265,13 +270,15 @@ def _class_sampler(space, action, words, basepoints, rngs, ts, amplitude):
         normals = np.array([rng.normal(size=(3, space.dimension)) for rng in rngs])
     waves = [(amplitude / k) * normals[:, k - 1, None, :] for k in (1, 2, 3)]
     sines = [np.sin(np.pi * k * ts)[:, None] for k in (1, 2, 3)]
-
-    def points(rows, times):
-        bump = sum(s[times] * w[rows] for s, w in zip(sines, waves))
-        pts = space.points(x0[rows, None] + ts[times, None] * chord[rows, None] + bump)
-        return pts.reshape(len(bump), -1, space.dimension)
-
-    return points
+    per = max(1, STACK_FLOATS // (len(ts) * space.dimension))
+    pts = np.empty((len(x0), len(ts), space.dimension))
+    for lo in range(0, len(x0), per):
+        rows = slice(lo, lo + per)
+        bump = 0 + sines[0] * waves[0][rows]
+        for s, w in zip(sines[1:], waves[1:]):
+            bump += s * w[rows]
+        pts[rows] = x0[rows, None] + ts[:, None] * chord[rows, None] + bump
+    return space.points(pts).reshape(pts.shape)
 
 
 def class_path_rows(
@@ -282,7 +289,7 @@ def class_path_rows(
     basepoints,
     rngs: Sequence,
     samples: int,
-    measure=None,
+    form=None,
     amplitude: float = CLASS_PATH_AMPLITUDE,
     method: str = "formula",
 ) -> np.ndarray:
@@ -292,32 +299,23 @@ def class_path_rows(
 
     A row opens with the path's formula holonomy as
     :func:`equivariant_holonomy` gives it, then, for ``method="both"``, its
-    gap to RK4, raising as one path does; the columns ``measure(stack)``
-    gives follow. The stage reads once all that does not depend on the
-    stack: the chords, waves and sine rows, and one :func:`section_rows` at
-    the start samples for the images of the class check and the section
-    cocycle. The paths are then sampled, checked and integrated as
-    consecutive stacks, each of as many whole paths as keep its segment
-    rows times dimension within ``STACK_FLOATS``, and at least one."""
-    space = bundle.space
-    per = max(1, STACK_FLOATS // max(1, (samples - 1) * space.dimension))
+    gap to RK4, raising as one path does; the midpoint line integrals of
+    ``form``, an evaluator ``(points, vectors) -> (N,)`` or ``(N, F)``,
+    follow. The stage is one ``(K, samples, d)`` stack: one sampler call,
+    one :class:`Path` check, one :func:`section_rows` at its start samples
+    for the images of the class check and the section cocycle, one class
+    check, and one midpoint :func:`segment_sum` of the connection and the
+    form together, which chunks the stack under ``STACK_FLOATS``. Every
+    sample is so checked before any form is evaluated."""
     ts = np.linspace(0.0, 1.0, samples)
-    points = _class_sampler(space, bundle.action, words, basepoints, rngs, ts, amplitude)
-    rho = connection.rho(section)
-    starts = points(slice(None), slice(0, 1))[:, 0]
-    images, alpha = section_rows(bundle, section, words, starts, images=True)
-    rows = []
-    for lo in range(0, len(words), per):
-        part = slice(lo, lo + per)
-        stack = Path(space, ts, points(part, slice(None)))
-        require_path_class(bundle, words[part], stack.end, images[part])
-        columns = _holonomies(rho, stack, alpha[part], words[part], method)
-        if method == "both":
-            columns[1] = circle_gaps(*columns)
-        if measure is not None:
-            columns.append(measure(stack))
-        rows.append(np.column_stack(columns))
-    return np.concatenate(rows)
+    stack = Path(bundle.space, ts, _class_sampler(
+        bundle.space, bundle.action, words, basepoints, rngs, ts, amplitude))
+    images, alpha = section_rows(bundle, section, words, stack.start, images=True)
+    require_path_class(bundle, words, stack.end, images)
+    columns = _holonomies(connection.rho(section), stack, alpha, words, method, form)
+    if method == "both":
+        columns[1] = circle_gaps(*columns[:2])
+    return np.column_stack(columns)
 
 
 def random_class_path(
@@ -333,7 +331,7 @@ def random_class_path(
     the one-path case of :func:`class_path_rows`."""
     ts = np.linspace(0.0, 1.0, samples)
     points = _class_sampler(space, action, [word], [basepoint], [rng], ts, amplitude)
-    return Path(space, ts, points(slice(0, 1), slice(None))[0])
+    return Path(space, ts, points[0])
 
 
 def holonomy_form_gap(
@@ -351,14 +349,13 @@ def holonomy_form_gap(
     For each (word, basepoint) draw a fresh random class path is sampled
     from ``rng``, in draw order; the formula holonomy along it must equal
     the line integral of the form modulo one when the form certifies
-    cancellation. The paths are sampled and integrated as stacks.
+    cancellation. The paths are sampled and integrated as one stack.
     """
     rows = class_path_rows(
         bundle, connection, section, [word for word, _ in draws], [x0 for _, x0 in draws],
-        [rng] * len(draws), samples,
-        lambda stack: circle_values(segment_sum(form.many, stack), stack.start), amplitude,
+        [rng] * len(draws), samples, form.many, amplitude,
     )
-    return max_abs(circle_gaps(rows[:, 0], rows[:, 1]))
+    return max_abs(circle_gaps(rows[:, 0], circle_values(rows[:, 1])))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import functools
 import numpy as np
 
 from .bundle import Section, infinitesimal_anomaly
-from .geometry import central_difference, segment_sum
+from .geometry import central_difference
 from .holonomy import class_path_rows, holonomy_form_gap
 from .lattice import (
     DensityBasis,
@@ -110,12 +110,12 @@ def solve_local_global_form(model, section: Section, cfg: SolverConfig, slots=No
     rng = rng_for(cfg.seed, "local-global-paths")
     base_fields = random_fields(model.lattice, 4, rng_for(cfg.seed, "local-global-bases"))
     # One row per fit path: the holonomy target and every member's line
-    # integral, one segment sum of the basis matrix per stack of paths.
+    # integral, from one segment sum of the connection and the basis matrix.
     words = [word for word in fit_words for _ in base_fields]
     paths = class_path_rows(
         bundle, model.connection, section, words,
         [s0 for _ in fit_words for s0 in base_fields], [rng] * len(words), cfg.path_samples,
-        functools.partial(segment_sum, forms), LOCAL_PATH_AMPLITUDE,
+        forms, LOCAL_PATH_AMPLITUDE,
     )
     targets, blocks = list(paths[:, 0]), [paths[:, 1:]]
     groups = [wi for wi in range(len(fit_words)) for _ in base_fields]

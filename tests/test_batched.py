@@ -946,13 +946,13 @@ class _CountingRng:
 
 @pytest.mark.parametrize("name", ["affine_line", "translation_shear"])
 def test_class_path_rows_read_each_stage_once(name, models, monkeypatch):
-    """A stage of paths over every word up to length 2, in three stacks,
-    reads what no stack owns once: one wave draw from the shared generator,
-    one read of the words for the chords and one section read at the starts,
-    each with at most one map call per (letter, position from the end); the
-    section read makes one family call, or without a family one value call
-    per (generator, word length). The class check and the section cocycle
-    share the section read's images."""
+    """A stage of paths over every word up to length 2, integrated in three
+    chunks, reads what no chunk owns once: one wave draw from the shared
+    generator, one read of the words for the chords and one section read at
+    the starts, each with at most one map call per (letter, position from
+    the end); the section read makes one family call, or without a family
+    one value call per (generator, word length). The class check and the
+    section cocycle share the section read's images."""
     model = models[name]
     bundle, connection, section = model.bundle, model.connection, model.reference_section
     calls, draws, reads, sizes = Counter(), Counter(), [], []
@@ -970,20 +970,20 @@ def test_class_path_rows_read_each_stage_once(name, models, monkeypatch):
         reads.append(calls - before)
         return out
 
-    def measure(stack):
-        sizes.append(len(stack.points))
-        return segment_sum(connection.rho_ref.many, stack)
+    def form(xs, vs):
+        sizes.append(len(xs) // (samples - 1))
+        return connection.rho_ref.many(xs, vs)
 
     monkeypatch.setattr(holonomy, "section_rows", counted_read)
     rng = _CountingRng(rng_for(3, "count"), draws)
     rows = class_path_rows(
-        counting, connection, section, words, bases, [rng] * len(words), samples, measure
+        counting, connection, section, words, bases, [rng] * len(words), samples, form
     )
     assert sizes == [per, per, 1] and draws["normal"] == 1 and len(reads) == 1
     monkeypatch.undo()
     assert np.array_equal(rows, class_path_rows(
         bundle, connection, section, words, bases, [rng_for(3, "count")] * len(words), samples,
-        measure,
+        form,
     ))
     read = {(word[-1 - p], p) for word in words for p in range(len(word))}
     for counted in (reads[0], calls - reads[0]):  # the section read, the chords
@@ -1002,9 +1002,9 @@ def test_class_path_rows_read_each_stage_once(name, models, monkeypatch):
     ("torus_shift", [[-1e-17], [-0.0], [0.999999999999]]),
 ])
 def test_stage_reads_its_section_at_the_stack_starts_bit_for_bit(name, bases, models, monkeypatch):
-    """The stage's one section read takes its points with the bits of the
-    stacks' start samples, signed zeros and wrapping included, not the
-    basepoints."""
+    """The stage's one section read takes its points with the bits of its
+    paths' start samples, those of the one-path route, signed zeros and
+    wrapping included, not the basepoints."""
     model = models[name]
     bundle, connection, section = model.bundle, model.connection, model.reference_section
     read, section_rows = [], holonomy.section_rows
@@ -1015,13 +1015,16 @@ def test_stage_reads_its_section_at_the_stack_starts_bit_for_bit(name, bases, mo
 
     monkeypatch.setattr(holonomy, "section_rows", recorded)
     word = ((bundle.action.labels[0], -1),)
-    rows = class_path_rows(
+    class_path_rows(
         bundle, connection, section, [word] * len(bases), np.array(bases),
-        [rng_for(2, "starts")] * len(bases), 8, lambda stack: stack.start,
+        [rng_for(2, "starts")] * len(bases), 8,
     )
     (xs,) = read
-    assert xs.tobytes() == np.ascontiguousarray(rows[:, 1:]).tobytes()
-    assert xs.tobytes() != bundle.space.points(np.array(bases)).tobytes()
+    rng = rng_for(2, "starts")  # shared, read path by path as the stage reads it
+    starts = [random_class_path(bundle.space, bundle.action, word, x0, rng, 8).start
+              for x0 in np.array(bases)]
+    assert np.ascontiguousarray(xs).tobytes() == np.array(starts).tobytes()
+    assert np.ascontiguousarray(xs).tobytes() != bundle.space.points(np.array(bases)).tobytes()
 
 
 def _corrupted(bundle, stacked_values: bool):
@@ -1483,33 +1486,33 @@ def test_class_path_rows_match_one_path_loops(name, models, lattice_models):
         bundle, connection, section, form, draws, rng_for(4, "gap"), samples
     )
     assert gap == ref_gap > 0.0
-    # Every path, not only the worst one, with the stacks the route measures.
-    stacks = []
+    # Every path, not only the worst one, in the chunks the route integrates.
+    sizes = []
 
-    def measure(stack):
-        stacks.append(stack)
-        return segment_sum(form.many, stack) % 1.0
+    def many(xs, vs):
+        sizes.append(len(xs) // (samples - 1))
+        return form.many(xs, vs)
 
     stage = (bundle, connection, section, [w for w, _ in draws], [x for _, x in draws])
-    rows = class_path_rows(*stage, [rng_for(4, "gap")] * count, samples, measure)
-    assert [len(stack.points) for stack in stacks] == [per, per, 1]
-    assert rows[:, 0].tolist() == ref_hols and rows[:, 1].tolist() == ref_integrals
+    rows = class_path_rows(*stage, [rng_for(4, "gap")] * count, samples, many)
+    assert sizes == [per, per, 1]
+    assert rows[:, 0].tolist() == ref_hols and (rows[:, 1] % 1.0).tolist() == ref_integrals
     # The stacked RK4 cross-check gives each path's holonomy and gap as the
-    # one-path route does.
+    # one-path route does, on the paths the shared generator gives in order.
     both = class_path_rows(*stage, [rng_for(4, "gap")] * count, samples, method="both")
-    paths = np.concatenate([stack.points for stack in stacks])
-    for k, ((word, _), (value, gap)) in enumerate(zip(draws, both)):
-        path = Path(space, stacks[0].times, paths[k])
+    rng = rng_for(4, "gap")
+    paths = [random_class_path(space, action, w, x, rng, samples) for w, x in draws]
+    for k, ((word, _), (value, gap), path) in enumerate(zip(draws, both, paths)):
         one = equivariant_holonomy(bundle, connection, section, word, path, method="both")
         assert (value, gap) == (one.value.value, one.cross_check), (name, k)
     # A (K, S, d) Path is its K one-path rows, bit for bit, for total and
     # (F,) terms alike and under either rule.
-    for stack in stacks:
-        for rule in (MIDPOINT, SIMPSON):
-            assert_rows_match_one_path(stack, form.many, rule)
-            assert_rows_match_one_path(
-                stack, lambda xs, steps: np.column_stack([form.many(xs, steps), xs[:, 0]]), rule
-            )
+    stack = Path(space, paths[0].times, np.stack([path.points for path in paths]))
+    for rule in (MIDPOINT, SIMPSON):
+        assert_rows_match_one_path(stack, form.many, rule)
+        assert_rows_match_one_path(
+            stack, lambda xs, steps: np.column_stack([form.many(xs, steps), xs[:, 0]]), rule
+        )
 
 
 @pytest.mark.parametrize("name", ["torus_shift", "rotation", "lattice_fiber_shift"])
@@ -1560,7 +1563,7 @@ def test_path_stack_checks_name_the_first_faulty_path(models, monkeypatch):
     pts[3, 10] = (0.0, -7.0)
     err = same_error(lambda: Path(space, ts, pts), lambda: Path(space, ts, pts[2]))
     assert isinstance(err, DomainError)
-    # The same fault through holonomy_form_gap, in the second stack.
+    # The same fault through holonomy_form_gap, on the stage's last path.
     per = _per_stack(64, 2)
     draws = [(word, np.array([0.5, 0.5]))] * (per + 1) + [(word, np.array([5.99, 0.0]))]
     gap = lambda ref: (ref_form_gap if ref else holonomy_form_gap)(
@@ -1599,15 +1602,9 @@ def test_path_stack_checks_name_the_first_faulty_path(models, monkeypatch):
     sampler = holonomy._class_sampler
 
     def off_end(*args):
-        points = sampler(*args)
-
-        def moved(rows, times):
-            pts = points(rows, times)
-            if pts.shape[1] == len(ts):  # a stack, not the start samples
-                pts[3, -1] += 0.01
-            return pts
-
-        return moved
+        pts = sampler(*args)
+        pts[3, -1] += 0.01
+        return pts
 
     monkeypatch.setattr(holonomy, "_class_sampler", off_end)
     err = same_error(
@@ -1622,11 +1619,92 @@ def test_path_stack_checks_name_the_first_faulty_path(models, monkeypatch):
     assert isinstance(err, PathClassError)
 
 
+@pytest.mark.parametrize("name", ["rotation", "lattice_fiber_shift"])
+def test_segment_sum_takes_a_stack_in_chunks_of_whole_paths(name, models, lattice_models):
+    """A stack of 2 * per + 1 paths is evaluated in chunks of whole paths,
+    per, per and 1, none of more segment rows times dimension than
+    STACK_FLOATS. Each total is that of its path alone, bit for bit, under
+    either rule and for total and (F,) terms, and a non-finite total on the
+    path of the last chunk raises at that path's start."""
+    bundle, _, _, form, samples = _stack_model(name, models, lattice_models)
+    space = bundle.space
+    per = _per_stack(samples, space.dimension)
+    count = 2 * per + 1
+    words = list(bundle.action.words_up_to(2))
+    bases = probe_points(space, count, 9, tag="chunk-bases")
+    rng = rng_for(9, "chunks")
+    paths = [random_class_path(space, bundle.action, words[k % len(words)], bases[k], rng, samples)
+             for k in range(count)]
+    stack = Path(space, paths[0].times, np.stack([path.points for path in paths]))
+    wide = lambda xs, vs: np.column_stack([form.many(xs, vs), xs[:, 0]])
+    for values in (form.many, wide):
+        for rule in (MIDPOINT, SIMPSON):
+            seen = []
+
+            def watched(xs, vs):
+                seen.append(np.shape(xs))
+                return values(xs, vs)
+
+            totals = segment_sum(watched, stack, rule)
+            assert [rows for rows, _ in seen] == [
+                n * (samples - 1) for n in (per, per, 1) for _ in rule[0]
+            ]
+            assert max(rows * d for rows, d in seen) <= STACK_FLOATS
+            assert len(totals) == count
+            for k, path in enumerate(paths):
+                assert np.array_equal(totals[k], segment_sum(values, path, rule)), (k, rule)
+
+    calls = []
+
+    def poisoned(xs, vs):
+        out = np.array(form.many(xs, vs))
+        calls.append(len(xs))
+        if len(calls) == 3:  # the last chunk, the stack's last path alone
+            out[len(out) // 2] = np.nan
+        return out
+
+    with pytest.raises(EvaluationError, match="^non-finite line integral$") as err:
+        segment_sum(poisoned, stack)
+    assert len(calls) == 3 and err.value.point.tobytes() == stack.start[-1].tobytes()
+
+
+def test_stage_checks_every_sample_before_it_evaluates_a_form(models):
+    """A stage checks all its samples before it evaluates a form. With a
+    form non-finite on the first path only and a last path that leaves the
+    box, it raises the last path's DomainError and evaluates nothing; the
+    non-finite integral of the first path is not reached. Without the last
+    path, the first chunk evaluates the connection and the form together,
+    then raises the non-finite integral at the first path's start."""
+    model = models["rotation"]
+    bundle, connection, section = model.bundle, model.connection, model.reference_section
+    word = (("r", 1),)
+    per = _per_stack(64, 2)
+    bases = np.array([[-4.0, -4.0]] + [[0.5, 0.5]] * per + [[5.99, 0.0]])
+    calls = []
+
+    def form(xs, vs):
+        calls.append(len(xs))
+        return np.where(xs[:, 0] < -3.0, np.inf, 0.0)
+
+    def stage(count):
+        return class_path_rows(
+            bundle, connection, section, [word] * count, bases[:count],
+            [rng_for(6, "fault-gap")] * count, 64, form, 0.35,
+        )
+
+    with pytest.raises(DomainError, match="leaves the box domain"):
+        stage(len(bases))
+    assert calls == []
+    with pytest.raises(EvaluationError, match="^non-finite line integral$") as err:
+        stage(len(bases) - 1)
+    assert calls == [per * 63] and err.value.point.tolist() == [-4.0, -4.0]
+
+
 def test_class_path_rows_keep_each_form_call_under_the_cap(lattice_models):
-    """No form evaluation of a lattice holonomy gap, nor of a measure of
-    holonomy and form rows on the route, sees more segment rows times
-    dimension than STACK_FLOATS: all paths at once raised the peak memory
-    of lattice verdicts through the basis matrices."""
+    """No form evaluation of a lattice holonomy gap, nor of holonomy and
+    form rows on the route, sees more segment rows times dimension than
+    STACK_FLOATS: all paths at once raised the peak memory of lattice
+    verdicts through the basis matrices."""
     model = lattice_models["lattice_fiber_shift"]
     _, connection, section, form, samples = _stack_model(model.scenario.name, {}, lattice_models)
     rho = connection.rho_ref
@@ -1653,7 +1731,7 @@ def test_class_path_rows_keep_each_form_call_under_the_cap(lattice_models):
         seen.clear()
         class_path_rows(
             model.bundle, connection, section, [w for w, _ in draws], [x for _, x in draws],
-            [rng_for(1, "cap")] * 8, samples, lambda stack: segment_sum(form.many, stack),
+            [rng_for(1, "cap")] * 8, samples, form.many,
         )
     finally:
         del rho.many
@@ -1661,9 +1739,9 @@ def test_class_path_rows_keep_each_form_call_under_the_cap(lattice_models):
 
 
 def test_class_path_rows_join_wide_rows_in_path_order(models):
-    """A measure of ``(K, F)`` rows over three stacks gives one ``(N, 1 + F)``
-    array: row k is the holonomy, start and form integral of the one-path
-    route's path k."""
+    """A form of ``(N, F)`` values, integrated in three chunks, gives one
+    ``(K, 1 + F)`` array: row k is the holonomy and the ``F`` integrals of
+    the one-path route's path k."""
     model = models["rotation"]
     bundle, space = model.bundle, model.space
     connection, section = model.connection, model.reference_section
@@ -1675,17 +1753,18 @@ def test_class_path_rows_join_wide_rows_in_path_order(models):
     form = OneForm.from_expressions(space, ["0.3*sin(x2)", "0.2*x1"], name="probe")
     sizes = []
 
-    def measure(stack):
-        sizes.append(len(stack.points))
-        return np.column_stack([stack.start, segment_sum(form.many, stack)])
+    def wide(xs, vs):
+        sizes.append(len(xs) // (samples - 1))
+        return np.column_stack([xs, form.many(xs, vs)])
 
     rngs = [rng_for(8, f"wide-{k}") for k in range(count)]
-    rows = class_path_rows(bundle, connection, section, words, bases, rngs, samples, measure)
+    rows = class_path_rows(bundle, connection, section, words, bases, rngs, samples, wide)
     assert sizes == [per, per, 1] and rows.shape == (count, space.dimension + 2)
     for k, (word, x0) in enumerate(zip(words, bases)):
         path = random_class_path(space, bundle.action, word, x0, rng_for(8, f"wide-{k}"), samples)
         one = equivariant_holonomy(bundle, connection, section, word, path, method="formula")
-        assert rows[k].tolist() == [one.value.value, *path.start, line_integral(form, path)]
+        mid_sums = segment_sum(lambda xs, vs: xs, path)
+        assert rows[k].tolist() == [one.value.value, *mid_sums, line_integral(form, path)]
 
 
 def test_membership_periods_are_one_path_integral_per_candidate(models):

@@ -109,6 +109,22 @@ def test_gain_rule_needs_nine_tenths_of_the_pairs_and_a_gap_above_the_iqr():
     assert load_tool().summarise(pairs, BETTER)["summary"]["op_p50_ms"]["meets_gain_rule"]
 
 
+def test_bound_use_reports_the_ratio_and_the_share_of_the_bound():
+    tool = load_tool()
+    entry = lambda parent, change: {"parent_median": parent, "change_median": change}
+    # Peak memory up 1.4%, lower better: 28% of a 5% bound.
+    assert (tool.bound_use("peak_rss_mb", entry(42.45, 43.0443), "lower", 0.05)
+            == "peak_rss_mb x1.014, 28% of its 0.05 bound")
+    # Throughput up 9%, higher better: the share is negative.
+    assert (tool.bound_use("ops_per_s", entry(75.8, 82.622), "higher", 0.25)
+            == "ops_per_s x1.090, -36% of its 0.25 bound")
+    # Throughput down by its whole bound uses all of it.
+    assert (tool.bound_use("ops_per_s", entry(80.0, 60.0), "higher", 0.25)
+            == "ops_per_s x0.750, 100% of its 0.25 bound")
+    assert (tool.bound_use("setup_s", entry(0.0, 0.1), "lower", 0.25)
+            == "setup_s parent median 0, against its 0.25 bound")
+
+
 def test_seed_range():
     tool = load_tool()
     assert tool.seed_range("3-6") == [3, 4, 5, 6]

@@ -30,9 +30,9 @@ gain must meet. Per workload, ``failure_share`` is each side's failed
 operations over its attempted ones, summed over the pairs, and
 ``more_failures`` whether the change's share exceeds the parent's. The
 metrics flagged worse than their bound, whether the change fails more, and
-the metrics that meet the gain rule are printed after each workload. It
-also records the
-environment line of the benchmark. Medians and quartiles are
+the metrics that meet the gain rule are printed after each workload, and
+for every metric with a bound, how close it came (:func:`bound_use`). It
+also records the environment line of the benchmark. Medians and quartiles are
 ``statistics.quantiles(..., method="inclusive")``, numpy's linear
 percentiles.
 
@@ -134,6 +134,20 @@ def summarise(pairs: list, better: dict, bounds: dict = None) -> dict:
     return out
 
 
+def bound_use(name: str, entry: dict, direction: str, bound: float) -> str:
+    """``"<name> x<ratio>, <share>% of its <bound> bound"``: a metric's
+    change/parent median ratio and the share of its bound that the change's
+    median uses, by how much worse than the parent's it is over the bound's
+    fraction of the parent's, negative when it is better. ``entry`` is the
+    metric's ``summary`` record of :func:`summarise`."""
+    parent, change = entry["parent_median"], entry["change_median"]
+    if not parent:
+        return f"{name} parent median 0, against its {bound:g} bound"
+    sign = 1 if direction == "higher" else -1
+    share = sign * (parent - change) / (bound * abs(parent))
+    return f"{name} x{change / parent:.3f}, {100 * share:.0f}% of its {bound:g} bound"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, type=Path)
@@ -176,6 +190,9 @@ def main(argv=None) -> int:
         print(f"{workload}: worse than its bound: {', '.join(flagged) or 'none'}; "
               f"more failures: {'yes' if more else 'no'}", flush=True)
         print(f"{workload}: meets the gain rule: {', '.join(gains) or 'none'}", flush=True)
+        uses = [bound_use(name, summary[name], better[name], bound)
+                for name, bound in bounds.items() if name in summary]
+        print(f"{workload}: {'; '.join(uses) or 'no bounded metric'}", flush=True)
         args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(f"pairs written to {args.out}")
     return 0
