@@ -154,6 +154,10 @@ class ParameterSpace:
                 if len(value) != self.dimension or not all(map(math.isfinite, value)):
                     raise ValueError(f"{key} needs one finite entry per axis")
                 object.__setattr__(self, key, value)
+        if self.probe_lower is not None and self.probe_upper is not None and any(
+            h <= l for l, h in zip(self.probe_lower, self.probe_upper)
+        ):
+            raise ValueError("probe_upper must exceed probe_lower on every axis")
         if self.topology not in ("euclidean-box", "torus"):
             raise ValueError(f"unknown topology {self.topology!r}")
         if not 0 < self.fd_step < math.inf:
@@ -576,8 +580,12 @@ def _path_samples(space: ParameterSpace, times, points):
         if np.any(steps > 0.45 * min(space.periods)):
             raise CompositionError("path steps exceed the minimal-image patch; refine the sampling")
     else:
-        outside = np.any((head < space.lower) | (head > space.upper), axis=-1)
-        if np.any(outside):
+        # Each path's samples in memory order against the bounds tiled per
+        # sample; the first offender is located only when one exists.
+        tiles = len(times)
+        flat = head.reshape(len(head), tiles * space.dimension)
+        if np.any((flat < np.tile(space.lower, tiles)) | (flat > np.tile(space.upper, tiles))):
+            outside = np.any((head < space.lower) | (head > space.upper), axis=-1)
             k = int(np.argmax(outside.any(axis=1)))
             p = head[k, int(np.argmax(outside[k]))]
             raise DomainError(f"path sample {p.tolist()} leaves the box domain")

@@ -257,7 +257,10 @@ def _class_sampler(space, action, words, basepoints, rngs, ts, amplitude):
     so the class membership is exact by construction. The array is filled
     in chunks of whole paths of at most ``STACK_FLOATS`` floats (at least
     one path), whose bumps are summed in place from ``0 +`` the first, the
-    bits of ``sum`` (-0.0 turns +0.0). Path k draws its three bump waves from
+    bits of ``sum`` (-0.0 turns +0.0). A chunk is computed as ``(P, d, T)``,
+    samples innermost, where numpy's loops run long, and written through
+    the transposed view of the samples: every element takes the same
+    operations in the same order. Path k draws its three bump waves from
     ``rngs[k]``, in path order, so a shared generator is read as one call
     per path would read it: when every path shares one, a single draw of
     all the waves reads the same stream.
@@ -268,16 +271,17 @@ def _class_sampler(space, action, words, basepoints, rngs, ts, amplitude):
         normals = rngs[0].normal(size=(len(rngs), 3, space.dimension))
     else:
         normals = np.array([rng.normal(size=(3, space.dimension)) for rng in rngs])
-    waves = [(amplitude / k) * normals[:, k - 1, None, :] for k in (1, 2, 3)]
-    sines = [np.sin(np.pi * k * ts)[:, None] for k in (1, 2, 3)]
+    waves = [(amplitude / k) * normals[:, k - 1, :, None] for k in (1, 2, 3)]
+    sines = [np.sin(np.pi * k * ts) for k in (1, 2, 3)]
     per = max(1, STACK_FLOATS // (len(ts) * space.dimension))
     pts = np.empty((len(x0), len(ts), space.dimension))
+    along = pts.transpose(0, 2, 1)
     for lo in range(0, len(x0), per):
         rows = slice(lo, lo + per)
         bump = 0 + sines[0] * waves[0][rows]
         for s, w in zip(sines[1:], waves[1:]):
             bump += s * w[rows]
-        pts[rows] = x0[rows, None] + ts[:, None] * chord[rows, None] + bump
+        along[rows] = x0[rows, :, None] + ts * chord[rows, :, None] + bump
     return space.points(pts).reshape(pts.shape)
 
 

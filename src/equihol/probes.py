@@ -2,6 +2,8 @@
 
 Probe sets are Halton points with a seeded Cranley-Patterson shift: low
 discrepancy, reproducible, and distinct between fit and held-out streams.
+The unshifted points of the first ``HALTON_ROWS`` indices are one read-only
+table built at import; a longer draw computes its own by the same rule.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ _PLACES = np.float_power(np.array(_PRIMES), np.arange(64)[:, None])
 # Leading Halton indices skipped: index 0 is the origin and the first
 # points correlate across axes.
 HALTON_SKIP = 20
+# Rows of the Halton table: the default probe and holdout count of a solver.
+HALTON_ROWS = 256
 
 
 def stream_seed(seed: int, tag: str) -> np.random.SeedSequence:
@@ -32,7 +36,31 @@ def stream_seed(seed: int, tag: str) -> np.random.SeedSequence:
 
 
 def rng_for(seed: int, tag: str) -> np.random.Generator:
-    return np.random.default_rng(stream_seed(seed, tag))
+    """The PCG64 generator of a named stream, as ``default_rng`` builds it."""
+    return np.random.Generator(np.random.PCG64(stream_seed(seed, tag)))
+
+
+def _radical_inverses(top: int, dims: int) -> np.ndarray:
+    """The unshifted Halton points of the indices ``HALTON_SKIP..top - 1``
+    in the first ``dims`` prime bases, ``(top - HALTON_SKIP, dims)``.
+
+    Radical inverses: digit k in base b over b^(k+1), lowest first, as many
+    digits as base 2 needs; digit k is q_k - b q_(k+1), q_k = floor(idx / b^k),
+    exact: each index and place below it is an integer under 2^53. One prime
+    column at a time keeps the temporaries to one column's places.
+    """
+    places = _PLACES[: top.bit_length() + 1]
+    idx = np.arange(float(HALTON_SKIP), top)[:, None]
+    out = np.empty((len(idx), dims))
+    for j in range(dims):
+        q = np.floor(idx / places[:, j])
+        digits = q[:, :-1] - places[1, j] * q[:, 1:]
+        out[:, j] = np.cumsum(digits / places[1:, j], axis=1)[:, -1]
+    return out
+
+
+_RADICAL = _radical_inverses(HALTON_SKIP + HALTON_ROWS, len(_PRIMES))
+_RADICAL.setflags(write=False)
 
 
 def halton(n: int, dim: int, seed: int = 0, tag: str = "halton") -> np.ndarray:
@@ -43,16 +71,11 @@ def halton(n: int, dim: int, seed: int = 0, tag: str = "halton") -> np.ndarray:
     """
     if dim > len(_PRIMES):
         return rng_for(seed, tag).random((n, dim))
-    # Radical inverses: digit k in base b over b^(k+1), lowest first, as many
-    # digits as base 2 needs; digit k is q_k - b q_(k+1), q_k = floor(idx / b^k),
-    # exact: each index and place below it is an integer under 2^53.
-    top = HALTON_SKIP + int(n)
-    places = _PLACES[: top.bit_length() + 1, :dim]
-    idx = np.arange(float(HALTON_SKIP), top)[:, None, None]
-    q = np.floor(idx / places)
-    digits = q[:, :-1] - places[1] * q[:, 1:]
-    pts = np.cumsum(digits / places[1:], axis=1)[:, -1]
-    pts += rng_for(seed, tag).random(dim)
+    if n <= HALTON_ROWS:
+        unit = _RADICAL[:n, :dim]
+    else:
+        unit = _radical_inverses(HALTON_SKIP + int(n), dim)
+    pts = unit + rng_for(seed, tag).random(dim)
     return pts - np.floor(pts)
 
 

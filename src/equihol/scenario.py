@@ -162,8 +162,9 @@ def _split_top_level(text: str, lineno: int, column: int) -> List[Tuple[str, int
 # ``word``, ``enum`` followed by its options, or ``expr``/``exprs`` followed
 # by the identifier groups the expression may use. An ``exprs`` list has one
 # expression per name of its first group: per axis (``coords``) or per
-# variation jet (``jets``). A ``*`` key stands for any key. Each kind is
-# split into its words once, at import.
+# variation jet (``jets``); a point, ``floats coords``, has one number per
+# axis. A ``*`` key stands for any key. Each kind is split into its words
+# once, at import.
 _SCHEMA: Dict[str, Dict[str, Tuple[str, ...]]] = {
     "space": {
         "dimension": "int",
@@ -172,9 +173,9 @@ _SCHEMA: Dict[str, Dict[str, Tuple[str, ...]]] = {
         "upper": "floats",
         "periods": "floats",
         "fd_step": "float",
-        "probe_lower": "floats",
-        "probe_upper": "floats",
-        "basepoint": "floats",
+        "probe_lower": "floats coords",
+        "probe_upper": "floats coords",
+        "basepoint": "floats coords",
     },
     "group.*": {
         "forward": "exprs coords",
@@ -188,7 +189,7 @@ _SCHEMA: Dict[str, Dict[str, Tuple[str, ...]]] = {
         "field": "exprs coords",
         "flow": "exprs coords t",
         "alpha": "expr coords t",
-        "fixed_point": "floats",
+        "fixed_point": "floats coords",
     },
     "connection": {"rho": "exprs coords"},
     "moment": {"*": "expr coords"},
@@ -293,7 +294,7 @@ def _typed(value: RawValue, spec: Tuple[str, ...], idents: Optional[dict] = None
             if not _NUMBER_RE.match(item):
                 raise ScenarioError(f"expected a number, found {item!r}", value.line, column)
             out.append(float(item))
-        return tuple(out)
+        return _one_per_name(tuple(out), spec, idents, value, "numbers")
     if kind == "ints":
         if value.kind != "list":
             raise ScenarioError("expected a bracketed list of integers", value.line, value.column)
@@ -313,10 +314,20 @@ def _typed(value: RawValue, spec: Tuple[str, ...], idents: Optional[dict] = None
     out = tuple(
         parse_expr(item, variables, line=value.line, column=column) for item, column in value.items
     )
-    if len(out) != len(idents[spec[1]]):
+    return _one_per_name(out, spec, idents, value, "expressions")
+
+
+def _one_per_name(out: tuple, spec: Tuple[str, ...], idents: Optional[dict], value: RawValue,
+                  what: str) -> tuple:
+    """``out``, a list of the kind ``spec``, checked to hold one item per
+    name of the identifier group ``spec[1]`` when ``idents`` holds it: the
+    head section is typed before its groups exist, and :func:`_identifiers`
+    checks its points."""
+    names = idents.get(spec[1]) if len(spec) > 1 else None
+    if names is not None and len(out) != len(names):
         per = "axis" if spec[1] == "coords" else "variation jet"
         raise ScenarioError(
-            f"expected {len(idents[spec[1]])} expressions (one per {per}), found {len(out)}",
+            f"expected {len(names)} {what} (one per {per}), found {len(out)}",
             value.line, value.column,
         )
     return out
@@ -655,6 +666,9 @@ def _identifiers(raw: RawScenario, head: str, values: dict) -> Dict[str, tuple]:
         elif "lower" not in values or "upper" not in values:
             raise ScenarioError("box space needs lower and upper bounds")
         idents["coords"] = tuple(f"x{i + 1}" for i in range(values["dimension"]))
+        for key, value in raw.sections[head].items():
+            if _SCHEMA[head][key][0] == "floats":
+                _one_per_name(values[key], _SCHEMA[head][key], idents, value, "numbers")
         return idents
     jet_order = values.get("jet_order", 2)
     if not 0 <= jet_order <= MAX_JET_ORDER:

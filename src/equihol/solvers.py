@@ -40,6 +40,7 @@ from .bundle import (
 )
 from .errors import (
     ConditioningError,
+    ConsistencyError,
     EvaluationError,
     PreconditionError,
     ToolkitError,
@@ -486,14 +487,19 @@ def fixed_point_witness(bundle, section, fixed_points, threshold: float) -> Opti
     """The first declared fixed point whose anomaly exceeds the threshold.
 
     No smooth potential can move a fixed point, so a nonvanishing anomaly
-    there obstructs every counterterm and every invariant primitive.
+    there obstructs every counterterm and every invariant primitive. A
+    declared point that its generator moves is inconsistent scenario data.
     """
     for label, point in (fixed_points or {}).items():
         if label not in bundle.lie_generators:
             continue
         x0 = bundle.space.point(point)
-        if float(np.linalg.norm(bundle.lie(label).generator_field(x0))) > 1e-8:
-            continue
+        speed = float(np.linalg.norm(bundle.lie(label).generator_field(x0)))
+        if speed > 1e-8:
+            raise ConsistencyError(
+                f"declared fixed point {x0.tolist()} of {label!r} is not fixed: "
+                f"|{label}(x0)| = {speed:.3e}"
+            )
         value = infinitesimal_anomaly(bundle, section, label)(x0)
         if abs(value) > threshold:
             return {

@@ -1027,6 +1027,61 @@ def test_stage_reads_its_section_at_the_stack_starts_bit_for_bit(name, bases, mo
     assert np.ascontiguousarray(xs).tobytes() != bundle.space.points(np.array(bases)).tobytes()
 
 
+def ref_coordinate_sampler(space, action, words, basepoints, rngs, ts, amplitude):
+    """The class-path sampler with the coordinate axis innermost: the waves
+    ``(K, 1, d)``, the sines ``(T, 1)`` and each chunk ``(P, T, d)``."""
+    x0 = space.points(basepoints)
+    chord = space.displacement(x0, action.apply_rows(words, x0))
+    if all(rng is rngs[0] for rng in rngs):
+        normals = rngs[0].normal(size=(len(rngs), 3, space.dimension))
+    else:
+        normals = np.array([rng.normal(size=(3, space.dimension)) for rng in rngs])
+    waves = [(amplitude / k) * normals[:, k - 1, None, :] for k in (1, 2, 3)]
+    sines = [np.sin(np.pi * k * ts)[:, None] for k in (1, 2, 3)]
+    per = max(1, STACK_FLOATS // (len(ts) * space.dimension))
+    pts = np.empty((len(x0), len(ts), space.dimension))
+    for lo in range(0, len(x0), per):
+        rows = slice(lo, lo + per)
+        bump = 0 + sines[0] * waves[0][rows]
+        for s, w in zip(sines[1:], waves[1:]):
+            bump += s * w[rows]
+        pts[rows] = x0[rows, None] + ts[:, None] * chord[rows, None] + bump
+    return space.points(pts).reshape(pts.shape)
+
+
+@pytest.mark.parametrize(
+    "name", ["paper_example_Z_on_R", "rotation", "torus_shift", "lattice_fiber_shift"]
+)
+@pytest.mark.parametrize("shared", [True, False], ids=["shared_rng", "rng_per_path"])
+def test_class_sampler_keeps_the_bits_of_the_coordinate_innermost_sampler(
+    name, shared, models, lattice_models
+):
+    """The sampler, samples innermost, gives the bytes of the sampler with
+    the coordinate axis innermost: on a line, a plane, a circle and a
+    32-site lattice, over 2 * per + 1 paths, so the last chunk holds one,
+    whether the paths share a generator or each has its own. A start of
+    signed zeros is among the bases."""
+    model = lattice_models.get(name) or models[name]
+    space, action = model.space, model.bundle.action
+    samples = model.scenario.solver_config().path_samples
+    ts = np.linspace(0.0, 1.0, samples)
+    count = 2 * max(1, STACK_FLOATS // (samples * space.dimension)) + 1
+    words = list(action.words_up_to(2))
+    words = [words[k % len(words)] for k in range(count)]
+    bases = probe_points(space, count, 3, tag="sampler-bases")
+    bases[0] = -0.0
+
+    def rngs():
+        if shared:
+            return [rng_for(3, "sampler")] * count
+        return [rng_for(3, f"sampler-{k}") for k in range(count)]
+
+    got = holonomy._class_sampler(space, action, words, bases, rngs(), ts, 0.35)
+    want = ref_coordinate_sampler(space, action, words, bases, rngs(), ts, 0.35)
+    assert got.shape == (count, samples, space.dimension) and got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+
+
 def _corrupted(bundle, stacked_values: bool):
     """The bundle with a position-dependent term added to every generator
     value, so the values no longer match the family."""
@@ -1796,9 +1851,10 @@ def ref_radical_inverse(indices, base):
 
 
 def test_halton_matches_the_digit_loop():
-    """Every digit of every axis in one pass gives the loop's bits, for the
-    point counts and every dimension the Halton route serves."""
-    for n in list(range(70)) + [96, 128, 192, 256, 500, 1000, 4096]:
+    """Every digit of every axis, from the table or computed per call,
+    gives the loop's bits, for the point counts and every dimension the
+    Halton route serves, on both sides of the table's last row."""
+    for n in list(range(70)) + [96, 128, 192, 255, 256, 257, 500, 1000, 4096]:
         idx = np.arange(probes.HALTON_SKIP, probes.HALTON_SKIP + n)
         axes = [ref_radical_inverse(idx, b) for b in probes._PRIMES]
         for dim in range(1, len(probes._PRIMES) + 1):
@@ -1807,3 +1863,8 @@ def test_halton_matches_the_digit_loop():
                 shift = rng_for(seed, "halton").random(dim)
                 expected = np.mod(unshifted + shift, 1.0)
                 assert probes.halton(n, dim, seed).tobytes() == expected.tobytes(), (n, dim, seed)
+    # The first HALTON_ROWS points are one read-only table; 257 points and
+    # more are computed per call.
+    assert probes.HALTON_ROWS == 256 and not probes._RADICAL.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        probes._RADICAL[0, 0] = 0.5

@@ -278,6 +278,15 @@ FAULTS = {
         r"error: invariance defect of 'g' is not closed; "
         r"the curvature is not invariant under the full group\n",
     ),
+    # A declared fixed point that its generator moves: the rotation field
+    # has length 0.762 at (0.7, -0.3). The verdict reads every declared
+    # fixed point for a witness, and stops on this one.
+    "moved_fixed_point": Fault(
+        "declared fixed points", "rotation", {("lie.X", "fixed_point"): "[0.7, -0.3]"},
+        ("verdict",), 1,
+        r"error: declared fixed point \[0\.7, -0\.3\] of 'X' is not fixed: "
+        r"\|X\(x0\)\| = 7\.616e-01\n",
+    ),
     # Pullback defects of unpushed vectors. The rotation turns the vectors
     # it moves, so the invariance rows of the primitive search no longer
     # hold for the invariant primitive 0.1 (x1 dx2 - x2 dx1) of its

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -148,6 +149,31 @@ def test_path_validation():
     torus = ParameterSpace(1, "torus", periods=(1.0,))
     with pytest.raises(CompositionError, match="minimal-image patch"):
         Path(torus, [0.0, 0.5, 1.0], [[0.0], [0.1], [0.6]])
+
+
+def test_path_stack_names_the_first_sample_outside_the_box():
+    """The box check of a stack names the first sample outside it, path by
+    path and then sample by sample: here a later path leaves through an
+    earlier sample, on another axis and bound. A sample exactly on a bound
+    is inside."""
+    space = ParameterSpace(2, "euclidean-box", lower=(-2.0, -1.0), upper=(3.0, 4.0))
+    ts = np.linspace(0.0, 1.0, 5)
+    pts = np.zeros((4, 5, 2))
+    pts[0, 1:3] = [(-2.0, 4.0), (3.0, -1.0)]  # on all four bounds
+    pts[2, 3:] = [(0.5, 4.5), (9.0, 0.0)]  # above x2, then above x1
+    pts[3, 1] = (-2.5, 0.0)  # below x1
+
+    def first_outside(stack):
+        for path in stack:
+            for p in path:
+                if np.any((p < space.lower) | (p > space.upper)):
+                    return p.tolist()
+
+    assert np.array_equal(Path(space, ts, pts[:2]).points, pts[:2])
+    for stack in (pts, pts[3:], pts[3]):
+        message = f"path sample {first_outside(stack.reshape(-1, 5, 2))} leaves the box domain"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            Path(space, ts, stack)
 
 
 # Composite quadrature: exact for a constant form on a straight path.

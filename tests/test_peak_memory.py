@@ -1,4 +1,4 @@
-"""The traced peak memory of lattice verdicts.
+"""The traced peak memory of lattice verdicts and of importing the CLI.
 
 A stage of class paths is sampled and checked as one stack, and only its
 quadrature is cut into chunks under ``STACK_FLOATS``; the samples are the
@@ -8,6 +8,15 @@ scenarios at seeds 0, 1 and 2, run in one fresh interpreter with
 ``PEAK_BOUND``. On a 2-vCPU Xeon with numpy 2.4 the peak reads 2.38 MB, and
 2.03 MB when every path was sampled and integrated on its own. Keeping the
 midpoints and steps of a whole stage at once read 3.06-3.37 MB.
+
+Module constants, the Halton table among them, are built at import, so
+their temporaries count toward every run's peak. ``import equihol.cli``
+runs in a fresh interpreter with numpy and the standard modules it uses
+already imported, and its traced peak must stay within
+``IMPORT_PEAK_BOUND``. On the same host it reads 3.43 MB without the
+table and 3.47 MB with its 256 rows built one prime column at a time,
+while a 1024-row table built in one broadcast over every prime read
+6.46 MB.
 """
 
 import os
@@ -18,6 +27,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 PEAK_BOUND = 2.75e6
+IMPORT_PEAK_BOUND = 3.6e6
 
 SCRIPT = textwrap.dedent("""
     import contextlib, io, tracemalloc
@@ -31,10 +41,29 @@ SCRIPT = textwrap.dedent("""
 """)
 
 
-def test_lattice_verdicts_keep_their_traced_peak():
+IMPORT_SCRIPT = textwrap.dedent("""
+    import argparse, dataclasses, json, re, tracemalloc
+    import numpy
+    tracemalloc.start()
+    import equihol.cli
+    print(tracemalloc.get_traced_memory()[1])
+""")
+
+
+def traced_peak(script: str) -> int:
+    """The last number ``script`` prints, run in a fresh interpreter on ``src``."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    run = subprocess.run([sys.executable, "-c", SCRIPT], capture_output=True, text=True, env=env)
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert run.returncode == 0, run.stderr
-    peak = int(run.stdout.split()[-1])
+    return int(run.stdout.split()[-1])
+
+
+def test_lattice_verdicts_keep_their_traced_peak():
+    peak = traced_peak(SCRIPT)
     assert 0 < peak <= PEAK_BOUND, f"traced peak {peak / 1e6:.2f} MB"
+
+
+def test_importing_the_cli_keeps_its_traced_peak():
+    peak = traced_peak(IMPORT_SCRIPT)
+    assert 0 < peak <= IMPORT_PEAK_BOUND, f"traced import peak {peak / 1e6:.2f} MB"

@@ -425,6 +425,20 @@ def test_cli_trivial_first_cohomology_on_a_torus_is_rejected_at_its_line(tmp_pat
          "expected a number, found '6x' (line 10, column 13)"),
         ("lattice_fiber_shift", "path_samples = 192", "path_samples = 192\nslots = [1, x]",
          "expected an integer, found 'x' (line 34, column 13)"),
+        # A point entry has one number per axis, and a probe box a positive
+        # extent on every axis.
+        ("rotation", "basepoint = [1, 0]", "basepoint = [1]",
+         "expected 2 numbers (one per axis), found 1 (line 13, column 13)"),
+        ("rotation_anomalous", "fixed_point = [0, 0]", "fixed_point = [0]",
+         "expected 2 numbers (one per axis), found 1 (line 30, column 15)"),
+        ("rotation_anomalous", "fixed_point = [0, 0]", "fixed_point = [0, 0, 0]",
+         "expected 2 numbers (one per axis), found 3 (line 30, column 15)"),
+        ("rotation", "probe_upper = [1.5, 1.5]", "probe_upper = [1.5]",
+         "expected 2 numbers (one per axis), found 1 (line 12, column 15)"),
+        ("rotation_anomalous", "probe_upper = [1.5, 1.5]", "probe_upper = [-2, 1.5]",
+         "[space] probe_upper must exceed probe_lower on every axis"),
+        ("paper_example_Z_on_R", "probe_lower = [-2]", "probe_lower = [2]",
+         "[space] probe_upper must exceed probe_lower on every axis"),
     ],
     ids=["sites", "period", "infinite_period", "halfwidth", "upper", "infinite_upper",
          "infinite_halfwidth", "jet_order", "jet_order_negative", "density_degree_negative",
@@ -432,13 +446,17 @@ def test_cli_trivial_first_cohomology_on_a_torus_is_rejected_at_its_line(tmp_pat
          "short_field", "long_field", "short_flow", "short_forward", "huge_relation",
          "bad_relation_exponent", "power_label", "identity_label", "expr_item_name",
          "expr_item_number", "float_item",
-         "int_item"],
+         "int_item", "short_basepoint", "short_fixed_point", "long_fixed_point",
+         "short_probe_upper", "inverted_probe_box", "empty_probe_box"],
 )
 def test_cli_rejected_model_value_is_typed_error(name, line, edited, message, tmp_path, capsys):
     # Values the lattice and parameter-space constructors reject, jet orders,
-    # density degrees and slots out of range, repeated slots, expression lists without one
-    # entry per axis and relator words too long to expand or with a bad
-    # exponent end in one typed error line; a word names its position.
+    # density degrees and slots out of range, repeated slots, expression lists
+    # and points without one entry per axis, inverted probe boxes and relator
+    # words too long to expand or with a bad exponent end in one typed error
+    # line; a word or point names its position. Every command reads the
+    # scenario whole, so a point that only holonomy or verdict reads stops
+    # check-cocycle too.
     text = (bundled_dir() / f"{name}.scn").read_text()
     assert text.count(line + "\n") == 1
     scenario = tmp_path / "rejected.scn"
